@@ -888,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "and pipeline cache; appends to "
                                     "BENCH_interp.json")
     p.add_argument("--quick", action="store_true",
-                   help="train inputs, dijkstra only, 1.5x gate (CI smoke)")
+                   help="train inputs, dijkstra only, 3.0x gate (CI smoke)")
     p.add_argument("--stress", action="store_true",
                    help="add the large-footprint shadow configuration "
                         "(multi-KB ops, multi-MB checkpoint merge)")

@@ -182,13 +182,17 @@ class PreparedProgram:
         return result.speedup_over(self.sequential.cycles)
 
 
-def run_sequential(source: str, name: str, entry: str = "main",
-                   args: Sequence[object] = ()) -> SequentialBaseline:
-    """Compile and run the unmodified program (the clang -O3 stand-in)."""
-    module = compile_minic(source, name)
+def _run_baseline(module: Module, entry: str,
+                  args: Sequence[object]) -> SequentialBaseline:
     interp = Interpreter(module)
     rv = interp.run(entry, tuple(args))
     return SequentialBaseline(interp.cycles, rv, list(interp.output))
+
+
+def run_sequential(source: str, name: str, entry: str = "main",
+                   args: Sequence[object] = ()) -> SequentialBaseline:
+    """Compile and run the unmodified program (the clang -O3 stand-in)."""
+    return _run_baseline(compile_minic(source, name), entry, args)
 
 
 def prepare(
@@ -227,9 +231,6 @@ def prepare(
                                program=name, train_args=list(train_args),
                                ref_args=list(eval_args))
 
-    # The profiling/transform module is compiled *before* the baseline
-    # run so its instruction uids — and hence its cache fingerprint —
-    # don't depend on whether the warm path skips the baseline compile.
     module = compile_minic(source, name)
     # Key and fingerprint are captured now, before any transform mutates
     # the module in place.
@@ -253,7 +254,10 @@ def prepare(
             except ValueError:
                 pass  # stale per-candidate entry: re-profile below
     else:
-        sequential = run_sequential(source, name, entry, eval_args)
+        # The baseline runs on the module the profilers and the transform
+        # use, before either touches it: interpreting only attaches code
+        # caches to the IR.
+        sequential = _run_baseline(module, entry, eval_args)
         hot_report = profile_execution_time(module, entry, train_args)
 
     def _persist() -> None:

@@ -41,7 +41,9 @@ because the substrate is an interpreter-based simulator, not the authors'
 24-core Xeon X7460.
 
 Regenerate with `python -m repro.bench.report > EXPERIMENTS.md`
-or assert the same shapes with `pytest benchmarks/ --benchmark-only`.
+or assert the same shapes with `pytest benchmarks/ --benchmark-only`;
+sections that record wall-clock `perfbench/` runs of one box (at the
+end) are not generated: keep them when regenerating.
 """
 
 

@@ -1,28 +1,23 @@
-"""Closure-compiled fast path for the mini-IR interpreter.
+"""Register file, per-function code cache and dispatch loop of the
+interpreter's fast path.
 
 The reference :meth:`Interpreter.step` re-dispatches on the opcode and
-re-resolves every operand on every executed instruction.  This module
-pre-translates each :class:`BasicBlock` once into a list of specialized
-closures:
+re-resolves every operand on every executed instruction.  The fast path
+runs generated Python instead: :mod:`repro.interp.codegen` turns every
+basic-block *segment* into one function ``seg(interp, frame)``, and
+:func:`run_fast` makes one call per segment.  This module holds what
+that code runs on:
 
-* operands are resolved at translate time to either a baked-in constant,
-  a flat frame-register slot index, or a global (looked up through
-  ``interp.global_addrs`` so compiled code stays interpreter-independent);
-* the per-opcode handler (binop kind, cast kind, compare predicate, load
-  width/signedness, …) is selected once, at translate time;
-* the cycle cost of each straight-line suffix is precomputed, so cycle
-  accounting adds one number per block run instead of one per
-  instruction (with exact roll-back on calls and guest exceptions, so
-  both paths report identical cycle and step totals at every observable
-  point: block boundaries, hook events, and raised exceptions).
-
-Compiled code is cached on the :class:`Function` object and invalidated
-by a structural fingerprint (a refinement of the module fingerprint in
-:mod:`repro.profiling.serialize`): each :class:`Interpreter` validates
-the fingerprint once per function before trusting the cache, so IR
-transformations such as :class:`PrivateerTransform` — which mutate
-instructions in place between the profiling runs and the parallel
-execution — transparently trigger recompilation.
+* the flat register numbering of a function and :class:`RegisterFile`,
+  the dict-protocol view of a frame's slots that everything outside the
+  generated code uses;
+* :func:`function_code`, which validates the code bound to a
+  :class:`Function` against its current *content* — so IR
+  transformations such as :class:`PrivateerTransform`, which mutate
+  instructions in place between the profiling runs and the parallel
+  execution, transparently trigger regeneration — once per
+  :class:`Interpreter`;
+* :func:`run_fast`, the dispatch loop.
 
 The reference ``step()`` path remains the executable specification;
 ``tests/test_fastpath_differential.py`` holds the two paths to identical
@@ -31,76 +26,32 @@ guest output, cycle totals, and profiler records.
 
 from __future__ import annotations
 
-import struct as _struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..ir.instructions import (
-    Alloca,
-    BinOp,
-    BinOpKind,
-    Br,
-    Call,
-    Cast,
-    CastKind,
-    CmpPred,
-    CondBr,
-    FCmp,
-    ICmp,
-    Instruction,
-    Load,
-    Opcode,
-    Phi,
-    PtrAdd,
-    Ret,
-    Select,
-    Store,
-)
 from ..ir.module import BasicBlock, Function
-from ..ir.types import FloatType, IntType, PointerType
-from ..ir.values import GlobalVariable, Value
-from .costs import instruction_cost, intrinsic_cost
-from .errors import BlockBreakpoint, GuestFault
-from .memory import STACK_BASE
-
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-#: Sentinel stored in unassigned register slots; reads of it reproduce the
-#: reference path's "use of undefined value" fault.
-_UNDEF = object()
+from ..ir.values import Value
+from .codegen import (
+    _UNDEF,
+    STACK,
+    bind_segments,
+    build_regmap,
+    content_key,
+    templates_for,
+)
 
 #: Sentinel default for :meth:`RegisterFile.get` misses.
 _MISS = object()
 
-# Signals returned by compiled ops to the dispatch loop.  A BlockCode
-# instance means "control transferred, continue in this frame"; these two
-# mean "the frame stack changed".
-_PUSHED = object()   # a call pushed a new frame
-_POPPED = object()   # a ret popped the top frame (caller resumes)
-_DONE = object()     # the last frame returned; result in interp._fast_result
-
 
 # ---------------------------------------------------------------------------
-# Register numbering
+# Register file
 # ---------------------------------------------------------------------------
-
-
-def build_regmap(fn: Function) -> Dict[Value, int]:
-    """Assign a flat register slot to every value the function can define:
-    formal arguments and every instruction result (void results included —
-    the waste is tiny and keeps numbering trivially stable)."""
-    regmap: Dict[Value, int] = {}
-    for arg in fn.args:
-        regmap[arg] = len(regmap)
-    for bb in fn.blocks:
-        for inst in bb.instructions:
-            regmap[inst] = len(regmap)
-    return regmap
 
 
 class RegisterFile:
     """Dict-protocol view over a frame's flat register slots.
 
-    The compiled fast path indexes ``frame.slots`` directly; everything
+    Generated code indexes ``frame.slots`` directly; everything
     else (the reference ``step()`` path, the executor poking loop phis,
     tests) goes through this mapping interface.  Values that are not in
     the function's numbering (possible only when a cached register map
@@ -189,48 +140,30 @@ class RegisterFile:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprinting / caches
+# Per-function code cache
 # ---------------------------------------------------------------------------
 
 
-def function_fingerprint(fn: Function) -> int:
-    """Structural fingerprint of one function: block layout, instruction
-    identities, operand identities, branch targets, phi incomings, and the
-    per-class payloads that compilation bakes in.  Any in-place IR
-    mutation — including direct ``inst.operands[:] = …`` rewrites that
-    bypass ``replace_operand`` — changes it."""
-    parts: List[object] = []
-    for bb in fn.blocks:
-        parts.append(bb.name)
-        for inst in bb.instructions:
-            parts.append(inst.uid)
-            parts.append(inst.opcode.value)
-            for op in inst.operands:
-                parts.append(op.uid)
-            if isinstance(inst, BinOp):
-                parts.append(inst.kind.value)
-            elif isinstance(inst, (ICmp, FCmp)):
-                parts.append(inst.pred.value)
-            elif isinstance(inst, Cast):
-                parts.append(inst.kind.value)
-            elif isinstance(inst, Call):
-                parts.append(inst.callee.uid)
-            elif isinstance(inst, Br):
-                parts.append(inst.target.name)
-            elif isinstance(inst, CondBr):
-                parts.append(inst.if_true.name)
-                parts.append(inst.if_false.name)
-            elif isinstance(inst, Phi):
-                for pred, v in inst.incoming:
-                    parts.append(pred.name)
-                    parts.append(v.uid)
-    return hash(tuple(parts))
+class FunctionCode:
+    """The segments bound to one ``Function`` instance plus its register
+    numbering."""
+
+    __slots__ = ("regmap", "segs")
+
+    def __init__(self, fn: Function, regmap: Dict[Value, int],
+                 digest: bytes):
+        self.regmap = regmap
+        #: block -> entry instruction index -> segment function.  A
+        #: block is entered at its first non-phi instruction and
+        #: re-entered after each call to a defined function.
+        self.segs: Dict[BasicBlock, Dict[int, Callable]] = dict(zip(
+            fn.blocks, bind_segments(fn, templates_for(fn, regmap, digest))))
 
 
 def regmap_for(fn: Function) -> Dict[Value, int]:
     """The function's cached register numbering (no validation — stale
     maps are safe because :class:`RegisterFile` spills unknown values to
-    its overflow dict; the compiled path always goes through
+    its overflow dict; the fast path always goes through
     :func:`function_code`, which does validate)."""
     cached = getattr(fn, "_repro_regmap", None)
     if cached is None:
@@ -239,826 +172,20 @@ def regmap_for(fn: Function) -> Dict[Value, int]:
     return cached
 
 
-def function_code(fn: Function) -> "FunctionCode":
-    """Validate-or-compile: reuse the cached :class:`FunctionCode` when
-    the function's fingerprint still matches, else recompile (and renumber
-    registers, so transform-inserted values get slots)."""
-    fp = function_fingerprint(fn)
+def function_code(fn: Function) -> FunctionCode:
+    """Validate-or-bind: reuse the :class:`FunctionCode` cached on the
+    function while its content and the identity of its IR objects are
+    unchanged, else renumber registers (so transform-inserted values get
+    slots) and bind the memoised — or freshly generated — segments."""
+    regmap = build_regmap(fn)
+    key = content_key(fn, regmap)
     cached = getattr(fn, "_repro_code", None)
-    if cached is not None and cached[0] == fp:
+    if cached is not None and cached[0] == key:
         return cached[1]
-    fn._repro_regmap = build_regmap(fn)  # type: ignore[attr-defined]
-    code = FunctionCode(fn, fn._repro_regmap)  # type: ignore[attr-defined]
-    fn._repro_code = (fp, code)  # type: ignore[attr-defined]
+    fn._repro_regmap = regmap  # type: ignore[attr-defined]
+    code = FunctionCode(fn, regmap, key[0])
+    fn._repro_code = (key, code)  # type: ignore[attr-defined]
     return code
-
-
-# ---------------------------------------------------------------------------
-# Operand resolution
-# ---------------------------------------------------------------------------
-
-# Compile-time operand classification: (KIND, payload)
-_K_CONST = 0   # payload: the Python value
-_K_SLOT = 1    # payload: slot index
-_K_GLOBAL = 2  # payload: the GlobalVariable
-
-
-def _classify(v: Value, regmap: Dict[Value, int]) -> Tuple[int, object]:
-    cv = v.cval
-    if cv is not None:
-        return _K_CONST, cv
-    if isinstance(v, GlobalVariable):
-        return _K_GLOBAL, v
-    idx = regmap.get(v)
-    if idx is None:
-        # Not in the numbering (cannot happen for well-formed IR compiled
-        # after numbering, but mirror the reference fault if it does).
-        return _K_GLOBAL, v  # treated as global-ish miss below
-    return _K_SLOT, idx
-
-
-def _undef_fault(v: Value, fn: Function):
-    raise GuestFault(f"use of undefined value {v.short()} in {fn.name}")
-
-
-def _getter(v: Value, regmap: Dict[Value, int],
-            fn: Function) -> Callable:
-    """Generic operand getter ``g(interp, frame) -> value``; the hot op
-    compilers specialize the slot/const cases inline instead."""
-    kind, payload = _classify(v, regmap)
-    if kind == _K_CONST:
-        const = payload
-
-        def g_const(interp, frame, _c=const):
-            return _c
-        return g_const
-    if kind == _K_SLOT:
-        idx = payload
-
-        def g_slot(interp, frame, _i=idx, _v=v, _f=fn):
-            val = frame.slots[_i]
-            if val is _UNDEF:
-                _undef_fault(_v, _f)
-            return val
-        return g_slot
-    gv = payload
-    if isinstance(gv, GlobalVariable):
-        def g_global(interp, frame, _g=gv):
-            return interp.global_addrs[_g]
-        return g_global
-
-    def g_missing(interp, frame, _v=v, _f=fn):
-        # Overflow-dict values (stale regmap) or a genuine undefined use.
-        val = frame.regs.get(_v, _UNDEF)
-        if val is _UNDEF:
-            if isinstance(_v, GlobalVariable):
-                return interp.global_addrs[_v]
-            _undef_fault(_v, _f)
-        return val
-    return g_missing
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic kernels (mirror Interpreter._int_binop/_float_binop exactly)
-# ---------------------------------------------------------------------------
-
-
-def _int_kernel(kind: BinOpKind, ty: IntType) -> Callable:
-    wrap = ty.wrap
-    mask = (1 << ty.bits) - 1
-    shift_mask = ty.bits - 1
-    signed = ty.signed
-    if kind is BinOpKind.ADD:
-        return lambda a, b: wrap(int(a) + int(b))
-    if kind is BinOpKind.SUB:
-        return lambda a, b: wrap(int(a) - int(b))
-    if kind is BinOpKind.MUL:
-        return lambda a, b: wrap(int(a) * int(b))
-    if kind is BinOpKind.DIV:
-        def k_div(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise GuestFault("integer division by zero")
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            return wrap(q)
-        return k_div
-    if kind is BinOpKind.REM:
-        def k_rem(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise GuestFault("integer remainder by zero")
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            return wrap(a - q * b)
-        return k_rem
-    if kind is BinOpKind.AND:
-        return lambda a, b: wrap((int(a) & mask) & (int(b) & mask))
-    if kind is BinOpKind.OR:
-        return lambda a, b: wrap((int(a) & mask) | (int(b) & mask))
-    if kind is BinOpKind.XOR:
-        return lambda a, b: wrap((int(a) & mask) ^ (int(b) & mask))
-    if kind is BinOpKind.SHL:
-        return lambda a, b: wrap((int(a) & mask) << (int(b) & shift_mask))
-    if kind is BinOpKind.SHR:
-        if signed:
-            return lambda a, b: wrap(int(a) >> (int(b) & shift_mask))
-        return lambda a, b: wrap((int(a) & mask) >> (int(b) & shift_mask))
-    raise GuestFault(f"bad int binop {kind}")
-
-
-def _float_kernel(kind: BinOpKind) -> Callable:
-    if kind is BinOpKind.FADD:
-        return lambda a, b: float(a) + float(b)
-    if kind is BinOpKind.FSUB:
-        return lambda a, b: float(a) - float(b)
-    if kind is BinOpKind.FMUL:
-        return lambda a, b: float(a) * float(b)
-    if kind is BinOpKind.FDIV:
-        def k_fdiv(a, b):
-            a, b = float(a), float(b)
-            try:
-                return a / b
-            except ZeroDivisionError:
-                if a == 0:
-                    return float("nan")
-                return float("inf") if a > 0 else float("-inf")
-        return k_fdiv
-    raise GuestFault(f"bad float binop {kind}")
-
-
-_CMP_KERNELS = {
-    CmpPred.EQ: lambda a, b: a == b,
-    CmpPred.NE: lambda a, b: a != b,
-    CmpPred.LT: lambda a, b: a < b,
-    CmpPred.LE: lambda a, b: a <= b,
-    CmpPred.GT: lambda a, b: a > b,
-    CmpPred.GE: lambda a, b: a >= b,
-}
-
-
-def _cast_kernel(inst: Cast) -> Callable:
-    kind = inst.kind
-    src = inst.value.type
-    dst = inst.type
-    if kind in (CastKind.TRUNC, CastKind.ZEXT, CastKind.SEXT):
-        assert isinstance(dst, IntType)
-        wrap = dst.wrap
-        if kind is CastKind.ZEXT and isinstance(src, IntType):
-            smask = (1 << src.bits) - 1
-            return lambda v: wrap(int(v) & smask)
-        return lambda v: wrap(int(v))
-    if kind is CastKind.BITCAST:
-        if isinstance(src, FloatType) and isinstance(dst, IntType):
-            wrap = dst.wrap
-            return lambda v: wrap(int.from_bytes(
-                _struct.pack("<d", float(v)), "little"))
-        if isinstance(src, IntType) and isinstance(dst, FloatType):
-            return lambda v: _struct.unpack(
-                "<d", (int(v) & _U64).to_bytes(8, "little"))[0]
-        return lambda v: v
-    if kind is CastKind.PTRTOINT:
-        assert isinstance(dst, IntType)
-        wrap = dst.wrap
-        return lambda v: wrap(int(v) & _U64)
-    if kind is CastKind.INTTOPTR:
-        return lambda v: int(v) & _U64
-    if kind is CastKind.SITOFP:
-        return lambda v: float(int(v))
-    if kind is CastKind.UITOFP:
-        bits = src.bits if isinstance(src, IntType) else 64
-        umask = (1 << bits) - 1
-        return lambda v: float(int(v) & umask)
-    if kind in (CastKind.FPTOSI, CastKind.FPTOUI):
-        assert isinstance(dst, IntType)
-        wrap = dst.wrap
-
-        def k_fptoi(v):
-            f = float(v)
-            if f != f or f in (float("inf"), float("-inf")):
-                return 0
-            return wrap(int(f))
-        return k_fptoi
-    if kind in (CastKind.FPEXT, CastKind.FPTRUNC):
-        return lambda v: float(v)
-
-    def k_bad(v):
-        raise GuestFault(f"unhandled cast {kind}")
-    return k_bad
-
-
-def _coercer(type_) -> Callable:
-    """Baked equivalent of Interpreter._coerce_result for one result type."""
-    if isinstance(type_, IntType):
-        wrap = type_.wrap
-
-        def c_int(result):
-            return wrap(int(result)) if result is not None else wrap(0)
-        return c_int
-    if isinstance(type_, FloatType):
-        def c_float(result):
-            return float(result) if result is not None else 0.0
-        return c_float
-
-    def c_ptr(result):
-        return int(result) & _U64 if result is not None else 0
-    return c_ptr
-
-
-# ---------------------------------------------------------------------------
-# Block compilation
-# ---------------------------------------------------------------------------
-
-
-class BlockCode:
-    """One compiled basic block: specialized closures for the non-phi
-    instructions, plus precomputed straight-line cost suffixes."""
-
-    __slots__ = ("block", "first", "nops", "ops", "suffix")
-
-    def __init__(self, block: BasicBlock):
-        self.block = block
-        first = 0
-        for inst in block.instructions:
-            if not isinstance(inst, Phi):
-                break
-            first += 1
-        self.first = first
-        self.ops: List[Callable] = []
-        #: suffix[i] = cycle cost of ops[i:] (suffix[nops] == 0).
-        self.suffix: List[int] = []
-        self.nops = 0
-
-    def _finish(self, ops: List[Callable], costs: List[int]) -> None:
-        self.ops = ops
-        self.nops = len(ops)
-        suffix = [0] * (len(ops) + 1)
-        for i in range(len(ops) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + costs[i]
-        self.suffix = suffix
-
-
-class FunctionCode:
-    """All compiled blocks of one function plus its register numbering."""
-
-    __slots__ = ("function", "regmap", "nslots", "blocks")
-
-    def __init__(self, fn: Function, regmap: Dict[Value, int]):
-        self.function = fn
-        self.regmap = regmap
-        self.nslots = len(regmap)
-        self.blocks: Dict[BasicBlock, BlockCode] = {
-            bb: BlockCode(bb) for bb in fn.blocks
-        }
-        compiler = _BlockCompiler(fn, regmap, self.blocks)
-        for bb, bcode in self.blocks.items():
-            compiler.compile_into(bb, bcode)
-
-
-class _BlockCompiler:
-    """Translates instructions to closures; one instance per function so
-    edge transitions can reference sibling BlockCode objects."""
-
-    def __init__(self, fn: Function, regmap: Dict[Value, int],
-                 blocks: Dict[BasicBlock, BlockCode]):
-        self.fn = fn
-        self.regmap = regmap
-        self.blocks = blocks
-
-    # -- operand helpers ----------------------------------------------------
-
-    def _g(self, v: Value) -> Callable:
-        return _getter(v, self.regmap, self.fn)
-
-    def _slot(self, inst: Instruction) -> int:
-        return self.regmap[inst]
-
-    # -- entry point --------------------------------------------------------
-
-    def compile_into(self, bb: BasicBlock, bcode: BlockCode) -> None:
-        ops: List[Callable] = []
-        costs: List[int] = []
-        insts = bb.instructions
-        for inst in insts[bcode.first:]:
-            ops.append(self._compile_inst(inst, bb))
-            costs.append(instruction_cost(inst))
-        if not insts or not insts[-1].is_terminator:
-            # Mirror the reference "fell off block" fault: costs nothing,
-            # consumes one step.
-            fn_name = self.fn.name
-            block_name = bb.name
-
-            def op_fall(interp, frame):
-                raise GuestFault(f"fell off block {block_name} in {fn_name}")
-            ops.append(op_fall)
-            costs.append(0)
-        bcode._finish(ops, costs)
-
-    def _compile_inst(self, inst: Instruction, bb: BasicBlock) -> Callable:
-        op = inst.opcode
-        if op is Opcode.BINOP:
-            return self._compile_binop(inst)  # type: ignore[arg-type]
-        if op is Opcode.LOAD:
-            return self._compile_load(inst)  # type: ignore[arg-type]
-        if op is Opcode.STORE:
-            return self._compile_store(inst)  # type: ignore[arg-type]
-        if op is Opcode.PTRADD:
-            return self._compile_ptradd(inst)  # type: ignore[arg-type]
-        if op is Opcode.ICMP:
-            return self._compile_icmp(inst)  # type: ignore[arg-type]
-        if op is Opcode.FCMP:
-            return self._compile_fcmp(inst)  # type: ignore[arg-type]
-        if op is Opcode.CAST:
-            return self._compile_cast(inst)  # type: ignore[arg-type]
-        if op is Opcode.SELECT:
-            return self._compile_select(inst)  # type: ignore[arg-type]
-        if op is Opcode.ALLOCA:
-            return self._compile_alloca(inst)  # type: ignore[arg-type]
-        if op is Opcode.CALL:
-            return self._compile_call(inst, bb)  # type: ignore[arg-type]
-        if op is Opcode.BR:
-            return self._compile_br(inst, bb)  # type: ignore[arg-type]
-        if op is Opcode.CONDBR:
-            return self._compile_condbr(inst, bb)  # type: ignore[arg-type]
-        if op is Opcode.RET:
-            return self._compile_ret(inst)  # type: ignore[arg-type]
-        if op is Opcode.PHI:
-            fn_name = self.fn.name
-
-            def op_phi(interp, frame):
-                raise GuestFault(
-                    f"phi executed outside block entry in {fn_name}")
-            return op_phi
-        if op is Opcode.UNREACHABLE:
-            fn_name = self.fn.name
-
-            def op_unreachable(interp, frame):
-                raise GuestFault(f"reached 'unreachable' in {fn_name}")
-            return op_unreachable
-        fn_name = self.fn.name
-
-        def op_unknown(interp, frame, _op=op):
-            raise GuestFault(f"unhandled opcode {_op}")
-        return op_unknown
-
-    # -- straight-line ops ----------------------------------------------------
-
-    def _compile_binop(self, inst: BinOp) -> Callable:
-        ty = inst.type
-        if inst.float_op:
-            kern = _float_kernel(inst.kind)
-        else:
-            ity = ty
-            if isinstance(ity, PointerType):
-                ity = IntType(64, signed=False)
-            assert isinstance(ity, IntType)
-            kern = _int_kernel(inst.kind, ity)
-        d = self._slot(inst)
-        a, b = inst.operands[0], inst.operands[1]
-        ka, pa = _classify(a, self.regmap)
-        kb, pb = _classify(b, self.regmap)
-        fn = self.fn
-        if ka == _K_SLOT and kb == _K_SLOT:
-            ai, bi = pa, pb
-
-            def op_ss(interp, frame):
-                s = frame.slots
-                x = s[ai]
-                if x is _UNDEF:
-                    _undef_fault(a, fn)
-                y = s[bi]
-                if y is _UNDEF:
-                    _undef_fault(b, fn)
-                s[d] = kern(x, y)
-            return op_ss
-        if ka == _K_SLOT and kb == _K_CONST:
-            ai, cb = pa, pb
-
-            def op_sc(interp, frame):
-                s = frame.slots
-                x = s[ai]
-                if x is _UNDEF:
-                    _undef_fault(a, fn)
-                s[d] = kern(x, cb)
-            return op_sc
-        if ka == _K_CONST and kb == _K_SLOT:
-            ca, bi = pa, pb
-
-            def op_cs(interp, frame):
-                s = frame.slots
-                y = s[bi]
-                if y is _UNDEF:
-                    _undef_fault(b, fn)
-                s[d] = kern(ca, y)
-            return op_cs
-        ga, gb = self._g(a), self._g(b)
-
-        def op_gg(interp, frame):
-            frame.slots[d] = kern(ga(interp, frame), gb(interp, frame))
-        return op_gg
-
-    def _compile_load(self, inst: Load) -> Callable:
-        d = self._slot(inst)
-        ty = inst.type
-        size = ty.size
-        gp = self._g(inst.pointer)
-        if isinstance(ty, IntType):
-            signed = ty.signed
-
-            def op_load_i(interp, frame):
-                addr = gp(interp, frame)
-                if interp.hooks:
-                    interp.notify_load(inst, addr, size)
-                frame.slots[d] = interp.space.read_int(addr, size, signed)
-            return op_load_i
-        if isinstance(ty, FloatType):
-            def op_load_f(interp, frame):
-                addr = gp(interp, frame)
-                if interp.hooks:
-                    interp.notify_load(inst, addr, size)
-                frame.slots[d] = interp.space.read_float(addr, size)
-            return op_load_f
-        if isinstance(ty, PointerType):
-            def op_load_p(interp, frame):
-                addr = gp(interp, frame)
-                if interp.hooks:
-                    interp.notify_load(inst, addr, size)
-                frame.slots[d] = interp.space.read_int(addr, 8, signed=False)
-            return op_load_p
-
-        def op_load_bad(interp, frame):
-            addr = gp(interp, frame)
-            if interp.hooks:
-                interp.notify_load(inst, addr, size)
-            raise GuestFault(f"load of unsupported type {ty}")
-        return op_load_bad
-
-    def _compile_store(self, inst: Store) -> Callable:
-        ty = inst.value.type
-        size = ty.size
-        gp = self._g(inst.pointer)
-        gv = self._g(inst.value)
-        if isinstance(ty, IntType):
-            def op_store_i(interp, frame):
-                addr = gp(interp, frame)
-                value = gv(interp, frame)
-                if interp.hooks:
-                    interp.notify_store(inst, addr, size)
-                interp.space.write_int(addr, int(value), size)
-            return op_store_i
-        if isinstance(ty, FloatType):
-            def op_store_f(interp, frame):
-                addr = gp(interp, frame)
-                value = gv(interp, frame)
-                if interp.hooks:
-                    interp.notify_store(inst, addr, size)
-                interp.space.write_float(addr, float(value), size)
-            return op_store_f
-        if isinstance(ty, PointerType):
-            def op_store_p(interp, frame):
-                addr = gp(interp, frame)
-                value = gv(interp, frame)
-                if interp.hooks:
-                    interp.notify_store(inst, addr, size)
-                interp.space.write_int(addr, int(value), 8)
-            return op_store_p
-
-        def op_store_bad(interp, frame):
-            gp(interp, frame)
-            gv(interp, frame)
-            if interp.hooks:
-                interp.notify_store(inst, gp(interp, frame), size)
-            raise GuestFault(f"store of unsupported type {ty}")
-        return op_store_bad
-
-    def _compile_ptradd(self, inst: PtrAdd) -> Callable:
-        d = self._slot(inst)
-        base, off = inst.base, inst.offset
-        kb, pb = _classify(base, self.regmap)
-        ko, po = _classify(off, self.regmap)
-        fn = self.fn
-        if kb == _K_SLOT and ko == _K_SLOT:
-            bi, oi = pb, po
-
-            def op_pa_ss(interp, frame):
-                s = frame.slots
-                x = s[bi]
-                if x is _UNDEF:
-                    _undef_fault(base, fn)
-                y = s[oi]
-                if y is _UNDEF:
-                    _undef_fault(off, fn)
-                s[d] = (int(x) + int(y)) & _U64
-            return op_pa_ss
-        if kb == _K_SLOT and ko == _K_CONST:
-            bi, co = pb, int(po) if isinstance(po, (int, float)) else po
-
-            def op_pa_sc(interp, frame):
-                s = frame.slots
-                x = s[bi]
-                if x is _UNDEF:
-                    _undef_fault(base, fn)
-                s[d] = (int(x) + int(co)) & _U64
-            return op_pa_sc
-        gb, go = self._g(base), self._g(off)
-
-        def op_pa_gg(interp, frame):
-            frame.slots[d] = (int(gb(interp, frame)) +
-                              int(go(interp, frame))) & _U64
-        return op_pa_gg
-
-    def _cmp_prep(self, inst) -> Tuple[Callable, Optional[int]]:
-        """(kernel, mask) for icmp: mask non-None means mask both sides."""
-        kern = _CMP_KERNELS[inst.pred]
-        ty = inst.lhs.type
-        mask: Optional[int] = None
-        if isinstance(ty, IntType) and not ty.signed:
-            mask = (1 << ty.bits) - 1
-        elif isinstance(ty, PointerType):
-            mask = _U64
-        return kern, mask
-
-    def _compile_icmp(self, inst: ICmp) -> Callable:
-        d = self._slot(inst)
-        kern, mask = self._cmp_prep(inst)
-        a, b = inst.lhs, inst.rhs
-        ka, pa = _classify(a, self.regmap)
-        kb, pb = _classify(b, self.regmap)
-        fn = self.fn
-        if mask is None and ka == _K_SLOT and kb == _K_SLOT:
-            ai, bi = pa, pb
-
-            def op_ic_ss(interp, frame):
-                s = frame.slots
-                x = s[ai]
-                if x is _UNDEF:
-                    _undef_fault(a, fn)
-                y = s[bi]
-                if y is _UNDEF:
-                    _undef_fault(b, fn)
-                s[d] = int(kern(int(x), int(y)))
-            return op_ic_ss
-        if mask is None and ka == _K_SLOT and kb == _K_CONST:
-            ai, cb = pa, int(pb)
-
-            def op_ic_sc(interp, frame):
-                s = frame.slots
-                x = s[ai]
-                if x is _UNDEF:
-                    _undef_fault(a, fn)
-                s[d] = int(kern(int(x), cb))
-            return op_ic_sc
-        ga, gb = self._g(a), self._g(b)
-        if mask is None:
-            def op_ic_gg(interp, frame):
-                frame.slots[d] = int(kern(int(ga(interp, frame)),
-                                          int(gb(interp, frame))))
-            return op_ic_gg
-        m = mask
-
-        def op_ic_masked(interp, frame):
-            frame.slots[d] = int(kern(int(ga(interp, frame)) & m,
-                                      int(gb(interp, frame)) & m))
-        return op_ic_masked
-
-    def _compile_fcmp(self, inst: FCmp) -> Callable:
-        d = self._slot(inst)
-        kern = _CMP_KERNELS[inst.pred]
-        ga, gb = self._g(inst.lhs), self._g(inst.rhs)
-
-        def op_fc(interp, frame):
-            frame.slots[d] = int(kern(float(ga(interp, frame)),
-                                      float(gb(interp, frame))))
-        return op_fc
-
-    def _compile_cast(self, inst: Cast) -> Callable:
-        d = self._slot(inst)
-        kern = _cast_kernel(inst)
-        v = inst.value
-        k, p = _classify(v, self.regmap)
-        fn = self.fn
-        if k == _K_SLOT:
-            vi = p
-
-            def op_cast_s(interp, frame):
-                s = frame.slots
-                x = s[vi]
-                if x is _UNDEF:
-                    _undef_fault(v, fn)
-                s[d] = kern(x)
-            return op_cast_s
-        if k == _K_CONST:
-            folded = kern(p)
-
-            def op_cast_c(interp, frame):
-                frame.slots[d] = folded
-            return op_cast_c
-        g = self._g(v)
-
-        def op_cast_g(interp, frame):
-            frame.slots[d] = kern(g(interp, frame))
-        return op_cast_g
-
-    def _compile_select(self, inst: Select) -> Callable:
-        d = self._slot(inst)
-        gc = self._g(inst.operands[0])
-        ga = self._g(inst.operands[1])
-        gb = self._g(inst.operands[2])
-
-        def op_select(interp, frame):
-            # Lazy arms, mirroring value_of(pick) in the reference path.
-            if gc(interp, frame):
-                frame.slots[d] = ga(interp, frame)
-            else:
-                frame.slots[d] = gb(interp, frame)
-        return op_select
-
-    def _compile_alloca(self, inst: Alloca) -> Callable:
-        d = self._slot(inst)
-        elem_size = inst.allocated_type.size
-        gcount = self._g(inst.count)
-        site = inst.site_id()
-
-        def op_alloca(interp, frame):
-            count = int(gcount(interp, frame))
-            obj = interp.space.allocate(
-                elem_size * count, interp.object_name(inst), "stack",
-                STACK_BASE, site=site,
-            )
-            frame.allocas.append(obj.base)
-            interp.notify_alloc(obj, inst)
-            frame.slots[d] = obj.base
-        return op_alloca
-
-    # -- calls / returns ----------------------------------------------------
-
-    def _compile_call(self, inst: Call, bb: BasicBlock) -> Callable:
-        callee = inst.callee
-        arg_getters = [self._g(a) for a in inst.args]
-        name = callee.name
-        site = inst.site_id()
-        void = inst.type.is_void()
-        coerce = None if void else _coercer(inst.type)
-        d = None if void else self._slot(inst)
-        # Index of this op within the block (set after list append by the
-        # caller via closure over the current length): compute directly.
-        first = 0
-        for i2 in bb.instructions:
-            if not isinstance(i2, Phi):
-                break
-            first += 1
-        self_index = bb.instructions.index(inst)
-        # Cost/step roll-back amounts for a frame push, filled lazily on
-        # first use because the suffix table exists only after _finish.
-        bcode = self.blocks[bb]
-        op_pos = self_index - first
-
-        def op_call(interp, frame):
-            args = [g(interp, frame) for g in arg_getters]
-            if interp.hooks:
-                for h in interp.hooks:
-                    h.on_call(interp, inst, callee)
-            if (not callee.blocks) or callee.is_intrinsic:
-                impl = interp.intrinsics.get(name)
-                if impl is None:
-                    raise GuestFault(f"call to unresolved external @{name}")
-                interp.cycles += intrinsic_cost(name, args)
-                result = impl(interp, inst, args)
-                if not void:
-                    frame.slots[d] = coerce(result)
-                return None
-            # Defined call: suspend this block — roll back the bulk-added
-            # cost/steps of the not-yet-executed tail so totals stay exact
-            # at every frame boundary.
-            frame.index = self_index
-            interp.cycles -= bcode.suffix[op_pos + 1]
-            interp.steps -= bcode.nops - op_pos - 1
-            interp.call_context.append(site)
-            interp.push_function(callee, args, call_inst=inst)
-            return _PUSHED
-        return op_call
-
-    def _compile_ret(self, inst: Ret) -> Callable:
-        gv = self._g(inst.value) if inst.value is not None else None
-
-        def op_ret(interp, frame):
-            value = gv(interp, frame) if gv is not None else None
-            for addr in reversed(frame.allocas):
-                obj = interp.space.free(addr)
-                interp.notify_free(obj, inst)
-            interp.frames.pop()
-            for h in interp.hooks:
-                h.on_return(interp, frame.function)
-            call_inst = frame.call_inst
-            if call_inst is not None:
-                interp.call_context.pop()
-            if not interp.frames:
-                interp._fast_result = value
-                return _DONE
-            if call_inst is not None:
-                caller = interp.frames[-1]
-                if not call_inst.type.is_void():
-                    caller.regs[call_inst] = value
-                caller.index += 1
-            return _POPPED
-        return op_ret
-
-    # -- control transfers ----------------------------------------------------
-
-    def _compile_edge(self, src: BasicBlock, target: BasicBlock) -> Callable:
-        """Edge transition closure: phi moves (atomic), then block/index
-        update.  Returns the target's BlockCode."""
-        tcode = self.blocks[target]
-        first = tcode.first
-        moves: List[Tuple[int, Callable]] = []
-        for inst in target.instructions[:first]:
-            assert isinstance(inst, Phi)
-            moves.append((self.regmap[inst],
-                          self._g(inst.incoming_for(src))))
-        if not moves:
-            def edge0(interp, frame):
-                frame.prev_block = src
-                frame.block = target
-                frame.index = first
-                return tcode
-            return edge0
-        if len(moves) == 1:
-            d0, g0 = moves[0]
-
-            def edge1(interp, frame):
-                v = g0(interp, frame)
-                frame.slots[d0] = v
-                frame.prev_block = src
-                frame.block = target
-                frame.index = first
-                return tcode
-            return edge1
-
-        def edge_n(interp, frame):
-            vals = [g(interp, frame) for _, g in moves]
-            s = frame.slots
-            for (dst, _), v in zip(moves, vals):
-                s[dst] = v
-            frame.prev_block = src
-            frame.block = target
-            frame.index = first
-            return tcode
-        return edge_n
-
-    def _compile_br(self, inst: Br, bb: BasicBlock) -> Callable:
-        target = inst.target
-        edge = self._compile_edge(bb, target)
-
-        def op_br(interp, frame):
-            if interp.hooks:
-                for h in interp.hooks:
-                    h.on_branch(interp, inst, target)
-            if target in interp.block_breakpoints:
-                raise BlockBreakpoint(frame, target, frame.block)
-            return edge(interp, frame)
-        return op_br
-
-    def _compile_condbr(self, inst: CondBr, bb: BasicBlock) -> Callable:
-        t_true, t_false = inst.if_true, inst.if_false
-        edge_true = self._compile_edge(bb, t_true)
-        edge_false = self._compile_edge(bb, t_false)
-        cond = inst.cond
-        k, p = _classify(cond, self.regmap)
-        fn = self.fn
-        if k == _K_SLOT:
-            ci = p
-
-            def op_cbr(interp, frame):
-                c = frame.slots[ci]
-                if c is _UNDEF:
-                    _undef_fault(cond, fn)
-                if c:
-                    target, edge = t_true, edge_true
-                else:
-                    target, edge = t_false, edge_false
-                if interp.hooks:
-                    for h in interp.hooks:
-                        h.on_branch(interp, inst, target)
-                if target in interp.block_breakpoints:
-                    raise BlockBreakpoint(frame, target, frame.block)
-                return edge(interp, frame)
-            return op_cbr
-        gc = self._g(cond)
-
-        def op_cbr_g(interp, frame):
-            if gc(interp, frame):
-                target, edge = t_true, edge_true
-            else:
-                target, edge = t_false, edge_false
-            if interp.hooks:
-                for h in interp.hooks:
-                    h.on_branch(interp, inst, target)
-            if target in interp.block_breakpoints:
-                raise BlockBreakpoint(frame, target, frame.block)
-            return edge(interp, frame)
-        return op_cbr_g
 
 
 # ---------------------------------------------------------------------------
@@ -1067,59 +194,34 @@ class _BlockCompiler:
 
 
 def run_fast(interp):
-    """Run the interpreter's frame stack on the compiled path until the
+    """Run the interpreter's frame stack on the generated code until the
     stack drains (returns the program's return value), a
     :class:`BlockBreakpoint` fires, or a guest exception propagates.
 
     Semantics contract with :meth:`Interpreter.step`: identical cycle and
-    step totals at every block boundary, hook event, and raised
-    exception; identical hook ordering; identical ``GuestTimeout``
-    trigger point (near the budget it falls back to exact per-instruction
-    stepping).
+    step totals at every segment boundary and raised exception; identical
+    hook ordering; identical ``GuestTimeout`` trigger point.  A frame
+    whose index is not a segment entry (parked on a phi, or mid-block by
+    ``step()``), and a segment that could exhaust the step budget, are
+    delegated to the reference path one step at a time.
     """
     frames = interp.frames
     if not frames:
         return None
     interp._fast_result = None
-    max_steps = interp.max_steps
-    frame = frames[-1]
-    bcode = interp._block_code(frame)
+    codes = interp._codes
     while True:
-        i = frame.index - bcode.first
-        n = bcode.nops
-        if i < 0 or interp.steps + (n - i) > max_steps:
-            # Rare tails: a frame parked on a phi index (reference raises
-            # the phi fault) or within one block of the step budget
-            # (exact per-instruction accounting decides the timeout
-            # point).  Delegate to the reference path one step at a time.
-            result = interp.step()
-            if not frames:
-                return result
-            frame = frames[-1]
-            bcode = interp._block_code(frame)
-            continue
-        interp.steps += n - i
-        interp.cycles += bcode.suffix[i]
-        ops = bcode.ops
-        try:
-            r = ops[i](interp, frame)
-            while r is None:
-                i += 1
-                r = ops[i](interp, frame)
-        except BaseException:
-            # Keep the cost/step of the faulting instruction (the
-            # reference adds both before executing), drop the unexecuted
-            # tail, and leave the frame parked on the faulting
-            # instruction.
-            frame.index = bcode.first + i
-            interp.cycles -= bcode.suffix[i + 1]
-            interp.steps -= n - i - 1
-            raise
-        if type(r) is BlockCode:
-            bcode = r
-            continue
-        if r is _PUSHED or r is _POPPED:
-            frame = frames[-1]
-            bcode = interp._block_code(frame)
-            continue
-        return interp._fast_result  # _DONE
+        frame = frames[-1]
+        code = codes.get(frame.function) or interp.code_for(frame.function)
+        seg = code.segs[frame.block].get(frame.index)
+        while True:
+            if seg is None:
+                result = interp.step()
+                if not frames:
+                    return result
+                break
+            seg = seg(interp, frame)
+            if seg is STACK:
+                if not frames:
+                    return interp._fast_result
+                break

@@ -97,7 +97,7 @@ class Frame:
     register numbering (see :mod:`repro.interp.compile`); ``regs`` is a
     dict-protocol view over the same storage, so existing callers (the
     reference ``step()`` path, the executor poking loop phis, tests) keep
-    working unchanged while the compiled path indexes ``slots`` directly.
+    working unchanged while generated code indexes ``slots`` directly.
     """
 
     __slots__ = ("function", "block", "index", "prev_block", "slots",
@@ -136,7 +136,7 @@ class Interpreter:
     """Executes mini-IR on the simulated byte-addressable memory, with
     cycle/step accounting, hooks, breakpoints, and intrinsics.  Has two
     observationally identical paths: the reference step() path and the
-    closure-compiled fast path (see DESIGN.md §7).
+    generated-source fast path (see DESIGN.md §7).
     """
     def __init__(
         self,
@@ -261,7 +261,7 @@ class Interpreter:
     # -- program entry ------------------------------------------------------------------
 
     def code_for(self, fn: Function) -> FunctionCode:
-        """Compiled code for ``fn``, fingerprint-validated once per
+        """Generated code for ``fn``, content-validated once per
         interpreter (transforms mutate IR between interpreter lifetimes,
         not during a run)."""
         code = self._codes.get(fn)
@@ -270,19 +270,22 @@ class Interpreter:
             self._codes[fn] = code
         return code
 
-    def _block_code(self, frame: Frame):
-        return self.code_for(frame.function).blocks[frame.block]
-
     def push_function(self, fn: Function, args: Sequence[object] = (),
                       call_inst: Optional[Call] = None) -> Frame:
         if fn.is_declaration:
             raise GuestFault(f"cannot execute declaration @{fn.name}")
-        # On the compiled path the frame's register numbering must match
-        # the (validated) compiled code, so resolve it through code_for.
-        regmap = self.code_for(fn).regmap if self.compiled else None
-        frame = Frame(fn, call_inst, regmap=regmap)
-        for formal, actual in zip(fn.args, args):
-            frame.regs[formal] = actual
+        if self.compiled:
+            # The frame's register numbering must match the (validated)
+            # generated code, so resolve it through code_for; formals
+            # take the first slots of that numbering.
+            frame = Frame(fn, call_inst, regmap=self.code_for(fn).regmap)
+            slots = frame.slots
+            for i, actual in zip(range(len(fn.args)), args):
+                slots[i] = actual
+        else:
+            frame = Frame(fn, call_inst)
+            for formal, actual in zip(fn.args, args):
+                frame.regs[formal] = actual
         self.frames.append(frame)
         return frame
 

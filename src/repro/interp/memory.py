@@ -212,11 +212,15 @@ class AddressSpace:
         space: Optional[AddressSpace] = self
         while space is not None:
             for obj in space._pages.get(page, ()):
-                if obj.alive and obj.contains(addr, size):
+                # Bounds tests spelled out (MemoryObject.contains): this
+                # is the inner loop of every guest load and store.
+                if (obj.alive and obj.base <= addr
+                        and addr + size <= obj.base + obj.size):
                     # Prefer a local COW copy when one exists.
                     if space is not self:
                         copy = self._cow_copies.get(obj.base)
-                        if copy is not None and copy.contains(addr, size):
+                        if (copy is not None and copy.base <= addr
+                                and addr + size <= copy.base + copy.size):
                             return copy, addr - copy.base
                     return obj, addr - obj.base
             space = space.parent

@@ -228,6 +228,12 @@ class BaseDOALLExecutor:
         }
         self.interp = Interpreter(module, max_steps=max_steps,
                                   global_regions=global_regions)
+        if self.interp.compiled:
+            # Bind every defined function's generated code now: forked
+            # pool/process workers inherit it instead of regenerating it
+            # after every spawn.
+            for fn in module.defined_functions():
+                self.interp.code_for(fn)
         self.runtime = RuntimeSystem(module, plan, self.interp)
         self.interp.block_breakpoints.add(plan.loop.header)
         self.runtime.controller = controller

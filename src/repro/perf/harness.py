@@ -537,7 +537,7 @@ def run_bench(quick: bool = False, repeats: int = 3,
               stress: bool = False) -> int:
     """Run the benchmark; returns a process exit code.
 
-    ``quick`` uses train inputs, one pipeline workload, and a 1.5× floor
+    ``quick`` uses train inputs, one pipeline workload, and a 3.0× floor
     on the dijkstra interp speedup (the CI smoke gate).  The full run
     uses ref inputs across all workloads.
 
@@ -576,7 +576,7 @@ def run_bench(quick: bool = False, repeats: int = 3,
     if quick:
         repeats = max(2, min(repeats, 2))
         if min_speedup is None:
-            min_speedup = 1.5
+            min_speedup = 3.0
     if workload_names:
         unknown = [n for n in workload_names if n not in BY_NAME]
         if unknown:

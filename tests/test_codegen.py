@@ -1,0 +1,583 @@
+"""The generated-source tier (repro.interp.codegen) against the step
+interpreter, op by op and roll-back path by roll-back path, plus the
+identity rules of its code memo and the pre-fork warm of the executors.
+
+``test_fastpath_differential.py`` holds whole programs and pipelines to
+parity; this file goes below that: every arithmetic, compare and cast
+kernel over every type with hostile operands, and every way a segment
+can be left early, each compared on ``frame.index``, ``cycles``,
+``steps``, registers and hook-event order.
+"""
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import prepared_counter_program
+from repro.frontend import compile_minic
+from repro.interp import codegen
+from repro.interp import interpreter as interpreter_module
+from repro.interp.compile import function_code
+from repro.interp.errors import (
+    BlockBreakpoint,
+    GuestFault,
+    GuestTimeout,
+    Misspeculation,
+)
+from repro.interp.interpreter import Hook, Interpreter
+from repro.ir import Function, FunctionType, IRBuilder, Module
+from repro.ir.instructions import (
+    BinOp,
+    BinOpKind,
+    Cast,
+    CastKind,
+    CmpPred,
+    FCmp,
+    ICmp,
+    PtrAdd,
+    Select,
+)
+from repro.ir.types import (
+    F32,
+    F64,
+    I8,
+    I16,
+    I32,
+    I64,
+    U8,
+    U16,
+    U32,
+    U64,
+    PointerType,
+)
+from repro.ir.values import ConstFloat, ConstInt, GlobalVariable
+from repro.parallel.backend import make_executor
+
+INT_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64]
+PTR = PointerType()
+INT_KINDS = [k for k in BinOpKind if not k.is_float]
+FLOAT_KINDS = [k for k in BinOpKind if k.is_float]
+
+
+# ---------------------------------------------------------------------------
+# Observation: everything the two paths must agree on
+# ---------------------------------------------------------------------------
+
+
+class Recorder(Hook):
+    """Logs every hook event in order.  Cycle and step totals are part
+    of the record only where the contract makes them exact: at branches
+    and returns (segment ends)."""
+
+    __slots__ = ("events", "raise_on_load")
+
+    def __init__(self, raise_on_load=0):
+        self.events = []
+        self.raise_on_load = raise_on_load
+
+    def on_alloc(self, interp, obj, inst):
+        self.events.append(("alloc", inst.uid, obj.base, obj.size))
+
+    def on_free(self, interp, obj, inst):
+        self.events.append(("free", inst.uid, obj.base))
+
+    def on_load(self, interp, inst, addr, size):
+        self.events.append(("load", inst.uid, addr, size))
+        loads = sum(1 for e in self.events if e[0] == "load")
+        if loads == self.raise_on_load:
+            raise RuntimeError("hook refused the load")
+
+    def on_store(self, interp, inst, addr, size):
+        self.events.append(("store", inst.uid, addr, size))
+
+    def on_branch(self, interp, inst, target):
+        self.events.append(("branch", inst.uid, target.name,
+                            interp.cycles, interp.steps))
+
+    def on_call(self, interp, inst, callee):
+        self.events.append(("call", inst.uid, callee.name))
+
+    def on_return(self, interp, fn):
+        self.events.append(("return", fn.name, interp.cycles, interp.steps))
+
+
+def _regs(frame):
+    return {v.uid: repr(x) for v, x in frame.regs.items()}
+
+
+def _state(interp):
+    """The observable machine state after a run stopped."""
+    frames = [(f.function.name, f.block.name, f.index, _regs(f))
+              for f in interp.frames]
+    return (interp.cycles, interp.steps, frames, list(interp.call_context),
+            "".join(interp.output))
+
+
+def observe(module, args, compiled, breakpoints=(), hook=None,
+            max_steps=10_000_000, intrinsics=None, presteps=0):
+    """Run ``main`` on one path; returns (outcome, machine state, hook
+    events).  Breakpoints are resumed, each leaving a state snapshot."""
+    interp = Interpreter(module, compiled=compiled, max_steps=max_steps)
+    interp.block_breakpoints.update(breakpoints)
+    interp.intrinsics.update(intrinsics or {})
+    if hook is not None:
+        interp.hooks.append(hook)
+    interp.push_function(module.function_named("main"), args)
+    for _ in range(presteps):
+        interp.step()
+    stops = []
+    try:
+        while interp.frames:
+            try:
+                outcome = ("returned", repr(interp.run_until_event()))
+            except BlockBreakpoint as bp:
+                stops.append((bp.target.name, bp.prev.name, _state(interp)))
+                interp.resume_at(bp.frame, bp.target, bp.prev)
+    except Exception as exc:  # host errors must match too
+        outcome = (type(exc).__name__, str(exc))
+    return (outcome, stops, _state(interp),
+            hook.events if hook is not None else None)
+
+
+def assert_paths_agree(module, args=(), **kwargs):
+    hooks = kwargs.pop("hooks", None)
+    results = []
+    for compiled in (False, True):
+        hook = hooks() if hooks else None
+        results.append(observe(module, args, compiled, hook=hook, **kwargs))
+    assert results[0] == results[1]
+    return results[1]
+
+
+# ---------------------------------------------------------------------------
+# Random straight-line blocks
+# ---------------------------------------------------------------------------
+
+#: Every op the property draws from: (class, kind-or-pred, type(s)).
+OPS = (
+    [("binop", k, t) for k in INT_KINDS for t in INT_TYPES]
+    + [("binop", k, F64) for k in FLOAT_KINDS]
+    + [("icmp", p, t) for p in CmpPred for t in INT_TYPES + [PTR, F64]]
+    + [("fcmp", p, t) for p in CmpPred for t in (F64, I32)]
+    + [("cast", k, (s, d)) for k in (CastKind.TRUNC, CastKind.ZEXT,
+                                     CastKind.SEXT)
+       for s in INT_TYPES + [F64] for d in INT_TYPES]
+    + [("cast", CastKind.BITCAST, sd) for sd in (
+        (F64, I64), (F64, U64), (I64, F64), (U64, F64), (I32, I32),
+        (PTR, PTR), (F64, F64))]
+    + [("cast", CastKind.PTRTOINT, (PTR, d)) for d in INT_TYPES]
+    + [("cast", CastKind.INTTOPTR, (s, PTR)) for s in INT_TYPES]
+    + [("cast", k, (s, F64)) for k in (CastKind.SITOFP, CastKind.UITOFP)
+       for s in INT_TYPES + [F64]]
+    + [("cast", k, (s, d)) for k in (CastKind.FPTOSI, CastKind.FPTOUI)
+       for s in (F64, I32) for d in INT_TYPES]
+    + [("cast", k, (F64, d)) for k in (CastKind.FPEXT, CastKind.FPTRUNC)
+       for d in (F64, F32)]
+    + [("select", None, t) for t in INT_TYPES + [F64, PTR]]
+    + [("ptradd", None, t) for t in INT_TYPES]
+)
+
+EDGE_INTS = [0, 1, -1, 2, 7, 8, 15, 16, 31, 32, 33, 63, 64, 65, 127, 128,
+             255, 256, -128, -129, 2**31 - 1, 2**31, -2**31, 2**32,
+             2**63 - 1, 2**63, -2**63, 2**64 - 1, 2**64]
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.5, 0.5, 2.0**31, 2.0**63, -2.0**63,
+               2.0**64, 1e308, -1e308, 5e-324, math.inf, -math.inf,
+               math.nan]
+
+ints = st.one_of(st.sampled_from(EDGE_INTS),
+                 st.integers(-2**65, 2**65))
+floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=True, allow_infinity=True))
+op_specs = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 1 << 16),
+              st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+              ints, floats),
+    min_size=1, max_size=24)
+
+
+def build_block(specs):
+    """``main(i8, …, u64, f64)``: one entry block of the drawn ops, then
+    a branch to ``exit`` (where the observer breaks).  Operands come
+    from the raw formal of a type (uncoerced, possibly out of range),
+    from earlier results of that type, or from constants."""
+    module = Module("block")
+    types = INT_TYPES + [F64]
+    fn = Function("main", FunctionType(I64, tuple(types)),
+                  [f"a{i}" for i in range(len(types))])
+    module.add_function(fn)
+    gv = module.add_global(GlobalVariable("G", I64))
+    entry, exit_ = fn.add_block("entry"), fn.add_block("exit")
+    pool = {t: [a] for t, a in zip(types, fn.args)}
+    # One instruction-produced value per type (Python type fixed by the
+    # producer), and a pointer.
+    for t in INT_TYPES:
+        pool[t].append(entry.append(
+            BinOp(BinOpKind.ADD, pool[t][0], ConstInt(t, 0))))
+    pool[F64].append(entry.append(
+        BinOp(BinOpKind.FADD, pool[F64][0], ConstFloat(F64, 0.0))))
+    pool[PTR] = [entry.append(PtrAdd(gv, ConstInt(I64, 8)))]
+    pool[F32] = []
+
+    def pick(t, n, iv, fv):
+        choices = list(pool[t])
+        if isinstance(t, PointerType):
+            return choices[n % len(choices)]
+        const = ConstFloat(t, fv) if t in (F64, F32) else ConstInt(t, iv)
+        choices.append(const)
+        return choices[n % len(choices)]
+
+    for (cls, kind, t), n0, n1, n2, iv, fv in specs:
+        if cls == "binop":
+            inst = BinOp(kind, pick(t, n0, iv, fv), pick(t, n1, iv + 1, fv))
+        elif cls == "icmp":
+            inst = ICmp(kind, pick(t, n0, iv, fv), pick(t, n1, iv + 1, fv))
+        elif cls == "fcmp":
+            inst = FCmp(kind, pick(t, n0, iv, fv), pick(t, n1, iv, -fv))
+        elif cls == "cast":
+            src, dst = t
+            inst = Cast(kind, pick(src, n0, iv, fv), dst)
+            t = dst
+        elif cls == "select":
+            cond = pick(INT_TYPES[n2 % len(INT_TYPES)], n2, iv, fv)
+            inst = Select(cond, pick(t, n0, iv, fv), pick(t, n1, iv + 1, fv))
+        else:
+            inst = PtrAdd(pool[PTR][n0 % len(pool[PTR])],
+                          pick(t, n1, iv, fv))
+            t = PTR
+        entry.append(inst)
+        result_type = inst.type if cls in ("icmp", "fcmp") else t
+        pool.setdefault(result_type, []).append(inst)
+    IRBuilder(module, entry).br(exit_)
+    IRBuilder(module, exit_).ret(0)
+    return module, exit_
+
+
+class TestStraightLineBlocks:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs=op_specs,
+           int_args=st.lists(ints, min_size=8, max_size=8),
+           float_arg=floats)
+    def test_values_cycles_steps_match_step_path(self, specs, int_args,
+                                                 float_arg):
+        module, exit_ = build_block(specs)
+        assert_paths_agree(module, tuple(int_args) + (float_arg,),
+                           breakpoints=[exit_])
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: "-".join(
+        str(getattr(p, "value", p)) for p in op).replace(" ", ""))
+    def test_every_kernel_on_edge_operands(self, op):
+        """Each op once per pairing of hostile operands, with the second
+        operand as formal, as result and as constant: division and
+        remainder by zero, shifts >= width, NaN/inf conversions."""
+        edge = list(zip(EDGE_INTS, EDGE_FLOATS * 2))
+        specs = [(op, n0, n1, 0, iv, fv)
+                 for n0 in (0, 1) for n1 in (0, 1, 2)
+                 for iv, fv in edge[:12]]
+        for k, (iv, fv) in enumerate(edge):
+            module, exit_ = build_block(specs[k % 6::6] + [
+                (op, 2, 2, 1, iv, fv), (op, 1, 2, 2, iv, fv)])
+            args = tuple(EDGE_INTS[(k + j) % len(EDGE_INTS)]
+                         for j in range(8)) + (fv,)
+            assert_paths_agree(module, args, breakpoints=[exit_])
+
+
+# ---------------------------------------------------------------------------
+# Roll-back paths
+# ---------------------------------------------------------------------------
+
+FAULT_SRC = """
+int data[8];
+int main(int n, int d) {
+    int a = n * 3;
+    data[1] = a;
+    int b = data[1] + 4;
+    int c = b / d;
+    data[2] = c;
+    return data[2] + a;
+}
+"""
+
+CALL_SRC = """
+int data[4];
+int twice(int x) { data[0] = x; return x * 2; }
+int main(int n) {
+    int a = n + 1;
+    int b = twice(a);
+    int c = b * 3 + twice(b);
+    data[1] = c;
+    return c + data[0];
+}
+"""
+
+SWAP_SRC = """
+int main(int n) {
+    int a = 1;
+    int b = 2;
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        int t = a;
+        a = b;
+        b = t;
+        acc = acc + a * 10 + b;
+    }
+    return acc * 100 + a * 10 + b;
+}
+"""
+
+
+class TestRollback:
+    def test_guest_fault_at_kth_op_of_a_segment(self):
+        module = compile_minic(FAULT_SRC, "fault")
+        (kind, message), _, state, events = assert_paths_agree(
+            module, (5, 0), hooks=Recorder)
+        assert kind == GuestFault.__name__ and "division by zero" in message
+        # Parked on the division, mid-block, with the stores before it
+        # visible and nothing after it charged.
+        (_, _, index, _), = state[2]
+        assert index > 0
+        assert [e[0] for e in events].count("store") == 1
+
+    def test_wild_pointer_load(self):
+        src = "int main(int n) { int *p = 0; int a = n + 1; return *p + a; }"
+        (kind, _), _, _, _ = assert_paths_agree(
+            compile_minic(src, "wild"), (3,), hooks=Recorder)
+        assert kind == "GuestFault"
+
+    def test_intrinsic_raising_misspeculation_mid_segment(self):
+        module = Module("m")
+        fn = Function("main", FunctionType(I64, (I64,)), ["n"])
+        module.add_function(fn)
+        b = IRBuilder(module, fn.add_block("entry"))
+        x = b.mul(fn.args[0], 3)
+        b.call_intrinsic("check_heap", [x])
+        y = b.add(x, 1)
+        b.call_intrinsic("misspec", [y])
+        b.ret(b.add(y, 1))
+
+        def misspec(interp, inst, args):
+            raise Misspeculation("control", f"saw {args[0]}", 4)
+
+        (kind, message), _, state, _ = assert_paths_agree(
+            module, (7,), hooks=Recorder, intrinsics={"misspec": misspec})
+        assert kind == "Misspeculation" and "saw 22" in message
+        (_, _, index, _), = state[2]
+        assert index == 3
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_hook_raising_from_on_load(self, nth):
+        module = compile_minic(FAULT_SRC, "hookfault")
+        (kind, message), _, _, events = assert_paths_agree(
+            module, (5, 2), hooks=lambda: Recorder(raise_on_load=nth))
+        assert (kind, message) == ("RuntimeError", "hook refused the load")
+        assert [e[0] for e in events].count("load") == nth
+
+    def test_defined_call_mid_block_resumes_at_next_segment(self):
+        module = compile_minic(CALL_SRC, "calls")
+        main = module.function_named("main")
+        entries = [sorted(segs) for segs in function_code(main).segs.values()]
+        assert any(len(e) == 3 for e in entries)  # cut after both calls
+        (kind, value), _, _, events = assert_paths_agree(
+            module, (4,), hooks=Recorder)
+        assert (kind, value) == ("returned", "60")
+        assert [e[0] for e in events].count("return") == 3
+
+    def test_fault_inside_callee_leaves_both_frames_parked(self):
+        src = """
+        int inv(int d) { int a = d + 0; return 100 / a; }
+        int main(int n) { int x = n * 2; int y = inv(n) + x; return y; }
+        """
+        (kind, _), _, state, _ = assert_paths_agree(
+            compile_minic(src, "deep"), (0,), hooks=Recorder)
+        assert kind == "GuestFault"
+        assert [f[0] for f in state[2]] == ["main", "inv"]
+
+    def test_breakpoint_on_back_edge_with_multi_phi_swap(self):
+        module = compile_minic(SWAP_SRC, "swap")
+        main = module.function_named("main")
+        header = main.block_named("for.cond")
+        outcome, stops, _, _ = assert_paths_agree(
+            module, (5,), breakpoints=[header], hooks=Recorder)
+        assert outcome == ("returned", "8721")  # five swaps: a, b = 2, 1
+        assert len(stops) == 6  # entry edge + five back edges
+        assert {prev for _, prev, _ in stops} >= {"for.inc"}
+
+    def test_guest_timeout_at_every_budget(self):
+        module = compile_minic(CALL_SRC, "budget")
+        _, _, (_, total, *_), _ = observe(module, (4,), compiled=False)
+        for budget in range(1, total + 1):
+            (kind, _), _, _, _ = assert_paths_agree(
+                module, (4,), max_steps=budget, hooks=Recorder)
+            assert kind == (GuestTimeout.__name__ if budget < total
+                            else "returned")
+
+    def test_frame_parked_by_step_at_non_entry_index(self):
+        module = compile_minic(CALL_SRC, "parked")
+        _, _, (_, total, *_), _ = observe(module, (4,), compiled=False)
+        for presteps in range(total):
+            assert_paths_agree(module, (4,), presteps=presteps,
+                               hooks=Recorder)
+
+    def test_undefined_value_fault(self):
+        module = Module("u")
+        fn = Function("main", FunctionType(I64, (I64, I64)), ["a", "b"])
+        module.add_function(fn)
+        b = IRBuilder(module, fn.add_block("entry"))
+        x = b.add(fn.args[0], 1)
+        b.ret(b.add(x, fn.args[1]))
+        (kind, message), _, _, _ = assert_paths_agree(module, (1,))
+        assert kind == "GuestFault" and "undefined value %b" in message
+
+
+# ---------------------------------------------------------------------------
+# Code identity
+# ---------------------------------------------------------------------------
+
+IDENT_SRC = """
+double scale(double x) { return x * 2.0; }
+int main(int n) {
+    int acc = 7;
+    for (int i = 0; i < n; i++) { acc = acc + i * 3; }
+    return acc + (int)scale(1.5);
+}
+"""
+
+
+def _codes(fn):
+    return [seg.__code__ for segs in function_code(fn).segs.values()
+            for _, seg in sorted(segs.items())]
+
+
+def _digest(module, name="main"):
+    fn = module.function_named(name)
+    return codegen.content_key(fn, codegen.build_regmap(fn))[0]
+
+
+class TestCodeIdentity:
+    def test_fresh_modules_of_one_source_share_code_objects(self):
+        first = compile_minic(IDENT_SRC, "ident")
+        second = compile_minic(IDENT_SRC, "ident")
+        before = _codes(first.function_named("main"))
+        generated = codegen.generations
+        after = _codes(second.function_named("main"))
+        assert codegen.generations == generated
+        assert all(a is b for a, b in zip(before, after)) and before
+        # ... bound to their own IR objects.
+        assert Interpreter(second).run("main", (4,)) == \
+            Interpreter(first, compiled=False).run("main", (4,))
+        seg = function_code(second.function_named("main")).segs[
+            second.function_named("main").entry][0]
+        bound = {c.cell_contents for c in seg.__closure__
+                 if not callable(c.cell_contents)}
+        assert second.function_named("main").entry in bound
+        assert first.function_named("main").entry not in bound
+
+    @pytest.mark.parametrize("old,new", [
+        ("i * 3", "i * 4"),                      # one literal
+        ("int acc = 7", "long acc = 7"),         # one type
+        ("(int)scale(1.5)", "(int)sqrt(1.5)"),   # one callee
+        ("x * 2.0", "x * 2.5"),                  # a float literal
+    ], ids=["literal", "type", "callee", "float-literal"])
+    def test_sources_differing_in_one_token_do_not_share(self, old, new):
+        a = compile_minic(IDENT_SRC, "ident")
+        b = compile_minic(IDENT_SRC.replace(old, new), "ident")
+        name = "scale" if "x *" in old else "main"
+        assert _digest(a, name) != _digest(b, name)
+        # (by identity: code objects of equal segments compare equal)
+        assert not set(map(id, _codes(a.function_named(name)))) \
+            & set(map(id, _codes(b.function_named(name))))
+        for module in (a, b):
+            assert Interpreter(module).run("main", (5,)) == \
+                Interpreter(module, compiled=False).run("main", (5,))
+
+    def test_key_is_a_digest_of_content_not_a_python_hash(self):
+        digest = _digest(compile_minic(IDENT_SRC, "ident"))
+        assert isinstance(digest, bytes) and len(digest) == 16
+
+    def test_in_place_mutation_regenerates(self):
+        module = compile_minic(IDENT_SRC, "ident")
+        main = module.function_named("main")
+        assert Interpreter(module).run("main", (4,)) == 28
+        code = function_code(main)
+        assert function_code(main) is code
+        mul = next(i for i in main.instructions()
+                   if isinstance(i, BinOp) and i.kind is BinOpKind.MUL)
+        # A constant mutated in place ...
+        const = mul.operands[1]
+        const.value = const.cval = 5
+        assert function_code(main) is not code
+        assert Interpreter(module).run("main", (4,)) == 40
+        # ... and an operand list rewritten behind replace_operand's back.
+        code = function_code(main)
+        mul.operands[:] = [mul.operands[0], ConstInt(I32, 2)]
+        assert function_code(main) is not code
+        assert Interpreter(module).run("main", (4,)) == 22
+        assert Interpreter(module, compiled=False).run("main", (4,)) == 22
+
+    def test_equal_content_over_replaced_objects_rebinds(self):
+        module = compile_minic(IDENT_SRC, "ident")
+        main = module.function_named("main")
+        code = function_code(main)
+        generated = codegen.generations
+        mul = next(i for i in main.instructions()
+                   if isinstance(i, BinOp) and i.kind is BinOpKind.MUL)
+        twin = BinOp(BinOpKind.MUL, *mul.operands)
+        block = mul.parent
+        block.instructions[block.instructions.index(mul)] = twin
+        twin.parent = block
+        for inst in main.instructions():
+            inst.replace_operand(mul, twin)
+        rebound = function_code(main)
+        assert rebound is not code and twin in rebound.regmap
+        assert codegen.generations == generated
+        assert Interpreter(module).run("main", (4,)) == 28
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(codegen, "MEMO_SIZE", 3)
+        for k in range(8):
+            module = compile_minic(
+                f"int main(int n) {{ return n * {1000 + k}; }}", "lru")
+            assert Interpreter(module).run("main", (2,)) == 2 * (1000 + k)
+            assert len(codegen._memo) <= 3
+        # Least recently used goes first: the last three are resident.
+        generated = codegen.generations
+        module = compile_minic("int main(int n) { return n * 1007; }", "lru")
+        Interpreter(module).run("main", (2,))
+        assert codegen.generations == generated
+        module = compile_minic("int main(int n) { return n * 1000; }", "lru")
+        Interpreter(module).run("main", (2,))
+        assert codegen.generations == generated + 1
+
+    def test_generated_source_is_the_debugging_entry_point(self):
+        module = compile_minic(CALL_SRC, "src")
+        source = codegen.generated_source(module.function_named("main"))
+        assert "def seg_main_entry_0(interp, frame):" in source
+        assert "except BaseException:" in source
+        compile(source, "<check>", "exec")
+
+
+# ---------------------------------------------------------------------------
+# Pre-fork warm
+# ---------------------------------------------------------------------------
+
+
+class TestPreForkWarm:
+    @pytest.mark.parametrize("backend", ["pool", "process"])
+    def test_no_generation_or_binding_after_construction(self, backend,
+                                                         monkeypatch):
+        prog = prepared_counter_program(24)
+        executor = make_executor(backend, prog.module, prog.plan, workers=2)
+        generated = codegen.generations
+
+        def refuse(fn):
+            raise AssertionError(f"@{fn.name} bound after construction")
+
+        # Forked workers inherit the patched module: a child that had to
+        # validate, bind or generate code would fail the epoch.
+        monkeypatch.setattr(interpreter_module, "function_code", refuse)
+        result = executor.run(prog.entry, prog.ref_args)
+        assert "".join(result.output) == "".join(prog.sequential.output)
+        assert result.runtime_stats.misspec_count() == 0
+        assert codegen.generations == generated

@@ -1,6 +1,6 @@
-"""Differential tests: the compiled fast path vs the reference step path.
+"""Differential tests: the generated fast path vs the reference step path.
 
-The closure-compiled interpreter (repro.interp.compile) must be
+The generated-source interpreter tier (repro.interp.codegen) must be
 observationally identical to ``Interpreter.step()``: same guest output,
 same step and simulated-cycle totals, same profiler records, and the
 same behaviour through speculation, misspeculation, and recovery.  Every
