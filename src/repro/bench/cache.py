@@ -27,7 +27,6 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from ..ir.module import Module
 from ..profiling.serialize import (
     FORMAT_VERSION,
     PROFILER_VERSION,
@@ -48,16 +47,17 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-profiles"
 
 
-def cache_key(module: Module, entry: str, train_args: Sequence[object],
+def cache_key(fingerprint: str, entry: str, train_args: Sequence[object],
               ref_args: Sequence[object]) -> str:
     """Cache key for one pipeline invocation.
 
-    Must be computed on the *pre-transform* module: transforms mutate the
-    IR in place, so a key taken afterwards would never match the next
-    cold run's freshly-compiled module.
+    ``fingerprint`` must be the :func:`module_fingerprint` of the
+    *pre-transform* module: transforms mutate the IR in place, so a
+    fingerprint taken afterwards would never match the next cold run's
+    freshly-compiled module.
     """
     h = hashlib.sha256()
-    h.update(module_fingerprint(module).encode())
+    h.update(fingerprint.encode())
     h.update(b"|")
     h.update(entry.encode())
     h.update(b"|")

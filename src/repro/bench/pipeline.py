@@ -195,7 +195,16 @@ def run_sequential(source: str, name: str, entry: str = "main",
     return _run_baseline(compile_minic(source, name), entry, args)
 
 
-def prepare(
+def prepare(source: str, name: str, **options) -> PreparedProgram:
+    """Run the full Privateer compiler pipeline on MiniC source: compile
+    it, then :func:`prepare_module`, which takes and documents every
+    other argument."""
+    return prepare_module(compile_minic(source, name), source, name,
+                          **options)
+
+
+def prepare_module(
+    module: Module,
     source: str,
     name: str,
     entry: str = "main",
@@ -206,8 +215,15 @@ def prepare(
     max_candidates: int = 6,
     use_cache: bool = True,
     adapt: Optional[bool] = None,
+    fingerprint: Optional[str] = None,
 ) -> PreparedProgram:
-    """Run the full Privateer compiler pipeline on MiniC source.
+    """Everything :func:`prepare` does after the compile, on a module
+    ``compile_minic(source, name)`` produced — in this call, or earlier
+    and since round-tripped through :mod:`pickle` (``repro serve`` keeps
+    such snapshots).  ``module`` must be pristine and is consumed: the
+    transform rewrites it in place and interpretation attaches code to
+    it.  ``fingerprint`` is its :func:`module_fingerprint` when the
+    caller already holds it.
 
     Profiles hot loops with the train input (``args``), selects the
     hottest transformable loop, and applies the privatization
@@ -231,11 +247,11 @@ def prepare(
                                program=name, train_args=list(train_args),
                                ref_args=list(eval_args))
 
-    module = compile_minic(source, name)
-    # Key and fingerprint are captured now, before any transform mutates
+    # Fingerprint and key are captured now, before any transform mutates
     # the module in place.
-    ckey = profile_cache.cache_key(module, entry, train_args, eval_args)
-    fingerprint = profile_cache.module_fingerprint(module)
+    if fingerprint is None:
+        fingerprint = profile_cache.module_fingerprint(module)
+    ckey = profile_cache.cache_key(fingerprint, entry, train_args, eval_args)
 
     cached = profile_cache.load_entry(ckey, fingerprint) if use_cache else None
     if TRACER.enabled:

@@ -850,9 +850,11 @@ def _renumber_values(module: Module) -> None:
     different module fingerprint, defeating the on-disk profile cache
     (:mod:`repro.bench.cache`) within a process.  Renumbering to 1..N in
     walk order makes the fingerprint a pure function of the source.
-    Values created *after* compilation (by transforms) keep drawing from
-    the global counter, which has already advanced past N, so uids stay
-    unique within the module.
+    N + 1 is left in ``module.next_uid``: values created *after*
+    compilation (by transforms, inside ``module.fresh_uids()``) continue
+    from there, so uids stay unique within the module wherever the
+    process counter stands — including in a process that received the
+    module by unpickling and never advanced its own counter.
     """
     import itertools
 
@@ -877,6 +879,7 @@ def _renumber_values(module: Module) -> None:
             for inst in bb.instructions:
                 for op in inst.operands:
                     visit(op)
+    module.next_uid = next(counter)
 
 
 def compile_minic(source: str, module_name: str = "minic",

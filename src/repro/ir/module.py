@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .instructions import ALL_INTRINSICS, Br, CondBr, Instruction
@@ -17,7 +18,7 @@ from .types import (
     TypeContext,
     VOID,
 )
-from .values import Argument, GlobalString, GlobalValue, GlobalVariable
+from .values import UIDS, Argument, GlobalString, GlobalValue, GlobalVariable
 
 _block_ids = itertools.count(1)
 
@@ -148,7 +149,36 @@ class Module:
         self.types = TypeContext()
         self.globals: Dict[str, GlobalVariable] = {}
         self.functions: Dict[str, Function] = {}
-        self._string_counter = itertools.count()
+        self._strings = 0
+        #: Smallest uid no value of this module holds, once
+        #: ``compile_minic`` has renumbered it to 1..N (None for a module
+        #: built by hand, whose values keep the process counter's uids).
+        #: Travels with a pickled module.
+        self.next_uid: Optional[int] = None
+
+    @contextmanager
+    def fresh_uids(self) -> Iterator[None]:
+        """Scope in which values created on this thread continue this
+        module's numbering (``next_uid``, ``next_uid + 1``, … in creation
+        order) instead of drawing from the process counter.
+
+        What a transform adds to a compiled module is then numbered the
+        same in every process and after any number of unrelated compiles,
+        so the transformed functions of one (source, plan) are identical
+        down to the site ids of their new calls, and can never collide
+        with 1..N in a module that arrived by unpickling.  A no-op for
+        hand-built modules.
+        """
+        if self.next_uid is None:
+            yield
+            return
+        counter = itertools.count(self.next_uid)
+        outer, UIDS.counter = UIDS.counter, counter
+        try:
+            yield
+        finally:
+            UIDS.counter = outer
+            self.next_uid = next(counter)
 
     # -- globals ------------------------------------------------------------
 
@@ -166,7 +196,8 @@ class Module:
         for gv in self.globals.values():
             if isinstance(gv, GlobalString) and gv.text == text:
                 return gv
-        gs = GlobalString(f".str{next(self._string_counter)}", text)
+        gs = GlobalString(f".str{self._strings}", text)
+        self._strings += 1
         return self.add_global(gs)  # type: ignore[return-value]
 
     # -- functions ----------------------------------------------------------

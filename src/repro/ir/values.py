@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import struct as _struct
+import threading
 from typing import Optional
 
 from .types import (
@@ -26,13 +27,25 @@ from .types import (
 _value_ids = itertools.count(1)
 
 
+class _UidSource(threading.local):
+    """Where new values on this thread draw their uid: the process
+    counter, unless a :meth:`repro.ir.module.Module.fresh_uids` scope is
+    open on the thread (handler threads compile while the scheduler
+    thread transforms, so the scope is per thread)."""
+
+    counter = _value_ids
+
+
+UIDS = _UidSource()
+
+
 class Value:
     """Base class for every IR value."""
 
     def __init__(self, type_: Type, name: str = ""):
         self.type = type_
         self.name = name
-        self.uid = next(_value_ids)
+        self.uid = next(UIDS.counter)
         #: Interpreter fast path: non-None for compile-time constants.
         self.cval = None
 

@@ -12,6 +12,8 @@ Layering (see docs/SERVICE.md):
 
 * :mod:`repro.service.serializers` — request validation and the JSON
   response envelopes;
+* :mod:`repro.service.frontend_cache` — compiled-before sources: the
+  fingerprint and a pristine module snapshot per ``(name, source)``;
 * :mod:`repro.service.jobstore` — job lifecycle and the bounded submit
   queue (backpressure surfaces as HTTP 429 + ``Retry-After``);
 * :mod:`repro.service.scheduler` — fingerprint-batched drain loop over
@@ -24,6 +26,7 @@ Layering (see docs/SERVICE.md):
 
 from .app import SERVE_PORT_ENV, SERVE_QUEUE_ENV, ServiceApp, resolve_serve_port
 from .client import ServiceClient, ServiceError
+from .frontend_cache import FrontEndCache
 from .jobstore import (
     JOB_STATES,
     Job,
@@ -46,7 +49,7 @@ from .serializers import (
 )
 
 __all__ = [
-    "JOB_STATES", "Job", "JobSpec", "JobStore", "QueueFull",
+    "FrontEndCache", "JOB_STATES", "Job", "JobSpec", "JobStore", "QueueFull",
     "SERVE_PORT_ENV", "SERVE_QUEUE_ENV", "SERVICE_FORMAT", "Scheduler",
     "ServiceApp", "ServiceClient", "ServiceError", "STATE_DONE",
     "STATE_FAILED", "STATE_MISSPECULATED", "STATE_QUEUED",

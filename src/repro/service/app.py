@@ -40,13 +40,13 @@ from typing import Dict, Optional
 from ..obs.history import HistorySampler, resolve_history_dir
 from ..obs.log import get_logger
 from ..obs.server import DEFAULT_HOST, StatusServer
+from .frontend_cache import FrontEndCache
 from .jobstore import DEFAULT_QUEUE_DEPTH, JobStore, QueueFull
 from .scheduler import Scheduler
 from .serializers import (
     ValidationError,
     envelope,
     error_payload,
-    fingerprint_source,
     parse_submit,
 )
 
@@ -144,8 +144,12 @@ class ServiceApp:
         self._own_spool = spool_dir is None
         self.spool_dir = (tempfile.mkdtemp(prefix="repro-serve-")
                           if spool_dir is None else spool_dir)
+        #: Compiled-before sources: validation (handler threads) and the
+        #: cold path (scheduler thread) share it.
+        self.frontend = FrontEndCache(registry=registry)
         self.scheduler = Scheduler(self.store, self.spool_dir,
-                                   registry=registry, tracer=tracer)
+                                   registry=registry, tracer=tracer,
+                                   frontend=self.frontend)
         #: Metrics history ring (``repro dash`` substrate); enabled by
         #: the ``--history-dir`` flag or ``$REPRO_HISTORY_DIR``.
         history = resolve_history_dir(history_dir)
@@ -176,7 +180,8 @@ class ServiceApp:
         except ValidationError as e:
             return 400, error_payload("invalid submission", e.errors), {}
         try:
-            fingerprint = fingerprint_source(spec.source, spec.name)
+            fingerprint, seen = self.frontend.fingerprint(spec.source,
+                                                          spec.name)
         except Exception as e:  # noqa: BLE001 - guest compile errors
             return 400, error_payload(
                 f"source does not compile: {e}",
@@ -184,7 +189,8 @@ class ServiceApp:
         validate_s = time.monotonic() - t0
         try:
             job = self.store.submit(spec, fingerprint,
-                                    validate_s=validate_s)
+                                    validate_s=validate_s,
+                                    frontend="hit" if seen else "miss")
         except QueueFull as e:
             retry = max(1, round(e.retry_after_s))
             return 429, error_payload(str(e)), {"Retry-After": str(retry)}

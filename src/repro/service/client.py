@@ -109,8 +109,12 @@ class ServiceClient:
     def wait(self, job_id: str, timeout: float = 300.0,
              poll_s: float = 0.2) -> Dict[str, object]:
         """Poll ``GET /jobs/<id>`` until the job reaches a terminal
-        state; raises :class:`TimeoutError` otherwise."""
+        state; raises :class:`TimeoutError` otherwise.  The pause between
+        polls starts at 10 ms and doubles up to ``poll_s``, so a job the
+        server finishes in tens of milliseconds is not reported a whole
+        ``poll_s`` late."""
         deadline = time.monotonic() + timeout
+        pause = min(0.01, poll_s)
         while True:
             job = self.job(job_id)
             if job["state"] in TERMINAL_STATES:
@@ -118,7 +122,8 @@ class ServiceClient:
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {job['state']} after {timeout}s")
-            time.sleep(poll_s)
+            time.sleep(pause)
+            pause = min(poll_s, pause * 2)
 
     def trace(self, job_id: str) -> str:
         """The JSONL trace artifact text for a traced job."""

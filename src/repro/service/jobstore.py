@@ -15,7 +15,9 @@ A job moves ``queued -> running -> done | failed | misspeculated``:
 The store also owns the **warm result cache** (``cache key -> result
 payload``): an identical ``(fingerprint, args, knobs)`` resubmission is
 answered at submit time without touching the scheduler, recorded as a
-``service.cache_hits`` increment.
+``service.cache_hits`` increment.  It keeps :data:`RESULT_CACHE_MAX`
+results; a hit refreshes its entry and the least recently served goes
+first.
 
 Backpressure: the queue of not-yet-running jobs is bounded
 (``queue_depth``, default :data:`DEFAULT_QUEUE_DEPTH` or
@@ -33,8 +35,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import METRICS, labeled
 from .serializers import SERVICE_FORMAT, JobSpec
@@ -56,6 +59,9 @@ DEFAULT_QUEUE_DEPTH = 64
 
 #: Default count of finished jobs retained for ``GET /jobs/<id>``.
 DEFAULT_RETAIN = 256
+
+#: Results the warm result cache keeps, least recently served out first.
+RESULT_CACHE_MAX = 1024
 
 
 class QueueFull(RuntimeError):
@@ -85,6 +91,10 @@ class Job:
     #: Submit-side validation + fingerprinting wall time (seconds),
     #: measured by the HTTP tier; lands in the trace as ``job.submit``.
     validate_s: float = 0.0
+    #: Whether submit-side validation found the source in the front-end
+    #: cache (``"hit"``) or had to compile it (``"miss"``); an attribute
+    #: of the ``job.submit`` span.
+    frontend: str = "miss"
     #: Drain batch this job ran in (jobs sharing a fingerprint share one).
     batch: Optional[int] = None
     #: Position of this job within its fingerprint batch (0 = the cold
@@ -154,8 +164,10 @@ class JobStore:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []          # submission order
         self._ids = itertools.count(1)
-        self._cache: Dict[str, Dict[str, object]] = {}
-        self._cache_job: Dict[str, str] = {}  # cache key -> producing job id
+        #: cache key -> (producing job id, result); a hit moves the
+        #: entry to the young end.
+        self._cache: "OrderedDict[str, Tuple[str, Dict[str, object]]]" \
+            = OrderedDict()
         self._latency_sum = 0.0
         self._latency_count = 0
         #: Per-fingerprint aggregate stats for ``GET /fingerprints``.
@@ -176,7 +188,7 @@ class JobStore:
         return max(1.0, self._latency_sum / self._latency_count)
 
     def submit(self, spec: JobSpec, fingerprint: str,
-               validate_s: float = 0.0) -> Job:
+               validate_s: float = 0.0, frontend: str = "miss") -> Job:
         """Register a new job.
 
         Returns it in ``queued`` state — or, when the warm result cache
@@ -185,7 +197,8 @@ class JobStore:
         attached.  Raises :class:`QueueFull` when the queue is at
         capacity (cache hits never consume a queue slot).
         ``validate_s`` is the submit-side validation wall time measured
-        by the HTTP tier (traced as the ``job.submit`` span).
+        by the HTTP tier (traced as the ``job.submit`` span, which also
+        carries ``frontend``).
 
         Traced submissions bypass the cache lookup entirely: the client
         asked for a trace artifact, and a cache hit could not serve one
@@ -197,8 +210,11 @@ class JobStore:
             if self._closed:
                 raise RuntimeError("job store is closed")
             cached = None if spec.trace else self._cache.get(key)
+            if cached is not None:
+                self._cache.move_to_end(key)
             job = Job(id=f"j{next(self._ids)}", spec=spec,
-                      fingerprint=fingerprint, validate_s=validate_s)
+                      fingerprint=fingerprint, validate_s=validate_s,
+                      frontend=frontend)
             fstats = self.fingerprints.setdefault(fingerprint, {
                 "jobs": 0, "cache_hits": 0, "batches": 0,
                 "cold_prepares": 0, "warm_runs": 0, "resident": False,
@@ -209,8 +225,7 @@ class JobStore:
                 job.state = STATE_DONE
                 job.cache_hit = True
                 job.finished_unix = job.submitted_unix
-                job.result = dict(cached)
-                job.result["cached_from"] = self._cache_job.get(key)
+                job.result = dict(cached[1], cached_from=cached[0])
                 fstats["cache_hits"] += 1
                 self.registry.counter("service.cache_hits").inc()
                 self.registry.counter(f"job.{job.id}.cache_hit").inc()
@@ -302,8 +317,10 @@ class JobStore:
                 r.counter("service.jobs.completed").inc()
                 if cacheable and result is not None:
                     key = job.spec.cache_key(job.fingerprint)
-                    self._cache[key] = dict(result)
-                    self._cache_job[key] = job.id
+                    self._cache[key] = (job.id, dict(result))
+                    self._cache.move_to_end(key)
+                    while len(self._cache) > RESULT_CACHE_MAX:
+                        self._cache.popitem(last=False)
             elif state == STATE_MISSPECULATED:
                 r.counter("service.jobs.misspeculated").inc()
             else:

@@ -3,11 +3,15 @@
 The scheduler claims every queued job, groups the claim set by module
 fingerprint (submission order preserved within and across groups), and
 runs each group as one *batch*: the first job of a batch pays the cold
-:func:`~repro.bench.pipeline.prepare` (itself memoized by the on-disk
-profile cache, so a server restart is only as cold as ``$REPRO_CACHE_DIR``),
+:func:`~repro.bench.pipeline.prepare_module` on a fresh copy of the
+module the :class:`~repro.service.frontend_cache.FrontEndCache` compiled
+at submit time (profiling itself is memoized by the on-disk profile
+cache, so a server restart is only as cold as ``$REPRO_CACHE_DIR``),
 and every later job with the same prepare identity reuses the resident
 :class:`~repro.bench.pipeline.PreparedProgram` — a warm start that skips
-compile/profile/classify/transform entirely.  With ``adapt`` on, the
+compile/profile/classify/transform entirely.  The resident cache keeps
+:data:`RESIDENT_MAX` programs, least recently used out first; a job
+whose program was evicted is simply cold again.  With ``adapt`` on, the
 batch also shares :class:`~repro.adapt.PolicyStore` state, so demotions
 learned by an earlier job in the batch re-plan later ones.
 
@@ -34,13 +38,16 @@ from __future__ import annotations
 
 import threading
 import traceback
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..interp import codegen
 from ..obs.metrics import METRICS, labeled
 from ..obs.trace import TRACER
 from ..parallel.backend import BackendError
 from ..transform.plan import SelectionError
+from .frontend_cache import FrontEndCache
 from .jobstore import (
     Job,
     JobStore,
@@ -54,19 +61,29 @@ from .jobstore import (
 #: flight dump / trace artifacts).
 MAX_INLINE_DIAGNOSES = 8
 
+#: Prepared programs kept resident (the warm path), least recently used
+#: out first.
+RESIDENT_MAX = 64
+
 
 class Scheduler:
     """Drains the :class:`JobStore` on a daemon thread, batch by batch."""
 
     def __init__(self, store: JobStore, spool_dir: str,
-                 registry=None, tracer=None):
+                 registry=None, tracer=None,
+                 frontend: Optional[FrontEndCache] = None):
         self.store = store
         #: Trace artifacts (``<job id>.trace.jsonl``) are spooled here.
         self.spool_dir = Path(spool_dir)
         self.registry = registry if registry is not None else METRICS
         self.tracer = tracer if tracer is not None else TRACER
-        #: prepare identity -> resident PreparedProgram (the warm path).
-        self._resident: Dict[Tuple, object] = {}
+        #: Where cold jobs get their module (the HTTP tier's, when there
+        #: is one: it compiled the source at submit time).
+        self.frontend = (frontend if frontend is not None
+                         else FrontEndCache(registry=self.registry))
+        #: prepare identity -> resident PreparedProgram (the warm path);
+        #: a lookup moves the entry to the young end.
+        self._resident: "OrderedDict[Tuple, object]" = OrderedDict()
         self._batches = 0
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -140,7 +157,8 @@ class Scheduler:
         t.set_run_metadata(job=job.id, fingerprint=job.fingerprint)
         t.emit_span("job.submit", cat="service",
                     dur_us=max(0.0, job.validate_s) * 1e6,
-                    submitted_unix=job.submitted_unix)
+                    submitted_unix=job.submitted_unix,
+                    frontend=job.frontend)
         started = job.started_unix or job.submitted_unix
         t.emit_span("job.queue_wait", cat="service",
                     dur_us=max(0.0, started - job.submitted_unix) * 1e6,
@@ -157,32 +175,54 @@ class Scheduler:
         if traced:
             self.tracer.enable()  # resets events: the artifact is per-job
             job_span = self._begin_job_trace(job)
+        # Jobs must not kill the drain: whatever a job raises fails it.
         try:
+            outcome = self._execute(job)
+        except Exception as exc:  # noqa: BLE001
+            outcome = self._failed(exc)
+        if traced:
+            # The artifact is in place before the job turns terminal: a
+            # client that has seen the end of a traced job can fetch it.
             try:
-                self._execute(job)
+                job_span.end(state=outcome["state"])
+                self.tracer.write_jsonl(trace_path)
+                job.trace_path = str(trace_path)
+            except Exception as exc:  # noqa: BLE001
+                outcome = self._failed(exc)
             finally:
-                if traced:
-                    try:
-                        job_span.end(state=job.state)
-                        self.tracer.write_jsonl(trace_path)
-                        job.trace_path = str(trace_path)
-                    finally:
-                        self.tracer.clear_context()
-                        self.tracer.disable()
-        except Exception as exc:  # noqa: BLE001 - jobs must not kill the drain
-            detail = str(exc) or type(exc).__name__
-            if isinstance(exc, SelectionError):
-                reasons = "; ".join(exc.reasons)
-                detail = f"no parallelizable loop: {reasons}"
-            elif isinstance(exc, BackendError):
-                detail = f"backend error: {detail}"
-            elif not isinstance(exc, (SelectionError, BackendError)):
-                detail = f"{type(exc).__name__}: {detail}"
-                traceback.print_exc()
-            self.store.finish(job, STATE_FAILED, error=detail)
+                self.tracer.clear_context()
+                self.tracer.disable()
+        # "Did this job regenerate code?", answerable from /metrics by
+        # whoever has seen the job end.
+        self.registry.gauge("codegen.generations").set(codegen.generations)
+        self.store.finish(job, **outcome)
 
-    def _execute(self, job: Job) -> None:
-        from ..bench.pipeline import prepare
+    @staticmethod
+    def _failed(exc: Exception) -> Dict[str, object]:
+        """The :meth:`JobStore.finish` arguments of a job that raised."""
+        detail = str(exc) or type(exc).__name__
+        if isinstance(exc, SelectionError):
+            detail = "no parallelizable loop: " + "; ".join(exc.reasons)
+        elif isinstance(exc, BackendError):
+            detail = f"backend error: {detail}"
+        else:
+            detail = f"{type(exc).__name__}: {detail}"
+            traceback.print_exc()
+        return {"state": STATE_FAILED, "error": detail}
+
+    def _evict_resident(self) -> None:
+        while len(self._resident) > RESIDENT_MAX:
+            (fingerprint, *_), _program = self._resident.popitem(last=False)
+            fstats = self.store.fingerprints.get(fingerprint)
+            if fstats is not None:
+                fstats["resident"] = any(
+                    key[0] == fingerprint for key in self._resident)
+
+    def _execute(self, job: Job) -> Dict[str, object]:
+        """Prepare (or find resident), execute and build the result;
+        returns the arguments of the :meth:`JobStore.finish` that
+        :meth:`_run_job` makes."""
+        from ..bench.pipeline import prepare_module
         import time as _time
 
         spec = job.spec
@@ -194,15 +234,19 @@ class Scheduler:
         with self.tracer.span("job.prepare", cat="service", tier=tier):
             if program is None:
                 self.registry.counter("service.prepare.cold").inc()
-                program = prepare(
-                    spec.source, spec.name,
+                module, fingerprint = self.frontend.module(spec.source,
+                                                           spec.name)
+                program = prepare_module(
+                    module, spec.source, spec.name,
                     args=spec.train_args, ref_args=spec.args,
                     checkpoint_period=spec.checkpoint_period,
-                    adapt=spec.adapt or None,
+                    adapt=spec.adapt or None, fingerprint=fingerprint,
                 )
                 self._resident[key] = program
+                self._evict_resident()
             else:
                 self.registry.counter("service.prepare.warm").inc()
+                self._resident.move_to_end(key)
         self.registry.histogram(labeled(
             "service.job.prepare_us", tier=tier)).observe(
                 (_time.monotonic() - t0) * 1e6)
@@ -227,18 +271,17 @@ class Scheduler:
         self.registry.histogram("service.job.exec_us").observe(exec_s * 1e6)
         with self.tracer.span("job.commit", cat="service", tier=tier):
             payload = self._result_payload(job, program, result)
-            matches = bool(payload["output_matches"])
-            state = STATE_DONE if matches else STATE_MISSPECULATED
-            # A traced run is not cached: a later cache hit could not
-            # serve the trace artifact the client asked for.
-            self.store.finish(job, state, result=payload,
-                              cacheable=matches and not spec.trace,
-                              error=None if matches else
-                              "speculative output diverged from the "
-                              "sequential baseline")
+        matches = bool(payload["output_matches"])
+        state = STATE_DONE if matches else STATE_MISSPECULATED
         self.registry.histogram(labeled(
             "service.job.execute_us", outcome=state, tier=tier)).observe(
                 exec_s * 1e6)
+        # A traced run is not cached: a later cache hit could not serve
+        # the trace artifact the client asked for.
+        return {"state": state, "result": payload,
+                "cacheable": matches and not spec.trace,
+                "error": None if matches else
+                "speculative output diverged from the sequential baseline"}
 
     def _result_payload(self, job: Job, program, result) -> Dict[str, object]:
         """The Table-1/Table-3 style result rows plus misspec forensics

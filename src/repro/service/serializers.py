@@ -4,10 +4,13 @@
 anything touches the pipeline: unknown fields, malformed knobs, and
 unknown workload names are rejected with a field-by-field error list
 (HTTP 400) rather than surfacing as a failed job.  Validation also
-*compiles* the submitted module and computes its
+needs the submitted module's
 :func:`~repro.profiling.serialize.module_fingerprint`, so the scheduler
 can batch by fingerprint and the result cache can answer identical
-resubmissions at submit time.
+resubmissions at submit time: the HTTP tier compiles a source the first
+time the process sees it and asks its
+:class:`~repro.service.frontend_cache.FrontEndCache` afterwards;
+:func:`fingerprint_source` is the uncached reference.
 
 Every response body carries ``service_format`` (the payload version) so
 clients and the schema validator (``python -m repro.obs.schema --job``)

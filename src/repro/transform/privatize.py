@@ -89,8 +89,11 @@ class PrivateerTransform:
     def run(self) -> ParallelPlan:
         from ..obs.trace import TRACER
 
+        # Inserted values continue the module's own numbering, so the new
+        # calls' site ids (recorded below as they are made) are the same
+        # for every transform of this source with this plan.
         with TRACER.span("pipeline.transform", cat="pipeline",
-                         loop=str(self.ref)) as sp:
+                         loop=str(self.ref)) as sp, self.module.fresh_uids():
             plan = self._run(sp)
         return plan
 
@@ -244,8 +247,10 @@ class PrivateerTransform:
     # -- §4.5 / §4.6 checks --------------------------------------------------------
 
     def _region_blocks(self, fn: Function, loop, region: List[Function]):
-        for bb in loop.blocks:
-            yield bb
+        # Layout order, not the set's: checks are numbered as inserted.
+        for bb in fn.blocks:
+            if bb in loop.blocks:
+                yield bb
         for g in region:
             yield from g.blocks
 

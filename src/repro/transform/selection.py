@@ -24,14 +24,18 @@ from .plan import SelectionError
 
 
 def region_functions(module: Module, fn: Function, loop: Loop) -> List[Function]:
-    """The functions whose code can execute inside the parallel region."""
+    """The functions whose code can execute inside the parallel region,
+    in an order that depends on the module's content alone (the
+    transform numbers what it inserts in this order)."""
     cg = CallGraph(module)
     out: List[Function] = []
     seen: Set[Function] = set()
     for bb in sorted(loop.blocks, key=lambda b: b.name):
         for inst in bb.instructions:
             if isinstance(inst, Call):
-                for callee in [inst.callee, *cg.transitive_callees(inst.callee)]:
+                reached = sorted(cg.transitive_callees(inst.callee),
+                                 key=lambda f: f.name)
+                for callee in [inst.callee, *reached]:
                     if callee not in seen and not callee.is_declaration:
                         seen.add(callee)
                         out.append(callee)

@@ -581,3 +581,165 @@ class TestPreForkWarm:
         assert "".join(result.output) == "".join(prog.sequential.output)
         assert result.runtime_stats.misspec_count() == 0
         assert codegen.generations == generated
+
+
+# ---------------------------------------------------------------------------
+# Deterministic numbering after compile
+# ---------------------------------------------------------------------------
+
+
+def _all_digests(program):
+    return {fn.name: codegen.content_key(fn, codegen.build_regmap(fn))[0]
+            for fn in program.module.defined_functions()}
+
+
+def _assert_uids_unique(module):
+    values = list(module.globals.values())
+    for fn in module.functions.values():
+        values += [fn, *fn.args, *fn.instructions()]
+    for fn in module.defined_functions():
+        values += [op for inst in fn.instructions() for op in inst.operands]
+    by_uid = {}
+    for v in values:
+        assert by_uid.setdefault(v.uid, v) is v, (v, by_uid[v.uid])
+
+
+class TestPostCompileNumbering:
+    """What the transform adds is numbered N+1, N+2, … after the module's
+    own 1..N, wherever the process counter stands: the transformed
+    functions of one (source, plan) have one content key, so the second
+    program binds the first one's code."""
+
+    @pytest.fixture(autouse=True)
+    def _scratch_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @pytest.mark.parametrize("name,inputs", [
+        ("enc_md5", ((4, 48, 5), (4, 48, 1 << 20))),
+        ("swaptions", ((4, 6, 5), (4, 6, 1 << 20))),
+        ("dijkstra", ((8, 12, 7), (8, 12, 7))),
+    ])
+    def test_second_prepare_of_a_source_reuses_generated_code(self, name,
+                                                              inputs):
+        import threading
+
+        from repro.bench.pipeline import prepare
+        from repro.workloads import BY_NAME
+
+        source = BY_NAME[name].source
+        first = prepare(source, name, args=inputs[0], use_cache=False)
+        first.execute(workers=2)
+        # Unrelated compiles move the process counter, here and on
+        # another thread, before and while the second program is made.
+        compile_minic(IDENT_SRC, "noise")
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                compile_minic(CALL_SRC, "churn")
+
+        thread = threading.Thread(target=churn)
+        thread.start()
+        try:
+            second = prepare(source, name, args=inputs[1], use_cache=False)
+        finally:
+            stop.set()
+            thread.join(30.0)
+        assert not thread.is_alive()
+        assert _all_digests(second) == _all_digests(first)
+        _assert_uids_unique(first.module)
+        _assert_uids_unique(second.module)
+        generated = codegen.generations
+        result = second.execute(workers=2)
+        assert codegen.generations == generated
+        assert result.output == second.sequential.output
+
+    def test_inserted_values_continue_the_modules_numbering(self):
+        prog = prepared_counter_program(24)
+        inserted = [inst for fn in prog.module.defined_functions()
+                    for inst in fn.instructions()
+                    if "privateer" in inst.meta]
+        assert inserted
+        pristine = compile_minic(prog.source, prog.name)
+        n = pristine.next_uid - 1
+        assert max(v.uid for fn in pristine.functions.values()
+                   for v in fn.instructions()) <= n
+        # (No malloc/free in this program: every marked call is new.)
+        assert all(n < inst.uid < prog.module.next_uid for inst in inserted)
+
+    def test_scope_is_per_thread_and_restored(self):
+        import threading
+
+        from repro.ir.values import UIDS
+
+        module = compile_minic(IDENT_SRC, "scoped")
+        start = module.next_uid
+        process_counter = UIDS.counter
+        seen = {}
+
+        def other_thread():
+            seen["uid"] = ConstInt(I64, 1).uid
+            seen["counter"] = UIDS.counter
+
+        with module.fresh_uids():
+            a = ConstInt(I64, 1)
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(10.0)
+            b = ConstInt(I64, 2)
+        assert (a.uid, b.uid, module.next_uid) == (start, start + 1,
+                                                   start + 2)
+        assert seen["counter"] is process_counter
+        assert UIDS.counter is process_counter
+        # A hand-built module has no numbering of its own to continue.
+        with Module("by_hand").fresh_uids():
+            assert UIDS.counter is process_counter
+
+    def test_snapshot_unpickled_in_a_fresh_process(self, tmp_path):
+        """The collision the old invariant allowed: a process that
+        receives a module by unpickling has a counter below N, and used
+        to hand the transform's calls uids the module already holds."""
+        import json
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+        from repro.bench.pipeline import prepare
+        from repro.workloads import BY_NAME
+
+        source = BY_NAME["enc_md5"].source
+        args = (4, 48, 5)
+        snapshot = tmp_path / "module.pickle"
+        snapshot.write_bytes(pickle.dumps(compile_minic(source, "enc_md5")))
+        script = (
+            "import json, pickle, sys\n"
+            "from repro.bench.pipeline import prepare_module\n"
+            "from repro.interp import codegen\n"
+            "from repro.ir.values import UIDS\n"
+            "from repro.workloads import BY_NAME\n"
+            "module = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "below = next(UIDS.counter) < module.next_uid\n"
+            "prog = prepare_module(module, BY_NAME['enc_md5'].source,\n"
+            f"                      'enc_md5', args={args!r}, use_cache=False)\n"
+            "uids = [v.uid for fn in prog.module.functions.values()\n"
+            "        for v in (fn, *fn.args, *fn.instructions())]\n"
+            "uids += [g.uid for g in prog.module.globals.values()]\n"
+            "print(json.dumps({'below': below,\n"
+            "    'unique': len(uids) == len(set(uids)),\n"
+            "    'digests': {fn.name: codegen.content_key(\n"
+            "        fn, codegen.build_regmap(fn))[0].hex()\n"
+            "        for fn in prog.module.defined_functions()}}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, str(snapshot)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["below"] and child["unique"]
+        here = prepare(source, "enc_md5", args=args, use_cache=False)
+        assert child["digests"] == {name: digest.hex() for name, digest
+                                    in _all_digests(here).items()}

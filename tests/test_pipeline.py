@@ -1,9 +1,20 @@
 """The end-to-end pipeline API and the loop tracker."""
 
+import hashlib
+import pickle
+
 import pytest
 
-from repro.bench.pipeline import prepare, run_sequential
+from repro.bench import cache as profile_cache
+from repro.bench.pipeline import prepare, prepare_module, run_sequential
+from repro.frontend import compile_minic
+from repro.profiling.serialize import (
+    FORMAT_VERSION,
+    PROFILER_VERSION,
+    module_fingerprint,
+)
 from repro.transform import SelectionError
+from repro.workloads import BY_NAME
 
 SRC = """
 int scratch[16];
@@ -64,6 +75,83 @@ class TestPrepare:
         result = prog.execute(workers=8)
         assert prog.speedup(result) == pytest.approx(
             prog.sequential.cycles / result.total_wall_cycles)
+
+
+class TestPrepareModule:
+    """``prepare(source)`` is ``compile_minic`` + ``prepare_module``; a
+    module that went through pickle (what ``repro serve`` keeps of a
+    source it has compiled) prepares to the same program."""
+
+    @pytest.fixture(autouse=True)
+    def _scratch_cache(self, tmp_path, monkeypatch):
+        self.cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(self.cache))
+
+    @pytest.mark.parametrize("name,args", [
+        ("enc_md5", (4, 48, 2)),
+        ("swaptions", (4, 6, 3)),
+        ("dijkstra", (8, 12, 7)),
+    ])
+    def test_pickled_module_prepares_to_the_same_program(self, name, args):
+        source = BY_NAME[name].source
+        direct = prepare(source, name, args=args, use_cache=False)
+        snapshot = pickle.dumps(compile_minic(source, name))
+        thawed = prepare_module(pickle.loads(snapshot), source, name,
+                                args=args, use_cache=False)
+        assert thawed.fingerprint == direct.fingerprint
+        assert str(thawed.plan.ref) == str(direct.plan.ref)
+        assert thawed.plan.checkpoint_period == direct.plan.checkpoint_period
+        assert thawed.plan.global_placements == direct.plan.global_placements
+        assert vars(thawed.plan.checks) == vars(direct.plan.checks)
+        assert thawed.assignment.site_heaps == direct.assignment.site_heaps
+        assert thawed.sequential == direct.sequential
+        a, b = direct.execute(workers=2), thawed.execute(workers=2)
+        assert b.output == a.output == direct.sequential.output
+        assert b.total_wall_cycles == a.total_wall_cycles
+        assert b.return_value == a.return_value
+
+    def test_prepare_compiles_through_the_module_level_name(self,
+                                                            monkeypatch):
+        from repro.bench import pipeline
+
+        compiled = []
+
+        def counting(source, name):
+            compiled.append(name)
+            return compile_minic(source, name)
+
+        monkeypatch.setattr(pipeline, "compile_minic", counting)
+        prepare(SRC, "p", args=(8,), use_cache=False)
+        assert compiled == ["p"]
+        prepare_module(compile_minic(SRC, "p"), SRC, "p", args=(8,),
+                       use_cache=False)
+        assert compiled == ["p"]
+
+    def test_fingerprint_is_computed_once_and_names_the_same_file(
+            self, monkeypatch):
+        module = compile_minic(SRC, "p")
+        fingerprint = module_fingerprint(module)
+        # The key as it was when cache_key() fingerprinted the module
+        # itself: same digest, so same on-disk file names.
+        h = hashlib.sha256()
+        h.update(fingerprint.encode())
+        h.update(b"|main|" + repr((8,)).encode() + b"|" + repr((16,)).encode())
+        h.update(f"|p{PROFILER_VERSION}|f{FORMAT_VERSION}".encode())
+        key = h.hexdigest()[:24]
+        assert profile_cache.cache_key(fingerprint, "main", (8,), (16,)) == key
+
+        calls = []
+        real = profile_cache.module_fingerprint
+        monkeypatch.setattr(profile_cache, "module_fingerprint",
+                            lambda m: calls.append(m) or real(m))
+        prog = prepare(SRC, "p", args=(8,), ref_args=(16,))
+        assert len(calls) == 1 and prog.fingerprint == fingerprint
+        assert [p.name for p in self.cache.iterdir()] == [
+            f"profile-{key}.json"]
+        # A caller that already holds the fingerprint passes it in.
+        prepare_module(compile_minic(SRC, "p"), SRC, "p", args=(8,),
+                       ref_args=(16,), fingerprint=fingerprint)
+        assert len(calls) == 1
 
 
 class TestSequentialRunner:

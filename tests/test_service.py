@@ -3,6 +3,8 @@ batching/caching, the HTTP tier, the CLI entry points, and schema
 validation of the service payloads (docs/SERVICE.md)."""
 
 import json
+import pickle
+import sys
 import threading
 import time
 import urllib.request
@@ -20,6 +22,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import TRACER, Tracer
 from repro.service import (
+    FrontEndCache,
     JobStore,
     QueueFull,
     STATE_DONE,
@@ -32,6 +35,7 @@ from repro.service import (
     fingerprint_source,
     parse_submit,
 )
+from repro.service import frontend_cache, jobstore, scheduler
 from repro.service.app import (
     SERVE_PORT_ENV,
     SERVE_QUEUE_ENV,
@@ -389,6 +393,371 @@ class TestServiceEndToEnd:
         assert health["scheduler"] == "running"
         assert set(health["jobs"]) == {"queued", "running", "done",
                                        "failed", "misspeculated"}
+
+
+def _counting_compiles(monkeypatch):
+    """Count ``compile_minic`` calls at both places the service can
+    compile: the front-end cache (which imports it when it compiles)
+    and ``prepare()``."""
+    from repro.bench import pipeline
+    from repro.frontend import lower
+
+    calls = []
+    real = lower.compile_minic
+
+    def counting(source, name):
+        calls.append(name)
+        return real(source, name)
+
+    monkeypatch.setattr(lower, "compile_minic", counting)
+    monkeypatch.setattr(pipeline, "compile_minic", counting)
+    return calls
+
+
+class TestFrontEndCache:
+    """The third cache of ``repro serve``: (name, source) -> fingerprint
+    + pristine module snapshot (docs/SERVICE.md)."""
+
+    def test_fingerprint_equals_the_uncached_reference(self):
+        from repro.workloads import ALL_WORKLOADS
+
+        cache = FrontEndCache(registry=MetricsRegistry())
+        assert len(ALL_WORKLOADS) == 5
+        for w in ALL_WORKLOADS:
+            reference = fingerprint_source(w.source, w.name)
+            assert cache.fingerprint(w.source, w.name) == (reference, False)
+            assert cache.fingerprint(w.source, w.name) == (reference, True)
+            module, fingerprint = cache.module(w.source, w.name)
+            assert fingerprint == reference
+            from repro.profiling.serialize import module_fingerprint
+            assert module_fingerprint(module) == reference
+        r = cache.registry
+        assert r.counter("service.frontend.misses").value == 5
+        assert r.counter("service.frontend.hits").value == 5
+        assert r.gauge("service.frontend.bytes").value > 5 * 10_000
+
+    def test_resubmission_compiles_nothing(self, app, monkeypatch):
+        calls = _counting_compiles(monkeypatch)
+        status, body, _ = app.handle_submit(
+            {"source": SRC, "name": "p", "args": [24], "workers": 2})
+        assert status == 202 and calls == ["p"]
+        first = _client(app).wait(body["job"]["id"])
+        # The cold job prepared from the snapshot: still one compile.
+        assert first["state"] == "done" and not first["warm"]
+        assert calls == ["p"]
+        # Warm, result-cache hit and a second cold job (new inputs):
+        # validation and prepare both find the source known.
+        for payload in ({"args": [24], "workers": 3},
+                        {"args": [24], "workers": 2},
+                        {"args": [16], "workers": 2}):
+            status, body, _ = app.handle_submit(
+                {"source": SRC, "name": "p", **payload})
+            assert status in (200, 202)
+            job = _client(app).wait(body["job"]["id"])
+            assert job["state"] == "done"
+            assert job["fingerprint"] == first["fingerprint"]
+        assert calls == ["p"]
+        r = app.registry
+        assert r.counter("service.frontend.misses").value == 1
+        assert r.counter("service.frontend.hits").value == 3
+        assert r.counter("service.prepare.cold").value == 2
+
+    def test_name_and_every_literal_are_part_of_the_key(self):
+        cache = FrontEndCache(registry=MetricsRegistry())
+        base, _ = cache.fingerprint(SRC, "p")
+        renamed, hit = cache.fingerprint(SRC, "q")
+        assert not hit
+        edited, hit = cache.fingerprint(SRC.replace("r < 5", "r < 6"), "p")
+        assert not hit and edited != base
+        assert edited == fingerprint_source(SRC.replace("r < 5", "r < 6"),
+                                            "p")
+        assert renamed == fingerprint_source(SRC, "q")
+        assert len(cache) == 3
+        # The name is length-prefixed: moving a character between name
+        # and source is another key.
+        assert frontend_cache.source_key("ab", "c") \
+            != frontend_cache.source_key("b", "ca")
+
+    def test_compile_errors_are_400_every_time_and_never_cached(self, app):
+        bodies = []
+        for _ in range(2):
+            status, body, _ = app.handle_submit(
+                {"source": "int main( {", "name": "broken"})
+            assert status == 400
+            body.pop("generated_unix")
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+        assert "source does not compile" in bodies[0]["error"]
+        assert len(app.frontend) == 0
+        assert app.registry.counter("service.frontend.misses").value == 2
+        # As without the cache, a lone surrogate is the lexer's to refuse.
+        status, body, _ = app.handle_submit(
+            {"source": "int main() { return 0; } \ud800", "name": "s"})
+        assert status == 400 and "source does not compile" in body["error"]
+
+    def test_entry_bound_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(frontend_cache, "MAX_ENTRIES", 2)
+        cache = FrontEndCache(registry=MetricsRegistry())
+        sources = [f"int main() {{ return {k}; }}" for k in range(3)]
+        cache.fingerprint(sources[0], "m")
+        cache.fingerprint(sources[1], "m")
+        assert cache.fingerprint(sources[0], "m")[1]      # refresh 0
+        cache.fingerprint(sources[2], "m")                # evicts 1
+        assert len(cache) == 2
+        assert cache.fingerprint(sources[0], "m")[1]
+        assert cache.fingerprint(sources[2], "m")[1]
+        assert not cache.fingerprint(sources[1], "m")[1]
+
+    def test_byte_bound_evicts_least_recently_used(self, monkeypatch):
+        cache = FrontEndCache(registry=MetricsRegistry())
+        sources = [f"int main() {{ return {k}; }}" for k in range(3)]
+        cache.fingerprint(sources[0], "m")
+        one = cache.registry.gauge("service.frontend.bytes").value
+        assert one > 0
+        # Room for two snapshots of this size, not three.
+        monkeypatch.setattr(frontend_cache, "MAX_SNAPSHOT_BYTES",
+                            2 * one + one // 2)
+        cache.fingerprint(sources[1], "m")
+        cache.module(sources[0], "m")                     # a use of 0
+        cache.fingerprint(sources[2], "m")                # evicts 1
+        assert len(cache) == 2
+        assert cache.registry.gauge("service.frontend.bytes").value \
+            <= 2 * one + one // 2
+        assert cache.fingerprint(sources[0], "m")[1]
+        assert not cache.fingerprint(sources[1], "m")[1]
+
+    def test_modules_handed_out_are_independent(self):
+        from repro.profiling.serialize import module_fingerprint
+
+        cache = FrontEndCache(registry=MetricsRegistry())
+        reference = fingerprint_source(SRC, "p")
+        first, _ = cache.module(SRC, "p")       # the compiled module itself
+        second, _ = cache.module(SRC, "p")      # unpickled
+        assert first is not second
+        for module in (first, second):
+            main = module.function_named("main")
+            main.blocks[0].instructions.pop(0)
+            assert module_fingerprint(module) != reference
+        third, fingerprint = cache.module(SRC, "p")
+        assert module_fingerprint(third) == fingerprint == reference
+        assert cache.registry.counter("service.frontend.misses").value == 1
+
+    def test_eight_threads_two_sources(self, app):
+        other = SRC.replace("r < 5", "r < 7")
+        results = [None] * 8
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submit(k):
+                results[k] = app.handle_submit(
+                    {"source": SRC if k % 2 else other, "name": "p",
+                     "args": [16], "workers": 1 + k // 2})
+            threads = [threading.Thread(target=submit, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is not None and r[0] in (200, 202) for r in results)
+        assert len(app.frontend) == 2
+        prints = [r[1]["job"]["fingerprint"] for r in results]
+        assert set(prints[0::2]) == {fingerprint_source(other, "p")}
+        assert set(prints[1::2]) == {fingerprint_source(SRC, "p")}
+        r = app.registry
+        assert r.counter("service.frontend.hits").value \
+            + r.counter("service.frontend.misses").value == 8
+        # The byte gauge counts each source once however many threads
+        # compiled it.
+        assert r.gauge("service.frontend.bytes").value == sum(
+            len(snapshot) for _, snapshot in app.frontend._entries.values())
+        client = _client(app)
+        for _, body, _ in results:
+            assert client.wait(body["job"]["id"])["state"] == "done"
+
+    @pytest.mark.parametrize("error", [RecursionError, pickle.PicklingError])
+    def test_snapshot_failure_falls_back_to_recompiling(self, app, error,
+                                                        monkeypatch):
+        calls = _counting_compiles(monkeypatch)
+
+        def too_deep(*args, **kwargs):
+            raise error("hostile module")
+
+        monkeypatch.setattr(frontend_cache.pickle, "dumps", too_deep)
+        client = _client(app)
+        job = client.submit({"source": SRC, "name": "deep", "args": [16],
+                             "workers": 2})
+        # The entry keeps the fingerprint alone ...
+        assert app.registry.gauge("service.frontend.bytes").value == 0
+        assert len(app.frontend) == 1
+        job = client.wait(job["id"])
+        # ... so the cold path compiled again, and the job is fine.
+        assert job["state"] == "done" and job["result"]["output_matches"]
+        assert calls == ["deep", "deep"]
+        again = client.submit({"source": SRC, "name": "deep", "args": [16],
+                               "workers": 2})
+        assert again["cache_hit"] and calls == ["deep", "deep"]
+
+
+class TestBoundedCaches:
+    """The resident and result caches are LRU by last use, with module
+    constants for bounds (docs/SERVICE.md)."""
+
+    def _spec(self, **over):
+        payload = {"source": SRC, "name": "t", "args": [16]}
+        payload.update(over)
+        return parse_submit(payload)
+
+    def _finish(self, store, spec):
+        store.submit(spec, "fp")
+        [claimed] = store.take_queued()
+        store.finish(claimed, STATE_DONE, result={"output_matches": True})
+        return claimed
+
+    def test_constants_are_no_smaller_than_promised(self):
+        assert scheduler.RESIDENT_MAX >= 64
+        assert jobstore.RESULT_CACHE_MAX >= 1024
+
+    def test_result_cache_refreshes_on_hit_and_evicts_oldest(
+            self, monkeypatch):
+        monkeypatch.setattr(jobstore, "RESULT_CACHE_MAX", 2)
+        store = JobStore(registry=MetricsRegistry())
+        self._finish(store, self._spec(workers=1))
+        self._finish(store, self._spec(workers=2))
+        assert store.submit(self._spec(workers=1), "fp").cache_hit  # refresh
+        self._finish(store, self._spec(workers=3))       # evicts workers=2
+        assert store.fingerprint_payload()["cache_entries"] == 2
+        assert store.submit(self._spec(workers=1), "fp").cache_hit
+        assert store.submit(self._spec(workers=3), "fp").cache_hit
+        again = store.submit(self._spec(workers=2), "fp")
+        assert not again.cache_hit and again.state == STATE_QUEUED
+
+    def test_resident_eviction_order_and_the_re_cold_path(self, app,
+                                                          monkeypatch):
+        monkeypatch.setattr(scheduler, "RESIDENT_MAX", 2)
+        client = _client(app)
+        sources = {name: SRC.replace("r < 5", f"r < {5 + k}")
+                   for k, name in enumerate("abc")}
+
+        def run(name, **knobs):
+            job = client.submit({"source": sources[name], "name": name,
+                                 "args": [16], **knobs})
+            job = client.wait(job["id"])
+            assert job["state"] == "done", job
+            return job
+
+        a = run("a", workers=1)
+        b = run("b", workers=1)
+        assert not a["warm"] and not b["warm"]
+        assert run("a", workers=2)["warm"]               # a use of a
+        c = run("c", workers=1)                          # evicts b, not a
+        stats = client.fingerprints()["fingerprints"]
+        assert stats[a["fingerprint"]]["resident"]
+        assert stats[c["fingerprint"]]["resident"]
+        assert not stats[b["fingerprint"]]["resident"]
+        assert run("a", workers=3)["warm"]
+        # The evicted program's next job is cold again, and the same job.
+        misses = app.registry.counter("service.frontend.misses").value
+        again = run("b", workers=2)
+        assert not again["warm"] and not again["cache_hit"]
+        assert again["result"]["output"] == b["result"]["output"]
+        assert again["result"]["table1"]["sequential_cycles"] \
+            == b["result"]["table1"]["sequential_cycles"]
+        assert app.registry.counter("service.frontend.misses").value \
+            == misses
+        stats = client.fingerprints()["fingerprints"]
+        assert stats[b["fingerprint"]]["resident"]
+        assert stats[b["fingerprint"]]["cold_prepares"] == 2
+        assert not stats[c["fingerprint"]]["resident"]   # c was oldest
+
+    def test_fingerprint_stays_resident_while_any_program_is(
+            self, app, monkeypatch):
+        monkeypatch.setattr(scheduler, "RESIDENT_MAX", 2)
+        client = _client(app)
+
+        def run(args):
+            job = client.submit({"source": SRC, "name": "p", "args": args})
+            return client.wait(job["id"])
+
+        first = run([8])
+        run([12])
+        run([16])                       # evicts the [8] program
+        stats = client.fingerprints()["fingerprints"][first["fingerprint"]]
+        assert stats["resident"] and stats["cold_prepares"] == 3
+
+
+class TestClientWait:
+    def test_pause_starts_at_10ms_and_doubles_up_to_poll_s(self,
+                                                           monkeypatch):
+        from repro.service import client as client_module
+
+        pauses = []
+        monkeypatch.setattr(client_module.time, "sleep", pauses.append)
+        states = iter(["queued"] * 3 + ["running"] * 4 + ["done"])
+        client = ServiceClient("http://127.0.0.1:1")
+        monkeypatch.setattr(client, "job",
+                            lambda job_id: {"state": next(states)})
+        assert client.wait("j1", poll_s=0.2)["state"] == "done"
+        assert pauses == pytest.approx(
+            [0.01, 0.02, 0.04, 0.08, 0.16, 0.2, 0.2])
+        # poll_s is the ceiling, also when it is below the first pause.
+        pauses.clear()
+        states = iter(["running", "running", "done"])
+        client.wait("j1", poll_s=0.005)
+        assert pauses == [0.005, 0.005]
+
+    def test_a_job_done_before_the_second_poll_costs_one_short_pause(
+            self, monkeypatch):
+        from repro.service import client as client_module
+
+        pauses = []
+        monkeypatch.setattr(client_module.time, "sleep", pauses.append)
+        states = iter(["running", "done"])
+        client = ServiceClient("http://127.0.0.1:1")
+        monkeypatch.setattr(client, "job",
+                            lambda job_id: {"state": next(states)})
+        client.wait("j1")
+        assert pauses == [0.01]
+
+
+class TestCompileOnceGenerateOnce:
+    """Service end to end: a second cold job of a known program (same
+    plan, unseen inputs) compiles nothing and generates nothing."""
+
+    @pytest.mark.parametrize("workload,size", [("enc_md5", (4, 48)),
+                                               ("swaptions", (4, 6))])
+    def test_second_cold_job_with_a_new_guest_seed(self, app, workload,
+                                                   size):
+        client = _client(app)
+
+        def cold(seed):
+            args = [*size, seed]
+            job = client.submit({"workload": workload, "args": args,
+                                 "train_args": args, "workers": 2,
+                                 "backend": "simulated"})
+            job = client.wait(job["id"])
+            assert job["state"] == "done" and job["result"]["output_matches"]
+            assert not job["warm"] and not job["cache_hit"]
+            metrics = client.metrics()["metrics"]
+            return (metrics["service.frontend.misses"]["value"],
+                    metrics["codegen.generations"]["value"])
+
+        misses, generations = cold(1 << 20)
+        assert misses == 1 and generations > 0
+        assert cold((1 << 20) + 1) == (misses, generations)
+        assert app.registry.counter("service.prepare.cold").value == 2
+
+    def test_generations_gauge_is_set_for_failed_jobs_too(self, app):
+        from repro.interp import codegen
+
+        client = _client(app)
+        job = client.submit({"source": BAD_SRC, "name": "bad",
+                             "args": [24]})
+        assert client.wait(job["id"])["state"] == "failed"
+        assert app.registry.gauge("codegen.generations").value \
+            == codegen.generations
 
 
 class TestBackpressure:
@@ -804,6 +1173,67 @@ class TestObservabilityPlane:
         assert report["errors"] == []
         # Tracer left disarmed and context-free between jobs.
         assert not TRACER.enabled and TRACER.context == {}
+
+    def test_trace_artifact_is_written_before_the_job_turns_terminal(
+            self, tmp_path, monkeypatch):
+        """A client that polls fast sees ``done`` and fetches the trace
+        at once: the artifact must already be there."""
+        states = []
+        real = TRACER.write_jsonl
+
+        def spying(path):
+            states.extend(job.state for job in jobs)
+            return real(path)
+
+        monkeypatch.setattr(TRACER, "write_jsonl", spying)
+        jobs = []
+        spec = {"source": SRC, "name": "p", "args": [16], "workers": 2,
+                "trace": True}
+        bad = {"source": BAD_SRC, "name": "bad", "args": [24],
+               "trace": True}
+        from repro.service.scheduler import Scheduler
+
+        registry = MetricsRegistry()
+        store = JobStore(registry=registry)
+        sched = Scheduler(store, spool_dir=str(tmp_path / "spool"),
+                          registry=registry)
+        sched.spool_dir.mkdir(parents=True)
+        for payload in (spec, bad):
+            jobs[:] = [store.submit(parse_submit(payload), "fp")]
+            sched.drain(store.take_queued())
+            assert jobs[0].trace_path is not None
+        assert states == ["running", "running"]
+        assert jobs[0].state == "failed"
+        (root,) = [ev for ev in self._events(jobs[0])
+                   if ev.get("name") == "job" and ev.get("kind") == "span"]
+        assert root["attrs"]["state"] == "failed"
+
+    def test_submit_span_says_whether_the_front_end_cache_hit(self,
+                                                              tmp_path):
+        # Production wiring (global TRACER), as in the round-trip test.
+        with ServiceApp(port=0, registry=MetricsRegistry(),
+                        spool_dir=str(tmp_path / "spool")) as app:
+            client = _client(app)
+            seen = []
+            for workers in (2, 3):
+                job = client.submit({"source": SRC, "name": "p",
+                                     "args": [16], "workers": workers,
+                                     "trace": True})
+                job = client.wait(job["id"])
+                assert job["state"] == "done"
+                text = client.trace(job["id"])
+                (submit,) = [ev for ev in map(json.loads, text.splitlines())
+                             if ev.get("name") == "job.submit"]
+                seen.append(submit["attrs"]["frontend"])
+                path = tmp_path / f"{job['id']}.jsonl"
+                path.write_text(text)
+                assert schema.validate_jsonl(str(path))["errors"] == []
+                # The cold job no longer compiles: it thaws the snapshot.
+                names = {ev.get("name")
+                         for ev in map(json.loads, text.splitlines())}
+                assert "pipeline.compile" not in names
+                assert ("pipeline.prepare" in names) == (workers == 2)
+            assert seen == ["miss", "hit"]
 
     def test_span_chain_is_identical_across_backends(self, tmp_path):
         base = {"source": SRC, "name": "p", "args": [24], "workers": 2,
