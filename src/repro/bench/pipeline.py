@@ -272,9 +272,17 @@ def prepare_module(
     else:
         # The baseline runs on the module the profilers and the transform
         # use, before either touches it: interpreting only attaches code
-        # caches to the IR.
-        sequential = _run_baseline(module, entry, eval_args)
-        hot_report = profile_execution_time(module, entry, train_args)
+        # caches to the IR.  When the evaluation input is the training
+        # input, the time-profile run is that run (its hook observes).
+        if eval_args == train_args:
+            plain: List[Tuple[object, List[str]]] = []
+            hot_report = profile_execution_time(module, entry, train_args,
+                                                plain_run=plain)
+            sequential = SequentialBaseline(hot_report.total_cycles,
+                                            *plain[0])
+        else:
+            sequential = _run_baseline(module, entry, eval_args)
+            hot_report = profile_execution_time(module, entry, train_args)
 
     def _persist() -> None:
         if not use_cache or cached is not None:

@@ -25,6 +25,12 @@ A segment returns the next segment of the same frame, :data:`STACK` when
 it pushed or popped a frame, or None when it refused to start (the step
 budget could run out inside it; the reference ``step()`` decides).
 
+Every load and store site carries a one-entry inline cache of its last
+resolution (bind kind ``M``, DESIGN.md §7 "Memory access"): a hit reads
+or writes ``object.data`` with a pre-built ``struct.Struct`` method and
+makes no Python call; a miss asks :class:`AddressSpace` for the next
+entry, with the reference path's faults and copy-on-write.
+
 ``compile()`` dominates the cost of this tier, so code objects are
 memoised per process by function *content* (:func:`content_key`) in a
 fixed-size LRU; IR objects (instructions handed to hooks and intrinsics,
@@ -80,7 +86,7 @@ from ..ir.types import FloatType, IntType, PointerType, Type, VoidType
 from ..ir.values import GlobalVariable, Value
 from .costs import INTRINSIC_COSTS, instruction_cost, intrinsic_cost
 from .errors import BlockBreakpoint, GuestFault
-from .memory import STACK_BASE
+from .memory import PAGE_SHIFT, STACK_BASE
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -126,6 +132,17 @@ def _undef_fault(frame, slot: int):
     raise GuestFault(f"use of undefined slot {slot} in {frame.function.name}")
 
 
+#: What every memory site's cache holds until its first miss; entries are
+#: ``(space, object, lo, hi, generation)`` (``AddressSpace.load_entry``).
+_NO_ENTRY = (None, None, 0, 0, 0)
+
+#: ``struct`` format of a guest scalar by (size, signed); floats by size.
+#: Stores mask the value first, so they use the unsigned formats.
+_INT_FORMATS = {(1, True): "b", (1, False): "B", (2, True): "h",
+                (2, False): "H", (4, True): "i", (4, False): "I",
+                (8, True): "q", (8, False): "Q"}
+_FLOAT_FORMATS = {4: "f", 8: "d"}
+
 #: Globals of every generated function.
 _GLOBALS = {
     "__builtins__": builtins,
@@ -135,6 +152,9 @@ _GLOBALS = {
     "STACK_BASE": STACK_BASE, "pack": struct.pack, "unpack": struct.unpack,
     "NAN": float("nan"), "INF": float("inf"), "NINF": float("-inf"),
 }
+for _f in (*_INT_FORMATS.values(), *_FLOAT_FORMATS.values()):
+    _GLOBALS["ld" + _f] = struct.Struct("<" + _f).unpack_from
+    _GLOBALS["st" + _f] = struct.Struct("<" + _f).pack_into
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +569,30 @@ class _SegmentWriter:
         self.emit(f"interp.notify_alloc(o, {me})")
         self.define(inst, "o.base")
 
+    def resolve(self, k: int, pointer: Value, addr: str, size: int,
+                refill: str, also: str = "") -> None:
+        """Probe the inline cache of memory op ``k``: afterwards ``o`` is
+        the object holding ``[addr, addr + size)`` in ``sp``, the
+        interpreter's current space, and ``lo`` its base.  A miss
+        (another space, an ancestor's object shadowed or freed through
+        this one since, out of the cached bounds, object freed, ``also``)
+        asks ``sp.<refill>`` for the next entry, which faults where the
+        reference path does."""
+        entry = self.bind("M", k)
+        # find() rejects a non-int address before it compares it; only
+        # a formal or the result of a defined call can hold one.
+        typed = "" if (pointer.cval is not None
+                       or isinstance(pointer, GlobalVariable)
+                       or _pykind(pointer) == "i") \
+            else f"type({addr}) is not int or "
+        self.emit("sp = interp.space")
+        self.emit(f"c, o, lo, hi, g = {entry}")
+        with self.arm(f"if {typed}c is not sp or g != sp.generation "
+                      f"or {addr} < lo or {addr} + {size} > hi "
+                      f"or not o.alive{also}:"):
+            self.emit(f"{entry} = c, o, lo, hi, g = "
+                      f"sp.{refill}({addr}, {size})")
+
     def op_load(self, k: int, inst: Load) -> None:
         self.raises = True
         me = self.bind("I", k)
@@ -557,19 +601,22 @@ class _SegmentWriter:
         self.emit(f"if interp.hooks: interp.notify_load({me}, {addr}, "
                   f"{ty.size})")
         if isinstance(ty, IntType):
-            self.define(inst, f"interp.space.read_int({addr}, {ty.size}, "
-                              f"{ty.signed})")
+            fmt = _INT_FORMATS[ty.size, ty.signed]
         elif isinstance(ty, FloatType):
-            self.define(inst, f"interp.space.read_float({addr}, {ty.size})")
+            fmt = _FLOAT_FORMATS[ty.size]
         elif isinstance(ty, PointerType):
-            self.define(inst, f"interp.space.read_int({addr}, 8, False)")
+            fmt = "Q"
         else:
             self.fault(f"load of unsupported type {ty}")
+            return
+        self.resolve(k, inst.pointer, addr, ty.size, "load_entry")
+        self.define(inst, f"ld{fmt}(o.data, {addr} - lo)[0]")
 
     def op_store(self, k: int, inst: Store) -> None:
         self.raises = True
         me = self.bind("I", k)
         ty = inst.value.type
+        size = ty.size
         addr = self.named(self.use(k, 1), "ta")
         if isinstance(ty, FloatType):
             value = self.use(k, 0, "f")
@@ -578,15 +625,30 @@ class _SegmentWriter:
         else:
             value = self.use(k, 0)
         self.emit(f"if interp.hooks: interp.notify_store({me}, {addr}, "
-                  f"{ty.size})")
-        if isinstance(ty, IntType):
-            self.emit(f"interp.space.write_int({addr}, {value}, {ty.size})")
+                  f"{size})")
+        # Reference order from here: coerce the value, fault, write.
+        if isinstance(ty, FloatType) and size == 4:
+            # Packed up front: a value too large for an f32 is refused
+            # before any fault, and pack_into would zero its target
+            # before refusing.
+            self.emit(f"tv = pack('<f', {value})")
+            write = f"o.data[{addr} - lo:{addr} - lo + 4] = tv"
         elif isinstance(ty, FloatType):
-            self.emit(f"interp.space.write_float({addr}, {value}, {ty.size})")
-        elif isinstance(ty, PointerType):
-            self.emit(f"interp.space.write_int({addr}, {value}, 8)")
+            write = f"std(o.data, {addr} - lo, {self.named(value, 'tv')})"
+        elif isinstance(ty, (IntType, PointerType)):
+            write = (f"st{_INT_FORMATS[size, False]}(o.data, {addr} - lo, "
+                     f"{self.named(value, 'tv')} & {(1 << size * 8) - 1})")
         else:
             self.fault(f"store of unsupported type {ty}")
+            return
+        self.resolve(k, inst.pointer, addr, size, "store_entry",
+                     " or not o.writable")
+        self.emit(write)
+        with self.arm("if sp._track_dirty:"):
+            self.emit(f"sp.dirty_pages.add({addr} >> {PAGE_SHIFT})")
+            if size > 1:
+                self.emit(f"sp.dirty_pages.add(({addr} + {size - 1}) "
+                          f">> {PAGE_SHIFT})")
 
     def op_call(self, k: int, inst: Call) -> bool:
         self.raises = True
@@ -728,9 +790,11 @@ def _segments(fn: Function, regmap: Dict[Value, int]
             seg_costs = costs[start - firsts[b]:k + 1 - firsts[b]]
             tail = tuple(sum(seg_costs[i + 1:]) for i in range(n))
             name = re.sub(r"\W", "_", f"seg_{fn.name}_{bb.name}_{start}")
+            caches = sorted(n for n, at in w.binds.items() if at[0] == "M")
             yield b, start, "\n".join([
                 f"def _bind({', '.join(sorted(w.binds))}):",
                 f"    def {name}(interp, frame):",
+                *([f"        nonlocal {', '.join(caches)}"] if caches else []),
                 f"        t = interp.steps + {n}",
                 "        if t > interp.max_steps: return None",
                 "        interp.steps = t",
@@ -815,8 +879,10 @@ def bind_segments(fn: Function, templates: Sequence[_Template]
             if kind == "N":
                 cells.append(entries[at[0]])
                 continue
-            if kind == "B":
-                obj: object = blocks[at[0]]
+            if kind == "M":
+                obj: object = _NO_ENTRY
+            elif kind == "B":
+                obj = blocks[at[0]]
             elif kind == "I":
                 obj = insts[at[0]]
             elif kind == "F":

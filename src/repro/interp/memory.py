@@ -124,10 +124,25 @@ class AddressSpace:
     reused, so stale pointers fault instead of silently aliasing, which is
     what the lifetime profiler and the short-lived heap validation rely
     on.
+
+    An overlay never mutates an ancestor: its stores go to copy-on-write
+    copies and its frees of ancestors' objects to ``_freed``, both its
+    own.  ``generation`` counts the events after which an address that
+    resolved to a still-live ancestor's object resolves differently
+    through this space — a copy installed over it, its free; generated
+    code keys its per-site inline caches on it (:meth:`load_entry`,
+    DESIGN.md §7 "Memory access").
+
+    As after ``fork``, a space that has overlays in use may store and
+    free but not allocate (the overlay's cursors are copies: both would
+    hand out the same addresses), and only leaves and the root change at
+    all.  The executors comply: workers are leaves over main, re-forked
+    after every stretch the main space runs.
     """
 
-    __slots__ = ("parent", "_pages", "_cursors", "_cow_copies",
-                 "dirty_pages", "bytes_allocated", "_track_dirty")
+    __slots__ = ("parent", "_pages", "_cursors", "_cow_copies", "_freed",
+                 "generation", "dirty_pages", "bytes_allocated",
+                 "_track_dirty")
 
     def __init__(self, parent: Optional["AddressSpace"] = None):
         self.parent = parent
@@ -141,6 +156,9 @@ class AddressSpace:
         else:
             self._cursors = dict(parent._cursors)
         self._cow_copies: Dict[int, MemoryObject] = {}  # parent obj base -> copy
+        #: bases of ancestors' objects freed through this overlay
+        self._freed: Set[int] = set()
+        self.generation = 0
         self.dirty_pages: Set[int] = set()
         self.bytes_allocated = 0
         # Dirty-page tracking only matters for worker overlays (checkpoint
@@ -192,14 +210,29 @@ class AddressSpace:
         self.bytes_allocated += size
         return obj
 
+    def install_copy(self, copy: MemoryObject) -> None:
+        """Make ``copy`` this overlay's private replacement of the
+        ancestor's object at the same addresses — what the first store
+        to it makes, or the runtime with contents of its own."""
+        self._cow_copies[copy.base] = copy
+        self._register(copy)
+        self.generation += 1
+
     def free(self, addr: int) -> MemoryObject:
         obj, offset = self.find(addr)
         if offset != 0:
             raise GuestFault(f"free of interior pointer 0x{addr:x} into {obj.name}")
         if not obj.alive:
             raise GuestFault(f"double free of {obj.name}")
-        obj.alive = False
-        self._unregister(obj)
+        owned = self._owns(obj)
+        if owned:
+            obj.alive = False
+            self._unregister(obj)
+        if not owned or self._cow_copies.get(obj.base) is obj:
+            # An ancestor's object (or this overlay's copy of one): the
+            # free is private to the overlay, as a forked worker's is.
+            self._freed.add(obj.base)
+            self.generation += 1
         return obj
 
     # -- lookup -----------------------------------------------------------------
@@ -210,19 +243,20 @@ class AddressSpace:
             raise GuestFault("null pointer dereference")
         page = addr >> PAGE_SHIFT
         space: Optional[AddressSpace] = self
+        hidden: Optional[Set[int]] = None  # freed by the spaces walked past
         while space is not None:
+            # A live COW copy sits in the copier's own page map, so it
+            # is met before the object it shadows.
             for obj in space._pages.get(page, ()):
                 # Bounds tests spelled out (MemoryObject.contains): this
-                # is the inner loop of every guest load and store.
+                # is the miss path of every guest load and store.
                 if (obj.alive and obj.base <= addr
-                        and addr + size <= obj.base + obj.size):
-                    # Prefer a local COW copy when one exists.
-                    if space is not self:
-                        copy = self._cow_copies.get(obj.base)
-                        if (copy is not None and copy.base <= addr
-                                and addr + size <= copy.base + copy.size):
-                            return copy, addr - copy.base
+                        and addr + size <= obj.base + obj.size
+                        and not (hidden and obj.base in hidden)):
                     return obj, addr - obj.base
+            if space._freed:
+                hidden = (space._freed if hidden is None
+                          else hidden | space._freed)
             space = space.parent
         raise GuestFault(f"wild pointer 0x{addr:x} (size {size})")
 
@@ -246,14 +280,15 @@ class AddressSpace:
         This is the bulk counterpart of :meth:`find` for the vectorized
         checkpoint paths: one page-map intersection per object touched
         instead of one lookup per byte.  The same precedence rules apply
-        — live objects only, nearer spaces shadow ancestors, and a local
-        COW copy substitutes for its parent object.
+        — live objects only, nearer spaces shadow ancestors (a COW copy
+        its original), and objects freed through an overlay are gone.
         """
         end = addr + size
         if size <= 0:
             return []
         pieces: List[Tuple[int, int, MemoryObject]] = []
         covered: List[Tuple[int, int]] = []  # claimed by nearer spaces
+        hidden: Set[int] = set()  # freed by nearer spaces
         space: Optional[AddressSpace] = self
         while space is not None:
             seen: Set[int] = set()
@@ -261,17 +296,14 @@ class AddressSpace:
             for page in range(addr >> PAGE_SHIFT,
                               ((end - 1) >> PAGE_SHIFT) + 1):
                 for obj in space._pages.get(page, ()):
-                    if not obj.alive or id(obj) in seen:
+                    if (not obj.alive or id(obj) in seen
+                            or obj.base in hidden):
                         continue
                     seen.add(id(obj))
                     lo = max(addr, obj.base)
                     hi = min(end, obj.end)
                     if lo >= hi:
                         continue
-                    if space is not self:
-                        copy = self._cow_copies.get(obj.base)
-                        if copy is not None:
-                            obj = copy
                     candidates.append((lo, hi, obj))
             for lo, hi, obj in candidates:
                 for sub_lo, sub_hi in _subtract_runs(lo, hi, covered):
@@ -279,6 +311,7 @@ class AddressSpace:
             if candidates:
                 covered = _merge_runs(
                     covered + [(lo, hi) for lo, hi, _obj in candidates])
+            hidden |= space._freed
             space = space.parent
         pieces.sort(key=lambda piece: piece[0])
         return pieces
@@ -290,14 +323,12 @@ class AddressSpace:
         if not obj.writable:
             raise GuestFault(f"write to read-only object {obj.name} @0x{addr:x}")
         if self.parent is not None and not self._owns(obj):
-            copy = self._cow_copies.get(obj.base)
-            if copy is None:
-                copy = MemoryObject(obj.base, obj.size, obj.name, obj.kind,
-                                    obj.site, obj.writable)
-                copy.data[:] = obj.data
-                self._cow_copies[obj.base] = copy
-                self._register(copy)
-            obj, offset = copy, addr - copy.base
+            # find() met no live copy on the way to the ancestor.
+            copy = MemoryObject(obj.base, obj.size, obj.name, obj.kind,
+                                obj.site, obj.writable)
+            copy.data[:] = obj.data
+            self.install_copy(copy)
+            obj = copy
         return obj, offset
 
     def _owns(self, obj: MemoryObject) -> bool:
@@ -343,6 +374,27 @@ class AddressSpace:
 
     def write_float(self, addr: int, value: float, size: int = 8) -> None:
         self.write_bytes(addr, struct.pack("<d" if size == 8 else "<f", value))
+
+    # -- inline-cache entries (generated code, DESIGN.md §7) -----------------
+
+    def load_entry(self, addr: int, size: int
+                   ) -> Tuple["AddressSpace", MemoryObject, int, int, int]:
+        """Miss path of a generated load site: resolve like :meth:`find`
+        (same faults) and return the site's next cache entry, ``(space,
+        object, lo, hi, generation)``.  It answers for every access inside
+        ``[lo, hi)`` through ``space`` while ``space.generation`` stands
+        and ``object.alive``."""
+        obj = self.find(addr, size)[0]
+        return self, obj, obj.base, obj.base + obj.size, self.generation
+
+    def store_entry(self, addr: int, size: int
+                    ) -> Tuple["AddressSpace", MemoryObject, int, int, int]:
+        """Miss path of a generated store site: as :meth:`load_entry`
+        through :meth:`_writable_object`, so the object is one this space
+        owns (copied on write if need be) and a later hit skips no copy;
+        a hit also requires ``object.writable``."""
+        obj = self._writable_object(addr, size)[0]
+        return self, obj, obj.base, obj.base + obj.size, self.generation
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
         obj, offset = self.find(addr)

@@ -77,7 +77,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
 from ..runtime.fragments import EpochFragment
-from ..runtime.intervals import union_runs
+from ..runtime.intervals import coalesce, union_runs
 from ..runtime.iodefer import DeferredOutput
 from .backend import BackendError, WorkerEpochReport
 from .process_backend import (
@@ -133,8 +133,9 @@ class _CommitDelta:
     images stay identical to the parent's: ``private_runs`` are
     ``(private-heap offset, committed bytes)`` read back from the
     parent's main memory over the merged write extents; ``redux_runs``
-    are ``(absolute address, bytes)`` of every folded reduction
-    element.  Application is idempotent (plain content stores).
+    are ``(absolute address, bytes)`` over the folded reduction
+    elements, adjacent ones coalesced.  Application is idempotent (plain
+    content stores).
     """
 
     private_runs: List[Tuple[int, bytes]] = field(default_factory=list)
@@ -214,8 +215,8 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
         self._rings: Optional[List[ShmRing]] = None
         self._pool_invocation = -2
         self._pool_stale = False
-        #: ``(merged write spans, redux (addr, size) keys)`` of the last
-        #: clean epoch — the recipe for the next commit delta.
+        #: ``(merged write spans, merged redux address spans)`` of the
+        #: last clean epoch — the recipe for the next commit delta.
         self._last_commit_meta = None
         #: Child-side: previous epoch's write spans per hosted wid (for
         #: ``mark_old_write_runs`` on commit notification).
@@ -311,10 +312,12 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
                 f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
                 f"is missing fragments ({len(fragments)}/{self.workers} "
                 f"reports)")
+        # Both as coalesced runs: adjacent reduction elements (an array
+        # reduced element-wise) ship as one piece per object.
         self._last_commit_meta = (
             union_runs([f.write_spans() for f in fragments]),
-            sorted({(el.addr, el.size)
-                    for f in fragments for el in f.redux_elements}),
+            coalesce([(el.addr, el.addr + el.size)
+                      for f in fragments for el in f.redux_elements]),
         )
         return None, fragments
 
@@ -346,7 +349,7 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
         """Read the last checkpoint's committed content back out of the
         parent's main memory (freed/worker-local extents are skipped by
         ``covering_pieces``, matching what the merge skipped)."""
-        spans, redux_keys = self._last_commit_meta
+        spans, redux_spans = self._last_commit_meta
         ms = self.runtime.main_space
         pb = self.runtime.private_base
         delta = _CommitDelta()
@@ -354,8 +357,8 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
             for s, e, obj in ms.covering_pieces(pb + start, end - start):
                 delta.private_runs.append(
                     (s - pb, bytes(obj.data[s - obj.base:e - obj.base])))
-        for addr, size in redux_keys:
-            for s, e, obj in ms.covering_pieces(addr, size):
+        for start, end in redux_spans:
+            for s, e, obj in ms.covering_pieces(start, end - start):
                 delta.redux_runs.append(
                     (s, bytes(obj.data[s - obj.base:e - obj.base])))
         return delta

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interp.interpreter import Hook, Interpreter
 from ..ir.module import Module
@@ -48,15 +48,23 @@ class _TimeHook(Hook):
 
 
 def profile_execution_time(
-    module: Module, entry: str = "main", args: Sequence[object] = ()
+    module: Module, entry: str = "main", args: Sequence[object] = (),
+    plain_run: Optional[List[Tuple[object, List[str]]]] = None,
 ) -> HotLoopReport:
-    """Run the program once, attributing inclusive cycles to every loop."""
+    """Run the program once, attributing inclusive cycles to every loop.
+
+    The hook only observes, so this is also a plain run of the program
+    on ``args``: a caller that would otherwise make one passes a list as
+    ``plain_run`` and finds ``(return value, output)`` appended (the
+    run's cycles are the report's ``total_cycles``)."""
     with TRACER.span("pipeline.profile.time", cat="pipeline",
                      entry=entry) as sp:
         interp = Interpreter(module)
         hook = _TimeHook(module)
         interp.hooks.append(hook)
-        interp.run(entry, args)
+        rv = interp.run(entry, args)
+        if plain_run is not None:
+            plain_run.append((rv, list(interp.output)))
         # Close any loops still open at program end (exit() inside a loop).
         while hook.tracker.stack:
             hook.tracker._pop(interp)

@@ -64,6 +64,10 @@ CHECKPOINT_PAGE_COST = 600
 CHECKPOINT_FIXED_COST = 1200
 CHECKPOINT_BYTE_COST = 1
 
+#: Address tag -> heap, for the per-access checks; anything else still
+#: goes to the enum's constructor, which rejects it.
+_HEAP_KINDS = {int(kind): kind for kind in HeapKind}
+
 
 class WorkerState:
     """One simulated worker process."""
@@ -104,6 +108,8 @@ class RuntimeSystem:
         self.workers: List[WorkerState] = []
         self.current_worker: Optional[WorkerState] = None
         self.current_iteration = 0
+        #: Shadow timestamp of ``current_iteration`` (begin_iteration).
+        self.current_ts = TS_BASE
         self.epoch_start = 0
         self.invocation_index = -1
 
@@ -181,16 +187,14 @@ class RuntimeSystem:
         if TRACER.enabled:
             METRICS.counter("runtime.separation_checks").inc()
         addr = int(args[0])
-        kind = HeapKind(int(args[1]))
+        tag = int(args[1])
+        kind = _HEAP_KINDS.get(tag) or HeapKind(tag)
         if not tag_matches(addr, kind):
             raise Misspeculation(
                 "separation",
                 f"pointer 0x{addr:x} (tag {heap_tag_of(addr)}) is not in "
                 f"heap {kind}", self.current_iteration)
         return None
-
-    def _ts(self) -> int:
-        return timestamp_for(self.current_iteration, self.epoch_start)
 
     def _i_private_read(self, interp, inst, args):
         if not self.speculating or self.current_worker is None:
@@ -208,7 +212,7 @@ class RuntimeSystem:
         self.stats.private_read_cycles += cost
         if TRACER.enabled:
             METRICS.counter("runtime.shadow.bytes_read").inc(size)
-        self.current_worker.shadow.on_read(offset, size, self._ts(),
+        self.current_worker.shadow.on_read(offset, size, self.current_ts,
                                            self.current_iteration)
         return None
 
@@ -229,7 +233,8 @@ class RuntimeSystem:
         if TRACER.enabled:
             METRICS.counter("runtime.shadow.bytes_written").inc(size)
         worker = self.current_worker
-        worker.shadow.on_write(offset, size, self._ts(), self.current_iteration)
+        worker.shadow.on_write(offset, size, self.current_ts,
+                               self.current_iteration)
         worker.epoch_written_offsets.add_range(offset, offset + size)
         return None
 
@@ -380,8 +385,7 @@ class RuntimeSystem:
             copy = MemoryObject(obj.base, obj.size, obj.name, obj.kind,
                                 obj.site, writable=True)
             copy.data[:] = self._identity_bytes(rplan, obj.size)
-            worker.space._cow_copies[obj.base] = copy
-            worker.space._register(copy)
+            worker.space.install_copy(copy)
             worker.redux_copies[obj.base] = (copy, rplan)
 
     def _reset_worker_redux(self, worker: WorkerState) -> None:
@@ -393,6 +397,7 @@ class RuntimeSystem:
     def begin_iteration(self, worker: WorkerState, iteration: int) -> None:
         self.current_worker = worker
         self.current_iteration = iteration
+        self.current_ts = timestamp_for(iteration, self.epoch_start)
         self.restore_predictions(worker, iteration)
 
     def restore_predictions(self, worker: WorkerState, iteration: int) -> None:
@@ -404,7 +409,8 @@ class RuntimeSystem:
             addr = self.interp.global_addrs[gv] + vp.offset
             offset = addr - self.private_base
             if offset >= 0:
-                worker.shadow.on_write(offset, vp.size, self._ts(), iteration)
+                worker.shadow.on_write(offset, vp.size, self.current_ts,
+                                       iteration)
                 worker.epoch_written_offsets.add_range(
                     offset, offset + vp.size)
             worker.space.write_int(addr, vp.value, vp.size)

@@ -14,6 +14,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from helpers import prepared_counter_program
 from repro.frontend import compile_minic
@@ -27,6 +28,12 @@ from repro.interp.errors import (
     Misspeculation,
 )
 from repro.interp.interpreter import Hook, Interpreter
+from repro.interp.memory import (
+    HEAP_BASE,
+    STACK_BASE,
+    AddressSpace,
+    MemoryObject,
+)
 from repro.ir import Function, FunctionType, IRBuilder, Module
 from repro.ir.instructions import (
     BinOp,
@@ -743,3 +750,406 @@ class TestPostCompileNumbering:
         here = prepare(source, "enc_md5", args=args, use_cache=False)
         assert child["digests"] == {name: digest.hex() for name, digest
                                     in _all_digests(here).items()}
+
+
+# ---------------------------------------------------------------------------
+# Memory sites: the per-site inline cache against find() and the step path
+# ---------------------------------------------------------------------------
+
+
+def _site_module():
+    """``main(p, q, v)``: ``x = load i32 p; store i64 v, q; return x`` —
+    one load site and one store site, addresses straight from formals."""
+    module = Module("sites")
+    fn = Function("main", FunctionType(I64, (PTR, PTR, I64)),
+                  ["p", "q", "v"])
+    module.add_function(fn)
+    b = IRBuilder(module, fn.add_block("entry"))
+    x = b.load(fn.args[0], I32)
+    b.store(fn.args[2], fn.args[1])
+    b.ret(x)
+    return module
+
+
+class _World:
+    """A main space with two leaf overlays and one interpreter over
+    them: the machine the state machine drives twice, once per path."""
+
+    def __init__(self, module, compiled):
+        main = AddressSpace()
+        self.interp = Interpreter(module, space=main, compiled=compiled)
+        self.fn = module.function_named("main")
+        #: every object handed out by a rule, in creation order
+        self.objects = [main.allocate(size, "seed", "heap")
+                        for size in (24, 8)]
+        self.spaces = [main]
+        self.fork()
+
+    def fork(self):
+        """Fresh workers, as ``RuntimeSystem.refork_workers`` makes them
+        after every stretch the main space ran (and allocated)."""
+        main = self.spaces[0]
+        self.spaces = [main, AddressSpace(parent=main),
+                       AddressSpace(parent=main)]
+
+    def guarded(self, action):
+        try:
+            return ("ok", action())
+        except GuestFault as exc:
+            return ("GuestFault", str(exc))
+
+    def access(self, k, p, q, v):
+        interp = self.interp
+        interp.space = self.spaces[k]
+        interp.frames.clear()
+        cycles, steps = interp.cycles, interp.steps
+        interp.push_function(self.fn, (p, q, v))
+        try:
+            outcome = ("returned", interp.run_until_event())
+        except Exception as exc:
+            outcome = (type(exc).__name__, str(exc), interp.frames[-1].index)
+        return outcome, interp.cycles - cycles, interp.steps - steps
+
+    def picture(self):
+        """What every space resolves at every object ever made, plus
+        its dirty pages."""
+        seen = []
+        for space in self.spaces:
+            for obj in self.objects:
+                for addr in (obj.base, obj.base + obj.size - 1):
+                    found = space.try_find(addr)
+                    seen.append(found and (
+                        found[0].base, found[0].size, found[0].writable,
+                        found[1], bytes(found[0].data)))
+            seen.append(sorted(space.dirty_pages))
+        return seen
+
+
+#: Offsets into an object: mostly inside it, some before it, across its
+#: end or across a page boundary; and values whose store shows.
+_OFFSETS = st.sampled_from([0] * 6 + [4, 4, 8, 16, -4, 4090])
+_STORED = st.integers(1, 2**64)
+_HOT = st.sampled_from([True, True, False])
+_SPACES = st.sampled_from([0, 1, 1, 2, 2])
+
+
+class MemorySiteMachine(RuleBasedStateMachine):
+    """Random allocate / free / store-through-overlay / reduction-copy
+    registration / read-only toggles / space switches, applied to a
+    fast-path world and a step-path world in lockstep.  The fast world
+    runs one bound ``Function`` throughout, and most draws aim at the
+    space and objects of the previous access, so its two sites see
+    every way a filled entry can go stale."""
+
+    module = _site_module()
+
+    def __init__(self):
+        super().__init__()
+        self.fast = _World(self.module, compiled=True)
+        self.step = _World(self.module, compiled=False)
+        #: space and object indices (p's, q's) of the previous access
+        self.last = (0, 0, 1)
+
+    def both(self, action):
+        fast, step = action(self.fast), action(self.step)
+        assert fast == step
+        return fast
+
+    def target(self, n, hot):
+        """Index of an object: one of the previous access's when
+        ``hot``, any otherwise."""
+        if hot:
+            return self.last[1 + n % 2]
+        return n % len(self.fast.objects)
+
+    @rule(k=_SPACES, hot=_HOT,
+          size=st.sampled_from([1, 4, 8, 24, 4200]),
+          region=st.sampled_from([HEAP_BASE, STACK_BASE]))
+    def allocate(self, k, hot, size, region):
+        k = self.last[0] if hot else k
+
+        def allocate(w):
+            w.objects.append(w.spaces[k].allocate(size, "o", "heap", region))
+            if k == 0:
+                # Overlays never outlive an allocation of their parent.
+                w.fork()
+        self.both(allocate)
+
+    @rule(k=_SPACES, n=st.integers(0, 1 << 16), hot=_HOT,
+          inner=st.sampled_from([0, 0, 0, 4]))
+    def free(self, k, n, hot, inner):
+        k, n = self.last[0] if hot else k, self.target(n, hot)
+        self.both(lambda w: w.guarded(lambda: w.spaces[k].free(
+            w.objects[n].base + inner).base))
+
+    @rule(k=st.integers(1, 2), n=st.integers(0, 1 << 16), hot=_HOT)
+    def register_reduction_copy(self, k, n, hot):
+        """What ``RuntimeSystem._init_worker_redux`` does."""
+        if hot and self.last[0]:
+            k = self.last[0]
+        n = self.target(n, hot)
+
+        def register(w):
+            obj = w.objects[n]
+            space = w.spaces[k]
+            found = w.spaces[0].try_find(obj.base)
+            if (found is None or found[0] is not obj
+                    or space.try_find(obj.base) != found):
+                return None  # not a live main object this overlay sees
+            copy = MemoryObject(obj.base, obj.size, obj.name, obj.kind,
+                                obj.site, writable=True)
+            copy.data[:] = b"\x07" * obj.size
+            space.install_copy(copy)
+            return obj.base
+        self.both(register)
+
+    @rule(k=_SPACES, n=st.integers(0, 1 << 16), hot=_HOT)
+    def toggle_writable(self, k, n, hot):
+        """``_protect_readonly`` / ``_unprotect_readonly``, on whatever
+        space ``k`` resolves there (its copy, when it made one)."""
+        k, n = self.last[0] if hot else k, self.target(n, hot)
+
+        def toggle(w):
+            found = w.spaces[k].try_find(w.objects[n].base)
+            if found is not None:
+                found[0].writable = not found[0].writable
+        self.both(toggle)
+
+    @rule(k=_SPACES, np=st.integers(0, 1 << 16),
+          nq=st.one_of(st.none(), st.integers(0, 1 << 16)),
+          op=_OFFSETS, oq=_OFFSETS,
+          wild=st.sampled_from([None] * 6 + ["p", "q"]), v=_STORED)
+    def access(self, k, np, nq, op, oq, wild, v):
+        """Load from object ``np``, store to ``nq`` (None: the same)."""
+        count = len(self.fast.objects)
+        self.last = (k, np % count, (np if nq is None else nq) % count)
+        self.access_again(op, oq, wild, v)
+
+    @rule(op=_OFFSETS, oq=_OFFSETS,
+          wild=st.sampled_from([None] * 6 + ["p", "q"]), v=_STORED)
+    def access_again(self, op, oq, wild, v):
+        """Through the space and at the objects of the previous access:
+        the sites hit unless a rule in between made their entries
+        stale."""
+        fast, step = self.fast, self.step
+        k, np, nq = self.last
+        p = fast.objects[np].base + op
+        q = fast.objects[nq].base + oq
+        if wild == "p":
+            p = (0, 0xDEAD0000, 1.5)[v % 3]
+        elif wild == "q":
+            q = (0, 0xDEAD0000, None)[v % 3]
+        expected = fast.spaces[k].try_find(p, 4) \
+            if isinstance(p, int) and p else None
+        if expected is not None:
+            obj, off = expected
+            expected = int.from_bytes(obj.data[off:off + 4], "little",
+                                      signed=True)
+        got = fast.access(k, p, q, v)
+        assert got == step.access(k, p, q, v)
+        if got[0][0] == "returned":
+            assert got[0][1] == expected
+        else:
+            assert got[0][2] == (0 if expected is None else 1)
+
+    @invariant()
+    def same_memory(self):
+        assert self.fast.picture() == self.step.picture()
+        assert self.fast.interp.cycles == self.step.interp.cycles
+        assert self.fast.interp.steps == self.step.interp.steps
+
+
+MemorySiteMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+TestMemorySiteMachine = MemorySiteMachine.TestCase
+
+
+# The roll-back matrix again, over blocks that run many times in one
+# run: each site misses on its first execution and hits afterwards, so
+# the k-th fault lands on sites in either state.
+
+LOOP_FAULT_SRC = """
+int data[8];
+int main(int n, int d) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        data[i % 8] = acc + i;
+        acc = acc + data[(i * 3) % 8] / (d - i);
+    }
+    return acc;
+}
+"""
+
+WALK_SRC = """
+int main(int n) {
+    int* p = (int*)malloc(8 * sizeof(int));
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        p[i] = i * 5;
+        acc = acc + p[i / 2];
+    }
+    return acc;
+}
+"""
+
+
+class TestRollbackOnCachedSites:
+    @pytest.mark.parametrize("d", [0, 1, 5, 40])
+    def test_guest_fault_at_kth_iteration(self, d):
+        module = compile_minic(LOOP_FAULT_SRC, "loopfault")
+        (kind, _), _, state, events = assert_paths_agree(
+            module, (12, d), hooks=Recorder)
+        assert kind == ("returned" if d == 40 else "GuestFault")
+        # One store and one load an iteration, the faulting one's too.
+        assert [e[0] for e in events].count("load") == min(d + 1, 12)
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_load_and_store_walking_off_a_cached_object(self, n):
+        """The store site has hit seven times when ``p[8]`` leaves the
+        object: same wild-pointer fault, same parked index."""
+        (kind, message), _, state, _ = assert_paths_agree(
+            compile_minic(WALK_SRC, "walk"), (n,), hooks=Recorder)
+        assert kind == ("returned" if n == 8 else "GuestFault")
+        if n > 8:
+            assert "wild pointer" in message and "size 4" in message
+
+    @pytest.mark.parametrize("nth", [1, 2, 5, 12])
+    def test_hook_raising_from_on_load(self, nth):
+        module = compile_minic(LOOP_FAULT_SRC, "loophook")
+        (kind, message), _, _, events = assert_paths_agree(
+            module, (12, 40), hooks=lambda: Recorder(raise_on_load=nth))
+        assert (kind, message) == ("RuntimeError", "hook refused the load")
+        assert [e[0] for e in events].count("store") == nth
+
+    def test_guest_timeout_at_every_budget(self):
+        module = compile_minic(LOOP_FAULT_SRC, "loopbudget")
+        _, _, (_, total, *_), _ = observe(module, (5, 40), compiled=False)
+        for budget in range(1, total + 1):
+            (kind, _), _, _, _ = assert_paths_agree(
+                module, (5, 40), max_steps=budget, hooks=Recorder)
+            assert kind == (GuestTimeout.__name__ if budget < total
+                            else "returned")
+
+    def test_float_too_large_for_f32_precedes_the_fault(self):
+        """``write_float`` packs before it resolves: an f32 store of a
+        value that does not fit raises OverflowError on a wild pointer
+        too, hit or miss, and leaves no copy behind."""
+        module = Module("f32")
+        fn = Function("main", FunctionType(I64, (PTR, F64)), ["p", "x"])
+        module.add_function(fn)
+        b = IRBuilder(module, fn.add_block("entry"))
+        b.store(b.cast(CastKind.FPTRUNC, fn.args[1], F32), fn.args[0])
+        b.ret(0)
+        for p in (0xDEAD0000, 0):
+            (kind, _), _, _, _ = assert_paths_agree(module, (p, 1e300))
+            assert kind == "OverflowError"
+        main = AddressSpace()
+        obj = main.allocate(8, "o", "heap")
+        for compiled in (True, False):
+            worker = AddressSpace(parent=main)
+            interp = Interpreter(module, space=worker, compiled=compiled)
+            assert interp.run("main", (obj.base, 1.5)) == 0      # fills
+            with pytest.raises(OverflowError):
+                interp.run("main", (obj.base, 1e300))            # hit
+            assert worker.read_float(obj.base, 4) == 1.5
+            fresh = AddressSpace(parent=main)
+            interp.space = fresh
+            with pytest.raises(OverflowError):
+                interp.run("main", (obj.base, 1e300))            # miss
+            assert fresh.find(obj.base)[0] is obj
+
+
+# ---------------------------------------------------------------------------
+# Memory sites shared between threads and inherited across fork
+# ---------------------------------------------------------------------------
+
+SHARED_SRC = """
+int cells[64];
+int main(int n, int seed) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        int j = (i * 7 + seed) % 64;
+        cells[j] = cells[j] + seed + i;
+        acc = (acc + cells[(j * 3) % 64]) % 1000003;
+    }
+    return acc;
+}
+"""
+
+
+class TestSharedSites:
+    def test_two_threads_share_one_function_over_two_spaces(self):
+        """Both interpreters run the same bound segments, hence the same
+        cache cells, over spaces that hold different data at the same
+        addresses: an entry read torn, or trusted for the wrong space,
+        shows in the sums."""
+        import sys
+        import threading
+
+        module = compile_minic(SHARED_SRC, "shared")
+        n = 5000  # 2 loads + 1 store an iteration: > 10^4 accesses
+        want = {seed: Interpreter(module, compiled=False).run(
+            "main", (n, seed)) for seed in (3, 11)}
+        got = {}
+        # Bound before the threads start, so they share it.
+        code = function_code(module.function_named("main"))
+
+        def run(seed):
+            got[seed] = Interpreter(module).run("main", (n, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,))
+                       for seed in want]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert function_code(module.function_named("main")) is code
+        assert got == want
+
+    def test_forked_child_misses_once_per_site_then_hits(self, monkeypatch):
+        """PR 16's pre-fork bind: the child inherits the bound segments
+        with the parent's entries in them; its own overlay fills each
+        site on the first access and never calls ``find`` again."""
+        import os
+
+        module = _site_module()
+        main = AddressSpace()
+        obj = main.allocate(16, "o", "heap")
+        interp = Interpreter(module, space=AddressSpace(parent=main))
+        assert interp.run("main", (obj.base, obj.base + 8, 7)) == 0
+        finds = []
+        find = AddressSpace.find
+        monkeypatch.setattr(
+            AddressSpace, "find",
+            lambda self, addr, size=1: finds.append(addr)
+            or find(self, addr, size))
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                interp.space = AddressSpace(parent=main)
+                # (Copied up front: a first store's copy-on-write would
+                # send the load site through find once more.)
+                interp.space.write_int(obj.base + 8, 1, 8)
+                counts = []
+                for v in (9, 10):
+                    del finds[:]
+                    interp.run("main", (obj.base, obj.base + 8, v))
+                    counts.append(len(finds))
+                os.write(wfd, repr(counts).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(wfd)
+        with os.fdopen(rfd, "rb") as pipe:
+            reported = pipe.read().decode()
+        assert os.waitpid(pid, 0)[1] == 0
+        assert reported == "[2, 0]"   # the load site and the store site

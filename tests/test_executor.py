@@ -105,6 +105,61 @@ class TestMisspeculationRecovery:
         assert inv.recovery_cycles > 0
 
 
+FREE_LIVE_IN_SRC = """
+int* bufs[64];
+int out[64];
+
+int main(int n, int m, int seed) {
+    for (int i = 0; i < n; i++) {
+        int* p = (int*)malloc(m * sizeof(int));
+        for (int j = 0; j < m; j++) { p[j] = seed + i + j; }
+        bufs[i] = p;
+    }
+    for (int i = 0; i < n; i++) {
+        int* p = bufs[i];
+        int s = 0;
+        for (int j = 0; j < m; j++) { s = s + p[j] * (j + 1); }
+        out[i] = s;
+        free(p);
+    }
+    int total = 0;
+    for (int i = 0; i < n; i++) { total = total + out[i]; }
+    printf("%d\\n", total);
+    return total;
+}
+"""
+
+
+class TestSpeculativeFreeOfLiveIn:
+    """A loop that frees objects allocated before it: a worker's free is
+    private to the worker and dropped, so a squashed iteration can run
+    again — in the main space, which used to have lost the object to
+    the simulated worker's ``free`` (wild pointer on recovery) while the
+    forked pool worker's never reached it."""
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        from repro.bench.pipeline import prepare
+
+        prog = prepare(FREE_LIVE_IN_SRC, "free_live_in", args=(16, 32, 3),
+                       ref_args=(24, 32, 5), use_cache=False)
+        assert str(prog.plan.ref) == "main/for.cond.2"
+        (site,) = [s for s in prog.assignment.site_heaps
+                   if s.startswith("main:")]
+        assert str(prog.assignment.site_heaps[site]) == "readonly"
+        return prog
+
+    @pytest.mark.parametrize("backend", ["simulated", "pool"])
+    @pytest.mark.parametrize("misspec_period", [0, 5])
+    def test_output_equals_sequential(self, program, backend,
+                                      misspec_period):
+        result = program.execute(workers=2, backend=backend,
+                                 misspec_period=misspec_period)
+        assert result.output == program.sequential.output
+        assert result.runtime_stats.misspec_count() == (
+            4 if misspec_period else 0)
+
+
 class TestTimeline:
     def test_timeline_records_phases(self, counter):
         result = counter.execute(workers=3, record_timeline=True,

@@ -11,6 +11,7 @@ from repro.interp.memory import (
     STACK_BASE,
     TAG_SHIFT,
     AddressSpace,
+    MemoryObject,
     heap_base_for_tag,
     heap_tag_of,
 )
@@ -223,3 +224,124 @@ class TestCopyOnWrite:
         obj = child.allocate(8, "c", "heap")
         assert child.try_find(obj.base) is not None
         assert parent.try_find(obj.base) is None
+
+
+class TestFreeThroughOverlay:
+    """A worker's ``free`` is as private as its stores: the fork
+    semantics the pool backend always had."""
+
+    def test_ancestors_object_is_never_touched(self):
+        main = AddressSpace()
+        obj = main.allocate(16, "o", "heap")
+        main.write_int(obj.base, 41, 8)
+        worker = AddressSpace(parent=main)
+        assert worker.free(obj.base) is obj
+        assert obj.alive
+        assert main.read_int(obj.base, 8, True) == 41
+        # ... and a sibling forked before or after still sees it.
+        assert AddressSpace(parent=main).read_int(obj.base, 8, True) == 41
+
+    def test_use_after_free_inside_the_overlay_faults(self):
+        main = AddressSpace()
+        obj = main.allocate(16, "o", "heap")
+        worker = AddressSpace(parent=main)
+        worker.free(obj.base)
+        with pytest.raises(GuestFault, match="wild pointer"):
+            worker.read_int(obj.base, 8, True)
+        with pytest.raises(GuestFault, match="wild pointer"):
+            worker.write_int(obj.base + 8, 1, 8)
+        with pytest.raises(GuestFault):
+            worker.free(obj.base)          # double free
+        assert worker.covering_pieces(obj.base, 16) == []
+        assert main.covering_pieces(obj.base, 16) == [
+            (obj.base, obj.end, obj)]
+
+    def test_dead_copy_is_never_returned(self):
+        main = AddressSpace()
+        obj = main.allocate(16, "o", "heap")
+        main.write_int(obj.base, 5, 8)
+        worker = AddressSpace(parent=main)
+        worker.write_int(obj.base, 6, 8)           # copy-on-write
+        copy = worker.find(obj.base)[0]
+        assert copy is not obj
+        assert worker.free(obj.base) is copy
+        with pytest.raises(GuestFault, match="wild pointer"):
+            worker.read_int(obj.base, 8, True)     # not 6, not 5
+        assert worker.covering_pieces(obj.base, 16) == []
+        assert obj.alive and main.read_int(obj.base, 8, True) == 5
+
+    def test_own_allocations_die_for_real(self):
+        main = AddressSpace()
+        worker = AddressSpace(parent=main)
+        obj = worker.allocate(8, "w", "heap")
+        worker.free(obj.base)
+        assert not obj.alive
+        with pytest.raises(GuestFault):
+            worker.read_int(obj.base, 8, True)
+
+    def test_tombstones_reach_through_a_chain(self):
+        main = AddressSpace()
+        obj = main.allocate(8, "o", "heap")
+        middle = AddressSpace(parent=main)
+        middle.free(obj.base)
+        leaf = AddressSpace(parent=middle)       # forked after the free
+        assert leaf.try_find(obj.base) is None
+        assert leaf.covering_pieces(obj.base, 8) == []
+        assert main.try_find(obj.base) == (obj, 0)
+
+
+class TestCacheEntries:
+    """``load_entry`` / ``store_entry``: what generated code caches per
+    site, and the counter that tells it when to ask again."""
+
+    def test_entry_answers_for_the_whole_object(self):
+        space = AddressSpace()
+        obj = space.allocate(24, "o", "heap")
+        assert space.load_entry(obj.base + 8, 4) == (
+            space, obj, obj.base, obj.base + 24, space.generation)
+        assert space.store_entry(obj.base + 20, 4)[1] is obj
+
+    def test_same_faults_as_find(self):
+        space = AddressSpace()
+        obj = space.allocate(8, "o", "heap", writable=False)
+        with pytest.raises(GuestFault, match="null"):
+            space.load_entry(0, 4)
+        with pytest.raises(GuestFault, match=r"wild pointer .* \(size 8\)"):
+            space.load_entry(obj.base + 4, 8)
+        with pytest.raises(GuestFault, match="read-only"):
+            space.store_entry(obj.base, 4)
+
+    def test_store_entry_holds_an_owned_object(self):
+        main = AddressSpace()
+        obj = main.allocate(8, "o", "heap")
+        worker = AddressSpace(parent=main)
+        loaded = worker.load_entry(obj.base, 4)
+        assert loaded[1] is obj
+        stored = worker.store_entry(obj.base, 4)
+        assert stored[1] is not obj and worker._owns(stored[1])
+        # The copy outdated every entry taken through the overlay ...
+        assert stored[4] == worker.generation != loaded[4]
+        assert worker.load_entry(obj.base, 4)[1] is stored[1]
+        # ... and none taken through main.
+        assert main.generation == 0
+
+    def test_what_moves_the_generation(self):
+        main = AddressSpace()
+        a = main.allocate(8, "a", "heap")
+        b = main.allocate(8, "b", "heap")
+        worker = AddressSpace(parent=main)
+        before = worker.generation
+        mine = worker.allocate(8, "w", "heap")     # a fresh address
+        worker.free(mine.base)                     # flips ``alive``
+        assert worker.generation == before
+        worker.free(a.base)                        # hides main's object
+        assert worker.generation == before + 1
+        copy = MemoryObject(b.base, b.size, b.name, b.kind, b.site)
+        worker.install_copy(copy)                  # shadows main's object
+        assert worker.generation == before + 2
+        assert worker.find(b.base) == (copy, 0)
+        # The root's own changes need no signal: new addresses, and
+        # ``alive`` for the freed.
+        main.free(b.base)
+        main.allocate(8, "c", "heap")
+        assert main.generation == 0 and not b.alive

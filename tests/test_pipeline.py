@@ -154,6 +154,65 @@ class TestPrepareModule:
         assert len(calls) == 1
 
 
+class TestBaselineFromTheTimeProfile:
+    """When the evaluation input is the training input, the baseline is
+    the time-profile run (its hook only observes): one guest run fewer,
+    nothing else different."""
+
+    @pytest.fixture(autouse=True)
+    def _scratch_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @pytest.mark.parametrize("name,args,other", [
+        ("dijkstra", (8, 12, 7), (10, 12, 7)),
+        ("enc_md5", (4, 48, 2), (5, 48, 2)),
+        ("blackscholes", (12, 10, 11), (16, 10, 11)),
+    ])
+    def test_one_run_fewer_and_the_same_program(self, name, args, other,
+                                                monkeypatch):
+        from repro.interp.interpreter import Interpreter
+        from repro.profiling import profile_execution_time
+
+        source = BY_NAME[name].source
+        runs = []
+        run = Interpreter.run
+        monkeypatch.setattr(
+            Interpreter, "run",
+            lambda self, entry="main", args=(): runs.append(args)
+            or run(self, entry, args))
+        same = prepare(source, name, args=args)
+        runs_same = len(runs)
+        paired = prepare(source, name, args=args, ref_args=other)
+        assert runs_same == len(runs) - runs_same - 1
+        monkeypatch.setattr(Interpreter, "run", run)
+
+        # The baseline is what a plain run gives, the report what the
+        # profiler gives on its own, the plan what the paired inputs
+        # (which keep both runs) lead to.
+        assert same.sequential == run_sequential(source, name, args=args)
+        assert same.hot_report == paired.hot_report == \
+            profile_execution_time(compile_minic(source, name), args=args)
+        assert str(same.plan.ref) == str(paired.plan.ref)
+        assert same.plan.checkpoint_period == paired.plan.checkpoint_period
+        assert same.plan.global_placements == paired.plan.global_placements
+        assert vars(same.plan.checks) == vars(paired.plan.checks)
+        assert same.assignment.site_heaps == paired.assignment.site_heaps
+        entries = [profile_cache.load_entry(
+            profile_cache.cache_key(prog.fingerprint, "main", args, ref),
+            prog.fingerprint) for prog, ref in ((same, args),
+                                                (paired, other))]
+        assert entries[0]["hot_report"] == entries[1]["hot_report"]
+        assert entries[0]["profiles"] == entries[1]["profiles"]
+        assert entries[0]["sequential"] == {
+            "cycles": same.sequential.cycles,
+            "return_value": same.sequential.return_value,
+            "output": same.sequential.output}
+        # Naming the training input as the evaluation input is the same
+        # property (and the same cache entry: no guest run at all).
+        explicit = prepare(source, name, args=args, ref_args=args)
+        assert explicit.sequential == same.sequential
+
+
 class TestSequentialRunner:
     def test_deterministic(self):
         a = run_sequential(SRC, "p", args=(16,))

@@ -454,6 +454,94 @@ class TestPoolEndToEnd:
             ex.run("main", prog.ref_args)
 
 
+TWO_REDUCTIONS_SRC = """
+double sum_a[3];
+long sum_b[3];
+double data[48];
+
+int main(int n) {
+    for (int i = 0; i < 48; i++) { data[i] = i * 0.5; }
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < 48; j++) {
+            sum_a[j % 3] += data[j] * i;
+            sum_b[j % 3] += i + j;
+        }
+    }
+    printf("%f %f %ld %ld\\n", sum_a[0], sum_a[2], sum_b[0], sum_b[2]);
+    return 0;
+}
+"""
+
+
+class TestCommitDeltaCoalescing:
+    """The warm-epoch commit delta covers the folded reduction elements
+    as coalesced runs: the bytes an element-at-a-time delta would ship,
+    in one piece per stretch of adjacent elements."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Check every delta the parent builds against one read element
+        by element; returns the (elements, runs) pairs seen."""
+        from repro.runtime.system import RuntimeSystem
+
+        elements, seen = [], []
+        checkpoint = RuntimeSystem.checkpoint
+        build = PoolDOALLExecutor._build_commit_delta
+
+        def watched_checkpoint(self, start, end, fragments=None):
+            elements.append(sorted({(el.addr, el.size) for f in fragments
+                                    for el in f.redux_elements}))
+            return checkpoint(self, start, end, fragments)
+
+        def watched_build(self):
+            delta = build(self)
+            space = self.runtime.main_space
+            want = {}
+            for addr, size in elements[-1]:
+                for s, e, obj in space.covering_pieces(addr, size):
+                    want.update(zip(range(s, e),
+                                    obj.data[s - obj.base:e - obj.base]))
+            got = {}
+            for addr, blob in delta.redux_runs:
+                assert not got.keys() & range(addr, addr + len(blob))
+                got.update(zip(range(addr, addr + len(blob)), blob))
+            assert got == want
+            seen.append((len(elements[-1]), len(delta.redux_runs)))
+            return delta
+
+        monkeypatch.setattr(RuntimeSystem, "checkpoint", watched_checkpoint)
+        monkeypatch.setattr(PoolDOALLExecutor, "_build_commit_delta",
+                            watched_build)
+        return seen
+
+    def test_alvinn_ships_its_weight_arrays_whole(self, monkeypatch):
+        from repro.bench.pipeline import prepare
+        from repro.workloads import BY_NAME
+
+        seen = self._watch(monkeypatch)
+        prog = prepare(BY_NAME["alvinn"].source, "alvinn", args=(4, 3, 9),
+                       use_cache=False)
+        result = prog.execute(workers=2, backend="pool")
+        assert result.output == prog.sequential.output
+        assert seen and max(n for n, _ in seen) > 100
+        assert all(runs <= len(prog.plan.redux_objects)
+                   for _, runs in seen)
+
+    def test_two_reduction_objects_apart_stay_two_runs(self, monkeypatch):
+        from repro.bench.pipeline import prepare
+
+        seen = self._watch(monkeypatch)
+        prog = prepare(TWO_REDUCTIONS_SRC, "two_redux", args=(24,),
+                       use_cache=False)
+        assert len(prog.plan.redux_objects) == 2
+        result = prog.execute(workers=2, backend="pool",
+                              checkpoint_period=6)
+        assert result.output == prog.sequential.output
+        # Every iteration touches all three elements of both arrays;
+        # they are 24 bytes on 16-byte alignment, so not adjacent.
+        assert seen and set(seen) == {(6, 2)}
+
+
 class TestWorkerDeathRespawn:
     def test_sigkilled_worker_respawns_and_run_completes(
             self, monkeypatch):

@@ -93,6 +93,64 @@ class TestHeapPlacement:
         assert heap_tag_of(addr) == int(HeapKind.SHORTLIVED)
 
 
+class TestValidationIntrinsics:
+    """The per-access checks take their heap from a table and their
+    timestamp from ``begin_iteration``; what they reject is unchanged."""
+
+    @pytest.fixture
+    def runtime(self, harness):
+        from repro.parallel.executor import DOALLExecutor
+
+        runtime = DOALLExecutor(harness.module, harness.plan,
+                                workers=2).runtime
+        runtime.begin_invocation(2)
+        return runtime
+
+    def test_check_heap_accepts_every_heap_and_counts(self, runtime):
+        check = runtime.interp.intrinsics["check_heap"]
+        for kind in HeapKind:
+            assert check(runtime.interp, None, [kind.base + 8,
+                                                int(kind)]) is None
+        assert runtime.stats.separation_checks == len(HeapKind)
+        with pytest.raises(Misspeculation, match="is not in heap redux"):
+            check(runtime.interp, None, [HeapKind.PRIVATE.base,
+                                         int(HeapKind.REDUX)])
+
+    @pytest.mark.parametrize("tag", [0, 7, 8, -1])
+    def test_check_heap_rejects_an_unknown_tag(self, runtime, tag):
+        check = runtime.interp.intrinsics["check_heap"]
+        with pytest.raises(ValueError, match="is not a valid HeapKind"):
+            check(runtime.interp, None, [HeapKind.PRIVATE.base, tag])
+
+    def test_timestamp_is_taken_once_per_iteration(self, runtime,
+                                                   monkeypatch):
+        from repro.runtime import system
+        from repro.runtime.shadow import TS_BASE, timestamp_for
+
+        calls = []
+        monkeypatch.setattr(
+            system, "timestamp_for",
+            lambda i, start: calls.append(i) or timestamp_for(i, start))
+        worker = runtime.workers[1]
+        runtime.epoch_start = 4
+        runtime.begin_iteration(worker, 7)
+        assert runtime.current_ts == TS_BASE + 3 and calls == [7]
+        addr = runtime.private_base
+        write = runtime.interp.intrinsics["private_write"]
+        read = runtime.interp.intrinsics["private_read"]
+        for _ in range(3):
+            write(runtime.interp, None, [addr, 4])
+            read(runtime.interp, None, [addr, 4])
+        assert calls == [7]
+        assert runtime.stats.private_write_bytes == 12
+        assert runtime.stats.private_read_bytes == 12
+        assert set(worker.shadow.meta[:4]) == {TS_BASE + 3}
+
+    def test_timestamp_overflow_is_raised_at_iteration_start(self, runtime):
+        with pytest.raises(ValueError, match="timestamp overflow"):
+            runtime.begin_iteration(runtime.workers[0], 10_000)
+
+
 class TestEndToEndRuntime:
     def test_output_matches_sequential(self, harness):
         result = harness.execute(workers=4)
