@@ -75,14 +75,14 @@ PERFETTO_HINT = ("open in chrome://tracing or https://ui.perfetto.dev")
 
 
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("simulated", "process", "pool"),
+    p.add_argument("--backend", choices=("simulated", "pool"),
                    default=None,
                    help="execution backend: 'simulated' is the "
-                        "deterministic in-process reference, 'process' "
-                        "runs real forked worker processes per epoch, "
-                        "'pool' keeps a persistent worker pool with "
-                        "shared-memory fragment transport (default: "
-                        "$REPRO_BACKEND, then 'simulated')")
+                        "deterministic in-process reference, 'pool' "
+                        "runs real forked worker processes, resident "
+                        "across epochs, with shared-memory fragment "
+                        "transport (default: $REPRO_BACKEND, then "
+                        "'simulated')")
     p.add_argument("--pool-workers", type=_positive_int, default=None,
                    metavar="N",
                    help="pool backend only: number of resident pool "
@@ -520,8 +520,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         workload_names=args.workloads or None,
         out=args.out,
         min_speedup=args.min_speedup,
-        backend=args.backend,
-        pool_workers=args.pool_workers,
         adapt=args.adapt,
         stress=args.stress,
     )
@@ -900,7 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trajectory file to append to ('' to skip writing)")
     p.add_argument("--min-speedup", type=float, default=None,
                    help="fail if the dijkstra interp speedup is below this")
-    _add_backend_flag(p)
     _add_adapt_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_perf)

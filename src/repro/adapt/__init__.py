@@ -19,7 +19,7 @@ runtime outcomes:
 
 Everything is deterministic — decisions are pure functions of the
 (identical-across-backends) sequence of epoch outcomes, never of wall
-clocks — so the simulated and process backends stay in lockstep and the
+clocks — so the simulated and pool backends stay in lockstep and the
 parity suite covers adaptive runs too.
 
 Enabled by ``--adapt`` on ``run``/``trace``/``perf`` or ``REPRO_ADAPT=1``;

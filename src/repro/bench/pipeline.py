@@ -111,10 +111,10 @@ class PreparedProgram:
         """Run the transformed program under the speculative DOALL
         executor on the ref input; each call uses a fresh machine.
 
-        ``backend`` selects the execution backend (``"simulated"``,
-        ``"process"`` or ``"pool"``); None defers to ``REPRO_BACKEND``
-        and then the simulated default.  ``pool_workers`` sizes the
-        persistent pool (pool backend only; see docs/BACKENDS.md).
+        ``backend`` selects the execution backend (``"simulated"`` or
+        ``"pool"``); None defers to ``REPRO_BACKEND`` and then the
+        simulated default.  ``pool_workers`` sizes the persistent pool
+        (pool backend only; see docs/BACKENDS.md).
         ``adapt`` enables the adaptive speculation controller (None
         inherits :func:`prepare`'s resolution; False fully bypasses the
         subsystem).  ``flight_dir`` overrides ``$REPRO_FLIGHT_DIR`` as

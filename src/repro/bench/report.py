@@ -187,82 +187,10 @@ def main() -> None:
         f"* **Measured:** {total_misspec} misspeculations across all five "
         "ref-input runs at 24 workers.\n")
 
-    out.append(REAL_PARALLEL)
-    out.append(POOL_VS_FORK)
     out.append(SHADOW_METHODOLOGY)
 
     sys.stdout.write("\n".join(out))
 
-
-REAL_PARALLEL = """## Real-parallel methodology (process backend)
-
-Everything above is measured on the deterministic **simulated** backend,
-whose speedups are ratios of simulated cycles — that is what makes the
-paper's *shapes* reproducible bit-for-bit.  The repository also has a
-**process** backend (`--backend process` / `REPRO_BACKEND=process`,
-see docs/BACKENDS.md) that forks one OS worker process per
-checkpoint epoch and executes worker slices genuinely concurrently.
-It exists to check the claim the cost model cannot: that the design
-actually parallelizes on real hardware.
-
-* **Correctness:** the process backend is parity-checked against the
-  simulated backend — identical final memory state, `RuntimeStats`
-  (including the Table 3 row), misspeculation counts, and timelines on
-  all five workloads (`tests/test_backend_parity.py`); epoch
-  squash-and-recover behaviour is pinned by
-  `tests/test_epoch_recovery.py` on both backends.
-* **Measurement:** `python -m repro perf --backend process` sweeps
-  worker counts (1, 2, 4; best of 2 repeats per point) over the
-  workloads, timing `PreparedProgram.execute()` with `time.perf_counter`
-  and recording per-point wall seconds, wall-clock speedup vs. the
-  1-worker run, and the simulated-cycle speedup for comparison, into the
-  `process_backend` section of `BENCH_interp.json`.
-* **Interpretation:** wall-clock curves are *noisy* (they include fork,
-  pickling, and pipe costs amortized against interpreter-speed
-  iterations, on whatever cores the host has) and are **not** the
-  paper's Figure 6 — the simulated-cycle curves above remain the
-  apples-to-apples reproduction.  Expect the wall-clock speedup to be
-  well below the simulated speedup at these interpreter-scaled input
-  sizes, growing with the work per epoch; the signal to look for is
-  monotonic improvement as workers increase.
-"""
-
-POOL_VS_FORK = """## Pool-vs-fork methodology (`pool` section)
-
-The **pool** backend (`--backend pool` / `REPRO_BACKEND=pool`, see
-docs/BACKENDS.md) keeps worker processes resident across checkpoint
-epochs — one fork per parallel invocation instead of one per epoch —
-and ships epoch fragments through per-worker shared-memory rings
-instead of pickled pipes.  `python -m repro perf --backend pool`
-records a `pool` section into `BENCH_interp.json` with two
-measurements:
-
-* **Scaling curve:** the same worker-count sweep as the process
-  backend (1, 2, 4 workers; best-of wall times via
-  `time.perf_counter`), run on the pool backend, with per-point wall
-  seconds, wall-clock speedup vs. the 1-worker run, and the
-  simulated-cycle speedup for comparison.  `--pool-workers N` caps the
-  resident process count for the sweep.
-* **Pool vs fork-per-epoch:** the same prepared program executed on
-  both real backends under a deliberately *multi-epoch* configuration
-  (checkpoint period 4, so an invocation spans many epochs — the
-  regime where fork-per-epoch pays its fork + pickle tax repeatedly
-  and the pool pays one fork plus per-epoch commit deltas).  Best-of
-  wall times for each backend, the epoch count, and the pool/fork
-  speedup are recorded.
-
-**Cold vs warm epochs:** the pool's first epoch of an invocation is
-*cold* (it forks the pool) and every later epoch is *warm* (plan +
-commit delta to resident children).  Fork-per-epoch runs every epoch
-cold.  The comparison therefore sharpens as epochs-per-invocation
-grows and converges to parity at one epoch per invocation.
-
-**Gate:** on the multi-epoch dijkstra configuration the pool backend
-must be at least as fast as fork-per-epoch, or `python -m repro perf`
-fails.  Both backends remain bit-exact with the simulated reference
-throughout (`tests/test_backend_parity.py`), so this is a pure
-performance comparison over identical work.
-"""
 
 SHADOW_METHODOLOGY = """## Shadow-memory vectorization methodology (`shadow` section)
 

@@ -9,7 +9,7 @@ transitions, per-class heap tallies, checkpoint latencies,
 misspeculation causes, and interpreter instructions/second on both
 execution paths.
 
-Cross-process shipping: a forked process-backend worker records into its
+Cross-process shipping: a forked pool-backend worker records into its
 own (copy-on-write) registry, then ships :meth:`MetricsRegistry.dump`
 back to the parent piggybacked on the epoch-result pipe; the parent
 absorbs it with :meth:`MetricsRegistry.merge` under a ``worker.N.``

@@ -222,7 +222,7 @@ def render_dashboard(payload: Dict[str, object],
                 f"{busy_us / 1e6:>8.2f}s  "
                 + (f"[{_bar(util)}] {min(util, 1.0):.0%}"
                    if util is not None else "-"))
-    elif run.get("backend") == "process":
+    elif run.get("backend") == "pool":
         lines.append("")
         lines.append("(no worker.N.* metrics yet — first epoch in flight)")
 

@@ -53,7 +53,7 @@ CYCLES_PER_US = 1000.0
 WALL_PID = 1
 SIM_PID = 2
 
-#: Events shipped back from the process backend's forked workers are
+#: Events shipped back from the pool backend's forked workers are
 #: re-homed to one trace process per worker: pid = WORKER_PID_BASE + wid.
 WORKER_PID_BASE = 10
 

@@ -1,5 +1,5 @@
 """DOALL execution of speculatively privatized code: the shared backend
-driver plus the simulated (deterministic reference) and process
+driver plus the simulated (deterministic reference) and pool
 (real-parallel) backends."""
 
 from .backend import (

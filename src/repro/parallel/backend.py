@@ -9,16 +9,14 @@ one checkpoint epoch executes*:
 * the **simulated** backend (:mod:`repro.parallel.executor`) runs the
   workers one at a time on the in-process interpreter — deterministic,
   fully observable, the reference semantics;
-* the **process** backend (:mod:`repro.parallel.process_backend`) forks
-  one OS process per worker per epoch and executes the worker slices
-  concurrently, shipping per-iteration records and a packed
-  :class:`~repro.runtime.fragments.EpochFragment` (interval-run format,
-  with an explicit version field checked at commit) back over a pipe;
-* the **pool** backend (:mod:`repro.parallel.pool_backend`) keeps a
-  pool of worker processes resident across epochs (forked once per
-  invocation, commit deltas synced between epochs) and ships the
-  fragment payload through ``multiprocessing.shared_memory`` rings —
-  see docs/BACKENDS.md for the full guide.
+* the **pool** backend (:mod:`repro.parallel.pool_backend`) forks a
+  pool of worker processes once per invocation, keeps them resident
+  across epochs (commit deltas synced between epochs) and executes the
+  worker slices concurrently, shipping per-iteration records over a
+  pipe and the packed :class:`~repro.runtime.fragments.EpochFragment`
+  payload (interval-run format, with an explicit version field checked
+  at commit) through ``multiprocessing.shared_memory`` rings — see
+  docs/BACKENDS.md for the full guide.
 
 Both feed the same :meth:`RuntimeSystem.checkpoint` commit path with
 fragments, so committed memory state, ``RuntimeStats`` and
@@ -57,7 +55,7 @@ from .timeline import Timeline
 log = get_logger("executor")
 
 #: Names accepted by ``--backend`` and ``REPRO_BACKEND``.
-BACKEND_NAMES = ("simulated", "process", "pool")
+BACKEND_NAMES = ("simulated", "pool")
 
 #: Environment variable that selects the default backend.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -89,10 +87,6 @@ def make_executor(backend: Optional[str], module: Module,
     """Instantiate the executor for ``backend`` (see
     :func:`resolve_backend_name` for the selection rules)."""
     resolved = resolve_backend_name(backend)
-    if resolved == "process":
-        from .process_backend import ProcessDOALLExecutor
-
-        return ProcessDOALLExecutor(module, plan, **kwargs)
     if resolved == "pool":
         from .pool_backend import PoolDOALLExecutor
 
@@ -230,8 +224,8 @@ class BaseDOALLExecutor:
                                   global_regions=global_regions)
         if self.interp.compiled:
             # Bind every defined function's generated code now: forked
-            # pool/process workers inherit it instead of regenerating it
-            # after every spawn.
+            # pool workers inherit it instead of regenerating it after
+            # every spawn.
             for fn in module.defined_functions():
                 self.interp.code_for(fn)
         self.runtime = RuntimeSystem(module, plan, self.interp)
@@ -428,7 +422,7 @@ class BaseDOALLExecutor:
                 k = controller.next_epoch_size()
             epoch_end = min(next_iter + k, trips)
             # One span per checkpoint epoch, in the shared base class, so
-            # the simulated / process / pool backends all record the same
+            # the simulated and pool backends both record the same
             # parent-side span chain (the service tier's per-job traces
             # rely on this being structurally identical across backends).
             epoch_span = TRACER.span("executor.epoch", cat="executor",

@@ -14,7 +14,7 @@ behaviourally equivalent to concurrent execution because workers share no
 speculative state — exactly the property Privateer validates.  Timing is
 modelled with per-worker cycle clocks; see ``costmodel.py``.  For real
 concurrent execution of the same semantics, see
-:mod:`repro.parallel.process_backend`; the shared driver lives in
+:mod:`repro.parallel.pool_backend`; the shared driver lives in
 :mod:`repro.parallel.backend`.
 """
 

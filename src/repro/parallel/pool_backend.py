@@ -1,11 +1,21 @@
 """Persistent worker-pool DOALL backend: long-lived worker processes.
 
-The process backend (:mod:`repro.parallel.process_backend`) forks one
-OS process per worker *per checkpoint epoch*, so worker startup cost is
-paid on every epoch.  This backend instead keeps a **pool of worker
-processes alive across epochs** — the paper's actual runtime shape
-(workers are forked once per parallel invocation and persist until
-join) — and amortizes the fork tax over every epoch of the invocation.
+The real-parallel backend, and the paper's runtime shape: workers are
+forked once per parallel invocation, stay resident until join and hand
+their speculative state back through shared memory.  Each child runs
+its round-robin slices of every epoch on its own private/reduction heap
+replicas and ships back, per hosted worker, one
+:class:`~repro.parallel.backend.IterationRecord` per executed iteration,
+an :class:`~repro.runtime.fragments.EpochFragment` iff the slice
+completed cleanly, and any trace events and metrics it recorded.  The
+parent drains all report pipes concurrently (``selectors``), **replays**
+the iteration records in worker order — reproducing the simulated
+scheduler's earliest-misspeculation cut exactly — and feeds the
+fragments to the shared :meth:`RuntimeSystem.checkpoint` commit path.
+Phase-two validation, merge, reduction folding, deferred-I/O commit,
+squash and sequential recovery therefore all run in the parent,
+identically to the simulated backend; the parity suite asserts equality
+of final memory, ``RuntimeStats`` and misspeculation counts.
 docs/BACKENDS.md is the end-to-end guide; section pointers below.
 
 Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
@@ -40,12 +50,13 @@ the per-iteration records cross the control pipe.  Ring allocation is
 epoch scoped (the child rewinds the cursor when a plan arrives and
 never wraps mid-epoch); a payload that does not fit in the tail left
 by the epoch's earlier payloads falls back to the pipe (counted under
-``pool.ring_overflows``).  The control pipe retains everything the
-process backend ships — iteration records, misspeculation terms,
-in-worker metrics dumps and trace events — so the telemetry plane
-(``worker.N.*`` merge, per-worker Chrome lanes, partial-epoch
-absorption) carries over unchanged, with the bonus that pool worker
-ids are stable for the whole run.
+``pool.ring_overflows``), and on a host where the rings cannot be
+created at all (no ``/dev/shm``) every payload of the run does.  The
+control pipe carries everything else — iteration records,
+misspeculation terms, in-worker metrics dumps and trace events — so the
+telemetry plane (``worker.N.*`` merge, per-worker Chrome lanes,
+partial-epoch absorption) keys on worker ids that are stable for the
+whole run.
 
 Failure semantics (docs/BACKENDS.md §"failure semantics"): a child
 that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
@@ -65,13 +76,15 @@ import itertools
 import os
 import pickle
 import selectors
+import signal
+import struct
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..interp.errors import Misspeculation
+from ..interp.errors import GuestFault, GuestTimeout, Misspeculation
 from ..interp.interpreter import Frame
 from ..obs.log import get_logger
 from ..obs.metrics import METRICS
@@ -79,13 +92,12 @@ from ..obs.trace import TRACER
 from ..runtime.fragments import EpochFragment
 from ..runtime.intervals import coalesce, union_runs
 from ..runtime.iodefer import DeferredOutput
-from .backend import BackendError, WorkerEpochReport
-from .process_backend import (
-    DEFAULT_EPOCH_TIMEOUT,
-    ProcessDOALLExecutor,
-    _ChildFailure,
-    _LEN,
-    _write_frame,
+from ..runtime.system import WorkerState
+from .backend import (
+    BackendError,
+    BaseDOALLExecutor,
+    IterationRecord,
+    WorkerEpochReport,
 )
 from .shm_ring import (
     ShmRing,
@@ -102,6 +114,27 @@ log = get_logger("pool_backend")
 #: between executors in one process and stale segments from crashes).
 _RING_SEQ = itertools.count()
 
+#: Length prefix for pipe frames: one unsigned 64-bit little-endian int.
+_LEN = struct.Struct("<Q")
+
+#: Default wall-clock budget per epoch before the pool is killed.
+DEFAULT_EPOCH_TIMEOUT = 300.0
+
+
+@dataclass
+class _ChildFailure:
+    """Shipped instead of a report when a child hits an internal error."""
+
+    wid: int
+    error: str
+
+
+def _write_frame(fd: int, data: bytes) -> None:
+    view = memoryview(_LEN.pack(len(data)) + data)
+    while view:
+        n = os.write(fd, view)
+        view = view[n:]
+
 
 def _read_exact(fd: int, n: int) -> Optional[bytes]:
     """Blocking read of exactly ``n`` bytes; None on EOF."""
@@ -116,8 +149,8 @@ def _read_exact(fd: int, n: int) -> Optional[bytes]:
 
 def _read_frame(fd: int) -> Optional[bytes]:
     """Blocking read of one length-prefixed frame (the task-pipe
-    counterpart of :func:`process_backend._write_frame`); None on EOF
-    at a frame boundary or mid-frame (parent gone: exit either way)."""
+    counterpart of :func:`_write_frame`); None on EOF at a frame
+    boundary or mid-frame (parent gone: exit either way)."""
     head = _read_exact(fd, _LEN.size)
     if head is None:
         return None
@@ -183,22 +216,27 @@ class _PoolChild:
     wids: List[int] = field(default_factory=list)
 
 
-class PoolDOALLExecutor(ProcessDOALLExecutor):
+class PoolDOALLExecutor(BaseDOALLExecutor):
     """DOALL backend with persistent pool workers and shm transport."""
 
     backend_name = "pool"
 
     def __init__(self, *args, epoch_timeout: float = DEFAULT_EPOCH_TIMEOUT,
                  pool_workers: Optional[int] = None, **kwargs):
-        super().__init__(*args, epoch_timeout=epoch_timeout, **kwargs)
+        super().__init__(*args, **kwargs)
+        if not hasattr(os, "fork"):
+            raise BackendError(
+                "the pool backend requires os.fork (POSIX); "
+                "use --backend simulated on this platform")
+        self.epoch_timeout = epoch_timeout
         if pool_workers is not None and pool_workers < 1:
             raise BackendError(
                 f"--pool-workers must be >= 1, got {pool_workers}")
         try:
-            # Validate the ring-size knob up front: a typo'd
+            # Resolve the ring-size knob up front: a typo'd
             # $REPRO_POOL_RING_KB must fail loudly at construction, not
             # halfway into the run when the pool first spawns.
-            ring_capacity_from_env()
+            self._ring_capacity = ring_capacity_from_env()
         except ValueError as e:
             raise BackendError(str(e))
         #: Requested pool size; None = one process per logical worker.
@@ -207,7 +245,8 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
         #: means each child hosts several worker ids and runs their
         #: slices sequentially — precisely the simulated semantics.
         self.pool_size = min(pool_workers or self.workers, self.workers)
-        #: Fragments shipped on the pipe because they outgrew the ring.
+        #: Fragments shipped on the pipe: they outgrew the ring, or the
+        #: host has no shared memory to make one from.
         self.ring_overflows = 0
         #: Times the pool was (re)forked — 1 per invocation when clean.
         self.pool_spawns = 0
@@ -321,6 +360,26 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
         )
         return None, fragments
 
+    def _absorb_telemetry(self, payloads: Dict[int, object]) -> None:
+        """Merge the telemetry shipped by completed workers into the
+        parent tracer and metrics registry: trace events re-homed to the
+        per-worker trace process, metrics under ``worker.<wid>.*``.
+
+        Called for every received payload — including when the epoch is
+        about to fail because another worker died mid-epoch: telemetry
+        that already crossed the pipe must survive the failure, so the
+        Chrome export still shows the partial epoch."""
+        if not TRACER.enabled:
+            return
+        for wid in sorted(payloads):
+            report = payloads[wid]
+            if not isinstance(report, WorkerEpochReport):
+                continue
+            if report.trace_events:
+                TRACER.absorb_worker_events(report.wid, report.trace_events)
+            if report.metrics:
+                METRICS.merge(report.metrics, prefix=f"worker.{report.wid}.")
+
     def _synthesize_death(self, dead: List[_PoolChild],
                           dead_wids: List[int], epoch_start: int,
                           epoch_end: int) -> Tuple[int, Misspeculation]:
@@ -342,6 +401,50 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
             f"pool worker process died mid-epoch (worker(s) {dead_wids})",
             death_iter)
         return death_iter, exc
+
+    # -- parent-side replay ---------------------------------------------------
+
+    def _replay_reports(self, reports: List[WorkerEpochReport],
+                        inv: InvocationResult
+                        ) -> Optional[Tuple[int, Misspeculation]]:
+        """Replay the shipped iteration records in worker order,
+        reproducing exactly the bookkeeping the simulated backend does
+        in-process — including the earliest-misspeculation cut, under
+        which iterations a simulated worker would never have started
+        are discarded (the children executed them speculatively; that
+        wasted work is squashed anyway)."""
+        interp = self.interp
+        runtime = self.runtime
+        stats = runtime.stats
+        earliest: Optional[Tuple[int, Misspeculation]] = None
+        for report in reports:
+            worker = runtime.workers[report.wid]
+            for rec in report.records:
+                if earliest is not None and rec.iteration > earliest[0]:
+                    break
+                t0 = worker.clock
+                stats.apply_counter_delta(rec.stats_delta)
+                interp.cycles += rec.cycles
+                interp.steps += rec.steps
+                worker.clock += rec.cycles
+                if rec.misspec is not None:
+                    kind, detail, exc_iter, injected, from_fault = rec.misspec
+                    exc = Misspeculation(kind, detail, exc_iter)
+                    exc.context = rec.misspec_context
+                    runtime.record_misspeculation(exc, injected=injected)
+                    if earliest is None or rec.iteration < earliest[0]:
+                        earliest = (rec.iteration, exc)
+                    if self.timeline is not None and not from_fault:
+                        self.timeline.add("misspec", worker.wid, t0,
+                                          worker.clock, exc.kind)
+                    break
+                worker.iterations += 1
+                runtime.deferred.absorb(rec.iteration, rec.io)
+                inv.useful_cycles += max(0, rec.cycles - rec.validation_cycles)
+                if self.timeline is not None:
+                    self.timeline.add("iteration", worker.wid, t0,
+                                      worker.clock, f"i={rec.iteration}")
+        return earliest
 
     # -- commit-delta sync ----------------------------------------------------
 
@@ -416,11 +519,19 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
                    for c in range(self.pool_size)]
         sys.stdout.flush()
         sys.stderr.flush()
-        children: List[_PoolChild] = []
         for cwid in range(self.pool_size):
-            task_rfd, task_wfd = os.pipe()
-            rfd, wfd = os.pipe()
-            pid = os.fork()
+            fds = list(os.pipe())
+            try:
+                fds += os.pipe()
+                task_rfd, task_wfd, rfd, wfd = fds
+                pid = os.fork()
+            except OSError:
+                # EMFILE/EAGAIN on a loaded host: the children forked so
+                # far are on self._children, so run()'s shutdown reaps
+                # them; only this iteration's pipe ends are ours to close.
+                for fd in fds:
+                    os.close(fd)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -428,7 +539,7 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
                     os.close(task_wfd)
                     # fd hygiene: drop inherited ends that belong to
                     # the parent <-> earlier-sibling channels.
-                    for prev in children:
+                    for prev in self._children:
                         for fd in (prev.rfd, prev.task_wfd):
                             try:
                                 os.close(fd)
@@ -457,10 +568,11 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
             os.close(wfd)
             os.close(task_rfd)
             os.set_blocking(rfd, False)
-            children.append(_PoolChild(cwid=cwid, pid=pid, rfd=rfd,
-                                       task_wfd=task_wfd,
-                                       wids=wids_of[cwid]))
-        self._children = children
+            # Registered as forked, not after the loop: a later fork()
+            # that raises must leave every live child reachable.
+            self._children.append(_PoolChild(cwid=cwid, pid=pid, rfd=rfd,
+                                             task_wfd=task_wfd,
+                                             wids=wids_of[cwid]))
         self._pool_invocation = self.runtime.invocation_index
         self._pool_stale = False
         self._last_commit_meta = None
@@ -472,17 +584,27 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
                  self._pool_invocation)
 
     def _create_rings(self, pool_size: int) -> List[ShmRing]:
-        capacity = ring_capacity_from_env()
+        """One ring per pool child — or none at all where shared memory
+        cannot be had (no ``/dev/shm``, segment limit): the run then
+        ships every fragment on the pipe, the counted overflow path."""
         rings: List[ShmRing] = []
-        for idx in range(pool_size):
-            while True:
-                name = (f"repro-pool-{os.getpid()}-{idx}-"
-                        f"{next(_RING_SEQ)}")
-                try:
-                    rings.append(ShmRing(name, capacity, create=True))
-                    break
-                except FileExistsError:
-                    continue
+        try:
+            for idx in range(pool_size):
+                while True:
+                    name = (f"repro-pool-{os.getpid()}-{idx}-"
+                            f"{next(_RING_SEQ)}")
+                    try:
+                        rings.append(ShmRing(name, self._ring_capacity,
+                                             create=True))
+                        break
+                    except FileExistsError:
+                        continue
+        except OSError as e:
+            for ring in rings:
+                ring.close(unlink=True)
+            log.warning("shared memory unavailable (%s): shipping every "
+                        "fragment on the control pipe", e)
+            return []
         return rings
 
     def _drain_pool(self, payloads: Dict[int, WorkerEpochReport]
@@ -556,6 +678,19 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
                     pass
         self._last_commit_meta = None
 
+    @staticmethod
+    def _kill_pool(pids: Dict[int, int]) -> None:
+        for pid in pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in pids.values():
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+
     def _shutdown_pool(self) -> None:
         """End-of-run cleanup: tear down the children and close *and
         unlink* every shared-memory ring (the /dev/shm leak check in the
@@ -572,14 +707,12 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
                     task_rfd: int, wfd: int) -> None:
         """Resident child loop: wait for epoch plans on the task pipe,
         run the hosted worker slices, ship replies.  Runs until killed
-        (or the task pipe closes / a ``None`` sentinel arrives)."""
+        (or the task pipe closes)."""
         while True:
             data = _read_frame(task_rfd)
             if data is None:
                 return
             plan = pickle.loads(data)
-            if plan is None:
-                return
             reply = self._child_epoch(cwid, wids, frame, plan)
             _write_frame(wfd, pickle.dumps(
                 reply, protocol=pickle.HIGHEST_PROTOCOL))
@@ -595,7 +728,8 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
         # sent this plan: rewind the ring so this epoch's allocations
         # (one per hosted wid) bump from 0 without ever wrapping over
         # a still-live sibling payload.
-        self._rings[cwid].begin_epoch()
+        if self._rings:
+            self._rings[cwid].begin_epoch()
         reply = _PoolReply(cwid=cwid)
         for w in wids:
             worker = runtime.workers[w]
@@ -609,6 +743,87 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
             del TRACER.events[:]
         runtime.deferred = DeferredOutput()
         return reply
+
+    def _child_slice(self, worker: WorkerState, frame: Frame,
+                     epoch_start: int, epoch_end: int,
+                     init: int) -> WorkerEpochReport:
+        """Run one worker's slice of the epoch (inside the forked child)
+        and build its report."""
+        interp = self.interp
+        runtime = self.runtime
+        stats = runtime.stats
+        telemetry = TRACER.enabled
+        trace_mark = len(TRACER.events) if telemetry else 0
+        if telemetry:
+            # Fresh worker-local registry: the fork inherited the
+            # parent's tallies by COW; this slice ships only what it
+            # records itself, and the parent re-homes the shipped dump
+            # under ``worker.<wid>.*``.
+            METRICS.reset()
+        t_begin = time.perf_counter()
+        span = TRACER.span("backend.worker_epoch", cat="backend",
+                           tid=worker.wid + 1, worker=worker.wid,
+                           epoch_start=epoch_start, epoch_end=epoch_end)
+        interp.space = worker.space
+        if worker.frame is None:
+            worker.frame = frame.copy()
+        interp.swap_stack([worker.frame])
+        records: List[IterationRecord] = []
+        workers = self.workers
+        misspeculated = False
+        for i in range(epoch_start, epoch_end):
+            if i % workers != worker.wid:
+                continue
+            c0 = interp.cycles
+            s0 = interp.steps
+            v0 = stats.validation_cycles()
+            k0 = stats.counter_snapshot()
+            misspec: Optional[Tuple[str, str, int, bool, bool]] = None
+            misspec_context: Optional[Dict[str, object]] = None
+            try:
+                self._execute_iteration(worker, i, init)
+                if self._inject_misspec(i):
+                    raise self._injected_misspec(worker, i)
+            except Misspeculation as exc:
+                runtime.capture_conflict_context(worker, exc)
+                misspec = (exc.kind, exc.detail, exc.iteration,
+                           exc.kind == "injected", False)
+                misspec_context = exc.context
+            except (GuestFault, GuestTimeout) as fault:
+                misspec = ("fault", str(fault), i, False, True)
+            records.append(IterationRecord(
+                iteration=i,
+                cycles=interp.cycles - c0,
+                steps=interp.steps - s0,
+                validation_cycles=stats.validation_cycles() - v0,
+                stats_delta=stats.counter_delta(k0),
+                io=runtime.deferred.records_for(i),
+                misspec=misspec,
+                misspec_context=misspec_context,
+            ))
+            if misspec is not None:
+                misspeculated = True
+                break
+        fragment = (None if misspeculated
+                    else runtime.extract_fragment(worker, epoch_start))
+        span.end(iterations=len(records), misspeculated=misspeculated)
+        metrics: Dict[str, Dict[str, object]] = {}
+        if telemetry:
+            # Per-worker utilization counters for the live dashboard,
+            # alongside whatever the slice itself recorded (shadow
+            # traffic, separation checks, interpreter tallies ...).
+            METRICS.counter("epoch.slices").inc()
+            METRICS.counter("epoch.iterations").inc(len(records))
+            METRICS.counter("epoch.busy_us").inc(
+                round((time.perf_counter() - t_begin) * 1e6))
+            if misspeculated:
+                METRICS.counter("epoch.misspeculations").inc()
+            metrics = METRICS.dump()
+        events = ([dict(ev) for ev in TRACER.events[trace_mark:]]
+                  if telemetry else [])
+        return WorkerEpochReport(wid=worker.wid, records=records,
+                                 fragment=fragment, trace_events=events,
+                                 metrics=metrics)
 
     def _child_apply_commit(self, wids: List[int],
                             commit: _CommitDelta) -> None:
@@ -649,8 +864,10 @@ class PoolDOALLExecutor(ProcessDOALLExecutor):
             len(frag.read_live_in_runs), len(frag.write_runs),
             len(frag.epoch_written_runs), len(frag.write_kinds),
             len(frag.write_values))
-        ring = self._rings[cwid]
-        offset = ring.alloc(size)
+        # No rings at all (shared memory unavailable): same fallback as
+        # a payload that does not fit.
+        ring = self._rings[cwid] if self._rings else None
+        offset = ring.alloc(size) if ring is not None else None
         if offset is None:
             buf = bytearray(size)
             pack_fragment_payload(

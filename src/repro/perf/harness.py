@@ -230,103 +230,6 @@ def measure_pipeline(workload: Workload, repeats: int = 3,
     }
 
 
-def measure_wallclock_scaling(workload: Workload, args: Sequence[object],
-                              worker_counts: Sequence[int] = (1, 2, 4),
-                              repeats: int = 2,
-                              backend: str = "process",
-                              pool_workers: Optional[int] = None
-                              ) -> Dict[str, object]:
-    """Real wall-clock speedup curve for a real (forking) backend.
-
-    Prepares the workload once (profile cache allowed — only execution
-    is timed), then times ``PreparedProgram.execute`` per worker count,
-    best-of ``repeats`` to suppress scheduler noise.  Speedups are
-    relative to the same backend at 1 worker, so the curve isolates
-    scaling from the backend's fixed fork/pickle overhead.  Unlike the
-    simulated-cycle numbers (deterministic, Table 3), these are
-    measured on the host and vary run to run — see EXPERIMENTS.md for
-    the methodology.
-    """
-    from ..bench.pipeline import prepare
-
-    program = prepare(workload.source, workload.name, args=workload.train,
-                      ref_args=args)
-    extra = {} if pool_workers is None else {"pool_workers": pool_workers}
-    points: List[Dict[str, object]] = []
-    base_wall: Optional[float] = None
-    for count in worker_counts:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = program.execute(workers=count, backend=backend, **extra)
-            best = min(best, time.perf_counter() - t0)
-        assert result.output == program.sequential.output, (
-            f"{workload.name}: output diverged at {count} worker(s)")
-        if base_wall is None:
-            base_wall = best
-        points.append({
-            "workers": count,
-            "wall_s": round(best, 4),
-            "speedup_vs_1w": round(base_wall / best, 2),
-            "sim_speedup": round(program.speedup(result), 2),
-        })
-    return {
-        "workload": workload.name,
-        "args": list(args),
-        "backend": backend,
-        "repeats": repeats,
-        "points": points,
-    }
-
-
-def measure_pool_vs_fork(workload: Workload, args: Sequence[object],
-                         workers: int = 4, repeats: int = 3,
-                         checkpoint_period: int = 4) -> Dict[str, object]:
-    """Persistent pool vs fork-per-epoch wall time on a deliberately
-    multi-epoch configuration.
-
-    A small ``checkpoint_period`` forces many epochs per invocation,
-    which is exactly where the pool backend's one-fork-per-invocation
-    lifecycle should beat the process backend's fork-per-epoch (and
-    pickle-per-fragment) overhead.  Both backends run the identical
-    prepared program; best-of ``repeats`` wall times, outputs checked
-    against the sequential baseline.  See docs/BACKENDS.md §"choosing a
-    backend" and EXPERIMENTS.md for the methodology.
-    """
-    from ..bench.pipeline import prepare
-
-    program = prepare(workload.source, workload.name, args=workload.train,
-                      ref_args=args)
-
-    def best_of(backend: str):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = program.execute(workers=workers, backend=backend,
-                                     checkpoint_period=checkpoint_period)
-            best = min(best, time.perf_counter() - t0)
-        assert result.output == program.sequential.output, (
-            f"{workload.name}: {backend} output diverged")
-        return best, result
-
-    fork_wall, fork_res = best_of("process")
-    pool_wall, pool_res = best_of("pool")
-    assert fork_res.runtime_stats.checkpoints \
-        == pool_res.runtime_stats.checkpoints
-    return {
-        "workload": workload.name,
-        "args": list(args),
-        "workers": workers,
-        "repeats": repeats,
-        "checkpoint_period": checkpoint_period,
-        "epochs": fork_res.runtime_stats.checkpoints,
-        "fork_wall_s": round(fork_wall, 4),
-        "pool_wall_s": round(pool_wall, 4),
-        "pool_speedup": round(fork_wall / pool_wall, 2),
-    }
-
-
 def measure_adaptive(workload: Workload, args: Sequence[object],
                      workers: int = 4, misspec_period: int = 3,
                      misspec_burst: int = 30) -> Dict[str, object]:
@@ -531,8 +434,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
               workload_names: Optional[Sequence[str]] = None,
               out: Optional[str] = DEFAULT_OUT,
               min_speedup: Optional[float] = None,
-              backend: Optional[str] = None,
-              pool_workers: Optional[int] = None,
               adapt: Optional[bool] = None,
               stress: bool = False) -> int:
     """Run the benchmark; returns a process exit code.
@@ -547,17 +448,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
     every configuration.  ``stress`` adds a large-footprint
     configuration (multi-KB operations, multi-MB merge).
 
-    ``backend="process"`` adds a real-wall-clock section: a per-worker-
-    count speedup curve of the process backend on each selected
-    workload, recorded into the trajectory under ``process_backend``.
-
-    ``backend="pool"`` adds the ``pool`` section instead: the same
-    per-worker-count scaling curve on the persistent-pool backend plus a
-    pool-vs-fork comparison on a forced multi-epoch configuration,
-    gated — on dijkstra the pool backend must be at least as fast as
-    fork-per-epoch, or the run fails.  ``pool_workers`` caps the
-    resident pool size for the scaling curve (pool backend only).
-
     ``adapt`` (or ``REPRO_ADAPT``) adds the adaptive-vs-fixed section:
     squashed-iteration counts under an injected misspeculation storm,
     clean-run overhead, warm start, and the controller's decision
@@ -565,13 +455,7 @@ def run_bench(quick: bool = False, repeats: int = 3,
     squashes more than fixed mode or the clean-run overhead exceeds 2%.
     """
     from ..adapt import resolve_adapt_enabled
-    from ..parallel.backend import resolve_backend_name
 
-    backend = resolve_backend_name(backend)
-    if pool_workers is not None and backend != "pool":
-        print("error: --pool-workers only applies to the pool backend "
-              "(pass --backend pool or REPRO_BACKEND=pool)", file=sys.stderr)
-        return 2
     adapt_on = resolve_adapt_enabled(adapt)
     if quick:
         repeats = max(2, min(repeats, 2))
@@ -631,44 +515,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
           f"on {flight_res['recorder_on_s']:.3f}s  "
           f"(overhead {flight_res['overhead_pct']:+.1f}%)")
 
-    scaling_results = []
-    if backend == "process":
-        counts = (1, 2) if quick else (1, 2, 4)
-        for w in pipeline_workloads:
-            res = measure_wallclock_scaling(
-                w, w.train, worker_counts=counts,
-                repeats=1 if quick else 2)
-            scaling_results.append(res)
-            curve = "  ".join(
-                f"{p['workers']}w {p['wall_s']:.3f}s "
-                f"({p['speedup_vs_1w']:.2f}x)" for p in res["points"])
-            print(f"process  {w.name:12s} {curve}")
-
-    pool_results = []
-    if backend == "pool":
-        counts = (1, 2) if quick else (1, 2, 4)
-        for w in pipeline_workloads:
-            scaling = measure_wallclock_scaling(
-                w, w.train, worker_counts=counts,
-                repeats=1 if quick else 2, backend="pool",
-                pool_workers=pool_workers)
-            vs_fork = measure_pool_vs_fork(
-                w, w.train, repeats=2 if quick else 3)
-            pool_results.append({
-                "workload": w.name,
-                "scaling": scaling,
-                "pool_vs_fork": vs_fork,
-            })
-            curve = "  ".join(
-                f"{p['workers']}w {p['wall_s']:.3f}s "
-                f"({p['speedup_vs_1w']:.2f}x)" for p in scaling["points"])
-            print(f"pool     {w.name:12s} {curve}")
-            print(f"pool-vs-fork {w.name:8s} "
-                  f"{vs_fork['epochs']} epochs  "
-                  f"fork {vs_fork['fork_wall_s']:.3f}s  "
-                  f"pool {vs_fork['pool_wall_s']:.3f}s  "
-                  f"({vs_fork['pool_speedup']:.2f}x)")
-
     adaptive_results = []
     if adapt_on:
         for w in pipeline_workloads:
@@ -726,10 +572,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
         "shadow": shadow_results,
         "service": service_res,
     }
-    if scaling_results:
-        entry["process_backend"] = scaling_results
-    if pool_results:
-        entry["pool"] = pool_results
     if adaptive_results:
         entry["adaptive"] = adaptive_results
     if out:
@@ -746,16 +588,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
         if res["clean_overhead_pct"] > 2.0:
             print(f"FAIL: {res['workload']}: adaptive clean-run overhead "
                   f"{res['clean_overhead_pct']:.2f}% exceeds the 2% budget")
-            return 1
-
-    for res in pool_results:
-        vs = res["pool_vs_fork"]
-        if res["workload"] == "dijkstra" \
-                and vs["pool_wall_s"] > vs["fork_wall_s"]:
-            print(f"FAIL: pool backend ({vs['pool_wall_s']:.3f}s) slower "
-                  f"than fork-per-epoch ({vs['fork_wall_s']:.3f}s) on the "
-                  f"multi-epoch {res['workload']} run "
-                  f"({vs['epochs']} epochs)")
             return 1
 
     if trace_res["tracing_off_overhead_pct"] > 100 * TRACE_OFF_BUDGET:

@@ -7,8 +7,8 @@ it wrote and at which iteration (for the latest-iteration-wins merge),
 and the partial results accumulated in its reduction-heap replica.
 
 The simulated backend extracts fragments in-process right before the
-commit; the process backend extracts them inside each forked worker and
-pickles them back over a pipe.  Both feed the exact same
+commit; the pool backend extracts them inside each forked worker and
+ships them back (shared-memory ring, or pipe).  Both feed the exact same
 :meth:`~repro.runtime.system.RuntimeSystem.checkpoint` commit path, so
 checkpoint semantics are identical across backends by construction.
 
@@ -18,8 +18,8 @@ offset fields are replaced by sorted half-open interval runs plus packed
 ``bytes`` payloads — ``write_runs`` carries ``(start, end, rel_iter)``
 per maximal run of consecutive bytes written at the same iteration,
 with the per-byte kinds and values concatenated in run order in
-``write_kinds``/``write_values``.  This shrinks the pickled size on the
-process-backend pipes from ~60 bytes per written byte to ~1, and lets
+``write_kinds``/``write_values``.  This shrinks the shipped size of a
+fragment from ~60 bytes per written byte to ~1, and lets
 the checkpoint validate and merge with slice operations instead of
 per-byte loops.  Every field is a plain int/bytes/tuple container, so
 fragments still round-trip through :mod:`pickle` with no custom

@@ -559,7 +559,7 @@ class RuntimeSystem:
 
         ``fragments`` is the per-worker epoch state in wid order.  When
         ``None`` (the simulated backend), fragments are extracted from
-        the in-process worker states; the process backend passes the
+        the in-process worker states; the pool backend passes the
         fragments its forked workers shipped back.  Either way the same
         validation/merge/commit code runs below.
         """
@@ -648,7 +648,7 @@ class RuntimeSystem:
         # must leave this epoch's writes marked old-write in each
         # worker's replica shadow: the simulated backend's persistent
         # shadows get that from reset_after_checkpoint, while the
-        # process backend's parent-side replicas (whose shadows never
+        # pool backend's parent-side replicas (whose shadows never
         # saw the writes) get it from mark_old_writes, so freshly
         # forked children inherit identical phase-1 behaviour.
         dirty_total = 0
@@ -805,9 +805,9 @@ class RuntimeSystem:
         """Attach a forensic context dict to a phase-1 misspeculation.
 
         Idempotent and cheap: a no-op when the flight recorder is off,
-        when a context is already attached (process-backend replay of a
+        when a context is already attached (pool-backend replay of a
         child-captured context), or when the detail string names no
-        address.  The context is a plain picklable dict so the process
+        address.  The context is a plain picklable dict so the pool
         backend can ship it over the report pipe unchanged.
         """
         if exc.context is not None or not self.recorder.enabled:

@@ -1,17 +1,17 @@
-"""Differential parity: the process and pool backends must be
-observationally identical to the simulated reference backend.
+"""Differential parity: the pool backend must be observationally
+identical to the simulated reference backend.
 
-All backends feed the same fragment-based checkpoint commit path, so
+Both backends feed the same fragment-based checkpoint commit path, so
 parity should hold *by construction*; these tests enforce it end to end
 on every evaluated workload: identical guest output and return value,
 identical final memory state, identical ``RuntimeStats`` (including the
 Table 3 row and every additive counter), identical misspeculation
 events, and identical simulated-cycle wall clocks and timelines.
 
-Every scenario runs three fresh pipelines (simulated, process, pool)
-and compares both real backends against the simulated reference —
-including injected and genuine misspeculation, and adaptive-controller
-trajectories with sequential fallback.
+Every scenario runs two fresh pipelines (simulated, pool) and compares
+the real backend against the simulated reference — including injected
+and genuine misspeculation, and adaptive-controller trajectories with
+sequential fallback.
 """
 
 import pytest
@@ -53,7 +53,7 @@ def _timeline_tuples(executor):
 
 
 def _compare(sim_ex, sim, other_ex, other):
-    """Bit-exact comparison of one real-backend run against the
+    """Bit-exact comparison of one pool-backend run against the
     simulated reference run."""
     assert sim.output == other.output
     assert sim.return_value == other.return_value
@@ -81,26 +81,23 @@ def _compare(sim_ex, sim, other_ex, other):
 
 
 def _assert_parity(source, name, train, ref=None, **kwargs):
-    """Run all three backends on fresh pipelines and compare the
-    process and pool runs against the simulated reference."""
+    """Run both backends on fresh pipelines and compare the pool run
+    against the simulated reference."""
     sim_prog = prepare(source, name, args=train, ref_args=ref)
-    proc_prog = prepare(source, name, args=train, ref_args=ref)
     pool_prog = prepare(source, name, args=train, ref_args=ref)
     sim_ex, sim = _execute(sim_prog, "simulated", **dict(kwargs))
-    proc_ex, proc = _execute(proc_prog, "process", **dict(kwargs))
     pool_ex, pool = _execute(pool_prog, "pool", **dict(kwargs))
 
-    _compare(sim_ex, sim, proc_ex, proc)
     _compare(sim_ex, sim, pool_ex, pool)
-    return sim, proc
+    return sim, pool
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS,
                          ids=[w.name for w in ALL_WORKLOADS])
 def test_workload_parity(workload):
-    """All five evaluated programs: the process backend reproduces the
+    """All five evaluated programs: the pool backend reproduces the
     simulated backend bit for bit (train input keeps runtimes sane)."""
-    sim, _proc = _assert_parity(workload.source, workload.name,
+    sim, _pool = _assert_parity(workload.source, workload.name,
                                 train=workload.train, ref=workload.train)
     assert sim.output  # the run actually did something
 
@@ -115,9 +112,24 @@ class TestCounterProgramParity:
         """Parity must survive squash/recovery: injected misspecs at a
         fixed period hit identical iterations on both backends."""
         prog = prepared_counter_program(32)
-        sim, proc = _assert_parity(prog.source, "counter", train=(32,),
+        sim, pool = _assert_parity(prog.source, "counter", train=(32,),
                                    misspec_period=10)
         assert sim.runtime_stats.misspec_count() == 3
+
+    def test_injected_misspeculation_without_shared_memory(
+            self, monkeypatch):
+        """On a host that cannot create the rings the pool ships every
+        fragment on the pipe; nothing observable may change."""
+        from repro.parallel import pool_backend
+
+        def no_shm(name, capacity, create=True):
+            raise FileNotFoundError(2, "No such file or directory", name)
+
+        monkeypatch.setattr(pool_backend, "ShmRing", no_shm)
+        prog = prepared_counter_program(32)
+        sim, _ = _assert_parity(prog.source, "counter", train=(32,),
+                                misspec_period=6)
+        assert sim.runtime_stats.misspec_count() > 0
 
     def test_injected_misspeculation_offset_period(self):
         prog = prepared_counter_program(32)
@@ -135,7 +147,7 @@ class TestAdaptiveParity:
     @pytest.mark.parametrize("workload", ALL_WORKLOADS,
                              ids=[w.name for w in ALL_WORKLOADS])
     def test_workload_adaptive_parity(self, workload):
-        sim, proc = _assert_parity(workload.source, workload.name,
+        sim, pool = _assert_parity(workload.source, workload.name,
                                    train=workload.train, ref=workload.train,
                                    adapt=True, misspec_period=6,
                                    misspec_burst=18)
@@ -152,14 +164,14 @@ class TestAdaptiveParity:
         """Sustained storm: shrink, fallback, sequential spans — all in
         lockstep across backends."""
         prog = prepared_counter_program(64)
-        sim, proc = _assert_parity(prog.source, "counter", train=(64,),
+        sim, pool = _assert_parity(prog.source, "counter", train=(64,),
                                    adapt=True, misspec_period=2)
         assert sim.adapt["fallbacks"] > 0
         assert sim.adapt["sequential_iterations"] > 0
         assert [(i.sequential_iterations, i.sequential_cycles)
                 for i in sim.invocations] == \
             [(i.sequential_iterations, i.sequential_cycles)
-             for i in proc.invocations]
+             for i in pool.invocations]
 
 
 class TestGenuineMisspeculationParity:

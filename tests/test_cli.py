@@ -178,6 +178,28 @@ class TestPoolBackendCLI:
         assert rc == 0
         assert "output matches sequential: True" in out
 
+    def test_run_backend_process_is_unknown(self, prog_file, capsys):
+        """The fork-per-epoch backend is gone: its name gets the
+        ordinary bad-choice error, no alias."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", prog_file, "--args", "24", "--backend", "process"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'process'" in err
+        # argparse quotes the choices on some Python versions only.
+        assert "simulated, pool" in err.replace("'", "")
+
+    def test_backend_env_process_is_unknown(self, prog_file, capsys,
+                                            monkeypatch):
+        from repro.parallel.backend import BACKEND_ENV
+
+        monkeypatch.setenv(BACKEND_ENV, "process")
+        rc = main(["run", prog_file, "--args", "24", "--workers", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'process'" in err
+        assert "simulated, pool" in err
+
     def test_run_pool_workers_flag(self, prog_file, capsys):
         rc = main(["run", prog_file, "--args", "24", "--workers", "4",
                    "--backend", "pool", "--pool-workers", "2"])

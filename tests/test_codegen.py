@@ -571,7 +571,7 @@ class TestCodeIdentity:
 
 
 class TestPreForkWarm:
-    @pytest.mark.parametrize("backend", ["pool", "process"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_no_generation_or_binding_after_construction(self, backend,
                                                          monkeypatch):
         prog = prepared_counter_program(24)

@@ -5,7 +5,7 @@ committed (their checkpoint records retired, their side effects in main
 memory) and squash epoch *k* itself plus any speculative state beyond
 it; the failed epoch then re-runs sequentially and execution resumes.
 These tests pin that contract down for the simulated reference backend
-and the real process-parallel backend alike.
+and the real pool backend alike.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.parallel.backend import make_executor
 
 from helpers import prepared_counter_program
 
-BACKENDS = ("simulated", "process")
+BACKENDS = ("simulated", "pool")
 
 
 def _run(prog, backend, **kwargs):

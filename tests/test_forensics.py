@@ -178,7 +178,7 @@ def test_explain_backend_parity(workload, tmp_path):
     """Under injected misspeculation bursts, both backends must produce
     bit-identical diagnoses, each naming the injected static site."""
     per_backend = {}
-    for backend in ("simulated", "process"):
+    for backend in ("simulated", "pool"):
         program = prepare(workload.source, workload.name,
                           args=workload.train, ref_args=workload.train)
         _, result = _run_with_flight(program, backend, tmp_path / backend,
@@ -188,9 +188,9 @@ def test_explain_backend_parity(workload, tmp_path):
         assert dump.is_file()
         per_backend[backend] = [d.to_dict()
                                 for d in explain_snapshot(load_dump(dump))]
-    sim, proc = per_backend["simulated"], per_backend["process"]
+    sim, pool = per_backend["simulated"], per_backend["pool"]
     assert sim, f"{workload.name}: injection produced no diagnoses"
-    assert sim == proc
+    assert sim == pool
     for d in sim:
         assert d["injected"] is True
         assert d["site"], f"{workload.name}: diagnosis without a site"

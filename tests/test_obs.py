@@ -13,6 +13,7 @@ from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import (
     SIM_PID,
     TRACER,
+    WORKER_PID_BASE,
     Tracer,
     timeline_to_chrome,
 )
@@ -121,6 +122,83 @@ class TestTracer:
         text = t.render_summary()
         assert "phase.a" in text
         assert "3" in text
+
+
+class TestWorkerTraceProcesses:
+    """Events shipped back by forked pool workers are re-homed to one
+    trace process per worker (pid ``WORKER_PID_BASE + wid``)."""
+
+    def test_absorb_worker_events_rehomes_pids(self):
+        tracer = Tracer()
+        tracer.enable()
+        try:
+            with tracer.span("backend.worker_epoch", cat="backend", tid=3):
+                pass
+            shipped = [dict(ev) for ev in tracer.events]
+            tracer.absorb_worker_events(2, shipped)
+            absorbed = [ev for ev in tracer.events
+                        if ev.get("pid", None) == WORKER_PID_BASE + 2]
+            assert absorbed, "worker events must land in the worker pid"
+        finally:
+            tracer.disable()
+
+    def test_absorb_noop_when_disabled(self):
+        tracer = Tracer()
+        before = len(tracer.events)
+        tracer.absorb_worker_events(0, [{"name": "x", "ph": "X"}])
+        assert len(tracer.events) == before
+
+    def test_chrome_export_names_worker_processes(self):
+        tracer = Tracer()
+        tracer.enable()
+        try:
+            with tracer.span("backend.worker_epoch", cat="backend", tid=1):
+                pass
+            tracer.absorb_worker_events(
+                0, [dict(ev) for ev in tracer.events])
+            events = tracer.chrome_events()
+        finally:
+            tracer.disable()
+        names = {
+            (ev["pid"], ev["args"]["name"])
+            for ev in events
+            if ev.get("ph") == "M" and ev.get("name") == "process_name"
+        }
+        assert (WORKER_PID_BASE, "worker process 0") in names
+        # The export stays valid JSON.
+        json.dumps(events)
+
+    def test_double_digit_wid_pid_assignment(self):
+        tracer = Tracer()
+        tracer.enable()
+        try:
+            with tracer.span("backend.worker_epoch", cat="backend"):
+                pass
+            shipped = [dict(ev) for ev in tracer.events]
+            tracer.absorb_worker_events(12, shipped)
+            pids = {ev["pid"] for ev in tracer.events
+                    if ev["name"] == "backend.worker_epoch"
+                    and ev is not tracer.events[0]}
+        finally:
+            tracer.disable()
+        assert WORKER_PID_BASE + 12 in pids
+
+    def test_absorbed_events_preserve_order(self):
+        tracer = Tracer()
+        tracer.enable()
+        try:
+            shipped = []
+            for i in range(3):
+                with tracer.span(f"w{i}", cat="backend"):
+                    pass
+            shipped = [dict(ev) for ev in tracer.events]
+            tracer.reset()
+            tracer.enable()
+            tracer.absorb_worker_events(0, shipped)
+            names = [ev["name"] for ev in tracer.events]
+        finally:
+            tracer.disable()
+        assert names == ["w0", "w1", "w2"]
 
 
 class TestTimelineConverter:

@@ -262,10 +262,10 @@ class TestTopDashboard:
     def test_render_dashboard_snapshot(self):
         payload = payload_from_registry(
             _populated_registry(),
-            run={"workload": "dijkstra", "backend": "process"})
+            run={"workload": "dijkstra", "backend": "pool"})
         frame = render_dashboard(payload)
         assert "dijkstra" in frame
-        assert "backend=process" in frame
+        assert "backend=pool" in frame
         assert "epochs committed" in frame
         # Both workers, numerically ordered, with busy seconds.
         w0 = frame.index("     0  ")
@@ -287,10 +287,10 @@ class TestTopDashboard:
         assert "2.0 epoch/s" in frame
         assert "50%" in frame  # 0.5s busy over a 1s poll gap
 
-    def test_render_without_workers_notes_process_backend(self):
+    def test_render_without_workers_notes_pool_backend(self):
         reg = MetricsRegistry()
         reg.counter("executor.epochs").inc()
-        payload = payload_from_registry(reg, run={"backend": "process"})
+        payload = payload_from_registry(reg, run={"backend": "pool"})
         assert "no worker.N.* metrics yet" in render_dashboard(payload)
 
     def test_snapshot_cli(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Unit and integration tests for the persistent worker-pool backend:
-the shared-memory ring transport (wraparound, framing round-trip,
-capacity knob), pool lifecycle (spawn-per-invocation, commit-delta
-warm epochs, SIGKILL respawn, /dev/shm hygiene), the ``--pool-workers``
+backend selection, the shared-memory ring transport (wraparound,
+framing round-trip, capacity knob, hosts without shared memory), pool
+lifecycle (spawn-per-invocation, commit-delta warm epochs, SIGKILL
+respawn, partial spawn, /dev/shm hygiene), the ``--pool-workers``
 multiplexing mode, and the telemetry plane (stable worker ids in
 ``worker.N.*`` merges and the ``repro top`` dashboard).
 
@@ -10,6 +11,8 @@ in ``tests/test_backend_parity.py``; these tests cover the machinery
 documented in docs/BACKENDS.md.
 """
 
+import errno
+import logging
 import os
 import signal
 import time
@@ -18,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.backend import BACKEND_ENV, BackendError, make_executor
+from repro.parallel.backend import (
+    BACKEND_ENV,
+    BACKEND_NAMES,
+    BackendError,
+    BaseDOALLExecutor,
+    make_executor,
+    resolve_backend_name,
+)
+from repro.parallel.executor import DOALLExecutor
 from repro.parallel.pool_backend import PoolDOALLExecutor
-from repro.parallel.process_backend import ProcessDOALLExecutor
 from repro.parallel import pool_backend, shm_ring
 from repro.parallel.shm_ring import (
     DEFAULT_RING_KB,
@@ -44,6 +54,50 @@ def _shm_names():
                 if "repro-pool-" in n}
     except FileNotFoundError:
         return set()
+
+
+# -- backend selection --------------------------------------------------------
+
+
+class TestBackendResolution:
+    def test_default_is_simulated(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        assert resolve_backend_name() == "simulated"
+        assert resolve_backend_name(None) == "simulated"
+
+    def test_explicit_name_wins(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "pool")
+        assert resolve_backend_name("simulated") == "simulated"
+
+    def test_env_variable(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "pool")
+        assert resolve_backend_name() == "pool"
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(BackendError, match="unknown backend"):
+            resolve_backend_name("threads")
+
+    def test_unknown_env_rejected(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "gpu")
+        with pytest.raises(BackendError, match="unknown backend"):
+            resolve_backend_name()
+
+    def test_backend_error_is_value_error(self):
+        # argparse and callers catching ValueError keep working.
+        assert issubclass(BackendError, ValueError)
+
+    def test_names_cover_all_backends(self):
+        assert BACKEND_NAMES == ("simulated", "pool")
+
+    def test_process_is_an_unknown_backend(self, monkeypatch):
+        """The fork-per-epoch backend's name is no alias for the pool:
+        argument and environment both get the ordinary error."""
+        listed = "unknown backend 'process'.*simulated, pool"
+        with pytest.raises(BackendError, match=listed):
+            resolve_backend_name("process")
+        monkeypatch.setenv(BACKEND_ENV, "process")
+        with pytest.raises(BackendError, match=listed):
+            resolve_backend_name()
 
 
 # -- ring capacity knob -------------------------------------------------------
@@ -238,10 +292,16 @@ class TestPoolExecutorConstruction:
     def test_factory_dispatch(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         prog = prepared_counter_program(8)
+        sim = make_executor(None, prog.module, prog.plan, workers=2)
+        assert isinstance(sim, DOALLExecutor)
+        assert sim.backend_name == "simulated"
         ex = make_executor("pool", prog.module, prog.plan, workers=2)
         assert isinstance(ex, PoolDOALLExecutor)
-        assert isinstance(ex, ProcessDOALLExecutor)  # inherits plumbing
         assert ex.backend_name == "pool"
+        # The one forked-worker executor: nothing between it and the
+        # shared driver.
+        assert PoolDOALLExecutor.__mro__ == (
+            PoolDOALLExecutor, BaseDOALLExecutor, object)
 
     def test_env_dispatch(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "pool")
@@ -275,7 +335,7 @@ class TestPoolExecutorConstruction:
     def test_pipeline_rejects_pool_workers_on_other_backends(self):
         prog = prepared_counter_program(8)
         with pytest.raises(BackendError, match="pool backend"):
-            prog.execute(workers=2, backend="process", pool_workers=2)
+            prog.execute(workers=2, backend="simulated", pool_workers=2)
 
 
 # -- end-to-end runs ----------------------------------------------------------
@@ -454,6 +514,93 @@ class TestPoolEndToEnd:
             ex.run("main", prog.ref_args)
 
 
+class TestNoSharedMemory:
+    """A host that cannot create the rings (a container without
+    ``/dev/shm``) runs the whole pool run on the pipe path: counted,
+    warned about once, nothing left behind."""
+
+    @pytest.mark.parametrize("misspec_period", [0, 6])
+    @pytest.mark.parametrize("rings_before_failure", [0, 1])
+    def test_every_fragment_takes_the_counted_pipe_path(
+            self, monkeypatch, caplog, rings_before_failure,
+            misspec_period):
+        made, shipped = [], []
+
+        def ring_or_enoent(name, capacity, create=True):
+            if len(made) == rings_before_failure:
+                raise FileNotFoundError(
+                    errno.ENOENT, "No such file or directory", "/" + name)
+            made.append(ShmRing(name, capacity, create=create))
+            return made[-1]
+
+        rebuild = PoolDOALLExecutor._rebuild_fragment
+
+        def spy(self, cwid, entry):
+            shipped.append(entry[1][0])
+            return rebuild(self, cwid, entry)
+
+        monkeypatch.setattr(pool_backend, "ShmRing", ring_or_enoent)
+        monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment", spy)
+        before = _shm_names()
+        prog = prepared_counter_program(24)
+        ex = make_executor("pool", prog.module, prog.plan, workers=2,
+                           misspec_period=misspec_period)
+        with caplog.at_level(logging.WARNING, logger="repro.pool_backend"):
+            result = ex.run(prog.entry, prog.ref_args)
+        assert result.output == prog.sequential.output
+        assert (result.runtime_stats.misspec_count() > 0) == bool(
+            misspec_period)
+        # All-or-nothing: the ring that was created before the failure
+        # is closed and unlinked, not used for child 0 alone.
+        assert len(made) == rings_before_failure
+        assert all(ring.shm.buf is None for ring in made)
+        assert shipped and set(shipped) == {"pipe"}
+        assert ex.ring_overflows == len(shipped)
+        assert _shm_names() == before
+        # Respawns after a squash neither retry the rings nor warn again.
+        assert ex.pool_spawns > 1 or not misspec_period
+        assert sum("shared memory unavailable" in r.message
+                   for r in caplog.records) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors through /proc")
+class TestPartialSpawn:
+    def test_failed_fork_leaves_no_child_fd_or_segment(self, monkeypatch):
+        """``os.fork`` failing for the second child (EAGAIN on a loaded
+        host) propagates out of run() — and the first child, already
+        blocked on its task pipe, is killed and reaped with it."""
+        real_fork = os.fork
+        forked = []
+
+        def fork_failing_second_time():
+            if len(forked) == 1:
+                raise OSError(errno.EAGAIN,
+                              "Resource temporarily unavailable")
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        # The first segment of a process starts multiprocessing's
+        # resource tracker, which keeps a descriptor: not this run's.
+        ShmRing(f"repro-pool-test-{os.getpid()}-warm", 4096).close(
+            unlink=True)
+        prog = prepared_counter_program(24)
+        ex = make_executor("pool", prog.module, prog.plan, workers=2)
+        segments = _shm_names()
+        descriptors = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", fork_failing_second_time)
+        with pytest.raises(OSError) as exc:
+            ex.run(prog.entry, prog.ref_args)
+        assert exc.value.errno == errno.EAGAIN
+        assert len(forked) == 1 and not ex._children
+        with pytest.raises(ProcessLookupError):
+            os.kill(forked[0], 0)
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert _shm_names() == segments
+
+
 TWO_REDUCTIONS_SRC = """
 double sum_a[3];
 long sum_b[3];
@@ -543,12 +690,8 @@ class TestCommitDeltaCoalescing:
 
 
 class TestWorkerDeathRespawn:
-    def test_sigkilled_worker_respawns_and_run_completes(
-            self, monkeypatch):
-        """SIGKILL of a pool child mid-epoch squashes the epoch through
-        the standard recovery path and respawns the pool; the run
-        completes with the correct output (unlike the fork-per-epoch
-        backend, which aborts)."""
+    @staticmethod
+    def _kill_wid1_in_first_epoch(monkeypatch):
         orig = PoolDOALLExecutor._child_slice
 
         def killer(self, worker, frame, epoch_start, epoch_end, init):
@@ -559,6 +702,13 @@ class TestWorkerDeathRespawn:
             return report
 
         monkeypatch.setattr(PoolDOALLExecutor, "_child_slice", killer)
+
+    def test_sigkilled_worker_respawns_and_run_completes(
+            self, monkeypatch):
+        """SIGKILL of a pool child mid-epoch squashes the epoch through
+        the standard recovery path and respawns the pool; the run
+        completes with the correct output."""
+        self._kill_wid1_in_first_epoch(monkeypatch)
         prog = prepared_counter_program(24)
         ex = make_executor("pool", prog.module, prog.plan, workers=2,
                            checkpoint_period=6)
@@ -571,6 +721,39 @@ class TestWorkerDeathRespawn:
         assert result.runtime_stats.recoveries >= 1
         # … and the pool was re-forked.
         assert ex.pool_spawns >= 2
+
+    def test_partial_epoch_telemetry_survives_worker_death(
+            self, monkeypatch):
+        """Telemetry that crossed the pipe before a sibling was
+        SIGKILLed survives the squash: worker 0's span and metrics from
+        the doomed epoch are absorbed, worker 1 shipped none."""
+        from repro.obs.metrics import METRICS
+        from repro.obs.trace import TRACER, WORKER_PID_BASE
+
+        self._kill_wid1_in_first_epoch(monkeypatch)
+        prog = prepared_counter_program(24)
+        TRACER.enable()
+        METRICS.reset()
+        try:
+            result = prog.execute(workers=2, backend="pool",
+                                  checkpoint_period=6)
+            snap = METRICS.snapshot()
+            slices = [(ev["pid"] - WORKER_PID_BASE,
+                       ev["attrs"]["epoch_start"])
+                      for ev in TRACER.events
+                      if ev.get("name") == "backend.worker_epoch"]
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+            METRICS.reset()
+        assert result.output == prog.sequential.output
+        # Recovery resumed past iteration 1, so a slice starting at 0
+        # can only come from the squashed epoch.
+        assert (0, 0) in slices and (1, 0) not in slices
+        for wid in (0, 1):
+            assert snap[f"worker.{wid}.epoch.slices"]["value"] == \
+                sum(1 for w, _ in slices if w == wid)
+        assert snap["pool.worker_deaths"]["value"] == 1
 
 
 # -- telemetry plane ----------------------------------------------------------
@@ -596,6 +779,7 @@ class TestPoolTelemetry:
         for wid in (0, 1):
             assert snap[f"worker.{wid}.epoch.slices"]["value"] > 0
             assert snap[f"worker.{wid}.epoch.iterations"]["value"] > 0
+            assert snap[f"worker.{wid}.epoch.busy_us"]["value"] > 0
         shipped = sum(snap[f"worker.{w}.epoch.iterations"]["value"]
                       for w in (0, 1))
         assert shipped == snap["executor.iterations.committed"]["value"]

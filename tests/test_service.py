@@ -368,6 +368,14 @@ class TestServiceEndToEnd:
         assert exc.value.status == 400
         assert any("workers" in e for e in exc.value.errors)
 
+    def test_backend_process_is_http_400(self, app):
+        client = _client(app)
+        with pytest.raises(ServiceError) as exc:
+            client.submit({"workload": "dijkstra", "backend": "process"})
+        assert exc.value.status == 400
+        assert any("unknown backend 'process'" in e
+                   and "simulated, pool" in e for e in exc.value.errors)
+
     def test_uncompilable_source_is_http_400(self, app):
         client = _client(app)
         with pytest.raises(ServiceError) as exc:
