@@ -40,23 +40,28 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   :meth:`RuntimeSystem.refork_workers`, which discards and re-forks all
   simulated worker state at exactly the same points.
 
-Fragment transport (docs/BACKENDS.md §"transport formats"): the bulk of
-every packed format-2 :class:`~repro.runtime.fragments.EpochFragment`
-(interval runs + kind/value blobs) travels through one
-``multiprocessing.shared_memory`` ring per child
-(:mod:`repro.parallel.shm_ring`) as memoryview slice writes — no pickle
-on the payload path; only a tiny ``(offset, length)`` descriptor plus
-the per-iteration records cross the control pipe.  Ring allocation is
+Fragment transport (docs/BACKENDS.md §"transport formats"): the
+private-heap part of every packed format-3
+:class:`~repro.runtime.fragments.EpochFragment` (interval runs +
+kind/value blobs) travels through one ``multiprocessing.shared_memory``
+ring per child (:mod:`repro.parallel.shm_ring`) as memoryview slice
+writes, not pickled.  The control pipe carries one pickled
+:class:`_PoolReply` per child per epoch: per hosted worker the
+``(offset, length)`` ring descriptor, the fragment header — which
+holds the reduction runs, a few ``bytes`` objects of one byte per
+reduced byte (alvinn: 1 800 B in three runs) — and one
+:class:`~repro.parallel.backend.IterationRecord` per iteration
+(0.1–0.3 KB each), plus metrics dumps and trace events when tracing:
+244–666 B a reply on the benchmark's non-reducing programs, 2 342 B on
+alvinn.  Ring allocation is
 epoch scoped (the child rewinds the cursor when a plan arrives and
 never wraps mid-epoch); a payload that does not fit in the tail left
 by the epoch's earlier payloads falls back to the pipe (counted under
 ``pool.ring_overflows``), and on a host where the rings cannot be
-created at all (no ``/dev/shm``) every payload of the run does.  The
-control pipe carries everything else — iteration records,
-misspeculation terms, in-worker metrics dumps and trace events — so the
-telemetry plane (``worker.N.*`` merge, per-worker Chrome lanes,
-partial-epoch absorption) keys on worker ids that are stable for the
-whole run.
+created at all (no ``/dev/shm``) every payload of the run does.
+Everything on the pipe keys on worker ids that are stable for the
+whole run, which is what the telemetry plane (``worker.N.*`` merge,
+per-worker Chrome lanes, partial-epoch absorption) relies on.
 
 Failure semantics (docs/BACKENDS.md §"failure semantics"): a child
 that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
@@ -90,7 +95,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
 from ..runtime.fragments import EpochFragment
-from ..runtime.intervals import coalesce, union_runs
+from ..runtime.intervals import union_runs
 from ..runtime.iodefer import DeferredOutput
 from ..runtime.system import WorkerState
 from .backend import (
@@ -166,9 +171,9 @@ class _CommitDelta:
     images stay identical to the parent's: ``private_runs`` are
     ``(private-heap offset, committed bytes)`` read back from the
     parent's main memory over the merged write extents; ``redux_runs``
-    are ``(absolute address, bytes)`` over the folded reduction
-    elements, adjacent ones coalesced.  Application is idempotent (plain
-    content stores).
+    are ``(absolute address, bytes)`` over the folded reduction runs,
+    adjacent ones coalesced.  Application is idempotent (plain content
+    stores).
     """
 
     private_runs: List[Tuple[int, bytes]] = field(default_factory=list)
@@ -254,7 +259,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         self._rings: Optional[List[ShmRing]] = None
         self._pool_invocation = -2
         self._pool_stale = False
-        #: ``(merged write spans, merged redux address spans)`` of the
+        #: ``(merged write spans, merged reduction run spans)`` of the
         #: last clean epoch — the recipe for the next commit delta.
         self._last_commit_meta = None
         #: Child-side: previous epoch's write spans per hosted wid (for
@@ -351,12 +356,9 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
                 f"is missing fragments ({len(fragments)}/{self.workers} "
                 f"reports)")
-        # Both as coalesced runs: adjacent reduction elements (an array
-        # reduced element-wise) ship as one piece per object.
         self._last_commit_meta = (
             union_runs([f.write_spans() for f in fragments]),
-            coalesce([(el.addr, el.addr + el.size)
-                      for f in fragments for el in f.redux_elements]),
+            union_runs([f.redux_spans() for f in fragments]),
         )
         return None, fragments
 
@@ -470,7 +472,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         """Parent side: reassemble one worker's fragment from its header
         (pipe) and bulk payload (shared ring, or pipe fallback)."""
         header, desc = entry
-        wid, ep_start, fmt, redux_elements, dirty = header
+        wid, ep_start, fmt, redux_runs, dirty = header
         if desc[0] == "ring":
             view = self._rings[cwid].view(desc[1], desc[2])
             try:
@@ -487,7 +489,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
             wid=wid, epoch_start=ep_start, format=fmt,
             read_live_in_runs=rr, write_runs=wr, write_kinds=kinds,
             write_values=values, epoch_written_runs=er,
-            redux_elements=redux_elements, dirty_private_pages=dirty)
+            redux_runs=redux_runs, dirty_private_pages=dirty)
 
     # -- staleness ------------------------------------------------------------
 
@@ -708,6 +710,15 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         """Resident child loop: wait for epoch plans on the task pipe,
         run the hosted worker slices, ship replies.  Runs until killed
         (or the task pipe closes)."""
+        if hasattr(os, "sched_setaffinity"):
+            # A pool on dedicated cores: process c gets the (c mod n)-th
+            # CPU of the mask it inherited.  Left alone, two children
+            # woken from one core share it for most of a ~10 ms epoch.
+            cpus = sorted(os.sched_getaffinity(0))
+            try:
+                os.sched_setaffinity(0, {cpus[cwid % len(cpus)]})
+            except OSError as e:
+                log.debug("pool process %d: not pinned (%s)", cwid, e)
         while True:
             data = _read_frame(task_rfd)
             if data is None:
@@ -882,6 +893,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 frag.write_kinds, frag.write_values)
             desc = ("ring", offset, size)
         header = (frag.wid, frag.epoch_start, frag.format,
-                  frag.redux_elements, frag.dirty_private_pages)
+                  frag.redux_runs, frag.dirty_private_pages)
         report.fragment = None
         return (header, desc)

@@ -1,15 +1,16 @@
 """Shared-memory ring transport for pool-backend epoch fragments.
 
 The persistent-pool backend (:mod:`repro.parallel.pool_backend`, see
-docs/BACKENDS.md §"pool") ships the bulk payload of every packed
-format-2 :class:`~repro.runtime.fragments.EpochFragment` — the interval
+docs/BACKENDS.md §"pool") ships the private-heap payload of every packed
+format-3 :class:`~repro.runtime.fragments.EpochFragment` — the interval
 runs and the ``write_kinds``/``write_values`` byte blobs — through one
 :class:`multiprocessing.shared_memory.SharedMemory` segment per pool
 worker instead of pickling it over the control pipe.  The child writes
 the payload with ``memoryview`` slice stores, the parent reads it back
-the same way, and only a tiny ``(offset, length)`` descriptor crosses
-the (pickled) control pipe: there is no pickle on the fragment payload
-path.
+the same way, and an ``(offset, length)`` descriptor crosses the
+(pickled) control pipe in its place.  The fragment's reduction runs do
+not come this way: they are already packed bytes, a few objects per
+fragment, and ride in the pickled header beside the descriptor.
 
 Synchronization is by construction, not by locking: each ring has
 exactly one producer (its pool worker) and one consumer (the parent),

@@ -12,24 +12,30 @@ ships them back (shared-memory ring, or pipe).  Both feed the exact same
 :meth:`~repro.runtime.system.RuntimeSystem.checkpoint` commit path, so
 checkpoint semantics are identical across backends by construction.
 
-Format version 2 (``format`` field): the historical per-byte
-``writes: List[(offset, iteration, kind, value)]`` and ``Set[int]``
-offset fields are replaced by sorted half-open interval runs plus packed
-``bytes`` payloads — ``write_runs`` carries ``(start, end, rel_iter)``
-per maximal run of consecutive bytes written at the same iteration,
-with the per-byte kinds and values concatenated in run order in
-``write_kinds``/``write_values``.  This shrinks the shipped size of a
-fragment from ~60 bytes per written byte to ~1, and lets
-the checkpoint validate and merge with slice operations instead of
-per-byte loops.  Every field is a plain int/bytes/tuple container, so
-fragments still round-trip through :mod:`pickle` with no custom
-machinery.
+Format version 3 (``format`` field).  Private bytes travel as sorted
+half-open interval runs plus packed ``bytes`` payloads (since format 2)
+— ``write_runs`` carries ``(start, end, rel_iter)`` per maximal run of
+consecutive bytes written at the same iteration, with the per-byte
+kinds and values concatenated in run order in
+``write_kinds``/``write_values`` — and reduction partial results
+travel the same way (new in format 3): ``redux_runs`` carries one
+:class:`ReduxRun` ``(addr, size, operator, is_float, data)`` per
+maximal stretch of adjacent updated elements of one reduction object,
+``data`` being that stretch of the worker's replica as it lies in
+memory.  A fragment therefore costs ~1 shipped byte per written or
+reduced byte (format 1 paid ~60 per private byte, format 2 ~45 per
+reduction element), and the checkpoint validates, merges and folds with
+slice and ``struct`` operations instead of per-byte or per-element
+loops.  Every field is a plain int/bytes/tuple container, so fragments
+still round-trip through :mod:`pickle` with no custom machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+import struct
+from dataclasses import dataclass
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 from .intervals import runs_from_offsets
 from .shadow import MAX_TIMESTAMP, TS_BASE
@@ -42,12 +48,20 @@ WRITE_LOCAL = 2   #: worker-local allocation, absent from main memory
 #: Wire-format version of :class:`EpochFragment`; bump on layout changes
 #: so a mixed-version parent/child pairing fails loudly instead of
 #: merging garbage.
-FRAGMENT_FORMAT = 2
+FRAGMENT_FORMAT = 3
+
+
+#: :mod:`struct` codes of the scalar types a reduction element can have
+#: (``size, is_float``; integers unsigned).
+_ELEMENT_CODES = {(1, False): "B", (2, False): "H", (4, False): "I",
+                  (8, False): "Q", (4, True): "f", (8, True): "d"}
 
 
 @dataclass
 class ReduxElement:
-    """One element of a reduction object with its partial result.
+    """One element of a reduction object with its partial result — the
+    unit of the per-element oracle fold (``REPRO_SHADOW=ref``), expanded
+    from a :class:`ReduxRun`.
 
     ``operator is None`` marks an element whose object has no reduction
     plan (the runtime still accounts its bytes, but has no merge recipe
@@ -59,6 +73,42 @@ class ReduxElement:
     operator: Optional[str]  # BinOpKind name, e.g. "ADD"/"FADD"/"MUL"
     is_float: bool
     delta: object            # int or float partial result
+
+
+class ReduxRun(NamedTuple):
+    """Partial results of adjacent elements of one reduction object.
+
+    ``data`` is ``len(data) // size`` elements of ``size`` bytes each,
+    as they lie in the worker's identity-initialized replica from
+    ``addr`` on.  ``operator is None`` marks a stretch with no reduction
+    plan: one "element" of ``size == len(data)`` zero bytes, counted by
+    the checkpoint and not merged.
+    """
+
+    addr: int
+    size: int
+    operator: Optional[str]  # BinOpKind name, e.g. "ADD"/"FADD"/"MUL"
+    is_float: bool
+    data: bytes
+
+    def struct_format(self) -> str:
+        """:mod:`struct` format of the whole run, integers unsigned."""
+        return "<%d%s" % (len(self.data) // self.size,
+                          _ELEMENT_CODES[self.size, self.is_float])
+
+    def elements(self) -> List[ReduxElement]:
+        """The per-element view (oracle and test paths), each element
+        decoded on its own as a typed read of the replica would."""
+        if self.operator is None:
+            return [ReduxElement(self.addr, self.size, None, False, 0)]
+        signed = self.operator in ("ADD", "MUL")
+        code = "<d" if self.size == 8 else "<f"
+        return [ReduxElement(
+            self.addr + pos, self.size, self.operator, self.is_float,
+            struct.unpack_from(code, self.data, pos)[0] if self.is_float
+            else int.from_bytes(self.data[pos:pos + self.size], "little",
+                                signed=signed))
+            for pos in range(0, len(self.data), self.size)]
 
 
 @dataclass
@@ -88,8 +138,9 @@ class EpochFragment:
     #: count, and freed bytes keep their offsets); cross-worker check
     #: input.
     epoch_written_runs: Tuple[Tuple[int, int], ...] = ()
-    #: Reduction partial results, one entry per element.
-    redux_elements: List[ReduxElement] = field(default_factory=list)
+    #: Reduction partial results, sorted by address: one run per maximal
+    #: stretch of adjacent updated elements of one reduction object.
+    redux_runs: Tuple[ReduxRun, ...] = ()
     #: Dirty private pages, for the checkpoint copy-cost model.
     dirty_private_pages: int = 0
 
@@ -98,7 +149,7 @@ class EpochFragment:
              read_live_in: Iterable[int] = (),
              writes: Iterable[Tuple[int, int, int, int]] = (),
              epoch_written: Iterable[int] = (),
-             redux_elements: Optional[List[ReduxElement]] = None,
+             redux_runs: Iterable[ReduxRun] = (),
              dirty_private_pages: int = 0) -> "EpochFragment":
         """Build a fragment from per-byte inputs (the format-1 shape):
         ``writes`` is ``(offset, absolute iteration, kind, value)`` per
@@ -133,7 +184,7 @@ class EpochFragment:
             write_kinds=bytes(kinds),
             write_values=bytes(values),
             epoch_written_runs=tuple(runs_from_offsets(epoch_written)),
-            redux_elements=redux_elements if redux_elements is not None else [],
+            redux_runs=tuple(redux_runs),
             dirty_private_pages=dirty_private_pages)
 
     # -- per-byte views (oracle, forensics, and test paths) -----------------
@@ -153,6 +204,11 @@ class EpochFragment:
     def write_spans(self) -> List[Tuple[int, int]]:
         """The ``(start, end)`` extents of :attr:`write_runs`."""
         return [(start, end) for start, end, _rel in self.write_runs]
+
+    def redux_spans(self) -> List[Tuple[int, int]]:
+        """The ``(start, end)`` address extents of :attr:`redux_runs`."""
+        return [(run.addr, run.addr + len(run.data))
+                for run in self.redux_runs]
 
     def write_offsets(self) -> Set[int]:
         out: Set[int] = set()

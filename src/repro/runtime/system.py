@@ -16,9 +16,10 @@ Substitutions vs. the paper (see DESIGN.md):
 
 from __future__ import annotations
 
+import operator
 import re
 import struct as _struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.reduction import apply_operator
 from ..classify.heaps import HeapKind, tag_matches
@@ -26,7 +27,8 @@ from ..forensics.explain import summarize_context
 from ..forensics.recorder import FlightRecorder
 from ..interp.errors import Misspeculation
 from ..interp.interpreter import Interpreter
-from ..interp.memory import AddressSpace, MemoryObject, PAGE_SIZE, heap_tag_of
+from ..interp.memory import (AddressSpace, MemoryObject, PAGE_SHIFT,
+                             TAG_SHIFT, heap_tag_of)
 from ..ir.instructions import BinOpKind
 from ..obs.log import get_logger
 from ..obs.metrics import METRICS
@@ -39,6 +41,7 @@ from .fragments import (
     WRITE_VALUE,
     EpochFragment,
     ReduxElement,
+    ReduxRun,
 )
 from .intervals import IntervalSet, union_runs
 from .iodefer import DeferredOutput
@@ -68,6 +71,15 @@ CHECKPOINT_BYTE_COST = 1
 #: goes to the enum's constructor, which rejects it.
 _HEAP_KINDS = {int(kind): kind for kind in HeapKind}
 
+#: Reduction operator (``BinOpKind`` name) -> the two-argument function
+#: :func:`~repro.analysis.reduction.apply_operator` evaluates for it;
+#: what the run fold maps over a whole run.
+_REDUX_FOLDS = {
+    "ADD": operator.add, "FADD": operator.add,
+    "MUL": operator.mul, "FMUL": operator.mul,
+    "AND": operator.and_, "OR": operator.or_, "XOR": operator.xor,
+}
+
 
 class WorkerState:
     """One simulated worker process."""
@@ -80,7 +92,8 @@ class WorkerState:
         self.clock = 0     # simulated cycles, relative to region start
         self.iterations = 0
         self.shortlived_live = 0
-        self.redux_written: Set[Tuple[int, int]] = set()  # (addr, size)
+        #: Reduction-heap addresses updated this epoch.
+        self.redux_written = IntervalSet()
         self.redux_copies: Dict[int, Tuple[MemoryObject, ReduxObjectPlan]] = {}
         self.epoch_written_offsets = IntervalSet()
 
@@ -247,7 +260,7 @@ class RuntimeSystem:
         if TRACER.enabled:
             METRICS.counter("runtime.redux.bytes_updated").inc(size)
         interp.cycles += REDUX_BYTE_COST * size
-        self.current_worker.redux_written.add((addr, size))
+        self.current_worker.redux_written.add_range(addr, addr + size)
         return None
 
     def _i_predict_value(self, interp, inst, args):
@@ -484,14 +497,14 @@ class RuntimeSystem:
             if cursor < addr_end:
                 kinds.extend(freed_fill * (addr_end - cursor))
                 values.extend(bytes(addr_end - cursor))
-        redux_elements, dirty_pages = self._extract_redux(worker)
+        redux_runs, dirty_pages = self._extract_redux(worker)
         return EpochFragment(
             wid=worker.wid, epoch_start=epoch_start,
             read_live_in_runs=tuple(worker.shadow.read_live_in_runs()),
             write_runs=tuple(write_runs),
             write_kinds=bytes(kinds), write_values=bytes(values),
             epoch_written_runs=tuple(worker.epoch_written_offsets.runs()),
-            redux_elements=redux_elements, dirty_private_pages=dirty_pages)
+            redux_runs=redux_runs, dirty_private_pages=dirty_pages)
 
     def _extract_fragment_ref(self, worker: WorkerState,
                               epoch_start: int) -> EpochFragment:
@@ -512,44 +525,55 @@ class RuntimeSystem:
                 writes.append((b, iteration, WRITE_LOCAL, 0))
             else:
                 writes.append((b, iteration, WRITE_VALUE, obj.data[off]))
-        redux_elements, dirty_pages = self._extract_redux(worker)
+        redux_runs, dirty_pages = self._extract_redux(worker)
         return EpochFragment.pack(
             wid=worker.wid, epoch_start=epoch_start,
             read_live_in=worker.shadow.read_live_in_offsets(),
             writes=writes,
             epoch_written=worker.epoch_written_offsets.offsets(),
-            redux_elements=redux_elements, dirty_private_pages=dirty_pages)
+            redux_runs=redux_runs, dirty_private_pages=dirty_pages)
 
     def _extract_redux(self, worker: WorkerState
-                       ) -> Tuple[List[ReduxElement], int]:
+                       ) -> Tuple[Tuple[ReduxRun, ...], int]:
         """Reduction partial results and dirty-page count for a fragment
-        (shared by both extraction paths)."""
-        redux_elements: List[ReduxElement] = []
-        elements: Set[Tuple[int, int]] = set()
-        for addr, size in worker.redux_written:
-            base_entry = worker.redux_copies.get(self._redux_object_base(addr))
-            es = base_entry[1].element_size if base_entry else size
-            for e in range(addr, addr + size, es):
-                elements.add((e, es))
-        for addr, es in sorted(elements):
-            entry = worker.redux_copies.get(self._redux_object_base(addr))
-            if entry is None:
-                redux_elements.append(ReduxElement(addr, es, None, False, 0))
-                continue
-            _copy, rplan = entry
-            if rplan.is_float:
-                delta: object = worker.space.read_float(addr, es)
-            else:
-                signed = rplan.operator in ("ADD", "MUL")
-                delta = worker.space.read_int(addr, es, signed)
-            redux_elements.append(
-                ReduxElement(addr, es, rplan.operator, rplan.is_float, delta))
-        dirty_pages = len({
-            p for p in worker.space.dirty_pages
-            if (p << 12) >= self.private_base
-            and (p << 12) < self.private_base + (1 << 44)
-        })
-        return redux_elements, dirty_pages
+        (shared by both extraction paths).
+
+        Each coalesced stretch of updated addresses is cut at reduction
+        object boundaries and becomes one run: the object's elements
+        from the stretch's first address on, whole elements only (a
+        4-byte update of an 8-byte element ships the element), sliced
+        out of the worker's replica in one piece.  Addresses outside
+        every planned reduction object become operator-less runs.
+        """
+        runs: List[ReduxRun] = []
+        for start, end in worker.redux_written.runs():
+            cursor = start
+            for s, e, mobj in self.main_space.covering_pieces(
+                    start, end - start):
+                entry = worker.redux_copies.get(mobj.base)
+                if entry is None:
+                    continue
+                if s > cursor:
+                    runs.append(ReduxRun(cursor, s - cursor, None, False,
+                                         bytes(s - cursor)))
+                rplan = entry[1]
+                es = rplan.element_size
+                length = -(-(e - s) // es) * es
+                # Through the worker's space, not the replica itself: a
+                # run off the object's end, or into an object the worker
+                # freed, faults as a guest load of it would.
+                obj, off = worker.space.find(s, length)
+                runs.append(ReduxRun(s, es, rplan.operator, rplan.is_float,
+                                     bytes(obj.data[off:off + length])))
+                cursor = e
+            if cursor < end:
+                runs.append(ReduxRun(cursor, end - cursor, None, False,
+                                     bytes(end - cursor)))
+        first = self.private_base >> PAGE_SHIFT
+        last = (self.private_base + (1 << TAG_SHIFT)) >> PAGE_SHIFT
+        dirty_pages = sum(1 for p in worker.space.dirty_pages
+                          if first <= p < last)
+        return tuple(runs), dirty_pages
 
     def checkpoint(self, epoch_start: int, epoch_end: int,
                    fragments: Optional[List[EpochFragment]] = None
@@ -633,11 +657,12 @@ class RuntimeSystem:
 
         # Merge reduction partial results, in worker order (float merge
         # order is part of the observable semantics).
+        fold = self._fold_redux_run_ref if ref_mode else self._fold_redux_run
         redux_bytes = 0
         for frag in fragments:
-            for el in frag.redux_elements:
-                self._apply_redux_element(el)
-                redux_bytes += el.size
+            for run in frag.redux_runs:
+                fold(run)
+                redux_bytes += len(run.data)
         record.redux_bytes_merged = redux_bytes
 
         # Commit deferred output in iteration order.
@@ -701,9 +726,29 @@ class RuntimeSystem:
             self.controller.note_commit(epoch_start, epoch_end)
         return record
 
-    def _redux_object_base(self, addr: int) -> int:
-        found = self.main_space.try_find(addr)
-        return found[0].base if found else addr
+    def _fold_redux_run(self, run: ReduxRun) -> None:
+        """Fold one run of a worker's partial results into main memory:
+        :meth:`_apply_redux_element` over all its elements at once."""
+        if run.operator is None:
+            return
+        fold = _REDUX_FOLDS[run.operator]
+        # Faults as the first element's fold would (freed or read-only
+        # target object).
+        obj, off = self.main_space._writable_object(run.addr, run.size)
+        # Integers read unsigned whatever the operator: every one of
+        # them agrees with its signed self modulo the element width.
+        fmt = run.struct_format()
+        merged = map(fold, _struct.unpack_from(fmt, obj.data, off),
+                     _struct.unpack(fmt, run.data))
+        if not run.is_float:
+            mask = (1 << (run.size * 8)) - 1
+            merged = [value & mask for value in merged]
+        _struct.pack_into(fmt, obj.data, off, *merged)
+
+    def _fold_redux_run_ref(self, run: ReduxRun) -> None:
+        """Per-element oracle fold (``REPRO_SHADOW=ref``)."""
+        for el in run.elements():
+            self._apply_redux_element(el)
 
     def _apply_redux_element(self, el: ReduxElement) -> None:
         """Fold one worker's partial result into main memory."""

@@ -1,6 +1,6 @@
 """Property tests for the serialization seam between backends.
 
-The process backend works only if (a) :class:`EpochFragment` survives a
+The pool backend works only if (a) :class:`EpochFragment` survives a
 pickle round-trip bit-for-bit — it is the *only* state shipped from a
 forked worker back to the parent — and (b) replaying a fragment's
 writes into the parent-side replica shadow via ``mark_old_writes`` is
@@ -8,11 +8,12 @@ idempotent and equivalent to the in-process ``reset_after_checkpoint``
 path.  Hypothesis generates arbitrary fragments and write patterns so
 these invariants hold beyond the shapes the workloads happen to hit.
 
-Fragments are format 2 (packed interval runs, see
+Fragments are format 3 (packed interval runs for private bytes, packed
+element runs for reduction partial results, see
 :mod:`repro.runtime.fragments`): strategies build them through
-:meth:`EpochFragment.pack` from per-byte inputs, and the round-trip
-tests additionally pin the explicit format-version field and the
-pack/iter_writes inverse.
+:meth:`EpochFragment.pack` from per-byte inputs plus :class:`ReduxRun`
+tuples, and the round-trip tests additionally pin the explicit
+format-version field and the pack/iter_writes inverse.
 """
 
 import pickle
@@ -20,26 +21,32 @@ import pickle
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.fragments import (
-    EpochFragment, FRAGMENT_FORMAT, ReduxElement,
+    EpochFragment, FRAGMENT_FORMAT, ReduxRun,
     WRITE_FREED, WRITE_LOCAL, WRITE_VALUE)
 from repro.runtime.shadow import (
     LIVE_IN, OLD_WRITE, READ_LIVE_IN, ShadowHeap, timestamp_for)
+
+from test_redux_runs import ELEMENT_TYPES
 
 offsets = st.integers(min_value=0, max_value=4095)
 iterations = st.integers(min_value=0, max_value=10_000)
 rel_iters = st.integers(min_value=0, max_value=252)
 
-redux_elements = st.builds(
-    ReduxElement,
-    addr=st.integers(min_value=0, max_value=2**32 - 1),
-    size=st.sampled_from([1, 2, 4, 8]),
-    operator=st.sampled_from(["ADD", "FADD", "MUL", "MAX", "MIN", None]),
-    is_float=st.booleans(),
-    delta=st.one_of(
-        st.integers(min_value=-2**63, max_value=2**63 - 1),
-        st.floats(allow_nan=False, allow_infinity=False),
-    ),
-)
+
+@st.composite
+def redux_runs(draw):
+    """One run: 1-8 elements of random bytes (every bit pattern is a
+    legal int or float), or an operator-less stretch of zero bytes."""
+    addr = draw(st.integers(min_value=0, max_value=2**47 - 1))
+    if draw(st.booleans()):
+        operator, size, is_float = draw(st.sampled_from(ELEMENT_TYPES))
+        count = draw(st.integers(min_value=1, max_value=8))
+        return ReduxRun(addr, size, operator, is_float,
+                        draw(st.binary(min_size=size * count,
+                                       max_size=size * count)))
+    length = draw(st.integers(min_value=1, max_value=32))
+    return ReduxRun(addr, length, None, False, bytes(length))
+
 
 # Per-byte write entries for EpochFragment.pack: at most one per offset.
 write_entries = st.dictionaries(
@@ -61,7 +68,7 @@ def fragments(draw):
         writes=[(b, epoch_start + rel, kind, value)
                 for b, (rel, kind, value) in entries.items()],
         epoch_written=draw(st.sets(offsets, max_size=64)),
-        redux_elements=draw(st.lists(redux_elements, max_size=16)),
+        redux_runs=draw(st.lists(redux_runs(), max_size=6)),
         dirty_private_pages=draw(st.integers(min_value=0, max_value=1024)),
     )
 
@@ -77,16 +84,21 @@ class TestFragmentPickleRoundTrip:
         assert clone.read_live_in_offsets() == frag.read_live_in_offsets()
         assert clone.epoch_written_offsets() == frag.epoch_written_offsets()
         assert list(clone.iter_writes()) == list(frag.iter_writes())
-        # Mutable container identity must not be shared — a worker-side
-        # mutation after pickling cannot alias the parent's copy.
-        assert clone.redux_elements is not frag.redux_elements
+        assert clone.redux_spans() == frag.redux_spans()
+        assert all(type(run) is ReduxRun for run in clone.redux_runs)
 
-    @given(elem=redux_elements)
+    @given(run=redux_runs())
     @settings(max_examples=200, deadline=None)
-    def test_redux_element_round_trip(self, elem):
-        clone = pickle.loads(pickle.dumps(elem))
-        assert clone == elem
-        assert type(clone.delta) is type(elem.delta)
+    def test_redux_run_round_trip(self, run):
+        """Bytes in, the same bytes out — NaN payloads and all — and the
+        per-element view covers the run exactly."""
+        clone = pickle.loads(pickle.dumps(run))
+        assert clone == run and clone.data == run.data
+        elements = clone.elements()
+        assert [el.addr for el in elements] == list(
+            range(run.addr, run.addr + len(run.data), run.size))
+        assert all(el.size == run.size and el.operator == run.operator
+                   for el in elements)
 
     @given(frag=fragments())
     @settings(max_examples=100, deadline=None)

@@ -621,9 +621,10 @@ int main(int n) {
 
 
 class TestCommitDeltaCoalescing:
-    """The warm-epoch commit delta covers the folded reduction elements
-    as coalesced runs: the bytes an element-at-a-time delta would ship,
-    in one piece per stretch of adjacent elements."""
+    """The warm-epoch commit delta covers the folded reduction runs,
+    read straight off the fragments' run spans: the bytes an
+    element-at-a-time delta would ship, in one piece per stretch of
+    adjacent elements."""
 
     @staticmethod
     def _watch(monkeypatch):
@@ -637,7 +638,8 @@ class TestCommitDeltaCoalescing:
 
         def watched_checkpoint(self, start, end, fragments=None):
             elements.append(sorted({(el.addr, el.size) for f in fragments
-                                    for el in f.redux_elements}))
+                                    for run in f.redux_runs
+                                    for el in run.elements()}))
             return checkpoint(self, start, end, fragments)
 
         def watched_build(self):
@@ -687,6 +689,75 @@ class TestCommitDeltaCoalescing:
         # Every iteration touches all three elements of both arrays;
         # they are 24 bytes on 16-byte alignment, so not adjacent.
         assert seen and set(seen) == {(6, 2)}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+class TestChildPlacement:
+    """A pool on dedicated cores (ROADMAP 2(a)): pool process *c* runs
+    on the (*c* mod *n*)-th CPU of the mask the parent had at the fork;
+    the parent's own mask is never touched."""
+
+    @pytest.fixture
+    def parent_cpus(self):
+        """The test process confined to at most two CPUs, so three pool
+        processes are more than there are; restored afterwards."""
+        restore = os.sched_setaffinity  # a test below patches the name
+        before = os.sched_getaffinity(0)
+        cpus = sorted(before)[:2]
+        restore(0, cpus)
+        yield cpus
+        restore(0, before)
+
+    @staticmethod
+    def _child_masks(monkeypatch, **kwargs):
+        """Run the counter program on the pool; returns {pool process:
+        the affinity masks it was seen with at the end of each epoch}."""
+        seen = {}
+        drain = PoolDOALLExecutor._drain_pool
+
+        def watched(self, payloads):
+            out = drain(self, payloads)
+            # Every live child has replied: all are past their first
+            # statement and parked on the task pipe.
+            for child in self._children:
+                seen.setdefault(child.cwid, set()).add(
+                    frozenset(os.sched_getaffinity(child.pid)))
+            return out
+
+        monkeypatch.setattr(PoolDOALLExecutor, "_drain_pool", watched)
+        prog = prepared_counter_program(12)
+        result = prog.execute(backend="pool", checkpoint_period=3, **kwargs)
+        assert result.output == prog.sequential.output
+        return seen
+
+    def test_each_child_gets_one_cpu_of_the_parents_mask(
+            self, monkeypatch, parent_cpus):
+        seen = self._child_masks(monkeypatch, workers=2)
+        assert seen == {c: {frozenset({parent_cpus[c % len(parent_cpus)]})}
+                        for c in range(2)}
+        assert sorted(os.sched_getaffinity(0)) == parent_cpus
+
+    def test_round_robin_when_processes_outnumber_cpus(
+            self, monkeypatch, parent_cpus):
+        seen = self._child_masks(monkeypatch, workers=3)
+        assert seen == {c: {frozenset({parent_cpus[c % len(parent_cpus)]})}
+                        for c in range(3)}
+        assert sorted(os.sched_getaffinity(0)) == parent_cpus
+
+    def test_processes_are_placed_not_logical_workers(
+            self, monkeypatch, parent_cpus):
+        seen = self._child_masks(monkeypatch, workers=4, pool_workers=1)
+        assert seen == {0: {frozenset({parent_cpus[0]})}}
+
+    def test_refused_placement_is_ignored(self, monkeypatch, parent_cpus):
+        def refuse(pid, mask):
+            raise OSError(errno.EPERM, "affinity not permitted")
+
+        # Patched before the fork, so every child inherits the refusal.
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        seen = self._child_masks(monkeypatch, workers=2)
+        assert seen == {c: {frozenset(parent_cpus)} for c in range(2)}
 
 
 class TestWorkerDeathRespawn:
