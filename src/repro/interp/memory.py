@@ -136,13 +136,18 @@ class AddressSpace:
     As after ``fork``, a space that has overlays in use may store and
     free but not allocate (the overlay's cursors are copies: both would
     hand out the same addresses), and only leaves and the root change at
-    all.  The executors comply: workers are leaves over main, re-forked
-    after every stretch the main space runs.
+    all.  The executors comply: workers are leaves over main, and after
+    every stretch the main space runs they are discarded and new ones
+    made — in process, or in a resident pool child once its copy of
+    main has been re-*synchronised* with what the stretch changed:
+    :meth:`track_changes`, :meth:`take_changes` and
+    :meth:`apply_changes` carry the stored-to pages, the allocations and
+    frees and the cursors from the one to the other.
     """
 
     __slots__ = ("parent", "_pages", "_cursors", "_cow_copies", "_freed",
                  "generation", "dirty_pages", "bytes_allocated",
-                 "_track_dirty")
+                 "_track_dirty", "_layout_log")
 
     def __init__(self, parent: Optional["AddressSpace"] = None):
         self.parent = parent
@@ -161,9 +166,15 @@ class AddressSpace:
         self.generation = 0
         self.dirty_pages: Set[int] = set()
         self.bytes_allocated = 0
-        # Dirty-page tracking only matters for worker overlays (checkpoint
-        # costing); skip the bookkeeping on the base space.
+        # Dirty-page tracking matters for worker overlays (checkpoint
+        # costing) and for a root with resident copies to keep in step
+        # (track_changes); otherwise the base space skips the bookkeeping.
         self._track_dirty = parent is not None
+        #: ``(born, freed)`` since the log was last taken — objects
+        #: allocated through this space and still alive, by base, and
+        #: bases of older ones freed through it; None = not kept.
+        self._layout_log: Optional[
+            Tuple[Dict[int, MemoryObject], List[int]]] = None
 
     # -- registration ------------------------------------------------------
 
@@ -208,6 +219,8 @@ class AddressSpace:
         obj = MemoryObject(base, size, name, kind, site, writable)
         self._register(obj)
         self.bytes_allocated += size
+        if self._layout_log is not None:
+            self._layout_log[0][base] = obj
         return obj
 
     def install_copy(self, copy: MemoryObject) -> None:
@@ -228,6 +241,10 @@ class AddressSpace:
         if owned:
             obj.alive = False
             self._unregister(obj)
+            if self._layout_log is not None:
+                born, freed = self._layout_log
+                if born.pop(obj.base, None) is None:
+                    freed.append(obj.base)
         if not owned or self._cow_copies.get(obj.base) is obj:
             # An ancestor's object (or this overlay's copy of one): the
             # free is private to the overlay, as a forked worker's is.
@@ -419,5 +436,77 @@ class AddressSpace:
                     seen.add(id(obj))
                     yield obj
 
-    def cow_copied_objects(self) -> List[MemoryObject]:
-        return list(self._cow_copies.values())
+    # -- keeping a copy of this space in step (pool backend) -----------------------------
+
+    def track_changes(self) -> None:
+        """From now on record what changes here — stored-to pages in
+        :attr:`dirty_pages`, allocations and frees in the layout log —
+        so that a copy of this space made now (a forked pool child's)
+        can be brought up to date later instead of being made again."""
+        self._track_dirty = True
+        self.dirty_pages.clear()
+        self._layout_log = ({}, [])
+
+    def take_changes(self, also: Iterable[Tuple[int, int]],
+                     limit: int) -> Optional[tuple]:
+        """What changed here since :meth:`track_changes` or the last
+        call, by value, for :meth:`apply_changes` on a copy; the record
+        starts afresh.
+
+        Layout: the objects allocated since and still alive as ``(base,
+        size, name, kind, site, writable, contents)``, the bases of
+        older objects freed since, the region cursors and
+        ``bytes_allocated``; an object allocated and freed again in
+        between leaves only the cursor it moved.  Contents: ``(address,
+        bytes)`` over the live parts of the dirty pages and of the
+        ``also`` ranges (what the caller wrote into ``data`` directly),
+        each byte once, a new object's with the object.
+
+        None when all that carries more than ``limit`` bytes."""
+        born, freed = self._layout_log
+        ranges = [(page << PAGE_SHIFT, (page + 1) << PAGE_SHIFT)
+                  for page in self.dirty_pages]
+        ranges.extend(also)
+        self.dirty_pages.clear()
+        self._layout_log = ({}, [])
+        total = sum(obj.size for obj in born.values())
+        runs: List[Tuple[int, bytes]] = []
+        for start, end in _merge_runs(ranges):
+            for s, e, obj in self.covering_pieces(start, end - start):
+                if obj.base not in born:
+                    runs.append((s, bytes(obj.data[s - obj.base:e - obj.base])))
+                    total += e - s
+            if total > limit:
+                break
+        if total > limit:
+            return None
+        objects = [(o.base, o.size, o.name, o.kind, o.site, o.writable,
+                    bytes(o.data)) for o in born.values()]
+        return (objects, freed, dict(self._cursors), self.bytes_allocated,
+                runs)
+
+    def apply_changes(self, changes: tuple) -> None:
+        """Make this space what the one it is a copy of was when
+        :meth:`take_changes` read ``changes`` off it.  No overlay of
+        this space may be in use: one made before sees neither the new
+        cursors nor the frees."""
+        objects, freed, cursors, bytes_allocated, runs = changes
+        for base in freed:
+            obj = self.find(base)[0]
+            obj.alive = False
+            self._unregister(obj)
+        for base, size, name, kind, site, writable, contents in objects:
+            obj = MemoryObject(base, size, name, kind, site, writable)
+            obj.data[:] = contents
+            self._register(obj)
+        self._cursors = dict(cursors)
+        self.bytes_allocated = bytes_allocated
+        for addr, blob in runs:
+            self.patch(addr, blob)
+
+    def patch(self, addr: int, blob: bytes) -> None:
+        """Set the live bytes of ``[addr, addr + len(blob))`` as they
+        resolve through this space, in place: no copy-on-write, no
+        ``writable`` test, nothing recorded as dirty."""
+        for s, e, obj in self.covering_pieces(addr, len(blob)):
+            obj.data[s - obj.base:e - obj.base] = blob[s - addr:e - addr]

@@ -201,6 +201,24 @@ def render_dashboard(payload: Dict[str, object],
             f"fallbacks {_value(metrics, 'adapt.fallbacks'):,.0f}  "
             f"demotions {_value(metrics, 'adapt.demotions'):,.0f}")
 
+    # -- resident pool ---------------------------------------------------
+    if any(name.startswith("pool.") for name in metrics):
+        # One fork per run; every further one has a reason.
+        respawns = "  ".join(
+            f"{name[len('pool.respawns.'):]} "
+            f"{_value(metrics, name):,.0f}"
+            for name in sorted(metrics)
+            if name.startswith("pool.respawns.")
+            and name != "pool.respawns.no_pool")
+        lines.append("")
+        lines.append(
+            f"pool   forks {_value(metrics, 'pool.spawns'):,.0f}"
+            f" ({respawns or 'no respawn'})   "
+            f"syncs {_value(metrics, 'pool.syncs'):,.0f} "
+            f"({_value(metrics, 'pool.sync_bytes') / 1024:,.1f} KiB)   "
+            f"deaths {_value(metrics, 'pool.worker_deaths'):,.0f}   "
+            f"ring overflows {_value(metrics, 'pool.ring_overflows'):,.0f}")
+
     # -- per-worker utilization ------------------------------------------
     rows = worker_rows(metrics)
     if rows:

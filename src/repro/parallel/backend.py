@@ -10,8 +10,9 @@ one checkpoint epoch executes*:
   workers one at a time on the in-process interpreter — deterministic,
   fully observable, the reference semantics;
 * the **pool** backend (:mod:`repro.parallel.pool_backend`) forks a
-  pool of worker processes once per invocation, keeps them resident
-  across epochs (commit deltas synced between epochs) and executes the
+  pool of worker processes once per run, keeps them resident across
+  epochs, recoveries and invocations (commit deltas between clean
+  epochs, a sync of what main changed otherwise) and executes the
   worker slices concurrently, shipping per-iteration records over a
   pipe and the packed :class:`~repro.runtime.fragments.EpochFragment`
   payload (interval-run format, with an explicit version field checked

@@ -1,8 +1,9 @@
 """Persistent worker-pool DOALL backend: long-lived worker processes.
 
-The real-parallel backend, and the paper's runtime shape: workers are
-forked once per parallel invocation, stay resident until join and hand
-their speculative state back through shared memory.  Each child runs
+The real-parallel backend, and the paper's runtime shape with the spawn
+paid once: workers are forked once per :meth:`PoolDOALLExecutor.run`,
+stay resident across epochs, recoveries and invocations, and hand their
+speculative state back through shared memory.  Each child runs
 its round-robin slices of every epoch on its own private/reduction heap
 replicas and ships back, per hosted worker, one
 :class:`~repro.parallel.backend.IterationRecord` per executed iteration,
@@ -20,25 +21,33 @@ docs/BACKENDS.md is the end-to-end guide; section pointers below.
 
 Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
 
-* Pool children are forked **lazily at the first epoch of each
-  invocation**, inheriting the whole parent image by copy-on-write —
-  worker COW overlays, replica shadows, reduction copies and the loop
-  frame — exactly the state a persistent simulated worker starts from.
-* Across *clean* epochs the children stay resident.  Each epoch plan
-  (:class:`_PoolEpoch`) arrives over a per-child task pipe and carries
-  the previous epoch's **commit delta** (:class:`_CommitDelta`): the
-  private bytes the parent's checkpoint merged into main memory plus
-  the folded reduction results.  The child patches its own main-memory
-  image and performs the same per-worker post-checkpoint reset the
-  parent did (``reset_after_checkpoint`` + ``mark_old_write_runs`` +
+* Pool children are forked **lazily at the first epoch of the run**,
+  inheriting the whole parent image by copy-on-write — worker COW
+  overlays, replica shadows, reduction copies and the loop frame —
+  exactly the state a persistent simulated worker starts from.  From
+  that fork on the parent's main space records what changes in it
+  (:meth:`AddressSpace.track_changes`).
+* Across *clean* epochs each epoch plan (:class:`_PoolEpoch`) arrives
+  over a per-child task pipe and carries the previous epoch's **commit
+  delta** (:class:`_CommitDelta`): the private bytes the parent's
+  checkpoint merged into main memory plus the folded reduction results.
+  The child patches its own main-memory image and performs the same
+  per-worker post-checkpoint reset the parent did
+  (``reset_after_checkpoint`` + ``mark_old_write_runs`` +
   epoch-tracking/redux reset), so the resident workers are
   byte-for-byte the simulated backend's persistent workers.
-* After any squash/recovery, adaptive sequential fallback, or a new
-  invocation, the resident image is stale (recovery rewrites main
-  memory arbitrarily and the runtime re-forks fresh worker states);
-  the pool is marked stale and respawned at the next epoch — mirroring
-  :meth:`RuntimeSystem.refork_workers`, which discards and re-forks all
-  simulated worker state at exactly the same points.
+* Whenever main ran behind the children's back — a squash and its
+  sequential recovery, an adaptive sequential span, the code between
+  two invocations — the runtime has replaced its worker states
+  (:meth:`RuntimeSystem.refork_workers`), and the next plan carries a
+  **sync** (:class:`_PoolSync`) instead: what main changed, by value.
+  Each child applies it to its copy of main while none of its overlays
+  is in use and then re-forks its worker states through the runtime's
+  own path (:meth:`RuntimeSystem.resync_workers`).
+* The pool is forked again only for what a sync cannot express, each
+  counted under ``pool.respawns.<reason>``: there is no pool yet
+  (``no_pool``), a child is dead (``child_died``), or the stretch
+  changed more than :data:`SYNC_MAX_BYTES` (``oversize``).
 
 Fragment transport (docs/BACKENDS.md §"transport formats"): the
 private-heap part of every packed format-3
@@ -68,7 +77,9 @@ that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
 pipe; the parent absorbs the surviving workers' telemetry, synthesizes
 a ``fault`` misspeculation at the dead workers' first iteration of the
 epoch, squashes the epoch through the standard recovery path, and
-respawns the pool at the next epoch.  A wedged pool still hits the
+respawns the pool at the next epoch (a child found dead before a sync
+is sent — killed between two invocations, say — costs the respawn
+alone).  A wedged pool still hits the
 ``epoch_timeout`` deadline and fails the run loudly.  Shared-memory
 rings are created once per run and always closed **and unlinked** on
 the way out of :meth:`PoolDOALLExecutor.run`, so no ``repro-pool-*``
@@ -89,6 +100,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..interp.codegen import _UNDEF
 from ..interp.errors import GuestFault, GuestTimeout, Misspeculation
 from ..interp.interpreter import Frame
 from ..obs.log import get_logger
@@ -124,6 +136,12 @@ _LEN = struct.Struct("<Q")
 
 #: Default wall-clock budget per epoch before the pool is killed.
 DEFAULT_EPOCH_TIMEOUT = 300.0
+
+#: Most bytes of main memory (changed contents and new objects) a sync
+#: carries; a stretch of main that changed more respawns the pool.
+#: Where shipping stops being cheaper than forking, measured:
+#: EXPERIMENTS.md "Resident pool (PR 24)".
+SYNC_MAX_BYTES = 2 << 20
 
 
 @dataclass
@@ -181,15 +199,40 @@ class _CommitDelta:
 
 
 @dataclass
+class _PoolSync:
+    """What main did behind the resident children's backs, by value:
+    everything of the parent image a child's slice reads that a fork at
+    this point would have inherited and a fork before it did not."""
+
+    #: The runtime's ``invocation_index``.  Whether it moved since the
+    #: children's last plan or this is a resume inside the invocation
+    #: makes no difference to what they do (the ``backend.sync`` span
+    #: says which).
+    invocation_index: int
+    #: :meth:`AddressSpace.take_changes` of the main space: layout and
+    #: contents, the last commit's spans included.
+    main: tuple
+    #: The loop frame: function name, block and previous-block indices
+    #: (-1 = none), instruction index, slot values and which slots are
+    #: undefined (their value here is a placeholder).
+    frame: Tuple[str, int, int, int, List[object], List[int]]
+    #: ``prng_state``, ``cycles``, ``steps``, ``call_context`` and
+    #: ``_context_ids`` of the interpreter.
+    interp: Tuple[int, int, int, List[str], Dict[Tuple[str, ...], int]]
+
+
+@dataclass
 class _PoolEpoch:
     """One epoch plan, parent -> child over the task pipe."""
 
     epoch_start: int
     epoch_end: int
     init: int
-    #: Commit delta of the previous epoch; None on the first epoch after
-    #: a (re)spawn, when the fork already inherited committed state.
+    #: Commit delta of the previous epoch, when the children saw it run.
     commit: Optional[_CommitDelta] = None
+    #: Set instead when main ran since the children's last plan.  After
+    #: a (re)spawn both are None: the fork inherited everything.
+    sync: Optional[_PoolSync] = None
 
 
 @dataclass
@@ -219,6 +262,22 @@ class _PoolChild:
     #: :class:`_PoolEpoch` frames).
     task_wfd: int
     wids: List[int] = field(default_factory=list)
+
+
+@dataclass
+class _Resident:
+    """What the resident children's images match, as of the last plan
+    they were sent; None on the executor while there is no pool."""
+
+    #: The parent's ``runtime.workers`` their worker states mirror.  The
+    #: runtime replaces the list exactly when main has run behind them
+    #: (new invocation, recovery, sequential span): identity is the test.
+    workers: List[WorkerState]
+    invocation: int
+    #: ``(merged write spans, merged reduction run spans)`` of a commit
+    #: they have not been told of yet — the recipe for the next commit
+    #: delta, or part of the next sync.
+    commit: Optional[tuple] = None
 
 
 class PoolDOALLExecutor(BaseDOALLExecutor):
@@ -253,18 +312,24 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         #: Fragments shipped on the pipe: they outgrew the ring, or the
         #: host has no shared memory to make one from.
         self.ring_overflows = 0
-        #: Times the pool was (re)forked — 1 per invocation when clean.
-        self.pool_spawns = 0
+        #: Forks of the pool by reason: ``no_pool`` (one per run),
+        #: ``child_died``, ``oversize``.
+        self.pool_respawns: Dict[str, int] = {}
+        #: Syncs sent: plans that brought resident children up to date
+        #: with a stretch main ran, where a fork used to.
+        self.pool_syncs = 0
         self._children: List[_PoolChild] = []
         self._rings: Optional[List[ShmRing]] = None
-        self._pool_invocation = -2
-        self._pool_stale = False
-        #: ``(merged write spans, merged reduction run spans)`` of the
-        #: last clean epoch — the recipe for the next commit delta.
-        self._last_commit_meta = None
+        self._resident: Optional[_Resident] = None
         #: Child-side: previous epoch's write spans per hosted wid (for
         #: ``mark_old_write_runs`` on commit notification).
         self._child_prev_spans: Dict[int, List[Tuple[int, int]]] = {}
+
+    @property
+    def pool_spawns(self) -> int:
+        """Times the pool was forked — 1 per run unless a reason of
+        ``pool_respawns`` other than ``no_pool`` came up."""
+        return sum(self.pool_respawns.values())
 
     # -- whole-program run ----------------------------------------------------
 
@@ -285,18 +350,32 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
     ) -> Tuple[Optional[Tuple[int, Misspeculation]],
                Optional[List[EpochFragment]]]:
         runtime = self.runtime
-        warm = (bool(self._children) and not self._pool_stale
-                and self._pool_invocation == runtime.invocation_index
-                and self._last_commit_meta is not None)
-        if warm:
-            commit = self._build_commit_delta()
+        plan = _PoolEpoch(epoch_start, epoch_end, init)
+        resident = self._resident
+        if resident is None:
+            respawn = "no_pool"
+        elif (resident.workers is runtime.workers
+              and resident.commit is not None):
+            plan.commit = self._build_commit_delta()
+            respawn = None
         else:
-            self._spawn_pool(frame)
-            commit = None
-        self._last_commit_meta = None
-
-        plan = _PoolEpoch(epoch_start, epoch_end, init, commit)
+            with TRACER.span(
+                    "backend.sync", cat="backend",
+                    invocation=runtime.invocation_index,
+                    new_invocation=(resident.invocation
+                                    != runtime.invocation_index)) as span:
+                plan.sync, respawn = self._build_sync(frame, resident)
+                span.set(outcome=respawn or "sync")
+        if respawn:
+            self._spawn_pool(frame, respawn)
+        self._resident = resident = _Resident(runtime.workers,
+                                              runtime.invocation_index)
         blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+        if plan.sync is not None:
+            self.pool_syncs += 1
+            if TRACER.enabled:
+                METRICS.counter("pool.syncs").inc()
+                METRICS.counter("pool.sync_bytes").inc(len(blob))
         for child in self._children:
             try:
                 _write_frame(child.task_wfd, blob)
@@ -329,7 +408,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
 
         death = None
         if dead:
-            self._pool_stale = True
             dead_wids = sorted(w for child in dead for w in child.wids)
             death = self._synthesize_death(dead, dead_wids, epoch_start,
                                            epoch_end)
@@ -356,7 +434,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
                 f"is missing fragments ({len(fragments)}/{self.workers} "
                 f"reports)")
-        self._last_commit_meta = (
+        resident.commit = (
             union_runs([f.write_spans() for f in fragments]),
             union_runs([f.redux_spans() for f in fragments]),
         )
@@ -454,7 +532,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         """Read the last checkpoint's committed content back out of the
         parent's main memory (freed/worker-local extents are skipped by
         ``covering_pieces``, matching what the merge skipped)."""
-        spans, redux_spans = self._last_commit_meta
+        spans, redux_spans = self._resident.commit
         ms = self.runtime.main_space
         pb = self.runtime.private_base
         delta = _CommitDelta()
@@ -467,6 +545,46 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 delta.redux_runs.append(
                     (s, bytes(obj.data[s - obj.base:e - obj.base])))
         return delta
+
+    def _build_sync(self, frame: Frame, resident: _Resident
+                    ) -> Tuple[Optional[_PoolSync], Optional[str]]:
+        """The sync that brings the resident children up to the
+        parent's image, or the reason the pool must be forked again
+        instead: ``(sync, None)`` or ``(None, reason)``."""
+        for child in self._children:
+            try:
+                # Nothing is owed on a report pipe between epochs: a
+                # read either would block or meets the end of a child
+                # that died (mid-epoch, or killed while it was idle).
+                os.read(child.rfd, 1)
+                return None, "child_died"
+            except BlockingIOError:
+                pass
+        runtime = self.runtime
+        interp = self.interp
+        pb = runtime.private_base
+        spans, redux_spans = resident.commit or ((), ())
+        # The checkpoint's merge and fold wrote ``data`` directly.
+        also = [(pb + start, pb + end) for start, end in spans]
+        also.extend(redux_spans)
+        main = runtime.main_space.take_changes(also, SYNC_MAX_BYTES)
+        if main is None:
+            return None, "oversize"
+        blocks = frame.function.blocks
+        undefined = [i for i, v in enumerate(frame.slots) if v is _UNDEF]
+        slots = list(frame.slots)
+        for i in undefined:
+            slots[i] = 0
+        return _PoolSync(
+            invocation_index=runtime.invocation_index,
+            main=main,
+            frame=(frame.function.name, blocks.index(frame.block),
+                   -1 if frame.prev_block is None
+                   else blocks.index(frame.prev_block),
+                   frame.index, slots, undefined),
+            interp=(interp.prng_state, interp.cycles, interp.steps,
+                    list(interp.call_context), dict(interp._context_ids)),
+        ), None
 
     def _rebuild_fragment(self, cwid: int, entry: tuple) -> EpochFragment:
         """Parent side: reassemble one worker's fragment from its header
@@ -491,29 +609,13 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
             write_values=values, epoch_written_runs=er,
             redux_runs=redux_runs, dirty_private_pages=dirty)
 
-    # -- staleness ------------------------------------------------------------
-
-    def _recover(self, frame: Frame, inv: InvocationResult, epoch_start: int,
-                 earliest: Tuple[int, Misspeculation], init: int) -> int:
-        """Recovery rewrites main memory and re-forks the runtime's
-        worker states; the resident children are stale afterwards."""
-        next_iter = super()._recover(frame, inv, epoch_start, earliest, init)
-        self._pool_stale = True
-        return next_iter
-
-    def _run_sequential_span(self, frame: Frame, inv: InvocationResult,
-                             start: int, end: int, init: int) -> None:
-        """Adaptive sequential fallback commits straight to main memory
-        and re-forks worker states; resident children go stale."""
-        super()._run_sequential_span(frame, inv, start, end, init)
-        self._pool_stale = True
-
     # -- pool lifecycle -------------------------------------------------------
 
-    def _spawn_pool(self, frame: Frame) -> None:
+    def _spawn_pool(self, frame: Frame, reason: str) -> None:
         """(Re)fork the pool from the current parent image.  Each child
         inherits everything by COW: worker overlays, shadows, reduction
-        copies, the loop frame — the persistent-worker starting state."""
+        copies, the loop frame — the persistent-worker starting state.
+        ``reason`` is why no sync would do (``pool.respawns.<reason>``)."""
         self._teardown_children()
         if self._rings is None:
             self._rings = self._create_rings(self.pool_size)
@@ -575,15 +677,15 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
             self._children.append(_PoolChild(cwid=cwid, pid=pid, rfd=rfd,
                                              task_wfd=task_wfd,
                                              wids=wids_of[cwid]))
-        self._pool_invocation = self.runtime.invocation_index
-        self._pool_stale = False
-        self._last_commit_meta = None
-        self.pool_spawns += 1
+        # What main changes from here on is what a later sync carries.
+        self.runtime.main_space.track_changes()
+        self.pool_respawns[reason] = self.pool_respawns.get(reason, 0) + 1
         if TRACER.enabled:
             METRICS.counter("pool.spawns").inc()
-        log.info("pool spawned: %d process(es) for %d worker(s), "
-                 "invocation %d", self.pool_size, self.workers,
-                 self._pool_invocation)
+            METRICS.counter(f"pool.respawns.{reason}").inc()
+        log.info("pool spawned (%s): %d process(es) for %d worker(s), "
+                 "invocation %d", reason, self.pool_size, self.workers,
+                 self.runtime.invocation_index)
 
     def _create_rings(self, pool_size: int) -> List[ShmRing]:
         """One ring per pool child — or none at all where shared memory
@@ -669,6 +771,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         """SIGKILL and reap every resident child and release the
         parent-side channel resources (rings stay up for respawn)."""
         children, self._children = self._children, []
+        self._resident = None
         if not children:
             return
         self._kill_pool({child.cwid: child.pid for child in children})
@@ -678,7 +781,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                     os.close(fd)
                 except OSError:
                     pass
-        self._last_commit_meta = None
 
     @staticmethod
     def _kill_pool(pids: Dict[int, int]) -> None:
@@ -732,7 +834,9 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                      plan: _PoolEpoch) -> _PoolReply:
         """Execute one epoch plan for every hosted worker id."""
         runtime = self.runtime
-        if plan.commit is not None:
+        if plan.sync is not None:
+            self._child_apply_sync(frame, plan)
+        elif plan.commit is not None:
             self._child_apply_commit(wids, plan.commit)
         runtime.epoch_start = plan.epoch_start
         # The parent consumed the previous epoch's payloads before it
@@ -846,9 +950,9 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         ms = runtime.main_space
         pb = runtime.private_base
         for off, blob in commit.private_runs:
-            self._patch_main(ms, pb + off, blob)
+            ms.patch(pb + off, blob)
         for addr, blob in commit.redux_runs:
-            self._patch_main(ms, addr, blob)
+            ms.patch(addr, blob)
         for w in wids:
             worker = runtime.workers[w]
             worker.shadow.reset_after_checkpoint()
@@ -857,10 +961,26 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
             worker.reset_epoch_tracking()
             runtime._reset_worker_redux(worker)
 
-    @staticmethod
-    def _patch_main(space, addr: int, blob: bytes) -> None:
-        for s, e, obj in space.covering_pieces(addr, len(blob)):
-            obj.data[s - obj.base:e - obj.base] = blob[s - addr:e - addr]
+    def _child_apply_sync(self, frame: Frame, plan: _PoolEpoch) -> None:
+        """Make this child's image the one a fork at this point would
+        have inherited: main memory, the loop frame (``frame``, updated
+        in place: the child's one copy of it) and the interpreter's
+        scalars from the sync, then fresh worker states by the
+        runtime's own re-fork path."""
+        sync = plan.sync
+        interp = self.interp
+        name, block, prev, index, slots, undefined = sync.frame
+        for i in undefined:
+            slots[i] = _UNDEF
+        blocks = self.module.function_named(name).blocks
+        frame.block = blocks[block]
+        frame.prev_block = None if prev < 0 else blocks[prev]
+        frame.index = index
+        frame.slots[:] = slots
+        (interp.prng_state, interp.cycles, interp.steps,
+         interp.call_context, interp._context_ids) = sync.interp
+        self.runtime.resync_workers(sync.invocation_index, plan.epoch_start,
+                                    sync.main)
 
     def _child_ship_fragment(self, cwid: int,
                              report: WorkerEpochReport) -> Optional[tuple]:

@@ -950,6 +950,27 @@ class RuntimeSystem:
         self.epoch_start = next_iteration
         self.speculating = True
 
+    def resync_workers(self, invocation_index: int, epoch_start: int,
+                       main_changes: tuple) -> None:
+        """Pool-child side of a sync (docs/BACKENDS.md §"pool
+        lifecycle"): main ran on behind this resident process's back —
+        a new invocation, a recovery, a sequential span — and
+        ``main_changes`` (:meth:`AddressSpace.take_changes` of the
+        parent's main space) brings this copy of it up to date.
+
+        The worker states are out of use from here on and new ones are
+        forked afterwards by the path the parent itself took
+        (:meth:`resume_after_recovery`: read-only protection over the
+        objects now alive, overlays with main's cursors, zeroed shadows,
+        identity reduction replicas).  None of the parent's bookkeeping
+        is repeated: no ``stats`` bump, flight-recorder event or log
+        line of :meth:`begin_invocation` / :meth:`squash_to_recovery`.
+        """
+        self._unprotect_readonly()
+        self.main_space.apply_changes(main_changes)
+        self.invocation_index = invocation_index
+        self.resume_after_recovery(epoch_start)
+
     def note_recovery_write(self, addr: int, size: int) -> None:
         """Called for stores executed during sequential recovery: they are
         committed definitions, so later live-in reads of them must fail

@@ -1,6 +1,8 @@
 """Simulated memory: interval object map, heap tags, COW overlays."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classify.heaps import SHADOW_BIT, HeapKind, shadow_address, tag_matches
 from repro.interp.errors import GuestFault
@@ -345,3 +347,114 @@ class TestCacheEntries:
         main.free(b.base)
         main.allocate(8, "c", "heap")
         assert main.generation == 0 and not b.alive
+
+
+def _image(space):
+    """What a fork of ``space`` would hold."""
+    return (dict(space._cursors), space.bytes_allocated,
+            sorted((o.base, o.size, o.name, o.kind, o.site, o.writable,
+                    bytes(o.data)) for o in space.live_objects()))
+
+
+class TestKeepingACopyInStep:
+    """``track_changes`` / ``take_changes`` / ``apply_changes``: what a
+    resident pool child's copy of main is brought up to date with
+    (docs/BACKENDS.md "pool lifecycle")."""
+
+    @staticmethod
+    def _forked():
+        import copy
+
+        space = AddressSpace()
+        objs = [space.allocate(size, f"o{i}", "heap")
+                for i, size in enumerate((24, PAGE_SIZE + 100, 8))]
+        space.write_int(objs[0].base, 7, 8)
+        twin = copy.deepcopy(space)        # the fork
+        space.track_changes()
+        return space, twin, objs
+
+    @given(ops=st.lists(st.tuples(st.sampled_from(
+        ("store", "fill", "allocate", "free", "stack", "take")),
+        st.integers(min_value=0, max_value=2 ** 16)), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_of_take_makes_the_twin_equal(self, ops):
+        space, twin, objs = self._forked()
+        live = list(objs)
+        for kind, n in ops + [("take", 0)]:
+            writable = [o for o in live if o.writable]
+            if kind == "store" and writable:
+                obj = writable[n % len(writable)]
+                space.write_int(obj.base + n % (obj.size - 7 if obj.size > 8
+                                                else 1), n, min(8, obj.size))
+            elif kind == "fill" and writable:
+                obj = writable[n % len(writable)]
+                space.fill(obj.base, n, obj.size)
+            elif kind == "allocate":
+                live.append(space.allocate(n % 5000 + 1, f"n{n}", "heap",
+                                           site=f"s{n}", writable=n % 3 > 0))
+            elif kind == "free" and live:
+                space.free(live.pop(n % len(live)).base)
+            elif kind == "stack":
+                space.free(space.allocate(n % 300 + 1, "tmp", "stack",
+                                          STACK_BASE).base)
+            elif kind == "take":
+                changes = space.take_changes((), 1 << 30)
+                twin.apply_changes(changes)
+                assert _image(twin) == _image(space)
+                assert not space.dirty_pages
+
+    def test_born_and_gone_in_between_leaves_only_the_cursor(self):
+        space, twin, _objs = self._forked()
+        tmp = space.allocate(64, "tmp", "stack", STACK_BASE)
+        space.write_int(tmp.base, 1, 8)
+        space.free(tmp.base)
+        objects, freed, cursors, _allocated, runs = space.take_changes(
+            (), 1 << 20)
+        assert objects == [] and freed == [] and runs == []
+        assert cursors[STACK_BASE] == tmp.end
+
+    def test_each_byte_once_and_only_live_ones(self):
+        space, twin, (a, b, c) = self._forked()
+        space.write_int(a.base + 8, 5, 8)
+        space.write_int(c.base, 9, 8)
+        space.free(c.base)                           # dirty, then gone
+        born = space.allocate(16, "born", "heap")
+        space.write_int(born.base, 3, 8)             # rides with the object
+        b.data[PAGE_SIZE:PAGE_SIZE + 4] = b"abcd"    # written behind the API
+        objects, freed, _c, _n, runs = space.take_changes(
+            [(b.base + PAGE_SIZE, b.base + PAGE_SIZE + 4),
+             (a.base, a.base + 4)],                  # overlaps the dirty page
+            1 << 20)
+        assert [o[0] for o in objects] == [born.base] and freed == [c.base]
+        covered = [addr for start, blob in runs
+                   for addr in range(start, start + len(blob))]
+        assert len(covered) == len(set(covered))
+        assert set(range(a.base, a.end)) <= set(covered)
+        assert not set(covered) & set(range(c.base, c.end))
+        assert not set(covered) & set(range(born.base, born.end))
+        assert set(range(b.base + PAGE_SIZE, b.base + PAGE_SIZE + 4)) \
+            <= set(covered)
+
+    def test_more_than_the_limit_is_refused(self):
+        space, twin, (a, b, c) = self._forked()
+        space.fill(b.base, 1, b.size)
+        assert space.take_changes((), b.size - 1) is None
+        # Refused or not, the record starts afresh.
+        assert space.take_changes((), 0)[4] == []
+        space.allocate(100, "big", "heap")
+        assert space.take_changes((), 99) is None
+
+    def test_nothing_is_recorded_until_asked(self):
+        space = AddressSpace()
+        obj = space.allocate(8, "o", "heap")
+        space.write_int(obj.base, 1, 8)
+        space.free(obj.base)
+        assert not space.dirty_pages and space._layout_log is None
+
+    def test_patch_writes_in_place(self):
+        main = AddressSpace()
+        obj = main.allocate(16, "o", "heap", writable=False)
+        worker = AddressSpace(parent=main)
+        main.patch(obj.base + 4, b"\x01\x02")
+        assert worker.read_bytes(obj.base + 4, 2) == b"\x01\x02"
+        assert not worker._cow_copies and not main.dirty_pages

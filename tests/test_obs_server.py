@@ -287,6 +287,20 @@ class TestTopDashboard:
         assert "2.0 epoch/s" in frame
         assert "50%" in frame  # 0.5s busy over a 1s poll gap
 
+    def test_render_pool_row(self):
+        reg = MetricsRegistry()
+        reg.counter("pool.spawns").inc(2)
+        reg.counter("pool.respawns.no_pool").inc()
+        reg.counter("pool.respawns.child_died").inc()
+        reg.counter("pool.syncs").inc(7)
+        reg.counter("pool.sync_bytes").inc(3072)
+        reg.counter("pool.worker_deaths").inc()
+        frame = render_dashboard(payload_from_registry(reg))
+        assert ("pool   forks 2 (child_died 1)   syncs 7 (3.0 KiB)   "
+                "deaths 1   ring overflows 0") in frame
+        assert "pool   " not in render_dashboard(
+            payload_from_registry(MetricsRegistry()))
+
     def test_render_without_workers_notes_pool_backend(self):
         reg = MetricsRegistry()
         reg.counter("executor.epochs").inc()

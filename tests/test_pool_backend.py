@@ -359,19 +359,21 @@ class TestPoolEndToEnd:
         assert result.runtime_stats.checkpoints >= 4
         assert ex.pool_spawns == 1
 
-    def test_respawn_after_recovery(self):
-        """Every squash/recovery invalidates the resident image; the
-        pool respawns and the run still completes correctly."""
+    def test_recovery_syncs_the_resident_pool(self):
+        """A squash and its recovery leave the resident image behind
+        main; the next epoch plan brings it up to date — no fork — and
+        the run still completes correctly."""
         prog = prepared_counter_program(32)
         ex = make_executor("pool", prog.module, prog.plan, workers=2,
                            misspec_period=10)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
-        misspecs = result.runtime_stats.misspec_count()
-        assert misspecs > 0
-        # Initial spawn plus one lazy respawn after each recovery that
-        # still had epochs left to run.
-        assert 2 <= ex.pool_spawns <= 1 + misspecs
+        # Injected at iterations 9, 19 and 29: each recovery still had
+        # epochs left to run, so each cost one sync.
+        assert result.runtime_stats.misspec_count() == 3
+        assert ex.pool_syncs == 3
+        assert ex.pool_spawns == 1
+        assert ex.pool_respawns == {"no_pool": 1}
 
     def test_pool_workers_multiplexing(self):
         """Fewer pool processes than workers: each child hosts several
@@ -557,8 +559,10 @@ class TestNoSharedMemory:
         assert shipped and set(shipped) == {"pipe"}
         assert ex.ring_overflows == len(shipped)
         assert _shm_names() == before
-        # Respawns after a squash neither retry the rings nor warn again.
-        assert ex.pool_spawns > 1 or not misspec_period
+        # One fork, squashes or not: the syncs after them neither
+        # retry the rings nor warn again.
+        assert ex.pool_spawns == 1
+        assert bool(ex.pool_syncs) == bool(misspec_period)
         assert sum("shared memory unavailable" in r.message
                    for r in caplog.records) == 1
 
@@ -790,8 +794,9 @@ class TestWorkerDeathRespawn:
                   if m.kind == "fault"]
         assert faults and "died mid-epoch" in faults[0].detail
         assert result.runtime_stats.recoveries >= 1
-        # … and the pool was re-forked.
+        # … and the pool was re-forked, for that reason.
         assert ex.pool_spawns >= 2
+        assert ex.pool_respawns == {"no_pool": 1, "child_died": 1}
 
     def test_partial_epoch_telemetry_survives_worker_death(
             self, monkeypatch):
@@ -825,6 +830,161 @@ class TestWorkerDeathRespawn:
             assert snap[f"worker.{wid}.epoch.slices"]["value"] == \
                 sum(1 for w, _ in slices if w == wid)
         assert snap["pool.worker_deaths"]["value"] == 1
+
+
+# -- one fork per run ---------------------------------------------------------
+
+#: The parallelized loop sits in a callee that main calls three times,
+#: each time with other live-in registers (``bias``) and after storing
+#: to a global the callee reads: three invocations, three loop frames.
+THREE_CALLS_SRC = """
+int scratch[16];
+int out[48];
+int scale[4];
+int table[2048];
+
+void work(int round, int n) {
+    int bias = scale[round % 4] + round + table[round * 700];
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < 16; j++) { scratch[j] = i * 16 + j + bias; }
+        int acc = 0;
+        for (int j = 0; j < 16; j++) { acc = acc + scratch[j] % 13; }
+        out[round * 16 + i] = acc + table[i * 100 + round] % 7;
+    }
+}
+
+int main(int n) {
+    for (int j = 0; j < 4; j++) { scale[j] = j * 7 + 1; }
+    work(0, n);
+    scale[1] = 40;
+    memset(table, 3, 8192);
+    work(1, n);
+    scale[2] = scale[1] + out[3];
+    work(2, n);
+    int total = 0;
+    for (int i = 0; i < 48; i++) { total = total + out[i]; }
+    printf("%d\\n", total);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def three_calls():
+    from repro.bench.pipeline import prepare
+
+    prog = prepare(THREE_CALLS_SRC, "three_calls", args=(12,),
+                   use_cache=False)
+    assert prog.plan.loop.header.parent.name == "work"
+    return prog
+
+
+class TestResidentPool:
+    """One fork per run: across invocations and recoveries the pool is
+    synchronised with what main changed, and forked again only for the
+    counted reasons."""
+
+    def test_loop_in_a_callee_stays_resident(self, three_calls):
+        """Every call pushes a new frame with other registers: the sync
+        carries the loop frame by value, no identity asked."""
+        ex = make_executor("pool", three_calls.module, three_calls.plan,
+                           workers=2)
+        result = ex.run(three_calls.entry, three_calls.ref_args)
+        assert result.output == three_calls.sequential.output
+        assert result.runtime_stats.invocations == 3
+        assert ex.pool_spawns == 1
+        assert ex.pool_syncs == 2
+
+    def test_stretch_over_the_size_constant_respawns(
+            self, three_calls, monkeypatch):
+        """Between the first two calls main sets 8 KiB of a global;
+        with the constant under that, shipping it is refused and the
+        pool is forked again — for that reason, and only there."""
+        monkeypatch.setattr(pool_backend, "SYNC_MAX_BYTES", 4096)
+        ex = make_executor("pool", three_calls.module, three_calls.plan,
+                           workers=2)
+        result = ex.run(three_calls.entry, three_calls.ref_args)
+        assert result.output == three_calls.sequential.output
+        assert ex.pool_respawns == {"no_pool": 1, "oversize": 1}
+        assert ex.pool_syncs == 1
+
+    def test_child_killed_between_invocations_costs_one_respawn(
+            self, three_calls, monkeypatch):
+        """A child that died while the pool was idle is found dead
+        before the sync is sent: no epoch is lost to it."""
+        run_invocation = PoolDOALLExecutor._run_invocation
+
+        def kill_after_the_first(self, bp):
+            run_invocation(self, bp)
+            if len(self._invocations) == 1:
+                pid = self._children[1].pid
+                os.kill(pid, signal.SIGKILL)
+                # Gone, and left for the executor to reap.
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+        monkeypatch.setattr(PoolDOALLExecutor, "_run_invocation",
+                            kill_after_the_first)
+        ex = make_executor("pool", three_calls.module, three_calls.plan,
+                           workers=2)
+        result = ex.run(three_calls.entry, three_calls.ref_args)
+        assert result.output == three_calls.sequential.output
+        assert result.runtime_stats.misspec_count() == 0
+        assert ex.pool_respawns == {"no_pool": 1, "child_died": 1}
+        assert ex.pool_syncs == 1  # into the third invocation
+
+    def test_child_dying_on_a_sync_is_a_squash(self, monkeypatch):
+        """EOF while a child applies a sync is a death like any other:
+        the epoch squashes, the survivor's telemetry is kept, the pool
+        is forked again."""
+        from repro.obs.metrics import METRICS
+        from repro.obs.trace import TRACER, WORKER_PID_BASE
+
+        apply_sync = PoolDOALLExecutor._child_apply_sync
+
+        def die_in_the_first_pool(self, frame, plan):
+            # ``pool_spawns`` as the fork saw it: 0 in the first pool.
+            if self.pool_spawns == 0 and 1 in self._child_wids:
+                time.sleep(0.5)  # let the sibling's frame land first
+                os.kill(os.getpid(), signal.SIGKILL)
+            apply_sync(self, frame, plan)
+
+        child_main = PoolDOALLExecutor._child_main
+
+        def remember_wids(self, cwid, wids, frame, task_rfd, wfd):
+            self._child_wids = wids
+            child_main(self, cwid, wids, frame, task_rfd, wfd)
+
+        monkeypatch.setattr(PoolDOALLExecutor, "_child_main", remember_wids)
+        monkeypatch.setattr(PoolDOALLExecutor, "_child_apply_sync",
+                            die_in_the_first_pool)
+        prog = prepared_counter_program(24)
+        TRACER.enable()
+        METRICS.reset()
+        try:
+            result = prog.execute(workers=2, backend="pool",
+                                  checkpoint_period=5, misspec_period=10)
+            snap = METRICS.snapshot()
+            slices = [(ev["pid"] - WORKER_PID_BASE,
+                       ev["attrs"]["epoch_start"])
+                      for ev in TRACER.events
+                      if ev.get("name") == "backend.worker_epoch"]
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+            METRICS.reset()
+        assert result.output == prog.sequential.output
+        # Injected at 9, recovered to 10; the epoch from 10 carried the
+        # sync that killed worker 1's process: its first iteration there
+        # is 11, recovery ran [10, 11], the new pool started at 12.
+        kinds = [m.kind for m in result.runtime_stats.misspeculations]
+        assert kinds[:2] == ["injected", "fault"]
+        assert (0, 10) in slices and (1, 10) not in slices
+        assert (0, 12) in slices and (1, 12) in slices
+        assert snap["pool.worker_deaths"]["value"] == 1
+        assert snap["pool.respawns.child_died"]["value"] == 1
+        assert snap["pool.spawns"]["value"] == 2
+        assert snap["pool.syncs"]["value"] >= 2
+        assert snap["pool.sync_bytes"]["value"] > 0
 
 
 # -- telemetry plane ----------------------------------------------------------

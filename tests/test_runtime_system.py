@@ -211,3 +211,61 @@ class TestEndToEndRuntime:
         assert result.output == prog.sequential.output
         assert result.runtime_stats.invocations == 2
         assert result.runtime_stats.misspec_count() == 0
+
+
+class TestResyncWorkers:
+    """The one entry point a resident pool child has: its copy of main
+    is brought up to date and its worker states are forked anew by the
+    runtime's own path — with none of the parent's bookkeeping."""
+
+    def test_fresh_workers_over_the_synchronised_main(self, harness, caplog):
+        import copy
+        import dataclasses
+        import logging
+
+        from repro.parallel.executor import DOALLExecutor
+
+        parent = DOALLExecutor(harness.module, harness.plan,
+                               workers=2).runtime
+        parent.begin_invocation(2)
+        child = copy.deepcopy(parent)              # the fork
+        parent.main_space.track_changes()
+
+        # Main runs on in the parent: the invocation ends, a global the
+        # loop writes is stored to, an object is born, the next begins.
+        parent.end_invocation()
+        out = parent.interp.global_addrs[harness.module.global_named("out")]
+        parent.main_space.write_int(out + 8, 1234, 4)
+        born = parent.main_space.allocate(
+            40, "born", "logical", HeapKind.READONLY.base, site="born")
+        parent.begin_invocation(2)
+        assert not born.writable                   # protected, in the parent
+        changes = parent.main_space.take_changes((), 1 << 20)
+
+        stats = dataclasses.asdict(child.stats)
+        events = len(child.recorder.snapshot()["events"])
+        old_workers = list(child.workers)
+        child.workers[0].space.write_int(out, 99, 4)   # speculative state
+        caplog.clear()      # the parent's own begin_invocation lines
+        with caplog.at_level(logging.DEBUG, logger="repro.runtime"):
+            child.resync_workers(parent.invocation_index, 5, changes)
+        assert not caplog.records
+        assert dataclasses.asdict(child.stats) == stats
+        assert len(child.recorder.snapshot()["events"]) == events
+        assert child.invocation_index == parent.invocation_index == 1
+        assert child.epoch_start == 5 and child.speculating
+        # New leaves over the synchronised main, built as the parent's.
+        assert len(child.workers) == 2
+        assert not set(map(id, child.workers)) & set(map(id, old_workers))
+        for worker, twin in zip(child.workers, parent.workers):
+            assert worker.space.parent is child.main_space
+            assert worker.space._cursors == twin.space._cursors
+            assert worker.shadow.size == twin.shadow.size
+            assert sorted(worker.redux_copies) == sorted(twin.redux_copies)
+            assert worker.space.read_int(out + 8, 4, True) == 1234
+            assert worker.space.read_int(out, 4, True) == 0
+        # Read-only protection as in the parent, the born object's too.
+        flags = lambda rt: sorted((o.base, o.writable)      # noqa: E731
+                                  for o in rt.main_space.live_objects())
+        assert flags(child) == flags(parent)
+        assert (born.base, False) in flags(child)
