@@ -16,8 +16,8 @@ Usage::
 Observability: ``trace`` runs a workload (or source file) with the full
 tracing/metrics layer on and emits a JSONL event stream plus a Chrome
 ``trace_event`` JSON (open in chrome://tracing or https://ui.perfetto.dev).
-``run``/``analyze``/``perf`` accept ``--trace``/``--trace-out``/
-``--metrics`` for the same artifacts; ``REPRO_LOG=debug`` turns on
+``run``/``analyze`` accept ``--trace``/``--trace-out``/``--metrics``
+for the same artifacts; ``REPRO_LOG=debug`` turns on
 runtime logging.
 
 Forensics: ``explain`` runs a workload with the flight recorder armed
@@ -132,7 +132,7 @@ def _start_status_server(args: argparse.Namespace):
     from .obs.server import StatusServer, resolve_status_port
 
     if not hasattr(args, "status_port"):
-        return None  # consumer commands (top, bench-check, ...) never serve
+        return None  # commands without the flag (top, perf, ...) never serve
     try:
         port = resolve_status_port(args.status_port)
     except ValueError as e:
@@ -511,20 +511,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from .perf import run_bench
+    from .perf import run
 
-    _obs_enable_if_requested(args)
-    rc = run_bench(
-        quick=args.quick,
-        repeats=args.repeats,
-        workload_names=args.workloads or None,
-        out=args.out,
-        min_speedup=args.min_speedup,
-        adapt=args.adapt,
-        stress=args.stress,
-    )
-    _obs_finish(args, "perf")
-    return rc
+    return run()
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -882,24 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       "on stdout (slow)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("perf", help="benchmark the interpreter fast path "
-                                    "and pipeline cache; appends to "
-                                    "BENCH_interp.json")
-    p.add_argument("--quick", action="store_true",
-                   help="train inputs, dijkstra only, 3.0x gate (CI smoke)")
-    p.add_argument("--stress", action="store_true",
-                   help="add the large-footprint shadow configuration "
-                        "(multi-KB ops, multi-MB checkpoint merge)")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--workloads", nargs="*",
-                   help="restrict to these workloads (default: all, or "
-                        "dijkstra with --quick)")
-    p.add_argument("--out", default="BENCH_interp.json",
-                   help="trajectory file to append to ('' to skip writing)")
-    p.add_argument("--min-speedup", type=float, default=None,
-                   help="fail if the dijkstra interp speedup is below this")
-    _add_adapt_flag(p)
-    _add_obs_flags(p)
+    p = sub.add_parser("perf", help="benchmark vectorized shadow "
+                                    "validation and checkpoint merge "
+                                    "against the per-byte oracle; fails "
+                                    "below a 5x merge speedup")
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("top", add_help=False,
@@ -914,12 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--history-dir` / $REPRO_HISTORY_DIR)")
     p.add_argument("rest", nargs=argparse.REMAINDER)
     p.set_defaults(func=cmd_dash)
-
-    p = sub.add_parser("bench-check", add_help=False,
-                       help="fail if the latest BENCH_interp.json entry "
-                            "regressed against the trajectory median")
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_bench_check)
     return parser
 
 
@@ -933,12 +902,6 @@ def cmd_dash(args: argparse.Namespace) -> int:
     from .obs.dash import main as dash_main
 
     return dash_main(args.rest)
-
-
-def cmd_bench_check(args: argparse.Namespace) -> int:
-    from .bench.check import main as check_main
-
-    return check_main(args.rest)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -956,10 +919,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .obs.dash import main as dash_main
 
         return dash_main(argv[1:])
-    if argv[:1] == ["bench-check"]:
-        from .bench.check import main as check_main
-
-        return check_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     from .parallel.backend import BackendError

@@ -134,7 +134,7 @@ class SpeculationController:
 
     def _record_decision(self, action: str, **fields: object) -> None:
         """Mirror one controller decision into the flight recorder."""
-        if self.recorder is not None and self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record("decision", action=action, loop=self.loop,
                                  **fields)
 

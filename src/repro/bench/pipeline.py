@@ -106,7 +106,6 @@ class PreparedProgram:
         adapt: Optional[bool] = None,
         adapt_config: Optional[AdaptConfig] = None,
         flight_dir: Optional[str] = None,
-        flight: Optional[bool] = None,
     ) -> ExecutionResult:
         """Run the transformed program under the speculative DOALL
         executor on the ref input; each call uses a fresh machine.
@@ -118,8 +117,7 @@ class PreparedProgram:
         ``adapt`` enables the adaptive speculation controller (None
         inherits :func:`prepare`'s resolution; False fully bypasses the
         subsystem).  ``flight_dir`` overrides ``$REPRO_FLIGHT_DIR`` as
-        the destination for flight-recorder dumps; ``flight=False``
-        disables the recorder entirely (for overhead measurement).
+        the destination for flight-recorder dumps.
         """
         enabled = adapt if adapt is not None else self.adapt_enabled
         controller = self.make_controller(adapt_config) if enabled else None
@@ -144,22 +142,18 @@ class PreparedProgram:
             flight_dir=flight_dir,
             **extra,
         )
-        if flight is False:
-            executor.runtime.recorder.enabled = False
-        else:
-            from .. import __version__
+        from .. import __version__
 
-            run_meta = {
-                "repro_version": __version__,
-                "workload": self.name,
-                "fingerprint": self.fingerprint,
-                "adapt": enabled,
-                "argv": list(sys.argv),
-            }
-            executor.runtime.recorder.set_metadata(**run_meta)
-            if TRACER.enabled:
-                TRACER.set_run_metadata(
-                    **run_meta, backend=executor.backend_name)
+        run_meta = {
+            "repro_version": __version__,
+            "workload": self.name,
+            "fingerprint": self.fingerprint,
+            "adapt": enabled,
+            "argv": list(sys.argv),
+        }
+        executor.runtime.recorder.set_metadata(**run_meta)
+        if TRACER.enabled:
+            TRACER.set_run_metadata(**run_meta, backend=executor.backend_name)
         with TRACER.span("pipeline.execute", cat="pipeline",
                          program=self.name, workers=workers,
                          backend=executor.backend_name) as sp:

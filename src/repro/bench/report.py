@@ -198,7 +198,7 @@ The runtime's Table 2 validation and checkpoint merge are implemented
 as bulk range operations over `bytes` (docs/ARCHITECTURE.md §4); the
 original per-byte implementation is preserved as a reference oracle
 (`REPRO_SHADOW=ref`).  `python -m repro perf` benchmarks both in one
-process and records a `shadow` section into `BENCH_interp.json`:
+process and prints one row per configuration:
 
 * **Phase-1 validation throughput:** a synthetic privatization epoch
   loop (write-then-read scratch region, read-only live-in region,
@@ -214,10 +214,10 @@ process and records a `shadow` section into `BENCH_interp.json`:
 * **Gate:** the run fails unless the vectorized merge is **≥ 5x** the
   per-byte oracle on every configuration.  The default configuration
   uses 64-byte runs over a 256 KiB merge footprint (the evaluated
-  workloads' scale); `--stress` adds a multi-KB configuration (4 KiB
-  operations, 4 MiB merge footprint, 8 workers).  Representative
-  quick-run numbers: validation ~5–20x, merge ~15x (default) to
-  ~300x (stress) over the oracle.
+  workloads' scale); the `stress` configuration is multi-KB (4 KiB
+  operations, 2 MiB merge footprint, 8 workers).  Representative
+  numbers: validation ~4x (default) to ~15x (stress), merge ~15x
+  (default) to ~100x (stress) over the oracle.
 """
 
 

@@ -67,13 +67,11 @@ class FlightRecorder:
 
     One instance lives on each :class:`~repro.runtime.system.RuntimeSystem`;
     the executor, checkpoint logic, and adaptive controller all append to
-    it.  ``enabled`` gates every mutating entry point so a disabled
-    recorder costs one attribute check per call site.
+    it.  It is always on: every run records.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
-        self.enabled = True
         self.events: Deque[Dict[str, object]] = deque(maxlen=capacity)
         self.seq = 0
         self.metadata: Dict[str, object] = {}
@@ -84,8 +82,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def record(self, event: str, **fields: object) -> None:
         """Append one event to the ring (drops the oldest when full)."""
-        if not self.enabled:
-            return
         fields["event"] = event
         fields["seq"] = self.seq
         self.seq += 1
@@ -93,16 +89,12 @@ class FlightRecorder:
 
     def set_metadata(self, **fields: object) -> None:
         """Merge run-identifying fields into the dump's meta header."""
-        if not self.enabled:
-            return
         self.metadata.update(fields)
 
     def note_site_accesses(
         self, written: Dict[str, int], read_live_in: Dict[str, int]
     ) -> None:
         """Fold one epoch's per-site byte counts into the running totals."""
-        if not self.enabled:
-            return
         for site, count in written.items():
             entry = self.site_totals.setdefault(
                 site, {"written_bytes": 0, "read_live_in_bytes": 0, "epochs": 0}

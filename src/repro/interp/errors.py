@@ -51,6 +51,5 @@ class Misspeculation(GuestError):
         self.iteration = iteration
         #: Forensic conflict context (a plain picklable dict built by
         #: :meth:`repro.runtime.system.RuntimeSystem.capture_conflict_context`)
-        #: or None when the flight recorder is disabled / nothing could be
-        #: recovered from the detail string.
+        #: or None when nothing could be recovered from the detail string.
         self.context = None

@@ -4,8 +4,7 @@ One switch controls the whole layer: :func:`enable` resets and arms the
 process-wide :data:`TRACER` and :data:`METRICS`, and applies any
 ``$REPRO_LOG`` logging configuration.  Instrumented call sites across
 the pipeline guard their work behind ``TRACER.enabled`` — a single
-attribute check — so the disabled path is effectively free (the perf
-harness asserts a <= 2% interpreter budget).
+attribute check — so the disabled path is effectively free.
 
 See DESIGN.md ("Observability") for the event taxonomy and file formats.
 """

@@ -5,7 +5,7 @@ observability state.  It is **disabled by default**; every instrumented
 call site in the pipeline guards its work behind one attribute check
 (``if TRACER.enabled:``), so the cost of the disabled path is a single
 boolean load — the compiled-interpreter fast path must not regress
-(``python -m repro perf`` asserts a <= 2% budget).
+(``perfbench/`` reports the traced cost as ``obs.trace_overhead_x``).
 
 Event model
 -----------

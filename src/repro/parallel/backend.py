@@ -252,16 +252,14 @@ class BaseDOALLExecutor:
         """Materialise the flight recorder plus heap map and classifier
         verdicts as one snapshot dict (the explain engine's input)."""
         runtime = self.runtime
-        heap_map = (heap_map_of(runtime.main_space)
-                    if runtime.recorder.enabled else [])
         return runtime.recorder.snapshot(
-            heap_map=heap_map,
+            heap_map=heap_map_of(runtime.main_space),
             site_heaps=self.plan.assignment.site_heaps,
             crash=crash)
 
     def _dump_flight(self, crash: bool) -> Optional[Path]:
         """Write the flight dump, if a dump directory is configured."""
-        if not self.flight_dir or not self.runtime.recorder.enabled:
+        if not self.flight_dir:
             return None
         name = f"{self.module.name}.{self.backend_name}.flight.jsonl"
         path = write_dump(self.flight_snapshot(crash=crash),
@@ -273,11 +271,9 @@ class BaseDOALLExecutor:
     def run(self, entry: str = "main", args: Sequence[object] = ()) -> ExecutionResult:
         """Execute the whole guest program; on misspeculation or crash,
         dump the flight recorder before returning/re-raising."""
-        recorder = self.runtime.recorder
-        if recorder.enabled:
-            recorder.set_metadata(backend=self.backend_name,
-                                  module=self.module.name,
-                                  workers=self.workers)
+        self.runtime.recorder.set_metadata(backend=self.backend_name,
+                                           module=self.module.name,
+                                           workers=self.workers)
         try:
             result = self._run_guest(entry, args)
         except BaseException:
@@ -609,10 +605,9 @@ class BaseDOALLExecutor:
                               f"iters [{start},{end})")
         log.info("adaptive fallback: ran iterations [%d,%d) sequentially "
                  "in %d cycles", start, end, cycles)
-        if runtime.recorder.enabled:
-            runtime.recorder.record("epoch", outcome="sequential",
-                                    epoch_start=start, epoch_end=end,
-                                    cycles=cycles)
+        runtime.recorder.record("epoch", outcome="sequential",
+                                epoch_start=start, epoch_end=end,
+                                cycles=cycles)
         if TRACER.enabled:
             METRICS.counter("adapt.sequential_iterations").inc(end - start)
             TRACER.instant("executor.sequential_span", cat="executor",
@@ -652,12 +647,11 @@ class BaseDOALLExecutor:
                               f"iters [{epoch_start},{m}]")
         log.info("recovery: re-executed iterations [%d,%d] in %d cycles",
                  epoch_start, m, recovery_cycles)
-        if runtime.recorder.enabled:
-            runtime.recorder.record("epoch", outcome="squash",
-                                    epoch_start=epoch_start, epoch_end=m + 1,
-                                    misspec_iteration=m,
-                                    recovered=m + 1 - epoch_start,
-                                    cycles=recovery_cycles)
+        runtime.recorder.record("epoch", outcome="squash",
+                                epoch_start=epoch_start, epoch_end=m + 1,
+                                misspec_iteration=m,
+                                recovered=m + 1 - epoch_start,
+                                cycles=recovery_cycles)
         if TRACER.enabled:
             METRICS.counter("executor.recoveries").inc()
             METRICS.histogram("executor.recovery.cycles").observe(

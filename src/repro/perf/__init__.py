@@ -1,15 +1,5 @@
-"""Performance micro-benchmarks (``python -m repro perf``)."""
+"""Shadow-validation and checkpoint-merge benchmark (``python -m repro perf``)."""
 
-from .harness import (
-    append_trajectory,
-    measure_interp,
-    measure_pipeline,
-    run_bench,
-)
+from .shadowbench import SHADOW_CONFIGS, SHADOW_MERGE_GATE, measure_shadow, run
 
-__all__ = [
-    "append_trajectory",
-    "measure_interp",
-    "measure_pipeline",
-    "run_bench",
-]
+__all__ = ["SHADOW_CONFIGS", "SHADOW_MERGE_GATE", "measure_shadow", "run"]

@@ -1,8 +1,9 @@
 """Shadow-memory and checkpoint-merge micro-benchmarks.
 
-Measures the two layers the vectorized shadow work (ISSUE 6) targets,
-always against the per-byte reference oracle so every number is a
-*relative* claim with a built-in differential check:
+``python -m repro perf`` measures the two vectorized shadow layers,
+always against the per-byte reference oracle (``REPRO_SHADOW=ref``) so
+every number is a *relative* claim with a built-in differential check.
+Every other wall-clock number lives in ``perfbench/``.
 
 * **phase 1** — Table 2 validation throughput: a synthetic epoch loop
   drives ``on_write``/``on_read`` over a privatization-shaped access
@@ -16,7 +17,7 @@ always against the per-byte reference oracle so every number is a
   (:func:`~repro.runtime.merge.merge_fragments` + slice stores) vs the
   per-byte oracle (:func:`~repro.runtime.merge.merge_fragments_ref` +
   byte stores).  The committed buffers must be identical; the reported
-  ``speedup`` backs the perf harness's ≥5x gate.
+  ``speedup`` must clear :data:`SHADOW_MERGE_GATE`.
 
 Both implementations are invoked directly (not via ``REPRO_SHADOW``),
 so one process measures both sides under identical conditions.
@@ -37,7 +38,7 @@ from ..runtime.merge import (
 from ..runtime.shadow import ReferenceShadowHeap, ShadowHeap, TS_BASE
 
 #: Required checkpoint-merge speedup of the vectorized path over the
-#: per-byte oracle (ISSUE 6 acceptance).
+#: per-byte oracle.
 SHADOW_MERGE_GATE = 5.0
 
 
@@ -129,15 +130,10 @@ def _timed_merge_ref(frags, committed: bytearray,
     return time.perf_counter() - t0
 
 
-def measure_shadow(label: str = "default", *,
-                   footprint: int = 64 * 1024,
-                   op_size: int = 256,
-                   iterations: int = 32,
-                   checkpoint_every: int = 8,
-                   workers: int = 4,
-                   run_len: int = 64,
-                   merge_footprint: int = 256 * 1024,
-                   repeats: int = 2) -> Dict[str, object]:
+def measure_shadow(label: str, *, footprint: int, op_size: int,
+                   iterations: int, checkpoint_every: int, workers: int,
+                   run_len: int, merge_footprint: int,
+                   repeats: int) -> Dict[str, object]:
     """Benchmark both shadow layers at one configuration; see module
     docstring.  Raises AssertionError if the implementations disagree on
     any byte of metadata or committed state."""
@@ -195,28 +191,39 @@ def measure_shadow(label: str = "default", *,
     }
 
 
-def shadow_configs(quick: bool, stress: bool) -> List[Dict[str, object]]:
-    """Benchmark configurations for :func:`measure_shadow`.
+#: Configurations :func:`run` measures.  ``default`` matches the
+#: evaluated workloads' scale (hundreds of bytes per object); ``stress``
+#: has multi-KB object footprints and a multi-MB merge, so validation
+#: volume is realistic.
+SHADOW_CONFIGS: Tuple[Dict[str, object], ...] = (
+    dict(label="default", footprint=64 * 1024, op_size=256, iterations=32,
+         checkpoint_every=8, workers=4, run_len=64,
+         merge_footprint=256 * 1024, repeats=2),
+    dict(label="stress", footprint=512 * 1024, op_size=4096, iterations=8,
+         checkpoint_every=4, workers=8, run_len=4096,
+         merge_footprint=2 * 1024 * 1024, repeats=1),
+)
 
-    The default configuration matches the evaluated workloads' scale
-    (hundreds of bytes per object).  ``stress`` adds the ISSUE 6
-    large-footprint configuration — multi-KB object footprints and a
-    multi-MB merge — so the ``shadow`` section measures realistic
-    validation volume.
-    """
-    configs: List[Dict[str, object]] = [dict(
-        label="default",
-        footprint=32 * 1024 if quick else 64 * 1024,
-        op_size=256, iterations=16 if quick else 32, checkpoint_every=8,
-        workers=4, run_len=64,
-        merge_footprint=128 * 1024 if quick else 256 * 1024,
-        repeats=2)]
-    if stress:
-        configs.append(dict(
-            label="stress",
-            footprint=512 * 1024 if quick else 1024 * 1024,
-            op_size=4096, iterations=8 if quick else 16,
-            checkpoint_every=4, workers=8, run_len=4096,
-            merge_footprint=(2 if quick else 4) * 1024 * 1024,
-            repeats=1 if quick else 2))
-    return configs
+
+def run() -> int:
+    """Measure every :data:`SHADOW_CONFIGS` entry and print one row
+    each; returns 1 if a merge speedup misses :data:`SHADOW_MERGE_GATE`,
+    else 0."""
+    rc = 0
+    for config in SHADOW_CONFIGS:
+        res = measure_shadow(**config)
+        p1, mg = res["phase1"], res["merge"]
+        print(f"shadow   {res['label']:12s} "
+              f"validate {p1['ref_mbps']:>8.1f} -> {p1['vec_mbps']:>8.1f} MB/s "
+              f"({p1['speedup']:.1f}x)  "
+              f"merge {mg['ref_mbps']:>8.1f} -> {mg['vec_mbps']:>8.1f} MB/s "
+              f"({mg['speedup']:.1f}x)")
+        if mg["speedup"] < SHADOW_MERGE_GATE:
+            print(f"FAIL: shadow {res['label']}: checkpoint-merge speedup "
+                  f"{mg['speedup']:.2f}x < required "
+                  f"{SHADOW_MERGE_GATE:.1f}x over the per-byte oracle")
+            rc = 1
+    if rc == 0:
+        print(f"gate ok: every merge >= {SHADOW_MERGE_GATE:.1f}x "
+              f"the per-byte oracle")
+    return rc

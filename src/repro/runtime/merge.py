@@ -2,8 +2,8 @@
 (§5.2), over packed :class:`~repro.runtime.fragments.EpochFragment` runs.
 
 Two implementations of each step share a result type so
-:meth:`~repro.runtime.system.RuntimeSystem.checkpoint` and the perf
-harness can swap them freely:
+:meth:`~repro.runtime.system.RuntimeSystem.checkpoint` and ``repro
+perf`` can swap them freely:
 
 * the default vectorized path — sorted-interval intersections for the
   cross-worker check, ``find`` scans of the committed-definition
@@ -11,7 +11,7 @@ harness can swap them freely:
   merge as bulk slice stores ordered by iteration;
 * a ``*_ref`` per-byte oracle matching the historical nested loops
   byte for byte, selected by ``REPRO_SHADOW=ref`` (and used as the
-  baseline for the perf harness's ``shadow`` section).
+  baseline ``repro perf`` measures against).
 
 Both orders ties identically: the merge scans fragments in list (wid)
 order and a later fragment only wins a byte with a strictly greater

@@ -233,7 +233,7 @@ class ReferenceShadowHeap:
     """The original per-byte Table 2 implementation, kept verbatim as a
     differential oracle for the vectorized :class:`ShadowHeap` (selected
     with ``REPRO_SHADOW=ref``).  Deliberately slow; do not use outside
-    tests and the perf harness baseline."""
+    tests and the ``repro perf`` baseline."""
 
     __slots__ = ("size", "meta", "written", "read_live_in")
 

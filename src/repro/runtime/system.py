@@ -325,9 +325,8 @@ class RuntimeSystem:
         self.deferred = DeferredOutput()
         self.epoch_start = 0
         self.speculating = True
-        if self.recorder.enabled:
-            self.recorder.record("invocation", index=self.invocation_index,
-                                 workers=worker_count, private_extent=extent)
+        self.recorder.record("invocation", index=self.invocation_index,
+                             workers=worker_count, private_extent=extent)
         log.info("invocation %d: %d worker(s), private extent %d bytes",
                  self.invocation_index, worker_count, extent)
 
@@ -618,14 +617,13 @@ class RuntimeSystem:
                     f"cross-worker flow: worker {violation.writer_wid} wrote "
                     f"private+{b}, worker {violation.reader_wid} read it "
                     f"live-in", epoch_start)
-            if self.recorder.enabled:
-                ctx = self._base_context(None, self.private_base + b,
-                                         b, "phase2")
-                ctx["reader_wid"] = violation.reader_wid
-                if violation.kind == "cross-worker":
-                    ctx["writer_wid"] = violation.writer_wid
-                    ctx["writer_iteration"] = violation.writer_iteration
-                exc.context = ctx
+            ctx = self._base_context(None, self.private_base + b,
+                                     b, "phase2")
+            ctx["reader_wid"] = violation.reader_wid
+            if violation.kind == "cross-worker":
+                ctx["writer_wid"] = violation.writer_wid
+                ctx["writer_iteration"] = violation.writer_iteration
+            exc.context = ctx
             raise exc
 
         # Merge private state: per byte, latest iteration wins.  The
@@ -710,18 +708,16 @@ class RuntimeSystem:
                 private_bytes=merged, redux_bytes=redux_bytes,
                 dirty_pages=record.dirty_pages,
                 io_records=record.io_records_committed, cycles=cost)
-        if self.recorder.enabled:
-            self.recorder.record(
-                "epoch", outcome="commit", invocation=self.invocation_index,
-                epoch_start=epoch_start, epoch_end=epoch_end,
-                private_bytes=merged, redux_bytes=redux_bytes,
-                dirty_pages=record.dirty_pages, cycles=cost)
-            self.recorder.note_site_accesses(
-                self._site_byte_counts(
-                    union_runs(frag.write_spans() for frag in fragments)),
-                self._site_byte_counts(
-                    union_runs(frag.read_live_in_runs
-                               for frag in fragments)))
+        self.recorder.record(
+            "epoch", outcome="commit", invocation=self.invocation_index,
+            epoch_start=epoch_start, epoch_end=epoch_end,
+            private_bytes=merged, redux_bytes=redux_bytes,
+            dirty_pages=record.dirty_pages, cycles=cost)
+        self.recorder.note_site_accesses(
+            self._site_byte_counts(
+                union_runs(frag.write_spans() for frag in fragments)),
+            self._site_byte_counts(
+                union_runs(frag.read_live_in_runs for frag in fragments)))
         if self.controller is not None:
             self.controller.note_commit(epoch_start, epoch_end)
         return record
@@ -779,10 +775,9 @@ class RuntimeSystem:
             TRACER.instant("runtime.misspec", cat="runtime", kind=exc.kind,
                            iteration=exc.iteration, detail=exc.detail,
                            injected=injected)
-        if self.recorder.enabled:
-            self.recorder.record("misspec", kind=exc.kind,
-                                 iteration=exc.iteration, detail=exc.detail,
-                                 injected=injected, context=exc.context)
+        self.recorder.record("misspec", kind=exc.kind,
+                             iteration=exc.iteration, detail=exc.detail,
+                             injected=injected, context=exc.context)
         if self.controller is not None:
             diagnosis = (summarize_context(exc.kind, exc.detail, exc.context)
                          if exc.context is not None else None)
@@ -849,13 +844,13 @@ class RuntimeSystem:
                                  exc: Misspeculation) -> Misspeculation:
         """Attach a forensic context dict to a phase-1 misspeculation.
 
-        Idempotent and cheap: a no-op when the flight recorder is off,
-        when a context is already attached (pool-backend replay of a
-        child-captured context), or when the detail string names no
-        address.  The context is a plain picklable dict so the pool
-        backend can ship it over the report pipe unchanged.
+        Idempotent and cheap: a no-op when a context is already attached
+        (pool-backend replay of a child-captured context) or when the
+        detail string names no address.  The context is a plain picklable
+        dict so the pool backend can ship it over the report pipe
+        unchanged.
         """
-        if exc.context is not None or not self.recorder.enabled:
+        if exc.context is not None:
             return exc
         match = re.search(r"private\+(\d+)", exc.detail)
         offset = None
@@ -884,7 +879,7 @@ class RuntimeSystem:
         return exc
 
     def injected_conflict_context(self, worker: WorkerState,
-                                  iteration: int) -> Optional[Dict[str, object]]:
+                                  iteration: int) -> Dict[str, object]:
         """Deterministic conflict context for an injected misspeculation.
 
         Anchored at the lowest private-heap byte the worker has written
@@ -892,8 +887,6 @@ class RuntimeSystem:
         same site/object/tag for the same injection point — the forensics
         parity tests rely on that.
         """
-        if not self.recorder.enabled:
-            return None
         offset = (worker.epoch_written_offsets.min_offset()
                   if worker.epoch_written_offsets else 0)
         ctx = self._base_context(worker, self.private_base + offset,
@@ -906,8 +899,7 @@ class RuntimeSystem:
         """Bytes-per-allocation-site histogram for coalesced runs of
         private-heap offsets.  Attribution is per object extent, not per
         byte: one address-space intersection per run, so the
-        per-checkpoint recording cost stays well under the flight
-        recorder's 2% clean-run budget as dirty bytes grow."""
+        per-checkpoint recording cost stays small as dirty bytes grow."""
         counts: Dict[str, int] = {}
         pb = self.private_base
         for start, end in runs:

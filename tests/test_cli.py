@@ -417,12 +417,43 @@ class TestStatusEndpoint:
         assert exc.value.code == 2
         assert "not an integer" in capsys.readouterr().err
 
-    def test_consumer_commands_never_serve(self, capsys, monkeypatch):
-        from repro.obs.server import STATUS_PORT_ENV
 
-        # With the env var set, `bench-check` must not try to bind the
-        # port the observed run already holds.
-        monkeypatch.setenv(STATUS_PORT_ENV, "1")  # privileged: bind fails
-        rc = main(["bench-check", "--bench", "BENCH_interp.json"])
+class TestPerf:
+    def test_shadow_rows_no_file_no_port(self, tmp_path, capsys,
+                                         monkeypatch):
+        from repro.obs.server import STATUS_PORT_ENV, StatusServer
+
+        # `perf` has no --status-port: with the env var set it must not
+        # bind the port an observed run already holds.
+        monkeypatch.setenv(STATUS_PORT_ENV, "1")
+        monkeypatch.setattr(StatusServer, "start", lambda self: pytest.fail(
+            "perf started a status server"))
+        monkeypatch.chdir(tmp_path)
+        rc = main(["perf"])
+        out = capsys.readouterr().out
         assert rc == 0
-        assert "status:" not in capsys.readouterr().out
+        rows = [line.split()[1] for line in out.splitlines()
+                if line.startswith("shadow ")]
+        assert rows == ["default", "stress"]
+        assert "gate ok" in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_lists_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        options = [line.split()[0] for line in out.splitlines()
+                   if line.lstrip().startswith("-")]
+        assert options == ["-h,"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench-check"], "invalid choice: 'bench-check'"),
+        (["perf", "--quick"], "unrecognized arguments: --quick"),
+    ])
+    def test_removed_command_and_options_exit_2(self, argv, message,
+                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

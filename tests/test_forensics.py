@@ -148,13 +148,6 @@ class TestDumpLifecycle:
         assert result.flight_dump == \
             str(tmp_path / "envdir.simulated.flight.jsonl")
 
-    def test_flight_false_disables_recorder(self):
-        program = prepare(SRC, "off", args=(24,))
-        result = program.execute(workers=4, misspec_period=9,
-                                 misspec_burst=9, flight=False)
-        assert result.forensics["events"] == []
-        assert result.flight_dump is None
-
 
 class TestRunMetadata:
     def test_snapshot_meta_identifies_run(self):
