@@ -80,14 +80,50 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
                    help="execution backend: 'simulated' is the "
                         "deterministic in-process reference, 'pool' "
                         "runs real forked worker processes, resident "
-                        "across epochs, with shared-memory fragment "
-                        "transport (default: $REPRO_BACKEND, then "
+                        "across epochs (default: $REPRO_BACKEND, then "
                         "'simulated')")
     p.add_argument("--pool-workers", type=_positive_int, default=None,
                    metavar="N",
                    help="pool backend only: number of resident pool "
                         "processes (default: one per worker; fewer "
                         "multiplexes several worker ids per process)")
+
+
+def _add_execution_flags(p: argparse.ArgumentParser, workers: int) -> None:
+    p.add_argument("--workers", type=_positive_int, default=workers)
+    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
+    p.add_argument("--misspec-period", type=int, default=0,
+                   help="inject a misspeculation every N iterations")
+    p.add_argument("--misspec-burst", type=int, default=0,
+                   help="limit injection to the first N iterations "
+                        "(0 = no limit)")
+
+
+def _add_workload_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("workload", help="workload name (see `repro workloads`) "
+                                    "or a MiniC source file")
+    p.add_argument("--args", nargs="*",
+                   help="integer arguments for main (overrides the "
+                        "workload's input set)")
+    p.add_argument("--small", action="store_true",
+                   help="use the train input instead of ref (CI smoke)")
+
+
+def _execute_kwargs(args: argparse.Namespace) -> dict:
+    """The ``PreparedProgram.execute`` keywords the execution flags set."""
+    return dict(workers=args.workers,
+                checkpoint_period=args.checkpoint_period,
+                misspec_period=args.misspec_period,
+                misspec_burst=args.misspec_burst,
+                backend=args.backend,
+                pool_workers=args.pool_workers,
+                adapt=args.adapt)
+
+
+def _print_no_loop(error) -> None:
+    print("no parallelizable loop found:")
+    for reason in error.reasons:
+        print(f"  - {reason}")
 
 
 def _add_adapt_flag(p: argparse.ArgumentParser) -> None:
@@ -222,9 +258,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                           args=_parse_args_list(args.args),
                           use_cache=not args.no_cache)
     except SelectionError as e:
-        print("no parallelizable loop found:")
-        for reason in e.reasons:
-            print(f"  - {reason}")
+        _print_no_loop(e)
         _obs_finish(args, Path(args.source).stem)
         return 1
     print(program.assignment.describe())
@@ -243,16 +277,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                       args=_parse_args_list(args.args),
                       use_cache=not args.no_cache,
                       adapt=args.adapt)
-    result = program.execute(
-        workers=args.workers,
-        checkpoint_period=args.checkpoint_period,
-        misspec_period=args.misspec_period,
-        misspec_burst=args.misspec_burst,
-        record_timeline=args.timeline or tracing,
-        backend=args.backend,
-        pool_workers=args.pool_workers,
-        adapt=args.adapt,
-    )
+    result = program.execute(**_execute_kwargs(args),
+                             record_timeline=args.timeline or tracing)
     ok = result.output == program.sequential.output
     stats = result.runtime_stats
     sys.stdout.write("".join(result.output))
@@ -416,20 +442,16 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from .service.client import ServiceError
     from .workloads import BY_NAME
 
+    resolved = _resolve_workload(args)
+    if resolved is None:
+        return 2
     payload: dict = {"workers": args.workers}
-    path = Path(args.workload)
     if args.workload in BY_NAME:
         payload["workload"] = args.workload
         if args.small:
             payload["small"] = True
-    elif path.is_file():
-        payload["source"] = path.read_text()
-        payload["name"] = path.stem
     else:
-        print(f"error: {args.workload!r} is neither a workload "
-              f"({', '.join(sorted(BY_NAME))}) nor a MiniC source file",
-              file=sys.stderr)
-        return 2
+        payload["source"], payload["name"] = resolved[:2]
     if args.args:
         payload["args"] = [int(v) for v in args.args]
     if args.train_args:
@@ -540,21 +562,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         program = prepare(source, name, args=train, ref_args=ref,
                           use_cache=args.cache, adapt=args.adapt)
     except SelectionError as e:
-        print("no parallelizable loop found:")
-        for reason in e.reasons:
-            print(f"  - {reason}")
+        _print_no_loop(e)
         _write_trace_artifacts(out_dir / name)
         return 1
-    result = program.execute(
-        workers=args.workers,
-        checkpoint_period=args.checkpoint_period,
-        misspec_period=args.misspec_period,
-        misspec_burst=args.misspec_burst,
-        record_timeline=True,
-        backend=args.backend,
-        pool_workers=args.pool_workers,
-        adapt=args.adapt,
-    )
+    result = program.execute(**_execute_kwargs(args), record_timeline=True)
     ok = result.output == program.sequential.output
     stats = result.runtime_stats
 
@@ -610,20 +621,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             program = prepare(source, name, args=train, ref_args=ref,
                               use_cache=not args.no_cache, adapt=args.adapt)
         except SelectionError as e:
-            print("no parallelizable loop found:")
-            for reason in e.reasons:
-                print(f"  - {reason}")
+            _print_no_loop(e)
             return 1
-        result = program.execute(
-            workers=args.workers,
-            checkpoint_period=args.checkpoint_period,
-            misspec_period=args.misspec_period,
-            misspec_burst=args.misspec_burst,
-            backend=args.backend,
-            pool_workers=args.pool_workers,
-            adapt=args.adapt,
-            flight_dir=flight_dir,
-        )
+        result = program.execute(**_execute_kwargs(args),
+                                 flight_dir=flight_dir)
         dump_path = result.flight_dump  # type: ignore[attr-defined]
         snapshot = (load_dump(dump_path) if dump_path
                     else result.forensics)  # type: ignore[attr-defined]
@@ -693,13 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "simulated multicore")
     p.add_argument("source")
     p.add_argument("--args", nargs="*")
-    p.add_argument("--workers", type=_positive_int, default=24)
-    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
-    p.add_argument("--misspec-period", type=int, default=0,
-                   help="inject a misspeculation every N iterations")
-    p.add_argument("--misspec-burst", type=int, default=0,
-                   help="limit injection to the first N iterations "
-                        "(0 = no limit)")
+    _add_execution_flags(p, workers=24)
     p.add_argument("--timeline", action="store_true",
                    help="render the Figure 5 execution timeline")
     p.add_argument("--no-cache", action="store_true",
@@ -713,20 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="run a workload with full tracing on "
                                      "and emit JSONL + Chrome trace "
                                      "artifacts")
-    p.add_argument("workload", help="workload name (see `repro workloads`) "
-                                    "or a MiniC source file")
-    p.add_argument("--args", nargs="*",
-                   help="integer arguments for main (overrides the "
-                        "workload's input set)")
-    p.add_argument("--small", action="store_true",
-                   help="use the train input instead of ref (CI smoke)")
-    p.add_argument("--workers", type=_positive_int, default=24)
-    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
-    p.add_argument("--misspec-period", type=int, default=0,
-                   help="inject a misspeculation every N iterations")
-    p.add_argument("--misspec-burst", type=int, default=0,
-                   help="limit injection to the first N iterations "
-                        "(0 = no limit)")
+    _add_workload_arg(p)
+    _add_execution_flags(p, workers=24)
     p.add_argument("--out-dir", default=".",
                    help="directory for <name>.trace.jsonl and "
                         "<name>.chrome.json (default: .)")
@@ -743,20 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "recorder armed and diagnose every "
                                        "misspeculation (root cause, site, "
                                        "heap, iteration pair)")
-    p.add_argument("workload", help="workload name (see `repro workloads`) "
-                                    "or a MiniC source file")
-    p.add_argument("--args", nargs="*",
-                   help="integer arguments for main (overrides the "
-                        "workload's input set)")
-    p.add_argument("--small", action="store_true",
-                   help="use the train input instead of ref (CI smoke)")
-    p.add_argument("--workers", type=_positive_int, default=24)
-    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
-    p.add_argument("--misspec-period", type=int, default=0,
-                   help="inject a misspeculation every N iterations")
-    p.add_argument("--misspec-burst", type=int, default=0,
-                   help="limit injection to the first N iterations "
-                        "(0 = no limit)")
+    _add_workload_arg(p)
+    _add_execution_flags(p, workers=24)
     p.add_argument("--flight-dir", default=None, metavar="DIR",
                    help="keep the flight dump under DIR (default: a "
                         "temporary directory, discarded after the "
@@ -813,24 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit", help="submit a job to a running "
                                       "`repro serve` and wait for the "
                                       "result")
-    p.add_argument("workload", help="workload name (see `repro workloads`) "
-                                    "or a MiniC source file")
-    p.add_argument("--args", nargs="*",
-                   help="integer arguments for main (overrides the "
-                        "workload's input set)")
-    p.add_argument("--small", action="store_true",
-                   help="use the train input instead of ref (CI smoke)")
+    _add_workload_arg(p)
     p.add_argument("--train-args", nargs="*",
                    help="integer profiling arguments (defaults to --args; "
                         "differing train/ref inputs exercise genuine "
                         "misspeculation)")
-    p.add_argument("--workers", type=_positive_int, default=4)
-    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
-    p.add_argument("--misspec-period", type=int, default=0,
-                   help="inject a misspeculation every N iterations")
-    p.add_argument("--misspec-burst", type=int, default=0,
-                   help="limit injection to the first N iterations "
-                        "(0 = no limit)")
+    _add_execution_flags(p, workers=4)
     p.add_argument("--adapt", action="store_true",
                    help="run the job with the adaptive speculation "
                         "controller on")
@@ -927,8 +886,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except BackendError as e:
-        # Backend mis-configuration (--pool-workers on the wrong backend,
-        # malformed $REPRO_POOL_RING_KB, ...) is a usage error, not a bug.
+        # Backend mis-configuration (an unknown $REPRO_BACKEND,
+        # --pool-workers on the wrong backend, no os.fork) is a usage
+        # error, not a bug.
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

@@ -145,7 +145,7 @@ class AddressSpace:
     frees and the cursors from the one to the other.
     """
 
-    __slots__ = ("parent", "_pages", "_cursors", "_cow_copies", "_freed",
+    __slots__ = ("parent", "_pages", "_cursors", "_freed",
                  "generation", "dirty_pages", "bytes_allocated",
                  "_track_dirty", "_layout_log")
 
@@ -160,7 +160,6 @@ class AddressSpace:
             }
         else:
             self._cursors = dict(parent._cursors)
-        self._cow_copies: Dict[int, MemoryObject] = {}  # parent obj base -> copy
         #: bases of ancestors' objects freed through this overlay
         self._freed: Set[int] = set()
         self.generation = 0
@@ -227,7 +226,6 @@ class AddressSpace:
         """Make ``copy`` this overlay's private replacement of the
         ancestor's object at the same addresses — what the first store
         to it makes, or the runtime with contents of its own."""
-        self._cow_copies[copy.base] = copy
         self._register(copy)
         self.generation += 1
 
@@ -237,15 +235,24 @@ class AddressSpace:
             raise GuestFault(f"free of interior pointer 0x{addr:x} into {obj.name}")
         if not obj.alive:
             raise GuestFault(f"double free of {obj.name}")
-        owned = self._owns(obj)
-        if owned:
+        private = not self._owns(obj)
+        if not private:
             obj.alive = False
             self._unregister(obj)
             if self._layout_log is not None:
                 born, freed = self._layout_log
                 if born.pop(obj.base, None) is None:
                     freed.append(obj.base)
-        if not owned or self._cow_copies.get(obj.base) is obj:
+            # An owned object is a copy of an ancestor's when an ancestor
+            # holds an object at its base: addresses are never reused.
+            space = self.parent
+            while space is not None and not private:
+                for other in space._pages.get(obj.base >> PAGE_SHIFT, ()):
+                    if other.base == obj.base:
+                        private = True
+                        break
+                space = space.parent
+        if private:
             # An ancestor's object (or this overlay's copy of one): the
             # free is private to the overlay, as a forked worker's is.
             self._freed.add(obj.base)

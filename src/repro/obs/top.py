@@ -216,8 +216,7 @@ def render_dashboard(payload: Dict[str, object],
             f" ({respawns or 'no respawn'})   "
             f"syncs {_value(metrics, 'pool.syncs'):,.0f} "
             f"({_value(metrics, 'pool.sync_bytes') / 1024:,.1f} KiB)   "
-            f"deaths {_value(metrics, 'pool.worker_deaths'):,.0f}   "
-            f"ring overflows {_value(metrics, 'pool.ring_overflows'):,.0f}")
+            f"deaths {_value(metrics, 'pool.worker_deaths'):,.0f}")
 
     # -- per-worker utilization ------------------------------------------
     rows = worker_rows(metrics)

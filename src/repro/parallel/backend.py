@@ -13,11 +13,11 @@ one checkpoint epoch executes*:
   pool of worker processes once per run, keeps them resident across
   epochs, recoveries and invocations (commit deltas between clean
   epochs, a sync of what main changed otherwise) and executes the
-  worker slices concurrently, shipping per-iteration records over a
-  pipe and the packed :class:`~repro.runtime.fragments.EpochFragment`
-  payload (interval-run format, with an explicit version field checked
-  at commit) through ``multiprocessing.shared_memory`` rings — see
-  docs/BACKENDS.md for the full guide.
+  worker slices concurrently, shipping per-iteration records and the
+  packed :class:`~repro.runtime.fragments.EpochFragment` payload
+  (interval-run format, with an explicit version field checked at
+  commit) over each child's report pipe — see docs/BACKENDS.md for the
+  full guide.
 
 Both feed the same :meth:`RuntimeSystem.checkpoint` commit path with
 fragments, so committed memory state, ``RuntimeStats`` and

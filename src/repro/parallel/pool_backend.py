@@ -3,7 +3,7 @@
 The real-parallel backend, and the paper's runtime shape with the spawn
 paid once: workers are forked once per :meth:`PoolDOALLExecutor.run`,
 stay resident across epochs, recoveries and invocations, and hand their
-speculative state back through shared memory.  Each child runs
+speculative state back over their report pipes.  Each child runs
 its round-robin slices of every epoch on its own private/reduction heap
 replicas and ships back, per hosted worker, one
 :class:`~repro.parallel.backend.IterationRecord` per executed iteration,
@@ -49,25 +49,16 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   (``no_pool``), a child is dead (``child_died``), or the stretch
   changed more than :data:`SYNC_MAX_BYTES` (``oversize``).
 
-Fragment transport (docs/BACKENDS.md §"transport formats"): the
-private-heap part of every packed format-3
+Fragment transport (docs/BACKENDS.md §"transport formats"): each
+child's report pipe carries one pickled :class:`_PoolReply` per epoch:
+per hosted worker the fragment header — which holds the reduction
+runs, a few ``bytes`` objects of one byte per reduced byte (alvinn:
+1 800 B in three runs) — the private-heap part of the packed format-3
 :class:`~repro.runtime.fragments.EpochFragment` (interval runs +
-kind/value blobs) travels through one ``multiprocessing.shared_memory``
-ring per child (:mod:`repro.parallel.shm_ring`) as memoryview slice
-writes, not pickled.  The control pipe carries one pickled
-:class:`_PoolReply` per child per epoch: per hosted worker the
-``(offset, length)`` ring descriptor, the fragment header — which
-holds the reduction runs, a few ``bytes`` objects of one byte per
-reduced byte (alvinn: 1 800 B in three runs) — and one
+kind/value blobs) as one struct-framed ``bytearray``
+(:mod:`repro.parallel.shm_ring`), and one
 :class:`~repro.parallel.backend.IterationRecord` per iteration
-(0.1–0.3 KB each), plus metrics dumps and trace events when tracing:
-244–666 B a reply on the benchmark's non-reducing programs, 2 342 B on
-alvinn.  Ring allocation is
-epoch scoped (the child rewinds the cursor when a plan arrives and
-never wraps mid-epoch); a payload that does not fit in the tail left
-by the epoch's earlier payloads falls back to the pipe (counted under
-``pool.ring_overflows``), and on a host where the rings cannot be
-created at all (no ``/dev/shm``) every payload of the run does.
+(0.1–0.3 KB each), plus metrics dumps and trace events when tracing.
 Everything on the pipe keys on worker ids that are stable for the
 whole run, which is what the telemetry plane (``worker.N.*`` merge,
 per-worker Chrome lanes, partial-epoch absorption) relies on.
@@ -80,15 +71,13 @@ epoch, squashes the epoch through the standard recovery path, and
 respawns the pool at the next epoch (a child found dead before a sync
 is sent — killed between two invocations, say — costs the respawn
 alone).  A wedged pool still hits the
-``epoch_timeout`` deadline and fails the run loudly.  Shared-memory
-rings are created once per run and always closed **and unlinked** on
-the way out of :meth:`PoolDOALLExecutor.run`, so no ``repro-pool-*``
-segments leak into ``/dev/shm``.
+``epoch_timeout`` deadline and fails the run loudly.  The pool is
+killed and reaped on the way out of :meth:`PoolDOALLExecutor.run`,
+clean or not.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import selectors
@@ -117,19 +106,13 @@ from .backend import (
     WorkerEpochReport,
 )
 from .shm_ring import (
-    ShmRing,
     pack_fragment_payload,
     payload_size,
-    ring_capacity_from_env,
     unpack_fragment_payload,
 )
 from .stats import ExecutionResult, InvocationResult
 
 log = get_logger("pool_backend")
-
-#: Monotonic suffix for shared-memory ring names (avoids collisions
-#: between executors in one process and stale segments from crashes).
-_RING_SEQ = itertools.count()
 
 #: Length prefix for pipe frames: one unsigned 64-bit little-endian int.
 _LEN = struct.Struct("<Q")
@@ -240,9 +223,7 @@ class _PoolReply:
     """One epoch's results, child -> parent over the report pipe.
 
     ``payloads`` parallels ``reports``: None for a misspeculated slice,
-    else ``(fragment header, transport descriptor)`` where the
-    descriptor is ``("ring", offset, length)`` into the child's shared
-    ring or ``("pipe", bytes)`` for the oversize fallback.
+    else ``(fragment header, packed payload)``.
     """
 
     cwid: int
@@ -281,9 +262,12 @@ class _Resident:
 
 
 class PoolDOALLExecutor(BaseDOALLExecutor):
-    """DOALL backend with persistent pool workers and shm transport."""
+    """DOALL backend with persistent pool workers."""
 
     backend_name = "pool"
+    #: Kept for ``perfbench``: fragments no longer have a second
+    #: transport to overflow into.
+    ring_overflows = 0
 
     def __init__(self, *args, epoch_timeout: float = DEFAULT_EPOCH_TIMEOUT,
                  pool_workers: Optional[int] = None, **kwargs):
@@ -296,22 +280,12 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         if pool_workers is not None and pool_workers < 1:
             raise BackendError(
                 f"--pool-workers must be >= 1, got {pool_workers}")
-        try:
-            # Resolve the ring-size knob up front: a typo'd
-            # $REPRO_POOL_RING_KB must fail loudly at construction, not
-            # halfway into the run when the pool first spawns.
-            self._ring_capacity = ring_capacity_from_env()
-        except ValueError as e:
-            raise BackendError(str(e))
         #: Requested pool size; None = one process per logical worker.
         self.pool_workers = pool_workers
         #: Effective pool size.  Fewer processes than logical workers
         #: means each child hosts several worker ids and runs their
         #: slices sequentially — precisely the simulated semantics.
         self.pool_size = min(pool_workers or self.workers, self.workers)
-        #: Fragments shipped on the pipe: they outgrew the ring, or the
-        #: host has no shared memory to make one from.
-        self.ring_overflows = 0
         #: Forks of the pool by reason: ``no_pool`` (one per run),
         #: ``child_died``, ``oversize``.
         self.pool_respawns: Dict[str, int] = {}
@@ -319,7 +293,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         #: with a stretch main ran, where a fork used to.
         self.pool_syncs = 0
         self._children: List[_PoolChild] = []
-        self._rings: Optional[List[ShmRing]] = None
         self._resident: Optional[_Resident] = None
         #: Child-side: previous epoch's write spans per hosted wid (for
         #: ``mark_old_write_runs`` on commit notification).
@@ -335,12 +308,12 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
 
     def run(self, entry: str = "main",
             args: Sequence[object] = ()) -> ExecutionResult:
-        """Run the guest; always tear the pool down and unlink the
-        shared-memory rings on the way out (clean or crashed)."""
+        """Run the guest; always tear the pool down on the way out
+        (clean or crashed)."""
         try:
             return super().run(entry, args)
         finally:
-            self._shutdown_pool()
+            self._teardown_children()
 
     # -- epoch execution ------------------------------------------------------
 
@@ -403,8 +376,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         for reply in replies.values():
             for report, entry in zip(reply.reports, reply.payloads):
                 if entry is not None:
-                    report.fragment = self._rebuild_fragment(
-                        reply.cwid, entry)
+                    report.fragment = self._rebuild_fragment(entry)
 
         death = None
         if dead:
@@ -586,23 +558,14 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                     list(interp.call_context), dict(interp._context_ids)),
         ), None
 
-    def _rebuild_fragment(self, cwid: int, entry: tuple) -> EpochFragment:
+    @staticmethod
+    def _rebuild_fragment(entry: tuple) -> EpochFragment:
         """Parent side: reassemble one worker's fragment from its header
-        (pipe) and bulk payload (shared ring, or pipe fallback)."""
-        header, desc = entry
+        and packed payload."""
+        header, payload = entry
         wid, ep_start, fmt, redux_runs, dirty = header
-        if desc[0] == "ring":
-            view = self._rings[cwid].view(desc[1], desc[2])
-            try:
-                rr, wr, er, kinds, values = unpack_fragment_payload(view)
-            finally:
-                view.release()
-        else:
-            rr, wr, er, kinds, values = unpack_fragment_payload(
-                memoryview(desc[1]))
-            self.ring_overflows += 1
-            if TRACER.enabled:
-                METRICS.counter("pool.ring_overflows").inc()
+        rr, wr, er, kinds, values = unpack_fragment_payload(
+            memoryview(payload))
         return EpochFragment(
             wid=wid, epoch_start=ep_start, format=fmt,
             read_live_in_runs=rr, write_runs=wr, write_kinds=kinds,
@@ -617,8 +580,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         copies, the loop frame — the persistent-worker starting state.
         ``reason`` is why no sync would do (``pool.respawns.<reason>``)."""
         self._teardown_children()
-        if self._rings is None:
-            self._rings = self._create_rings(self.pool_size)
         wids_of = [list(range(c, self.workers, self.pool_size))
                    for c in range(self.pool_size)]
         sys.stdout.flush()
@@ -687,30 +648,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                  "invocation %d", reason, self.pool_size, self.workers,
                  self.runtime.invocation_index)
 
-    def _create_rings(self, pool_size: int) -> List[ShmRing]:
-        """One ring per pool child — or none at all where shared memory
-        cannot be had (no ``/dev/shm``, segment limit): the run then
-        ships every fragment on the pipe, the counted overflow path."""
-        rings: List[ShmRing] = []
-        try:
-            for idx in range(pool_size):
-                while True:
-                    name = (f"repro-pool-{os.getpid()}-{idx}-"
-                            f"{next(_RING_SEQ)}")
-                    try:
-                        rings.append(ShmRing(name, self._ring_capacity,
-                                             create=True))
-                        break
-                    except FileExistsError:
-                        continue
-        except OSError as e:
-            for ring in rings:
-                ring.close(unlink=True)
-            log.warning("shared memory unavailable (%s): shipping every "
-                        "fragment on the control pipe", e)
-            return []
-        return rings
-
     def _drain_pool(self, payloads: Dict[int, WorkerEpochReport]
                     ) -> Tuple[Dict[int, object], List[_PoolChild]]:
         """Read exactly one length-prefixed reply frame per live child
@@ -769,7 +706,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
 
     def _teardown_children(self) -> None:
         """SIGKILL and reap every resident child and release the
-        parent-side channel resources (rings stay up for respawn)."""
+        parent-side channel resources."""
         children, self._children = self._children, []
         self._resident = None
         if not children:
@@ -794,16 +731,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 os.waitpid(pid, 0)
             except ChildProcessError:
                 pass
-
-    def _shutdown_pool(self) -> None:
-        """End-of-run cleanup: tear down the children and close *and
-        unlink* every shared-memory ring (the /dev/shm leak check in the
-        test suite greps for stragglers)."""
-        self._teardown_children()
-        rings, self._rings = self._rings, None
-        if rings:
-            for ring in rings:
-                ring.close(unlink=True)
 
     # -- child side -----------------------------------------------------------
 
@@ -839,18 +766,12 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         elif plan.commit is not None:
             self._child_apply_commit(wids, plan.commit)
         runtime.epoch_start = plan.epoch_start
-        # The parent consumed the previous epoch's payloads before it
-        # sent this plan: rewind the ring so this epoch's allocations
-        # (one per hosted wid) bump from 0 without ever wrapping over
-        # a still-live sibling payload.
-        if self._rings:
-            self._rings[cwid].begin_epoch()
         reply = _PoolReply(cwid=cwid)
         for w in wids:
             worker = runtime.workers[w]
             report = self._child_slice(worker, frame, plan.epoch_start,
                                        plan.epoch_end, plan.init)
-            reply.payloads.append(self._child_ship_fragment(cwid, report))
+            reply.payloads.append(self._child_ship_fragment(report))
             reply.reports.append(report)
         # Bound resident-child memory: shipped trace events and deferred
         # output are authoritative parent-side.
@@ -982,37 +903,23 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         self.runtime.resync_workers(sync.invocation_index, plan.epoch_start,
                                     sync.main)
 
-    def _child_ship_fragment(self, cwid: int,
-                             report: WorkerEpochReport) -> Optional[tuple]:
-        """Pack one slice's fragment payload into the child's ring (or
-        the pipe-fallback buffer) and strip it from the report, leaving
-        only the small header to pickle."""
+    def _child_ship_fragment(self, report: WorkerEpochReport
+                             ) -> Optional[tuple]:
+        """Pack one slice's fragment payload for the reply and strip the
+        fragment from the report, leaving only the small header to
+        pickle beside the packed bytes."""
         frag = report.fragment
         if frag is None:
             return None
         self._child_prev_spans[frag.wid] = frag.write_spans()
-        size = payload_size(
+        payload = bytearray(payload_size(
             len(frag.read_live_in_runs), len(frag.write_runs),
             len(frag.epoch_written_runs), len(frag.write_kinds),
-            len(frag.write_values))
-        # No rings at all (shared memory unavailable): same fallback as
-        # a payload that does not fit.
-        ring = self._rings[cwid] if self._rings else None
-        offset = ring.alloc(size) if ring is not None else None
-        if offset is None:
-            buf = bytearray(size)
-            pack_fragment_payload(
-                buf, 0, frag.read_live_in_runs, frag.write_runs,
-                frag.epoch_written_runs, frag.write_kinds,
-                frag.write_values)
-            desc = ("pipe", bytes(buf))
-        else:
-            pack_fragment_payload(
-                ring.shm.buf, offset, frag.read_live_in_runs,
-                frag.write_runs, frag.epoch_written_runs,
-                frag.write_kinds, frag.write_values)
-            desc = ("ring", offset, size)
+            len(frag.write_values)))
+        pack_fragment_payload(
+            payload, 0, frag.read_live_in_runs, frag.write_runs,
+            frag.epoch_written_runs, frag.write_kinds, frag.write_values)
         header = (frag.wid, frag.epoch_start, frag.format,
                   frag.redux_runs, frag.dirty_private_pages)
         report.fragment = None
-        return (header, desc)
+        return (header, payload)

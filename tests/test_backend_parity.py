@@ -116,21 +116,6 @@ class TestCounterProgramParity:
                                    misspec_period=10)
         assert sim.runtime_stats.misspec_count() == 3
 
-    def test_injected_misspeculation_without_shared_memory(
-            self, monkeypatch):
-        """On a host that cannot create the rings the pool ships every
-        fragment on the pipe; nothing observable may change."""
-        from repro.parallel import pool_backend
-
-        def no_shm(name, capacity, create=True):
-            raise FileNotFoundError(2, "No such file or directory", name)
-
-        monkeypatch.setattr(pool_backend, "ShmRing", no_shm)
-        prog = prepared_counter_program(32)
-        sim, _ = _assert_parity(prog.source, "counter", train=(32,),
-                                misspec_period=6)
-        assert sim.runtime_stats.misspec_count() > 0
-
     def test_injected_misspeculation_offset_period(self):
         prog = prepared_counter_program(32)
         sim, _ = _assert_parity(prog.source, "counter", train=(32,),

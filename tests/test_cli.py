@@ -132,6 +132,104 @@ class TestArgValidation:
         assert "speedup:" in capsys.readouterr().out
 
 
+_EXECUTION = {("--checkpoint-period",): None, ("--misspec-period",): 0,
+              ("--misspec-burst",): 0}
+_BACKEND = {("--backend",): None, ("--pool-workers",): None}
+_OBS = {("--trace",): False, ("--trace-out",): None, ("--metrics",): False,
+        ("--status-port",): None}
+_WORKLOAD = {("workload",): None, ("--args",): None, ("--small",): False}
+
+#: Every subcommand's ``(option strings, default)`` pairs (a positional
+#: by its name), as they were before the shared flag helpers existed.
+PARSER_SURFACE = {
+    "analyze": {("source",): None, ("--args",): None,
+                ("--no-cache",): False, **_OBS},
+    "run": {("source",): None, ("--args",): None, ("--workers",): 24,
+            **_EXECUTION, ("--timeline",): False, ("--no-cache",): False,
+            ("--report",): None, **_BACKEND,
+            ("--adapt", "--no-adapt"): None, **_OBS},
+    "trace": {**_WORKLOAD, ("--workers",): 24, **_EXECUTION,
+              ("--out-dir",): ".", ("--cache",): False, ("--report",): None,
+              **_BACKEND, ("--adapt", "--no-adapt"): None,
+              ("--status-port",): None},
+    "explain": {**_WORKLOAD, ("--workers",): 24, **_EXECUTION,
+                ("--flight-dir",): None, ("--json",): None,
+                ("--no-cache",): False, ("--report",): None, **_BACKEND,
+                ("--adapt", "--no-adapt"): None},
+    "baselines": {("source",): None, ("--args",): None, ("--workers",): 24},
+    "workloads": {("--json",): False},
+    "serve": {("--port",): None, ("--queue-depth",): None,
+              ("--retain",): 256, ("--history-dir",): None},
+    "submit": {**_WORKLOAD, ("--train-args",): None, ("--workers",): 4,
+               **_EXECUTION, ("--adapt",): False, ("--trace",): False,
+               ("--no-wait",): True, ("--json",): False, ("--url",): None,
+               ("--port",): None, ("--timeout",): 300.0, **_BACKEND},
+    "jobs": {("job_id",): None, ("--json",): False, ("--url",): None,
+             ("--port",): None, ("--timeout",): 10.0},
+    "report": {},
+    "perf": {},
+    "top": {("rest",): None},
+    "dash": {("rest",): None},
+}
+
+
+def test_every_subcommand_keeps_its_options_and_defaults():
+    import argparse
+
+    from repro.__main__ import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {tuple(a.option_strings) or (a.dest,): a.default
+               for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, parser in sub.choices.items()}
+    assert surface == PARSER_SURFACE
+
+
+@pytest.mark.parametrize("command", ["run", "trace", "explain"])
+def test_execution_flags_reach_execute(command):
+    from repro.__main__ import _execute_kwargs, build_parser
+
+    args = build_parser().parse_args([
+        command, "prog.c", "--workers", "3", "--checkpoint-period", "5",
+        "--misspec-period", "7", "--misspec-burst", "9",
+        "--backend", "pool", "--pool-workers", "2", "--no-adapt"])
+    assert _execute_kwargs(args) == dict(
+        workers=3, checkpoint_period=5, misspec_period=7, misspec_burst=9,
+        backend="pool", pool_workers=2, adapt=False)
+
+
+@pytest.mark.parametrize("command", ["analyze", "trace", "explain"])
+def test_no_loop_found_lists_the_reasons(command, tmp_path, capsys):
+    from repro import obs
+
+    path = tmp_path / "bad.c"
+    path.write_text(BAD_SRC)
+    argv = [command, str(path), "--args", "24"]
+    if command == "trace":
+        argv += ["--out-dir", str(tmp_path)]
+    try:
+        rc = main(argv)
+    finally:
+        obs.disable()  # `trace` returns 1 here with tracing still armed
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    first = lines.index("no parallelizable loop found:")
+    assert lines[first + 1].startswith("  - ")
+
+
+@pytest.mark.parametrize("command", ["trace", "explain", "submit"])
+def test_unknown_workload_message_is_shared(command, capsys):
+    rc = main([command, "no-such-workload"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: 'no-such-workload' is neither a workload "
+                          "(")
+    assert err.rstrip().endswith(") nor a MiniC source file")
+
+
 class TestAdaptFlag:
     def test_run_adapt_prints_summary(self, prog_file, capsys, monkeypatch,
                                       tmp_path):
@@ -231,21 +329,11 @@ class TestPoolBackendCLI:
         assert rc == 0
         assert "output matches sequential: True" in out
 
-    def test_malformed_ring_kb_env_exits_2(self, prog_file, capsys,
-                                           monkeypatch):
-        from repro.parallel.shm_ring import RING_KB_ENV
-
-        monkeypatch.setenv(RING_KB_ENV, "banana")
-        rc = main(["run", prog_file, "--args", "24", "--workers", "2",
-                   "--backend", "pool"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert RING_KB_ENV in err and "banana" in err
-
-    def test_ring_kb_env_honoured(self, prog_file, capsys, monkeypatch):
-        from repro.parallel.shm_ring import RING_KB_ENV
-
-        monkeypatch.setenv(RING_KB_ENV, "8")
+    def test_removed_ring_size_variable_is_ignored(self, prog_file, capsys,
+                                                   monkeypatch):
+        """The pool has no shared-memory ring to size any more: the old
+        variable, even malformed, changes nothing."""
+        monkeypatch.setenv("REPRO_POOL_RING_KB", "banana")
         rc = main(["run", prog_file, "--args", "24", "--workers", "2",
                    "--backend", "pool"])
         out = capsys.readouterr().out

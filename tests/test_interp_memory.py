@@ -292,6 +292,57 @@ class TestFreeThroughOverlay:
         assert main.try_find(obj.base) == (obj, 0)
 
 
+def test_freeing_a_copy_of_a_copy_hides_every_ancestors_object():
+    """Copies are recognised from the ancestors' page maps, however far
+    up the original lives."""
+    main = AddressSpace()
+    obj = main.allocate(16, "o", "heap")
+    main.write_int(obj.base, 5, 8)
+    middle = AddressSpace(parent=main)
+    middle.write_int(obj.base, 6, 8)
+    leaf = AddressSpace(parent=middle)
+    leaf.write_int(obj.base, 7, 8)
+    before = leaf.generation
+    leaf.free(obj.base)
+    assert leaf.generation == before + 1
+    assert leaf.try_find(obj.base) is None
+    assert middle.read_int(obj.base, 8, True) == 6
+    assert main.read_int(obj.base, 8, True) == 5
+
+
+def test_freeing_a_copy_of_a_middle_overlays_own_object():
+    """The original need not live in the root: a copy of an object the
+    middle overlay allocated is a copy all the same."""
+    main = AddressSpace()
+    middle = AddressSpace(parent=main)
+    obj = middle.allocate(16, "m", "heap")
+    middle.write_int(obj.base, 3, 8)
+    leaf = AddressSpace(parent=middle)
+    leaf.write_int(obj.base, 4, 8)             # copy-on-write
+    leaf.free(obj.base)
+    assert leaf.try_find(obj.base) is None
+    assert obj.alive and middle.read_int(obj.base, 8, True) == 3
+    assert main.try_find(obj.base) is None
+
+
+def test_freeing_an_installed_copy_is_private():
+    """A copy the runtime installed (a reduction replica) frees like one
+    made by a store: hidden in the overlay and every fork of it, the
+    ancestor's object untouched."""
+    main = AddressSpace()
+    obj = main.allocate(16, "r", "heap")
+    main.write_int(obj.base, 9, 8)
+    worker = AddressSpace(parent=main)
+    copy = MemoryObject(obj.base, obj.size, obj.name, obj.kind, obj.site,
+                        writable=True)
+    worker.install_copy(copy)
+    assert worker.free(obj.base) is copy
+    assert not copy.alive
+    assert worker.try_find(obj.base) is None
+    assert AddressSpace(parent=worker).try_find(obj.base) is None
+    assert obj.alive and main.read_int(obj.base, 8, True) == 9
+
+
 class TestCacheEntries:
     """``load_entry`` / ``store_entry``: what generated code caches per
     site, and the counter that tells it when to ask again."""
@@ -457,4 +508,4 @@ class TestKeepingACopyInStep:
         worker = AddressSpace(parent=main)
         main.patch(obj.base + 4, b"\x01\x02")
         assert worker.read_bytes(obj.base + 4, 2) == b"\x01\x02"
-        assert not worker._cow_copies and not main.dirty_pages
+        assert not worker._pages and not main.dirty_pages

@@ -1,10 +1,9 @@
 """Unit and integration tests for the persistent worker-pool backend:
-backend selection, the shared-memory ring transport (wraparound,
-framing round-trip, capacity knob, hosts without shared memory), pool
-lifecycle (spawn-per-invocation, commit-delta warm epochs, SIGKILL
-respawn, partial spawn, /dev/shm hygiene), the ``--pool-workers``
-multiplexing mode, and the telemetry plane (stable worker ids in
-``worker.N.*`` merges and the ``repro top`` dashboard).
+backend selection, the fragment payload framing, pool lifecycle
+(spawn-per-invocation, commit-delta warm epochs, SIGKILL respawn,
+partial spawn, child crashes), the ``--pool-workers`` multiplexing
+mode, and the telemetry plane (stable worker ids in ``worker.N.*``
+merges and the ``repro top`` dashboard).
 
 Bit-exact parity against the simulated backend is enforced separately
 in ``tests/test_backend_parity.py``; these tests cover the machinery
@@ -12,9 +11,12 @@ documented in docs/BACKENDS.md.
 """
 
 import errno
-import logging
 import os
+import pickle
+import re
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -31,15 +33,10 @@ from repro.parallel.backend import (
 )
 from repro.parallel.executor import DOALLExecutor
 from repro.parallel.pool_backend import PoolDOALLExecutor
-from repro.parallel import pool_backend, shm_ring
+from repro.parallel import pool_backend
 from repro.parallel.shm_ring import (
-    DEFAULT_RING_KB,
-    MIN_RING_BYTES,
-    RING_KB_ENV,
-    ShmRing,
     pack_fragment_payload,
     payload_size,
-    ring_capacity_from_env,
     unpack_fragment_payload,
 )
 
@@ -47,11 +44,10 @@ from helpers import prepared_counter_program
 
 
 def _shm_names():
-    """Current repro-pool-* segments visible in /dev/shm (POSIX shm
-    backing store on Linux); empty when the path doesn't exist."""
+    """Names visible in /dev/shm (the POSIX shared-memory backing store
+    on Linux); empty when the path doesn't exist."""
     try:
-        return {n for n in os.listdir("/dev/shm")
-                if "repro-pool-" in n}
+        return set(os.listdir("/dev/shm"))
     except FileNotFoundError:
         return set()
 
@@ -100,129 +96,6 @@ class TestBackendResolution:
             resolve_backend_name()
 
 
-# -- ring capacity knob -------------------------------------------------------
-
-
-class TestRingCapacityEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(RING_KB_ENV, raising=False)
-        assert ring_capacity_from_env() == DEFAULT_RING_KB * 1024
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(RING_KB_ENV, "512")
-        assert ring_capacity_from_env() == 512 * 1024
-
-    def test_clamped_to_minimum(self):
-        assert ring_capacity_from_env("1") == MIN_RING_BYTES
-
-    def test_malformed_value_fails_loudly(self):
-        with pytest.raises(ValueError, match=RING_KB_ENV):
-            ring_capacity_from_env("lots")
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            ring_capacity_from_env("0")
-        with pytest.raises(ValueError, match="positive"):
-            ring_capacity_from_env("-4")
-
-    def test_empty_means_default(self):
-        assert ring_capacity_from_env("") == DEFAULT_RING_KB * 1024
-
-
-# -- bump-allocator ring ------------------------------------------------------
-
-
-class TestShmRing:
-    def _ring(self, capacity=4096):
-        return ShmRing(f"repro-pool-test-{os.getpid()}-{time.monotonic_ns()}",
-                       capacity, create=True)
-
-    def test_alloc_is_epoch_scoped_and_never_wraps(self):
-        """Every allocation since begin_epoch() is still live (one
-        payload per hosted wid per epoch); an alloc that would wrap
-        must refuse (pipe fallback) instead of overwriting one."""
-        ring = self._ring(100)
-        try:
-            assert ring.alloc(60) == 0
-            # 60 + 60 > 100: refused — wrapping to 0 would overwrite
-            # the live first payload of this same epoch.
-            assert ring.alloc(60) is None
-            # The cursor is untouched by a refused alloc.
-            assert ring.alloc(30) == 60
-            # Next epoch: the parent has consumed everything; rewind.
-            ring.begin_epoch()
-            assert ring.alloc(60) == 0
-        finally:
-            ring.close(unlink=True)
-
-    def test_alloc_exact_capacity(self):
-        ring = self._ring(64)
-        try:
-            assert ring.alloc(64) == 0
-            assert ring.alloc(64) is None
-            ring.begin_epoch()
-            assert ring.alloc(64) == 0
-        finally:
-            ring.close(unlink=True)
-
-    def test_oversize_payload_returns_none(self):
-        ring = self._ring(64)
-        try:
-            assert ring.alloc(65) is None
-            # The cursor is untouched by a refused alloc.
-            assert ring.alloc(10) == 0
-        finally:
-            ring.close(unlink=True)
-
-    def test_refused_alloc_preserves_live_payload(self):
-        """The corruption the no-wrap rule prevents: payload A is live,
-        an overflowing payload B must not land on top of it."""
-        ring = self._ring(64)
-        try:
-            off_a = ring.alloc(40)
-            ring.write(off_a, b"A" * 40)
-            assert ring.alloc(40) is None  # would have wrapped onto A
-            view = ring.view(off_a, 40)
-            try:
-                assert bytes(view) == b"A" * 40
-            finally:
-                view.release()
-        finally:
-            ring.close(unlink=True)
-
-    def test_close_warns_on_unreleased_view(self, caplog):
-        """An unreleased memoryview pins the mapping; close() must
-        surface that instead of silently leaking it."""
-        import logging
-
-        ring = self._ring(64)
-        view = ring.view(0, 8)
-        with caplog.at_level(logging.WARNING, logger="repro.shm_ring"):
-            ring.close(unlink=True)
-        try:
-            assert any("still alive" in r.message for r in caplog.records)
-        finally:
-            view.release()
-            ring.close(unlink=True)
-
-    def test_write_and_view_round_trip(self):
-        ring = self._ring(256)
-        try:
-            off = ring.alloc(5)
-            ring.write(off, b"hello")
-            view = ring.view(off, 5)
-            assert bytes(view) == b"hello"
-            view.release()
-        finally:
-            ring.close(unlink=True)
-
-    def test_unlink_removes_segment(self):
-        ring = self._ring(4096)
-        name = ring.name
-        ring.close(unlink=True)
-        assert not any(name in n for n in _shm_names())
-
-
 # -- fragment payload framing -------------------------------------------------
 
 
@@ -261,28 +134,53 @@ class TestFragmentFraming:
         assert k == kinds and v == values
         assert isinstance(k, bytes) and isinstance(v, bytes)
 
-    def test_round_trip_through_shared_memory(self):
-        """Same framing through an actual shm segment at a non-zero
-        epoch offset — the production transport path for the second
-        payload a multiplexed child ships in one epoch."""
-        ring = ShmRing(f"repro-pool-test-{os.getpid()}-frame", 4096,
-                       create=True)
-        try:
-            payload = (((0, 8), (16, 32)), ((0, 8, 2),), ((0, 32),),
-                       b"\x01" * 8, bytes(range(8)))
-            size = payload_size(2, 1, 1, 8, 8)
-            ring.begin_epoch()
-            assert ring.alloc(64) == 0  # an earlier same-epoch payload
-            off = ring.alloc(size)
-            assert off == 64
-            pack_fragment_payload(ring.shm.buf, off, *payload)
-            view = ring.view(off, size)
-            try:
-                assert unpack_fragment_payload(view) == payload
-            finally:
-                view.release()
-        finally:
-            ring.close(unlink=True)
+    def test_names_perfbench_reaches_are_kept(self):
+        """``perfbench`` wraps the framing functions by their module's
+        old name and sums the executors' overflow counts."""
+        from repro.parallel import shm_ring
+
+        assert shm_ring.__name__ == "repro.parallel.shm_ring"
+        assert (shm_ring.payload_size, shm_ring.pack_fragment_payload,
+                shm_ring.unpack_fragment_payload) == (
+            payload_size, pack_fragment_payload, unpack_fragment_payload)
+        assert PoolDOALLExecutor.ring_overflows == 0
+
+    def test_signed_int64_extremes_round_trip(self):
+        """Run coordinates are framed as signed little-endian int64s:
+        both ends of that range survive."""
+        lo, hi = -(1 << 63), (1 << 63) - 1
+        payload = (((lo, hi),), ((hi, lo, -1),), ((0, hi),), b"", b"")
+        buf = bytearray(payload_size(1, 1, 1, 0, 0))
+        assert pack_fragment_payload(buf, 0, *payload) == len(buf)
+        assert unpack_fragment_payload(memoryview(buf)) == payload
+
+    def test_fragment_survives_the_pickled_reply(self):
+        """The production path: the child strips and packs the fragment,
+        the reply is pickled as the report pipe carries it, and the
+        parent rebuilds an equal fragment — header fields included."""
+        from repro.parallel.backend import WorkerEpochReport
+        from repro.runtime.fragments import EpochFragment, ReduxRun
+
+        frag = EpochFragment(
+            wid=1, epoch_start=12,
+            read_live_in_runs=((0, 8), (16, 32)),
+            write_runs=((0, 8, 2), (64, 72, 0)),
+            write_kinds=b"\x01" * 16, write_values=bytes(range(16)),
+            epoch_written_runs=((0, 8), (64, 72)),
+            redux_runs=(ReduxRun(128, 8, "ADD", False, bytes(16)),),
+            dirty_private_pages=3)
+        prog = prepared_counter_program(8)
+        ex = make_executor("pool", prog.module, prog.plan, workers=2)
+        report = WorkerEpochReport(wid=1, fragment=frag)
+        reply = pool_backend._PoolReply(
+            cwid=0, reports=[report],
+            payloads=[ex._child_ship_fragment(report)])
+        assert report.fragment is None
+        reply = pickle.loads(pickle.dumps(
+            reply, protocol=pickle.HIGHEST_PROTOCOL))
+        (entry,) = reply.payloads
+        assert isinstance(entry[1], bytearray)
+        assert ex._rebuild_fragment(entry) == frag
 
 
 # -- factory and construction -------------------------------------------------
@@ -385,24 +283,10 @@ class TestPoolEndToEnd:
         assert result.output == prog.sequential.output
         assert ex.pool_size == 1
 
-    def test_ring_overflow_falls_back_to_pipe(self, monkeypatch):
-        """A ring too small for any payload forces the (counted) pipe
-        fallback without affecting results."""
-        monkeypatch.setattr(pool_backend, "ring_capacity_from_env",
-                            lambda env=None: 16)
-        prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2)
-        result = ex.run(prog.entry, prog.ref_args)
-        assert result.output == prog.sequential.output
-        assert ex.ring_overflows > 0
-
-    def test_multiplexed_epoch_sum_overflow_is_safe(self):
-        """The review-flagged corruption scenario, in-process: a child
-        hosting several wids ships one payload per wid per epoch; each
-        payload fits the ring alone but the epoch sum does not.  The
-        overflowing payload must take the counted pipe fallback and
-        BOTH fragments must rebuild bit-exact (no silent overwrite of
-        the still-live first payload)."""
+    def test_multiplexed_payloads_both_rebuild_bit_exact(self):
+        """A child hosting several wids ships one payload per wid per
+        epoch in one reply: both fragments must rebuild bit-exact from
+        the packed bytes, after both were shipped."""
         from repro.parallel.backend import WorkerEpochReport
         from repro.runtime.fragments import EpochFragment
 
@@ -416,81 +300,29 @@ class TestPoolEndToEnd:
                 epoch_written_runs=((0, n),))
 
         frag_a, frag_b = frag(0, 0xAA), frag(1, 0xBB)
-        one = payload_size(0, 1, 1, 50, 50)
         prog = prepared_counter_program(8)
         ex = make_executor("pool", prog.module, prog.plan, workers=2,
                            pool_workers=1)
-        ring = ShmRing(
-            f"repro-pool-test-{os.getpid()}-mux", one + 8, create=True)
-        ex._rings = [ring]
-        try:
-            ring.begin_epoch()
-            entry_a = ex._child_ship_fragment(
-                0, WorkerEpochReport(wid=0, fragment=frag_a))
-            entry_b = ex._child_ship_fragment(
-                0, WorkerEpochReport(wid=1, fragment=frag_b))
-            assert entry_a[1][0] == "ring"
-            assert entry_b[1][0] == "pipe"
-            # Rebuild AFTER shipping both: proves B's overflow did not
-            # land on top of A's live ring payload.
-            assert ex._rebuild_fragment(0, entry_a) == frag_a
-            assert ex._rebuild_fragment(0, entry_b) == frag_b
-            assert ex.ring_overflows == 1
-        finally:
-            ex._rings = None
-            ring.close(unlink=True)
+        entry_a = ex._child_ship_fragment(
+            WorkerEpochReport(wid=0, fragment=frag_a))
+        entry_b = ex._child_ship_fragment(
+            WorkerEpochReport(wid=1, fragment=frag_b))
+        assert len(entry_a[1]) == payload_size(0, 1, 1, 50, 50)
+        assert ex._rebuild_fragment(entry_a) == frag_a
+        assert ex._rebuild_fragment(entry_b) == frag_b
+        assert ex.ring_overflows == 0
 
-    def test_multiplexed_tiny_ring_end_to_end(self, monkeypatch):
-        """End-to-end variant: size the ring so every payload fits
-        alone but one epoch's multiplexed sum overflows — results stay
-        correct, the ring is still used, and overflows are counted."""
-        transports = []
-        orig = PoolDOALLExecutor._rebuild_fragment
-
-        def spy(self, cwid, entry):
-            desc = entry[1]
-            transports.append(
-                (desc[0], desc[2] if desc[0] == "ring" else len(desc[1])))
-            return orig(self, cwid, entry)
-
-        monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment", spy)
-
-        # Phase 1: discover real payload sizes with an ample ring.
-        prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=4,
-                           pool_workers=1)
-        ex.run(prog.entry, prog.ref_args)
-        sizes = [s for _, s in transports]
-        assert sizes
-        cap = max(sizes)
-
-        # Phase 2: per-payload size <= cap < one epoch's 4-payload sum.
-        transports.clear()
-        monkeypatch.setattr(pool_backend, "ring_capacity_from_env",
-                            lambda env=None: cap)
-        ex2 = make_executor("pool", prog.module, prog.plan, workers=4,
-                            pool_workers=1)
-        result = ex2.run(prog.entry, prog.ref_args)
-        assert result.output == prog.sequential.output
-        kinds = {t for t, _ in transports}
-        assert kinds == {"ring", "pipe"}
-        assert ex2.ring_overflows > 0
-        assert all(s <= cap for _, s in transports)
-
-    def test_shutdown_leaves_no_shm_segments(self):
-        """After run() returns, no repro-pool-* segment may remain in
-        /dev/shm (rings are closed and unlinked in the finally)."""
-        before = _shm_names()
+    def test_shutdown_leaves_no_children(self):
+        """After run() returns the pool is gone."""
         prog = prepared_counter_program(24)
         ex = make_executor("pool", prog.module, prog.plan, workers=2,
                            checkpoint_period=4)
         ex.run(prog.entry, prog.ref_args)
-        assert ex._rings is None and not ex._children
-        leaked = _shm_names() - before
-        assert not leaked, f"leaked shared memory segments: {leaked}"
+        assert not ex._children
 
-    def test_shutdown_unlinks_on_crash_too(self):
-        before = _shm_names()
+    def test_child_crash_surfaces_its_traceback(self):
+        """An internal error in a child fails the run with the child's
+        own traceback, and the pool is torn down."""
         prog = prepared_counter_program(8)
         ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2)
 
@@ -498,10 +330,61 @@ class TestPoolEndToEnd:
             raise ZeroDivisionError("synthetic pool child crash")
 
         ex._execute_iteration = boom
-        with pytest.raises(RuntimeError, match="synthetic pool child crash"):
+        with pytest.raises(RuntimeError) as exc:
             ex.run("main", prog.ref_args)
-        leaked = _shm_names() - before
-        assert not leaked, f"leaked shared memory segments: {leaked}"
+        message = str(exc.value)
+        assert re.match(r"pool worker process [01] failed during epoch",
+                        message)
+        assert "Traceback (most recent call last)" in message
+        assert "in boom" in message
+        assert "ZeroDivisionError: synthetic pool child crash" in message
+        assert not ex._children
+
+    def test_multiplexed_child_crash_surfaces_its_traceback(self):
+        """One process hosting both worker ids: the failure names the
+        first wid it hosts and carries its traceback."""
+        prog = prepared_counter_program(8)
+        ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2,
+                               pool_workers=1)
+
+        def boom(worker, i, init):
+            raise KeyError("synthetic multiplexed crash")
+
+        ex._execute_iteration = boom
+        with pytest.raises(RuntimeError) as exc:
+            ex.run("main", prog.ref_args)
+        message = str(exc.value)
+        assert message.startswith("pool worker process 0 failed during epoch")
+        assert "in boom" in message
+        assert "KeyError: 'synthetic multiplexed crash'" in message
+        assert not ex._children
+
+    def test_fresh_process_loads_no_multiprocessing(self, tmp_path):
+        """The pool is ``os.fork`` and pipes, nothing more: a process that
+        runs one pool ``execute()`` imports no ``multiprocessing`` module
+        (no shared-memory segment, no resource-tracker process) and
+        adds nothing to /dev/shm."""
+        import repro
+
+        script = (
+            "import sys\n"
+            "from helpers import prepared_counter_program\n"
+            "prog = prepared_counter_program(24)\n"
+            "result = prog.execute(workers=2, backend='pool')\n"
+            "assert result.output == prog.sequential.output\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'))\n")
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join([
+                       os.path.dirname(os.path.dirname(repro.__file__)),
+                       os.path.dirname(os.path.abspath(__file__))]))
+        before = _shm_names()
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+        assert not _shm_names() - before
 
     def test_wedged_pool_hits_deadline(self):
         prog = prepared_counter_program(8)
@@ -516,61 +399,48 @@ class TestPoolEndToEnd:
             ex.run("main", prog.ref_args)
 
 
-class TestNoSharedMemory:
-    """A host that cannot create the rings (a container without
-    ``/dev/shm``) runs the whole pool run on the pipe path: counted,
-    warned about once, nothing left behind."""
+class TestPipeTransport:
+    """The report pipe is the pool's one fragment transport: after the
+    fork and after every sync, one process per worker or several."""
 
     @pytest.mark.parametrize("misspec_period", [0, 6])
-    @pytest.mark.parametrize("rings_before_failure", [0, 1])
-    def test_every_fragment_takes_the_counted_pipe_path(
-            self, monkeypatch, caplog, rings_before_failure,
-            misspec_period):
-        made, shipped = [], []
-
-        def ring_or_enoent(name, capacity, create=True):
-            if len(made) == rings_before_failure:
-                raise FileNotFoundError(
-                    errno.ENOENT, "No such file or directory", "/" + name)
-            made.append(ShmRing(name, capacity, create=create))
-            return made[-1]
-
+    @pytest.mark.parametrize("pool_workers", [None, 1])
+    def test_every_fragment_rides_the_pipe(self, monkeypatch, pool_workers,
+                                           misspec_period):
+        shipped = []
         rebuild = PoolDOALLExecutor._rebuild_fragment
 
-        def spy(self, cwid, entry):
-            shipped.append(entry[1][0])
-            return rebuild(self, cwid, entry)
+        def spy(entry):
+            shipped.append(entry)
+            return rebuild(entry)
 
-        monkeypatch.setattr(pool_backend, "ShmRing", ring_or_enoent)
-        monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment", spy)
-        before = _shm_names()
+        monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment",
+                            staticmethod(spy))
         prog = prepared_counter_program(24)
         ex = make_executor("pool", prog.module, prog.plan, workers=2,
+                           pool_workers=pool_workers,
                            misspec_period=misspec_period)
-        with caplog.at_level(logging.WARNING, logger="repro.pool_backend"):
-            result = ex.run(prog.entry, prog.ref_args)
+        result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
         assert (result.runtime_stats.misspec_count() > 0) == bool(
             misspec_period)
-        # All-or-nothing: the ring that was created before the failure
-        # is closed and unlinked, not used for child 0 alone.
-        assert len(made) == rings_before_failure
-        assert all(ring.shm.buf is None for ring in made)
-        assert shipped and set(shipped) == {"pipe"}
-        assert ex.ring_overflows == len(shipped)
-        assert _shm_names() == before
-        # One fork, squashes or not: the syncs after them neither
-        # retry the rings nor warn again.
+        assert {header[0] for header, _ in shipped} == {0, 1}
+        for _, payload in shipped:
+            assert isinstance(payload, bytearray)
+            rr, wr, er, kinds, values = unpack_fragment_payload(
+                memoryview(payload))
+            assert len(payload) == payload_size(
+                len(rr), len(wr), len(er), len(kinds), len(values))
+        # One fork, squashes or not: recoveries are synced on the pipe.
         assert ex.pool_spawns == 1
         assert bool(ex.pool_syncs) == bool(misspec_period)
-        assert sum("shared memory unavailable" in r.message
-                   for r in caplog.records) == 1
+        assert ex.ring_overflows == 0
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts open descriptors through /proc")
 class TestPartialSpawn:
-    def test_failed_fork_leaves_no_child_fd_or_segment(self, monkeypatch):
+    def test_failed_fork_leaves_no_child_or_fd(self, monkeypatch):
         """``os.fork`` failing for the second child (EAGAIN on a loaded
         host) propagates out of run() — and the first child, already
         blocked on its task pipe, is killed and reaped with it."""
@@ -586,13 +456,8 @@ class TestPartialSpawn:
                 forked.append(pid)
             return pid
 
-        # The first segment of a process starts multiprocessing's
-        # resource tracker, which keeps a descriptor: not this run's.
-        ShmRing(f"repro-pool-test-{os.getpid()}-warm", 4096).close(
-            unlink=True)
         prog = prepared_counter_program(24)
         ex = make_executor("pool", prog.module, prog.plan, workers=2)
-        segments = _shm_names()
         descriptors = len(os.listdir("/proc/self/fd"))
         monkeypatch.setattr(os, "fork", fork_failing_second_time)
         with pytest.raises(OSError) as exc:
@@ -602,7 +467,6 @@ class TestPartialSpawn:
         with pytest.raises(ProcessLookupError):
             os.kill(forked[0], 0)
         assert len(os.listdir("/proc/self/fd")) == descriptors
-        assert _shm_names() == segments
 
 
 TWO_REDUCTIONS_SRC = """
