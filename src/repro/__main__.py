@@ -564,6 +564,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     except SelectionError as e:
         _print_no_loop(e)
         _write_trace_artifacts(out_dir / name)
+        obs.disable()
         return 1
     result = program.execute(**_execute_kwargs(args), record_timeline=True)
     ok = result.output == program.sequential.output

@@ -134,6 +134,24 @@ class LoopInfo:
     def innermost_loop_of(self, bb: BasicBlock) -> Optional[Loop]:
         return self._block_loop.get(bb)
 
+    def enclosing_loops(self, bb: BasicBlock) -> List[Loop]:
+        """Loops containing ``bb``, outermost first."""
+        loop = self.innermost_loop_of(bb)
+        chain: List[Loop] = []
+        while loop is not None:
+            chain.append(loop)
+            loop = loop.parent
+        chain.reverse()
+        return chain
+
+    def is_loop_edge(self, src: BasicBlock, dst: BasicBlock) -> bool:
+        """Whether the edge ``src -> dst`` enters, exits or iterates a
+        loop: the loops around ``src`` and ``dst`` differ, or ``dst`` is
+        the header of a loop around both.  Every other edge leaves a
+        dynamic loop stack as it found it."""
+        here, there = self.enclosing_loops(src), self.enclosing_loops(dst)
+        return here != there or any(loop.header is dst for loop in there)
+
     def top_level_loops(self) -> List[Loop]:
         return [l for l in self.loops if l.parent is None]
 

@@ -14,8 +14,9 @@ functions when privatizing the reduction heap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..ir.instructions import BinOp, BinOpKind, Instruction, Load, Select, Store
 from ..ir.module import Function
@@ -88,17 +89,24 @@ def reduction_sites(fn: Function) -> Dict[Instruction, ReductionUpdate]:
     return out
 
 
+#: The two-argument function of each reduction operator.  Every merge of
+#: per-worker reduction heaps goes through these, never through an
+#: inline ``a * b``: CPython's specialised float opcodes may evaluate a
+#: commutative product or sum with its operands swapped, and with two NaN
+#: operands that picks the other payload, so two folds that spell the
+#: operation differently can leave different bytes in memory.
+REDUCTION_FUNCTIONS: Dict[BinOpKind, Callable] = {
+    BinOpKind.ADD: operator.add, BinOpKind.FADD: operator.add,
+    BinOpKind.MUL: operator.mul, BinOpKind.FMUL: operator.mul,
+    BinOpKind.AND: operator.and_, BinOpKind.OR: operator.or_,
+    BinOpKind.XOR: operator.xor,
+}
+
+
 def apply_operator(kind: BinOpKind, a, b):
     """Evaluate a reduction operator on two Python numbers (used by the
     runtime when merging per-worker reduction heaps)."""
-    if kind in (BinOpKind.ADD, BinOpKind.FADD):
-        return a + b
-    if kind in (BinOpKind.MUL, BinOpKind.FMUL):
-        return a * b
-    if kind is BinOpKind.AND:
-        return a & b
-    if kind is BinOpKind.OR:
-        return a | b
-    if kind is BinOpKind.XOR:
-        return a ^ b
-    raise ValueError(f"{kind} is not a reduction operator")
+    fn = REDUCTION_FUNCTIONS.get(kind)
+    if fn is None:
+        raise ValueError(f"{kind} is not a reduction operator")
+    return fn(a, b)

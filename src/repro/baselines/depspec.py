@@ -28,7 +28,11 @@ from ..profiling.looptracker import ActiveLoop, LoopInfoCache, LoopTracker
 
 class _ManifestHook(Hook):
     """Counts iterations in which *any* same-location cross-iteration
-    dependence (flow, anti, or output) manifests."""
+    dependence (flow, anti, or output) manifests.  Loads and stores are
+    subscribed to only while the loop is active."""
+
+    subscription = frozenset(("loop_edge",))
+    _ACTIVE = frozenset(("load", "store", "loop_edge"))
 
     def __init__(self, module: Module, ref: LoopRef):
         self.ref = ref
@@ -59,8 +63,6 @@ class _ManifestHook(Hook):
             self.active = None
 
     def _touch(self, addr: int, size: int, is_write: bool) -> None:
-        if self.active is None:
-            return
         it = self.active.iteration
         for b in range(addr, addr + size, max(1, size)):
             prev = self.last_touch.get(b)
@@ -75,11 +77,22 @@ class _ManifestHook(Hook):
     def on_store(self, interp, inst, addr, size) -> None:
         self._touch(addr, size, is_write=True)
 
+    def _resubscribe(self, interp) -> None:
+        """The loop was entered or left: follow it."""
+        interp.subscribe(self, self.subscription if self.active is None
+                         else self._ACTIVE)
+
     def on_branch(self, interp, inst, target) -> None:
+        was = self.active
         self.tracker.handle_branch(interp, inst, target)
+        if (self.active is None) != (was is None):
+            self._resubscribe(interp)
 
     def on_return(self, interp, fn) -> None:
+        was = self.active
         self.tracker.handle_return(interp, fn)
+        if (self.active is None) != (was is None):
+            self._resubscribe(interp)
 
 
 @dataclass
@@ -121,6 +134,6 @@ def estimate_dependence_speculation(
         ref = report.hottest(top_level_only=False)[0].ref
     interp = Interpreter(module)
     hook = _ManifestHook(module, ref)
-    interp.hooks.append(hook)
+    interp.add_hook(hook)
     interp.run(entry, tuple(args))
     return DepSpecEstimate(ref, hook.iterations, hook.conflicting_iterations)

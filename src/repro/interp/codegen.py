@@ -31,6 +31,14 @@ or writes ``object.data`` with a pre-built ``struct.Struct`` method and
 makes no Python call; a miss asks :class:`AddressSpace` for the next
 entry, with the reference path's faults and copy-on-write.
 
+Instrumented sites (DESIGN.md §7 "Instrumented sites") pay for a hook
+only where it can change its result: a load or store notifies its
+``load``/``store`` subscribers, a branch edge that enters, exits or
+iterates a loop (classified here, once per generated function) its loop
+edge subscribers and any other edge only the every-edge ones; a call of
+``check_heap``, ``private_read``, ``private_write`` or ``redux_update``
+runs the intrinsic's common case inline and calls it for anything else.
+
 ``compile()`` dominates the cost of this tier, so code objects are
 memoised per process by function *content* (:func:`content_key`) in a
 fixed-size LRU; IR objects (instructions handed to hooks and intrinsics,
@@ -61,6 +69,7 @@ from typing import (
     Tuple,
 )
 
+from ..analysis.loops import LoopInfo
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -84,9 +93,17 @@ from ..ir.instructions import (
 from ..ir.module import BasicBlock, Function
 from ..ir.types import FloatType, IntType, PointerType, Type, VoidType
 from ..ir.values import GlobalVariable, Value
-from .costs import INTRINSIC_COSTS, instruction_cost, intrinsic_cost
+from ..obs.trace import TRACER
+from .costs import (
+    INTRINSIC_COSTS,
+    PRIVATE_BYTE_COST,
+    REDUX_BYTE_COST,
+    SEPARATION_CHECK_COST,
+    instruction_cost,
+    intrinsic_cost,
+)
 from .errors import BlockBreakpoint, GuestFault
-from .memory import PAGE_SHIFT, STACK_BASE
+from .memory import PAGE_SHIFT, STACK_BASE, TAG_MASK, TAG_SHIFT
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -102,6 +119,11 @@ MEMO_SIZE = 128
 
 #: Functions generated (memo misses) in this process; tests read it.
 generations = 0
+
+#: The runtime's validation intrinsics whose common case a call site
+#: runs inline (``_SegmentWriter.inline_<name>``).
+INLINED_INTRINSICS = frozenset(
+    ("check_heap", "private_read", "private_write", "redux_update"))
 
 _CMP_OPS = {
     CmpPred.EQ: "==", CmpPred.NE: "!=", CmpPred.LT: "<",
@@ -132,6 +154,17 @@ def _undef_fault(frame, slot: int):
     raise GuestFault(f"use of undefined slot {slot} in {frame.function.name}")
 
 
+def _call_intrinsic(interp, inst: Call, name: str, args: list) -> None:
+    """An inlined validation site off its common case: the call every
+    other intrinsic site makes in place (``_SegmentWriter.call_intrinsic``)
+    — kept out of line, since it is rare and the sites are many."""
+    impl = interp.intrinsics.get(name)
+    if impl is None:
+        raise GuestFault(f"call to unresolved external @{name}")
+    interp.cycles += INTRINSIC_COSTS[name]
+    impl(interp, inst, args)
+
+
 #: What every memory site's cache holds until its first miss; entries are
 #: ``(space, object, lo, hi, generation)`` (``AddressSpace.load_entry``).
 _NO_ENTRY = (None, None, 0, 0, 0)
@@ -151,6 +184,7 @@ _GLOBALS = {
     "VoidType": VoidType, "intrinsic_cost": intrinsic_cost,
     "STACK_BASE": STACK_BASE, "pack": struct.pack, "unpack": struct.unpack,
     "NAN": float("nan"), "INF": float("inf"), "NINF": float("-inf"),
+    "TRACER": TRACER, "intrinsic": _call_intrinsic,
 }
 for _f in (*_INT_FORMATS.values(), *_FLOAT_FORMATS.values()):
     _GLOBALS["ld" + _f] = struct.Struct("<" + _f).unpack_from
@@ -315,11 +349,14 @@ class _SegmentWriter:
 
     def __init__(self, fn: Function, regmap: Dict[Value, int],
                  bindex: Dict[BasicBlock, int], firsts: Sequence[int],
-                 b: int):
+                 loops: LoopInfo, b: int):
         self.fn = fn
         self.regmap = regmap
         self.bindex = bindex
         self.firsts = firsts
+        #: Classifies each branch edge, once per generated function:
+        #: the CFG is part of the content key, so memoised code agrees.
+        self.loops = loops
         self.b = b
         self.block = fn.blocks[b]
         self.lines: List[str] = []
@@ -598,8 +635,9 @@ class _SegmentWriter:
         me = self.bind("I", k)
         ty = inst.type
         addr = self.named(self.use(k, 0), "ta")
-        self.emit(f"if interp.hooks: interp.notify_load({me}, {addr}, "
-                  f"{ty.size})")
+        self.emit("if interp.load_hooks:")
+        self.emit(f"    for h in interp.load_hooks: "
+                  f"h.on_load(interp, {me}, {addr}, {ty.size})")
         if isinstance(ty, IntType):
             fmt = _INT_FORMATS[ty.size, ty.signed]
         elif isinstance(ty, FloatType):
@@ -624,8 +662,9 @@ class _SegmentWriter:
             value = self.use(k, 0, "i")
         else:
             value = self.use(k, 0)
-        self.emit(f"if interp.hooks: interp.notify_store({me}, {addr}, "
-                  f"{size})")
+        self.emit("if interp.store_hooks:")
+        self.emit(f"    for h in interp.store_hooks: "
+                  f"h.on_store(interp, {me}, {addr}, {size})")
         # Reference order from here: coerce the value, fault, write.
         if isinstance(ty, FloatType) and size == 4:
             # Packed up front: a value too large for an f32 is refused
@@ -654,10 +693,13 @@ class _SegmentWriter:
         self.raises = True
         callee = inst.callee
         me, fn = self.bind("I", k), self.bind("F", k)
-        args = ", ".join(self.use(k, o) for o in range(len(inst.operands)))
-        self.emit(f"a = [{args}]")
-        self.emit("if interp.hooks:")
-        self.emit(f"    for h in interp.hooks: h.on_call(interp, {me}, {fn})")
+        args = [self.use(k, o) for o in range(len(inst.operands))]
+        inline = None if _is_defined(callee) else self.inline_site(inst, args)
+        if inline is None:
+            self.emit(f"a = [{', '.join(args)}]")
+        self.emit("if interp.call_hooks:")
+        self.emit(f"    for h in interp.call_hooks: "
+                  f"h.on_call(interp, {me}, {fn})")
         if _is_defined(callee):
             # The frame is suspended here: the segment ends, so nothing
             # of the block's tail has been charged yet.
@@ -666,7 +708,109 @@ class _SegmentWriter:
             self.emit(f"interp.push_function({fn}, a, call_inst={me})")
             self.emit("return STACK")
             return True
-        name = callee.name
+        if inline is not None:
+            guard, body = inline
+            self.emit("rt = interp.runtime")
+            with self.arm("if rt is not None and not TRACER.enabled"
+                          + (f" and {guard}:" if guard else ":")):
+                for line in body:
+                    self.emit(line)
+            self.emit(f"else: intrinsic(interp, {me}, {callee.name!r}, "
+                      f"[{', '.join(args)}])")
+            return False
+        return self.call_intrinsic(inst, me)
+
+    # -- instrumented sites (DESIGN.md §7 "Instrumented sites") ---------------
+
+    def inline_site(self, inst: Call, args: List[str]
+                    ) -> Optional[Tuple[Optional[str], List[str]]]:
+        """``(guard, body)`` when ``inst`` is a validation intrinsic
+        whose common case runs inline: ``body`` does what the intrinsic
+        would when ``guard`` (None: always) holds, ``rt`` being
+        ``interp.runtime`` — set while a runtime speculates an iteration
+        — and tracing off; anything else calls the intrinsic.  None for
+        every other call, and when an operand is not the int the guard
+        needs."""
+        name = inst.callee.name
+        if name not in INLINED_INTRINSICS or len(args) != 2:
+            return None
+        pointer, constant = inst.operands
+        if constant.cval is None or not (
+                pointer.cval is not None or isinstance(pointer, GlobalVariable)
+                or _pykind(pointer) == "i"):
+            return None
+        # Both arms read the pointer from one name.
+        args[0] = self.named(args[0], "tp")
+        return getattr(self, "inline_" + name)(name, args[0],
+                                               int(constant.cval))
+
+    @staticmethod
+    def _add_range(target: str, lo: str, hi: str) -> List[str]:
+        """``target.add_range(lo, hi)`` of an :class:`IntervalSet`, with
+        its common case — inside or extending the last pending run —
+        inline."""
+        return [f"q = (iv := {target})._pending",
+                f"if q and q[-1][0] <= {lo} <= (e := q[-1][1]):",
+                f"    if {hi} > e: q[-1] = (q[-1][0], {hi}); iv._runs = None",
+                f"else: iv.add_range({lo}, {hi})"]
+
+    # Each body charges what the intrinsic of the same name in
+    # ``RuntimeSystem`` charges: to ``interp.cycles`` its call cost plus
+    # its per-byte cost, and to ``RuntimeStats`` the same fields.
+
+    def inline_check_heap(self, name: str, addr: str, tag: int):
+        # classify imports the interpreter: resolved at generation time.
+        from ..classify.heaps import HeapKind
+
+        if tag not in {int(kind) for kind in HeapKind}:
+            return None  # the intrinsic rejects the tag
+        return (f"({addr} >> {TAG_SHIFT}) & {TAG_MASK} == {tag}",
+                [f"interp.cycles += {_baked_cost(name)}",
+                 "st = rt.stats",
+                 "st.separation_checks += 1",
+                 f"st.separation_cycles += {SEPARATION_CHECK_COST + 4}"])
+
+    def inline_private_read(self, name: str, addr: str, size: int):
+        cost = _baked_cost(name) + PRIVATE_BYTE_COST * size
+        # Every byte already carries this iteration's timestamp.
+        return (f"0 <= (vo := {addr} - rt.private_base) and rt.current_worker"
+                f".shadow.meta.count(rt.current_ts, vo, vo + {size}) == {size}",
+                [f"interp.cycles += {cost}",
+                 "st = rt.stats",
+                 "st.private_read_calls += 1",
+                 f"st.private_read_bytes += {size}",
+                 f"st.private_read_cycles += {cost}"])
+
+    def inline_private_write(self, name: str, addr: str, size: int):
+        # runtime imports the interpreter: resolved at generation time.
+        from ..runtime.shadow import READ_LIVE_IN
+
+        cost = _baked_cost(name) + PRIVATE_BYTE_COST * size
+        # No byte was read live-in since the last checkpoint.
+        return (f"0 <= (vo := {addr} - rt.private_base) "
+                f"and vo + {size} <= (sh := rt.current_worker.shadow).size "
+                f"and sh.meta.find({READ_LIVE_IN}, vo, vo + {size}) < 0",
+                [f"interp.cycles += {cost}",
+                 "st = rt.stats",
+                 "st.private_write_calls += 1",
+                 f"st.private_write_bytes += {size}",
+                 f"st.private_write_cycles += {cost}",
+                 f"sh.meta[vo:vo + {size}] = bytes((rt.current_ts,)) * {size}",
+                 *self._add_range("sh.written", "vo", f"vo + {size}")])
+
+    def inline_redux_update(self, name: str, addr: str, size: int):
+        cost = _baked_cost(name) + REDUX_BYTE_COST * size
+        return (None,
+                [f"interp.cycles += {cost}",
+                 "st = rt.stats",
+                 "st.redux_updates += 1",
+                 f"st.redux_cycles += {cost}",
+                 *self._add_range("rt.current_worker.redux_written", addr,
+                                  f"{addr} + {size}")])
+
+    def call_intrinsic(self, inst: Call, me: str) -> bool:
+        """Call the intrinsic ``inst`` names on the argument list ``a``."""
+        name = inst.callee.name
         self.emit(f"impl = interp.intrinsics.get({name!r})")
         self.emit(f"if impl is None: raise GuestFault("
                   f"{'call to unresolved external @' + name!r})")
@@ -729,9 +873,11 @@ class _SegmentWriter:
         j = self.bindex[target]
         me, here, there = self.bind("I", k), self.bind("B", self.b), \
             self.bind("B", j)
-        self.emit("if interp.hooks:")
-        self.emit(f"    for h in interp.hooks: "
-                  f"h.on_branch(interp, {me}, {there})")
+        hooks = ("interp.loop_edge_hooks"
+                 if self.loops.is_loop_edge(self.block, target)
+                 else "interp.edge_hooks")
+        self.emit(f"if {hooks}:")
+        self.emit(f"    for h in {hooks}: h.on_branch(interp, {me}, {there})")
         self.emit(f"if {there} in interp.block_breakpoints: "
                   f"raise BlockBreakpoint(frame, {there}, frame.block)")
         moves = []
@@ -773,6 +919,7 @@ def _segments(fn: Function, regmap: Dict[Value, int]
     segment of ``fn``."""
     bindex = {bb: j for j, bb in enumerate(fn.blocks)}
     firsts = [_first_non_phi(bb) for bb in fn.blocks]
+    loops = LoopInfo(fn)
     for b, bb in enumerate(fn.blocks):
         insts = bb.instructions
         # The ops of the block: its non-phi instructions plus, when it
@@ -782,7 +929,7 @@ def _segments(fn: Function, regmap: Dict[Value, int]
             costs.append(0)
         start, end = firsts[b], firsts[b] + len(costs)
         while start < end:
-            w = _SegmentWriter(fn, regmap, bindex, firsts, b)
+            w = _SegmentWriter(fn, regmap, bindex, firsts, loops, b)
             k = start
             while not w.op(k - start, k):
                 k += 1

@@ -76,6 +76,16 @@ INTRINSIC_COSTS: Dict[str, Union[int, Callable[[List], int]]] = {
 }
 
 
+#: What the runtime's validation intrinsics add on top of their call
+#: costs: per byte of shadow metadata a private access updates, per byte
+#: of a reduction update, and per separation check (charged to
+#: ``RuntimeStats`` only).  Generated code that runs an intrinsic's
+#: common case inline charges the same.
+PRIVATE_BYTE_COST = 1
+REDUX_BYTE_COST = 1
+SEPARATION_CHECK_COST = 2
+
+
 def instruction_cost(inst: Instruction) -> int:
     """Cycle cost of one executed IR instruction (calls add intrinsic
     costs separately)."""

@@ -16,7 +16,9 @@ Design notes
   The DOALL executor uses this both to detect parallel-region invocations
   and to delimit loop iterations during worker simulation.
 * Hooks observe allocations, frees, loads, stores, branches, and
-  calls/returns; the profilers are implemented as hooks.
+  calls/returns; the profilers are implemented as hooks.  A hook is told
+  of loads, stores, calls and edges only as far as it subscribed to them
+  (:meth:`Interpreter.add_hook`), so the rest run at plain speed.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from __future__ import annotations
 import os
 import struct as _struct
 import time as _time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
+from ..analysis.loops import LoopInfo
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -76,10 +80,24 @@ from .memory import GLOBAL_BASE, STACK_BASE, AddressSpace, MemoryObject
 __all__ = ["BlockBreakpoint", "Hook", "Frame", "Interpreter"]
 
 
+#: What a hook can subscribe to beyond allocations, frees and returns
+#: (which every hook sees): loads, stores, calls, every CFG edge taken,
+#: or only the edges that enter, exit or iterate a loop.
+HOOK_EVENTS = frozenset(("load", "store", "call", "edge", "loop_edge"))
+
+
 class Hook:
-    """Base class for execution observers; override what you need."""
+    """Base class for execution observers; override what you need.
+
+    ``subscription`` is what :meth:`Interpreter.add_hook` starts a hook
+    with (see :data:`HOOK_EVENTS`); the interpreter calls ``on_load``,
+    ``on_store``, ``on_call`` and ``on_branch`` only for those.  A hook
+    may change it while it runs (:meth:`Interpreter.subscribe`)."""
 
     __slots__ = ()
+
+    subscription: FrozenSet[str] = frozenset(
+        ("load", "store", "call", "edge"))
 
     def on_alloc(self, interp, obj: MemoryObject, inst: Instruction) -> None: ...
     def on_free(self, interp, obj: MemoryObject, inst: Instruction) -> None: ...
@@ -158,8 +176,26 @@ class Interpreter:
         self.steps = 0
         self.cycles = 0
         self.frames: List[Frame] = []
-        self.hooks: List[Hook] = []
+        #: Registered hooks with their subscriptions, in registration
+        #: order (:meth:`add_hook`); the tuples below are what each event
+        #: notifies, rebuilt whenever a subscription changes.
+        self._subscriptions: List[Tuple[Hook, FrozenSet[str]]] = []
+        self.hooks: Tuple[Hook, ...] = ()
+        self.load_hooks: Tuple[Hook, ...] = ()
+        self.store_hooks: Tuple[Hook, ...] = ()
+        self.call_hooks: Tuple[Hook, ...] = ()
+        #: Notified on every edge taken.
+        self.edge_hooks: Tuple[Hook, ...] = ()
+        #: Notified on an edge that enters, exits or iterates a loop:
+        #: the ``edge`` subscribers and the ``loop_edge`` ones, each once.
+        self.loop_edge_hooks: Tuple[Hook, ...] = ()
+        self._loop_infos: Dict[Function, LoopInfo] = {}
+        self._loop_edges: Dict[Tuple[BasicBlock, BasicBlock], bool] = {}
         self.intrinsics: Dict[str, Callable] = default_intrinsics()
+        #: The runtime whose validation intrinsics generated code runs
+        #: inline: set by :class:`repro.runtime.system.RuntimeSystem`
+        #: while it speculates an iteration, None otherwise.
+        self.runtime = None
         self._install_neutral_privateer_intrinsics()
         self.block_breakpoints: set = set()
         self.output: List[str] = []
@@ -206,7 +242,58 @@ class Interpreter:
                      "loop_iter_begin", "loop_iter_end"):
             self.intrinsics.setdefault(name, noop)
 
-    # -- hook notifications ----------------------------------------------------
+    # -- hooks -------------------------------------------------------------------
+
+    def add_hook(self, hook: Hook,
+                 events: Optional[Iterable[str]] = None) -> None:
+        """Register ``hook``, subscribed to ``events`` (default: its
+        ``subscription``), after every hook already registered."""
+        self._subscriptions.append((hook, self._checked(events, hook)))
+        self._rebuild_hooks()
+
+    def remove_hook(self, hook: Hook) -> None:
+        self._subscriptions = [s for s in self._subscriptions
+                               if s[0] is not hook]
+        self._rebuild_hooks()
+
+    def subscribe(self, hook: Hook, events: Iterable[str]) -> None:
+        """Replace the subscription of registered ``hook``.  An event
+        being notified completes with the hooks it started with."""
+        self._subscriptions = [
+            (h, self._checked(events, h) if h is hook else ev)
+            for h, ev in self._subscriptions]
+        self._rebuild_hooks()
+
+    @staticmethod
+    def _checked(events: Optional[Iterable[str]],
+                 hook: Hook) -> FrozenSet[str]:
+        chosen = frozenset(hook.subscription if events is None else events)
+        unknown = chosen - HOOK_EVENTS
+        if unknown:
+            raise ValueError(f"unknown hook events {sorted(unknown)}")
+        return chosen
+
+    def _rebuild_hooks(self) -> None:
+        subs = self._subscriptions
+        self.hooks = tuple(h for h, _ev in subs)
+        self.load_hooks = tuple(h for h, ev in subs if "load" in ev)
+        self.store_hooks = tuple(h for h, ev in subs if "store" in ev)
+        self.call_hooks = tuple(h for h, ev in subs if "call" in ev)
+        self.edge_hooks = tuple(h for h, ev in subs if "edge" in ev)
+        self.loop_edge_hooks = tuple(
+            h for h, ev in subs if "edge" in ev or "loop_edge" in ev)
+
+    def is_loop_edge(self, src: BasicBlock, dst: BasicBlock) -> bool:
+        """The step path's :meth:`LoopInfo.is_loop_edge`, memoised (the
+        generated code bakes the same answer into each branch)."""
+        known = self._loop_edges.get((src, dst))
+        if known is None:
+            fn = src.parent
+            info = self._loop_infos.get(fn)
+            if info is None:
+                info = self._loop_infos[fn] = LoopInfo(fn)
+            known = self._loop_edges[src, dst] = info.is_loop_edge(src, dst)
+        return known
 
     def notify_alloc(self, obj: MemoryObject, inst: Instruction) -> None:
         for h in self.hooks:
@@ -217,12 +304,23 @@ class Interpreter:
             h.on_free(self, obj, inst)
 
     def notify_load(self, inst: Instruction, addr: int, size: int) -> None:
-        for h in self.hooks:
+        for h in self.load_hooks:
             h.on_load(self, inst, addr, size)
 
     def notify_store(self, inst: Instruction, addr: int, size: int) -> None:
-        for h in self.hooks:
+        for h in self.store_hooks:
             h.on_store(self, inst, addr, size)
+
+    def notify_branch(self, frame: Frame, inst: Instruction,
+                      target: BasicBlock) -> None:
+        """Step path of a taken edge: the loop-edge subscribers on an
+        edge that enters, exits or iterates a loop, else the every-edge
+        ones."""
+        hooks = self.loop_edge_hooks
+        if not self.is_loop_edge(frame.block, target):
+            hooks = self.edge_hooks
+        for h in hooks:
+            h.on_branch(self, inst, target)
 
     def emit_output(self, text: str) -> None:
         if self.output_sink is not None:
@@ -371,14 +469,14 @@ class Interpreter:
         elif op is Opcode.LOAD:
             addr = self.value_of(frame, inst.pointer)  # type: ignore[attr-defined]
             size = inst.type.size
-            if self.hooks:
+            if self.load_hooks:
                 self.notify_load(inst, addr, size)
             frame.regs[inst] = self._load_typed(addr, inst.type)
         elif op is Opcode.STORE:
             addr = self.value_of(frame, inst.pointer)  # type: ignore[attr-defined]
             value = self.value_of(frame, inst.value)  # type: ignore[attr-defined]
             size = inst.value.type.size  # type: ignore[attr-defined]
-            if self.hooks:
+            if self.store_hooks:
                 self.notify_store(inst, addr, size)
             self._store_typed(addr, value, inst.value.type)  # type: ignore[attr-defined]
         elif op is Opcode.PTRADD:
@@ -408,17 +506,15 @@ class Interpreter:
         elif op is Opcode.CALL:
             return self._eval_call(frame, inst)  # type: ignore[arg-type]
         elif op is Opcode.BR:
-            if self.hooks:
-                for h in self.hooks:
-                    h.on_branch(self, inst, inst.target)  # type: ignore[attr-defined]
+            if self.loop_edge_hooks:
+                self.notify_branch(frame, inst, inst.target)  # type: ignore[attr-defined]
             self.enter_block(frame, inst.target, fire_breakpoints=True)  # type: ignore[attr-defined]
             return None
         elif op is Opcode.CONDBR:
             cond = self.value_of(frame, inst.cond)  # type: ignore[attr-defined]
             target = inst.if_true if cond else inst.if_false  # type: ignore[attr-defined]
-            if self.hooks:
-                for h in self.hooks:
-                    h.on_branch(self, inst, target)
+            if self.loop_edge_hooks:
+                self.notify_branch(frame, inst, target)
             self.enter_block(frame, target, fire_breakpoints=True)
             return None
         elif op is Opcode.RET:
@@ -483,9 +579,8 @@ class Interpreter:
     def _eval_call(self, frame: Frame, inst: Call):
         callee = inst.callee
         args = [self.value_of(frame, a) for a in inst.args]
-        if self.hooks:
-            for h in self.hooks:
-                h.on_call(self, inst, callee)
+        for h in self.call_hooks:
+            h.on_call(self, inst, callee)
         if callee.is_declaration or callee.is_intrinsic:
             impl = self.intrinsics.get(callee.name)
             if impl is None:

@@ -121,6 +121,8 @@ class _RecoveryHook(Hook):
     """Marks stores executed during sequential recovery as committed
     definitions (they must fail later live-in reads)."""
 
+    subscription = frozenset(("store",))
+
     def __init__(self, runtime: RuntimeSystem):
         self.runtime = runtime
 
@@ -585,13 +587,13 @@ class BaseDOALLExecutor:
         seq_frame = frame.copy()
         interp.swap_stack([seq_frame])
         hook = _RecoveryHook(runtime)
-        interp.hooks.append(hook)
+        interp.add_hook(hook)
         c0 = interp.cycles
         try:
             for i in range(start, end):
                 self._execute_iteration_plain(seq_frame, i, init)
         finally:
-            interp.hooks.remove(hook)
+            interp.remove_hook(hook)
             interp.swap_stack([])
         cycles = interp.cycles - c0
         inv.sequential_cycles += cycles
@@ -629,13 +631,13 @@ class BaseDOALLExecutor:
         recovery_frame = frame.copy()
         interp.swap_stack([recovery_frame])
         hook = _RecoveryHook(runtime)
-        interp.hooks.append(hook)
+        interp.add_hook(hook)
         c0 = interp.cycles
         try:
             for i in range(epoch_start, m + 1):
                 self._execute_iteration_plain(recovery_frame, i, init)
         finally:
-            interp.hooks.remove(hook)
+            interp.remove_hook(hook)
             interp.swap_stack([])
         recovery_cycles = interp.cycles - c0
         inv.recovery_cycles += recovery_cycles

@@ -12,6 +12,13 @@ invocation of that loop is active, at any call depth:
   location is nameable by the transformation);
 * I/O call sites (for deferral) and block coverage (for control
   speculation).
+
+The hook subscribes to loads, stores and every edge only while its loop
+is active, and to loop edges otherwise (DESIGN.md §7 "Instrumented
+sites").  An access resolves its object through a per-site entry kept by
+the rule of the interpreter's memory inline cache, records the site's
+pointer-to-object fact only when that object changes, and walks its
+bytes in the last-writer map with C-level ``map``/``dict`` calls.
 """
 
 from __future__ import annotations
@@ -22,17 +29,35 @@ from ..analysis.callgraph import CallGraph
 from ..analysis.reduction import ReductionUpdate, reduction_sites
 from ..interp.interpreter import Hook, Interpreter
 from ..ir.instructions import Call, Instruction
-from ..ir.module import Function, Module
+from ..ir.module import BasicBlock, Function, Module
 from .data import FlowDep, LoopProfile, LoopRef, ValuePrediction
 from .looptracker import ActiveLoop, LoopInfoCache, LoopTracker
 
 _IO_NAMES = {"printf", "puts"}
 
-#: last_writer value for bytes written outside any invocation of the loop.
-_OUTSIDE = (None, None)
+#: A site's entry before its first resolution: ``(space, object, lo, hi,
+#: generation, object site)``, as ``AddressSpace.load_entry`` plus the
+#: object's site.
+_NO_ENTRY = (None, None, 0, 0, 0, "")
+
+
+class _Site:
+    """What the profiler keeps per load/store instruction: its static
+    facts, read once, and the last object it resolved."""
+
+    __slots__ = ("site_id", "redux_op", "entry")
+
+    def __init__(self, site_id: str, redux_op: Optional[str]):
+        self.site_id = site_id
+        self.redux_op = redux_op
+        self.entry = _NO_ENTRY
 
 
 class _LoopProfileHook(Hook):
+    subscription = frozenset(("loop_edge",))
+    #: The subscription while an invocation of the loop is active.
+    _ACTIVE = frozenset(("load", "store", "edge", "call"))
+
     def __init__(self, module: Module, ref: LoopRef):
         self.module = module
         self.ref = ref
@@ -44,17 +69,26 @@ class _LoopProfileHook(Hook):
             on_iterate=self._on_iterate,
             on_exit=self._on_exit,
         )
+        self._edges = self.cache._edges
+        self._loop = self.cache.loop_by_ref(ref)
         self.active: Optional[ActiveLoop] = None
         self.invocation = -1
 
-        # Byte address -> ((invocation, iteration) | None, store site | None)
-        self.last_writer: Dict[int, Tuple] = {}
+        # Byte address -> (iteration, store site) of its last writer in
+        # the active invocation; a writer from an earlier invocation
+        # never makes a flow dependence, so entering one clears it.
+        self.last_writer: Dict[int, Tuple[int, str]] = {}
         # In-loop live allocations: base -> (site, (invocation, iteration))
         self.live_allocs: Dict[int, Tuple[str, Tuple[int, int]]] = {}
         self.lifetime_violations: Set[str] = set()
         # (obj_site, offset, size) -> set of observed values (capped)
         self.vp_values: Dict[Tuple[str, int, int], Set[int]] = {}
-        self.vp_deps: Dict[Tuple[str, int, int], Set[FlowDep]] = {}
+        # (obj_site, offset, size) -> the dependences its reads carried,
+        # by identity (one FlowDep object per distinct dependence)
+        self.vp_deps: Dict[Tuple[str, int, int], Dict[int, FlowDep]] = {}
+        self._deps: Dict[Tuple[str, str, str], FlowDep] = {}
+        self._sites: Dict[Instruction, _Site] = {}
+        self._executed: Set[BasicBlock] = set()
         # Static reduction pairing, per function (lazy).
         self._redux_maps: Dict[Function, Dict[Instruction, ReductionUpdate]] = {}
 
@@ -65,10 +99,11 @@ class _LoopProfileHook(Hook):
         return (self.invocation, self.active.iteration)
 
     def _on_enter(self, active: ActiveLoop) -> None:
-        if active.ref == self.ref and self.active is None:
+        if active.loop is self._loop and self.active is None:
             self.active = active
             self.invocation += 1
             self.profile.invocations += 1
+            self.last_writer.clear()
 
     def _on_iterate(self, active: ActiveLoop) -> None:
         if active is self.active:
@@ -96,36 +131,68 @@ class _LoopProfileHook(Hook):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _redux_map(self, fn: Function) -> Dict[Instruction, ReductionUpdate]:
-        if fn not in self._redux_maps:
-            self._redux_maps[fn] = reduction_sites(fn)
-        return self._redux_maps[fn]
-
-    def _object_site(self, interp, addr: int, size: int) -> Optional[Tuple[str, int]]:
-        found = interp.space.try_find(addr, size)
-        if found is None:
-            return None
-        obj, offset = found
-        return obj.site or obj.name, offset
+    def _new_site(self, inst: Instruction) -> _Site:
+        fn = inst.parent.parent if inst.parent is not None else None
+        upd = None
+        if fn is not None:
+            if fn not in self._redux_maps:
+                self._redux_maps[fn] = reduction_sites(fn)
+            upd = self._redux_maps[fn].get(inst)
+        site = _Site(inst.site_id(),
+                     upd.operator.name if upd is not None else None)
+        self._sites[inst] = site
+        return site
 
     def _record_pointer(self, inst: Instruction, obj_site: str) -> None:
         self.profile.pointer_objects.setdefault(inst.site_id(), set()).add(obj_site)
 
+    def _miss(self, interp, inst, addr: int, size: int
+              ) -> Tuple[Optional[_Site], bool]:
+        """Resolve an access its site's entry does not answer: ``(site,
+        changed)``, ``changed`` when the object is not the one the site
+        resolved last, whose pointer-to-object fact is then recorded.
+        ``site`` is None where the access resolves to no object."""
+        site = self._sites.get(inst) or self._new_site(inst)
+        sp = interp.space
+        found = sp.try_find(addr, size)
+        if found is None:
+            return None, False
+        obj = found[0]
+        changed = obj is not site.entry[1]
+        site.entry = (sp, obj, obj.base, obj.base + obj.size,
+                      sp.generation, obj.site or obj.name)
+        if changed:
+            self.profile.pointer_objects.setdefault(
+                site.site_id, set()).add(site.entry[5])
+        return site, changed
+
     # -- hook events -----------------------------------------------------------------
 
+    def _resubscribe(self, interp) -> None:
+        """The loop was entered or left: follow it."""
+        interp.subscribe(self, self.subscription if self.active is None
+                         else self._ACTIVE)
+
     def on_branch(self, interp, inst, target) -> None:
-        self.tracker.handle_branch(interp, inst, target)
-        if self.active is not None:
+        actions = self._edges.get((inst.parent, target))
+        if actions is None or actions.moves:
+            was = self.active
+            self.tracker.handle_branch(interp, inst, target)
+            if (self.active is None) != (was is None):
+                self._resubscribe(interp)
+        if self.active is not None and target not in self._executed:
+            self._executed.add(target)
             fn = target.parent
             if fn is not None:
                 self.profile.executed_blocks.add((fn.name, target.name))
 
     def on_return(self, interp, fn) -> None:
+        was = self.active
         self.tracker.handle_return(interp, fn)
+        if (self.active is None) != (was is None):
+            self._resubscribe(interp)
 
     def on_call(self, interp, inst: Call, callee) -> None:
-        if self.active is None:
-            return
         if callee.name in _IO_NAMES:
             self.profile.io_sites.add(inst.site_id())
         if not callee.is_declaration:
@@ -156,89 +223,111 @@ class _LoopProfileHook(Hook):
         if key != self._key():
             self.lifetime_violations.add(site)
 
-    def on_load(self, interp, inst, addr: int, size: int) -> None:
-        if self.active is None:
-            return
-        resolved = self._object_site(interp, addr, size)
-        if resolved is None:
-            return
-        obj_site, offset = resolved
-        self._record_pointer(inst, obj_site)
-        self.profile.loads += 1
-        self.profile.bytes_read += size
+    # on_load and on_store test the site's entry by the hit rule of the
+    # interpreter's memory inline cache before anything else.
 
-        fn = inst.parent.parent if inst.parent is not None else None
-        is_redux = fn is not None and inst in self._redux_map(fn)
-        if is_redux:
-            upd = self._redux_map(fn)[inst]
-            self.profile.redux_sites.add(obj_site)
-            self.profile.redux_ops[obj_site] = upd.operator.name
+    def on_load(self, interp, inst, addr: int, size: int) -> None:
+        site = self._sites.get(inst)
+        sp = interp.space
+        changed = False
+        if site is None:
+            site, changed = self._miss(interp, inst, addr, size)
         else:
-            self.profile.read_sites.add(obj_site)
+            c, o, lo, hi, g, _ = site.entry
+            if not (c is sp and g == sp.generation and lo <= addr
+                    and addr + size <= hi and o.alive):
+                site, changed = self._miss(interp, inst, addr, size)
+        if site is None:
+            return
+        obj_site = site.entry[5]
+        profile = self.profile
+        profile.loads += 1
+        profile.bytes_read += size
+        if site.redux_op is not None:
+            profile.redux_ops[obj_site] = site.redux_op
+            if changed:
+                profile.redux_sites.add(obj_site)
+        elif changed:
+            profile.read_sites.add(obj_site)
 
         # Cross-iteration flow detection (byte granular).
-        key = self._key()
-        dep_store_sites: Set[str] = set()
-        for b in range(addr, addr + size):
-            writer = self.last_writer.get(b)
-            if writer is None or writer[0] is None:
-                continue
-            w_key, w_site = writer
-            if w_key[0] == key[0] and w_key[1] < key[1]:
+        if not self.last_writer:
+            return
+        writers = set(map(self.last_writer.get, range(addr, addr + size)))
+        writers.discard(None)
+        if not writers:
+            return
+        iteration = self.active.iteration
+        dep_store_sites = set()
+        for w_iter, w_site in writers:
+            if w_iter < iteration:
                 dep_store_sites.add(w_site)
         if dep_store_sites:
-            load_site = inst.site_id()
-            deps = {FlowDep(s, load_site, obj_site) for s in dep_store_sites}
-            self.profile.flow_deps |= deps
-            # Value-prediction candidate: global objects only, word-sized.
-            if obj_site.startswith("global:") and size <= 8:
-                vp_key = (obj_site, offset, size)
-                value = interp.space.read_int(addr, size, signed=False)
-                values = self.vp_values.setdefault(vp_key, set())
-                if len(values) < 3:
-                    values.add(value)
-                self.vp_deps.setdefault(vp_key, set()).update(deps)
+            self._flow(site, addr, size, dep_store_sites)
+
+    def _flow(self, site: _Site, addr: int, size: int,
+              dep_store_sites: Set[str]) -> None:
+        obj_site = site.entry[5]
+        deps = []
+        for store_site in dep_store_sites:
+            key = (store_site, site.site_id, obj_site)
+            dep = self._deps.get(key)
+            if dep is None:
+                dep = self._deps[key] = FlowDep(*key)
+                self.profile.flow_deps.add(dep)
+            deps.append(dep)
+        # Value-prediction candidate: global objects only, word-sized.
+        if obj_site.startswith("global:") and size <= 8:
+            _sp, obj, lo, _hi, _g, _os = site.entry
+            offset = addr - lo
+            vp_key = (obj_site, offset, size)
+            value = int.from_bytes(obj.data[offset:offset + size], "little")
+            values = self.vp_values.setdefault(vp_key, set())
+            if len(values) < 3:
+                values.add(value)
+            self.vp_deps.setdefault(vp_key, {}).update(
+                (id(dep), dep) for dep in deps)
 
     def on_store(self, interp, inst, addr: int, size: int) -> None:
-        key_entry: Tuple
-        if self.active is None:
-            key_entry = _OUTSIDE
-            for b in range(addr, addr + size):
-                if b in self.last_writer:
-                    self.last_writer[b] = key_entry
-            return
-        resolved = self._object_site(interp, addr, size)
-        if resolved is None:
-            return
-        obj_site, _offset = resolved
-        self._record_pointer(inst, obj_site)
-        self.profile.stores += 1
-        self.profile.bytes_written += size
-
-        fn = inst.parent.parent if inst.parent is not None else None
-        is_redux = fn is not None and inst in self._redux_map(fn)
-        if is_redux:
-            upd = self._redux_map(fn)[inst]
-            self.profile.redux_sites.add(obj_site)
-            self.profile.redux_ops[obj_site] = upd.operator.name
+        site = self._sites.get(inst)
+        sp = interp.space
+        changed = False
+        if site is None:
+            site, changed = self._miss(interp, inst, addr, size)
         else:
-            self.profile.write_sites.add(obj_site)
-
-        site = inst.site_id()
-        entry = (self._key(), site)
-        for b in range(addr, addr + size):
-            self.last_writer[b] = entry
+            c, o, lo, hi, g, _ = site.entry
+            if not (c is sp and g == sp.generation and lo <= addr
+                    and addr + size <= hi and o.alive):
+                site, changed = self._miss(interp, inst, addr, size)
+        if site is None:
+            return
+        obj_site = site.entry[5]
+        profile = self.profile
+        profile.stores += 1
+        profile.bytes_written += size
+        if site.redux_op is not None:
+            profile.redux_ops[obj_site] = site.redux_op
+            if changed:
+                profile.redux_sites.add(obj_site)
+        elif changed:
+            profile.write_sites.add(obj_site)
+        self.last_writer.update(dict.fromkeys(
+            range(addr, addr + size), (self.active.iteration, site.site_id)))
 
     # -- finalize ----------------------------------------------------------------------
 
     def finalize(self) -> LoopProfile:
+        # The run is over: drop what pins its address space and bytes
+        # (the hook outlives it in a cycle with its tracker).
+        self._sites.clear()
+        self.last_writer.clear()
         p = self.profile
         p.short_lived_sites = p.loop_alloc_sites - self.lifetime_violations
         for vp_key, values in self.vp_values.items():
             if len(values) == 1:
                 obj_site, offset, size = vp_key
                 vp = ValuePrediction(obj_site, offset, size, next(iter(values)))
-                p.value_predictions[vp] = set(self.vp_deps[vp_key])
+                p.value_predictions[vp] = set(self.vp_deps[vp_key].values())
         p.unexecuted_blocks = self._region_blocks() - p.executed_blocks
         return p
 
@@ -275,7 +364,7 @@ def profile_loop(
                      loop=str(ref)) as sp:
         interp = Interpreter(module)
         hook = _LoopProfileHook(module, ref)
-        interp.hooks.append(hook)
+        interp.add_hook(hook)
         interp.run(entry, args)
         while hook.tracker.stack:
             hook.tracker._pop(interp)

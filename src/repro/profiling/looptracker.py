@@ -18,13 +18,16 @@ from .data import LoopRef
 class LoopActions:
     """Precomputed consequences of one CFG edge."""
 
-    __slots__ = ("exited", "iterated", "entered")
+    __slots__ = ("exited", "iterated", "entered", "moves")
 
     def __init__(self, exited: List[Loop], iterated: Optional[Loop],
                  entered: List[Loop]):
         self.exited = exited          # innermost-first
         self.iterated = iterated      # back edge target loop, if any
         self.entered = entered        # outermost-first
+        #: Whether the edge does anything at all: enters, exits or
+        #: iterates a loop (``LoopInfo.is_loop_edge``).
+        self.moves = bool(exited or iterated is not None or entered)
 
 
 class LoopInfoCache:
@@ -34,6 +37,7 @@ class LoopInfoCache:
         self.module = module
         self._infos: Dict[Function, LoopInfo] = {}
         self._edges: Dict[Tuple[BasicBlock, BasicBlock], LoopActions] = {}
+        self._refs: Dict[Loop, LoopRef] = {}
 
     def info(self, fn: Function) -> LoopInfo:
         if fn not in self._infos:
@@ -45,7 +49,10 @@ class LoopInfoCache:
         return self.info(fn).loop_with_header(ref.header)
 
     def ref_of(self, fn: Function, loop: Loop) -> LoopRef:
-        return LoopRef(fn.name, loop.header.name)
+        ref = self._refs.get(loop)
+        if ref is None:
+            ref = self._refs[loop] = LoopRef(fn.name, loop.header.name)
+        return ref
 
     def actions(self, src: BasicBlock, dst: BasicBlock) -> LoopActions:
         key = (src, dst)
@@ -55,8 +62,8 @@ class LoopInfoCache:
         fn = src.parent
         assert fn is not None
         info = self.info(fn)
-        src_loops = self._enclosing(info, src)
-        dst_loops = self._enclosing(info, dst)
+        src_loops = info.enclosing_loops(src)
+        dst_loops = info.enclosing_loops(dst)
         exited = [l for l in src_loops if l not in dst_loops]
         entered = [l for l in dst_loops if l not in src_loops]
         iterated: Optional[Loop] = None
@@ -68,22 +75,13 @@ class LoopInfoCache:
         self._edges[key] = actions
         return actions
 
-    @staticmethod
-    def _enclosing(info: LoopInfo, bb: BasicBlock) -> List[Loop]:
-        """Loops containing ``bb``, outermost first."""
-        loop = info.innermost_loop_of(bb)
-        chain: List[Loop] = []
-        while loop is not None:
-            chain.append(loop)
-            loop = loop.parent
-        chain.reverse()
-        return chain
-
 
 class ActiveLoop:
-    """One live loop invocation on the tracker stack."""
+    """One live loop invocation on the tracker stack; ``record`` is the
+    tracker's client's to keep per-invocation state in."""
 
-    __slots__ = ("loop", "ref", "frame_depth", "iteration", "entry_cycles")
+    __slots__ = ("loop", "ref", "frame_depth", "iteration", "entry_cycles",
+                 "record")
 
     def __init__(self, loop: Loop, ref: LoopRef, frame_depth: int,
                  entry_cycles: int):
@@ -92,6 +90,7 @@ class ActiveLoop:
         self.frame_depth = frame_depth
         self.iteration = 0
         self.entry_cycles = entry_cycles
+        self.record: object = None
 
 
 class LoopTracker:
@@ -109,6 +108,7 @@ class LoopTracker:
         on_exit: Optional[Callable] = None,
     ):
         self.cache = cache
+        self._edges = cache._edges
         self.stack: List[ActiveLoop] = []
         self.on_enter = on_enter
         self.on_iterate = on_iterate
@@ -116,10 +116,12 @@ class LoopTracker:
 
     def handle_branch(self, interp, inst, target: BasicBlock) -> None:
         src = inst.parent
-        if src is None or src.parent is None:
-            return
-        actions = self.cache.actions(src, target)
-        if not (actions.exited or actions.iterated or actions.entered):
+        actions = self._edges.get((src, target))
+        if actions is None:
+            if src is None or src.parent is None:
+                return
+            actions = self.cache.actions(src, target)
+        if not actions.moves:
             return
         depth = len(interp.frames)
         for loop in actions.exited:

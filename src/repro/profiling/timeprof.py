@@ -12,6 +12,9 @@ from .looptracker import ActiveLoop, LoopInfoCache, LoopTracker
 
 
 class _TimeHook(Hook):
+    #: Only an edge that enters, exits or iterates a loop moves a record.
+    subscription = frozenset(("loop_edge",))
+
     def __init__(self, module: Module):
         self.cache = LoopInfoCache(module)
         self.records: Dict[LoopRef, LoopTimeRecord] = {}
@@ -21,30 +24,25 @@ class _TimeHook(Hook):
             on_iterate=self._on_iterate,
             on_exit=self._on_exit,
         )
+        # The tracker is all this hook does with an edge or a return.
+        self.on_branch = self.tracker.handle_branch
+        self.on_return = self.tracker.handle_return
 
-    def _record(self, active: ActiveLoop) -> LoopTimeRecord:
+    def _on_enter(self, active: ActiveLoop) -> None:
         rec = self.records.get(active.ref)
         if rec is None:
             rec = LoopTimeRecord(active.ref, depth=active.loop.depth)
             self.records[active.ref] = rec
-        return rec
-
-    def _on_enter(self, active: ActiveLoop) -> None:
         # Iterations are counted at back edges, so loops that exit through
         # the header report their exact trip count.
-        self._record(active).invocations += 1
+        rec.invocations += 1
+        active.record = rec
 
     def _on_iterate(self, active: ActiveLoop) -> None:
-        self._record(active).iterations += 1
+        active.record.iterations += 1
 
     def _on_exit(self, active: ActiveLoop, cycles_now: int) -> None:
-        self._record(active).cycles += cycles_now - active.entry_cycles
-
-    def on_branch(self, interp, inst, target) -> None:
-        self.tracker.handle_branch(interp, inst, target)
-
-    def on_return(self, interp, fn) -> None:
-        self.tracker.handle_return(interp, fn)
+        active.record.cycles += cycles_now - active.entry_cycles
 
 
 def profile_execution_time(
@@ -61,7 +59,7 @@ def profile_execution_time(
                      entry=entry) as sp:
         interp = Interpreter(module)
         hook = _TimeHook(module)
-        interp.hooks.append(hook)
+        interp.add_hook(hook)
         rv = interp.run(entry, args)
         if plain_run is not None:
             plain_run.append((rv, list(interp.output)))

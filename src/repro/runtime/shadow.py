@@ -32,7 +32,8 @@ Two implementations share the contract:
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..interp.errors import Misspeculation
 from .intervals import IntervalSet, constant_runs, runs_from_offsets, value_runs
@@ -157,6 +158,10 @@ class ShadowHeap:
 
     def written_offsets(self) -> Set[int]:
         return self.written.offsets()
+
+    def first_written(self) -> Optional[int]:
+        """Lowest offset written since the last checkpoint, if any."""
+        return self.written.min_offset()
 
     def read_live_in_offsets(self) -> Set[int]:
         out: Set[int] = set()
@@ -295,6 +300,10 @@ class ReferenceShadowHeap:
         for offset, size in self.written:
             out.update(range(offset, offset + size))
         return out
+
+    def first_written(self) -> Optional[int]:
+        """Lowest offset written since the last checkpoint, if any."""
+        return min((offset for offset, _size in self.written), default=None)
 
     def read_live_in_offsets(self) -> Set[int]:
         out: Set[int] = set()

@@ -16,15 +16,16 @@ Substitutions vs. the paper (see DESIGN.md):
 
 from __future__ import annotations
 
-import operator
 import re
 import struct as _struct
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.reduction import apply_operator
+from ..analysis.reduction import REDUCTION_FUNCTIONS, apply_operator
 from ..classify.heaps import HeapKind, tag_matches
 from ..forensics.explain import summarize_context
 from ..forensics.recorder import FlightRecorder
+from ..interp.costs import (INTRINSIC_COSTS, PRIVATE_BYTE_COST,
+                            REDUX_BYTE_COST, SEPARATION_CHECK_COST)
 from ..interp.errors import Misspeculation
 from ..interp.interpreter import Interpreter
 from ..interp.memory import (AddressSpace, MemoryObject, PAGE_SHIFT,
@@ -51,16 +52,12 @@ from .merge import (
     merge_fragments,
     merge_fragments_ref,
 )
-from .shadow import TS_BASE, make_shadow, timestamp_for, use_reference
+from .shadow import (TS_BASE, ShadowHeap, make_shadow, timestamp_for,
+                     use_reference)
 from .stats import CheckpointRecord, MisspecEvent, RuntimeStats
 
 log = get_logger("runtime")
 
-#: Cycle cost of updating one byte of shadow metadata (on top of the
-#: fixed call cost charged by the interpreter's intrinsic dispatch).
-PRIVATE_BYTE_COST = 1
-REDUX_BYTE_COST = 1
-SEPARATION_CHECK_COST = 2
 #: Checkpoint costing: copying one dirty private page, and the fixed
 #: per-worker overhead of acquiring/joining a checkpoint object.
 CHECKPOINT_PAGE_COST = 600
@@ -73,12 +70,9 @@ _HEAP_KINDS = {int(kind): kind for kind in HeapKind}
 
 #: Reduction operator (``BinOpKind`` name) -> the two-argument function
 #: :func:`~repro.analysis.reduction.apply_operator` evaluates for it;
-#: what the run fold maps over a whole run.
-_REDUX_FOLDS = {
-    "ADD": operator.add, "FADD": operator.add,
-    "MUL": operator.mul, "FMUL": operator.mul,
-    "AND": operator.and_, "OR": operator.or_, "XOR": operator.xor,
-}
+#: what the run fold maps over a whole run.  One function for both
+#: folds, so they leave the same NaN payloads.
+_REDUX_FOLDS = {kind.name: fn for kind, fn in REDUCTION_FUNCTIONS.items()}
 
 
 class WorkerState:
@@ -95,11 +89,9 @@ class WorkerState:
         #: Reduction-heap addresses updated this epoch.
         self.redux_written = IntervalSet()
         self.redux_copies: Dict[int, Tuple[MemoryObject, ReduxObjectPlan]] = {}
-        self.epoch_written_offsets = IntervalSet()
 
     def reset_epoch_tracking(self) -> None:
         self.redux_written.clear()
-        self.epoch_written_offsets.clear()
         self.space.dirty_pages.clear()
 
 
@@ -218,7 +210,7 @@ class RuntimeSystem:
             raise Misspeculation(
                 "separation", f"private_read outside private heap 0x{addr:x}",
                 self.current_iteration)
-        cost = 8 + PRIVATE_BYTE_COST * size
+        cost = INTRINSIC_COSTS["private_read"] + PRIVATE_BYTE_COST * size
         interp.cycles += PRIVATE_BYTE_COST * size
         self.stats.private_read_calls += 1
         self.stats.private_read_bytes += size
@@ -238,17 +230,15 @@ class RuntimeSystem:
             raise Misspeculation(
                 "separation", f"private_write outside private heap 0x{addr:x}",
                 self.current_iteration)
-        cost = 8 + PRIVATE_BYTE_COST * size
+        cost = INTRINSIC_COSTS["private_write"] + PRIVATE_BYTE_COST * size
         interp.cycles += PRIVATE_BYTE_COST * size
         self.stats.private_write_calls += 1
         self.stats.private_write_bytes += size
         self.stats.private_write_cycles += cost
         if TRACER.enabled:
             METRICS.counter("runtime.shadow.bytes_written").inc(size)
-        worker = self.current_worker
-        worker.shadow.on_write(offset, size, self.current_ts,
-                               self.current_iteration)
-        worker.epoch_written_offsets.add_range(offset, offset + size)
+        self.current_worker.shadow.on_write(offset, size, self.current_ts,
+                                            self.current_iteration)
         return None
 
     def _i_redux_update(self, interp, inst, args):
@@ -256,7 +246,8 @@ class RuntimeSystem:
             return None
         addr, size = int(args[0]), int(args[1])
         self.stats.redux_updates += 1
-        self.stats.redux_cycles += 4 + REDUX_BYTE_COST * size
+        self.stats.redux_cycles += (INTRINSIC_COSTS["redux_update"]
+                                    + REDUX_BYTE_COST * size)
         if TRACER.enabled:
             METRICS.counter("runtime.redux.bytes_updated").inc(size)
         interp.cycles += REDUX_BYTE_COST * size
@@ -344,6 +335,7 @@ class RuntimeSystem:
     def end_invocation(self) -> None:
         self.speculating = False
         self.current_worker = None
+        self.interp.runtime = None
         self._unprotect_readonly()
         self.workers = []
         # Between invocations the heaps behave as normal memory; the
@@ -410,6 +402,14 @@ class RuntimeSystem:
         self.current_worker = worker
         self.current_iteration = iteration
         self.current_ts = timestamp_for(iteration, self.epoch_start)
+        # Generated code runs the common case of check_heap,
+        # private_read, private_write and redux_update inline against
+        # ``interp.runtime``: this runtime from here until speculation
+        # stops (``speculating`` and ``current_worker`` hold all along),
+        # on vectorised shadows only — the per-byte oracle's are driven
+        # through the intrinsics alone.
+        if self.speculating and type(worker.shadow) is ShadowHeap:
+            self.interp.runtime = self
         self.restore_predictions(worker, iteration)
 
     def restore_predictions(self, worker: WorkerState, iteration: int) -> None:
@@ -423,8 +423,6 @@ class RuntimeSystem:
             if offset >= 0:
                 worker.shadow.on_write(offset, vp.size, self.current_ts,
                                        iteration)
-                worker.epoch_written_offsets.add_range(
-                    offset, offset + vp.size)
             worker.space.write_int(addr, vp.value, vp.size)
             self.stats.misc_validation_cycles += 4
 
@@ -502,7 +500,7 @@ class RuntimeSystem:
             read_live_in_runs=tuple(worker.shadow.read_live_in_runs()),
             write_runs=tuple(write_runs),
             write_kinds=bytes(kinds), write_values=bytes(values),
-            epoch_written_runs=tuple(worker.epoch_written_offsets.runs()),
+            epoch_written_runs=tuple(worker.shadow.written.runs()),
             redux_runs=redux_runs, dirty_private_pages=dirty_pages)
 
     def _extract_fragment_ref(self, worker: WorkerState,
@@ -529,7 +527,7 @@ class RuntimeSystem:
             wid=worker.wid, epoch_start=epoch_start,
             read_live_in=worker.shadow.read_live_in_offsets(),
             writes=writes,
-            epoch_written=worker.epoch_written_offsets.offsets(),
+            epoch_written=worker.shadow.written_offsets(),
             redux_runs=redux_runs, dirty_private_pages=dirty_pages)
 
     def _extract_redux(self, worker: WorkerState
@@ -887,8 +885,9 @@ class RuntimeSystem:
         same site/object/tag for the same injection point — the forensics
         parity tests rely on that.
         """
-        offset = (worker.epoch_written_offsets.min_offset()
-                  if worker.epoch_written_offsets else 0)
+        offset = worker.shadow.first_written()
+        if offset is None:
+            offset = 0
         ctx = self._base_context(worker, self.private_base + offset,
                                  offset, "injected")
         ctx["writer_iteration"] = iteration
@@ -917,6 +916,7 @@ class RuntimeSystem:
         self.deferred.squash_from(self.epoch_start)
         self.speculating = False
         self.current_worker = None
+        self.interp.runtime = None
         # Recovery may legally write read-only-classified objects.
         self._unprotect_readonly()
 
@@ -933,6 +933,7 @@ class RuntimeSystem:
         """
         self.speculating = False
         self.current_worker = None
+        self.interp.runtime = None
         # Like recovery, the span may legally write read-only objects.
         self._unprotect_readonly()
 

@@ -49,8 +49,6 @@ class TestPhase2CrossWorker:
         w0, w1 = runtime.workers
         w0.shadow.on_write(0, 4, _ts(0), 0)
         w1.shadow.on_write(4, 4, _ts(1), 1)
-        w0.epoch_written_offsets.update(range(0, 4))
-        w1.epoch_written_offsets.update(range(4, 8))
         record = runtime.checkpoint(0, 2)
         assert not record.speculative
         assert runtime.stats.checkpoints == 1
@@ -61,7 +59,6 @@ class TestPhase2CrossWorker:
         misspeculation."""
         w0, w1 = runtime.workers
         w1.shadow.on_write(0, 4, _ts(1), 1)
-        w1.epoch_written_offsets.update(range(0, 4))
         w0.shadow.on_read(0, 4, _ts(0), 0)  # live-in from w0's view
         with pytest.raises(Misspeculation, match="cross-worker"):
             runtime.checkpoint(0, 2)
@@ -71,7 +68,6 @@ class TestPhase2CrossWorker:
         live-in in a later epoch (loop-carried flow across checkpoints)."""
         w0, w1 = runtime.workers
         w0.shadow.on_write(0, 4, _ts(0), 0)
-        w0.epoch_written_offsets.update(range(0, 4))
         runtime.checkpoint(0, 2)  # commits: committed_meta[0..4) = 1
 
         # next epoch: w1 reads the byte as (apparently) live-in
@@ -83,7 +79,6 @@ class TestPhase2CrossWorker:
         """The same-worker flavour is caught by phase 1 (old-write)."""
         w0, _ = runtime.workers
         w0.shadow.on_write(0, 4, _ts(0), 0)
-        w0.epoch_written_offsets.update(range(0, 4))
         runtime.checkpoint(0, 2)
         with pytest.raises(Misspeculation, match="checkpoint"):
             w0.shadow.on_read(0, 4, _ts(0), 2)
@@ -96,10 +91,8 @@ class TestPhase2CrossWorker:
         # Worker 0 writes iteration 0; worker 1 writes iteration 1.
         w0.space.write_int(base, 100, 4)
         w0.shadow.on_write(0, 4, _ts(0), 0)
-        w0.epoch_written_offsets.update(range(0, 4))
         w1.space.write_int(base, 200, 4)
         w1.shadow.on_write(0, 4, _ts(1), 1)
-        w1.epoch_written_offsets.update(range(0, 4))
         runtime.checkpoint(0, 2)
         assert runtime.main_space.read_int(base, 4, signed=True) == 200
 

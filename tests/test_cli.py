@@ -210,14 +210,13 @@ def test_no_loop_found_lists_the_reasons(command, tmp_path, capsys):
     argv = [command, str(path), "--args", "24"]
     if command == "trace":
         argv += ["--out-dir", str(tmp_path)]
-    try:
-        rc = main(argv)
-    finally:
-        obs.disable()  # `trace` returns 1 here with tracing still armed
+    rc = main(argv)
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
     first = lines.index("no parallelizable loop found:")
     assert lines[first + 1].startswith("  - ")
+    # `trace` armed tracing and disarms it on this path too.
+    assert obs.enabled() is False
 
 
 @pytest.mark.parametrize("command", ["trace", "explain", "submit"])

@@ -130,7 +130,7 @@ def observe(module, args, compiled, breakpoints=(), hook=None,
     interp.block_breakpoints.update(breakpoints)
     interp.intrinsics.update(intrinsics or {})
     if hook is not None:
-        interp.hooks.append(hook)
+        interp.add_hook(hook)
     interp.push_function(module.function_named("main"), args)
     for _ in range(presteps):
         interp.step()

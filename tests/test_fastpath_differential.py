@@ -5,7 +5,8 @@ observationally identical to ``Interpreter.step()``: same guest output,
 same step and simulated-cycle totals, same profiler records, and the
 same behaviour through speculation, misspeculation, and recovery.  Every
 workload (train input) and every genuine-misspeculation program runs
-through both paths here.
+through both paths here; the profiler records of every candidate loop
+are compared in ``test_instrumented_sites.py``.
 """
 
 import pytest
@@ -13,8 +14,6 @@ import pytest
 from repro.bench.pipeline import prepare
 from repro.frontend import compile_minic
 from repro.interp.interpreter import Interpreter
-from repro.profiling import profile_execution_time, profile_loop
-from repro.profiling.serialize import hot_report_to_dict, profile_to_dict
 from repro.workloads import ALL_WORKLOADS
 
 import test_genuine_misspeculation as misspec
@@ -46,23 +45,6 @@ class TestWorkloadExecution:
         assert "".join(i_step.output) == "".join(i_fast.output)
         assert i_step.steps == i_fast.steps
         assert i_step.cycles == i_fast.cycles
-
-
-@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=WORKLOAD_IDS)
-class TestProfilerRecords:
-    def test_profiles_identical(self, workload, monkeypatch):
-        reports = {}
-        profiles = {}
-        for mode in ("step", "fast"):
-            monkeypatch.setenv("REPRO_INTERP", mode)
-            module = compile_minic(workload.source, workload.name)
-            report = profile_execution_time(module, args=workload.train)
-            ref = report.hottest(top_level_only=False)[0].ref
-            profile = profile_loop(module, ref, args=workload.train)
-            reports[mode] = hot_report_to_dict(report)
-            profiles[mode] = profile_to_dict(profile)
-        assert reports["step"] == reports["fast"]
-        assert profiles["step"] == profiles["fast"]
 
 
 @pytest.mark.parametrize(

@@ -210,7 +210,6 @@ class TestGenuineConflictForensics:
         epoch's iteration wrote it."""
         w0 = runtime.workers[0]
         w0.shadow.on_write(0, 4, timestamp_for(0, 0), 0)
-        w0.epoch_written_offsets.update(range(0, 4))
         runtime.checkpoint(0, 2)
         with pytest.raises(Misspeculation) as ei:
             w0.shadow.on_read(0, 4, timestamp_for(0, 0), 2)
@@ -233,7 +232,6 @@ class TestGenuineConflictForensics:
         writing and the reading worker."""
         w0, w1 = runtime.workers
         w1.shadow.on_write(0, 4, timestamp_for(1, 0), 1)
-        w1.epoch_written_offsets.update(range(0, 4))
         w0.shadow.on_read(0, 4, timestamp_for(0, 0), 0)
         with pytest.raises(Misspeculation) as ei:
             runtime.checkpoint(0, 2)

@@ -11,9 +11,10 @@ resident pool child cannot see happen: stores to what the loop reads,
 free-and-replace of a live-in, a helper call that churns stack arrays
 (cursors move, nothing stays), ``rand_int()``, ``printf``.
 
-Every program runs simulated, pool, and pool with every sync refused
-(the respawn path: the oracle, as ``REPRO_SHADOW=ref`` is for the
-shadow), under both shadow implementations, and all of them must agree
+Every program runs simulated (on the generated code and on the step
+interpreter), pool, and pool with every sync refused (the respawn path:
+the oracle, as ``REPRO_SHADOW=ref`` is for the shadow), under both
+shadow implementations, and all of them must agree
 on output, return value, final main memory and cursors, ``RuntimeStats``
 with every ``CheckpointRecord``, and on the addresses the workers'
 allocations were handed.  Bounded to a Tier-1 budget; a shrunk failure
@@ -256,6 +257,13 @@ def check(program, config, monkeypatch_context):
                 assert simulated["output"] == prog.sequential.output
                 assert simulated["return_value"] == \
                     prog.sequential.return_value
+                # The step interpreter: the oracle of the generated
+                # code, inline validation intrinsics included.
+                with mock.patch.dict(os.environ, {"REPRO_INTERP": "step"}):
+                    _ex, stepped, step_allocs = _run(
+                        prog, spy, "simulated", config)
+                assert stepped == simulated, shadow
+                assert step_allocs == sim_allocs, shadow
                 resident, pool, pool_allocs = _run(prog, spy, "pool", config)
                 assert pool == simulated, shadow
                 # Refuse every sync: the respawn path is the oracle.

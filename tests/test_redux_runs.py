@@ -11,8 +11,9 @@ Three layers, smallest first:
   it replaced, kept here as the reference;
 * whole programs — a seeded generator of reduction loops (ROADMAP item
   1, class (i), reductions only): sequential output == simulated ==
-  pool == pool on one process, each also under ``REPRO_SHADOW=ref``,
-  with equal counters and per-checkpoint ``redux_bytes_merged``.
+  simulated on the step interpreter == pool == pool on one process,
+  each also under ``REPRO_SHADOW=ref``, with equal counters and
+  per-checkpoint ``redux_bytes_merged``.
 """
 
 import dataclasses
@@ -158,6 +159,26 @@ class TestFold:
                 obj.data[:] = main
                 fold(ReduxRun(obj.base, size, operator, is_float, delta))
                 assert bytes(obj.data) == want, (operator, fold.__name__)
+
+    @pytest.mark.parametrize("operator", ["FMUL", "FADD"])
+    def test_two_nans_leave_the_same_payload_in_both_folds(self, tiny,
+                                                          operator):
+        """Both folds evaluate the operator through one function: an
+        inline ``a * b`` may run as CPython's specialised float opcode,
+        which can take its operands the other way round and so keep the
+        other NaN's payload.  Repeated, so any specialisation has set
+        in."""
+        rt = _runtime(tiny)
+        main = struct.pack("<2Q", 0x7FF8000000000001, 0xFFF0000000000A5A)
+        delta = struct.pack("<2Q", 0x7FF80000000B0002, 0x7FF4000000000003)
+        outcomes = set()
+        for _ in range(64):
+            for fold in _folds(rt):
+                obj = _redux_object(rt, len(main))
+                obj.data[:] = main
+                fold(ReduxRun(obj.base, 8, operator, True, delta))
+                outcomes.add(bytes(obj.data))
+        assert len(outcomes) == 1
 
     def test_read_only_target_faults_as_a_store_does(self, tiny):
         rt = _runtime(tiny)
@@ -444,11 +465,14 @@ class TestReductionLoopGenerator:
             for k, (ctype, operator, *_rest) in enumerate(objects)}
         digests = {}
         for shadow in ("vec", "ref"):
-            with mock.patch.dict(os.environ, {SHADOW_ENV: shadow}):
-                for label, options in (
-                        ("simulated", dict(backend="simulated")),
-                        ("pool", dict(backend="pool")),
-                        ("pool/1", dict(backend="pool", pool_workers=1))):
+            for label, options, env in (
+                    ("simulated", dict(backend="simulated"), {}),
+                    # The generated code's oracle, on the same backend.
+                    ("simulated/step", dict(backend="simulated"),
+                     {"REPRO_INTERP": "step"}),
+                    ("pool", dict(backend="pool"), {}),
+                    ("pool/1", dict(backend="pool", pool_workers=1), {})):
+                with mock.patch.dict(os.environ, {SHADOW_ENV: shadow, **env}):
                     result = prog.execute(
                         workers=workers, checkpoint_period=period,
                         adapt=False, **options)
