@@ -221,7 +221,10 @@ def prepare_module(
 
     Profiles hot loops with the train input (``args``), selects the
     hottest transformable loop, and applies the privatization
-    transformation.  The sequential baseline is measured on the ref input
+    transformation.  One profiling run gives the hot report and the loop
+    profile of every loop it could profile completely; a candidate it
+    could not gets a run of its own (DESIGN.md §7 "One profiling run").
+    The sequential baseline is measured on the ref input
     (``ref_args``, defaulting to the train input).  Raises
     :class:`SelectionError` if no loop can be parallelized.
 
@@ -253,6 +256,9 @@ def prepare_module(
                        + ("hit" if cached is not None else "miss"),
                        cat="pipeline", program=name, use_cache=use_cache)
     profiles: Dict[str, LoopProfile] = {}
+    # What the one profiling run profiled completely: a candidate takes
+    # its profile from here before it runs a loop profile of its own.
+    kept: Dict[LoopRef, LoopProfile] = {}
     if cached is not None:
         seq = cached["sequential"]
         sequential = SequentialBaseline(
@@ -267,16 +273,18 @@ def prepare_module(
         # The baseline runs on the module the profilers and the transform
         # use, before either touches it: interpreting only attaches code
         # caches to the IR.  When the evaluation input is the training
-        # input, the time-profile run is that run (its hook observes).
+        # input, the profiling run is that run (its hook observes).
         if eval_args == train_args:
             plain: List[Tuple[object, List[str]]] = []
             hot_report = profile_execution_time(module, entry, train_args,
-                                                plain_run=plain)
+                                                plain_run=plain,
+                                                loop_profiles=kept)
             sequential = SequentialBaseline(hot_report.total_cycles,
                                             *plain[0])
         else:
             sequential = _run_baseline(module, entry, eval_args)
-            hot_report = profile_execution_time(module, entry, train_args)
+            hot_report = profile_execution_time(module, entry, train_args,
+                                                loop_profiles=kept)
 
     def _persist() -> None:
         if not use_cache or cached is not None:
@@ -310,7 +318,9 @@ def prepare_module(
     for rec in candidates:
         profile = profiles.get(str(rec.ref))
         if profile is None:
-            profile = profile_loop(module, rec.ref, entry, train_args)
+            profile = kept.get(rec.ref)
+            if profile is None:
+                profile = profile_loop(module, rec.ref, entry, train_args)
             profiles[str(rec.ref)] = profile
         assignment = classify(profile)
         applied: List[str] = []

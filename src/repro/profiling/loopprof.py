@@ -1,7 +1,9 @@
-"""Detailed per-loop profiler (§4.1 of the paper).
+"""The profiler hook behind both profilers (§4.1 of the paper).
 
-Given one candidate loop, a profiling run records — only while an
-invocation of that loop is active, at any call depth:
+One :class:`ProfilerHook` per run attributes inclusive cycles to every
+loop (the hot report of :func:`~repro.profiling.timeprof.
+profile_execution_time`) and can loop-profile as it goes.  While an
+invocation of a profiled loop is active, at any call depth, it records:
 
 * the pointer-to-object map (which named objects each access touches);
 * read/write/reduction footprints at object-site granularity;
@@ -13,12 +15,20 @@ invocation of that loop is active, at any call depth:
 * I/O call sites (for deferral) and block coverage (for control
   speculation).
 
-The hook subscribes to loads, stores and every edge only while its loop
-is active, and to loop edges otherwise (DESIGN.md §7 "Instrumented
-sites").  An access resolves its object through a per-site entry kept by
-the rule of the interpreter's memory inline cache, records the site's
-pointer-to-object fact only when that object changes, and walks its
-bytes in the last-writer map with C-level ``map``/``dict`` calls.
+It profiles no loop (the time profile alone), one given loop
+(:func:`profile_loop`), or every loop entered while no profiled loop is
+active (the pipeline's one profiling run, DESIGN.md §7 "One profiling
+run").  One invocation is profiled at a time: the state of its loop is
+selected when it starts, so an access costs the same whichever loop it
+is charged to.
+
+The hook subscribes to loads, stores and every edge only while a
+profiled invocation is active, and to loop edges otherwise (DESIGN.md §7
+"Instrumented sites").  An access resolves its object through a per-site
+entry kept by the rule of the interpreter's memory inline cache, records
+the site's pointer-to-object fact only when that object changes, and
+walks its bytes in the last-writer map with C-level ``map``/``dict``
+calls.
 """
 
 from __future__ import annotations
@@ -26,11 +36,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
+from ..analysis.loops import Loop
 from ..analysis.reduction import ReductionUpdate, reduction_sites
 from ..interp.interpreter import Hook, Interpreter
 from ..ir.instructions import Call, Instruction
 from ..ir.module import BasicBlock, Function, Module
-from .data import FlowDep, LoopProfile, LoopRef, ValuePrediction
+from .data import FlowDep, LoopProfile, LoopRef, LoopTimeRecord, ValuePrediction
 from .looptracker import ActiveLoop, LoopInfoCache, LoopTracker
 
 _IO_NAMES = {"printf", "puts"}
@@ -53,15 +64,36 @@ class _Site:
         self.entry = _NO_ENTRY
 
 
-class _LoopProfileHook(Hook):
+class _LoopState:
+    """What the hook keeps for one profiled loop across its invocations."""
+
+    __slots__ = ("profile", "sites", "executed", "deps", "vp_values",
+                 "vp_deps", "lifetime_violations")
+
+    def __init__(self, ref: LoopRef):
+        self.profile = LoopProfile(ref)
+        self.sites: Dict[Instruction, _Site] = {}
+        self.executed: Set[BasicBlock] = set()
+        self.deps: Dict[Tuple[str, str, str], FlowDep] = {}
+        # (obj_site, offset, size) -> set of observed values (capped)
+        self.vp_values: Dict[Tuple[str, int, int], Set[int]] = {}
+        # (obj_site, offset, size) -> the dependences its reads carried,
+        # by identity (one FlowDep object per distinct dependence)
+        self.vp_deps: Dict[Tuple[str, int, int], Dict[int, FlowDep]] = {}
+        self.lifetime_violations: Set[str] = set()
+
+
+class ProfilerHook(Hook):
+    """Time records for every loop, and the loop profile of ``ref`` or,
+    with ``outermost``, of every loop entered while none is profiled."""
+
     subscription = frozenset(("loop_edge",))
-    #: The subscription while an invocation of the loop is active.
+    #: The subscription while a profiled invocation is active.
     _ACTIVE = frozenset(("load", "store", "edge", "call"))
 
-    def __init__(self, module: Module, ref: LoopRef):
+    def __init__(self, module: Module, ref: Optional[LoopRef] = None,
+                 outermost: bool = False):
         self.module = module
-        self.ref = ref
-        self.profile = LoopProfile(ref)
         self.cache = LoopInfoCache(module)
         self.tracker = LoopTracker(
             self.cache,
@@ -70,47 +102,71 @@ class _LoopProfileHook(Hook):
             on_exit=self._on_exit,
         )
         self._edges = self.cache._edges
-        self._loop = self.cache.loop_by_ref(ref)
-        self.active: Optional[ActiveLoop] = None
-        self.invocation = -1
+        self.records: Dict[LoopRef, LoopTimeRecord] = {}
+        self._outermost = outermost
+        #: The one loop to profile, when ``ref`` names it.
+        self.only: Optional[Loop] = (
+            self.cache.loop_by_ref(ref) if ref is not None else None)
+        self.states: Dict[Loop, _LoopState] = {}
+        if self.only is not None:
+            self.states[self.only] = _LoopState(ref)
+        elif not outermost:
+            # The time profile alone: the tracker is all this hook does
+            # with an edge or a return.
+            self.on_branch = self.tracker.handle_branch
+            self.on_return = self.tracker.handle_return
 
-        # Byte address -> (iteration, store site) of its last writer in
-        # the active invocation; a writer from an earlier invocation
-        # never makes a flow dependence, so entering one clears it.
-        self.last_writer: Dict[int, Tuple[int, str]] = {}
-        # In-loop live allocations: base -> (site, (invocation, iteration))
-        self.live_allocs: Dict[int, Tuple[str, Tuple[int, int]]] = {}
-        self.lifetime_violations: Set[str] = set()
-        # (obj_site, offset, size) -> set of observed values (capped)
-        self.vp_values: Dict[Tuple[str, int, int], Set[int]] = {}
-        # (obj_site, offset, size) -> the dependences its reads carried,
-        # by identity (one FlowDep object per distinct dependence)
-        self.vp_deps: Dict[Tuple[str, int, int], Dict[int, FlowDep]] = {}
-        self._deps: Dict[Tuple[str, str, str], FlowDep] = {}
+        # The profiled invocation, its loop's state, and the parts of
+        # that state the per-access paths read (selected at its start).
+        self.active: Optional[ActiveLoop] = None
+        self.state: Optional[_LoopState] = None
+        self.profile: Optional[LoopProfile] = None
         self._sites: Dict[Instruction, _Site] = {}
         self._executed: Set[BasicBlock] = set()
+        # Byte address -> (iteration, store site) of its last writer in
+        # the active invocation; a writer from an earlier invocation
+        # never makes a flow dependence, so starting one clears it.
+        self.last_writer: Dict[int, Tuple[int, str]] = {}
+        # Live allocations of the active invocation: base -> (site,
+        # iteration); the invocation's end empties it.
+        self.live_allocs: Dict[int, Tuple[str, int]] = {}
         # Static reduction pairing, per function (lazy).
         self._redux_maps: Dict[Function, Dict[Instruction, ReductionUpdate]] = {}
+        self._callgraph: Optional[CallGraph] = None
 
     # -- loop lifecycle ------------------------------------------------------
 
-    def _key(self) -> Tuple[int, int]:
-        assert self.active is not None
-        return (self.invocation, self.active.iteration)
-
     def _on_enter(self, active: ActiveLoop) -> None:
-        if active.loop is self._loop and self.active is None:
-            self.active = active
-            self.invocation += 1
-            self.profile.invocations += 1
-            self.last_writer.clear()
+        rec = self.records.get(active.ref)
+        if rec is None:
+            rec = LoopTimeRecord(active.ref, depth=active.loop.depth)
+            self.records[active.ref] = rec
+        # Iterations are counted at back edges, so loops that exit through
+        # the header report their exact trip count.
+        rec.invocations += 1
+        active.record = rec
+        if self.active is None and (self._outermost
+                                    or active.loop is self.only):
+            self._begin(active)
+
+    def _begin(self, active: ActiveLoop) -> None:
+        state = self.states.get(active.loop)
+        if state is None:
+            state = self.states[active.loop] = _LoopState(active.ref)
+        self.active, self.state = active, state
+        self.profile, self._sites = state.profile, state.sites
+        self._executed = state.executed
+        state.profile.invocations += 1
+        self.last_writer.clear()
 
     def _on_iterate(self, active: ActiveLoop) -> None:
+        active.record.iterations += 1
         if active is self.active:
             self.profile.iterations += 1
             self._check_lifetimes()
 
     def _on_exit(self, active: ActiveLoop, cycles_now: int) -> None:
+        active.record.cycles += cycles_now - active.entry_cycles
         if active is self.active:
             self._check_lifetimes(end_of_invocation=True)
             self.active = None
@@ -118,16 +174,15 @@ class _LoopProfileHook(Hook):
     def _check_lifetimes(self, end_of_invocation: bool = False) -> None:
         """Objects allocated in an earlier iteration and still live violate
         short-lived lifetime speculation [13]."""
-        assert self.active is not None
-        now = (self.invocation, self.active.iteration)
+        now = self.active.iteration
         stale = [
             base
-            for base, (site, key) in self.live_allocs.items()
-            if key != now or end_of_invocation
+            for base, (site, iteration) in self.live_allocs.items()
+            if iteration != now or end_of_invocation
         ]
         for base in stale:
             site, _ = self.live_allocs.pop(base)
-            self.lifetime_violations.add(site)
+            self.state.lifetime_violations.add(site)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -142,9 +197,6 @@ class _LoopProfileHook(Hook):
                      upd.operator.name if upd is not None else None)
         self._sites[inst] = site
         return site
-
-    def _record_pointer(self, inst: Instruction, obj_site: str) -> None:
-        self.profile.pointer_objects.setdefault(inst.site_id(), set()).add(obj_site)
 
     def _miss(self, interp, inst, addr: int, size: int
               ) -> Tuple[Optional[_Site], bool]:
@@ -169,7 +221,7 @@ class _LoopProfileHook(Hook):
     # -- hook events -----------------------------------------------------------------
 
     def _resubscribe(self, interp) -> None:
-        """The loop was entered or left: follow it."""
+        """A profiled invocation started or ended: follow it."""
         interp.subscribe(self, self.subscription if self.active is None
                          else self._ACTIVE)
 
@@ -203,7 +255,7 @@ class _LoopProfileHook(Hook):
             return
         site = obj.site
         self.profile.loop_alloc_sites.add(site)
-        self.live_allocs[obj.base] = (site, self._key())
+        self.live_allocs[obj.base] = (site, self.active.iteration)
 
     def on_free(self, interp, obj, inst) -> None:
         if self.active is None:
@@ -211,17 +263,18 @@ class _LoopProfileHook(Hook):
         if isinstance(inst, Call) and obj.site:
             # The pointer-to-object map also covers free sites, so the
             # transformation can route them to the right logical heap.
-            self._record_pointer(inst, obj.site)
+            self.profile.pointer_objects.setdefault(
+                inst.site_id(), set()).add(obj.site)
         entry = self.live_allocs.pop(obj.base, None)
         if entry is None:
             # Freeing an object allocated outside the loop (or in an
             # earlier invocation): its site cannot be short-lived.
             if obj.site:
-                self.lifetime_violations.add(obj.site)
+                self.state.lifetime_violations.add(obj.site)
             return
-        site, key = entry
-        if key != self._key():
-            self.lifetime_violations.add(site)
+        site, iteration = entry
+        if iteration != self.active.iteration:
+            self.state.lifetime_violations.add(site)
 
     # on_load and on_store test the site's entry by the hit rule of the
     # interpreter's memory inline cache before anything else.
@@ -267,13 +320,14 @@ class _LoopProfileHook(Hook):
 
     def _flow(self, site: _Site, addr: int, size: int,
               dep_store_sites: Set[str]) -> None:
+        state = self.state
         obj_site = site.entry[5]
         deps = []
         for store_site in dep_store_sites:
             key = (store_site, site.site_id, obj_site)
-            dep = self._deps.get(key)
+            dep = state.deps.get(key)
             if dep is None:
-                dep = self._deps[key] = FlowDep(*key)
+                dep = state.deps[key] = FlowDep(*key)
                 self.profile.flow_deps.add(dep)
             deps.append(dep)
         # Value-prediction candidate: global objects only, word-sized.
@@ -282,10 +336,10 @@ class _LoopProfileHook(Hook):
             offset = addr - lo
             vp_key = (obj_site, offset, size)
             value = int.from_bytes(obj.data[offset:offset + size], "little")
-            values = self.vp_values.setdefault(vp_key, set())
+            values = state.vp_values.setdefault(vp_key, set())
             if len(values) < 3:
                 values.add(value)
-            self.vp_deps.setdefault(vp_key, {}).update(
+            state.vp_deps.setdefault(vp_key, {}).update(
                 (id(dep), dep) for dep in deps)
 
     def on_store(self, interp, inst, addr: int, size: int) -> None:
@@ -314,31 +368,52 @@ class _LoopProfileHook(Hook):
         self.last_writer.update(dict.fromkeys(
             range(addr, addr + size), (self.active.iteration, site.site_id)))
 
-    # -- finalize ----------------------------------------------------------------------
+    # -- the end of the run ------------------------------------------------------------
 
-    def finalize(self) -> LoopProfile:
-        # The run is over: drop what pins its address space and bytes
-        # (the hook outlives it in a cycle with its tracker).
-        self._sites.clear()
+    def close(self, interp) -> None:
+        """The run is over: close the loops still open (``exit()`` inside
+        a loop), and drop what pins the run's address space and bytes
+        (the hook outlives it in a cycle with its tracker)."""
+        while self.tracker.stack:
+            self.tracker._pop(interp)
         self.last_writer.clear()
-        p = self.profile
-        p.short_lived_sites = p.loop_alloc_sites - self.lifetime_violations
-        for vp_key, values in self.vp_values.items():
+        for state in self.states.values():
+            state.sites.clear()
+
+    def complete_profiles(self) -> Dict[LoopRef, LoopProfile]:
+        """The finished profile of every loop whose every invocation the
+        run profiled — as many as the hot report counts.  Each of them
+        started with no other loop active, so the profile is exactly
+        what :func:`profile_loop` records for that loop."""
+        return {state.profile.ref: self.finish(loop)
+                for loop, state in self.states.items()
+                if state.profile.invocations
+                == self.records[state.profile.ref].invocations}
+
+    def finish(self, loop: Loop) -> LoopProfile:
+        """The profile of profiled ``loop``, completed from its state."""
+        state = self.states[loop]
+        p = state.profile
+        p.short_lived_sites = p.loop_alloc_sites - state.lifetime_violations
+        for vp_key, values in state.vp_values.items():
             if len(values) == 1:
                 obj_site, offset, size = vp_key
                 vp = ValuePrediction(obj_site, offset, size, next(iter(values)))
-                p.value_predictions[vp] = set(self.vp_deps[vp_key].values())
-        p.unexecuted_blocks = self._region_blocks() - p.executed_blocks
+                p.value_predictions[vp] = set(state.vp_deps[vp_key].values())
+        p.unexecuted_blocks = (self._region_blocks(loop, p.ref)
+                               - p.executed_blocks)
         return p
 
-    def _region_blocks(self) -> Set[Tuple[str, str]]:
+    def _region_blocks(self, loop: Loop,
+                       ref: LoopRef) -> Set[Tuple[str, str]]:
         """All blocks statically reachable inside the loop region: the
         loop's blocks plus every block of defined functions transitively
         callable from it."""
-        fn = self.module.function_named(self.ref.function)
-        loop = self.cache.loop_by_ref(self.ref)
-        out: Set[Tuple[str, str]] = {(fn.name, bb.name) for bb in loop.blocks}
-        cg = CallGraph(self.module)
+        out: Set[Tuple[str, str]] = {(ref.function, bb.name)
+                                     for bb in loop.blocks}
+        if self._callgraph is None:
+            self._callgraph = CallGraph(self.module)
+        cg = self._callgraph
         callees: Set[Function] = set()
         for bb in loop.blocks:
             for inst in bb.instructions:
@@ -363,12 +438,11 @@ def profile_loop(
     with TRACER.span("pipeline.profile.loop", cat="pipeline",
                      loop=str(ref)) as sp:
         interp = Interpreter(module)
-        hook = _LoopProfileHook(module, ref)
+        hook = ProfilerHook(module, ref)
         interp.add_hook(hook)
         interp.run(entry, args)
-        while hook.tracker.stack:
-            hook.tracker._pop(interp)
-        profile = hook.finalize()
+        hook.close(interp)
+        profile = hook.finish(hook.only)
         sp.set(cycles=interp.cycles, iterations=profile.iterations,
                invocations=profile.invocations)
     return profile

@@ -154,12 +154,3 @@ class LoopTracker:
         active = self.stack.pop()
         if self.on_exit:
             self.on_exit(active, interp.cycles)
-
-    def innermost(self) -> Optional[ActiveLoop]:
-        return self.stack[-1] if self.stack else None
-
-    def find(self, ref: LoopRef) -> Optional[ActiveLoop]:
-        for active in reversed(self.stack):
-            if active.ref == ref:
-                return active
-        return None

@@ -8,7 +8,7 @@ and the partial results accumulated in its reduction-heap replica.
 
 The simulated backend extracts fragments in-process right before the
 commit; the pool backend extracts them inside each forked worker and
-ships them back (shared-memory ring, or pipe).  Both feed the exact same
+ships them back on its report pipe.  Both feed the exact same
 :meth:`~repro.runtime.system.RuntimeSystem.checkpoint` commit path, so
 checkpoint semantics are identical across backends by construction.
 

@@ -39,6 +39,24 @@ int main(int n) {
 """
 
 
+def kept_profiles_equal_own_runs(module, args: Sequence[object]) -> set:
+    """Run the one profiling run on ``module`` and hold its hot report to
+    the time profile's and every profile it keeps to a
+    ``profile_loop`` run of that loop; returns the hot report and the
+    kept loops' refs."""
+    from repro.profiling import profile_execution_time, profile_loop
+    from repro.profiling.serialize import hot_report_to_dict, profile_to_dict
+
+    kept = {}
+    report = profile_execution_time(module, args=args, loop_profiles=kept)
+    assert hot_report_to_dict(report) == hot_report_to_dict(
+        profile_execution_time(module, args=args))
+    for ref, profile in kept.items():
+        assert profile_to_dict(profile) == profile_to_dict(
+            profile_loop(module, ref, args=args)), ref
+    return report, set(kept)
+
+
 def prepared_counter_program(n: int = 32):
     """A minimal privatizable program for executor tests: reuses a global
     scratch array across iterations."""

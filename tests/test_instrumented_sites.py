@@ -5,7 +5,9 @@ intrinsics run their common case inline in generated code.
 
 Everything here holds the fast path to the step interpreter and to the
 intrinsics it replaces: the hot report and every candidate's
-``LoopProfile`` on the five workloads, the loop-edge classification
+``LoopProfile`` on the five workloads — and the one profiling run to a
+loop profile per loop (DESIGN.md §7 "One profiling run") —, the
+loop-edge classification
 against ``LoopInfoCache.actions``, and ``RuntimeStats``, cycles, output
 and memory of speculative runs with and without the inline paths.
 """
@@ -16,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.loops import LoopInfo
+from repro.bench import pipeline
 from repro.bench.pipeline import prepare
 from repro.frontend import compile_minic
 from repro.interp.interpreter import Hook, Interpreter
@@ -26,7 +29,7 @@ from repro.runtime.shadow import SHADOW_ENV
 from repro.runtime.system import RuntimeSystem
 from repro.workloads import ALL_WORKLOADS
 
-from helpers import prepared_counter_program
+from helpers import kept_profiles_equal_own_runs, prepared_counter_program
 
 WORKLOAD_IDS = [w.name for w in ALL_WORKLOADS]
 
@@ -189,6 +192,118 @@ def test_hot_report_and_every_candidate_profile_fast_equals_step(
             profile_to_dict(profile_loop(module, ref, args=workload.train))
             for ref in refs])
     assert results["fast"] == results["step"]
+
+
+# -- one profiling run -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["fast", "step"])
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=WORKLOAD_IDS)
+def test_one_run_keeps_what_profile_loop_records(workload, mode,
+                                                 monkeypatch):
+    monkeypatch.setenv("REPRO_INTERP", mode)
+    module = compile_minic(workload.source, workload.name)
+    report, kept = kept_profiles_equal_own_runs(module, workload.train)
+    # The first candidate is kept on all five workloads: none of them
+    # needs a loop profile of its own to select its loop.
+    assert _candidates(report)[0] in kept
+
+
+#: Programs whose hottest candidate the one run cannot profile
+#: completely, with their train inputs; each must still select what a
+#: loop profile per candidate selects.
+FALLBACKS = {
+    # fill's loop runs once at top level, then inside main's loop.
+    "top_level_and_nested": ("""
+    int buf[16];
+    int out[64];
+    int fill(int k) {
+        for (int j = 0; j < 16; j++) { buf[j] = k * j + 1; }
+        return buf[k % 16];
+    }
+    int main(int n) {
+        long acc = fill(1);
+        for (int i = 0; i < n; i++) { acc = acc * 3 + fill(i); out[i] = acc % 97; }
+        printf("%ld\\n", acc);
+        return 0;
+    }
+    """, (12,)),
+    # walk's loop is entered again inside itself.
+    "recursive": ("""
+    int buf[64];
+    int out[64];
+    void walk(int d) {
+        for (int j = 0; j < 16; j++) {
+            buf[d * 16 + j] = d * j + 1;
+            if (j == 15 && d > 0) { walk(d - 1); }
+        }
+    }
+    int main(int n) {
+        walk(3);
+        long acc = 1;
+        for (int i = 0; i < n; i++) { acc = acc * 5 + buf[i % 64]; }
+        for (int i = 0; i < 64; i++) { out[i] = buf[i] * 2 + 1; }
+        printf("%ld %d\\n", acc, out[n % 64]);
+        return 0;
+    }
+    """, (40,)),
+    # The program ends in exit() with main's loop still open.
+    "exit_inside": ("""
+    int g[64];
+    int main(int n) {
+        long acc = 1;
+        for (int r = 0; r < n; r++) {
+            for (int i = 0; i < 64; i++) { g[i] = g[i] * 3 + r + i; }
+            acc = acc * 7 + g[r % 64];
+            if (r == n - 2) { printf("%ld\\n", acc); exit(0); }
+        }
+        return 1;
+    }
+    """, (10,)),
+    # fill's loop is reached from two loops and never at top level.
+    "callee_of_two_loops": ("""
+    int buf[16];
+    int out[64];
+    int fill(int k) {
+        for (int j = 0; j < 16; j++) { buf[j] = k * j + 1; }
+        return buf[k % 16];
+    }
+    int main(int n) {
+        long acc = 1;
+        for (int i = 0; i < n; i++) { acc = acc * 3 + fill(i); }
+        for (int i = 0; i < n; i++) { acc = acc * 5 + fill(i + 7); out[i] = acc % 89; }
+        printf("%ld %d\\n", acc, out[1]);
+        return 0;
+    }
+    """, (12,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_a_fallback_selects_what_a_run_per_candidate_selects(name,
+                                                             monkeypatch):
+    source, args = FALLBACKS[name]
+    _report, kept = kept_profiles_equal_own_runs(compile_minic(source, name),
+                                                 args)
+    own_runs = []
+    profile_loop_ = pipeline.profile_loop
+    monkeypatch.setattr(pipeline, "profile_loop", lambda module, ref, *a: (
+        own_runs.append(ref) or profile_loop_(module, ref, *a)))
+    one_run = prepare(source, name, args=args, use_cache=False, adapt=False)
+    assert own_runs and own_runs[0] not in kept
+    # What the pipeline did before the one run: a time profile alone,
+    # then a loop profile of its own for every candidate it consulted.
+    time_only = pipeline.profile_execution_time
+    monkeypatch.setattr(pipeline, "profile_execution_time",
+                        lambda *a, loop_profiles=None, **k: time_only(*a, **k))
+    per_candidate = prepare(source, name, args=args, use_cache=False,
+                            adapt=False)
+    assert str(one_run.plan.ref) == str(per_candidate.plan.ref)
+    assert profile_to_dict(one_run.profile) == profile_to_dict(
+        per_candidate.profile)
+    assert one_run.assignment.site_heaps == per_candidate.assignment.site_heaps
+    assert one_run.rejected == per_candidate.rejected
+    assert one_run.sequential == per_candidate.sequential
 
 
 # -- validation intrinsics ---------------------------------------------------------

@@ -9,7 +9,9 @@ a global; between two invocations main does a drawn mix of the things a
 resident pool child cannot see happen: stores to what the loop reads,
 ``malloc`` of an object live into the next invocation, ``free`` and
 free-and-replace of a live-in, a helper call that churns stack arrays
-(cursors move, nothing stays), ``rand_int()``, ``printf``.
+(cursors move, nothing stays), ``rand_int()``, ``printf``.  The loop
+itself may free a live-in, or free each iteration's own live-in and
+replace it with an object it allocates (ROADMAP item 1 (a)).
 
 Every program runs simulated (on the generated code and on the step
 interpreter), pool, and pool with every sync refused (the respawn path:
@@ -17,9 +19,10 @@ the oracle, as ``REPRO_SHADOW=ref`` is for the shadow), under both
 shadow implementations, and all of them must agree
 on output, return value, final main memory and cursors, ``RuntimeStats``
 with every ``CheckpointRecord``, and on the addresses the workers'
-allocations were handed.  Bounded to a Tier-1 budget; a shrunk failure
-belongs in ``tests/corpus/multi_invocation/`` (every ``*.json`` there
-is replayed by ``test_corpus``).
+allocations were handed; and every profile the one profiling run keeps
+must be what a loop profile of its own records.  Bounded to a Tier-1
+budget; a shrunk failure belongs in ``tests/corpus/multi_invocation/``
+(every ``*.json`` there is replayed by ``test_corpus``).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.adapt.policy import PolicyStore
 from repro.bench.pipeline import prepare
+from repro.frontend import compile_minic
 from repro.interp.memory import AddressSpace
 from repro.parallel import pool_backend
 from repro.parallel.backend import (
@@ -46,7 +50,10 @@ from repro.parallel.backend import (
     make_executor,
 )
 from repro.parallel.pool_backend import PoolDOALLExecutor
+from repro.profiling import LoopRef
 from repro.runtime.shadow import SHADOW_ENV
+
+from helpers import kept_profiles_equal_own_runs
 
 CORPUS = Path(__file__).parent / "corpus" / "multi_invocation"
 
@@ -67,6 +74,15 @@ _RENDER = {
     "printf": 'printf("inv %d: %ld %d\\n", inv, carry, g[{k} % 8]);',
 }
 
+#: What the DOALL loop itself may free: nothing, the live-in ``p`` (in
+#: its last iteration, after every read of it), or each iteration its
+#: own live-in ``slot[i]``, replaced by an object it allocates — which
+#: the next invocation reads and frees in turn.  (Reading ``slot[i]``
+#: live-in and then overwriting it misspeculates every iteration by
+#: Table 2's conservative rule: that shape checks recovery, not
+#: speed.)
+LOOP_FREES = (None, "free", "replace")
+
 
 @st.composite
 def programs(draw):
@@ -83,7 +99,8 @@ def programs(draw):
         # min_parallel_trips and run in main, unspeculated.
         uneven=draw(st.booleans()),
         reduction=draw(st.booleans()),
-        actions=actions)
+        actions=actions,
+        loop_frees=draw(st.sampled_from(LOOP_FREES)))
 
 
 configs = st.fixed_dictionaries(dict(
@@ -99,10 +116,12 @@ def render(program) -> str:
         stmt = _RENDER[kind].format(k=k)
         between.append(f"if (inv % {every} == {phase % every}) {{ {stmt} }}")
     trips = "trips - inv % 2" if program["uneven"] else "trips"
+    frees = program.get("loop_frees")
     return "\n".join([
         "int g[8];",
         "int out[48];",
         "long total;",
+        "int* slot[8];" if frees == "replace" else "",
         "int churn(int k) {",
         "    int a[16]; int b[8]; int s = k;",
         "    for (int j = 0; j < 16; j++) { s = s * 5 + j; a[j] = s % 23; }",
@@ -117,6 +136,8 @@ def render(program) -> str:
         "    int* p = malloc(32);",
         "    for (int j = 0; j < 8; j++) {",
         "        carry = carry * 2 + j; p[j] = carry % 9; g[j] = carry % 7 + 1;",
+        "        slot[j] = malloc(16); slot[j][0] = j; slot[j][1] = carry % 5;"
+        " slot[j][2] = 3 * j; slot[j][3] = 7;" if frees == "replace" else "",
         "    }",
         "    for (int inv = 0; inv < n; inv++) {",
         f"        int t = {trips};",
@@ -133,7 +154,14 @@ def render(program) -> str:
         " + 7 * tmp[3] + q[i % 4];",
         "            total += tmp[1];" if program["reduction"] else "",
         "            free(q);",
+        "            if (live && i == t - 1) { free(p); }"
+        if frees == "free" else "",
+        "            { int* o = slot[i % 8]; out[inv * 8 + i] += o[inv % 4];"
+        " o[0] = tmp[3]; free(o); int* r = malloc(16); r[0] = tmp[0] % 13;"
+        " r[1] = tmp[1] % 11; r[2] = tmp[2] % 7; r[3] = i + inv;"
+        " slot[i % 8] = r; }" if frees == "replace" else "",
         "        }",
+        "        if (t > 0) { live = 0; }" if frees == "free" else "",
         # A scalar carried round the outer loop: never the loop selected.
         "        carry = carry * 3 + out[inv * 8];",
         *("        " + line for line in between),
@@ -248,6 +276,11 @@ def check(program, config, monkeypatch_context):
     header = prog.plan.loop.header
     assert header.parent.name == "main" and header.name == "for.cond.2", (
         header.name, prog.rejected)
+    # The DOALL loop is nested, so its profile is a run of its own; the
+    # outer loop's, kept by the one profiling run, sees every free.
+    _report, kept = kept_profiles_equal_own_runs(
+        compile_minic(source, "multi_inv"), args)
+    assert LoopRef("main", "for.cond.1") in kept
     with monkeypatch_context() as patch:
         spy = _AllocationSpy(patch.setattr)
         for shadow in ("vec", "ref"):
@@ -305,6 +338,20 @@ class TestMultiInvocationGenerator:
                                    ("churn", 2, 1, 0)]),
              config=dict(misspec_period=0, workers=3, pool_workers=1,
                          adapt=False))
+    # The loop frees its live-in in its last iteration, then main
+    # replaces it; under squashes, two workers.
+    @example(program=dict(invocations=4, trips=4, uneven=True,
+                          reduction=True, loop_frees="free",
+                          actions=[("replace", 2, 2, 1), ("store", 3, 1, 0)]),
+             config=dict(misspec_period=3, workers=2, pool_workers=None,
+                         adapt=False))
+    # Every iteration frees its own live-in and replaces it with an
+    # object the next invocation reads and frees.
+    @example(program=dict(invocations=3, trips=3, uneven=False,
+                          reduction=False, loop_frees="replace",
+                          actions=[("churn", 4, 1, 0)]),
+             config=dict(misspec_period=0, workers=3, pool_workers=1,
+                         adapt=True))
     @settings(max_examples=50, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_backends_agree(self, program, config):

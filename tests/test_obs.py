@@ -438,10 +438,46 @@ class TestPipelineInstrumentation:
         _, _, events, _ = traced_run
         spans = {e["name"] for e in events if e["kind"] == "span"}
         for phase in ("pipeline.compile", "pipeline.profile.time",
-                      "pipeline.profile.loop", "pipeline.classify",
-                      "pipeline.transform", "pipeline.prepare",
-                      "pipeline.execute", "executor.invocation"):
+                      "pipeline.classify", "pipeline.transform",
+                      "pipeline.prepare", "pipeline.execute",
+                      "executor.invocation"):
             assert phase in spans, f"missing span {phase}"
+        # The selected loop is the outermost one, whose profile the time
+        # profile's run kept: no loop profile ran on its own.
+        assert "pipeline.profile.loop" not in spans
+        (profile_run,) = [e for e in events if e["kind"] == "span"
+                          and e["name"] == "pipeline.profile.time"]
+        assert profile_run["attrs"]["loops_profiled"] == 1
+        assert profile_run["attrs"]["profiles_kept"] == 1
+
+    def test_a_nested_candidate_runs_a_loop_profile_of_its_own(self):
+        from repro.bench.pipeline import prepare
+
+        # The outer loop carries acc and g: the inner one is selected,
+        # and the one run never profiles it (the outer one is active).
+        src = """
+        int g[32];
+        int main(int n) {
+            long acc = 1;
+            for (int r = 0; r < n; r++) {
+                for (int i = 0; i < 32; i++) { g[i] = g[i] * 3 + r + i; }
+                acc = acc * 7 + g[r % 32];
+            }
+            printf("%ld\\n", acc);
+            return 0;
+        }
+        """
+        obs.enable()
+        program = prepare(src, "obs_nested", args=(6,), use_cache=False)
+        events = list(TRACER.events)
+        obs.disable()
+        spans = [e for e in events if e["kind"] == "span"]
+        assert [e["attrs"]["loop"] for e in spans
+                if e["name"] == "pipeline.profile.loop"] == [
+                    str(program.plan.ref)]
+        (profile_run,) = [e for e in spans
+                          if e["name"] == "pipeline.profile.time"]
+        assert profile_run["attrs"]["profiles_kept"] == 1
 
     def test_runtime_instants_present(self, traced_run):
         _, result, events, _ = traced_run
