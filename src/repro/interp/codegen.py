@@ -93,7 +93,6 @@ from ..ir.instructions import (
 from ..ir.module import BasicBlock, Function
 from ..ir.types import FloatType, IntType, PointerType, Type, VoidType
 from ..ir.values import GlobalVariable, Value
-from ..obs.trace import TRACER
 from .costs import (
     INTRINSIC_COSTS,
     PRIVATE_BYTE_COST,
@@ -184,7 +183,7 @@ _GLOBALS = {
     "VoidType": VoidType, "intrinsic_cost": intrinsic_cost,
     "STACK_BASE": STACK_BASE, "pack": struct.pack, "unpack": struct.unpack,
     "NAN": float("nan"), "INF": float("inf"), "NINF": float("-inf"),
-    "TRACER": TRACER, "intrinsic": _call_intrinsic,
+    "intrinsic": _call_intrinsic,
 }
 for _f in (*_INT_FORMATS.values(), *_FLOAT_FORMATS.values()):
     _GLOBALS["ld" + _f] = struct.Struct("<" + _f).unpack_from
@@ -711,7 +710,7 @@ class _SegmentWriter:
         if inline is not None:
             guard, body = inline
             self.emit("rt = interp.runtime")
-            with self.arm("if rt is not None and not TRACER.enabled"
+            with self.arm("if rt is not None"
                           + (f" and {guard}:" if guard else ":")):
                 for line in body:
                     self.emit(line)
@@ -727,8 +726,8 @@ class _SegmentWriter:
         """``(guard, body)`` when ``inst`` is a validation intrinsic
         whose common case runs inline: ``body`` does what the intrinsic
         would when ``guard`` (None: always) holds, ``rt`` being
-        ``interp.runtime`` — set while a runtime speculates an iteration
-        — and tracing off; anything else calls the intrinsic.  None for
+        ``interp.runtime`` — set while a runtime speculates an
+        iteration; anything else calls the intrinsic.  None for
         every other call, and when an operand is not the int the guard
         needs."""
         name = inst.callee.name
@@ -804,6 +803,7 @@ class _SegmentWriter:
                 [f"interp.cycles += {cost}",
                  "st = rt.stats",
                  "st.redux_updates += 1",
+                 f"st.redux_bytes += {size}",
                  f"st.redux_cycles += {cost}",
                  *self._add_range("rt.current_worker.redux_written", addr,
                                   f"{addr} + {size}")])

@@ -1,21 +1,9 @@
-"""Schema validation for the JSONL trace stream (and the Chrome export),
-the forensics artifacts (flight-recorder dumps, ``explain`` JSON), and
-the live status endpoint (``/metrics`` JSON, ``/metrics.prom`` text).
+"""Validators for the artifacts the observability layer emits, one flag
+per format (:data:`FORMATS`).  Each JSON object is a declared
+:class:`Record` held by one checker, :func:`check`; the Prometheus
+exposition is a line grammar, linted procedurally.  CI runs, e.g.::
 
-Usable as a library (:func:`validate_event`, :func:`validate_jsonl`,
-:func:`validate_flight`, :func:`validate_explain`,
-:func:`validate_metrics`, :func:`validate_prom`, :func:`validate_job`)
-and as a script — CI
-runs it against the artifacts emitted by ``python -m repro trace`` and
-``python -m repro explain``, and against live endpoint responses::
-
-    PYTHONPATH=src python -m repro.obs.schema out/dijkstra.trace.jsonl
-    PYTHONPATH=src python -m repro.obs.schema --chrome out/dijkstra.chrome.json
     PYTHONPATH=src python -m repro.obs.schema --flight out/dijkstra.simulated.flight.jsonl
-    PYTHONPATH=src python -m repro.obs.schema --explain out/dijkstra.explain.json
-    PYTHONPATH=src python -m repro.obs.schema --metrics /tmp/metrics.json
-    PYTHONPATH=src python -m repro.obs.schema --prom /tmp/metrics.prom
-    PYTHONPATH=src python -m repro.obs.schema --job /tmp/job.json
 """
 
 from __future__ import annotations
@@ -24,276 +12,244 @@ import argparse
 import json
 import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
+
+
+class Rule(NamedTuple):
+    """A field's type: ``ok(value)`` holds for what ``noun`` names.  A
+    rule ``of`` a record also holds the object, or each object of the
+    list, to that record."""
+    noun: str
+    ok: Callable[[object], bool]
+    record: Optional["Record"] = None
+
+    def of(self, record: "Record") -> "Rule":
+        return self._replace(record=record)
+
+    def nullable(self) -> "Rule":
+        return Rule(f"{self.noun} or null", lambda v: v is None or self.ok(v))
+
+
+INT = Rule("integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+NUM = Rule("number", lambda v: INT.ok(v) or isinstance(v, float))
+STR = Rule("string", lambda v: isinstance(v, str))
+BOOL = Rule("boolean", lambda v: isinstance(v, bool))
+DICT = Rule("object", lambda v: isinstance(v, dict))
+LIST = Rule("list", lambda v: isinstance(v, list))
+
+
+class Record(NamedTuple):
+    """A declared JSON object.  ``fields``: field -> (required,
+    :class:`Rule`).  ``checks``: (test, message) pairs; where ``test(obj)``
+    holds, ``message`` formatted with the object's fields is an error.
+    ``by``: (field, {value: Record}); the object is also held to the
+    record its field's value names.  A ``closed`` record admits no field
+    outside its table."""
+    fields: Dict[str, Tuple[bool, Rule]]
+    checks: Tuple[Tuple[Callable[[dict], bool], str], ...] = ()
+    by: Tuple[str, Dict[str, "Record"]] = ("", {})
+    closed: bool = False
+
+
+def check(obj: object, record: Record, where: str = "") -> List[str]:
+    """The errors of one parsed object against its declaration, each
+    prefixed with ``where``."""
+    if not isinstance(obj, dict):
+        return [f"{where}not a JSON object"]
+    errors: List[str] = []
+    for field, (required, rule) in record.fields.items():
+        value = obj.get(field)
+        if field not in obj:
+            errors += [f"{where}missing field {field!r}"] if required else []
+        elif not rule.ok(value):
+            errors.append(f"{where}field {field!r} has type "
+                          f"{type(value).__name__}, expected {rule.noun}")
+        elif rule.record and isinstance(value, list):
+            for i, item in enumerate(value):
+                errors += check(item, rule.record, f"{where}{field}[{i}]: ")
+                if _full(errors):
+                    break
+        elif rule.record:
+            errors += check(value, rule.record, f"{where}{field}: ")
+    if record.closed:
+        errors += [f"{where}unexpected field {f!r}"
+                   for f in obj if f not in record.fields]
+    key, variants = record.by
+    if STR.ok(obj.get(key)) and obj[key] in variants:
+        errors += check(obj, variants[obj[key]], f"{where}{obj[key]}: ")
+    return errors + [where + message.format_map(obj)
+                     for test, message in record.checks if test(obj)]
+
+
+def _full(errors: List[str], max_errors: int = 20) -> bool:
+    """True, with the stop marker appended, once ``errors`` is capped."""
+    if len(errors) >= max_errors:
+        errors.append("(stopping after too many errors)")
+        return True
+    return False
+
+
+def _lines(path: str) -> Iterator[Tuple[int, str]]:
+    with open(path) as fh:
+        yield from ((n, line.rstrip("\n"))
+                    for n, line in enumerate(fh, 1) if line.strip())
+
+
+def _check_jsonl(path: str, record: Record, max_errors: int, empty: str,
+                 meta: str, meta_first: bool = False
+                 ) -> Tuple[int, Dict[str, int], List[str]]:
+    """Check a file of one ``record`` a line holding one ``meta`` record
+    (the first, if ``meta_first``); returns (records, kind counts,
+    errors)."""
+    errors: List[str] = []
+    kinds: Counter = Counter()
+    count = 0
+    for lineno, line in _lines(path):
+        try:
+            rec = json.loads(line)
+        except ValueError as e:
+            errors.append(f"line {lineno}: invalid JSON ({e})")
+        else:
+            count += 1
+            if DICT.ok(rec):
+                kinds[str(rec.get("kind"))] += 1
+                if meta_first and count == 1 and rec.get("kind") != "meta":
+                    errors.append(f"line {lineno}: first record must be the "
+                                  f"meta header")
+            errors += check(rec, record, f"line {lineno}: ")
+        if _full(errors, max_errors):
+            break
+    if count == 0 or kinds["meta"] != 1:
+        errors.append(empty if count == 0 else
+                      f"expected exactly one {meta}, got {kinds['meta']}")
+    return count, dict(kinds), errors
+
+
+def _load_json(path: str, record: Record, count_field: str
+               ) -> Tuple[dict, int, List[str]]:
+    """The JSON object at ``path`` (``{}`` if there is none), the length
+    of its ``count_field`` list, and its errors against ``record``."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as e:
+            return {}, 0, [f"invalid JSON ({e})"]
+    obj = data if isinstance(data, dict) else {}
+    items = obj.get(count_field)
+    return obj, len(items) if LIST.ok(items) else 0, check(data, record)
+
 
 KINDS = {"meta", "span", "instant"}
-
-#: field -> (required, allowed types)
-_FIELDS = {
-    "kind": (True, str),
-    "name": (True, str),
-    "cat": (True, str),
-    "ts_us": (True, (int, float)),
-    "pid": (True, int),
-    "tid": (True, int),
-    "attrs": (True, dict),
-    "dur_us": (False, (int, float)),
-    "thread": (False, int),
-}
-
 CHROME_PHASES = {"X", "i", "M", "B", "E"}
+
+EVENT = Record(
+    {"kind": (True, STR), "name": (True, STR), "cat": (True, STR),
+     "ts_us": (True, NUM), "pid": (True, INT), "tid": (True, INT),
+     "attrs": (True, DICT), "dur_us": (False, NUM), "thread": (False, INT)},
+    ((lambda e: STR.ok(e.get("kind")) and e["kind"] not in KINDS,
+      "unknown kind {kind!r}"),
+     (lambda e: e.get("kind") == "span" and "dur_us" not in e,
+      "span missing dur_us"),
+     (lambda e: NUM.ok(e.get("ts_us")) and e["ts_us"] < 0,
+      "negative ts_us {ts_us}"),
+     (lambda e: NUM.ok(e.get("dur_us")) and e["dur_us"] < 0,
+      "negative dur_us {dur_us}")),
+    closed=True)
+
+CHROME_EVENT = Record(
+    {"ph": (True, STR), "ts": (False, NUM), "dur": (False, NUM)},
+    ((lambda e: STR.ok(e.get("ph")) and e["ph"] not in CHROME_PHASES,
+      "bad ph {ph!r}"),
+     (lambda e: e.get("ph") == "X" and "dur" not in e,
+      "complete event missing dur"),
+     (lambda e: e.get("ph") != "M" and "ts" not in e, "missing ts")))
+CHROME = Record({"traceEvents": (True, LIST.of(CHROME_EVENT))},
+                ((lambda d: d.get("traceEvents") == [],
+                  "trace contains no events"),))
 
 
 def validate_event(ev: object, lineno: int = 0) -> List[str]:
     """Validate one JSONL event; returns a list of error strings."""
-    where = f"line {lineno}: " if lineno else ""
-    if not isinstance(ev, dict):
-        return [f"{where}event is not a JSON object"]
-    errors: List[str] = []
-    for field, (required, types) in _FIELDS.items():
-        if field not in ev:
-            if required:
-                errors.append(f"{where}missing field {field!r}")
-            continue
-        if not isinstance(ev[field], types) or isinstance(ev[field], bool):
-            errors.append(f"{where}field {field!r} has type "
-                          f"{type(ev[field]).__name__}")
-    kind = ev.get("kind")
-    if isinstance(kind, str) and kind not in KINDS:
-        errors.append(f"{where}unknown kind {kind!r}")
-    if kind == "span" and "dur_us" not in ev:
-        errors.append(f"{where}span missing dur_us")
-    ts = ev.get("ts_us")
-    if isinstance(ts, (int, float)) and ts < 0:
-        errors.append(f"{where}negative ts_us {ts}")
-    dur = ev.get("dur_us")
-    if isinstance(dur, (int, float)) and dur < 0:
-        errors.append(f"{where}negative dur_us {dur}")
-    for extra in set(ev) - set(_FIELDS):
-        errors.append(f"{where}unexpected field {extra!r}")
-    return errors
+    return check(ev, EVENT, f"line {lineno}: " if lineno else "")
 
 
 def validate_jsonl(path: str,
                    max_errors: int = 20) -> Dict[str, object]:
-    """Validate a JSONL trace file; returns
-    ``{"events": n, "errors": [...]}``."""
-    errors: List[str] = []
-    events = 0
-    kinds: Dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ev = json.loads(line)
-            except ValueError as e:
-                errors.append(f"line {lineno}: invalid JSON ({e})")
-                continue
-            events += 1
-            if isinstance(ev, dict):
-                kinds[str(ev.get("kind"))] = kinds.get(str(ev.get("kind")), 0) + 1
-            errors.extend(validate_event(ev, lineno))
-            if len(errors) >= max_errors:
-                errors.append("(stopping after too many errors)")
-                break
-    if events == 0:
-        errors.append("trace contains no events")
-    if kinds.get("meta", 0) != 1 and events:
-        errors.append(f"expected exactly one meta header, got "
-                      f"{kinds.get('meta', 0)}")
+    """Validate a JSONL trace file: ``{"events", "kinds", "errors"}``."""
+    events, kinds, errors = _check_jsonl(
+        path, EVENT, max_errors, "trace contains no events", "meta header")
     return {"events": events, "kinds": kinds, "errors": errors}
 
 
 def validate_chrome(path: str) -> Dict[str, object]:
-    """Structural check of a Chrome ``trace_event`` JSON export."""
-    errors: List[str] = []
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as e:
-            return {"events": 0, "errors": [f"invalid JSON ({e})"]}
-    events = data.get("traceEvents") if isinstance(data, dict) else None
-    if not isinstance(events, list):
-        return {"events": 0, "errors": ["missing traceEvents array"]}
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            errors.append(f"traceEvents[{i}] is not an object")
-            continue
-        ph = ev.get("ph")
-        if ph not in CHROME_PHASES:
-            errors.append(f"traceEvents[{i}]: bad ph {ph!r}")
-        if ph == "X" and not isinstance(ev.get("dur"), (int, float)):
-            errors.append(f"traceEvents[{i}]: complete event missing dur")
-        if ph != "M" and not isinstance(ev.get("ts"), (int, float)):
-            errors.append(f"traceEvents[{i}]: missing ts")
-        if len(errors) >= 20:
-            errors.append("(stopping after too many errors)")
-            break
-    if not events:
-        errors.append("trace contains no events")
-    return {"events": len(events), "errors": errors}
+    """Validate a Chrome ``trace_event`` export: ``{"events", "errors"}``."""
+    _, events, errors = _load_json(path, CHROME, "traceEvents")
+    return {"events": events, "errors": errors}
 
-
-#: Record kinds in a flight-recorder JSONL dump.
-FLIGHT_KINDS = {"meta", "heap_map", "verdicts", "site_summary", "event"}
 
 #: Event types the flight recorder emits.
 FLIGHT_EVENTS = {"invocation", "epoch", "misspec", "decision"}
 
+FLIGHT_EVENT = Record(
+    {"event": (True, STR), "seq": (True, INT), "kind": (False, STR),
+     "iteration": (False, INT)},
+    ((lambda d: STR.ok(d.get("event")) and d["event"] not in FLIGHT_EVENTS,
+      "unknown event type {event!r}"),
+     (lambda d: INT.ok(d.get("seq")) and d["seq"] < 0, "negative seq {seq}"),
+     (lambda d: d.get("event") == "misspec" and "kind" not in d,
+      "misspec event missing kind"),
+     (lambda d: d.get("event") == "misspec" and "iteration" not in d,
+      "misspec event missing iteration")))
 
-def _flight_record_errors(rec: Dict[str, object], where: str) -> List[str]:
-    """Validate one parsed flight-dump record."""
-    errors: List[str] = []
-    kind = rec.get("kind")
-    if kind == "meta":
-        if not isinstance(rec.get("flight_format"), int) \
-                or isinstance(rec.get("flight_format"), bool):
-            errors.append(f"{where}meta missing integer flight_format")
-        if not isinstance(rec.get("crash"), bool):
-            errors.append(f"{where}meta missing boolean crash")
-    elif kind == "heap_map":
-        objects = rec.get("objects")
-        if not isinstance(objects, list):
-            errors.append(f"{where}heap_map missing objects list")
-        else:
-            for i, obj in enumerate(objects):
-                if not isinstance(obj, dict) or "base" not in obj \
-                        or "heap" not in obj:
-                    errors.append(f"{where}heap_map objects[{i}] missing "
-                                  f"base/heap")
-                    break
-    elif kind == "verdicts":
-        if not isinstance(rec.get("site_heaps"), dict):
-            errors.append(f"{where}verdicts missing site_heaps object")
-    elif kind == "site_summary":
-        if not isinstance(rec.get("sites"), dict):
-            errors.append(f"{where}site_summary missing sites object")
-    elif kind == "event":
-        data = rec.get("data")
-        if not isinstance(data, dict):
-            errors.append(f"{where}event missing data object")
-        else:
-            event = data.get("event")
-            if event not in FLIGHT_EVENTS:
-                errors.append(f"{where}unknown event type {event!r}")
-            seq = data.get("seq")
-            if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-                errors.append(f"{where}event missing non-negative seq")
-            if event == "misspec":
-                if not isinstance(data.get("kind"), str):
-                    errors.append(f"{where}misspec event missing kind")
-                if not isinstance(data.get("iteration"), int):
-                    errors.append(f"{where}misspec event missing iteration")
-    else:
-        errors.append(f"{where}unknown record kind {kind!r}")
-    return errors
+#: Record kind -> its declaration, for the lines of a flight dump.
+FLIGHT_RECORDS = {
+    "meta": Record({"flight_format": (True, INT), "crash": (True, BOOL)}),
+    "heap_map": Record({"objects": (True, LIST)}, (
+        (lambda r: LIST.ok(r.get("objects")) and not all(
+            DICT.ok(o) and "base" in o and "heap" in o
+            for o in r["objects"]), "an object is missing base/heap"),)),
+    "verdicts": Record({"site_heaps": (True, DICT)}),
+    "site_summary": Record({"sites": (True, DICT)}),
+    "event": Record({"data": (True, DICT.of(FLIGHT_EVENT))}),
+}
+FLIGHT_RECORD = Record(
+    {"kind": (True, STR)},
+    ((lambda r: STR.ok(r.get("kind")) and r["kind"] not in FLIGHT_RECORDS,
+      "unknown record kind {kind!r}"),), by=("kind", FLIGHT_RECORDS))
 
 
 def validate_flight(path: str, max_errors: int = 20) -> Dict[str, object]:
-    """Validate a flight-recorder JSONL dump; returns
-    ``{"records": n, "kinds": {...}, "errors": [...]}``."""
-    errors: List[str] = []
-    records = 0
-    kinds: Dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"line {lineno}: "
-            try:
-                rec = json.loads(line)
-            except ValueError as e:
-                errors.append(f"{where}invalid JSON ({e})")
-                continue
-            records += 1
-            if not isinstance(rec, dict):
-                errors.append(f"{where}record is not a JSON object")
-                continue
-            kinds[str(rec.get("kind"))] = kinds.get(str(rec.get("kind")), 0) + 1
-            if records == 1 and rec.get("kind") != "meta":
-                errors.append(f"{where}first record must be the meta header")
-            errors.extend(_flight_record_errors(rec, where))
-            if len(errors) >= max_errors:
-                errors.append("(stopping after too many errors)")
-                break
-    if records == 0:
-        errors.append("flight dump contains no records")
-    elif kinds.get("meta", 0) != 1:
-        errors.append(f"expected exactly one meta record, got "
-                      f"{kinds.get('meta', 0)}")
+    """Validate a flight dump: ``{"records", "kinds", "errors"}``."""
+    records, kinds, errors = _check_jsonl(
+        path, FLIGHT_RECORD, max_errors, "flight dump contains no records",
+        "meta record", meta_first=True)
     return {"records": records, "kinds": kinds, "errors": errors}
 
 
+DIAGNOSIS = Record({"kind": (True, STR), "iteration": (True, INT),
+                    "injected": (True, BOOL), "site": (False, STR.nullable()),
+                    "heap_tag": (False, INT.nullable())})
+EXPLAIN = Record({"explain_format": (True, INT), "meta": (True, DICT),
+                  "diagnoses": (True, LIST.of(DIAGNOSIS))})
+
+
 def validate_explain(path: str) -> Dict[str, object]:
-    """Validate an ``explain --json`` payload; returns
-    ``{"diagnoses": n, "errors": [...]}``."""
-    errors: List[str] = []
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as e:
-            return {"diagnoses": 0, "errors": [f"invalid JSON ({e})"]}
-    if not isinstance(data, dict):
-        return {"diagnoses": 0, "errors": ["payload is not a JSON object"]}
-    if not isinstance(data.get("explain_format"), int) \
-            or isinstance(data.get("explain_format"), bool):
-        errors.append("missing integer explain_format")
-    if not isinstance(data.get("meta"), dict):
-        errors.append("missing meta object")
-    diagnoses = data.get("diagnoses")
-    if not isinstance(diagnoses, list):
-        errors.append("missing diagnoses list")
-        diagnoses = []
-    for i, d in enumerate(diagnoses):
-        if not isinstance(d, dict):
-            errors.append(f"diagnoses[{i}] is not an object")
-            continue
-        if not isinstance(d.get("kind"), str):
-            errors.append(f"diagnoses[{i}] missing kind")
-        if not isinstance(d.get("iteration"), int) \
-                or isinstance(d.get("iteration"), bool):
-            errors.append(f"diagnoses[{i}] missing integer iteration")
-        if not isinstance(d.get("injected"), bool):
-            errors.append(f"diagnoses[{i}] missing boolean injected")
-        site = d.get("site")
-        if site is not None and not isinstance(site, str):
-            errors.append(f"diagnoses[{i}] site must be string or null")
-        tag = d.get("heap_tag")
-        if tag is not None and (not isinstance(tag, int)
-                                or isinstance(tag, bool)):
-            errors.append(f"diagnoses[{i}] heap_tag must be int or null")
-        if len(errors) >= 20:
-            errors.append("(stopping after too many errors)")
-            break
-    return {"diagnoses": len(diagnoses), "errors": errors}
+    """Validate ``explain --json`` output: ``{"diagnoses", "errors"}``."""
+    _, diagnoses, errors = _load_json(path, EXPLAIN, "diagnoses")
+    return {"diagnoses": diagnoses, "errors": errors}
 
-
-#: Per-type required numeric fields in a ``/metrics`` snapshot entry.
-_METRIC_FIELDS = {
-    "counter": ("value",),
-    "gauge": (),          # a never-set gauge reports value: null
-    "histogram": ("count", "sum"),
-}
-
-_WORKER_PREFIX = re.compile(r"^worker\.([^.]+)\.")
 
 #: Service job ids as they appear in ``job.<id>.<metric>`` names and in
 #: job payloads (sequential: ``j1``, ``j2``, ...).
 _JOB_ID = re.compile(r"^j\d+$")
 
-_JOB_PREFIX = re.compile(r"^job\.([^.]+)\.")
-
-#: Prometheus text exposition 0.0.4 line grammar (the subset we emit).
-_PROM_METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_PROM_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^{}]*)\})?"
-    r" (?P<value>\S+)$")
-_PROM_LABEL = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"$')
-_PROM_TYPES = {"counter", "gauge", "summary", "histogram", "untyped"}
+#: Name prefixes the exporters fold into labels: prefix -> (label test,
+#: what a label must be, the name's shape).
+_NAME_PREFIXES = {"worker": (str.isdigit, "an integer", "worker.<N>.<metric>"),
+                  "job": (_JOB_ID.match, "a job id", "job.j<N>.<metric>")}
+_PREFIXED = re.compile(r"^(worker|job)\.([^.]*)(\.?)")
 
 #: Brace-labeled registry names (``base{k="v",...}`` — see
 #: :func:`repro.obs.metrics.labeled`).
@@ -301,159 +257,116 @@ _METRIC_LABELED = re.compile(
     r'^[^{}]+\{[a-zA-Z_][a-zA-Z0-9_]*="[^"{}\\]*"'
     r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"{}\\]*")*\}$')
 
+METRICS = Record({"status_format": (True, INT), "generated_unix": (True, NUM),
+                  "run": (True, DICT), "metrics": (True, DICT)})
+
+#: Metric type -> its snapshot entry (a never-set gauge reports null).
+METRIC_ENTRIES = {"counter": Record({"value": (True, NUM)}),
+                  "gauge": Record({}),
+                  "histogram": Record({"count": (True, NUM),
+                                       "sum": (True, NUM)})}
+METRIC_ENTRY = Record(
+    {"type": (True, STR)},
+    ((lambda m: STR.ok(m.get("type")) and m["type"] not in METRIC_ENTRIES,
+      "unknown type {type!r}"),), by=("type", METRIC_ENTRIES))
+
+
+def _metric_name_errors(name: str) -> Iterator[str]:
+    m = _PREFIXED.match(name)
+    if m:
+        ok, label_kind, shape = _NAME_PREFIXES[m[1]]
+        if not (m[2] and m[3]):
+            yield f"{m[1]}-prefixed name has no metric suffix " \
+                  f"(expected {shape})"
+        elif not ok(m[2]):
+            yield f"{m[1]} label {m[2]!r} is not {label_kind} " \
+                  f"(expected {shape})"
+    if ("{" in name or "}" in name) and not _METRIC_LABELED.match(name):
+        yield 'malformed labeled metric name (expected base{k="v",...})'
+
 
 def validate_metrics(path: str) -> Dict[str, object]:
-    """Validate a ``/metrics`` JSON payload from the status endpoint;
-    returns ``{"metrics": n, "errors": [...]}``.  Checks the envelope
-    (``status_format``, ``generated_unix``, ``run``, ``metrics``), each
-    snapshot entry's per-type required fields, and that worker-labeled
-    names use the ``worker.<int>.<rest>`` shape the exporters fold into
-    ``worker="N"`` labels."""
-    errors: List[str] = []
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as e:
-            return {"metrics": 0, "errors": [f"invalid JSON ({e})"]}
-    if not isinstance(data, dict):
-        return {"metrics": 0, "errors": ["payload is not a JSON object"]}
-    if not isinstance(data.get("status_format"), int) \
-            or isinstance(data.get("status_format"), bool):
-        errors.append("missing integer status_format")
-    if not isinstance(data.get("generated_unix"), (int, float)) \
-            or isinstance(data.get("generated_unix"), bool):
-        errors.append("missing numeric generated_unix")
-    if not isinstance(data.get("run"), dict):
-        errors.append("missing run metadata object")
-    metrics = data.get("metrics")
-    if not isinstance(metrics, dict):
-        errors.append("missing metrics object")
-        metrics = {}
+    """Validate a ``/metrics`` payload — the envelope, each entry's
+    per-type fields and the name shapes the exporters fold into labels:
+    ``{"metrics", "errors"}``."""
+    data, _, errors = _load_json(path, METRICS, "metrics")
+    metrics = data["metrics"] if DICT.ok(data.get("metrics")) else {}
     for name in sorted(metrics):
-        entry = metrics[name]
         where = f"metrics[{name!r}]: "
-        if not isinstance(entry, dict):
-            errors.append(f"{where}entry is not an object")
-            continue
-        mtype = entry.get("type")
-        if mtype not in _METRIC_FIELDS:
-            errors.append(f"{where}unknown type {mtype!r}")
-            continue
-        for field in _METRIC_FIELDS[mtype]:
-            value = entry.get(field)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                errors.append(f"{where}missing numeric {field!r}")
-        m = _WORKER_PREFIX.match(name)
-        if m and not m.group(1).isdigit():
-            errors.append(f"{where}worker label {m.group(1)!r} is not an "
-                          f"integer (expected worker.<N>.<metric>)")
-        if name.startswith("worker.") and m is None:
-            errors.append(f"{where}worker-prefixed name has no metric "
-                          f"suffix (expected worker.<N>.<metric>)")
-        j = _JOB_PREFIX.match(name)
-        if j and not _JOB_ID.match(j.group(1)):
-            errors.append(f"{where}job label {j.group(1)!r} is not a job "
-                          f"id (expected job.j<N>.<metric>)")
-        if name.startswith("job.") and j is None:
-            errors.append(f"{where}job-prefixed name has no metric "
-                          f"suffix (expected job.j<N>.<metric>)")
-        if ("{" in name or "}" in name) and not _METRIC_LABELED.match(name):
-            errors.append(f"{where}malformed labeled metric name "
-                          f'(expected base{{k="v",...}})')
-        if len(errors) >= 20:
-            errors.append("(stopping after too many errors)")
+        errors += check(metrics[name], METRIC_ENTRY, where)
+        errors += [where + e for e in _metric_name_errors(name)]
+        if _full(errors):
             break
     return {"metrics": len(metrics), "errors": errors}
 
 
-def validate_job(path: str) -> Dict[str, object]:
-    """Validate a ``GET /jobs/<id>`` payload from ``repro serve``;
-    returns ``{"jobs": n, "errors": [...]}``.  Checks the service
-    envelope (``service_format``, ``generated_unix``), the job identity
-    fields (``j<N>`` id, known lifecycle state), and — for ``done``
-    jobs — the result body's Table-1/Table-3 rows and misspeculation
-    accounting."""
-    from ..service.jobstore import JOB_STATES, STATE_DONE
+def _jobstore():
+    from ..service import jobstore  # the service package is heavy to import
+    return jobstore
 
-    errors: List[str] = []
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as e:
-            return {"jobs": 0, "errors": [f"invalid JSON ({e})"]}
-    if not isinstance(data, dict):
-        return {"jobs": 0, "errors": ["payload is not a JSON object"]}
-    if not isinstance(data.get("service_format"), int) \
-            or isinstance(data.get("service_format"), bool):
-        errors.append("missing integer service_format")
-    if not isinstance(data.get("generated_unix"), (int, float)) \
-            or isinstance(data.get("generated_unix"), bool):
-        errors.append("missing numeric generated_unix")
+
+JOB = Record(
+    {"id": (True, STR), "state": (True, STR), "args": (True, LIST),
+     "train_args": (True, LIST), "knobs": (True, DICT),
+     "cache_hit": (True, BOOL), "warm": (True, BOOL),
+     "fingerprint": (True, STR), "result": (False, DICT.nullable())},
+    ((lambda j: STR.ok(j.get("id")) and not _JOB_ID.match(j["id"]),
+      "job id {id!r} does not match j<N>"),
+     (lambda j: STR.ok(j.get("state"))
+      and j["state"] not in _jobstore().JOB_STATES,
+      "unknown job state {state!r}"),
+     (lambda j: LIST.ok(j.get("args")) and not all(map(INT.ok, j["args"])),
+      "job args is not a list of integers"),
+     (lambda j: LIST.ok(j.get("train_args"))
+      and not all(map(INT.ok, j["train_args"])),
+      "job train_args is not a list of integers"),
+     (lambda j: j.get("fingerprint") == "", "job has an empty fingerprint")))
+JOB_ENVELOPE = Record({"service_format": (True, INT),
+                       "generated_unix": (True, NUM),
+                       "job": (True, DICT.of(JOB))})
+DONE_RESULT = Record(
+    {"table1": (True, DICT), "table3": (True, DICT),
+     "misspeculations": (True, INT), "recoveries": (True, INT),
+     "squashed_iterations": (True, INT), "checkpoints": (True, INT),
+     "output_matches": (True, BOOL), "forensics": (False, DICT)},
+    ((lambda r: r.get("output_matches") is not True,
+      "must have output_matches: true"),
+     (lambda r: INT.ok(r.get("misspeculations")) and r["misspeculations"] > 0
+      and "forensics" not in r,
+      "misspeculations without a forensics summary")))
+
+
+def validate_job(path: str) -> Dict[str, object]:
+    """Validate a ``repro serve`` ``GET /jobs/<id>`` payload, a ``done``
+    job's result included: ``{"jobs", "errors"}``."""
+    data, _, errors = _load_json(path, JOB_ENVELOPE, "job")
     job = data.get("job")
-    if not isinstance(job, dict):
-        return {"jobs": 0,
-                "errors": errors + ["missing job object"]}
-    if not isinstance(job.get("id"), str) or not _JOB_ID.match(job["id"]):
-        errors.append(f"job id {job.get('id')!r} does not match j<N>")
-    state = job.get("state")
-    if state not in JOB_STATES:
-        errors.append(f"unknown job state {state!r} "
-                      f"(expected one of {', '.join(JOB_STATES)})")
-    for field in ("args", "train_args"):
-        value = job.get(field)
-        if not isinstance(value, list) or any(
-                isinstance(v, bool) or not isinstance(v, int)
-                for v in value):
-            errors.append(f"job {field} is not a list of integers")
-    if not isinstance(job.get("knobs"), dict):
-        errors.append("job missing knobs object")
-    for field in ("cache_hit", "warm"):
-        if not isinstance(job.get(field), bool):
-            errors.append(f"job missing boolean {field}")
-    if not isinstance(job.get("fingerprint"), str) or not job["fingerprint"]:
-        errors.append("job missing fingerprint")
-    if state == STATE_DONE:
-        result = job.get("result")
-        if not isinstance(result, dict):
-            errors.append("done job missing result object")
-        else:
-            for field in ("table1", "table3"):
-                if not isinstance(result.get(field), dict):
-                    errors.append(f"done result missing {field} row")
-            for field in ("misspeculations", "recoveries",
-                          "squashed_iterations", "checkpoints"):
-                value = result.get(field)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    errors.append(f"done result missing integer {field}")
-            if result.get("output_matches") is not True:
-                errors.append("done result must have output_matches: true")
-            misspecs = result.get("misspeculations")
-            if isinstance(misspecs, int) and misspecs > 0 \
-                    and not isinstance(result.get("forensics"), dict):
-                errors.append("misspeculating done result missing "
-                              "forensics summary")
-    return {"jobs": 1, "errors": errors}
+    if DICT.ok(job) and job.get("state") == _jobstore().STATE_DONE:
+        errors += check(job.get("result"), DONE_RESULT, "done result: ")
+    return {"jobs": int(DICT.ok(job)), "errors": errors}
+
+
+#: Prometheus text exposition 0.0.4 line grammar (the subset we emit).
+_PROM_METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+_PROM_SAMPLE = re.compile(r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+                          r"(?:\{(?P<labels>[^{}]*)\})? (?P<value>\S+)$")
+_PROM_LABEL = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"$')
+_PROM_TYPES = {"counter", "gauge", "summary", "histogram", "untyped"}
 
 
 def _check_bucket_series(fam: str, label_key, series, count,
                          errors: List[str]) -> None:
-    """Lint one histogram bucket series (a family + one label set minus
-    ``le``): le ladder parseable and strictly ascending, ``+Inf`` last,
-    counts cumulative, and the ``+Inf`` bucket equal to ``_count``."""
-    ctx = fam if not label_key else \
-        fam + "{" + ",".join(f'{k}="{v}"' for k, v in label_key) + "}"
-    prev_le = float("-inf")
-    prev_n = float("-inf")
+    """Lint one histogram's buckets for one label set: ``le`` ascending to
+    ``+Inf``, counts cumulative, the ``+Inf`` bucket equal to ``_count``."""
+    ctx = fam + ("{" + ",".join(f'{k}="{v}"' for k, v in label_key) + "}"
+                 if label_key else "")
+    prev_le = prev_n = float("-inf")
     for le_txt, n in series:
-        if le_txt == "+Inf":
-            le = float("inf")
-        else:
-            try:
-                le = float(le_txt)
-            except ValueError:
-                errors.append(f"{ctx}: unparseable le {le_txt!r}")
-                return
+        try:
+            le = float(le_txt)  # "+Inf" parses to inf
+        except ValueError:
+            errors.append(f"{ctx}: unparseable le {le_txt!r}")
+            return
         if le <= prev_le:
             errors.append(f"{ctx}: le ladder not strictly ascending "
                           f"at le={le_txt}")
@@ -465,178 +378,127 @@ def _check_bucket_series(fam: str, label_key, series, count,
         prev_le, prev_n = le, n
     if series[-1][0] != "+Inf":
         errors.append(f"{ctx}: bucket series missing +Inf bucket")
-        return
-    if count is not None and series[-1][1] != count:
+    elif count is not None and series[-1][1] != count:
         errors.append(f"{ctx}: +Inf bucket {series[-1][1]} != _count "
                       f"{count}")
 
 
+def _comment_error(parts: List[str], families: Dict[str, str]
+                   ) -> Optional[str]:
+    """Declare the family of a ``# TYPE`` comment; the comment's error."""
+    if parts[1:2] != ["TYPE"]:
+        return (f"unknown comment form {parts[1]!r}" if len(parts) >= 2
+                and parts[1] not in ("HELP", "EOF") else None)
+    if len(parts) != 4:
+        return "malformed TYPE comment"
+    if not _PROM_METRIC_NAME.match(parts[2]):
+        return f"bad family name {parts[2]!r}"
+    if parts[3] not in _PROM_TYPES:
+        return f"unknown family type {parts[3]!r}"
+    if parts[2] in families:
+        return f"duplicate TYPE for {parts[2]!r}"
+    families[parts[2]] = parts[3]
+    return None
+
+
 def validate_prom(path: str, max_errors: int = 20) -> Dict[str, object]:
-    """Line-lint a ``/metrics.prom`` Prometheus text exposition body;
-    returns ``{"samples": n, "families": {...}, "errors": [...]}``.
-    Checks ``# TYPE`` declarations, sample-line grammar, label syntax,
-    float-parsable values, and that every sample belongs to a declared
-    family (allowing the ``_count``/``_sum``/``_bucket`` suffixes).
-    Families declared ``histogram`` are additionally held to the bucket
-    invariants: every label set has a strictly ascending ``le`` ladder
-    ending in ``+Inf``, cumulative bucket counts, and a ``+Inf`` bucket
-    equal to the matching ``_count``."""
+    """Line-lint a ``/metrics.prom`` exposition (grammar, TYPE families,
+    histogram buckets): ``{"samples", "families", "errors"}``."""
     errors: List[str] = []
     families: Dict[str, str] = {}
     samples = 0
-    # (family, label-set-minus-le) -> [(le_text, value), ...] in file order.
+    # (family, label set minus le) -> [(le, value), ...] and -> _count.
     bucket_series: Dict[tuple, List[tuple]] = {}
-    # (family, label-set-minus-le) -> _count value.
     bucket_counts: Dict[tuple, float] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            where = f"line {lineno}: "
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) >= 2 and parts[1] == "TYPE":
-                    if len(parts) != 4:
-                        errors.append(f"{where}malformed TYPE comment")
-                    elif not _PROM_METRIC_NAME.match(parts[2]):
-                        errors.append(f"{where}bad family name "
-                                      f"{parts[2]!r}")
-                    elif parts[3] not in _PROM_TYPES:
-                        errors.append(f"{where}unknown family type "
-                                      f"{parts[3]!r}")
-                    elif parts[2] in families:
-                        errors.append(f"{where}duplicate TYPE for "
-                                      f"{parts[2]!r}")
-                    else:
-                        families[parts[2]] = parts[3]
-                elif len(parts) >= 2 and parts[1] not in ("HELP", "EOF"):
-                    errors.append(f"{where}unknown comment form "
-                                  f"{parts[1]!r}")
-                continue
-            m = _PROM_SAMPLE.match(line)
-            if not m:
-                errors.append(f"{where}unparseable sample line {line!r}")
-                continue
-            samples += 1
-            name = m.group("name")
-            base = name
-            suffix = ""
-            for cand in ("_count", "_sum", "_bucket"):
-                if name.endswith(cand) and name[:-len(cand)] in families:
-                    base = name[:-len(cand)]
-                    suffix = cand
-                    break
-            if base not in families:
-                errors.append(f"{where}sample {name!r} has no preceding "
-                              f"TYPE declaration")
-            labels = m.group("labels")
-            pairs: List[tuple] = []
-            bad_label = False
-            if labels:
-                for pair in labels.split(","):
-                    if not _PROM_LABEL.match(pair):
-                        errors.append(f"{where}bad label pair {pair!r}")
-                        bad_label = True
-                        break
-                    key, _, value = pair.partition("=")
-                    pairs.append((key, value.strip('"')))
-            try:
-                value = float(m.group("value"))
-            except ValueError:
-                errors.append(f"{where}non-numeric value "
-                              f"{m.group('value')!r}")
-                value = None
-            if (families.get(base) == "histogram" and value is not None
-                    and not bad_label):
-                le = [v for k, v in pairs if k == "le"]
-                key = (base, tuple(sorted(
-                    (k, v) for k, v in pairs if k != "le")))
-                if suffix == "_bucket":
-                    if not le:
-                        errors.append(f"{where}histogram _bucket sample "
-                                      f"missing le label")
-                    else:
-                        bucket_series.setdefault(key, []).append(
-                            (le[0], value))
-                elif suffix == "_count":
-                    bucket_counts[key] = value
-            if len(errors) >= max_errors:
-                errors.append("(stopping after too many errors)")
-                break
+    for lineno, line in _lines(path):
+        where = f"line {lineno}: "
+        if line.startswith("#"):
+            error = _comment_error(line.split(), families)
+            if error:
+                errors.append(where + error)
+            continue
+        m = _PROM_SAMPLE.match(line)
+        if not m:
+            errors.append(f"{where}unparseable sample line {line!r}")
+            continue
+        samples += 1
+        name = m.group("name")
+        base, suffix = next(
+            ((name[:-len(s)], s) for s in ("_count", "_sum", "_bucket")
+             if name.endswith(s) and name[:-len(s)] in families), (name, ""))
+        if base not in families:
+            errors.append(f"{where}sample {name!r} has no preceding "
+                          f"TYPE declaration")
+        raw = m.group("labels").split(",") if m.group("labels") else []
+        bad = next((pair for pair in raw if not _PROM_LABEL.match(pair)), None)
+        if bad is not None:
+            errors.append(f"{where}bad label pair {bad!r}")
+        labels = {k: v.strip('"')
+                  for k, _, v in (pair.partition("=") for pair in raw)}
+        try:
+            value = float(m.group("value"))
+        except ValueError:
+            errors.append(f"{where}non-numeric value {m.group('value')!r}")
+            value = None
+        if families.get(base) == "histogram" and value is not None \
+                and bad is None:
+            le = labels.pop("le", None)
+            key = (base, tuple(sorted(labels.items())))
+            if suffix == "_bucket" and le is None:
+                errors.append(f"{where}histogram _bucket sample missing "
+                              f"le label")
+            elif suffix == "_bucket":
+                bucket_series.setdefault(key, []).append((le, value))
+            elif suffix == "_count":
+                bucket_counts[key] = value
+        if _full(errors, max_errors):
+            break
     if len(errors) < max_errors:
         for key, series in bucket_series.items():
-            _check_bucket_series(key[0], key[1], series,
-                                 bucket_counts.get(key), errors)
-            if len(errors) >= max_errors:
-                errors.append("(stopping after too many errors)")
+            _check_bucket_series(*key, series, bucket_counts.get(key), errors)
+            if _full(errors, max_errors):
                 break
-        for fam, ftype in families.items():
-            if ftype == "histogram" and not any(
-                    k[0] == fam for k in bucket_series):
-                errors.append(f"{fam}: histogram family has no _bucket "
-                              f"samples")
+        errors += [f"{fam}: histogram family has no _bucket samples"
+                   for fam, ftype in families.items() if ftype == "histogram"
+                   and not any(k[0] == fam for k in bucket_series)]
     if samples == 0:
         errors.append("exposition contains no samples")
     return {"samples": samples, "families": families, "errors": errors}
 
 
+#: Flag -> (validator, the report key of its record count, the artifact);
+#: no flag validates a JSONL trace.
+FORMATS = {
+    None: (validate_jsonl, "events", "JSONL trace (no flag)"),
+    "chrome": (validate_chrome, "events", "Chrome trace_event JSON"),
+    "flight": (validate_flight, "records", "flight-recorder JSONL dump"),
+    "explain": (validate_explain, "diagnoses", "'repro explain --json' JSON"),
+    "metrics": (validate_metrics, "metrics", "status endpoint /metrics JSON"),
+    "prom": (validate_prom, "samples", "Prometheus text (/metrics.prom)"),
+    "job": (validate_job, "jobs", "'repro serve' GET /jobs/<id> payload"),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs.schema",
-        description="validate a repro observability artifact (JSONL trace, "
-                    "Chrome JSON, flight dump, or explain JSON)")
+        description="validate a repro observability artifact: "
+                    + ", ".join(what for _, _, what in FORMATS.values()))
     parser.add_argument("path", help="file to validate")
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--chrome", action="store_true",
-                      help="validate as Chrome trace_event JSON instead "
-                           "of the JSONL event stream")
-    mode.add_argument("--flight", action="store_true",
-                      help="validate as a flight-recorder JSONL dump")
-    mode.add_argument("--explain", action="store_true",
-                      help="validate as 'repro explain --json' output")
-    mode.add_argument("--metrics", action="store_true",
-                      help="validate as a status-endpoint /metrics JSON "
-                           "payload")
-    mode.add_argument("--prom", action="store_true",
-                      help="validate as Prometheus text exposition "
-                           "(/metrics.prom)")
-    mode.add_argument("--job", action="store_true",
-                      help="validate as a `repro serve` GET /jobs/<id> "
-                           "payload")
+    for flag, (_, _, what) in FORMATS.items():
+        if flag is not None:
+            mode.add_argument(f"--{flag}", dest="format", action="store_const",
+                              const=flag, help=f"validate as {what}")
     args = parser.parse_args(argv)
-    if args.chrome:
-        validator = validate_chrome
-    elif args.flight:
-        validator = validate_flight
-    elif args.explain:
-        validator = validate_explain
-    elif args.metrics:
-        validator = validate_metrics
-    elif args.prom:
-        validator = validate_prom
-    elif args.job:
-        validator = validate_job
-    else:
-        validator = validate_jsonl
+    validator, count_key, _ = FORMATS[args.format]
     report = validator(args.path)
     for err in report["errors"]:
         print(f"error: {err}", file=sys.stderr)
-    count = report.get("events",
-                       report.get("records",
-                                  report.get("diagnoses",
-                                             report.get("metrics",
-                                                        report.get(
-                                                            "samples",
-                                                            report.get(
-                                                                "jobs",
-                                                                0))))))
-    if report["errors"]:
-        print(f"FAIL: {args.path}: {len(report['errors'])} error(s) in "
-              f"{count} record(s)")
-        return 1
-    print(f"ok: {args.path}: {count} record(s) valid")
-    return 0
+    count, failed = report[count_key], len(report["errors"])
+    print(f"FAIL: {args.path}: {failed} error(s) in {count} record(s)"
+          if failed else f"ok: {args.path}: {count} record(s) valid")
+    return int(bool(failed))
 
 
 if __name__ == "__main__":

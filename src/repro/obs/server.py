@@ -4,7 +4,7 @@ A stdlib-only :class:`ThreadingHTTPServer` on a daemon thread, polling
 the process-wide :data:`~repro.obs.metrics.METRICS` registry and
 :data:`~repro.obs.trace.TRACER` run metadata while a run is in flight —
 the first brick of ``repro serve`` (parallelization-as-a-service,
-ROADMAP).  Enabled via ``--status-port`` on ``run``/``trace``/``perf``
+ROADMAP).  Enabled via ``--status-port`` on ``run``/``trace``/``analyze``
 or the ``REPRO_STATUS_PORT`` environment variable.
 
 Endpoints

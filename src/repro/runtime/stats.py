@@ -12,7 +12,8 @@ from typing import Dict, List, Tuple
 COUNTER_FIELDS: Tuple[str, ...] = (
     "private_read_calls", "private_read_bytes",
     "private_write_calls", "private_write_bytes",
-    "separation_checks", "redux_updates", "predictions_checked",
+    "separation_checks", "redux_updates", "redux_bytes",
+    "predictions_checked",
     "lifetime_checks", "io_deferred",
     "private_read_cycles", "private_write_cycles", "separation_cycles",
     "checkpoint_cycles", "redux_cycles", "misc_validation_cycles",
@@ -61,6 +62,7 @@ class RuntimeStats:
 
     separation_checks: int = 0
     redux_updates: int = 0
+    redux_bytes: int = 0
     predictions_checked: int = 0
     lifetime_checks: int = 0
     io_deferred: int = 0

@@ -68,6 +68,16 @@ CHECKPOINT_BYTE_COST = 1
 #: goes to the enum's constructor, which rejects it.
 _HEAP_KINDS = {int(kind): kind for kind in HeapKind}
 
+#: Registry counter -> the ``RuntimeStats`` field it publishes.  The
+#: validation intrinsics and their inline bodies count into the stats
+#: alone; the parent publishes them (:meth:`RuntimeSystem.publish_counters`).
+PUBLISHED_COUNTERS = {
+    "runtime.separation_checks": "separation_checks",
+    "runtime.shadow.bytes_read": "private_read_bytes",
+    "runtime.shadow.bytes_written": "private_write_bytes",
+    "runtime.redux.bytes_updated": "redux_bytes",
+}
+
 #: Reduction operator (``BinOpKind`` name) -> the two-argument function
 #: :func:`~repro.analysis.reduction.apply_operator` evaluates for it;
 #: what the run fold maps over a whole run.  One function for both
@@ -129,6 +139,8 @@ class RuntimeSystem:
         #: only when a misspeculation or crash occurs).
         self.recorder = FlightRecorder()
         self.committed_meta = bytearray()
+        #: PUBLISHED_COUNTERS values as last published.
+        self._published: Dict[str, int] = {}
         self._protected: List[MemoryObject] = []
         self._default_printf = None
         self._default_puts = None
@@ -189,8 +201,6 @@ class RuntimeSystem:
             return None
         self.stats.separation_checks += 1
         self.stats.separation_cycles += SEPARATION_CHECK_COST + 4
-        if TRACER.enabled:
-            METRICS.counter("runtime.separation_checks").inc()
         addr = int(args[0])
         tag = int(args[1])
         kind = _HEAP_KINDS.get(tag) or HeapKind(tag)
@@ -215,8 +225,6 @@ class RuntimeSystem:
         self.stats.private_read_calls += 1
         self.stats.private_read_bytes += size
         self.stats.private_read_cycles += cost
-        if TRACER.enabled:
-            METRICS.counter("runtime.shadow.bytes_read").inc(size)
         self.current_worker.shadow.on_read(offset, size, self.current_ts,
                                            self.current_iteration)
         return None
@@ -235,8 +243,6 @@ class RuntimeSystem:
         self.stats.private_write_calls += 1
         self.stats.private_write_bytes += size
         self.stats.private_write_cycles += cost
-        if TRACER.enabled:
-            METRICS.counter("runtime.shadow.bytes_written").inc(size)
         self.current_worker.shadow.on_write(offset, size, self.current_ts,
                                             self.current_iteration)
         return None
@@ -246,10 +252,9 @@ class RuntimeSystem:
             return None
         addr, size = int(args[0]), int(args[1])
         self.stats.redux_updates += 1
+        self.stats.redux_bytes += size
         self.stats.redux_cycles += (INTRINSIC_COSTS["redux_update"]
                                     + REDUX_BYTE_COST * size)
-        if TRACER.enabled:
-            METRICS.counter("runtime.redux.bytes_updated").inc(size)
         interp.cycles += REDUX_BYTE_COST * size
         self.current_worker.redux_written.add_range(addr, addr + size)
         return None
@@ -333,6 +338,8 @@ class RuntimeSystem:
             self._init_worker_redux(worker)
 
     def end_invocation(self) -> None:
+        if TRACER.enabled:
+            self.publish_counters()
         self.speculating = False
         self.current_worker = None
         self.interp.runtime = None
@@ -341,6 +348,14 @@ class RuntimeSystem:
         # Between invocations the heaps behave as normal memory; the
         # committed metadata is per-invocation state.
         self.committed_meta = bytearray()
+
+    def publish_counters(self) -> None:
+        """Bring the PUBLISHED_COUNTERS up to the stats."""
+        for name, field in PUBLISHED_COUNTERS.items():
+            grown = getattr(self.stats, field) - self._published.get(name, 0)
+            if grown:
+                METRICS.counter(name).inc(grown)
+                self._published[name] = getattr(self.stats, field)
 
     def _protect_readonly(self) -> None:
         self._protected = [
@@ -695,6 +710,7 @@ class RuntimeSystem:
                  epoch_start, epoch_end, merged, redux_bytes,
                  record.dirty_pages, cost)
         if TRACER.enabled:
+            self.publish_counters()
             METRICS.counter("runtime.checkpoints").inc()
             METRICS.histogram("runtime.checkpoint.cycles").observe(cost)
             METRICS.counter("runtime.checkpoint.private_bytes").inc(merged)

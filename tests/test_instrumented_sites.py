@@ -26,7 +26,7 @@ from repro.parallel.backend import make_executor
 from repro.profiling import LoopInfoCache, profile_execution_time, profile_loop
 from repro.profiling.serialize import hot_report_to_dict, profile_to_dict
 from repro.runtime.shadow import SHADOW_ENV
-from repro.runtime.system import RuntimeSystem
+from repro.runtime.system import PUBLISHED_COUNTERS, RuntimeSystem
 from repro.workloads import ALL_WORKLOADS
 
 from helpers import kept_profiles_equal_own_runs, prepared_counter_program
@@ -371,18 +371,45 @@ def test_inline_step_and_reference_shadow_agree(workload, period,
     assert _run(program, misspec_period=period) == inline
 
 
-def test_tracing_calls_the_intrinsics(counter, monkeypatch):
-    plain = _run(counter)
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=WORKLOAD_IDS)
+def test_a_traced_run_makes_the_calls_of_an_untraced_one(workload,
+                                                         monkeypatch):
+    program = prepare(workload.source, workload.name, args=workload.train,
+                      use_cache=False, adapt=False)
     calls = _count_intrinsic_calls(monkeypatch)
+    plain = _run(program, misspec_period=5)
+    untraced = dict(calls)
+    calls.clear()
     obs.enable()
     try:
-        traced = _run(counter)
-        bytes_read = obs.METRICS.counter("runtime.shadow.bytes_read").value
+        traced = _run(program, misspec_period=5)
     finally:
         obs.disable()
     assert traced == plain
-    assert calls["private_read"] == plain[3]["private_read_calls"]
-    assert bytes_read == plain[3]["private_read_bytes"]
+    assert calls == untraced
+
+
+@pytest.mark.parametrize("backend", ["simulated", "pool"])
+def test_runtime_counters_equal_the_stats(backend):
+    """The registry's access counters are published from the stats in
+    the parent, a squashed epoch's accesses included: dijkstra checks
+    separation, alvinn updates reductions."""
+    grown = set()
+    for workload in (w for w in ALL_WORKLOADS
+                     if w.name in ("dijkstra", "alvinn")):
+        program = prepare(workload.source, workload.name,
+                          args=workload.train, use_cache=False, adapt=False)
+        obs.enable()
+        try:
+            stats = _run(program, backend, workers=2, misspec_period=5)[3]
+            counters = {name: obs.METRICS.counter(name).value
+                        for name in PUBLISHED_COUNTERS}
+        finally:
+            obs.disable()
+        assert counters == {name: stats[field]
+                            for name, field in PUBLISHED_COUNTERS.items()}
+        grown |= {name for name, value in counters.items() if value}
+    assert grown == set(PUBLISHED_COUNTERS)
 
 
 def test_reductions_inline_on_pool_and_simulated():
