@@ -10,7 +10,7 @@ dependence, and no loop would ever be DOALL-able.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from ..ir.instructions import Alloca, Instruction, Load, Phi, Store
 from ..ir.module import BasicBlock, Function
@@ -30,23 +30,17 @@ def promotable_allocas(fn: Function) -> List[Alloca]:
         and inst.count.value == 1
         and not inst.allocated_type.is_aggregate()
     ]
-    promotable: List[Alloca] = []
-    for alloca in allocas:
-        ok = True
-        for inst in fn.instructions():
-            for op in inst.operands:
-                if op is not alloca:
-                    continue
-                if isinstance(inst, Load):
-                    continue
-                if isinstance(inst, Store) and inst.pointer is alloca and inst.value is not alloca:
-                    continue
-                ok = False
-            if not ok:
-                break
-        if ok:
-            promotable.append(alloca)
-    return promotable
+    candidates = set(allocas)
+    escaped: Set[Alloca] = set()
+    for inst in fn.instructions():
+        if isinstance(inst, Load):
+            continue
+        for op in inst.operands:
+            if op in candidates and not (
+                    isinstance(inst, Store)
+                    and inst.pointer is op and inst.value is not op):
+                escaped.add(op)  # type: ignore[arg-type]
+    return [a for a in allocas if a not in escaped]
 
 
 def _default_value(alloca: Alloca) -> Value:
@@ -60,6 +54,33 @@ def _default_value(alloca: Alloca) -> Value:
     return Undef(ty)
 
 
+def _rewrite_operands(insts: Iterable[Instruction],
+                      mapping: Dict[Value, Value]) -> None:
+    """Replace each operand of ``insts`` that ``mapping`` names."""
+    for inst in insts:
+        ops = inst.operands
+        for i, op in enumerate(ops):
+            new = mapping.get(op)
+            if new is not None:
+                ops[i] = new
+        if isinstance(inst, Phi):
+            inst.incoming = [(bb, mapping.get(v, v)) for bb, v in inst.incoming]
+
+
+def _resolve_chains(replacements: Dict[Value, Value]) -> Dict[Value, Value]:
+    """Where each deleted load's uses end up when the replacements are
+    applied one after another, in order, to an operand: a replacement
+    that is itself a deleted load is followed only if its own entry comes
+    later (an earlier entry has already been applied)."""
+    order = {old: i for i, old in enumerate(replacements)}
+    final: Dict[Value, Value] = {}
+    for old in reversed(list(replacements)):
+        new = replacements[old]
+        later = order.get(new)
+        final[old] = final[new] if later is not None and later > order[old] else new
+    return final
+
+
 class _Promoter:
     def __init__(self, fn: Function, allocas: List[Alloca]):
         self.fn = fn
@@ -67,36 +88,43 @@ class _Promoter:
         self.domtree = DominatorTree(fn, self.cfg)
         self.allocas = allocas
         self.phi_slot: Dict[Phi, Alloca] = {}
+        #: Every deleted load -> its value, in renaming order.
+        self.replacements: Dict[Value, Value] = {}
 
     def run(self) -> None:
         frontiers = self.domtree.dominance_frontiers()
         reachable = self.cfg.reachable()
+        alloca_set = set(self.allocas)
 
         # Phase 1: place phis at the iterated dominance frontier of defs.
+        def_blocks: Dict[Alloca, Set[BasicBlock]] = {a: set() for a in self.allocas}
+        for inst in self.fn.instructions():
+            if isinstance(inst, Store) and inst.pointer in alloca_set:
+                def_blocks[inst.pointer].add(inst.parent)  # type: ignore[index,arg-type]
+        new_phis: Dict[BasicBlock, List[Phi]] = {}
         for alloca in self.allocas:
-            def_blocks: Set[BasicBlock] = {
-                inst.parent  # type: ignore[misc]
-                for inst in self.fn.instructions()
-                if isinstance(inst, Store) and inst.pointer is alloca
-            }
+            defs = def_blocks[alloca]
             has_phi: Set[BasicBlock] = set()
-            worklist = [bb for bb in def_blocks if bb in reachable]
+            worklist = [bb for bb in defs if bb in reachable]
             while worklist:
                 bb = worklist.pop()
                 for df_block in frontiers.get(bb, ()):
                     if df_block in has_phi or df_block not in reachable:
                         continue
                     phi = Phi(alloca.allocated_type, name=f"{alloca.name or 'mem'}.phi")
-                    df_block.insert(0, phi)
+                    phi.parent = df_block
+                    new_phis.setdefault(df_block, []).append(phi)
                     self.phi_slot[phi] = alloca
                     has_phi.add(df_block)
-                    if df_block not in def_blocks:
+                    if df_block not in defs:
                         worklist.append(df_block)
+        # Each new phi goes in front of the block: the last placed first.
+        for bb, phis in new_phis.items():
+            bb.instructions[:0] = phis[::-1]
 
         # Phase 2: rename along the dominator tree.
         stacks: Dict[Alloca, List[Value]] = {a: [_default_value(a)] for a in self.allocas}
-        alloca_set = set(self.allocas)
-        self._rename(self.cfg.entry, stacks, alloca_set, set())
+        self._rename(self.cfg.entry, stacks, alloca_set)
 
         # Phase 3: delete the allocas and their dead loads/stores.
         for bb in self.fn.blocks:
@@ -115,32 +143,35 @@ class _Promoter:
         bb: BasicBlock,
         stacks: Dict[Alloca, List[Value]],
         alloca_set: Set[Alloca],
-        visited: Set[BasicBlock],
     ) -> None:
         # Iterative DFS over the dominator tree with explicit push counts so
         # the value stacks unwind correctly.
         children = self.domtree.children()
+        phi_slot = self.phi_slot
+        visited: Set[BasicBlock] = set()
         work: List[tuple] = [("visit", bb)]
         while work:
             action, node = work.pop()
             if action == "pop":
                 for slot, count in node:  # node is a list of (alloca, pushes)
-                    for _ in range(count):
-                        stacks[slot].pop()
+                    del stacks[slot][-count:]
                 continue
             if node in visited:
                 continue
             visited.add(node)
             pushes: Dict[Alloca, int] = {}
 
+            # A deleted load's value is never a load deleted in the same
+            # block, so one lookup per operand finishes the block; uses in
+            # later blocks are rewritten after renaming.  Phis lead the
+            # block, before any load: none uses one of this block's.
             replacements: Dict[Value, Value] = {}
-            new_insts: List[Instruction] = []
+            users: List[Instruction] = []
             for inst in node.instructions:
-                if isinstance(inst, Phi) and inst in self.phi_slot:
-                    slot = self.phi_slot[inst]
+                if isinstance(inst, Phi) and inst in phi_slot:
+                    slot = phi_slot[inst]
                     stacks[slot].append(inst)
                     pushes[slot] = pushes.get(slot, 0) + 1
-                    new_insts.append(inst)
                 elif isinstance(inst, Load) and inst.pointer in alloca_set:
                     replacements[inst] = stacks[inst.pointer][-1]  # type: ignore[index]
                 elif isinstance(inst, Store) and inst.pointer in alloca_set:
@@ -148,27 +179,23 @@ class _Promoter:
                     value = replacements.get(inst.value, inst.value)
                     stacks[slot].append(value)
                     pushes[slot] = pushes.get(slot, 0) + 1
-                else:
-                    for old, new in replacements.items():
-                        inst.replace_operand(old, new)
-                    new_insts.append(inst)
-            # Propagate replacements into *later* blocks via the stacks (done)
-            # and rewrite any remaining uses in this function lazily below.
+                elif not isinstance(inst, Phi):
+                    users.append(inst)
             if replacements:
-                self._pending_replacements.update(replacements)
+                _rewrite_operands(users, replacements)
+                self.replacements.update(replacements)
 
-            # Fill phi arms in CFG successors.
+            # Fill phi arms in CFG successors (new phis lead each block).
             for succ in self.cfg.succs.get(node, []):
                 for inst in succ.instructions:
-                    if isinstance(inst, Phi) and inst in self.phi_slot:
-                        slot = self.phi_slot[inst]
-                        inst.add_incoming(node, stacks[slot][-1])
+                    if not isinstance(inst, Phi):
+                        break
+                    if inst in phi_slot:
+                        inst.add_incoming(node, stacks[phi_slot[inst]][-1])
 
             work.append(("pop", list(pushes.items())))
             for child in children.get(node, []):
                 work.append(("visit", child))
-
-    _pending_replacements: Dict[Value, Value]
 
 
 def _prune_dead_phis(fn: Function) -> int:
@@ -201,10 +228,14 @@ def _prune_dead_phis(fn: Function) -> int:
 
     removed_total = 0
     for bb in fn.blocks:
-        dead = [i for i in bb.instructions if isinstance(i, Phi) and i not in live]
-        for phi in dead:
-            bb.remove(phi)
-            removed_total += 1
+        kept = []
+        for inst in bb.instructions:
+            if isinstance(inst, Phi) and inst not in live:
+                inst.parent = None
+                removed_total += 1
+            else:
+                kept.append(inst)
+        bb.instructions = kept
     return removed_total
 
 
@@ -214,14 +245,11 @@ def promote_memory_to_registers(fn: Function) -> int:
     if not allocas:
         return 0
     promoter = _Promoter(fn, allocas)
-    promoter._pending_replacements = {}
     promoter.run()
-    # Rewrite any uses of deleted loads that appear in blocks dominated by
-    # the definition but visited before the replacement map was recorded.
-    if promoter._pending_replacements:
-        for inst in fn.instructions():
-            for old, new in promoter._pending_replacements.items():
-                inst.replace_operand(old, new)
+    # Rewrite the uses of deleted loads in blocks after the load's own.
+    if promoter.replacements:
+        _rewrite_operands(fn.instructions(),
+                          _resolve_chains(promoter.replacements))
     _prune_dead_phis(fn)
     return len(allocas)
 

@@ -15,7 +15,7 @@ instruction, and heap-allocation call site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from ..ir.instructions import (
     Alloca,
@@ -134,16 +134,20 @@ class PointsToAnalysis:
         # Seed the precise sources.
         for gv in self.module.globals.values():
             self.sets[gv] = PointsToSet.of(AbstractObject("global", gv.name))
+        # Call sites by callee, in module order, for the argument rule.
+        self._calls_to: Dict[Function, List[Call]] = {}
         for fn in self.module.defined_functions():
             for inst in fn.instructions():
                 if isinstance(inst, Alloca):
                     self.sets[inst] = PointsToSet.of(
                         AbstractObject("stack", inst.site_id())
                     )
-                elif isinstance(inst, Call) and inst.callee.name in HEAP_ALLOCATORS:
-                    self.sets[inst] = PointsToSet.of(
-                        AbstractObject("heap", inst.site_id())
-                    )
+                elif isinstance(inst, Call):
+                    self._calls_to.setdefault(inst.callee, []).append(inst)
+                    if inst.callee.name in HEAP_ALLOCATORS:
+                        self.sets[inst] = PointsToSet.of(
+                            AbstractObject("heap", inst.site_id())
+                        )
 
         # Iterate simple propagation rules to a fixed point.
         changed = True
@@ -195,18 +199,15 @@ class PointsToAnalysis:
                         changed |= self._set_for(arg).merge(self._points_of_callers(fn, arg))
 
     def _points_of_callers(self, fn: Function, arg: Argument) -> PointsToSet:
-        out = PointsToSet()
-        found_call = False
-        for caller in self.module.defined_functions():
-            for inst in caller.instructions():
-                if isinstance(inst, Call) and inst.callee is fn:
-                    found_call = True
-                    if arg.index < len(inst.args):
-                        out.merge(self._operand_set(inst.args[arg.index]))
-                    else:
-                        return PointsToSet.top()
-        if not found_call:
+        calls = self._calls_to.get(fn)
+        if not calls:
             return PointsToSet.top()
+        out = PointsToSet()
+        for inst in calls:
+            if arg.index < len(inst.args):
+                out.merge(self._operand_set(inst.args[arg.index]))
+            else:
+                return PointsToSet.top()
         return out
 
     def _operand_set(self, v: Value) -> PointsToSet:

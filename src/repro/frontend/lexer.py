@@ -9,8 +9,9 @@ alvinn, enc-md5) are all expressed in it.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Tuple
 
 
 class CompileError(Exception):
@@ -73,167 +74,133 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r})"
 
 
+# One token, after any trivia (whitespace, ``//`` and ``/* */`` comments).
+# The alternatives are tried in order: identifiers and keywords, numbers
+# (a float only with a fraction or an exponent; integer suffixes after an
+# integer only), the opening quote of a char or string literal (decoded
+# by ``_literal``), an unterminated block comment, punctuation longest
+# first, the end of the source, and any other character.  ``\w`` and
+# ``\d`` are Unicode classes: ``str.isalnum() or "_"`` and
+# ``str.isdecimal()``.
+_SCANNER = re.compile(
+    r"[ \t\r\n]*(?:(?://[^\n]*|/\*[\s\S]*?\*/)[ \t\r\n]*)*"
+    r"(?:(?P<ident>[^\W\d]\w*)"
+    r"|(?P<hex>(?P<hexdigits>0[xX][0-9a-fA-F]*)[uUlL]*)"
+    r"|(?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>(?P<digits>\d+)[uUlL]*)"
+    r"|(?P<quote>['\"])"
+    r"|(?P<open>/\*)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in PUNCTUATION) + r")"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>[\s\S]))")
+
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
+_STRING_RUN = re.compile(r'[^"\\]*')
+
+
 class Lexer:
-    """Hand-written MiniC lexer producing a Token stream."""
+    """MiniC lexer: one match of ``_SCANNER`` per token."""
     def __init__(self, source: str, filename: str = "<minic>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _error(self, message: str) -> CompileError:
-        return CompileError(message, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self, n: int = 1) -> str:
-        text = self.source[self.pos:self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return text
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                break
+    def _error(self, message: str, offset: int) -> CompileError:
+        """A CompileError at ``offset`` (clamped to the end), counting
+        every character but a newline as one column."""
+        source = self.source
+        offset = min(offset, len(source))
+        line = source.count("\n", 0, offset) + 1
+        return CompileError(message, line, offset - source.rfind("\n", 0, offset))
 
     def tokens(self) -> List[Token]:
+        source = self.source
+        match = _SCANNER.match
         out: List[Token] = []
+        append = out.append
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        last = 0        # newlines before ``last`` are counted in ``line``
         while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokKind.EOF:
+            m = match(source, pos)
+            kind = m.lastgroup
+            start = m.start(kind)
+            newlines = source.count("\n", last, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", last, start) + 1
+            last = start
+            col = start - line_start + 1
+            pos = m.end()
+            if kind == "ident":
+                text = m.group(kind)
+                # ``[^\W\d]`` also admits numerics such as "²" and "½".
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise self._error(f"unexpected character {text[0]!r}", start)
+                append(Token(TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT,
+                             text, None, line, col))
+            elif kind == "punct":
+                append(Token(TokKind.PUNCT, m.group(kind), None, line, col))
+            elif kind == "int":
+                append(Token(TokKind.INT, m.group(kind), int(m.group("digits")),
+                             line, col))
+            elif kind == "float":
+                text = m.group(kind)
+                append(Token(TokKind.FLOAT, text, float(text), line, col))
+            elif kind == "hex":
+                digits = m.group("hexdigits")
+                if len(digits) == 2:
+                    raise CompileError("hex literal with no digits", line, col)
+                append(Token(TokKind.INT, m.group(kind), int(digits, 16), line, col))
+            elif kind == "quote":
+                tok, pos = self._literal(start, line, col)
+                append(tok)
+            elif kind == "end":
+                append(Token(TokKind.EOF, "", None, line, col))
                 return out
+            elif kind == "open":
+                raise self._error("unterminated block comment", len(source))
+            else:
+                raise self._error(f"unexpected character {m.group(kind)!r}", start)
 
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self.line, self.col
-        if self.pos >= len(self.source):
-            return Token(TokKind.EOF, "", line=line, col=col)
-        ch = self._peek()
-
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.source[start:self.pos]
-            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-            return Token(kind, text, line=line, col=col)
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-
-        if ch == "'":
-            return self._lex_char(line, col)
-        if ch == '"':
-            return self._lex_string(line, col)
-
-        for punct in PUNCTUATION:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokKind.PUNCT, punct, line=line, col=col)
-
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start:self.pos]
-            value = int(text, 16)
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1).isdigit():
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() and self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() and self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            text = self.source[start:self.pos]
-            value = float(text) if is_float else int(text)
-        # Integer suffixes (L, U, UL) are accepted and ignored.
-        while self._peek() and self._peek() in "uUlL" and not is_float:
-            text += self._advance()
-        kind = TokKind.FLOAT if is_float else TokKind.INT
-        return Token(kind, text, value, line=line, col=col)
-
-    def _read_escape(self) -> str:
-        self._advance()  # backslash
-        ch = self._advance()
-        if ch in _ESCAPES:
-            return _ESCAPES[ch]
+    def _escape(self, pos: int) -> Tuple[str, int]:
+        """Decode the escape whose backslash is at ``pos``; returns the
+        character and the offset after the escape."""
+        ch = self.source[pos + 1:pos + 2]
+        if ch in _ESCAPES and ch:
+            return _ESCAPES[ch], pos + 2
         if ch == "x":
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._advance()
-            if not digits:
-                raise self._error("\\x with no hex digits")
-            return chr(int(digits, 16))
-        raise self._error(f"unknown escape \\{ch}")
+            end = _HEX_DIGITS.match(self.source, pos + 2).end()
+            if end == pos + 2:
+                raise self._error("\\x with no hex digits", end)
+            return chr(int(self.source[pos + 2:end], 16)), end
+        raise self._error(f"unknown escape \\{ch}", pos + 2)
 
-    def _lex_char(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            ch = self._read_escape()
-        else:
-            ch = self._advance()
-        if self._peek() != "'":
-            raise self._error("unterminated character literal")
-        self._advance()
-        return Token(TokKind.CHAR, f"'{ch}'", ord(ch), line=line, col=col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
+    def _literal(self, start: int, line: int, col: int) -> Tuple[Token, int]:
+        """The char or string literal whose opening quote is at
+        ``start``, and the offset after its closing quote."""
+        source = self.source
+        pos = start + 1
+        if source[start] == "'":
+            if source.startswith("\\", pos):
+                ch, pos = self._escape(pos)
+            else:
+                ch = source[pos:pos + 1]
+                pos += 1
+            if not source.startswith("'", pos):
+                raise self._error("unterminated character literal", pos)
+            return Token(TokKind.CHAR, f"'{ch}'", ord(ch), line, col), pos + 1
         chars: List[str] = []
         while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                chars.append(self._read_escape())
-            else:
-                chars.append(self._advance())
-        text = "".join(chars)
-        return Token(TokKind.STRING, text, text, line=line, col=col)
+            end = _STRING_RUN.match(source, pos).end()
+            chars.append(source[pos:end])
+            if end == len(source):
+                raise self._error("unterminated string literal", end)
+            if source[end] == '"':
+                text = "".join(chars)
+                return Token(TokKind.STRING, text, text, line, col), end + 1
+            ch, pos = self._escape(end)
+            chars.append(ch)
 
 
 def tokenize(source: str, filename: str = "<minic>") -> List[Token]:

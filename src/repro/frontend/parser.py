@@ -11,19 +11,30 @@ _TYPE_KEYWORDS = {"void", "char", "int", "unsigned", "long", "double", "struct"}
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
-# Binary operator precedence levels, lowest binds weakest.
-_BINARY_LEVELS: List[List[str]] = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+# Binary operator -> precedence level; a higher level binds tighter.
+# Every binary operator is left-associative.
+_BINARY_LEVELS = {
+    "||": 0,
+    "&&": 1,
+    "|": 2,
+    "^": 3,
+    "&": 4,
+    "==": 5, "!=": 5,
+    "<": 6, "<=": 6, ">": 6, ">=": 6,
+    "<<": 7, ">>": 7,
+    "+": 8, "-": 8,
+    "*": 9, "/": 9, "%": 9,
+}
+
+_PREFIX_OPS = {"-", "!", "~", "*", "&", "++", "--"}
+
+#: Deepest nesting the parser accepts.  Each recursive step counts one
+#: level: a statement, an expression, a unary or cast operand, a
+#: conditional's arm (so a parenthesised operand costs two).  Neither the
+#: parser nor the lowering spends more than two and a half Python frames
+#: a level, so past this depth a program gets a CompileError, not a
+#: RecursionError, wherever the caller's stack stands below 200 frames.
+MAX_NESTING = 300
 
 
 class Parser:
@@ -33,13 +44,22 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.last = len(tokens) - 1  # the EOF token
+        self.depth = 0
         self.struct_names: Set[str] = set()
 
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        i = self.pos + offset
+        return self.tokens[i if i < self.last else self.last]
+
+    def _enter(self) -> None:
+        """One level deeper; see ``MAX_NESTING``.  Callers step back out
+        with ``self.depth -= 1`` (a CompileError abandons the parse)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error("nesting too deep")
 
     def _next(self) -> Token:
         tok = self._peek()
@@ -196,36 +216,41 @@ class Parser:
         return block
 
     def parse_statement(self) -> ast.Stmt:
+        self._enter()
         tok = self._peek()
+        stmt: ast.Stmt
         if tok.is_punct("{"):
-            return self.parse_block()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("return"):
+            stmt = self.parse_block()
+        elif tok.is_keyword("if"):
+            stmt = self._parse_if()
+        elif tok.is_keyword("while"):
+            stmt = self._parse_while()
+        elif tok.is_keyword("for"):
+            stmt = self._parse_for()
+        elif tok.is_keyword("return"):
             self._next()
             value = None if self._peek().is_punct(";") else self.parse_expr()
             self._expect_punct(";")
-            return ast.Return(tok.line, tok.col, value)
-        if tok.is_keyword("break"):
+            stmt = ast.Return(tok.line, tok.col, value)
+        elif tok.is_keyword("break"):
             self._next()
             self._expect_punct(";")
-            return ast.Break(tok.line, tok.col)
-        if tok.is_keyword("continue"):
+            stmt = ast.Break(tok.line, tok.col)
+        elif tok.is_keyword("continue"):
             self._next()
             self._expect_punct(";")
-            return ast.Continue(tok.line, tok.col)
-        if self._at_type():
-            return self._parse_decl_statement()
-        if tok.is_punct(";"):
+            stmt = ast.Continue(tok.line, tok.col)
+        elif self._at_type():
+            stmt = self._parse_decl_statement()
+        elif tok.is_punct(";"):
             self._next()
-            return ast.Block(tok.line, tok.col)
-        expr = self.parse_expr()
-        self._expect_punct(";")
-        return ast.ExprStmt(tok.line, tok.col, expr)
+            stmt = ast.Block(tok.line, tok.col)
+        else:
+            expr = self.parse_expr()
+            self._expect_punct(";")
+            stmt = ast.ExprStmt(tok.line, tok.col, expr)
+        self.depth -= 1
+        return stmt
 
     def _parse_decl_statement(self) -> ast.Stmt:
         ty = self.parse_type()
@@ -305,40 +330,49 @@ class Parser:
     # -- expressions -----------------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> ast.Expr:
-        lhs = self._parse_conditional()
+        """An assignment expression: a conditional expression, possibly
+        assigned to (right-associative)."""
+        self._enter()
+        expr = self._parse_binary(0)
         tok = self._peek()
+        if tok.is_punct("?"):
+            expr = self._parse_conditional(expr)
+            tok = self._peek()
         if tok.kind is TokKind.PUNCT and tok.text in _ASSIGN_OPS:
-            self._next()
-            rhs = self._parse_assignment()
-            return ast.Assign(tok.line, tok.col, tok.text, lhs, rhs)
-        return lhs
+            self.pos += 1
+            expr = ast.Assign(tok.line, tok.col, tok.text, expr,
+                              self.parse_expr())
+        self.depth -= 1
+        return expr
 
-    def _parse_conditional(self) -> ast.Expr:
-        cond = self._parse_binary(0)
-        if self._peek().is_punct("?"):
+    def _parse_conditional(self, cond: ast.Expr) -> ast.Expr:
+        """``cond ? a : b ? c : ... : z``, right-associative: the arms are
+        read in a loop and folded from the right."""
+        arms: List[Tuple[Token, ast.Expr, ast.Expr]] = []
+        while self._peek().is_punct("?"):
+            self._enter()
             tok = self._next()
             then = self.parse_expr()
             self._expect_punct(":")
-            otherwise = self._parse_conditional()
-            return ast.Conditional(tok.line, tok.col, cond, then, otherwise)
+            arms.append((tok, cond, then))
+            cond = self._parse_binary(0)
+        for tok, test, then in reversed(arms):
+            cond = ast.Conditional(tok.line, tok.col, test, then, cond)
+        self.depth -= len(arms)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        lhs = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over ``_BINARY_LEVELS``: operators at
+        ``min_level`` or tighter, left-associative."""
+        lhs = self._parse_unary()
         while True:
             tok = self._peek()
-            if tok.kind is TokKind.PUNCT and tok.text in ops:
-                self._next()
-                rhs = self._parse_binary(level + 1)
-                lhs = ast.Binary(tok.line, tok.col, tok.text, lhs, rhs)
-            else:
+            level = _BINARY_LEVELS.get(tok.text) if tok.kind is TokKind.PUNCT else None
+            if level is None or level < min_level:
                 return lhs
+            self.pos += 1
+            rhs = self._parse_binary(level + 1)
+            lhs = ast.Binary(tok.line, tok.col, tok.text, lhs, rhs)
 
     def _at_cast(self) -> bool:
         if not self._peek().is_punct("("):
@@ -347,16 +381,12 @@ class Parser:
         return nxt.kind is TokKind.KEYWORD and nxt.text in _TYPE_KEYWORDS
 
     def _parse_unary(self) -> ast.Expr:
+        self._enter()
         tok = self._peek()
-        if tok.kind is TokKind.PUNCT and tok.text in ("-", "!", "~", "*", "&"):
-            self._next()
-            operand = self._parse_unary()
-            return ast.Unary(tok.line, tok.col, tok.text, operand)
-        if tok.kind is TokKind.PUNCT and tok.text in ("++", "--"):
-            self._next()
-            operand = self._parse_unary()
-            return ast.Unary(tok.line, tok.col, tok.text, operand)
-        if tok.is_keyword("sizeof"):
+        if tok.kind is TokKind.PUNCT and tok.text in _PREFIX_OPS:
+            self.pos += 1
+            expr = ast.Unary(tok.line, tok.col, tok.text, self._parse_unary())
+        elif tok.is_keyword("sizeof"):
             self._next()
             self._expect_punct("(")
             ty = self.parse_type()
@@ -365,33 +395,36 @@ class Parser:
                 ty = ast.TypeExpr(ty.line, ty.col, ty.base, ty.is_struct,
                                   ty.pointer_depth, dims)
             self._expect_punct(")")
-            return ast.SizeofExpr(tok.line, tok.col, ty)
-        if self._at_cast():
+            expr = ast.SizeofExpr(tok.line, tok.col, ty)
+        elif self._at_cast():
             self._next()  # (
             ty = self.parse_type()
             self._expect_punct(")")
-            operand = self._parse_unary()
-            return ast.CastExpr(tok.line, tok.col, ty, operand)
-        return self._parse_postfix()
+            expr = ast.CastExpr(tok.line, tok.col, ty, self._parse_unary())
+        else:
+            expr = self._parse_postfix(self._parse_primary())
+        self.depth -= 1
+        return expr
 
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
+    def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
         while True:
             tok = self._peek()
-            if tok.is_punct("["):
+            if tok.kind is not TokKind.PUNCT:
+                return expr
+            if tok.text == "[":
                 self._next()
                 index = self.parse_expr()
                 self._expect_punct("]")
                 expr = ast.Index(tok.line, tok.col, expr, index)
-            elif tok.is_punct("."):
+            elif tok.text == ".":
                 self._next()
                 name = self._expect_ident()
                 expr = ast.Member(tok.line, tok.col, expr, name.text, arrow=False)
-            elif tok.is_punct("->"):
+            elif tok.text == "->":
                 self._next()
                 name = self._expect_ident()
                 expr = ast.Member(tok.line, tok.col, expr, name.text, arrow=True)
-            elif tok.is_punct("++") or tok.is_punct("--"):
+            elif tok.text == "++" or tok.text == "--":
                 self._next()
                 expr = ast.Unary(tok.line, tok.col, "p" + tok.text, expr)
             else:
@@ -399,12 +432,6 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._next()
-        if tok.kind is TokKind.INT or tok.kind is TokKind.CHAR:
-            return ast.IntLit(tok.line, tok.col, int(tok.value))  # type: ignore[arg-type]
-        if tok.kind is TokKind.FLOAT:
-            return ast.FloatLit(tok.line, tok.col, float(tok.value))  # type: ignore[arg-type]
-        if tok.kind is TokKind.STRING:
-            return ast.StringLit(tok.line, tok.col, str(tok.value))
         if tok.kind is TokKind.IDENT:
             if self._peek().is_punct("("):
                 self._next()
@@ -417,6 +444,12 @@ class Parser:
                         self._expect_punct(",")
                 return ast.CallExpr(tok.line, tok.col, tok.text, args)
             return ast.Ident(tok.line, tok.col, tok.text)
+        if tok.kind is TokKind.INT or tok.kind is TokKind.CHAR:
+            return ast.IntLit(tok.line, tok.col, int(tok.value))  # type: ignore[arg-type]
+        if tok.kind is TokKind.FLOAT:
+            return ast.FloatLit(tok.line, tok.col, float(tok.value))  # type: ignore[arg-type]
+        if tok.kind is TokKind.STRING:
+            return ast.StringLit(tok.line, tok.col, str(tok.value))
         if tok.is_punct("("):
             expr = self.parse_expr()
             self._expect_punct(")")

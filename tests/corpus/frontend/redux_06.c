@@ -1,0 +1,10 @@
+int r0[3];
+int main(int n) {
+r0[0] = 1;
+r0[1] = 2;
+r0[2] = 3;
+for (int i = 0; i < n; i++) {
+for (int j = 0; j < 3; j++) { r0[j] &= ~(1 << ((i * 561 + j) % 31)); }
+}
+printf("%d %d %d\n", r0[0], r0[1], r0[2]);
+return 0; }

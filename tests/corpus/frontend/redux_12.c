@@ -1,0 +1,8 @@
+long r0[1];
+int main(int n) {
+r0[0] = 9;
+for (int i = 0; i < n; i++) {
+for (int j = 0; j < 1; j++) { r0[j] &= ~(1 << ((i * 9 + j) % 31)); }
+}
+printf("%ld\n", r0[0]);
+return 0; }

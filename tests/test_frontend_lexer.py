@@ -103,3 +103,12 @@ class TestComments:
     def test_unexpected_character(self):
         with pytest.raises(CompileError, match="unexpected"):
             tokenize("a $ b")
+
+    @pytest.mark.parametrize("src,line,col", [
+        ("int x = 0x;", 1, 9),
+        ("int x;\n  y = 0XuL + 1;", 2, 7),
+    ])
+    def test_hex_literal_with_no_digits(self, src, line, col):
+        with pytest.raises(CompileError, match="hex literal with no digits") as e:
+            tokenize(src)
+        assert (e.value.line, e.value.col) == (line, col)

@@ -179,3 +179,26 @@ class TestErrors:
     def test_rejected(self, src):
         with pytest.raises(CompileError):
             parse(src)
+
+
+class TestNesting:
+    """Deep nesting is a positioned CompileError, never a RecursionError."""
+
+    def test_a_hundred_nested_parentheses_compile(self):
+        from repro.frontend import compile_minic
+
+        src = "int main(int c) { return " + "c + (" * 100 + "c" + ")" * 100 + "; }"
+        compile_minic(src, "parens")
+
+    @pytest.mark.parametrize("src", [
+        "int main() { return " + "(" * 10_000 + "1" + ")" * 10_000 + "; }",
+        "int main() { " + "{" * 10_000 + "}" * 10_000 + " return 0; }",
+        "int main(int c) { return " + "-" * 10_000 + "c; }",
+        "int main(int c) { return " + "c ? 1 : " * 10_000 + "2; }",
+    ], ids=["parens", "blocks", "unary", "conditional"])
+    def test_ten_thousand_levels_are_a_compile_error(self, src):
+        from repro.frontend import compile_minic
+
+        with pytest.raises(CompileError, match="nesting too deep") as e:
+            compile_minic(src, "deep")
+        assert e.value.line == 1 and e.value.col > 1

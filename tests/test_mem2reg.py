@@ -4,9 +4,20 @@ import pytest
 
 from repro.analysis import promotable_allocas, promote_module
 from repro.analysis.loops import LoopInfo
+from repro.analysis.mem2reg import promote_memory_to_registers
 from repro.frontend import compile_minic
-from repro.ir import Phi, verify_module
+from repro.ir import (
+    CmpPred,
+    Function,
+    FunctionType,
+    IRBuilder,
+    Module,
+    Phi,
+    format_function,
+    verify_module,
+)
 from repro.ir.instructions import Alloca, Load, Store
+from repro.ir.types import I64
 from repro.interp import Interpreter
 
 
@@ -162,3 +173,83 @@ class TestPhiPlacement:
         phis = [i for i in header.instructions if isinstance(i, Phi)]
         assert len(phis) == 3  # i, acc, prev all live across iterations
         assert Interpreter(mod).run(args=(5,)) == 0 + 0 + 1 + 2 + 3
+
+
+class TestReplacementChains:
+    """Loads deleted in one block but used in a later one are rewritten
+    after renaming; their replacements may themselves be deleted loads.
+    The IR is pinned to what the rename-then-rewrite construction printed
+    when each replacement was applied to every instruction in turn."""
+
+    def test_load_stored_into_a_second_slot_and_read_later(self):
+        # %la (a load of %a in entry) is stored into %b in mid, and %b is
+        # read in then: %lb is replaced by %la, which is replaced by %n.
+        mod = Module("chain")
+        fn = Function("f", FunctionType(I64, (I64,)), ["n"])
+        mod.add_function(fn)
+        entry, mid, then, join = (fn.add_block(name)
+                                  for name in ("entry", "mid", "then", "join"))
+        b = IRBuilder(mod, entry)
+        slot_a = b.alloca(I64, name="a")
+        slot_b = b.alloca(I64, name="b")
+        b.store(fn.args[0], slot_a)
+        la = b.load(slot_a, I64, "la")
+        b.br(mid)
+        b.position_at_end(mid)
+        b.store(la, slot_b)
+        b.condbr(b.icmp(CmpPred.GT, fn.args[0], 0, "cnd"), then, join)
+        b.position_at_end(then)
+        b.store(b.add(b.load(slot_b, I64, "lb"), 1, "t"), slot_b)
+        b.br(join)
+        b.position_at_end(join)
+        b.ret(b.load(slot_b, I64, "r"))
+        assert promote_memory_to_registers(fn) == 2
+        verify_module(mod)
+        assert format_function(fn) == CHAIN_GOLDEN
+
+    def test_load_used_after_the_blocks_of_a_conditional(self):
+        # ``b += c ? 1 : 2`` loads b in entry and adds in sel.end.
+        mod = compile_minic(
+            "int main(int c) { int b = 2; b += c ? 1 : 2; return b; }",
+            "compound")
+        assert format_function(mod.function_named("main")) == COMPOUND_GOLDEN
+
+
+CHAIN_GOLDEN = """\
+define i64 @f(i64 %n) {
+entry:
+  br label %mid
+
+mid:
+  %cnd = icmp gt i64 %n, 0
+  condbr %cnd, label %then, label %join
+
+then:
+  %t = add i64 %n, 1
+  br label %join
+
+join:
+  %b.phi = phi i64 [%n, %mid], [%t, %then]
+  ret %b.phi
+}"""
+
+COMPOUND_GOLDEN = """\
+define i32 @main(i32 %c) {
+entry:
+  br label %start
+
+start:
+  %4 = icmp ne i32 %c, 0
+  condbr %4, label %sel.then, label %sel.else
+
+sel.then:
+  br label %sel.end
+
+sel.else:
+  br label %sel.end
+
+sel.end:
+  %sel1.phi = phi i32 [1, %sel.then], [2, %sel.else]
+  %9 = add i32 2, %sel1.phi
+  ret %9
+}"""

@@ -125,6 +125,20 @@ def _client(app: ServiceApp) -> ServiceClient:
     return ServiceClient(app.url, timeout=30.0)
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("source", [
+        "int main() { return " + "(" * 10_000 + "1" + ")" * 10_000 + "; }",
+        "int main() { " + "{" * 10_000 + "}" * 10_000 + " return 0; }",
+    ], ids=["parens", "blocks"])
+    def test_a_submission_nested_too_deep_is_a_compile_error(self, app, source):
+        status, body, _ = app.handle_submit(
+            {"source": source, "name": "deep", "args": [], "workers": 2})
+        assert status == 400
+        assert body["errors"] == [
+            "source: CompileError: " + body["error"].split(": ", 1)[1]]
+        assert "nesting too deep" in body["error"]
+
+
 class TestParseSubmit:
     def test_workload_defaults_to_ref(self):
         spec = parse_submit({"workload": "dijkstra"})
