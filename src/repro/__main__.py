@@ -84,9 +84,11 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
                         "'simulated')")
     p.add_argument("--pool-workers", type=_positive_int, default=None,
                    metavar="N",
-                   help="pool backend only: number of resident pool "
-                        "processes (default: one per worker; fewer "
-                        "multiplexes several worker ids per process)")
+                   help="pool backend only: number of pool processes, "
+                        "the parent included: the parent hosts worker 0 "
+                        "and N-1 resident children the rest (default: "
+                        "one per worker; fewer multiplexes several worker "
+                        "ids per child; 1 forks nothing)")
 
 
 def _add_execution_flags(p: argparse.ArgumentParser, workers: int) -> None:

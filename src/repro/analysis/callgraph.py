@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set
+from typing import Dict, List, Set
 
 from ..ir.instructions import Call
 from ..ir.module import Function, Module
@@ -38,10 +38,3 @@ class CallGraph:
 
     def is_recursive(self, fn: Function) -> bool:
         return fn in self.transitive_callees(fn)
-
-    def functions_in_region(self, fn: Function) -> Iterator[Function]:
-        """``fn`` plus every defined function transitively callable from it."""
-        yield fn
-        for g in self.transitive_callees(fn):
-            if not g.is_declaration:
-                yield g

@@ -21,14 +21,3 @@ class DefUse:
 
     def uses_of(self, value: Value) -> List[Instruction]:
         return self.users.get(value, [])
-
-    def is_dead(self, inst: Instruction) -> bool:
-        """True for a value-producing instruction with no users and no side
-        effects (loads are considered side-effect free)."""
-        from ..ir.instructions import Call, Opcode
-
-        if inst.is_terminator or isinstance(inst, Call):
-            return False
-        if inst.opcode == Opcode.STORE:
-            return False
-        return not self.uses_of(inst)

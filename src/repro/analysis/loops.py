@@ -39,9 +39,6 @@ class Loop:
             p = p.parent
         return d
 
-    def contains_block(self, bb: BasicBlock) -> bool:
-        return bb in self.blocks
-
     def contains_loop(self, other: "Loop") -> bool:
         node: Optional[Loop] = other
         while node is not None:
@@ -151,9 +148,6 @@ class LoopInfo:
         dynamic loop stack as it found it."""
         here, there = self.enclosing_loops(src), self.enclosing_loops(dst)
         return here != there or any(loop.header is dst for loop in there)
-
-    def top_level_loops(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
 
     def loop_with_header(self, header_name: str) -> Loop:
         for loop in self.loops:

@@ -234,9 +234,3 @@ class PointsToAnalysis:
 
     def may_alias(self, a: Value, b: Value) -> bool:
         return self.points_to(a).may_alias(self.points_to(b))
-
-    def unique_object(self, v: Value) -> Optional[AbstractObject]:
-        s = self.points_to(v)
-        if s.is_singleton():
-            return next(iter(s.objects))
-        return None

@@ -42,9 +42,6 @@ class Affine:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def depends_only_on(self, phi: Phi) -> bool:
-        return all(p is phi for p in self.coeffs)
-
     def __repr__(self) -> str:
         terms = [str(self.const)] + [
             f"{c}*{p.short()}" for p, c in self.coeffs.items()

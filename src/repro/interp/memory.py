@@ -290,9 +290,6 @@ class AddressSpace:
         except GuestFault:
             return None
 
-    def object_for(self, addr: int) -> MemoryObject:
-        return self.find(addr)[0]
-
     def covering_pieces(
         self, addr: int, size: int
     ) -> List[Tuple[int, int, MemoryObject]]:

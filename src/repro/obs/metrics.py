@@ -27,8 +27,9 @@ from __future__ import annotations
 import re
 import zlib
 from bisect import bisect_left
+from contextlib import contextmanager
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Cap on raw samples retained per histogram; count/sum/min/max/buckets
 #: stay exact beyond it, percentiles become reservoir estimates.
@@ -242,6 +243,21 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._metrics.clear()
+
+    @contextmanager
+    def capture(self) -> Iterator["MetricsRegistry"]:
+        """Record into a fresh registry, yielded, until the block exits.
+
+        Readers of this registry (:meth:`snapshot`, :meth:`dump`, a live
+        status endpoint) keep seeing its metrics unchanged meanwhile.  A
+        worker slice run in-process measures itself this way, into a
+        registry of its own as a forked worker does."""
+        inner = MetricsRegistry()
+        self._get = inner._get
+        try:
+            yield inner
+        finally:
+            del self._get
 
     def remove(self, prefix: str) -> int:
         """Drop every metric whose name starts with ``prefix`` and return

@@ -39,6 +39,7 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, TextIO
 
 #: Trace format version stamped into the JSONL meta header.
@@ -325,6 +326,22 @@ class Tracer:
             }
             self.events.append(event)
             self._sink_write(event)
+
+    @contextmanager
+    def capture(self) -> Iterator[List[Dict[str, object]]]:
+        """Record events into a fresh list, yielded, instead of this
+        stream and its sink until the block exits: a worker slice run
+        in-process buffers its events as a forked worker does, for
+        :meth:`absorb_worker_events`."""
+        with self._lock:
+            events, self.events = self.events, []
+            sink, self._sink = self._sink, None
+        captured = self.events
+        try:
+            yield captured
+        finally:
+            with self._lock:
+                self.events, self._sink = events, sink
 
     def absorb_worker_events(self, wid: int,
                              events: List[Dict[str, object]]) -> None:

@@ -9,8 +9,9 @@ one checkpoint epoch executes*:
 * the **simulated** backend (:mod:`repro.parallel.executor`) runs the
   workers one at a time on the in-process interpreter — deterministic,
   fully observable, the reference semantics;
-* the **pool** backend (:mod:`repro.parallel.pool_backend`) forks a
-  pool of worker processes once per run, keeps them resident across
+* the **pool** backend (:mod:`repro.parallel.pool_backend`) runs
+  worker 0 in the parent by that same loop and forks a pool of worker
+  processes for the others once per run, keeps them resident across
   epochs, recoveries and invocations (commit deltas between clean
   epochs, a sync of what main changed otherwise) and executes the
   worker slices concurrently, shipping per-iteration records and the
@@ -18,6 +19,8 @@ one checkpoint epoch executes*:
   (interval-run format, with an explicit version field checked at
   commit) over each child's report pipe — see docs/BACKENDS.md for the
   full guide.
+
+The one in-process slice loop is :meth:`BaseDOALLExecutor._run_slices`.
 
 Both feed the same :meth:`RuntimeSystem.checkpoint` commit path with
 fragments, so committed memory state, ``RuntimeStats`` and
@@ -344,6 +347,71 @@ class BaseDOALLExecutor:
         the in-process worker states.
         """
         raise NotImplementedError
+
+    def _run_slices(
+        self, frame: Frame, inv: InvocationResult, workers: List[WorkerState],
+        epoch_start: int, epoch_end: int, init: int,
+        earliest: Optional[Tuple[int, Misspeculation]] = None,
+    ) -> Optional[Tuple[int, Misspeculation]]:
+        """Run the slices of ``workers`` of iterations ``[epoch_start,
+        epoch_end)`` on the in-process interpreter, one worker after the
+        other: the simulated scheduler.
+
+        ``earliest`` seeds the earliest-misspeculation cut (the result of
+        the workers already run); no worker starts an iteration past it.
+        Returns the cut as it stands after ``workers``.
+        """
+        interp = self.interp
+        runtime = self.runtime
+        stats = runtime.stats
+        count = self.workers
+        main_space = interp.space
+
+        for worker in workers:
+            interp.space = worker.space
+            if worker.frame is None:
+                worker.frame = frame.copy()
+            interp.swap_stack([worker.frame])
+            for i in range(epoch_start, epoch_end):
+                if i % count != worker.wid:
+                    continue
+                if earliest is not None and i > earliest[0]:
+                    break
+                c0 = interp.cycles
+                v0 = stats.validation_cycles()
+                t0 = worker.clock
+                try:
+                    self._execute_iteration(worker, i, init)
+                    if self._inject_misspec(i):
+                        raise self._injected_misspec(worker, i)
+                except Misspeculation as exc:
+                    runtime.capture_conflict_context(worker, exc)
+                    runtime.record_misspeculation(
+                        exc, injected=(exc.kind == "injected"))
+                    worker.clock += interp.cycles - c0
+                    if earliest is None or i < earliest[0]:
+                        earliest = (i, exc)
+                    if self.timeline is not None:
+                        self.timeline.add("misspec", worker.wid, t0,
+                                          worker.clock, exc.kind)
+                    break
+                except (GuestFault, GuestTimeout) as fault:
+                    exc = Misspeculation("fault", str(fault), i)
+                    runtime.record_misspeculation(exc)
+                    worker.clock += interp.cycles - c0
+                    if earliest is None or i < earliest[0]:
+                        earliest = (i, exc)
+                    break
+                delta = interp.cycles - c0
+                vdelta = stats.validation_cycles() - v0
+                worker.clock += delta
+                inv.useful_cycles += max(0, delta - vdelta)
+                if self.timeline is not None:
+                    self.timeline.add("iteration", worker.wid, t0,
+                                      worker.clock, f"i={i}")
+            interp.swap_stack([])
+        interp.space = main_space
+        return earliest
 
     def _run_invocation(self, bp: BlockBreakpoint) -> None:
         interp = self.interp

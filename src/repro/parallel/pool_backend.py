@@ -1,22 +1,32 @@
 """Persistent worker-pool DOALL backend: long-lived worker processes.
 
 The real-parallel backend, and the paper's runtime shape with the spawn
-paid once: workers are forked once per :meth:`PoolDOALLExecutor.run`,
-stay resident across epochs, recoveries and invocations, and hand their
-speculative state back over their report pipes.  Each child runs
-its round-robin slices of every epoch on its own private/reduction heap
-replicas and ships back, per hosted worker, one
-:class:`~repro.parallel.backend.IterationRecord` per executed iteration,
-an :class:`~repro.runtime.fragments.EpochFragment` iff the slice
-completed cleanly, and any trace events and metrics it recorded.  The
-parent drains all report pipes concurrently (``selectors``), **replays**
-the iteration records in worker order — reproducing the simulated
-scheduler's earliest-misspeculation cut exactly — and feeds the
-fragments to the shared :meth:`RuntimeSystem.checkpoint` commit path.
-Phase-two validation, merge, reduction folding, deferred-I/O commit,
-squash and sequential recovery therefore all run in the parent,
-identically to the simulated backend; the parity suite asserts equality
-of final memory, ``RuntimeStats`` and misspeculation counts.
+paid once.  The pool is a team in the OpenMP sense: the parent that
+reaches the parallel region is pool process 0 and hosts worker 0, and
+``--pool-workers P`` (default: one process per worker) counts it, so
+P - 1 children are forked once per :meth:`PoolDOALLExecutor.run`, stay
+resident across epochs, recoveries and invocations, and host workers
+1 .. n-1 round-robin.  At each epoch the parent writes the epoch plan
+to the children, runs worker 0's slice in-process with exactly the
+simulated backend's loop (:meth:`BaseDOALLExecutor._run_slices`),
+extracts worker 0's fragment while the children still run, and then
+drains their replies.  Each child runs its round-robin slices on its
+own private/reduction heap replicas and ships back, per hosted worker,
+one :class:`~repro.parallel.backend.IterationRecord` per executed
+iteration, an :class:`~repro.runtime.fragments.EpochFragment` iff the
+slice completed cleanly, and any trace events and metrics it recorded.
+The parent drains all report pipes concurrently (``selectors``),
+**replays** the iteration records in worker order with the
+earliest-misspeculation cut seeded by worker 0's result — in the
+simulated order worker 0 always runs first, uncut, so its in-process
+run *is* the simulated run and the replay reproduces the simulated
+scheduler exactly — and feeds the fragments to the shared
+:meth:`RuntimeSystem.checkpoint` commit path.  Phase-two validation,
+merge, reduction folding, deferred-I/O commit, squash and sequential
+recovery therefore all run in the parent, identically to the simulated
+backend; the parity suite asserts equality of final memory,
+``RuntimeStats`` and misspeculation counts.  P = 1 forks nothing: every
+worker runs in the parent in wid order, which is the simulated backend.
 docs/BACKENDS.md is the end-to-end guide; section pointers below.
 
 Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
@@ -26,7 +36,8 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   overlays, replica shadows, reduction copies and the loop frame —
   exactly the state a persistent simulated worker starts from.  From
   that fork on the parent's main space records what changes in it
-  (:meth:`AddressSpace.track_changes`).
+  (:meth:`AddressSpace.track_changes`).  Worker 0's state is the
+  parent's own and never leaves it.
 * Across *clean* epochs each epoch plan (:class:`_PoolEpoch`) arrives
   over a per-child task pipe and carries the previous epoch's **commit
   delta** (:class:`_CommitDelta`): the private bytes the parent's
@@ -49,8 +60,9 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   (``no_pool``), a child is dead (``child_died``), or the stretch
   changed more than :data:`SYNC_MAX_BYTES` (``oversize``).
 
-Fragment transport (docs/BACKENDS.md §"transport formats"): each
-child's report pipe carries one pickled :class:`_PoolReply` per epoch:
+Fragment transport (docs/BACKENDS.md §"transport formats"): worker 0's
+fragment is never packed; each child's report pipe carries one pickled
+:class:`_PoolReply` per epoch:
 per hosted worker the fragment header — which holds the reduction
 runs, a few ``bytes`` objects of one byte per reduced byte (alvinn:
 1 800 B in three runs) — the private-heap part of the packed format-3
@@ -61,7 +73,9 @@ kind/value blobs) as one struct-framed ``bytearray``
 (0.1–0.3 KB each), plus metrics dumps and trace events when tracing.
 Everything on the pipe keys on worker ids that are stable for the
 whole run, which is what the telemetry plane (``worker.N.*`` merge,
-per-worker Chrome lanes, partial-epoch absorption) relies on.
+per-worker Chrome lanes, partial-epoch absorption) relies on; the
+slices the parent runs itself record their telemetry apart and are
+absorbed the same way (:func:`_slice_telemetry`).
 
 Failure semantics (docs/BACKENDS.md §"failure semantics"): a child
 that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
@@ -86,8 +100,9 @@ import struct
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..interp.codegen import _UNDEF
 from ..interp.errors import GuestFault, GuestTimeout, Misspeculation
@@ -133,6 +148,51 @@ class _ChildFailure:
 
     wid: int
     error: str
+
+
+@dataclass
+class _SliceTelemetry:
+    """What one worker slice recorded with tracing on; see
+    :func:`_slice_telemetry`."""
+
+    #: Set by the slice: iterations started, the misspeculated one too.
+    iterations: int = 0
+    misspeculated: bool = False
+    trace_events: List[Dict[str, object]] = field(default_factory=list)
+    metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
+
+
+@contextmanager
+def _slice_telemetry(wid: int, epoch_start: int,
+                     epoch_end: int) -> Iterator[_SliceTelemetry]:
+    """Record one worker slice's telemetry apart from this process's:
+    its ``backend.worker_epoch`` span and ``epoch.*`` utilization
+    counters, and whatever the slice records itself (shadow traffic,
+    separation checks, interpreter tallies ...).  A child ships the
+    result on its report; the parent absorbs the slices it runs itself
+    the same way, so every worker keeps its own trace lane and
+    ``worker.<wid>.*`` metrics wherever it ran, and nothing lands on the
+    parent's own lines."""
+    telemetry = _SliceTelemetry()
+    if not TRACER.enabled:
+        yield telemetry
+        return
+    t_begin = time.perf_counter()
+    with TRACER.capture() as events, METRICS.capture() as registry:
+        span = TRACER.span("backend.worker_epoch", cat="backend",
+                           tid=wid + 1, worker=wid,
+                           epoch_start=epoch_start, epoch_end=epoch_end)
+        yield telemetry
+        span.end(iterations=telemetry.iterations,
+                 misspeculated=telemetry.misspeculated)
+        METRICS.counter("epoch.slices").inc()
+        METRICS.counter("epoch.iterations").inc(telemetry.iterations)
+        METRICS.counter("epoch.busy_us").inc(
+            round((time.perf_counter() - t_begin) * 1e6))
+        if telemetry.misspeculated:
+            METRICS.counter("epoch.misspeculations").inc()
+    telemetry.trace_events = events
+    telemetry.metrics = registry.dump()
 
 
 def _write_frame(fd: int, data: bytes) -> None:
@@ -280,11 +340,14 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         if pool_workers is not None and pool_workers < 1:
             raise BackendError(
                 f"--pool-workers must be >= 1, got {pool_workers}")
-        #: Requested pool size; None = one process per logical worker.
+        #: Requested pool size, the parent included; None = one process
+        #: per logical worker.
         self.pool_workers = pool_workers
-        #: Effective pool size.  Fewer processes than logical workers
-        #: means each child hosts several worker ids and runs their
-        #: slices sequentially — precisely the simulated semantics.
+        #: Effective pool size P: the parent, which hosts worker 0, and
+        #: P - 1 children.  Fewer processes than logical workers means a
+        #: child hosts several worker ids and runs their slices
+        #: sequentially — precisely the simulated semantics; P = 1 forks
+        #: nothing and runs every worker in the parent.
         self.pool_size = min(pool_workers or self.workers, self.workers)
         #: Forks of the pool by reason: ``no_pool`` (one per run),
         #: ``child_died``, ``oversize``.
@@ -323,6 +386,11 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
     ) -> Tuple[Optional[Tuple[int, Misspeculation]],
                Optional[List[EpochFragment]]]:
         runtime = self.runtime
+        if self.pool_size == 1:
+            # A pool of one process is the parent alone: every worker
+            # runs here in wid order, which is the simulated scheduler.
+            return self._run_in_parent(frame, inv, runtime.workers,
+                                       epoch_start, epoch_end, init), None
         plan = _PoolEpoch(epoch_start, epoch_end, init)
         resident = self._resident
         if resident is None:
@@ -356,6 +424,15 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 # Child already dead: _drain_pool sees EOF on its report
                 # pipe and the epoch is squashed + the pool respawned.
                 pass
+
+        # Worker 0 runs here while the children run the rest: it comes
+        # first in the simulated order, uncut, so this is its simulated
+        # run, and its result seeds the cut the replay continues.
+        worker0 = runtime.workers[0]
+        earliest = self._run_in_parent(frame, inv, [worker0], epoch_start,
+                                       epoch_end, init)
+        fragment0 = (None if earliest is not None
+                     else runtime.extract_fragment(worker0, epoch_start))
 
         payloads: Dict[int, WorkerEpochReport] = {}
         try:
@@ -391,7 +468,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                                   if r.iteration <= death[0]]
 
         reports = [payloads[wid] for wid in sorted(payloads)]
-        earliest = self._replay_reports(reports, inv)
+        earliest = self._replay_reports(reports, inv, earliest)
         if death is not None:
             self.runtime.record_misspeculation(death[1])
             if earliest is None or death[0] < earliest[0]:
@@ -399,18 +476,45 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         if earliest is not None:
             return earliest, None
 
-        fragments = [r.fragment for r in reports]
+        fragments = [fragment0] + [r.fragment for r in reports]
         if len(fragments) != self.workers or any(
                 f is None for f in fragments):
             raise RuntimeError(
                 f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
-                f"is missing fragments ({len(fragments)}/{self.workers} "
-                f"reports)")
+                f"is missing fragments ({len(reports)}/{self.workers - 1} "
+                f"child reports)")
         resident.commit = (
             union_runs([f.write_spans() for f in fragments]),
             union_runs([f.redux_spans() for f in fragments]),
         )
         return None, fragments
+
+    def _run_in_parent(self, frame: Frame, inv: InvocationResult,
+                       workers: List[WorkerState], epoch_start: int,
+                       epoch_end: int, init: int
+                       ) -> Optional[Tuple[int, Misspeculation]]:
+        """Run the slices of ``workers`` in this process, in order, by
+        the simulated backend's loop; each slice's telemetry is recorded
+        apart and absorbed as a child's would be (its own lane,
+        ``worker.<wid>.*``)."""
+        earliest: Optional[Tuple[int, Misspeculation]] = None
+        for worker in workers:
+            seed = earliest
+            with _slice_telemetry(worker.wid, epoch_start,
+                                  epoch_end) as telemetry:
+                earliest = self._run_slices(frame, inv, [worker],
+                                            epoch_start, epoch_end, init,
+                                            earliest)
+                # The loop ran every iteration of this worker's up to
+                # the cut, its own misspeculation included.
+                last = epoch_end - 1 if earliest is None else earliest[0]
+                first = epoch_start + (worker.wid - epoch_start) % self.workers
+                telemetry.iterations = len(range(first, last + 1,
+                                                 self.workers))
+                telemetry.misspeculated = earliest is not seed
+            TRACER.absorb_worker_events(worker.wid, telemetry.trace_events)
+            METRICS.merge(telemetry.metrics, prefix=f"worker.{worker.wid}.")
+        return earliest
 
     def _absorb_telemetry(self, payloads: Dict[int, object]) -> None:
         """Merge the telemetry shipped by completed workers into the
@@ -457,18 +561,19 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
     # -- parent-side replay ---------------------------------------------------
 
     def _replay_reports(self, reports: List[WorkerEpochReport],
-                        inv: InvocationResult
+                        inv: InvocationResult,
+                        earliest: Optional[Tuple[int, Misspeculation]]
                         ) -> Optional[Tuple[int, Misspeculation]]:
         """Replay the shipped iteration records in worker order,
         reproducing exactly the bookkeeping the simulated backend does
-        in-process — including the earliest-misspeculation cut, under
-        which iterations a simulated worker would never have started
-        are discarded (the children executed them speculatively; that
+        in-process — including the earliest-misspeculation cut, seeded
+        with ``earliest`` (worker 0's, run in the parent), under which
+        iterations a simulated worker would never have started are
+        discarded (the children executed them speculatively; that
         wasted work is squashed anyway)."""
         interp = self.interp
         runtime = self.runtime
         stats = runtime.stats
-        earliest: Optional[Tuple[int, Misspeculation]] = None
         for report in reports:
             worker = runtime.workers[report.wid]
             for rec in report.records:
@@ -580,11 +685,14 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         copies, the loop frame — the persistent-worker starting state.
         ``reason`` is why no sync would do (``pool.respawns.<reason>``)."""
         self._teardown_children()
-        wids_of = [list(range(c, self.workers, self.pool_size))
-                   for c in range(self.pool_size)]
+        # The parent is pool process 0 and hosts worker 0; children
+        # 1 .. P-1 host workers 1 .. n-1 round-robin.
+        children = self.pool_size - 1
+        wids_of = {c: list(range(c, self.workers, children))
+                   for c in range(1, self.pool_size)}
         sys.stdout.flush()
         sys.stderr.flush()
-        for cwid in range(self.pool_size):
+        for cwid in wids_of:
             fds = list(os.pipe())
             try:
                 fds += os.pipe()
@@ -644,8 +752,8 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         if TRACER.enabled:
             METRICS.counter("pool.spawns").inc()
             METRICS.counter(f"pool.respawns.{reason}").inc()
-        log.info("pool spawned (%s): %d process(es) for %d worker(s), "
-                 "invocation %d", reason, self.pool_size, self.workers,
+        log.info("pool spawned (%s): %d child process(es) for %d "
+                 "worker(s), invocation %d", reason, children, self.workers,
                  self.runtime.invocation_index)
 
     def _drain_pool(self, payloads: Dict[int, WorkerEpochReport]
@@ -740,9 +848,10 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         run the hosted worker slices, ship replies.  Runs until killed
         (or the task pipe closes)."""
         if hasattr(os, "sched_setaffinity"):
-            # A pool on dedicated cores: process c gets the (c mod n)-th
-            # CPU of the mask it inherited.  Left alone, two children
-            # woken from one core share it for most of a ~10 ms epoch.
+            # A pool on dedicated cores: child c (1 .. P-1; the parent
+            # is process 0 and keeps its mask) gets the (c mod n)-th CPU
+            # of the mask it inherited.  Left alone, two children woken
+            # from one core share it for most of a ~10 ms epoch.
             cpus = sorted(os.sched_getaffinity(0))
             try:
                 os.sched_setaffinity(0, {cpus[cwid % len(cpus)]})
@@ -773,8 +882,9 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                                        plan.epoch_end, plan.init)
             reply.payloads.append(self._child_ship_fragment(report))
             reply.reports.append(report)
-        # Bound resident-child memory: shipped trace events and deferred
-        # output are authoritative parent-side.
+        # Bound resident-child memory: events recorded outside a slice
+        # (applying a sync) are never shipped, and deferred output is
+        # authoritative parent-side.
         if TRACER.enabled:
             del TRACER.events[:]
         runtime.deferred = DeferredOutput()
@@ -788,78 +898,56 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         interp = self.interp
         runtime = self.runtime
         stats = runtime.stats
-        telemetry = TRACER.enabled
-        trace_mark = len(TRACER.events) if telemetry else 0
-        if telemetry:
-            # Fresh worker-local registry: the fork inherited the
-            # parent's tallies by COW; this slice ships only what it
-            # records itself, and the parent re-homes the shipped dump
-            # under ``worker.<wid>.*``.
-            METRICS.reset()
-        t_begin = time.perf_counter()
-        span = TRACER.span("backend.worker_epoch", cat="backend",
-                           tid=worker.wid + 1, worker=worker.wid,
-                           epoch_start=epoch_start, epoch_end=epoch_end)
-        interp.space = worker.space
-        if worker.frame is None:
-            worker.frame = frame.copy()
-        interp.swap_stack([worker.frame])
         records: List[IterationRecord] = []
         workers = self.workers
         misspeculated = False
-        for i in range(epoch_start, epoch_end):
-            if i % workers != worker.wid:
-                continue
-            c0 = interp.cycles
-            s0 = interp.steps
-            v0 = stats.validation_cycles()
-            k0 = stats.counter_snapshot()
-            misspec: Optional[Tuple[str, str, int, bool, bool]] = None
-            misspec_context: Optional[Dict[str, object]] = None
-            try:
-                self._execute_iteration(worker, i, init)
-                if self._inject_misspec(i):
-                    raise self._injected_misspec(worker, i)
-            except Misspeculation as exc:
-                runtime.capture_conflict_context(worker, exc)
-                misspec = (exc.kind, exc.detail, exc.iteration,
-                           exc.kind == "injected", False)
-                misspec_context = exc.context
-            except (GuestFault, GuestTimeout) as fault:
-                misspec = ("fault", str(fault), i, False, True)
-            records.append(IterationRecord(
-                iteration=i,
-                cycles=interp.cycles - c0,
-                steps=interp.steps - s0,
-                validation_cycles=stats.validation_cycles() - v0,
-                stats_delta=stats.counter_delta(k0),
-                io=runtime.deferred.records_for(i),
-                misspec=misspec,
-                misspec_context=misspec_context,
-            ))
-            if misspec is not None:
-                misspeculated = True
-                break
-        fragment = (None if misspeculated
-                    else runtime.extract_fragment(worker, epoch_start))
-        span.end(iterations=len(records), misspeculated=misspeculated)
-        metrics: Dict[str, Dict[str, object]] = {}
-        if telemetry:
-            # Per-worker utilization counters for the live dashboard,
-            # alongside whatever the slice itself recorded (shadow
-            # traffic, separation checks, interpreter tallies ...).
-            METRICS.counter("epoch.slices").inc()
-            METRICS.counter("epoch.iterations").inc(len(records))
-            METRICS.counter("epoch.busy_us").inc(
-                round((time.perf_counter() - t_begin) * 1e6))
-            if misspeculated:
-                METRICS.counter("epoch.misspeculations").inc()
-            metrics = METRICS.dump()
-        events = ([dict(ev) for ev in TRACER.events[trace_mark:]]
-                  if telemetry else [])
+        with _slice_telemetry(worker.wid, epoch_start,
+                              epoch_end) as telemetry:
+            interp.space = worker.space
+            if worker.frame is None:
+                worker.frame = frame.copy()
+            interp.swap_stack([worker.frame])
+            for i in range(epoch_start, epoch_end):
+                if i % workers != worker.wid:
+                    continue
+                c0 = interp.cycles
+                s0 = interp.steps
+                v0 = stats.validation_cycles()
+                k0 = stats.counter_snapshot()
+                misspec: Optional[Tuple[str, str, int, bool, bool]] = None
+                misspec_context: Optional[Dict[str, object]] = None
+                try:
+                    self._execute_iteration(worker, i, init)
+                    if self._inject_misspec(i):
+                        raise self._injected_misspec(worker, i)
+                except Misspeculation as exc:
+                    runtime.capture_conflict_context(worker, exc)
+                    misspec = (exc.kind, exc.detail, exc.iteration,
+                               exc.kind == "injected", False)
+                    misspec_context = exc.context
+                except (GuestFault, GuestTimeout) as fault:
+                    misspec = ("fault", str(fault), i, False, True)
+                records.append(IterationRecord(
+                    iteration=i,
+                    cycles=interp.cycles - c0,
+                    steps=interp.steps - s0,
+                    validation_cycles=stats.validation_cycles() - v0,
+                    stats_delta=stats.counter_delta(k0),
+                    io=runtime.deferred.records_for(i),
+                    misspec=misspec,
+                    misspec_context=misspec_context,
+                ))
+                if misspec is not None:
+                    misspeculated = True
+                    break
+            fragment = (None if misspeculated
+                        else runtime.extract_fragment(worker, epoch_start))
+            telemetry.iterations = len(records)
+            telemetry.misspeculated = misspeculated
         return WorkerEpochReport(wid=worker.wid, records=records,
-                                 fragment=fragment, trace_events=events,
-                                 metrics=metrics)
+                                 fragment=fragment,
+                                 trace_events=telemetry.trace_events,
+                                 metrics=telemetry.metrics)
 
     def _child_apply_commit(self, wids: List[int],
                             commit: _CommitDelta) -> None:

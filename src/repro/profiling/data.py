@@ -127,10 +127,6 @@ class LoopProfile:
     bytes_read: int = 0
     bytes_written: int = 0
 
-    @property
-    def object_sites(self) -> Set[str]:
-        return self.read_sites | self.write_sites | self.redux_sites
-
     def deps_on(self, obj_site: str) -> Set[FlowDep]:
         return {d for d in self.flow_deps if d.obj_site == obj_site}
 

@@ -82,14 +82,6 @@ class ParallelPlan:
     region_functions: List[Function] = field(default_factory=list)
     checks: CheckCounts = field(default_factory=CheckCounts)
 
-    @property
-    def exit_block(self):
-        term = self.loop.header.terminator
-        from ..ir.instructions import CondBr
-
-        assert isinstance(term, CondBr)
-        return term.if_true if self.iv.exit_on_true else term.if_false
-
     def describe(self) -> str:
         lines = [
             f"ParallelPlan for {self.ref}",

@@ -106,7 +106,9 @@ def programs(draw):
 configs = st.fixed_dictionaries(dict(
     misspec_period=st.sampled_from((0, 3)),
     workers=st.integers(min_value=1, max_value=3),
-    pool_workers=st.sampled_from((None, 1)),
+    # P counts the parent: 1 forks nothing, 2 is one child that hosts
+    # every worker but 0.
+    pool_workers=st.sampled_from((None, 1, 2)),
     adapt=st.booleans()))
 
 
@@ -222,14 +224,14 @@ class _AllocationSpy:
                                   image=_image(ex.runtime.main_space))
             return report
 
-        def watched_replay(ex, reports, inv):
+        def watched_replay(ex, reports, inv, earliest):
             for report in reports:
                 if isinstance(report, WorkerEpochReport):
                     spy.seen.update(report.metrics.pop("allocations", {}))
                     # Main stands still between the plan and the commit.
                     assert report.metrics.pop("image") == _image(
                         ex.runtime.main_space), report.wid
-            return replay(ex, reports, inv)
+            return replay(ex, reports, inv, earliest)
 
         patch(AddressSpace, "allocate", watched_allocate)
         patch(BaseDOALLExecutor, "_execute_iteration", watched_iteration)
@@ -312,11 +314,13 @@ def check(program, config, monkeypatch_context):
                 assert forced_allocs == pool_allocs, shadow
                 if simulated["stats"]["invocations"]:
                     assert any(sim_allocs.values())
-                    assert resident.pool_spawns == 1
-                    assert forced.pool_spawns == 1 + forced.pool_respawns.get(
-                        "oversize", 0)
+                    # A pool of one process is the parent alone.
+                    forks = int(resident.pool_size > 1)
+                    assert resident.pool_spawns == forks
+                    assert forced.pool_spawns == forks * (
+                        1 + forced.pool_respawns.get("oversize", 0))
                     assert forced.pool_syncs == 0
-                    assert resident.pool_syncs == forced.pool_spawns - 1
+                    assert resident.pool_syncs == forced.pool_spawns - forks
 
 
 SYNC_MAX_BYTES = pool_backend.SYNC_MAX_BYTES

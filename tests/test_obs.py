@@ -201,6 +201,54 @@ class TestWorkerTraceProcesses:
         assert names == ["w0", "w1", "w2"]
 
 
+class TestCapture:
+    """A worker slice run in-process records its telemetry apart, as a
+    forked worker does, for the parent to absorb under the worker's id."""
+
+    def test_tracer_capture_keeps_events_out_of_stream_and_sink(
+            self, tmp_path):
+        tracer = Tracer()
+        tracer.enable()
+        sink = tmp_path / "t.jsonl"
+        tracer.open_sink(sink)
+        try:
+            with tracer.span("parent.before"):
+                pass
+            with tracer.capture() as captured:
+                with tracer.span("backend.worker_epoch", cat="backend"):
+                    pass
+                tracer.instant("inside")
+            assert [ev["name"] for ev in captured] == [
+                "backend.worker_epoch", "inside"]
+            assert [ev["name"] for ev in tracer.events] == ["parent.before"]
+            tracer.absorb_worker_events(0, captured)
+            tracer.close_sink()
+        finally:
+            tracer.disable()
+        streamed = [json.loads(line)
+                    for line in sink.read_text().splitlines()[1:]]
+        assert [(ev["name"], ev["pid"]) for ev in streamed] == [
+            ("parent.before", 1),
+            ("backend.worker_epoch", WORKER_PID_BASE),
+            ("inside", WORKER_PID_BASE)]
+
+    def test_registry_capture_records_apart_readers_see_outer(self):
+        reg = MetricsRegistry()
+        reg.counter("runtime.checks").inc(3)
+        with reg.capture() as inner:
+            reg.counter("runtime.checks").inc(5)
+            reg.counter("epoch.slices").inc()
+            assert reg.snapshot() == {
+                "runtime.checks": {"type": "counter", "value": 3}}
+        assert inner.snapshot()["runtime.checks"]["value"] == 5
+        reg.merge(inner.dump(), prefix="worker.0.")
+        reg.counter("runtime.checks").inc()
+        snap = reg.snapshot()
+        assert snap["runtime.checks"]["value"] == 4
+        assert snap["worker.0.runtime.checks"]["value"] == 5
+        assert snap["worker.0.epoch.slices"]["value"] == 1
+
+
 class TestTimelineConverter:
     def test_workers_become_thread_lanes(self):
         tl = Timeline()

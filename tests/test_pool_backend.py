@@ -17,7 +17,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +185,23 @@ class TestFragmentFraming:
 # -- factory and construction -------------------------------------------------
 
 
+def _forked_children(ex, prog):
+    """Run ``prog`` on ``ex``; returns {pool process: the worker ids it
+    hosted} over the children of the first pool."""
+    hosted = {}
+    spawn = ex._spawn_pool
+
+    def watched(frame, reason):
+        spawn(frame, reason)
+        if not hosted:
+            hosted.update((c.cwid, c.wids) for c in ex._children)
+
+    ex._spawn_pool = watched
+    result = ex.run(prog.entry, prog.ref_args)
+    assert result.output == prog.sequential.output
+    return hosted
+
+
 class TestPoolExecutorConstruction:
     def test_factory_dispatch(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -214,15 +230,35 @@ class TestPoolExecutorConstruction:
         assert ex.epoch_timeout == 9.5
 
     def test_pool_workers_defaults_to_workers(self):
+        """P = n by default: the parent hosts worker 0 and forks n - 1
+        children for the rest."""
         prog = prepared_counter_program(8)
         ex = make_executor("pool", prog.module, prog.plan, workers=3)
         assert ex.pool_size == 3
+        forked = _forked_children(ex, prog)
+        assert forked == {1: [1], 2: [2]}
 
     def test_pool_workers_capped_at_workers(self):
         prog = prepared_counter_program(8)
         ex = make_executor("pool", prog.module, prog.plan, workers=2,
                            pool_workers=8)
         assert ex.pool_size == 2
+        assert _forked_children(ex, prog) == {1: [1]}
+
+    def test_pool_workers_counts_the_parent(self):
+        """--pool-workers P is P processes, the parent one of them: P - 1
+        children share workers 1 .. n-1 round-robin, and P = 1 forks
+        nothing."""
+        prog = prepared_counter_program(8)
+        ex = make_executor("pool", prog.module, prog.plan, workers=4,
+                           pool_workers=3)
+        assert ex.pool_size == 3
+        assert _forked_children(ex, prog) == {1: [1, 3], 2: [2]}
+        ex = make_executor("pool", prog.module, prog.plan, workers=4,
+                           pool_workers=1)
+        assert ex.pool_size == 1
+        assert _forked_children(ex, prog) == {}
+        assert ex.pool_spawns == 0
 
     def test_pool_workers_must_be_positive(self):
         prog = prepared_counter_program(8)
@@ -274,14 +310,16 @@ class TestPoolEndToEnd:
         assert ex.pool_respawns == {"no_pool": 1}
 
     def test_pool_workers_multiplexing(self):
-        """Fewer pool processes than workers: each child hosts several
-        worker ids sequentially — output identical, one process."""
+        """Fewer pool processes than workers: a process hosts several
+        worker ids sequentially — output identical.  One process is the
+        parent alone: nothing is forked."""
         prog = prepared_counter_program(24)
         ex = make_executor("pool", prog.module, prog.plan, workers=4,
                            pool_workers=1)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
         assert ex.pool_size == 1
+        assert ex.pool_spawns == 0
 
     def test_multiplexed_payloads_both_rebuild_bit_exact(self):
         """A child hosting several wids ships one payload per wid per
@@ -325,15 +363,19 @@ class TestPoolEndToEnd:
         own traceback, and the pool is torn down."""
         prog = prepared_counter_program(8)
         ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2)
+        parent = os.getpid()
+        execute_iteration = ex._execute_iteration
 
         def boom(worker, i, init):
-            raise ZeroDivisionError("synthetic pool child crash")
+            if os.getpid() != parent:
+                raise ZeroDivisionError("synthetic pool child crash")
+            execute_iteration(worker, i, init)
 
         ex._execute_iteration = boom
         with pytest.raises(RuntimeError) as exc:
             ex.run("main", prog.ref_args)
         message = str(exc.value)
-        assert re.match(r"pool worker process [01] failed during epoch",
+        assert re.match(r"pool worker process 1 failed during epoch",
                         message)
         assert "Traceback (most recent call last)" in message
         assert "in boom" in message
@@ -341,20 +383,24 @@ class TestPoolEndToEnd:
         assert not ex._children
 
     def test_multiplexed_child_crash_surfaces_its_traceback(self):
-        """One process hosting both worker ids: the failure names the
+        """One child hosting worker ids 1 and 2: the failure names the
         first wid it hosts and carries its traceback."""
         prog = prepared_counter_program(8)
-        ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2,
-                               pool_workers=1)
+        ex = PoolDOALLExecutor(prog.module, prog.plan, workers=3,
+                               pool_workers=2)
+        parent = os.getpid()
+        execute_iteration = ex._execute_iteration
 
         def boom(worker, i, init):
-            raise KeyError("synthetic multiplexed crash")
+            if os.getpid() != parent:
+                raise KeyError("synthetic multiplexed crash")
+            execute_iteration(worker, i, init)
 
         ex._execute_iteration = boom
         with pytest.raises(RuntimeError) as exc:
             ex.run("main", prog.ref_args)
         message = str(exc.value)
-        assert message.startswith("pool worker process 0 failed during epoch")
+        assert message.startswith("pool worker process 1 failed during epoch")
         assert "in boom" in message
         assert "KeyError: 'synthetic multiplexed crash'" in message
         assert not ex._children
@@ -390,9 +436,13 @@ class TestPoolEndToEnd:
         prog = prepared_counter_program(8)
         ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2,
                                epoch_timeout=1.0)
+        parent = os.getpid()
+        execute_iteration = ex._execute_iteration
 
         def wedge(worker, i, init):
-            os.read(os.pipe()[0], 1)  # blocks forever
+            if os.getpid() != parent:
+                os.read(os.pipe()[0], 1)  # blocks forever
+            execute_iteration(worker, i, init)
 
         ex._execute_iteration = wedge
         with pytest.raises(RuntimeError, match="did not report"):
@@ -401,10 +451,11 @@ class TestPoolEndToEnd:
 
 class TestPipeTransport:
     """The report pipe is the pool's one fragment transport: after the
-    fork and after every sync, one process per worker or several."""
+    fork and after every sync, one process per worker or several.
+    Worker 0's fragment stays in the parent that ran it."""
 
     @pytest.mark.parametrize("misspec_period", [0, 6])
-    @pytest.mark.parametrize("pool_workers", [None, 1])
+    @pytest.mark.parametrize("pool_workers", [None, 2])
     def test_every_fragment_rides_the_pipe(self, monkeypatch, pool_workers,
                                            misspec_period):
         shipped = []
@@ -417,14 +468,14 @@ class TestPipeTransport:
         monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment",
                             staticmethod(spy))
         prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
+        ex = make_executor("pool", prog.module, prog.plan, workers=3,
                            pool_workers=pool_workers,
                            misspec_period=misspec_period)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
         assert (result.runtime_stats.misspec_count() > 0) == bool(
             misspec_period)
-        assert {header[0] for header, _ in shipped} == {0, 1}
+        assert {header[0] for header, _ in shipped} == {1, 2}
         for _, payload in shipped:
             assert isinstance(payload, bytearray)
             rr, wr, er, kinds, values = unpack_fragment_payload(
@@ -443,7 +494,8 @@ class TestPartialSpawn:
     def test_failed_fork_leaves_no_child_or_fd(self, monkeypatch):
         """``os.fork`` failing for the second child (EAGAIN on a loaded
         host) propagates out of run() — and the first child, already
-        blocked on its task pipe, is killed and reaped with it."""
+        blocked on its task pipe, is killed and reaped with it.  Three
+        workers: the parent and two children."""
         real_fork = os.fork
         forked = []
 
@@ -457,7 +509,7 @@ class TestPartialSpawn:
             return pid
 
         prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2)
+        ex = make_executor("pool", prog.module, prog.plan, workers=3)
         descriptors = len(os.listdir("/proc/self/fd"))
         monkeypatch.setattr(os, "fork", fork_failing_second_time)
         with pytest.raises(OSError) as exc:
@@ -562,9 +614,10 @@ class TestCommitDeltaCoalescing:
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity on this platform")
 class TestChildPlacement:
-    """A pool on dedicated cores (ROADMAP 2(a)): pool process *c* runs
-    on the (*c* mod *n*)-th CPU of the mask the parent had at the fork;
-    the parent's own mask is never touched."""
+    """A pool on dedicated cores (ROADMAP 2(a)): pool child *c* (1 ..
+    P-1; the parent is process 0) runs on the (*c* mod *n*)-th CPU of
+    the mask the parent had at the fork; the parent's own mask is never
+    touched."""
 
     @pytest.fixture
     def parent_cpus(self):
@@ -603,20 +656,20 @@ class TestChildPlacement:
             self, monkeypatch, parent_cpus):
         seen = self._child_masks(monkeypatch, workers=2)
         assert seen == {c: {frozenset({parent_cpus[c % len(parent_cpus)]})}
-                        for c in range(2)}
+                        for c in range(1, 2)}
         assert sorted(os.sched_getaffinity(0)) == parent_cpus
 
     def test_round_robin_when_processes_outnumber_cpus(
             self, monkeypatch, parent_cpus):
         seen = self._child_masks(monkeypatch, workers=3)
         assert seen == {c: {frozenset({parent_cpus[c % len(parent_cpus)]})}
-                        for c in range(3)}
+                        for c in range(1, 3)}
         assert sorted(os.sched_getaffinity(0)) == parent_cpus
 
     def test_processes_are_placed_not_logical_workers(
             self, monkeypatch, parent_cpus):
-        seen = self._child_masks(monkeypatch, workers=4, pool_workers=1)
-        assert seen == {0: {frozenset({parent_cpus[0]})}}
+        seen = self._child_masks(monkeypatch, workers=4, pool_workers=2)
+        assert seen == {1: {frozenset({parent_cpus[1]})}}
 
     def test_refused_placement_is_ignored(self, monkeypatch, parent_cpus):
         def refuse(pid, mask):
@@ -625,7 +678,7 @@ class TestChildPlacement:
         # Patched before the fork, so every child inherits the refusal.
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         seen = self._child_masks(monkeypatch, workers=2)
-        assert seen == {c: {frozenset(parent_cpus)} for c in range(2)}
+        assert seen == {c: {frozenset(parent_cpus)} for c in range(1, 2)}
 
 
 class TestWorkerDeathRespawn:
@@ -636,7 +689,6 @@ class TestWorkerDeathRespawn:
         def killer(self, worker, frame, epoch_start, epoch_end, init):
             report = orig(self, worker, frame, epoch_start, epoch_end, init)
             if worker.wid == 1 and epoch_start == 0:
-                time.sleep(0.5)  # let the sibling's frame land first
                 os.kill(os.getpid(), signal.SIGKILL)
             return report
 
@@ -781,7 +833,9 @@ class TestResidentPool:
         def kill_after_the_first(self, bp):
             run_invocation(self, bp)
             if len(self._invocations) == 1:
-                pid = self._children[1].pid
+                (child,) = self._children
+                assert child.cwid == 1
+                pid = child.pid
                 os.kill(pid, signal.SIGKILL)
                 # Gone, and left for the executor to reap.
                 os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
@@ -808,7 +862,6 @@ class TestResidentPool:
         def die_in_the_first_pool(self, frame, plan):
             # ``pool_spawns`` as the fork saw it: 0 in the first pool.
             if self.pool_spawns == 0 and 1 in self._child_wids:
-                time.sleep(0.5)  # let the sibling's frame land first
                 os.kill(os.getpid(), signal.SIGKILL)
             apply_sync(self, frame, plan)
 
@@ -849,6 +902,86 @@ class TestResidentPool:
         assert snap["pool.spawns"]["value"] == 2
         assert snap["pool.syncs"]["value"] >= 2
         assert snap["pool.sync_bytes"]["value"] > 0
+
+
+# -- the parent as worker 0 ---------------------------------------------------
+
+
+class TestParentWorker:
+    """The parent hosts worker 0: it runs worker 0's slice by the
+    simulated backend's own loop while P - 1 children run the rest, and
+    seeds the replay's earliest-misspeculation cut with the result.  In
+    the simulated order worker 0 always runs first, uncut, so every
+    observable equals the simulated backend's."""
+
+    @pytest.mark.parametrize("misspec_period", [0, 3])
+    @pytest.mark.parametrize("pool_workers", [None, 1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_equals_simulated(self, monkeypatch, workers, pool_workers,
+                              misspec_period):
+        from test_backend_parity import _compare, _execute
+
+        prog = prepared_counter_program(16)
+        sim_ex, sim = _execute(prog, "simulated", workers=workers,
+                               misspec_period=misspec_period,
+                               checkpoint_period=4)
+        real_fork = os.fork
+        forks = []
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        pool_ex, pool = _execute(prog, "pool", workers=workers,
+                                 pool_workers=pool_workers,
+                                 misspec_period=misspec_period,
+                                 checkpoint_period=4)
+        _compare(sim_ex, sim, pool_ex, pool)
+        assert pool.output == prog.sequential.output
+        size = min(pool_workers or workers, workers)
+        assert pool_ex.pool_size == size
+        if size == 1:
+            assert forks == [] and pool_ex.pool_spawns == 0
+        else:
+            assert pool_ex.pool_spawns >= 1
+            assert len(forks) == (size - 1) * pool_ex.pool_spawns
+
+    def test_worker0_misspeculation_cuts_the_childs_records(
+            self, monkeypatch):
+        """Worker 0 misspeculates at iteration 2 of the first epoch; the
+        child hosting worker 1 ran 1, 3 and 5 meanwhile, misspeculating
+        at 5 too.  The replay, seeded with worker 0's cut, keeps 1 and
+        drops the rest, misspeculation included, as the simulated
+        scheduler never starts them."""
+        from test_backend_parity import _compare, _execute
+
+        seen = []
+        replay = PoolDOALLExecutor._replay_reports
+
+        def watched(self, reports, inv, earliest):
+            seen.append((earliest, [(r.wid, [rec.iteration
+                                             for rec in r.records])
+                                    for r in reports]))
+            return replay(self, reports, inv, earliest)
+
+        monkeypatch.setattr(PoolDOALLExecutor, "_replay_reports", watched)
+        prog = prepared_counter_program(16)
+        sim_ex, sim = _execute(prog, "simulated", workers=2,
+                               misspec_period=3, checkpoint_period=8)
+        pool_ex, pool = _execute(prog, "pool", workers=2,
+                                 misspec_period=3, checkpoint_period=8)
+        _compare(sim_ex, sim, pool_ex, pool)
+        earliest, reports = seen[0]
+        assert earliest[0] == 2 and earliest[1].kind == "injected"
+        assert reports == [(1, [1, 3, 5])]
+        first_epoch = [(e.worker, e.label) for e in pool_ex.timeline.events
+                       if e.kind in ("iteration", "misspec")][:3]
+        assert first_epoch == [(0, "i=0"), (0, "injected"), (1, "i=1")]
+        assert [m.iteration for m in pool.runtime_stats.misspeculations
+                ][:2] == [2, 8]
 
 
 # -- telemetry plane ----------------------------------------------------------
