@@ -80,8 +80,7 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
                    help="execution backend: 'simulated' is the "
                         "deterministic in-process reference, 'pool' "
                         "runs real forked worker processes, resident "
-                        "across epochs (default: $REPRO_BACKEND, then "
-                        "'simulated')")
+                        "across epochs (default: 'simulated')")
     p.add_argument("--pool-workers", type=_positive_int, default=None,
                    metavar="N",
                    help="pool backend only: number of pool processes, "
@@ -889,9 +888,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except BackendError as e:
-        # Backend mis-configuration (an unknown $REPRO_BACKEND,
-        # --pool-workers on the wrong backend, no os.fork) is a usage
-        # error, not a bug.
+        # Backend mis-configuration (--pool-workers on the wrong
+        # backend, no os.fork) is a usage error, not a bug.
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

@@ -32,7 +32,7 @@ from ..interp.interpreter import BlockBreakpoint, Frame, Interpreter
 from ..ir.instructions import Phi
 from ..ir.module import BasicBlock, Module
 from ..parallel.costmodel import DEFAULT_COSTS, CostModelConfig
-from ..parallel.executor import trip_count
+from ..parallel.backend import trip_count
 from ..profiling.data import LoopRef
 from ..profiling.looptracker import LoopInfoCache
 from ..profiling.timeprof import profile_execution_time

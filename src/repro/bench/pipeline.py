@@ -111,9 +111,9 @@ class PreparedProgram:
         executor on the ref input; each call uses a fresh machine.
 
         ``backend`` selects the execution backend (``"simulated"`` or
-        ``"pool"``); None defers to ``REPRO_BACKEND`` and then the
-        simulated default.  ``pool_workers`` sizes the persistent pool
-        (pool backend only; see docs/BACKENDS.md).
+        ``"pool"``); None is the simulated default.  ``pool_workers``
+        sizes the persistent pool (pool backend only; see
+        docs/BACKENDS.md).
         ``adapt`` enables the adaptive speculation controller (None
         inherits :func:`prepare`'s resolution; False fully bypasses the
         subsystem).  ``flight_dir`` overrides ``$REPRO_FLIGHT_DIR`` as
@@ -126,7 +126,7 @@ class PreparedProgram:
             if resolve_backend_name(backend) != "pool":
                 raise BackendError(
                     "--pool-workers only applies to the pool backend "
-                    "(pass --backend pool or REPRO_BACKEND=pool)")
+                    "(pass --backend pool)")
             extra["pool_workers"] = pool_workers
         executor = make_executor(
             backend,

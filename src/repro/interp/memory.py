@@ -452,7 +452,7 @@ class AddressSpace:
         self._layout_log = ({}, [])
 
     def take_changes(self, also: Iterable[Tuple[int, int]],
-                     limit: int) -> Optional[tuple]:
+                     limit: float = float("inf")) -> Optional[tuple]:
         """What changed here since :meth:`track_changes` or the last
         call, by value, for :meth:`apply_changes` on a copy; the record
         starts afresh.

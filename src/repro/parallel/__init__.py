@@ -1,22 +1,22 @@
-"""DOALL execution of speculatively privatized code: the shared backend
-driver plus the simulated (deterministic reference) and pool
-(real-parallel) backends."""
+"""DOALL execution of speculatively privatized code: the executor,
+which is the simulated (deterministic reference) backend, and the pool
+(real-parallel) backend that subclasses it."""
 
 from .backend import (
     BACKEND_NAMES,
     BackendError,
-    BaseDOALLExecutor,
+    DOALLExecutor,
     make_executor,
     resolve_backend_name,
+    trip_count,
 )
 from .costmodel import DEFAULT_COSTS, CostModelConfig
-from .executor import DOALLExecutor, trip_count
 from .stats import BUCKETS, ExecutionResult, InvocationResult
 from .timeline import Timeline, TimelineEvent
 
 __all__ = [
-    "BACKEND_NAMES", "BUCKETS", "BackendError", "BaseDOALLExecutor",
-    "CostModelConfig", "DEFAULT_COSTS", "DOALLExecutor",
-    "ExecutionResult", "InvocationResult", "Timeline", "TimelineEvent",
-    "make_executor", "resolve_backend_name", "trip_count",
+    "BACKEND_NAMES", "BUCKETS", "BackendError", "CostModelConfig",
+    "DEFAULT_COSTS", "DOALLExecutor", "ExecutionResult", "InvocationResult",
+    "Timeline", "TimelineEvent", "make_executor", "resolve_backend_name",
+    "trip_count",
 ]

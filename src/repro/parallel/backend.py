@@ -1,44 +1,46 @@
-"""Shared DOALL execution backend interface.
+"""The speculative DOALL executor and its backend interface.
 
 The speculative DOALL machinery — invocation detection, trip counting,
 epoch scheduling, checkpoint/commit, misspeculation recovery, cycle
-accounting — is backend-independent and lives in
-:class:`BaseDOALLExecutor`.  What varies between backends is only *how
-one checkpoint epoch executes*:
+accounting — lives in :class:`DOALLExecutor`, which is also the
+**simulated** backend: it runs every worker's slice of an epoch one
+after the other on the in-process interpreter (:meth:`DOALLExecutor.
+_run_slices`, the one in-process slice loop) — deterministic, fully
+observable, the reference semantics.  Workers share no speculative
+state, exactly the property Privateer validates, so running them one at
+a time is behaviourally equivalent to running them concurrently; timing
+is modelled with per-worker cycle clocks (``costmodel.py``).
 
-* the **simulated** backend (:mod:`repro.parallel.executor`) runs the
-  workers one at a time on the in-process interpreter — deterministic,
-  fully observable, the reference semantics;
-* the **pool** backend (:mod:`repro.parallel.pool_backend`) runs
-  worker 0 in the parent by that same loop and forks a pool of worker
-  processes for the others once per run, keeps them resident across
-  epochs, recoveries and invocations (commit deltas between clean
-  epochs, a sync of what main changed otherwise) and executes the
-  worker slices concurrently, shipping per-iteration records and the
-  packed :class:`~repro.runtime.fragments.EpochFragment` payload
-  (interval-run format, with an explicit version field checked at
-  commit) over each child's report pipe — see docs/BACKENDS.md for the
-  full guide.
-
-The one in-process slice loop is :meth:`BaseDOALLExecutor._run_slices`.
+The **pool** backend (:mod:`repro.parallel.pool_backend`) is the same
+executor with children: it runs worker 0 in the parent by that same
+loop, forks a pool of worker processes for the others once per run,
+keeps them resident across epochs, recoveries and invocations (one
+change record of main memory brings them up to date) and executes the
+worker slices concurrently, shipping per-iteration records and the
+packed :class:`~repro.runtime.fragments.EpochFragment` payload over
+each child's report pipe — see docs/BACKENDS.md for the full guide.
+With no children (``--pool-workers 1``) it *is* the simulated backend.
 
 Both feed the same :meth:`RuntimeSystem.checkpoint` commit path with
 fragments, so committed memory state, ``RuntimeStats`` and
 misspeculation behaviour are identical by construction (the parity
-suite in ``tests/test_backend_parity.py`` enforces this).
+suite in ``tests/test_backend_parity.py`` enforces this), and so is the
+telemetry: every slice records its trace lane and ``worker.<wid>.*``
+metrics apart, wherever it ran (:func:`_slice_telemetry`).
 
-Backend selection: :func:`resolve_backend_name` honours an explicit
-name first, then the ``REPRO_BACKEND`` environment variable, defaulting
-to ``simulated``; :func:`make_executor` instantiates the corresponding
-executor class.
+Backend selection: :func:`resolve_backend_name` takes an explicit name,
+defaulting to ``simulated``; :func:`make_executor` instantiates the
+corresponding executor class.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..forensics.recorder import FLIGHT_DIR_ENV, heap_map_of, write_dump
 from ..interp.errors import GuestExit, GuestFault, GuestTimeout, Misspeculation
@@ -58,11 +60,8 @@ from .timeline import Timeline
 
 log = get_logger("executor")
 
-#: Names accepted by ``--backend`` and ``REPRO_BACKEND``.
+#: Names accepted by ``--backend``.
 BACKEND_NAMES = ("simulated", "pool")
-
-#: Environment variable that selects the default backend.
-BACKEND_ENV = "REPRO_BACKEND"
 
 _NEGATE = {
     CmpPred.LT: CmpPred.GE, CmpPred.GE: CmpPred.LT,
@@ -76,9 +75,9 @@ class BackendError(ValueError):
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Resolve the backend to use: explicit choice > ``REPRO_BACKEND``
-    environment variable > ``simulated``."""
-    resolved = name or os.environ.get(BACKEND_ENV) or "simulated"
+    """Resolve the backend to use: the explicit choice, else
+    ``simulated``."""
+    resolved = name or "simulated"
     if resolved not in BACKEND_NAMES:
         raise BackendError(
             f"unknown backend {resolved!r} (available: "
@@ -87,16 +86,13 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 def make_executor(backend: Optional[str], module: Module,
-                  plan: ParallelPlan, **kwargs) -> "BaseDOALLExecutor":
+                  plan: ParallelPlan, **kwargs) -> "DOALLExecutor":
     """Instantiate the executor for ``backend`` (see
     :func:`resolve_backend_name` for the selection rules)."""
-    resolved = resolve_backend_name(backend)
-    if resolved == "pool":
+    if resolve_backend_name(backend) == "pool":
         from .pool_backend import PoolDOALLExecutor
 
         return PoolDOALLExecutor(module, plan, **kwargs)
-    from .executor import DOALLExecutor
-
     return DOALLExecutor(module, plan, **kwargs)
 
 
@@ -176,16 +172,84 @@ class WorkerEpochReport:
     metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
 
-class BaseDOALLExecutor:
-    """Backend-independent speculative DOALL driver.
+@dataclass
+class _SliceTelemetry:
+    """What one worker slice recorded with tracing on; see
+    :func:`_slice_telemetry`."""
 
-    Subclasses implement :meth:`_execute_epoch`; everything else —
-    region detection, sequential fallback, checkpoint commit, recovery,
-    final resume — is shared.
+    #: Set by the slice: iterations started, the misspeculated one too.
+    iterations: int = 0
+    misspeculated: bool = False
+    trace_events: List[Dict[str, object]] = field(default_factory=list)
+    metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
+
+
+@contextmanager
+def _slice_telemetry(wid: int, epoch_start: int,
+                     epoch_end: int) -> Iterator[_SliceTelemetry]:
+    """Record one worker slice's telemetry apart from this process's:
+    its ``backend.worker_epoch`` span and ``epoch.busy_us``, and
+    whatever the slice records itself (shadow traffic, interpreter
+    tallies ...).  A pool child ships the result on its report; a slice
+    run in-process is absorbed the same way (:func:`_absorb_slice`), so
+    every worker keeps its own trace lane and ``worker.<wid>.*`` metrics
+    wherever it ran, and nothing of it lands on the parent's own
+    lines."""
+    telemetry = _SliceTelemetry()
+    if not TRACER.enabled:
+        yield telemetry
+        return
+    t_begin = time.perf_counter()
+    with TRACER.capture() as events, METRICS.capture() as registry:
+        span = TRACER.span("backend.worker_epoch", cat="backend",
+                           tid=wid + 1, worker=wid,
+                           epoch_start=epoch_start, epoch_end=epoch_end)
+        yield telemetry
+        span.end(iterations=telemetry.iterations,
+                 misspeculated=telemetry.misspeculated)
+        METRICS.counter("epoch.busy_us").inc(
+            round((time.perf_counter() - t_begin) * 1e6))
+    telemetry.trace_events = events
+    telemetry.metrics = registry.dump()
+
+
+def _absorb_slice(wid: int, trace_events: List[Dict[str, object]],
+                  metrics: Dict[str, Dict[str, object]]) -> None:
+    """Merge one slice's recorded telemetry into this process's: events
+    re-homed to the worker's trace process, metrics under
+    ``worker.<wid>.*``."""
+    TRACER.absorb_worker_events(wid, trace_events)
+    if metrics:
+        METRICS.merge(metrics, prefix=f"worker.{wid}.")
+
+
+def _tally_slice(wid: int, iterations: int, misspeculated: bool) -> None:
+    """Count one slice under ``worker.<wid>.epoch.*`` as the simulated
+    scheduler ran it: ``iterations`` up to the earliest-misspeculation
+    cut, the misspeculated one included.  A pool child runs past the
+    cut; the parent tallies what its replay kept, so the counts read
+    the same on every backend."""
+    if not TRACER.enabled:
+        return
+    prefix = f"worker.{wid}.epoch."
+    METRICS.counter(prefix + "slices").inc()
+    METRICS.counter(prefix + "iterations").inc(iterations)
+    if misspeculated:
+        METRICS.counter(prefix + "misspeculations").inc()
+
+
+class DOALLExecutor:
+    """The speculative DOALL executor and the simulated backend: one
+    in-process interpreter, workers run one at a time with per-worker
+    cycle clocks.
+
+    Everything — region detection, sequential fallback, checkpoint
+    commit, recovery, final resume — is here; a subclass that runs
+    slices elsewhere overrides :meth:`_execute_epoch`.
     """
 
     #: Name used for ``--backend`` selection and reporting.
-    backend_name = "base"
+    backend_name = "simulated"
 
     def __init__(
         self,
@@ -344,72 +408,84 @@ class BaseDOALLExecutor:
         ``(iteration, exception)`` of the earliest misspeculation (or
         None on a clean epoch); ``fragments`` is the per-worker epoch
         state to commit, or None to let the checkpoint extract it from
-        the in-process worker states.
+        the in-process worker states, as here.
         """
-        raise NotImplementedError
+        return self._run_slices(frame, inv, self.runtime.workers,
+                                epoch_start, epoch_end, init), None
 
     def _run_slices(
         self, frame: Frame, inv: InvocationResult, workers: List[WorkerState],
         epoch_start: int, epoch_end: int, init: int,
-        earliest: Optional[Tuple[int, Misspeculation]] = None,
     ) -> Optional[Tuple[int, Misspeculation]]:
         """Run the slices of ``workers`` of iterations ``[epoch_start,
         epoch_end)`` on the in-process interpreter, one worker after the
-        other: the simulated scheduler.
+        other: the simulated scheduler.  No worker starts an iteration
+        past the earliest misspeculation of those before it; returns that
+        cut as it stands after ``workers``.
 
-        ``earliest`` seeds the earliest-misspeculation cut (the result of
-        the workers already run); no worker starts an iteration past it.
-        Returns the cut as it stands after ``workers``.
+        Each slice records its telemetry apart (:func:`_slice_telemetry`);
+        its misspeculation is recorded after that closes, on this
+        process's own lines, where a pool child's replayed one lands.
         """
         interp = self.interp
         runtime = self.runtime
         stats = runtime.stats
         count = self.workers
         main_space = interp.space
+        earliest: Optional[Tuple[int, Misspeculation]] = None
 
         for worker in workers:
             interp.space = worker.space
             if worker.frame is None:
                 worker.frame = frame.copy()
             interp.swap_stack([worker.frame])
-            for i in range(epoch_start, epoch_end):
-                if i % count != worker.wid:
-                    continue
-                if earliest is not None and i > earliest[0]:
-                    break
-                c0 = interp.cycles
-                v0 = stats.validation_cycles()
-                t0 = worker.clock
-                try:
-                    self._execute_iteration(worker, i, init)
-                    if self._inject_misspec(i):
-                        raise self._injected_misspec(worker, i)
-                except Misspeculation as exc:
-                    runtime.capture_conflict_context(worker, exc)
-                    runtime.record_misspeculation(
-                        exc, injected=(exc.kind == "injected"))
-                    worker.clock += interp.cycles - c0
-                    if earliest is None or i < earliest[0]:
-                        earliest = (i, exc)
+            misspec: Optional[Misspeculation] = None
+            with _slice_telemetry(worker.wid, epoch_start,
+                                  epoch_end) as telemetry:
+                first = epoch_start + (worker.wid - epoch_start) % count
+                for i in range(first, epoch_end, count):
+                    if earliest is not None and i > earliest[0]:
+                        break
+                    telemetry.iterations += 1
+                    c0 = interp.cycles
+                    v0 = stats.validation_cycles()
+                    t0 = worker.clock
+                    try:
+                        self._execute_iteration(worker, i, init)
+                        if self._inject_misspec(i):
+                            raise self._injected_misspec(worker, i)
+                    except Misspeculation as exc:
+                        misspec = runtime.capture_conflict_context(worker,
+                                                                   exc)
+                    except (GuestFault, GuestTimeout) as fault:
+                        misspec = Misspeculation("fault", str(fault), i)
+                    delta = interp.cycles - c0
+                    worker.clock += delta
+                    if misspec is not None:
+                        # Earlier than the cut: i never reaches past it,
+                        # and no other worker runs iteration i.
+                        earliest = (i, misspec)
+                        # A guest fault leaves no timeline event (only
+                        # a fault is of kind "fault").
+                        if (self.timeline is not None
+                                and misspec.kind != "fault"):
+                            self.timeline.add("misspec", worker.wid, t0,
+                                              worker.clock, misspec.kind)
+                        break
+                    inv.useful_cycles += max(
+                        0, delta - (stats.validation_cycles() - v0))
                     if self.timeline is not None:
-                        self.timeline.add("misspec", worker.wid, t0,
-                                          worker.clock, exc.kind)
-                    break
-                except (GuestFault, GuestTimeout) as fault:
-                    exc = Misspeculation("fault", str(fault), i)
-                    runtime.record_misspeculation(exc)
-                    worker.clock += interp.cycles - c0
-                    if earliest is None or i < earliest[0]:
-                        earliest = (i, exc)
-                    break
-                delta = interp.cycles - c0
-                vdelta = stats.validation_cycles() - v0
-                worker.clock += delta
-                inv.useful_cycles += max(0, delta - vdelta)
-                if self.timeline is not None:
-                    self.timeline.add("iteration", worker.wid, t0,
-                                      worker.clock, f"i={i}")
+                        self.timeline.add("iteration", worker.wid, t0,
+                                          worker.clock, f"i={i}")
+                telemetry.misspeculated = misspec is not None
             interp.swap_stack([])
+            _absorb_slice(worker.wid, telemetry.trace_events,
+                          telemetry.metrics)
+            _tally_slice(worker.wid, telemetry.iterations,
+                         telemetry.misspeculated)
+            if misspec is not None:
+                runtime.record_misspeculation(
+                    misspec, injected=(misspec.kind == "injected"))
         interp.space = main_space
         return earliest
 
@@ -638,38 +714,46 @@ class BaseDOALLExecutor:
             raise GuestFault(
                 "loop function returned during non-speculative recovery")
 
-    # -- adaptive sequential fallback ---------------------------------------------------
+    # -- committed sequential stretches ------------------------------------------------
 
-    def _run_sequential_span(self, frame: Frame, inv: InvocationResult,
-                             start: int, end: int, init: int) -> None:
-        """Run iterations ``[start, end)`` sequentially and committed
-        (non-speculative), as directed by the adaptive controller's
-        fallback policy after repeated whole-epoch squashes.  Reuses the
-        recovery machinery: stores commit straight to main memory and are
-        marked as committed definitions, then speculation resumes at
-        ``end`` with freshly forked workers."""
+    def _run_committed(self, frame: Frame, start: int, end: int, init: int,
+                       t_start: int) -> Tuple[int, int]:
+        """Run iterations ``[start, end)`` on a copy of ``frame``,
+        non-speculatively: stores commit straight to main memory and are
+        marked as committed definitions.  Speculation then resumes at
+        ``end`` with freshly forked workers, their clocks at ``t_start``
+        plus the stretch's cost.  Returns ``(cycles, that clock)``."""
         interp = self.interp
         runtime = self.runtime
-        t_start = max(w.clock for w in runtime.workers)
-        runtime.begin_sequential_span()
-        seq_frame = frame.copy()
-        interp.swap_stack([seq_frame])
+        run_frame = frame.copy()
+        interp.swap_stack([run_frame])
         hook = _RecoveryHook(runtime)
         interp.add_hook(hook)
         c0 = interp.cycles
         try:
             for i in range(start, end):
-                self._execute_iteration_plain(seq_frame, i, init)
+                self._execute_iteration_plain(run_frame, i, init)
         finally:
             interp.remove_hook(hook)
             interp.swap_stack([])
         cycles = interp.cycles - c0
-        inv.sequential_cycles += cycles
-        inv.sequential_iterations += end - start
         runtime.resume_after_recovery(end)
         t_end = t_start + self.costs.recovery_fixed + cycles
         for worker in runtime.workers:
             worker.clock = t_end
+        return cycles, t_end
+
+    def _run_sequential_span(self, frame: Frame, inv: InvocationResult,
+                             start: int, end: int, init: int) -> None:
+        """Run iterations ``[start, end)`` sequentially and committed
+        (non-speculative), as directed by the adaptive controller's
+        fallback policy after repeated whole-epoch squashes."""
+        runtime = self.runtime
+        t_start = max(w.clock for w in runtime.workers)
+        runtime.begin_sequential_span()
+        cycles, t_end = self._run_committed(frame, start, end, init, t_start)
+        inv.sequential_cycles += cycles
+        inv.sequential_iterations += end - start
         if self.timeline is not None:
             self.timeline.add("sequential", None, t_start, t_end,
                               f"iters [{start},{end})")
@@ -683,35 +767,19 @@ class BaseDOALLExecutor:
             TRACER.instant("executor.sequential_span", cat="executor",
                            start=start, end=end, cycles=cycles)
 
-    # -- recovery -----------------------------------------------------------------------
-
     def _recover(self, frame: Frame, inv: InvocationResult, epoch_start: int,
                  earliest: Tuple[int, Misspeculation], init: int) -> int:
         """Squash, re-execute [epoch_start, m] sequentially, resume.
         Returns the next iteration to execute speculatively."""
-        interp = self.interp
         runtime = self.runtime
         m, _exc = earliest
         inv.misspeculations += 1
         t_abort = max(w.clock for w in runtime.workers)
-
         runtime.squash_to_recovery(m)
-        recovery_frame = frame.copy()
-        interp.swap_stack([recovery_frame])
-        hook = _RecoveryHook(runtime)
-        interp.add_hook(hook)
-        c0 = interp.cycles
-        try:
-            for i in range(epoch_start, m + 1):
-                self._execute_iteration_plain(recovery_frame, i, init)
-        finally:
-            interp.remove_hook(hook)
-            interp.swap_stack([])
-        recovery_cycles = interp.cycles - c0
+        recovery_cycles, t_resume = self._run_committed(
+            frame, epoch_start, m + 1, init, t_abort)
         inv.recovery_cycles += recovery_cycles
         inv.recovered_iterations += m + 1 - epoch_start
-
-        t_resume = t_abort + self.costs.recovery_fixed + recovery_cycles
         if self.timeline is not None:
             self.timeline.add("recovery", None, t_abort, t_resume,
                               f"iters [{epoch_start},{m}]")
@@ -730,7 +798,4 @@ class BaseDOALLExecutor:
                            misspec_iteration=m, epoch_start=epoch_start,
                            recovered_iterations=m + 1 - epoch_start,
                            cycles=recovery_cycles)
-        runtime.resume_after_recovery(m + 1)
-        for worker in runtime.workers:
-            worker.clock = t_resume
         return m + 1

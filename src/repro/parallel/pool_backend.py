@@ -6,13 +6,15 @@ reaches the parallel region is pool process 0 and hosts worker 0, and
 ``--pool-workers P`` (default: one process per worker) counts it, so
 P - 1 children are forked once per :meth:`PoolDOALLExecutor.run`, stay
 resident across epochs, recoveries and invocations, and host workers
-1 .. n-1 round-robin.  At each epoch the parent writes the epoch plan
-to the children, runs worker 0's slice in-process with exactly the
-simulated backend's loop (:meth:`BaseDOALLExecutor._run_slices`),
-extracts worker 0's fragment while the children still run, and then
-drains their replies.  Each child runs its round-robin slices on its
-own private/reduction heap replicas and ships back, per hosted worker,
-one :class:`~repro.parallel.backend.IterationRecord` per executed
+1 .. n-1 round-robin.  :class:`PoolDOALLExecutor` is the simulated
+backend's :class:`~repro.parallel.backend.DOALLExecutor` with children:
+at each epoch the parent writes the epoch plan to the children, runs
+worker 0's slice in-process with exactly the simulated backend's loop
+(:meth:`DOALLExecutor._run_slices`), extracts worker 0's fragment while
+the children still run, and then drains their replies.  Each child runs
+its round-robin slices on its own private/reduction heap replicas and
+ships back, per hosted worker, one
+:class:`~repro.parallel.backend.IterationRecord` per executed
 iteration, an :class:`~repro.runtime.fragments.EpochFragment` iff the
 slice completed cleanly, and any trace events and metrics it recorded.
 The parent drains all report pipes concurrently (``selectors``),
@@ -25,8 +27,8 @@ scheduler exactly — and feeds the fragments to the shared
 merge, reduction folding, deferred-I/O commit, squash and sequential
 recovery therefore all run in the parent, identically to the simulated
 backend; the parity suite asserts equality of final memory,
-``RuntimeStats`` and misspeculation counts.  P = 1 forks nothing: every
-worker runs in the parent in wid order, which is the simulated backend.
+``RuntimeStats`` and misspeculation counts.  P = 1 forks nothing: the
+pool with no children is the simulated backend, and runs its epochs.
 docs/BACKENDS.md is the end-to-end guide; section pointers below.
 
 Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
@@ -38,23 +40,23 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   that fork on the parent's main space records what changes in it
   (:meth:`AddressSpace.track_changes`).  Worker 0's state is the
   parent's own and never leaves it.
-* Across *clean* epochs each epoch plan (:class:`_PoolEpoch`) arrives
-  over a per-child task pipe and carries the previous epoch's **commit
-  delta** (:class:`_CommitDelta`): the private bytes the parent's
-  checkpoint merged into main memory plus the folded reduction results.
-  The child patches its own main-memory image and performs the same
-  per-worker post-checkpoint reset the parent did
-  (``reset_after_checkpoint`` + ``mark_old_write_runs`` +
-  epoch-tracking/redux reset), so the resident workers are
-  byte-for-byte the simulated backend's persistent workers.
+* Each epoch plan (:class:`_PoolEpoch`) arrives over a per-child task
+  pipe.  Main's changes reach the children in one form, the **change
+  record** of :meth:`AddressSpace.take_changes`: what main changed by
+  value, the spans the last checkpoint merged and folded into it
+  included.  After a *clean* epoch the plan carries that record alone
+  (``commit``); the child applies it and performs the parent's
+  post-commit worker reset
+  (:meth:`RuntimeSystem.reset_worker_after_commit`), so the resident
+  workers are byte-for-byte the simulated backend's persistent workers.
 * Whenever main ran behind the children's back — a squash and its
   sequential recovery, an adaptive sequential span, the code between
   two invocations — the runtime has replaced its worker states
   (:meth:`RuntimeSystem.refork_workers`), and the next plan carries a
-  **sync** (:class:`_PoolSync`) instead: what main changed, by value.
-  Each child applies it to its copy of main while none of its overlays
-  is in use and then re-forks its worker states through the runtime's
-  own path (:meth:`RuntimeSystem.resync_workers`).
+  **sync** (:class:`_PoolSync`) instead: that record plus the loop
+  frame.  Each child applies it to its copy of main while none of its
+  overlays is in use and then re-forks its worker states through the
+  runtime's own path (:meth:`RuntimeSystem.resync_workers`).
 * The pool is forked again only for what a sync cannot express, each
   counted under ``pool.respawns.<reason>``: there is no pool yet
   (``no_pool``), a child is dead (``child_died``), or the stretch
@@ -75,7 +77,7 @@ Everything on the pipe keys on worker ids that are stable for the
 whole run, which is what the telemetry plane (``worker.N.*`` merge,
 per-worker Chrome lanes, partial-epoch absorption) relies on; the
 slices the parent runs itself record their telemetry apart and are
-absorbed the same way (:func:`_slice_telemetry`).
+absorbed the same way (:meth:`DOALLExecutor._run_slices`).
 
 Failure semantics (docs/BACKENDS.md §"failure semantics"): a child
 that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
@@ -100,9 +102,8 @@ import struct
 import sys
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interp.codegen import _UNDEF
 from ..interp.errors import GuestFault, GuestTimeout, Misspeculation
@@ -116,9 +117,12 @@ from ..runtime.iodefer import DeferredOutput
 from ..runtime.system import WorkerState
 from .backend import (
     BackendError,
-    BaseDOALLExecutor,
+    DOALLExecutor,
     IterationRecord,
     WorkerEpochReport,
+    _absorb_slice,
+    _slice_telemetry,
+    _tally_slice,
 )
 from .shm_ring import (
     pack_fragment_payload,
@@ -148,51 +152,6 @@ class _ChildFailure:
 
     wid: int
     error: str
-
-
-@dataclass
-class _SliceTelemetry:
-    """What one worker slice recorded with tracing on; see
-    :func:`_slice_telemetry`."""
-
-    #: Set by the slice: iterations started, the misspeculated one too.
-    iterations: int = 0
-    misspeculated: bool = False
-    trace_events: List[Dict[str, object]] = field(default_factory=list)
-    metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-
-@contextmanager
-def _slice_telemetry(wid: int, epoch_start: int,
-                     epoch_end: int) -> Iterator[_SliceTelemetry]:
-    """Record one worker slice's telemetry apart from this process's:
-    its ``backend.worker_epoch`` span and ``epoch.*`` utilization
-    counters, and whatever the slice records itself (shadow traffic,
-    separation checks, interpreter tallies ...).  A child ships the
-    result on its report; the parent absorbs the slices it runs itself
-    the same way, so every worker keeps its own trace lane and
-    ``worker.<wid>.*`` metrics wherever it ran, and nothing lands on the
-    parent's own lines."""
-    telemetry = _SliceTelemetry()
-    if not TRACER.enabled:
-        yield telemetry
-        return
-    t_begin = time.perf_counter()
-    with TRACER.capture() as events, METRICS.capture() as registry:
-        span = TRACER.span("backend.worker_epoch", cat="backend",
-                           tid=wid + 1, worker=wid,
-                           epoch_start=epoch_start, epoch_end=epoch_end)
-        yield telemetry
-        span.end(iterations=telemetry.iterations,
-                 misspeculated=telemetry.misspeculated)
-        METRICS.counter("epoch.slices").inc()
-        METRICS.counter("epoch.iterations").inc(telemetry.iterations)
-        METRICS.counter("epoch.busy_us").inc(
-            round((time.perf_counter() - t_begin) * 1e6))
-        if telemetry.misspeculated:
-            METRICS.counter("epoch.misspeculations").inc()
-    telemetry.trace_events = events
-    telemetry.metrics = registry.dump()
 
 
 def _write_frame(fd: int, data: bytes) -> None:
@@ -225,23 +184,6 @@ def _read_frame(fd: int) -> Optional[bytes]:
 
 
 @dataclass
-class _CommitDelta:
-    """What the parent's last checkpoint changed in main memory.
-
-    Shipped to resident children on the next epoch plan so their main
-    images stay identical to the parent's: ``private_runs`` are
-    ``(private-heap offset, committed bytes)`` read back from the
-    parent's main memory over the merged write extents; ``redux_runs``
-    are ``(absolute address, bytes)`` over the folded reduction runs,
-    adjacent ones coalesced.  Application is idempotent (plain content
-    stores).
-    """
-
-    private_runs: List[Tuple[int, bytes]] = field(default_factory=list)
-    redux_runs: List[Tuple[int, bytes]] = field(default_factory=list)
-
-
-@dataclass
 class _PoolSync:
     """What main did behind the resident children's backs, by value:
     everything of the parent image a child's slice reads that a fork at
@@ -252,8 +194,8 @@ class _PoolSync:
     #: makes no difference to what they do (the ``backend.sync`` span
     #: says which).
     invocation_index: int
-    #: :meth:`AddressSpace.take_changes` of the main space: layout and
-    #: contents, the last commit's spans included.
+    #: The change record of main (:meth:`AddressSpace.take_changes`):
+    #: layout and contents, the last commit's spans included.
     main: tuple
     #: The loop frame: function name, block and previous-block indices
     #: (-1 = none), instruction index, slot values and which slots are
@@ -271,8 +213,9 @@ class _PoolEpoch:
     epoch_start: int
     epoch_end: int
     init: int
-    #: Commit delta of the previous epoch, when the children saw it run.
-    commit: Optional[_CommitDelta] = None
+    #: The change record of main after the previous epoch's commit,
+    #: when the children saw that epoch run.
+    commit: Optional[tuple] = None
     #: Set instead when main ran since the children's last plan.  After
     #: a (re)spawn both are None: the fork inherited everything.
     sync: Optional[_PoolSync] = None
@@ -315,14 +258,15 @@ class _Resident:
     #: (new invocation, recovery, sequential span): identity is the test.
     workers: List[WorkerState]
     invocation: int
-    #: ``(merged write spans, merged reduction run spans)`` of a commit
-    #: they have not been told of yet — the recipe for the next commit
-    #: delta, or part of the next sync.
-    commit: Optional[tuple] = None
+    #: The address ranges a commit they have not been told of yet wrote
+    #: into main's ``data`` directly (merge and fold): the ``also`` of
+    #: the next change record, a commit's or a sync's.
+    commit: Optional[List[Tuple[int, int]]] = None
 
 
-class PoolDOALLExecutor(BaseDOALLExecutor):
-    """DOALL backend with persistent pool workers."""
+class PoolDOALLExecutor(DOALLExecutor):
+    """DOALL backend with persistent pool workers: the simulated
+    backend with P - 1 children."""
 
     backend_name = "pool"
     #: Kept for ``perfbench``: fragments no longer have a second
@@ -332,10 +276,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
     def __init__(self, *args, epoch_timeout: float = DEFAULT_EPOCH_TIMEOUT,
                  pool_workers: Optional[int] = None, **kwargs):
         super().__init__(*args, **kwargs)
-        if not hasattr(os, "fork"):
-            raise BackendError(
-                "the pool backend requires os.fork (POSIX); "
-                "use --backend simulated on this platform")
         self.epoch_timeout = epoch_timeout
         if pool_workers is not None and pool_workers < 1:
             raise BackendError(
@@ -358,7 +298,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         self._children: List[_PoolChild] = []
         self._resident: Optional[_Resident] = None
         #: Child-side: previous epoch's write spans per hosted wid (for
-        #: ``mark_old_write_runs`` on commit notification).
+        #: the post-commit worker reset).
         self._child_prev_spans: Dict[int, List[Tuple[int, int]]] = {}
 
     @property
@@ -385,19 +325,20 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         epoch_end: int, init: int,
     ) -> Tuple[Optional[Tuple[int, Misspeculation]],
                Optional[List[EpochFragment]]]:
-        runtime = self.runtime
         if self.pool_size == 1:
-            # A pool of one process is the parent alone: every worker
-            # runs here in wid order, which is the simulated scheduler.
-            return self._run_in_parent(frame, inv, runtime.workers,
-                                       epoch_start, epoch_end, init), None
+            # A pool of one process is the parent alone: the simulated
+            # backend.
+            return super()._execute_epoch(frame, inv, epoch_start,
+                                          epoch_end, init)
+        runtime = self.runtime
         plan = _PoolEpoch(epoch_start, epoch_end, init)
         resident = self._resident
         if resident is None:
             respawn = "no_pool"
         elif (resident.workers is runtime.workers
               and resident.commit is not None):
-            plan.commit = self._build_commit_delta()
+            # Only the last commit changed main since the last plan.
+            plan.commit = runtime.main_space.take_changes(resident.commit)
             respawn = None
         else:
             with TRACER.span(
@@ -429,8 +370,8 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         # first in the simulated order, uncut, so this is its simulated
         # run, and its result seeds the cut the replay continues.
         worker0 = runtime.workers[0]
-        earliest = self._run_in_parent(frame, inv, [worker0], epoch_start,
-                                       epoch_end, init)
+        earliest = self._run_slices(frame, inv, [worker0], epoch_start,
+                                    epoch_end, init)
         fragment0 = (None if earliest is not None
                      else runtime.extract_fragment(worker0, epoch_start))
 
@@ -483,40 +424,14 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
                 f"is missing fragments ({len(reports)}/{self.workers - 1} "
                 f"child reports)")
-        resident.commit = (
-            union_runs([f.write_spans() for f in fragments]),
-            union_runs([f.redux_spans() for f in fragments]),
-        )
+        pb = runtime.private_base
+        resident.commit = [(pb + start, pb + end) for start, end in
+                           union_runs([f.write_spans() for f in fragments])]
+        resident.commit += union_runs([f.redux_spans() for f in fragments])
         return None, fragments
 
-    def _run_in_parent(self, frame: Frame, inv: InvocationResult,
-                       workers: List[WorkerState], epoch_start: int,
-                       epoch_end: int, init: int
-                       ) -> Optional[Tuple[int, Misspeculation]]:
-        """Run the slices of ``workers`` in this process, in order, by
-        the simulated backend's loop; each slice's telemetry is recorded
-        apart and absorbed as a child's would be (its own lane,
-        ``worker.<wid>.*``)."""
-        earliest: Optional[Tuple[int, Misspeculation]] = None
-        for worker in workers:
-            seed = earliest
-            with _slice_telemetry(worker.wid, epoch_start,
-                                  epoch_end) as telemetry:
-                earliest = self._run_slices(frame, inv, [worker],
-                                            epoch_start, epoch_end, init,
-                                            earliest)
-                # The loop ran every iteration of this worker's up to
-                # the cut, its own misspeculation included.
-                last = epoch_end - 1 if earliest is None else earliest[0]
-                first = epoch_start + (worker.wid - epoch_start) % self.workers
-                telemetry.iterations = len(range(first, last + 1,
-                                                 self.workers))
-                telemetry.misspeculated = earliest is not seed
-            TRACER.absorb_worker_events(worker.wid, telemetry.trace_events)
-            METRICS.merge(telemetry.metrics, prefix=f"worker.{worker.wid}.")
-        return earliest
-
-    def _absorb_telemetry(self, payloads: Dict[int, object]) -> None:
+    def _absorb_telemetry(self, payloads: Dict[int, WorkerEpochReport]
+                          ) -> None:
         """Merge the telemetry shipped by completed workers into the
         parent tracer and metrics registry: trace events re-homed to the
         per-worker trace process, metrics under ``worker.<wid>.*``.
@@ -529,12 +444,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
             return
         for wid in sorted(payloads):
             report = payloads[wid]
-            if not isinstance(report, WorkerEpochReport):
-                continue
-            if report.trace_events:
-                TRACER.absorb_worker_events(report.wid, report.trace_events)
-            if report.metrics:
-                METRICS.merge(report.metrics, prefix=f"worker.{report.wid}.")
+            _absorb_slice(wid, report.trace_events, report.metrics)
 
     def _synthesize_death(self, dead: List[_PoolChild],
                           dead_wids: List[int], epoch_start: int,
@@ -570,15 +480,19 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         with ``earliest`` (worker 0's, run in the parent), under which
         iterations a simulated worker would never have started are
         discarded (the children executed them speculatively; that
-        wasted work is squashed anyway)."""
+        wasted work is squashed anyway) and left out of the slice's
+        ``worker.<wid>.epoch.*`` tally."""
         interp = self.interp
         runtime = self.runtime
         stats = runtime.stats
         for report in reports:
             worker = runtime.workers[report.wid]
+            kept = 0
+            misspeculated = False
             for rec in report.records:
                 if earliest is not None and rec.iteration > earliest[0]:
                     break
+                kept += 1
                 t0 = worker.clock
                 stats.apply_counter_delta(rec.stats_delta)
                 interp.cycles += rec.cycles
@@ -589,6 +503,7 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                     exc = Misspeculation(kind, detail, exc_iter)
                     exc.context = rec.misspec_context
                     runtime.record_misspeculation(exc, injected=injected)
+                    misspeculated = True
                     if earliest is None or rec.iteration < earliest[0]:
                         earliest = (rec.iteration, exc)
                     if self.timeline is not None and not from_fault:
@@ -601,27 +516,10 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 if self.timeline is not None:
                     self.timeline.add("iteration", worker.wid, t0,
                                       worker.clock, f"i={rec.iteration}")
+            _tally_slice(report.wid, kept, misspeculated)
         return earliest
 
-    # -- commit-delta sync ----------------------------------------------------
-
-    def _build_commit_delta(self) -> _CommitDelta:
-        """Read the last checkpoint's committed content back out of the
-        parent's main memory (freed/worker-local extents are skipped by
-        ``covering_pieces``, matching what the merge skipped)."""
-        spans, redux_spans = self._resident.commit
-        ms = self.runtime.main_space
-        pb = self.runtime.private_base
-        delta = _CommitDelta()
-        for start, end in spans:
-            for s, e, obj in ms.covering_pieces(pb + start, end - start):
-                delta.private_runs.append(
-                    (s - pb, bytes(obj.data[s - obj.base:e - obj.base])))
-        for start, end in redux_spans:
-            for s, e, obj in ms.covering_pieces(start, end - start):
-                delta.redux_runs.append(
-                    (s, bytes(obj.data[s - obj.base:e - obj.base])))
-        return delta
+    # -- sync -----------------------------------------------------------------
 
     def _build_sync(self, frame: Frame, resident: _Resident
                     ) -> Tuple[Optional[_PoolSync], Optional[str]]:
@@ -639,12 +537,8 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                 pass
         runtime = self.runtime
         interp = self.interp
-        pb = runtime.private_base
-        spans, redux_spans = resident.commit or ((), ())
-        # The checkpoint's merge and fold wrote ``data`` directly.
-        also = [(pb + start, pb + end) for start, end in spans]
-        also.extend(redux_spans)
-        main = runtime.main_space.take_changes(also, SYNC_MAX_BYTES)
+        main = runtime.main_space.take_changes(resident.commit or (),
+                                               SYNC_MAX_BYTES)
         if main is None:
             return None, "oversize"
         blocks = frame.function.blocks
@@ -684,6 +578,10 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         inherits everything by COW: worker overlays, shadows, reduction
         copies, the loop frame — the persistent-worker starting state.
         ``reason`` is why no sync would do (``pool.respawns.<reason>``)."""
+        if not hasattr(os, "fork"):
+            raise BackendError(
+                "the pool backend requires os.fork (POSIX); "
+                "use --backend simulated on this platform")
         self._teardown_children()
         # The parent is pool process 0 and hosts worker 0; children
         # 1 .. P-1 host workers 1 .. n-1 round-robin.
@@ -873,7 +771,10 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
         if plan.sync is not None:
             self._child_apply_sync(frame, plan)
         elif plan.commit is not None:
-            self._child_apply_commit(wids, plan.commit)
+            runtime.main_space.apply_changes(plan.commit)
+            for w in wids:
+                runtime.reset_worker_after_commit(runtime.workers[w],
+                                                  self._child_prev_spans[w])
         runtime.epoch_start = plan.epoch_start
         reply = _PoolReply(cwid=cwid)
         for w in wids:
@@ -907,9 +808,8 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
             if worker.frame is None:
                 worker.frame = frame.copy()
             interp.swap_stack([worker.frame])
-            for i in range(epoch_start, epoch_end):
-                if i % workers != worker.wid:
-                    continue
+            first = epoch_start + (worker.wid - epoch_start) % workers
+            for i in range(first, epoch_end, workers):
                 c0 = interp.cycles
                 s0 = interp.steps
                 v0 = stats.validation_cycles()
@@ -948,27 +848,6 @@ class PoolDOALLExecutor(BaseDOALLExecutor):
                                  fragment=fragment,
                                  trace_events=telemetry.trace_events,
                                  metrics=telemetry.metrics)
-
-    def _child_apply_commit(self, wids: List[int],
-                            commit: _CommitDelta) -> None:
-        """Apply the parent's checkpoint outcome to this child's image:
-        patch main memory with the committed content, then perform the
-        same per-worker reset the parent's checkpoint did, so resident
-        workers enter the next epoch exactly like simulated ones."""
-        runtime = self.runtime
-        ms = runtime.main_space
-        pb = runtime.private_base
-        for off, blob in commit.private_runs:
-            ms.patch(pb + off, blob)
-        for addr, blob in commit.redux_runs:
-            ms.patch(addr, blob)
-        for w in wids:
-            worker = runtime.workers[w]
-            worker.shadow.reset_after_checkpoint()
-            worker.shadow.mark_old_write_runs(
-                self._child_prev_spans.get(w, []))
-            worker.reset_epoch_tracking()
-            runtime._reset_worker_redux(worker)
 
     def _child_apply_sync(self, frame: Frame, plan: _PoolEpoch) -> None:
         """Make this child's image the one a fork at this point would

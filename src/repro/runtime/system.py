@@ -4,7 +4,7 @@ Manages the logical heaps, validates speculative separation and privacy,
 coordinates checkpoints, and supports recovery.  It plugs into the
 interpreter by overriding the runtime intrinsics (``h_alloc``,
 ``check_heap``, ``private_read`` …) and is driven through its invocation
-lifecycle by the DOALL executor (:mod:`repro.parallel.executor`).
+lifecycle by the DOALL executor (:mod:`repro.parallel.backend`).
 
 Substitutions vs. the paper (see DESIGN.md):
 
@@ -99,10 +99,6 @@ class WorkerState:
         #: Reduction-heap addresses updated this epoch.
         self.redux_written = IntervalSet()
         self.redux_copies: Dict[int, Tuple[MemoryObject, ReduxObjectPlan]] = {}
-
-    def reset_epoch_tracking(self) -> None:
-        self.redux_written.clear()
-        self.space.dirty_pages.clear()
 
 
 class RuntimeSystem:
@@ -407,8 +403,20 @@ class RuntimeSystem:
             worker.space.install_copy(copy)
             worker.redux_copies[obj.base] = (copy, rplan)
 
-    def _reset_worker_redux(self, worker: WorkerState) -> None:
-        for base, (copy, rplan) in worker.redux_copies.items():
+    def reset_worker_after_commit(self, worker: WorkerState,
+                                  write_spans: List[Tuple[int, int]]) -> None:
+        """Start ``worker``'s next epoch after a commit: its shadow keeps
+        the committed writes — ``write_spans``, its fragment's — as
+        old-write (a replica whose shadow never saw them gets them from
+        the spans), its epoch tracking clears and its reduction copies
+        go back to the identity.  The checkpoint does this for every
+        worker, and a pool child for the workers it hosts, so a resident
+        worker enters the next epoch exactly like a simulated one."""
+        worker.shadow.reset_after_checkpoint()
+        worker.shadow.mark_old_write_runs(write_spans)
+        worker.redux_written.clear()
+        worker.space.dirty_pages.clear()
+        for copy, rplan in worker.redux_copies.values():
             copy.data[:] = self._identity_bytes(rplan, copy.size)
 
     # -- per-iteration hooks (driven by the executor) -----------------------------------------
@@ -680,22 +688,13 @@ class RuntimeSystem:
         record.io_records_committed = self.deferred.commit_range(
             epoch_start, epoch_end, self.interp.emit_output)
 
-        # Reset per-epoch state and cost the copies.  The shadow reset
-        # must leave this epoch's writes marked old-write in each
-        # worker's replica shadow: the simulated backend's persistent
-        # shadows get that from reset_after_checkpoint, while the
-        # pool backend's parent-side replicas (whose shadows never
-        # saw the writes) get it from mark_old_writes, so freshly
-        # forked children inherit identical phase-1 behaviour.
+        # Reset per-epoch state and cost the copies.
         dirty_total = 0
         for frag in fragments:
-            worker = self.workers[frag.wid]
             dirty_total += frag.dirty_private_pages
             record.dirty_pages += frag.dirty_private_pages
-            worker.shadow.reset_after_checkpoint()
-            worker.shadow.mark_old_write_runs(frag.write_spans())
-            worker.reset_epoch_tracking()
-            self._reset_worker_redux(worker)
+            self.reset_worker_after_commit(self.workers[frag.wid],
+                                           frag.write_spans())
 
         cost = (CHECKPOINT_FIXED_COST * len(self.workers)
                 + CHECKPOINT_PAGE_COST * dirty_total

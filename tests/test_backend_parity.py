@@ -14,10 +14,15 @@ and genuine misspeculation, and adaptive-controller trajectories with
 sequential fallback.
 """
 
+import re
+from collections import Counter
+
 import pytest
 
 from repro.adapt import SpeculationController
 from repro.bench.pipeline import prepare
+from repro.obs.metrics import METRICS
+from repro.obs.trace import TRACER, WALL_PID, WORKER_PID_BASE
 from repro.parallel.backend import make_executor
 from repro.workloads import ALL_WORKLOADS
 
@@ -186,3 +191,61 @@ class TestGenuineMisspeculationParity:
                                 train=(24, 0), ref=(24, 1))
         assert sim.runtime_stats.misspec_count() > 0
         assert sim.runtime_stats.recoveries > 0
+
+
+class TestTelemetryParity:
+    """A traced run reads the same on every backend and pool size: a
+    misspeculation is counted once, on the parent's own lines, and each
+    worker's lane and ``worker.<wid>.epoch.*`` tally show its slices as
+    the simulated scheduler ran them."""
+
+    @staticmethod
+    def _traced(prog, backend, **kwargs):
+        METRICS.reset()
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            _, result = _execute(prog, backend, **kwargs)
+            return result, METRICS.snapshot(), list(TRACER.events)
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+            METRICS.reset()
+
+    @pytest.mark.parametrize("misspec_period", [0, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_reads_the_same_on_every_backend(self, workers,
+                                             misspec_period):
+        prog = prepared_counter_program(16)
+        runs = [("simulated", {})] + [
+            ("pool", {"pool_workers": p}) for p in (None, 1, 2)]
+        views = []
+        for backend, extra in runs:
+            result, snap, events = self._traced(
+                prog, backend, workers=workers,
+                misspec_period=misspec_period, checkpoint_period=4, **extra)
+            assert result.output == prog.sequential.output
+            kinds = Counter(m.kind
+                            for m in result.runtime_stats.misspeculations)
+            assert bool(kinds) == bool(misspec_period)
+            assert {name[len("runtime.misspec."):]: metric["value"]
+                    for name, metric in snap.items()
+                    if name.startswith("runtime.misspec.")} == kinds
+            assert not [name for name in snap
+                        if re.match(r"worker\.\d+\.runtime\.", name)]
+            instants = [ev for ev in events
+                        if ev["name"] == "runtime.misspec"]
+            assert len(instants) == sum(kinds.values())
+            assert {ev["pid"] for ev in instants} <= {WALL_PID}
+            views.append({
+                wid: (
+                    [snap.get(f"worker.{wid}.epoch.{name}", {}).get("value", 0)
+                     for name in ("slices", "iterations",
+                                  "misspeculations")],
+                    sum(1 for ev in events
+                        if ev["name"] == "backend.worker_epoch"
+                        and ev["pid"] == WORKER_PID_BASE + wid))
+                for wid in range(workers)})
+        assert all(view == views[0] for view in views[1:]), views
+        assert all(slices == spans > 0
+                   for (slices, _, _), spans in views[0].values())

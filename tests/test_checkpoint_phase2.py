@@ -10,7 +10,7 @@ import pytest
 from repro.bench.pipeline import prepare
 from repro.classify.heaps import HeapKind
 from repro.interp.errors import Misspeculation
-from repro.parallel.executor import DOALLExecutor
+from repro.parallel.backend import DOALLExecutor
 from repro.runtime.shadow import timestamp_for
 
 SRC = """

@@ -286,17 +286,6 @@ class TestPoolBackendCLI:
         # argparse quotes the choices on some Python versions only.
         assert "simulated, pool" in err.replace("'", "")
 
-    def test_backend_env_process_is_unknown(self, prog_file, capsys,
-                                            monkeypatch):
-        from repro.parallel.backend import BACKEND_ENV
-
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        rc = main(["run", prog_file, "--args", "24", "--workers", "2"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'process'" in err
-        assert "simulated, pool" in err
-
     def test_run_pool_workers_flag(self, prog_file, capsys):
         rc = main(["run", prog_file, "--args", "24", "--workers", "4",
                    "--backend", "pool", "--pool-workers", "2"])
@@ -317,16 +306,6 @@ class TestPoolBackendCLI:
         err = capsys.readouterr().err
         assert rc == 2
         assert "only applies to the pool backend" in err
-
-    def test_backend_env_selects_pool(self, prog_file, capsys, monkeypatch):
-        from repro.parallel.backend import BACKEND_ENV
-
-        monkeypatch.setenv(BACKEND_ENV, "pool")
-        rc = main(["run", prog_file, "--args", "24", "--workers", "2",
-                   "--pool-workers", "2"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "output matches sequential: True" in out
 
     def test_removed_ring_size_variable_is_ignored(self, prog_file, capsys,
                                                    monkeypatch):
@@ -384,6 +363,8 @@ class TestTrace:
             self, prog_file, tmp_path, capsys):
         import json
 
+        from repro.obs.trace import WORKER_PID_BASE
+
         rc = main(["trace", prog_file, "--args", "24", "--workers", "2",
                    "--misspec-period", "9", "--out-dir", str(tmp_path)])
         capsys.readouterr()
@@ -398,7 +379,8 @@ class TestTrace:
         assert "runtime.misspec" in instants
         chrome = json.loads((tmp_path / "prog.chrome.json").read_text())
         pids = {e["pid"] for e in chrome["traceEvents"]}
-        assert pids == {1, 2}  # wall clock + simulated timeline
+        # Wall clock, simulated timeline and one lane per worker.
+        assert pids == {1, 2} | {WORKER_PID_BASE + w for w in range(2)}
 
     def test_trace_unknown_target_fails(self, capsys):
         rc = main(["trace", "no-such-workload"])

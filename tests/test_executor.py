@@ -4,7 +4,7 @@ timelines, and the cost/overhead accounting."""
 import pytest
 
 from repro.ir.instructions import CmpPred
-from repro.parallel.executor import trip_count
+from repro.parallel.backend import trip_count
 
 from .helpers import prepared_counter_program
 

@@ -29,7 +29,7 @@ from repro.forensics import (
 from repro.interp.errors import Misspeculation
 from repro.obs import schema
 from repro.parallel.backend import make_executor
-from repro.parallel.executor import DOALLExecutor
+from repro.parallel.backend import DOALLExecutor
 from repro.runtime.shadow import timestamp_for
 from repro.workloads import ALL_WORKLOADS
 

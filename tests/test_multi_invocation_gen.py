@@ -45,7 +45,7 @@ from repro.frontend import compile_minic
 from repro.interp.memory import AddressSpace
 from repro.parallel import pool_backend
 from repro.parallel.backend import (
-    BaseDOALLExecutor,
+    DOALLExecutor,
     WorkerEpochReport,
     make_executor,
 )
@@ -199,7 +199,7 @@ class _AllocationSpy:
         self.seen = {}
         spy = self
         allocate = AddressSpace.allocate
-        execute_iteration = BaseDOALLExecutor._execute_iteration
+        execute_iteration = DOALLExecutor._execute_iteration
         child_slice = PoolDOALLExecutor._child_slice
         replay = PoolDOALLExecutor._replay_reports
 
@@ -234,7 +234,7 @@ class _AllocationSpy:
             return replay(ex, reports, inv, earliest)
 
         patch(AddressSpace, "allocate", watched_allocate)
-        patch(BaseDOALLExecutor, "_execute_iteration", watched_iteration)
+        patch(DOALLExecutor, "_execute_iteration", watched_iteration)
         patch(PoolDOALLExecutor, "_child_slice", watched_slice)
         patch(PoolDOALLExecutor, "_replay_reports", watched_replay)
 

@@ -23,14 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.backend import (
-    BACKEND_ENV,
     BACKEND_NAMES,
     BackendError,
-    BaseDOALLExecutor,
+    DOALLExecutor,
     make_executor,
     resolve_backend_name,
 )
-from repro.parallel.executor import DOALLExecutor
 from repro.parallel.pool_backend import PoolDOALLExecutor
 from repro.parallel import pool_backend
 from repro.parallel.shm_ring import (
@@ -55,27 +53,17 @@ def _shm_names():
 
 
 class TestBackendResolution:
-    def test_default_is_simulated(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_is_simulated(self):
         assert resolve_backend_name() == "simulated"
         assert resolve_backend_name(None) == "simulated"
 
-    def test_explicit_name_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "pool")
+    def test_explicit_name_wins(self):
         assert resolve_backend_name("simulated") == "simulated"
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "pool")
-        assert resolve_backend_name() == "pool"
+        assert resolve_backend_name("pool") == "pool"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):
             resolve_backend_name("threads")
-
-    def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "gpu")
-        with pytest.raises(BackendError, match="unknown backend"):
-            resolve_backend_name()
 
     def test_backend_error_is_value_error(self):
         # argparse and callers catching ValueError keep working.
@@ -84,15 +72,12 @@ class TestBackendResolution:
     def test_names_cover_all_backends(self):
         assert BACKEND_NAMES == ("simulated", "pool")
 
-    def test_process_is_an_unknown_backend(self, monkeypatch):
+    def test_process_is_an_unknown_backend(self):
         """The fork-per-epoch backend's name is no alias for the pool:
-        argument and environment both get the ordinary error."""
+        it gets the ordinary error."""
         listed = "unknown backend 'process'.*simulated, pool"
         with pytest.raises(BackendError, match=listed):
             resolve_backend_name("process")
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        with pytest.raises(BackendError, match=listed):
-            resolve_backend_name()
 
 
 # -- fragment payload framing -------------------------------------------------
@@ -203,8 +188,7 @@ def _forked_children(ex, prog):
 
 
 class TestPoolExecutorConstruction:
-    def test_factory_dispatch(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_factory_dispatch(self):
         prog = prepared_counter_program(8)
         sim = make_executor(None, prog.module, prog.plan, workers=2)
         assert isinstance(sim, DOALLExecutor)
@@ -212,16 +196,10 @@ class TestPoolExecutorConstruction:
         ex = make_executor("pool", prog.module, prog.plan, workers=2)
         assert isinstance(ex, PoolDOALLExecutor)
         assert ex.backend_name == "pool"
-        # The one forked-worker executor: nothing between it and the
-        # shared driver.
+        # The one forked-worker executor: the simulated backend's
+        # executor with children, nothing in between.
         assert PoolDOALLExecutor.__mro__ == (
-            PoolDOALLExecutor, BaseDOALLExecutor, object)
-
-    def test_env_dispatch(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "pool")
-        prog = prepared_counter_program(8)
-        ex = make_executor(None, prog.module, prog.plan, workers=2)
-        assert isinstance(ex, PoolDOALLExecutor)
+            PoolDOALLExecutor, DOALLExecutor, object)
 
     def test_epoch_timeout_plumbing(self):
         prog = prepared_counter_program(8)
@@ -541,46 +519,57 @@ int main(int n) {
 
 
 class TestCommitDeltaCoalescing:
-    """The warm-epoch commit delta covers the folded reduction runs,
+    """The clean-epoch change record covers the folded reduction runs,
     read straight off the fragments' run spans: the bytes an
-    element-at-a-time delta would ship, in one piece per stretch of
-    adjacent elements."""
+    element-at-a-time record would ship, in one piece per stretch of
+    adjacent elements, and no object born or freed."""
 
     @staticmethod
     def _watch(monkeypatch):
-        """Check every delta the parent builds against one read element
-        by element; returns the (elements, runs) pairs seen."""
+        """Check every clean-epoch change record the parent ships
+        against main read element by element after the commit; returns
+        the (elements, reduction runs) pairs seen."""
+        from repro.classify.heaps import HeapKind
+        from repro.interp.memory import heap_tag_of
         from repro.runtime.system import RuntimeSystem
 
-        elements, seen = [], []
+        wants, seen = [], []
         checkpoint = RuntimeSystem.checkpoint
-        build = PoolDOALLExecutor._build_commit_delta
+        write_frame = pool_backend._write_frame
 
         def watched_checkpoint(self, start, end, fragments=None):
-            elements.append(sorted({(el.addr, el.size) for f in fragments
-                                    for run in f.redux_runs
-                                    for el in run.elements()}))
-            return checkpoint(self, start, end, fragments)
-
-        def watched_build(self):
-            delta = build(self)
-            space = self.runtime.main_space
+            elements = sorted({(el.addr, el.size) for f in fragments
+                               for run in f.redux_runs
+                               for el in run.elements()})
+            record = checkpoint(self, start, end, fragments)
             want = {}
-            for addr, size in elements[-1]:
-                for s, e, obj in space.covering_pieces(addr, size):
+            for addr, size in elements:
+                for s, e, obj in self.main_space.covering_pieces(addr, size):
                     want.update(zip(range(s, e),
                                     obj.data[s - obj.base:e - obj.base]))
-            got = {}
-            for addr, blob in delta.redux_runs:
-                assert not got.keys() & range(addr, addr + len(blob))
-                got.update(zip(range(addr, addr + len(blob)), blob))
-            assert got == want
-            seen.append((len(elements[-1]), len(delta.redux_runs)))
-            return delta
+            wants.append((len(elements), want))
+            return record
+
+        def watched_write(fd, data):
+            plan = pickle.loads(data)
+            if (isinstance(plan, pool_backend._PoolEpoch)
+                    and plan.commit is not None):
+                objects, freed, _cursors, _allocated, runs = plan.commit
+                # A clean epoch allocates and frees nothing in main.
+                assert objects == [] and freed == []
+                redux = [(addr, blob) for addr, blob in runs
+                         if heap_tag_of(addr) == int(HeapKind.REDUX)]
+                got = {}
+                for addr, blob in redux:
+                    assert not got.keys() & range(addr, addr + len(blob))
+                    got.update(zip(range(addr, addr + len(blob)), blob))
+                count, want = wants[-1]
+                assert got == want
+                seen.append((count, len(redux)))
+            write_frame(fd, data)
 
         monkeypatch.setattr(RuntimeSystem, "checkpoint", watched_checkpoint)
-        monkeypatch.setattr(PoolDOALLExecutor, "_build_commit_delta",
-                            watched_build)
+        monkeypatch.setattr(pool_backend, "_write_frame", watched_write)
         return seen
 
     def test_alvinn_ships_its_weight_arrays_whole(self, monkeypatch):

@@ -16,7 +16,7 @@ from repro.interp.interpreter import Interpreter
 from repro.interp.memory import AddressSpace
 from repro.ir.instructions import BinOpKind, CmpPred
 from repro.ir.types import I8, I32, I64, U8, U32, U64, IntType
-from repro.parallel.executor import trip_count
+from repro.parallel.backend import trip_count
 from repro.runtime.iodefer import DeferredOutput
 from repro.runtime.shadow import (
     LIVE_IN,

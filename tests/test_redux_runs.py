@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.bench.pipeline import prepare
 from repro.classify.heaps import HeapKind
 from repro.interp.errors import GuestFault
-from repro.parallel.executor import DOALLExecutor
+from repro.parallel.backend import DOALLExecutor
 from repro.runtime.fragments import (
     FRAGMENT_FORMAT, EpochFragment, ReduxElement, ReduxRun)
 from repro.runtime.shadow import SHADOW_ENV

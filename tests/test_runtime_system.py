@@ -65,7 +65,7 @@ def harness():
 
 class TestHeapPlacement:
     def test_globals_land_in_their_heaps(self, harness):
-        from repro.parallel.executor import DOALLExecutor
+        from repro.parallel.backend import DOALLExecutor
 
         ex = DOALLExecutor(harness.module, harness.plan, workers=2)
         interp = ex.interp
@@ -78,7 +78,7 @@ class TestHeapPlacement:
         assert tags["total"] == int(HeapKind.REDUX)
 
     def test_h_alloc_places_by_kind(self, harness):
-        from repro.parallel.executor import DOALLExecutor
+        from repro.parallel.backend import DOALLExecutor
 
         ex = DOALLExecutor(harness.module, harness.plan, workers=2)
         impl = ex.interp.intrinsics["h_alloc"]
@@ -99,7 +99,7 @@ class TestValidationIntrinsics:
 
     @pytest.fixture
     def runtime(self, harness):
-        from repro.parallel.executor import DOALLExecutor
+        from repro.parallel.backend import DOALLExecutor
 
         runtime = DOALLExecutor(harness.module, harness.plan,
                                 workers=2).runtime
@@ -223,7 +223,7 @@ class TestResyncWorkers:
         import dataclasses
         import logging
 
-        from repro.parallel.executor import DOALLExecutor
+        from repro.parallel.backend import DOALLExecutor
 
         parent = DOALLExecutor(harness.module, harness.plan,
                                workers=2).runtime
