@@ -204,7 +204,6 @@ def prepare_module(
     entry: str = "main",
     args: Sequence[object] = (),
     ref_args: Optional[Sequence[object]] = None,
-    checkpoint_period: Optional[int] = None,
     min_coverage: float = 0.10,
     max_candidates: int = 6,
     use_cache: bool = True,
@@ -331,10 +330,9 @@ def prepare_module(
             if applied and TRACER.enabled:
                 TRACER.instant("pipeline.demotions_applied", cat="pipeline",
                                program=name, loop=str(rec.ref), sites=applied)
-        period = checkpoint_period or _default_period(profile)
         try:
-            plan = PrivateerTransform(module, rec.ref, profile, assignment,
-                                      checkpoint_period=period).run()
+            plan = PrivateerTransform(module, rec.ref, profile,
+                                      assignment).run()
         except SelectionError as e:
             rejected[rec.ref] = e.reasons
             last_error = e
@@ -355,10 +353,3 @@ def prepare_module(
     raise last_error or SelectionError(
         LoopRef(entry, "?"), ["no hot loop candidates found"])
 
-
-def _default_period(profile: LoopProfile) -> int:
-    """Checkpoint period: the paper uses k <= 253; with our scaled-down
-    iteration counts we aim for a handful of checkpoints per invocation,
-    which is the same *rate* relative to total work."""
-    per_invocation = max(1, profile.iterations // max(1, profile.invocations))
-    return max(2, min(250, per_invocation // 5))

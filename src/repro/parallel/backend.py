@@ -116,6 +116,16 @@ def trip_count(init: int, bound: int, step: int, pred: CmpPred,
     return None
 
 
+def whole_rounds(k: int, workers: int) -> int:
+    """An epoch size the runtime picked, as whole rounds of the team:
+    the next multiple of ``workers``, or the one below when that would
+    pass :data:`MAX_CHECKPOINT_PERIOD`.  A size below one round stays."""
+    if k < workers:
+        return k
+    up = -(-k // workers) * workers
+    return up if up <= MAX_CHECKPOINT_PERIOD else k // workers * workers
+
+
 class _RecoveryHook(Hook):
     """Marks stores executed during sequential recovery as committed
     definitions (they must fail later live-in reads)."""
@@ -490,6 +500,15 @@ class DOALLExecutor:
         return earliest
 
     def _run_invocation(self, bp: BlockBreakpoint) -> None:
+        """Run one invocation of the parallel loop as checkpoint epochs.
+
+        Worker ``w`` runs the iterations ``i`` with ``i % workers == w``
+        of each epoch.  An explicit ``checkpoint_period`` sizes every
+        epoch exactly; otherwise the runtime picks ``trips // 5`` (in
+        ``[2, 253]``), or the adaptive controller picks, and that size
+        runs as whole rounds (:func:`whole_rounds`) so no worker waits
+        out an epoch on a shorter slice.
+        """
         interp = self.interp
         plan = self.plan
         runtime = self.runtime
@@ -545,12 +564,17 @@ class DOALLExecutor:
 
         main_stack = interp.swap_stack([])
         # Checkpoint period: aim for a handful of checkpoints per
-        # invocation, bounded by the metadata-byte limit of 253.
+        # invocation, bounded by the metadata-byte limit of 253.  A size
+        # the runtime picks runs as whole rounds; an explicit one is exact.
         k = self.checkpoint_period or max(
             2, min(MAX_CHECKPOINT_PERIOD, trips // 5))
         controller = self.controller
         if controller is not None:
+            # The controller keeps its own AIMD size; what it hands back
+            # is rounded below.
             controller.begin_invocation(k)
+        elif not self.checkpoint_period:
+            k = whole_rounds(k, workers)
 
         next_iter = 0
         while next_iter < trips:
@@ -562,7 +586,7 @@ class DOALLExecutor:
                 next_iter = seq_end
                 continue
             if controller is not None:
-                k = controller.next_epoch_size()
+                k = whole_rounds(controller.next_epoch_size(), workers)
             epoch_end = min(next_iter + k, trips)
             # One span per checkpoint epoch, in the shared base class, so
             # the simulated and pool backends both record the same

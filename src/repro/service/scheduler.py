@@ -140,8 +140,7 @@ class Scheduler:
 
     def _prepare_key(self, job: Job) -> Tuple:
         spec = job.spec
-        return (job.fingerprint, spec.train_args, spec.args,
-                spec.checkpoint_period, spec.adapt)
+        return (job.fingerprint, spec.train_args, spec.args, spec.adapt)
 
     def _begin_job_trace(self, job: Job):
         """Open the per-job root span, set the ambient ``job``/``job_span``
@@ -239,7 +238,6 @@ class Scheduler:
                 program = prepare_module(
                     module, spec.source, spec.name,
                     args=spec.train_args, ref_args=spec.args,
-                    checkpoint_period=spec.checkpoint_period,
                     adapt=spec.adapt or None, fingerprint=fingerprint,
                 )
                 self._resident[key] = program

@@ -1,7 +1,6 @@
 """The Privateer analysis and transformation (§4)."""
 
 from .plan import (
-    DEFAULT_CHECKPOINT_PERIOD,
     MAX_CHECKPOINT_PERIOD,
     CheckCounts,
     ParallelPlan,
@@ -18,7 +17,7 @@ from .selection import (
 )
 
 __all__ = [
-    "CheckCounts", "DEFAULT_CHECKPOINT_PERIOD", "MAX_CHECKPOINT_PERIOD",
+    "CheckCounts", "MAX_CHECKPOINT_PERIOD",
     "ParallelPlan", "PrivateerTransform", "ReduxObjectPlan",
     "SelectionError", "check_transformable", "heaps_compatible",
     "loops_may_be_simultaneously_active", "region_functions", "select_loops",

@@ -20,7 +20,6 @@ from ..profiling.data import LoopProfile, LoopRef, ValuePrediction
 #: The paper triggers a checkpoint at least every 253 iterations (the
 #: metadata timestamp must fit a byte: codes 0..2 reserved, 3..255 usable).
 MAX_CHECKPOINT_PERIOD = 253
-DEFAULT_CHECKPOINT_PERIOD = 250
 
 
 class SelectionError(Exception):
@@ -62,8 +61,9 @@ class ReduxObjectPlan:
 @dataclass
 class ParallelPlan:
     """Everything the executor needs about a transformed loop: the
-    loop, its induction variable, heap placements, checkpoint period,
-    and speculation hooks planted by the transformation.
+    loop, its induction variable, heap placements, and the speculation
+    hooks planted by the transformation.  The checkpoint period is not
+    here: the executor picks it per invocation.
     """
     module: Module
     ref: LoopRef
@@ -72,7 +72,6 @@ class ParallelPlan:
     iv: InductionVariable
     assignment: HeapAssignment
     profile: LoopProfile
-    checkpoint_period: int = DEFAULT_CHECKPOINT_PERIOD
     #: Globals relocated into logical heaps at startup: name -> heap.
     global_placements: Dict[str, HeapKind] = field(default_factory=dict)
     #: Value predictions restored at iteration start, checked at latch.
@@ -87,7 +86,6 @@ class ParallelPlan:
             f"ParallelPlan for {self.ref}",
             f"  induction variable: step {self.iv.step}, "
             f"exit pred {self.iv.pred.value}",
-            f"  checkpoint period: {self.checkpoint_period}",
             f"  globals relocated: "
             + (", ".join(f"{n}->{k}" for n, k in sorted(self.global_placements.items()))
                or "none"),

@@ -51,7 +51,6 @@ from ..ir.values import ConstInt, GlobalVariable, Value
 from ..profiling.data import LoopProfile, LoopRef
 from ..profiling.looptracker import LoopInfoCache
 from .plan import (
-    DEFAULT_CHECKPOINT_PERIOD,
     CheckCounts,
     ParallelPlan,
     ReduxObjectPlan,
@@ -73,13 +72,11 @@ class PrivateerTransform:
         ref: LoopRef,
         profile: LoopProfile,
         assignment: HeapAssignment,
-        checkpoint_period: int = DEFAULT_CHECKPOINT_PERIOD,
     ):
         self.module = module
         self.ref = ref
         self.profile = profile
         self.assignment = assignment
-        self.checkpoint_period = checkpoint_period
         self.checks = CheckCounts()
         #: site id of a rewritten allocation call -> heap kind
         self._alloc_site_kinds: Dict[str, HeapKind] = {}
@@ -123,7 +120,6 @@ class PrivateerTransform:
             iv=iv,
             assignment=self.assignment,
             profile=self.profile,
-            checkpoint_period=self.checkpoint_period,
             global_placements=global_placements,
             predictions=list(self.assignment.predictions),
             redux_objects=redux_objects,
@@ -131,8 +127,7 @@ class PrivateerTransform:
             region_functions=region,
             checks=self.checks,
         )
-        sp.set(checkpoint_period=self.checkpoint_period,
-               redux_objects=len(redux_objects),
+        sp.set(redux_objects=len(redux_objects),
                region_functions=len(region))
         return plan
 
@@ -421,8 +416,6 @@ def transform_loop(
     ref: LoopRef,
     profile: LoopProfile,
     assignment: HeapAssignment,
-    checkpoint_period: int = DEFAULT_CHECKPOINT_PERIOD,
 ) -> ParallelPlan:
     """Convenience wrapper: run the full transformation for one loop."""
-    return PrivateerTransform(module, ref, profile, assignment,
-                              checkpoint_period).run()
+    return PrivateerTransform(module, ref, profile, assignment).run()

@@ -100,7 +100,6 @@ class TestPrepareModule:
                                 args=args, use_cache=False)
         assert thawed.fingerprint == direct.fingerprint
         assert str(thawed.plan.ref) == str(direct.plan.ref)
-        assert thawed.plan.checkpoint_period == direct.plan.checkpoint_period
         assert thawed.plan.global_placements == direct.plan.global_placements
         assert vars(thawed.plan.checks) == vars(direct.plan.checks)
         assert thawed.assignment.site_heaps == direct.assignment.site_heaps
@@ -193,7 +192,6 @@ class TestBaselineFromTheTimeProfile:
         assert same.hot_report == paired.hot_report == \
             profile_execution_time(compile_minic(source, name), args=args)
         assert str(same.plan.ref) == str(paired.plan.ref)
-        assert same.plan.checkpoint_period == paired.plan.checkpoint_period
         assert same.plan.global_placements == paired.plan.global_placements
         assert vars(same.plan.checks) == vars(paired.plan.checks)
         assert same.assignment.site_heaps == paired.assignment.site_heaps

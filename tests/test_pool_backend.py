@@ -446,8 +446,10 @@ class TestPipeTransport:
         monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment",
                             staticmethod(spy))
         prog = prepared_counter_program(24)
+        # An explicit period of 4 runs exactly: at 6 (the whole-round
+        # default for 24 trips on 3 workers) every epoch would squash.
         ex = make_executor("pool", prog.module, prog.plan, workers=3,
-                           pool_workers=pool_workers,
+                           pool_workers=pool_workers, checkpoint_period=4,
                            misspec_period=misspec_period)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output

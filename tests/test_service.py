@@ -308,6 +308,17 @@ class TestServiceEndToEnd:
         assert stats["cache_hits"] == 1
         assert stats["warm_runs"] == 1
 
+    def test_checkpoint_period_is_an_execute_knob(self, app):
+        # The period is picked at execute time: a second period reuses
+        # the resident program, but is a result of its own.
+        client = _client(app)
+        jobs = [client.wait(client.submit(
+            {"source": SRC, "name": "p", "args": [24], "workers": 2,
+             "checkpoint_period": period})["id"]) for period in (4, 6)]
+        assert [(j["warm"], j["cache_hit"]) for j in jobs] == \
+            [(False, False), (True, False)]
+        assert app.registry.counter("service.prepare.cold").value == 1
+
     def test_misspeculating_job_is_done_with_forensics(self, app):
         client = _client(app)
         job = client.submit({"source": MISSPEC_SRC, "name": "genuine",
