@@ -3,7 +3,6 @@ points-to, mod/ref, reductions, and loop dependences."""
 
 from .callgraph import CallGraph
 from .cfg import CFG
-from .defuse import DefUse
 from .depgraph import (
     DepEdge,
     DepKind,
@@ -27,8 +26,8 @@ from .reduction import (
 from .scev import Affine, as_affine, decompose_pointer
 
 __all__ = [
-    "AbstractObject", "Affine", "CallGraph", "CFG", "DefUse", "DepEdge",
-    "DepKind", "DOALLVerdict", "DominatorTree", "InductionVariable", "Loop",
+    "AbstractObject", "Affine", "CallGraph", "CFG", "DepEdge", "DepKind",
+    "DOALLVerdict", "DominatorTree", "InductionVariable", "Loop",
     "LoopDependences", "LoopInfo", "ModRefAnalysis", "ModRefSummary",
     "PointsToAnalysis", "PointsToSet", "REDUCTION_IDENTITY",
     "ReductionUpdate", "apply_operator", "as_affine", "decompose_pointer",

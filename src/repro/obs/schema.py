@@ -170,11 +170,6 @@ CHROME = Record({"traceEvents": (True, LIST.of(CHROME_EVENT))},
                   "trace contains no events"),))
 
 
-def validate_event(ev: object, lineno: int = 0) -> List[str]:
-    """Validate one JSONL event; returns a list of error strings."""
-    return check(ev, EVENT, f"line {lineno}: " if lineno else "")
-
-
 def validate_jsonl(path: str,
                    max_errors: int = 20) -> Dict[str, object]:
     """Validate a JSONL trace file: ``{"events", "kinds", "errors"}``."""

@@ -4,16 +4,15 @@ The speculative DOALL machinery — invocation detection, trip counting,
 epoch scheduling, checkpoint/commit, misspeculation recovery, cycle
 accounting — lives in :class:`DOALLExecutor`, which is also the
 **simulated** backend: it runs every worker's slice of an epoch one
-after the other on the in-process interpreter (:meth:`DOALLExecutor.
-_run_slices`, the one in-process slice loop) — deterministic, fully
+after the other on the in-process interpreter — deterministic, fully
 observable, the reference semantics.  Workers share no speculative
 state, exactly the property Privateer validates, so running them one at
 a time is behaviourally equivalent to running them concurrently; timing
 is modelled with per-worker cycle clocks (``costmodel.py``).
 
 The **pool** backend (:mod:`repro.parallel.pool_backend`) is the same
-executor with children: it runs worker 0 in the parent by that same
-loop, forks a pool of worker processes for the others once per run,
+executor with children: it runs worker 0 in the parent, forks a pool of
+worker processes for the others once per run,
 keeps them resident across epochs, recoveries and invocations (one
 change record of main memory brings them up to date) and executes the
 worker slices concurrently, shipping per-iteration records and the
@@ -21,10 +20,15 @@ packed :class:`~repro.runtime.fragments.EpochFragment` payload over
 each child's report pipe — see docs/BACKENDS.md for the full guide.
 With no children (``--pool-workers 1``) it *is* the simulated backend.
 
-Both feed the same :meth:`RuntimeSystem.checkpoint` commit path with
-fragments, so committed memory state, ``RuntimeStats`` and
-misspeculation behaviour are identical by construction (the parity
-suite in ``tests/test_backend_parity.py`` enforces this), and so is the
+Every slice, on either backend and in whichever process hosts its
+worker, runs by one loop (:meth:`DOALLExecutor._run_slice`) into a
+:class:`WorkerEpochReport`, and the parent accounts every report by one
+method (:meth:`DOALLExecutor._account_slices`) with the simulated
+scheduler's earliest-misspeculation cut.  Both backends feed the same
+:meth:`RuntimeSystem.checkpoint` commit path with fragments, so
+committed memory state, ``RuntimeStats`` and misspeculation behaviour
+are identical by construction (the parity suite in
+``tests/test_backend_parity.py`` enforces this), and so is the
 telemetry: every slice records its trace lane and ``worker.<wid>.*``
 metrics apart, wherever it ran (:func:`_slice_telemetry`).
 
@@ -143,11 +147,14 @@ class _RecoveryHook(Hook):
 class IterationRecord:
     """What one worker observed executing one iteration.
 
-    A forked worker ships these back so the parent can replay the exact
-    bookkeeping the simulated backend would have done in-process: cycle
+    Every slice builds these, wherever it runs, and the parent accounts
+    the slice from them (:meth:`DOALLExecutor._account_slices`): cycle
     and step increments, validation-cycle attribution, additive
     RuntimeStats counter deltas, deferred output texts, and — if the
-    iteration misspeculated — the misspeculation terms.
+    iteration misspeculated — the misspeculation terms.  A pool child
+    ships them over its report pipe; of a slice run in-process, the
+    parent reads only clocks, timeline, useful cycles and the
+    misspeculation, its other effects being in place already.
     """
 
     iteration: int
@@ -157,9 +164,8 @@ class IterationRecord:
     stats_delta: Tuple[int, ...]
     io: Tuple[str, ...] = ()
     #: ``(kind, detail, exc_iteration, injected, from_fault)`` when the
-    #: iteration ended in a misspeculation; ``from_fault`` distinguishes
-    #: guest faults/timeouts (no timeline event, mirroring the simulated
-    #: backend).
+    #: iteration ended in a misspeculation; ``from_fault`` marks guest
+    #: faults/timeouts (no timeline event).
     misspec: Optional[Tuple[str, str, int, bool, bool]] = None
     #: Forensic conflict context captured in the worker at the point of
     #: misspeculation (plain dict; see
@@ -172,8 +178,10 @@ class WorkerEpochReport:
     """Everything one worker produced for one epoch."""
 
     wid: int
+    #: One per iteration the slice started; after the parent's
+    #: accounting, the ones the epoch kept.
     records: List[IterationRecord] = field(default_factory=list)
-    #: Present iff the slice completed without misspeculating.
+    #: Present iff the slice ran clean: no misspeculation, no cut.
     fragment: Optional[EpochFragment] = None
     #: Trace events recorded in the worker (empty unless tracing is on).
     trace_events: List[Dict[str, object]] = field(default_factory=list)
@@ -182,45 +190,33 @@ class WorkerEpochReport:
     metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
 
-@dataclass
-class _SliceTelemetry:
-    """What one worker slice recorded with tracing on; see
-    :func:`_slice_telemetry`."""
-
-    #: Set by the slice: iterations started, the misspeculated one too.
-    iterations: int = 0
-    misspeculated: bool = False
-    trace_events: List[Dict[str, object]] = field(default_factory=list)
-    metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-
 @contextmanager
-def _slice_telemetry(wid: int, epoch_start: int,
-                     epoch_end: int) -> Iterator[_SliceTelemetry]:
-    """Record one worker slice's telemetry apart from this process's:
-    its ``backend.worker_epoch`` span and ``epoch.busy_us``, and
-    whatever the slice records itself (shadow traffic, interpreter
-    tallies ...).  A pool child ships the result on its report; a slice
-    run in-process is absorbed the same way (:func:`_absorb_slice`), so
-    every worker keeps its own trace lane and ``worker.<wid>.*`` metrics
-    wherever it ran, and nothing of it lands on the parent's own
-    lines."""
-    telemetry = _SliceTelemetry()
+def _slice_telemetry(report: WorkerEpochReport, epoch_start: int,
+                     epoch_end: int) -> Iterator[None]:
+    """Record one worker slice's telemetry apart from this process's,
+    onto its report: its ``backend.worker_epoch`` span and
+    ``epoch.busy_us``, and whatever the slice records itself (shadow
+    traffic, interpreter tallies ...).  The parent absorbs it
+    (:func:`_absorb_slice`) wherever the slice ran, so every worker
+    keeps its own trace lane and ``worker.<wid>.*`` metrics, and
+    nothing of it lands on the parent's own lines."""
     if not TRACER.enabled:
-        yield telemetry
+        yield
         return
     t_begin = time.perf_counter()
     with TRACER.capture() as events, METRICS.capture() as registry:
         span = TRACER.span("backend.worker_epoch", cat="backend",
-                           tid=wid + 1, worker=wid,
+                           tid=report.wid + 1, worker=report.wid,
                            epoch_start=epoch_start, epoch_end=epoch_end)
-        yield telemetry
-        span.end(iterations=telemetry.iterations,
-                 misspeculated=telemetry.misspeculated)
+        yield
+        records = report.records
+        span.end(iterations=len(records),
+                 misspeculated=bool(records)
+                 and records[-1].misspec is not None)
         METRICS.counter("epoch.busy_us").inc(
             round((time.perf_counter() - t_begin) * 1e6))
-    telemetry.trace_events = events
-    telemetry.metrics = registry.dump()
+    report.trace_events = events
+    report.metrics = registry.dump()
 
 
 def _absorb_slice(wid: int, trace_events: List[Dict[str, object]],
@@ -237,8 +233,8 @@ def _tally_slice(wid: int, iterations: int, misspeculated: bool) -> None:
     """Count one slice under ``worker.<wid>.epoch.*`` as the simulated
     scheduler ran it: ``iterations`` up to the earliest-misspeculation
     cut, the misspeculated one included.  A pool child runs past the
-    cut; the parent tallies what its replay kept, so the counts read
-    the same on every backend."""
+    cut; the parent tallies what its accounting kept, so the counts
+    read the same on every backend."""
     if not TRACER.enabled:
         return
     prefix = f"worker.{wid}.epoch."
@@ -253,9 +249,10 @@ class DOALLExecutor:
     in-process interpreter, workers run one at a time with per-worker
     cycle clocks.
 
-    Everything — region detection, sequential fallback, checkpoint
-    commit, recovery, final resume — is here; a subclass that runs
-    slices elsewhere overrides :meth:`_execute_epoch`.
+    Everything — region detection, the slice loop and its accounting,
+    sequential fallback, checkpoint commit, recovery, final resume — is
+    here; a subclass that runs slices elsewhere overrides
+    :meth:`_execute_epoch`.
     """
 
     #: Name used for ``--backend`` selection and reporting.
@@ -412,91 +409,158 @@ class DOALLExecutor:
     ) -> Tuple[Optional[Tuple[int, Misspeculation]],
                Optional[List[EpochFragment]]]:
         """Execute iterations ``[epoch_start, epoch_end)`` across the
-        workers.
+        workers: here, the simulated scheduler, one slice after the
+        other, none starting an iteration past the earliest
+        misspeculation of those before it.
 
         Returns ``(earliest, fragments)``: ``earliest`` is the
         ``(iteration, exception)`` of the earliest misspeculation (or
         None on a clean epoch); ``fragments`` is the per-worker epoch
-        state to commit, or None to let the checkpoint extract it from
-        the in-process worker states, as here.
+        state to commit, in wid order, or None when ``earliest`` is set.
         """
-        return self._run_slices(frame, inv, self.runtime.workers,
-                                epoch_start, epoch_end, init), None
+        earliest: Optional[Tuple[int, Misspeculation]] = None
+        fragments: List[EpochFragment] = []
+        for worker in self.runtime.workers:
+            report = self._run_slice(
+                worker, frame, epoch_start, epoch_end, init,
+                cut=None if earliest is None else earliest[0])
+            earliest = self._account_slices([report], inv, earliest)
+            fragments.append(report.fragment)
+        return earliest, None if earliest is not None else fragments
 
-    def _run_slices(
-        self, frame: Frame, inv: InvocationResult, workers: List[WorkerState],
-        epoch_start: int, epoch_end: int, init: int,
-    ) -> Optional[Tuple[int, Misspeculation]]:
-        """Run the slices of ``workers`` of iterations ``[epoch_start,
-        epoch_end)`` on the in-process interpreter, one worker after the
-        other: the simulated scheduler.  No worker starts an iteration
-        past the earliest misspeculation of those before it; returns that
-        cut as it stands after ``workers``.
+    def _run_slice(
+        self, worker: WorkerState, frame: Frame, epoch_start: int,
+        epoch_end: int, init: int, cut: Optional[int] = None,
+    ) -> WorkerEpochReport:
+        """Run ``worker``'s iterations of ``[epoch_start, epoch_end)`` on
+        this process's interpreter — the one slice loop, in whichever
+        process hosts the worker — and report them: one
+        :class:`IterationRecord` per iteration started, the fragment iff
+        the slice ran clean, and its telemetry, recorded apart
+        (:func:`_slice_telemetry`).
 
-        Each slice records its telemetry apart (:func:`_slice_telemetry`);
-        its misspeculation is recorded after that closes, on this
-        process's own lines, where a pool child's replayed one lands.
+        The slice stops at its own misspeculation, and starts no
+        iteration past ``cut``: the earliest misspeculation of the
+        workers before it in the simulated order.  That dooms the
+        epoch, so a slice given a cut extracts no fragment.  What the
+        iterations did to this process — cycles, steps, ``RuntimeStats``
+        counters, deferred output — stays where it happened; the records
+        carry it to the parent from a pool child
+        (:meth:`_account_slices`).
         """
         interp = self.interp
         runtime = self.runtime
         stats = runtime.stats
         count = self.workers
+        report = WorkerEpochReport(wid=worker.wid)
+        records = report.records
+        misspec: Optional[Tuple[str, str, int, bool, bool]] = None
         main_space = interp.space
-        earliest: Optional[Tuple[int, Misspeculation]] = None
-
-        for worker in workers:
-            interp.space = worker.space
-            if worker.frame is None:
-                worker.frame = frame.copy()
-            interp.swap_stack([worker.frame])
-            misspec: Optional[Misspeculation] = None
-            with _slice_telemetry(worker.wid, epoch_start,
-                                  epoch_end) as telemetry:
-                first = epoch_start + (worker.wid - epoch_start) % count
-                for i in range(first, epoch_end, count):
-                    if earliest is not None and i > earliest[0]:
-                        break
-                    telemetry.iterations += 1
-                    c0 = interp.cycles
-                    v0 = stats.validation_cycles()
-                    t0 = worker.clock
-                    try:
-                        self._execute_iteration(worker, i, init)
-                        if self._inject_misspec(i):
-                            raise self._injected_misspec(worker, i)
-                    except Misspeculation as exc:
-                        misspec = runtime.capture_conflict_context(worker,
-                                                                   exc)
-                    except (GuestFault, GuestTimeout) as fault:
-                        misspec = Misspeculation("fault", str(fault), i)
-                    delta = interp.cycles - c0
-                    worker.clock += delta
-                    if misspec is not None:
-                        # Earlier than the cut: i never reaches past it,
-                        # and no other worker runs iteration i.
-                        earliest = (i, misspec)
-                        # A guest fault leaves no timeline event (only
-                        # a fault is of kind "fault").
-                        if (self.timeline is not None
-                                and misspec.kind != "fault"):
-                            self.timeline.add("misspec", worker.wid, t0,
-                                              worker.clock, misspec.kind)
-                        break
-                    inv.useful_cycles += max(
-                        0, delta - (stats.validation_cycles() - v0))
-                    if self.timeline is not None:
-                        self.timeline.add("iteration", worker.wid, t0,
-                                          worker.clock, f"i={i}")
-                telemetry.misspeculated = misspec is not None
-            interp.swap_stack([])
-            _absorb_slice(worker.wid, telemetry.trace_events,
-                          telemetry.metrics)
-            _tally_slice(worker.wid, telemetry.iterations,
-                         telemetry.misspeculated)
-            if misspec is not None:
-                runtime.record_misspeculation(
-                    misspec, injected=(misspec.kind == "injected"))
+        interp.space = worker.space
+        if worker.frame is None:
+            worker.frame = frame.copy()
+        interp.swap_stack([worker.frame])
+        with _slice_telemetry(report, epoch_start, epoch_end):
+            first = epoch_start + (worker.wid - epoch_start) % count
+            for i in range(first, epoch_end, count):
+                if cut is not None and i > cut:
+                    break
+                c0 = interp.cycles
+                s0 = interp.steps
+                v0 = stats.validation_cycles()
+                k0 = stats.counter_snapshot()
+                context: Optional[Dict[str, object]] = None
+                try:
+                    self._execute_iteration(worker, i, init)
+                    if self._inject_misspec(i):
+                        raise self._injected_misspec(worker, i)
+                except Misspeculation as exc:
+                    runtime.capture_conflict_context(worker, exc)
+                    misspec = (exc.kind, exc.detail, exc.iteration,
+                               exc.kind == "injected", False)
+                    context = exc.context
+                except (GuestFault, GuestTimeout) as fault:
+                    misspec = ("fault", str(fault), i, False, True)
+                records.append(IterationRecord(
+                    iteration=i,
+                    cycles=interp.cycles - c0,
+                    steps=interp.steps - s0,
+                    validation_cycles=stats.validation_cycles() - v0,
+                    stats_delta=stats.counter_delta(k0),
+                    io=runtime.deferred.records_for(i),
+                    misspec=misspec,
+                    misspec_context=context,
+                ))
+                if misspec is not None:
+                    break
+            if misspec is None and cut is None:
+                report.fragment = runtime.extract_fragment(worker,
+                                                           epoch_start)
+        interp.swap_stack([])
         interp.space = main_space
+        return report
+
+    def _account_slices(
+        self, reports: List[WorkerEpochReport], inv: InvocationResult,
+        earliest: Optional[Tuple[int, Misspeculation]] = None,
+        shipped: bool = False,
+    ) -> Optional[Tuple[int, Misspeculation]]:
+        """Account the slices ``reports`` in worker order, after those
+        that set ``earliest``, as the simulated scheduler ran them:
+        a record past the earliest misspeculation so far is one no
+        simulated worker started (a pool child ran it anyway; it is
+        squashed), and is dropped from its report.  Returns the earliest
+        misspeculation after ``reports``.
+
+        Every slice's telemetry is absorbed under its worker, its clock,
+        timeline, useful cycles and ``worker.<wid>.epoch.*`` tally
+        applied, and its misspeculation recorded on this process's own
+        lines.  A slice that ran in-process has left its other effects
+        in place already; those of ``shipped`` records (a pool child's)
+        are added here: counter deltas, cycles, steps, deferred output
+        and ``worker.iterations``.
+        """
+        interp = self.interp
+        runtime = self.runtime
+        stats = runtime.stats
+        timeline = self.timeline
+        for report in reports:
+            _absorb_slice(report.wid, report.trace_events, report.metrics)
+            worker = runtime.workers[report.wid]
+            misspec: Optional[Misspeculation] = None
+            kept = 0
+            for rec in report.records:
+                if earliest is not None and rec.iteration > earliest[0]:
+                    break
+                kept += 1
+                t0 = worker.clock
+                worker.clock += rec.cycles
+                if shipped:
+                    stats.apply_counter_delta(rec.stats_delta)
+                    interp.cycles += rec.cycles
+                    interp.steps += rec.steps
+                if rec.misspec is not None:
+                    kind, detail, exc_iter, injected, from_fault = rec.misspec
+                    misspec = Misspeculation(kind, detail, exc_iter)
+                    misspec.context = rec.misspec_context
+                    # Earlier than the cut: no other worker runs it.
+                    earliest = (rec.iteration, misspec)
+                    # A guest fault leaves no timeline event.
+                    if timeline is not None and not from_fault:
+                        timeline.add("misspec", worker.wid, t0,
+                                     worker.clock, kind)
+                    break
+                if shipped:
+                    worker.iterations += 1
+                    runtime.deferred.absorb(rec.iteration, rec.io)
+                inv.useful_cycles += max(0, rec.cycles - rec.validation_cycles)
+                if timeline is not None:
+                    timeline.add("iteration", worker.wid, t0, worker.clock,
+                                 f"i={rec.iteration}")
+            del report.records[kept:]
+            _tally_slice(report.wid, kept, misspec is not None)
+            if misspec is not None:
+                runtime.record_misspeculation(misspec, injected=injected)
         return earliest
 
     def _run_invocation(self, bp: BlockBreakpoint) -> None:

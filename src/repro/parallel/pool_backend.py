@@ -8,27 +8,28 @@ P - 1 children are forked once per :meth:`PoolDOALLExecutor.run`, stay
 resident across epochs, recoveries and invocations, and host workers
 1 .. n-1 round-robin.  :class:`PoolDOALLExecutor` is the simulated
 backend's :class:`~repro.parallel.backend.DOALLExecutor` with children:
-at each epoch the parent writes the epoch plan to the children, runs
-worker 0's slice in-process with exactly the simulated backend's loop
-(:meth:`DOALLExecutor._run_slices`), extracts worker 0's fragment while
-the children still run, and then drains their replies.  Each child runs
-its round-robin slices on its own private/reduction heap replicas and
-ships back, per hosted worker, one
+at each epoch the parent writes the epoch plan to the children and runs
+worker 0's slice in-process while they run theirs, every one of them
+by the simulated backend's own slice loop
+(:meth:`DOALLExecutor._run_slice`) on its own private/reduction heap
+replicas.  A child ships back, per hosted worker, the slice's one
 :class:`~repro.parallel.backend.IterationRecord` per executed
-iteration, an :class:`~repro.runtime.fragments.EpochFragment` iff the
-slice completed cleanly, and any trace events and metrics it recorded.
-The parent drains all report pipes concurrently (``selectors``),
-**replays** the iteration records in worker order with the
-earliest-misspeculation cut seeded by worker 0's result — in the
-simulated order worker 0 always runs first, uncut, so its in-process
-run *is* the simulated run and the replay reproduces the simulated
-scheduler exactly — and feeds the fragments to the shared
-:meth:`RuntimeSystem.checkpoint` commit path.  Phase-two validation,
-merge, reduction folding, deferred-I/O commit, squash and sequential
-recovery therefore all run in the parent, identically to the simulated
-backend; the parity suite asserts equality of final memory,
-``RuntimeStats`` and misspeculation counts.  P = 1 forks nothing: the
-pool with no children is the simulated backend, and runs its epochs.
+iteration, its :class:`~repro.runtime.fragments.EpochFragment` iff it
+completed cleanly, and any trace events and metrics it recorded.  The
+parent drains all report pipes concurrently (``selectors``), then
+accounts every report — worker 0's first, then the children's in worker
+order — by the simulated backend's own accounting
+(:meth:`DOALLExecutor._account_slices`) with the earliest-misspeculation
+cut seeded by worker 0's result: in the simulated order worker 0 always
+runs first, uncut, so its in-process run *is* the simulated run and the
+accounting reproduces the simulated scheduler exactly.  The fragments
+then go to the shared :meth:`RuntimeSystem.checkpoint` commit path.
+Phase-two validation, merge, reduction folding, deferred-I/O commit,
+squash and sequential recovery therefore all run in the parent,
+identically to the simulated backend; the parity suite asserts equality
+of final memory, ``RuntimeStats``, misspeculation counts and the
+accounted records.  P = 1 forks nothing: the pool with no children is
+the simulated backend, and runs its epochs.
 docs/BACKENDS.md is the end-to-end guide; section pointers below.
 
 Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
@@ -77,7 +78,7 @@ Everything on the pipe keys on worker ids that are stable for the
 whole run, which is what the telemetry plane (``worker.N.*`` merge,
 per-worker Chrome lanes, partial-epoch absorption) relies on; the
 slices the parent runs itself record their telemetry apart and are
-absorbed the same way (:meth:`DOALLExecutor._run_slices`).
+absorbed the same way (:meth:`DOALLExecutor._account_slices`).
 
 Failure semantics (docs/BACKENDS.md §"failure semantics"): a child
 that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
@@ -106,7 +107,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interp.codegen import _UNDEF
-from ..interp.errors import GuestFault, GuestTimeout, Misspeculation
+from ..interp.errors import Misspeculation
 from ..interp.interpreter import Frame
 from ..obs.log import get_logger
 from ..obs.metrics import METRICS
@@ -118,11 +119,8 @@ from ..runtime.system import WorkerState
 from .backend import (
     BackendError,
     DOALLExecutor,
-    IterationRecord,
     WorkerEpochReport,
     _absorb_slice,
-    _slice_telemetry,
-    _tally_slice,
 )
 from .shm_ring import (
     pack_fragment_payload,
@@ -367,35 +365,32 @@ class PoolDOALLExecutor(DOALLExecutor):
                 pass
 
         # Worker 0 runs here while the children run the rest: it comes
-        # first in the simulated order, uncut, so this is its simulated
-        # run, and its result seeds the cut the replay continues.
-        worker0 = runtime.workers[0]
-        earliest = self._run_slices(frame, inv, [worker0], epoch_start,
-                                    epoch_end, init)
-        fragment0 = (None if earliest is not None
-                     else runtime.extract_fragment(worker0, epoch_start))
-
-        payloads: Dict[int, WorkerEpochReport] = {}
+        # first in the simulated order, so it runs uncut, and the
+        # children's records are cut at its misspeculation.
+        payloads: Dict[int, WorkerEpochReport] = {0: self._run_slice(
+            runtime.workers[0], frame, epoch_start, epoch_end, init)}
         try:
             replies, dead = self._drain_pool(payloads)
+            for reply in replies.values():
+                if isinstance(reply, _ChildFailure):
+                    raise RuntimeError(
+                        f"pool worker process {reply.wid} failed during "
+                        f"epoch [{epoch_start},{epoch_end}):\n{reply.error}")
         except BaseException:
-            # Deadline or protocol failure: kill the pool, but keep the
-            # telemetry that already crossed the pipe.
+            # Deadline, protocol failure or a child's error: kill the
+            # pool, but keep the telemetry that already crossed the
+            # pipe, so the Chrome export still shows the partial epoch.
             self._teardown_children()
-            self._absorb_telemetry(payloads)
+            for wid in sorted(payloads):
+                _absorb_slice(wid, payloads[wid].trace_events,
+                              payloads[wid].metrics)
             raise
-        self._absorb_telemetry(payloads)
-        for reply in replies.values():
-            if isinstance(reply, _ChildFailure):
-                self._teardown_children()
-                raise RuntimeError(
-                    f"pool worker process {reply.wid} failed during epoch "
-                    f"[{epoch_start},{epoch_end}):\n{reply.error}")
         for reply in replies.values():
             for report, entry in zip(reply.reports, reply.payloads):
                 if entry is not None:
                     report.fragment = self._rebuild_fragment(entry)
 
+        reports = [payloads[wid] for wid in sorted(payloads)]
         death = None
         if dead:
             dead_wids = sorted(w for child in dead for w in child.wids)
@@ -403,13 +398,14 @@ class PoolDOALLExecutor(DOALLExecutor):
                                            epoch_end)
             # Iterations a simulated scheduler would cut at the death
             # point were executed speculatively by survivors; drop them
-            # before replay (they are squashed anyway).
-            for report in payloads.values():
+            # before they are accounted (they are squashed anyway).
+            for report in reports[1:]:
                 report.records = [r for r in report.records
                                   if r.iteration <= death[0]]
 
-        reports = [payloads[wid] for wid in sorted(payloads)]
-        earliest = self._replay_reports(reports, inv, earliest)
+        earliest = self._account_slices(reports[:1], inv)
+        earliest = self._account_slices(reports[1:], inv, earliest,
+                                        shipped=True)
         if death is not None:
             self.runtime.record_misspeculation(death[1])
             if earliest is None or death[0] < earliest[0]:
@@ -417,34 +413,17 @@ class PoolDOALLExecutor(DOALLExecutor):
         if earliest is not None:
             return earliest, None
 
-        fragments = [fragment0] + [r.fragment for r in reports]
-        if len(fragments) != self.workers or any(
-                f is None for f in fragments):
+        fragments = [r.fragment for r in reports]
+        if len(fragments) != self.workers or None in fragments:
             raise RuntimeError(
                 f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
-                f"is missing fragments ({len(reports)}/{self.workers - 1} "
-                f"child reports)")
+                f"is missing fragments ({len(reports) - 1}/"
+                f"{self.workers - 1} child reports)")
         pb = runtime.private_base
         resident.commit = [(pb + start, pb + end) for start, end in
                            union_runs([f.write_spans() for f in fragments])]
         resident.commit += union_runs([f.redux_spans() for f in fragments])
         return None, fragments
-
-    def _absorb_telemetry(self, payloads: Dict[int, WorkerEpochReport]
-                          ) -> None:
-        """Merge the telemetry shipped by completed workers into the
-        parent tracer and metrics registry: trace events re-homed to the
-        per-worker trace process, metrics under ``worker.<wid>.*``.
-
-        Called for every received payload — including when the epoch is
-        about to fail because another worker died mid-epoch: telemetry
-        that already crossed the pipe must survive the failure, so the
-        Chrome export still shows the partial epoch."""
-        if not TRACER.enabled:
-            return
-        for wid in sorted(payloads):
-            report = payloads[wid]
-            _absorb_slice(wid, report.trace_events, report.metrics)
 
     def _synthesize_death(self, dead: List[_PoolChild],
                           dead_wids: List[int], epoch_start: int,
@@ -467,57 +446,6 @@ class PoolDOALLExecutor(DOALLExecutor):
             f"pool worker process died mid-epoch (worker(s) {dead_wids})",
             death_iter)
         return death_iter, exc
-
-    # -- parent-side replay ---------------------------------------------------
-
-    def _replay_reports(self, reports: List[WorkerEpochReport],
-                        inv: InvocationResult,
-                        earliest: Optional[Tuple[int, Misspeculation]]
-                        ) -> Optional[Tuple[int, Misspeculation]]:
-        """Replay the shipped iteration records in worker order,
-        reproducing exactly the bookkeeping the simulated backend does
-        in-process — including the earliest-misspeculation cut, seeded
-        with ``earliest`` (worker 0's, run in the parent), under which
-        iterations a simulated worker would never have started are
-        discarded (the children executed them speculatively; that
-        wasted work is squashed anyway) and left out of the slice's
-        ``worker.<wid>.epoch.*`` tally."""
-        interp = self.interp
-        runtime = self.runtime
-        stats = runtime.stats
-        for report in reports:
-            worker = runtime.workers[report.wid]
-            kept = 0
-            misspeculated = False
-            for rec in report.records:
-                if earliest is not None and rec.iteration > earliest[0]:
-                    break
-                kept += 1
-                t0 = worker.clock
-                stats.apply_counter_delta(rec.stats_delta)
-                interp.cycles += rec.cycles
-                interp.steps += rec.steps
-                worker.clock += rec.cycles
-                if rec.misspec is not None:
-                    kind, detail, exc_iter, injected, from_fault = rec.misspec
-                    exc = Misspeculation(kind, detail, exc_iter)
-                    exc.context = rec.misspec_context
-                    runtime.record_misspeculation(exc, injected=injected)
-                    misspeculated = True
-                    if earliest is None or rec.iteration < earliest[0]:
-                        earliest = (rec.iteration, exc)
-                    if self.timeline is not None and not from_fault:
-                        self.timeline.add("misspec", worker.wid, t0,
-                                          worker.clock, exc.kind)
-                    break
-                worker.iterations += 1
-                runtime.deferred.absorb(rec.iteration, rec.io)
-                inv.useful_cycles += max(0, rec.cycles - rec.validation_cycles)
-                if self.timeline is not None:
-                    self.timeline.add("iteration", worker.wid, t0,
-                                      worker.clock, f"i={rec.iteration}")
-            _tally_slice(report.wid, kept, misspeculated)
-        return earliest
 
     # -- sync -----------------------------------------------------------------
 
@@ -778,9 +706,9 @@ class PoolDOALLExecutor(DOALLExecutor):
         runtime.epoch_start = plan.epoch_start
         reply = _PoolReply(cwid=cwid)
         for w in wids:
-            worker = runtime.workers[w]
-            report = self._child_slice(worker, frame, plan.epoch_start,
-                                       plan.epoch_end, plan.init)
+            report = self._run_slice(runtime.workers[w], frame,
+                                     plan.epoch_start, plan.epoch_end,
+                                     plan.init)
             reply.payloads.append(self._child_ship_fragment(report))
             reply.reports.append(report)
         # Bound resident-child memory: events recorded outside a slice
@@ -790,64 +718,6 @@ class PoolDOALLExecutor(DOALLExecutor):
             del TRACER.events[:]
         runtime.deferred = DeferredOutput()
         return reply
-
-    def _child_slice(self, worker: WorkerState, frame: Frame,
-                     epoch_start: int, epoch_end: int,
-                     init: int) -> WorkerEpochReport:
-        """Run one worker's slice of the epoch (inside the forked child)
-        and build its report."""
-        interp = self.interp
-        runtime = self.runtime
-        stats = runtime.stats
-        records: List[IterationRecord] = []
-        workers = self.workers
-        misspeculated = False
-        with _slice_telemetry(worker.wid, epoch_start,
-                              epoch_end) as telemetry:
-            interp.space = worker.space
-            if worker.frame is None:
-                worker.frame = frame.copy()
-            interp.swap_stack([worker.frame])
-            first = epoch_start + (worker.wid - epoch_start) % workers
-            for i in range(first, epoch_end, workers):
-                c0 = interp.cycles
-                s0 = interp.steps
-                v0 = stats.validation_cycles()
-                k0 = stats.counter_snapshot()
-                misspec: Optional[Tuple[str, str, int, bool, bool]] = None
-                misspec_context: Optional[Dict[str, object]] = None
-                try:
-                    self._execute_iteration(worker, i, init)
-                    if self._inject_misspec(i):
-                        raise self._injected_misspec(worker, i)
-                except Misspeculation as exc:
-                    runtime.capture_conflict_context(worker, exc)
-                    misspec = (exc.kind, exc.detail, exc.iteration,
-                               exc.kind == "injected", False)
-                    misspec_context = exc.context
-                except (GuestFault, GuestTimeout) as fault:
-                    misspec = ("fault", str(fault), i, False, True)
-                records.append(IterationRecord(
-                    iteration=i,
-                    cycles=interp.cycles - c0,
-                    steps=interp.steps - s0,
-                    validation_cycles=stats.validation_cycles() - v0,
-                    stats_delta=stats.counter_delta(k0),
-                    io=runtime.deferred.records_for(i),
-                    misspec=misspec,
-                    misspec_context=misspec_context,
-                ))
-                if misspec is not None:
-                    misspeculated = True
-                    break
-            fragment = (None if misspeculated
-                        else runtime.extract_fragment(worker, epoch_start))
-            telemetry.iterations = len(records)
-            telemetry.misspeculated = misspeculated
-        return WorkerEpochReport(wid=worker.wid, records=records,
-                                 fragment=fragment,
-                                 trace_events=telemetry.trace_events,
-                                 metrics=telemetry.metrics)
 
     def _child_apply_sync(self, frame: Frame, plan: _PoolEpoch) -> None:
         """Make this child's image the one a fork at this point would

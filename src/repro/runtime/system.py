@@ -469,10 +469,10 @@ class RuntimeSystem:
                          epoch_start: int) -> EpochFragment:
         """Snapshot one worker's epoch state as a serializable fragment.
 
-        Pure read: neither the worker nor main memory is mutated, so the
-        simulated backend can extract in-process right before the commit
-        and a forked worker can extract and pickle the result without
-        perturbing its parent.
+        Pure read: neither the worker nor main memory is mutated, so a
+        slice extracts its fragment as it ends — in-process, or in a
+        forked worker that pickles the result — without perturbing the
+        other workers or the parent.
 
         The default path works run-at-a-time: constant-timestamp runs
         come straight off the shadow, and each run is classified
@@ -601,11 +601,12 @@ class RuntimeSystem:
         """Collect all workers' speculative state, run phase-two privacy
         validation, merge, and commit into main memory.
 
-        ``fragments`` is the per-worker epoch state in wid order.  When
-        ``None`` (the simulated backend), fragments are extracted from
-        the in-process worker states; the pool backend passes the
-        fragments its forked workers shipped back.  Either way the same
-        validation/merge/commit code runs below.
+        ``fragments`` is the per-worker epoch state in wid order, as
+        the executor's slices extracted it, wherever they ran (on both
+        backends; a pool child's crossed its report pipe).  When
+        ``None`` — a caller that drives the runtime directly — they are
+        extracted here from the in-process worker states.  Either way
+        the same validation/merge/commit code runs below.
         """
         if fragments is None:
             fragments = [self.extract_fragment(w, epoch_start)
@@ -858,8 +859,9 @@ class RuntimeSystem:
         """Attach a forensic context dict to a phase-1 misspeculation.
 
         Idempotent and cheap: a no-op when a context is already attached
-        (pool-backend replay of a child-captured context) or when the
-        detail string names no address.  The context is a plain picklable
+        (an injected misspeculation's, see
+        :meth:`injected_conflict_context`) or when the detail string
+        names no address.  The context is a plain picklable
         dict so the pool backend can ship it over the report pipe
         unchanged.
         """

@@ -23,7 +23,7 @@ from repro.adapt import SpeculationController
 from repro.bench.pipeline import prepare
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, WALL_PID, WORKER_PID_BASE
-from repro.parallel.backend import make_executor
+from repro.parallel.backend import DOALLExecutor, make_executor
 from repro.workloads import ALL_WORKLOADS
 
 from helpers import prepared_counter_program
@@ -249,3 +249,61 @@ class TestTelemetryParity:
         assert all(view == views[0] for view in views[1:]), views
         assert all(slices == spans > 0
                    for (slices, _, _), spans in views[0].values())
+
+
+class TestRecordStreamParity:
+    """Every backend accounts the same iteration records, wherever the
+    slice ran: the simulated backend's in-process slices, pool worker
+    0's in the parent and the children's shipped ones, cut alike at the
+    earliest misspeculation."""
+
+    SRC = """
+    int scratch[8];
+    int out[64];
+    long total;
+    int main(int n) {
+        for (int i = 0; i < n; i++) {
+            for (int j = 0; j < 8; j++) { scratch[j] = i + j; }
+            int acc = 0;
+            for (int j = 0; j < 8; j++) { acc = acc + scratch[j]; }
+            out[i] = acc;
+            total += acc;
+            printf("%d\\n", acc);
+        }
+        printf("%ld\\n", total);
+        return 0;
+    }
+    """
+
+    @pytest.mark.parametrize("misspec_period", [0, 3])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_stream_on_every_backend(self, monkeypatch, workers,
+                                          misspec_period):
+        prog = prepare(self.SRC, "record_stream", args=(16,))
+        stream = []
+        account = DOALLExecutor._account_slices
+
+        def watched(self, reports, inv, earliest=None, shipped=False):
+            result = account(self, reports, inv, earliest, shipped)
+            stream.extend(
+                (r.wid, rec.iteration, rec.cycles, rec.steps,
+                 rec.validation_cycles, rec.stats_delta, rec.io, rec.misspec)
+                for r in reports for rec in r.records)
+            return result
+
+        monkeypatch.setattr(DOALLExecutor, "_account_slices", watched)
+        streams = []
+        for backend, extra in [("simulated", {})] + [
+                ("pool", {"pool_workers": p}) for p in (None, 1, 2)]:
+            del stream[:]
+            _, result = _execute(prog, backend, workers=workers,
+                                 misspec_period=misspec_period,
+                                 checkpoint_period=4, **extra)
+            assert result.output == prog.sequential.output
+            streams.append(list(stream))
+        assert all(s == streams[0] for s in streams[1:])
+        assert {wid for wid, *_ in streams[0]} == set(range(workers))
+        assert all(io for *_, io, _misspec in streams[0])
+        misspecs = [misspec for *_, misspec in streams[0] if misspec]
+        assert len(misspecs) == len(result.runtime_stats.misspeculations)
+        assert bool(misspecs) == bool(misspec_period)

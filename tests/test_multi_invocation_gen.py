@@ -49,7 +49,6 @@ from repro.parallel.backend import (
     WorkerEpochReport,
     make_executor,
 )
-from repro.parallel.pool_backend import PoolDOALLExecutor
 from repro.profiling import LoopRef
 from repro.runtime.shadow import SHADOW_ENV
 
@@ -200,8 +199,9 @@ class _AllocationSpy:
         spy = self
         allocate = AddressSpace.allocate
         execute_iteration = DOALLExecutor._execute_iteration
-        child_slice = PoolDOALLExecutor._child_slice
-        replay = PoolDOALLExecutor._replay_reports
+        run_slice = DOALLExecutor._run_slice
+        account = DOALLExecutor._account_slices
+        parent = os.getpid()
 
         def watched_allocate(space, size, *args, **kwargs):
             obj = allocate(space, size, *args, **kwargs)
@@ -217,26 +217,29 @@ class _AllocationSpy:
                 key = (ex.runtime.invocation_index, ex.runtime.epoch_start, i)
                 spy.seen[key] = tuple(spy.log[mark:])
 
-        def watched_slice(ex, worker, *args):
+        def watched_slice(ex, worker, *args, **kwargs):
+            if os.getpid() == parent:
+                # In-process: the iterations logged into spy.seen here.
+                return run_slice(ex, worker, *args, **kwargs)
             spy.seen = {}
-            report = child_slice(ex, worker, *args)
+            report = run_slice(ex, worker, *args, **kwargs)
             report.metrics = dict(report.metrics, allocations=spy.seen,
                                   image=_image(ex.runtime.main_space))
             return report
 
-        def watched_replay(ex, reports, inv, earliest):
-            for report in reports:
+        def watched_account(ex, reports, inv, earliest=None, shipped=False):
+            for report in reports if shipped else ():
                 if isinstance(report, WorkerEpochReport):
                     spy.seen.update(report.metrics.pop("allocations", {}))
                     # Main stands still between the plan and the commit.
                     assert report.metrics.pop("image") == _image(
                         ex.runtime.main_space), report.wid
-            return replay(ex, reports, inv, earliest)
+            return account(ex, reports, inv, earliest, shipped)
 
         patch(AddressSpace, "allocate", watched_allocate)
         patch(DOALLExecutor, "_execute_iteration", watched_iteration)
-        patch(PoolDOALLExecutor, "_child_slice", watched_slice)
-        patch(PoolDOALLExecutor, "_replay_reports", watched_replay)
+        patch(DOALLExecutor, "_run_slice", watched_slice)
+        patch(DOALLExecutor, "_account_slices", watched_account)
 
     def take(self):
         seen, self.seen, self.log = self.seen, {}, []

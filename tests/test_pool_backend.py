@@ -675,15 +675,18 @@ class TestChildPlacement:
 class TestWorkerDeathRespawn:
     @staticmethod
     def _kill_wid1_in_first_epoch(monkeypatch):
-        orig = PoolDOALLExecutor._child_slice
+        orig = PoolDOALLExecutor._run_slice
 
-        def killer(self, worker, frame, epoch_start, epoch_end, init):
-            report = orig(self, worker, frame, epoch_start, epoch_end, init)
+        def killer(self, worker, frame, epoch_start, epoch_end, init,
+                   cut=None):
+            report = orig(self, worker, frame, epoch_start, epoch_end, init,
+                          cut)
+            # Worker 1 runs in the child; the parent hosts worker 0.
             if worker.wid == 1 and epoch_start == 0:
                 os.kill(os.getpid(), signal.SIGKILL)
             return report
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_child_slice", killer)
+        monkeypatch.setattr(PoolDOALLExecutor, "_run_slice", killer)
 
     def test_sigkilled_worker_respawns_and_run_completes(
             self, monkeypatch):
@@ -944,30 +947,36 @@ class TestParentWorker:
             self, monkeypatch):
         """Worker 0 misspeculates at iteration 2 of the first epoch; the
         child hosting worker 1 ran 1, 3 and 5 meanwhile, misspeculating
-        at 5 too.  The replay, seeded with worker 0's cut, keeps 1 and
-        drops the rest, misspeculation included, as the simulated
+        at 5 too.  The accounting, seeded with worker 0's cut, keeps 1
+        and drops the rest, misspeculation included, as the simulated
         scheduler never starts them."""
         from test_backend_parity import _compare, _execute
 
         seen = []
-        replay = PoolDOALLExecutor._replay_reports
+        account = PoolDOALLExecutor._account_slices
 
-        def watched(self, reports, inv, earliest):
-            seen.append((earliest, [(r.wid, [rec.iteration
-                                             for rec in r.records])
-                                    for r in reports]))
-            return replay(self, reports, inv, earliest)
+        def iterations(reports):
+            return [(r.wid, [rec.iteration for rec in r.records])
+                    for r in reports]
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_replay_reports", watched)
+        def watched(self, reports, inv, earliest=None, shipped=False):
+            ran = iterations(reports)
+            result = account(self, reports, inv, earliest, shipped)
+            if shipped:
+                seen.append((earliest, ran, iterations(reports)))
+            return result
+
+        monkeypatch.setattr(PoolDOALLExecutor, "_account_slices", watched)
         prog = prepared_counter_program(16)
         sim_ex, sim = _execute(prog, "simulated", workers=2,
                                misspec_period=3, checkpoint_period=8)
         pool_ex, pool = _execute(prog, "pool", workers=2,
                                  misspec_period=3, checkpoint_period=8)
         _compare(sim_ex, sim, pool_ex, pool)
-        earliest, reports = seen[0]
+        earliest, ran, kept = seen[0]
         assert earliest[0] == 2 and earliest[1].kind == "injected"
-        assert reports == [(1, [1, 3, 5])]
+        assert ran == [(1, [1, 3, 5])]
+        assert kept == [(1, [1])]
         first_epoch = [(e.worker, e.label) for e in pool_ex.timeline.events
                        if e.kind in ("iteration", "misspec")][:3]
         assert first_epoch == [(0, "i=0"), (0, "injected"), (1, "i=1")]
