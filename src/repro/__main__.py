@@ -74,20 +74,23 @@ def _load_source(path: str) -> str:
 PERFETTO_HINT = ("open in chrome://tracing or https://ui.perfetto.dev")
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("simulated", "pool"),
-                   default=None,
-                   help="execution backend: 'simulated' is the "
-                        "deterministic in-process reference, 'pool' "
-                        "runs real forked worker processes, resident "
-                        "across epochs (default: 'simulated')")
-    p.add_argument("--pool-workers", type=_positive_int, default=None,
-                   metavar="N",
-                   help="pool backend only: number of pool processes, "
-                        "the parent included: the parent hosts worker 0 "
-                        "and N-1 resident children the rest (default: "
-                        "one per worker; fewer multiplexes several worker "
-                        "ids per child; 1 forks nothing)")
+def _add_processes_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--processes", type=_positive_int, default=1,
+                   metavar="P",
+                   help="processes in the worker team, the parent "
+                        "included: the parent hosts worker 0 and P-1 "
+                        "children, forked once and resident across "
+                        "epochs, the rest (default: 1, every worker in "
+                        "the parent, the deterministic reference; at "
+                        "most --workers)")
+
+
+def _team_label(args: argparse.Namespace) -> str:
+    """The report label of the team ``--processes`` and ``--workers``
+    name."""
+    from .parallel.backend import team_label
+
+    return team_label(min(args.processes, args.workers))
 
 
 def _add_execution_flags(p: argparse.ArgumentParser, workers: int) -> None:
@@ -116,8 +119,7 @@ def _execute_kwargs(args: argparse.Namespace) -> dict:
                 checkpoint_period=args.checkpoint_period,
                 misspec_period=args.misspec_period,
                 misspec_burst=args.misspec_burst,
-                backend=args.backend,
-                pool_workers=args.pool_workers,
+                processes=args.processes,
                 adapt=args.adapt)
 
 
@@ -284,9 +286,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stats = result.runtime_stats
     sys.stdout.write("".join(result.output))
     print("---")
-    from .parallel.backend import resolve_backend_name
-
-    print(f"backend:          {resolve_backend_name(args.backend)}")
+    print(f"backend:          {_team_label(args)}")
     print(f"workers:          {args.workers}")
     print(f"speedup:          {program.speedup(result):.2f}x "
           f"({program.sequential.cycles:,} -> {result.total_wall_cycles:,} cycles)")
@@ -305,8 +305,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.report:
         _write_report(args.report,
                       result.forensics,  # type: ignore[attr-defined]
-                      f"{Path(args.source).stem} · "
-                      f"{resolve_backend_name(args.backend)}")
+                      f"{Path(args.source).stem} · {_team_label(args)}")
     _obs_finish(args, Path(args.source).stem, timeline=result.timeline)
     return 0 if ok else 1
 
@@ -457,11 +456,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
         payload["args"] = [int(v) for v in args.args]
     if args.train_args:
         payload["train_args"] = [int(v) for v in args.train_args]
-    for key, value in (("backend", args.backend),
-                       ("pool_workers", args.pool_workers),
-                       ("checkpoint_period", args.checkpoint_period)):
-        if value is not None:
-            payload[key] = value
+    if args.processes > 1:
+        payload["backend"] = "pool"
+        payload["pool_workers"] = args.processes
+    if args.checkpoint_period is not None:
+        payload["checkpoint_period"] = args.checkpoint_period
     if args.misspec_period:
         payload["misspec_period"] = args.misspec_period
     if args.misspec_burst:
@@ -571,9 +570,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ok = result.output == program.sequential.output
     stats = result.runtime_stats
 
-    from .parallel.backend import resolve_backend_name
-
-    print(f"{name}: {resolve_backend_name(args.backend)} backend, "
+    print(f"{name}: {_team_label(args)} backend, "
           f"{args.workers} workers, "
           f"{program.speedup(result):.2f}x speedup "
           f"({program.sequential.cycles:,} -> "
@@ -591,7 +588,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.report:
         _write_report(args.report,
                       result.forensics,  # type: ignore[attr-defined]
-                      f"{name} · {resolve_backend_name(args.backend)}")
+                      f"{name} · {_team_label(args)}")
     obs.disable()
     return 0 if ok else 1
 
@@ -603,7 +600,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .bench.pipeline import prepare
     from .forensics import explain_snapshot, load_dump, render_text
     from .forensics.explain import to_json
-    from .parallel.backend import resolve_backend_name
     from .transform.plan import SelectionError
 
     resolved = _resolve_workload(args)
@@ -642,7 +638,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"explain: JSON -> {out}")
         if args.report:
             _write_report(args.report, snapshot,
-                          f"{name} · {resolve_backend_name(args.backend)}")
+                          f"{name} · {_team_label(args)}")
     finally:
         if tmp is not None:
             tmp.cleanup()
@@ -702,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="skip the on-disk profile cache")
     _add_report_flag(p)
-    _add_backend_flag(p)
+    _add_processes_flag(p)
     _add_adapt_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_run)
@@ -719,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow the on-disk profile cache (default: off, so "
                         "the trace covers the whole pipeline)")
     _add_report_flag(p)
-    _add_backend_flag(p)
+    _add_processes_flag(p)
     _add_adapt_flag(p)
     _add_status_flag(p)
     p.set_defaults(func=cmd_trace)
@@ -742,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="skip the on-disk profile cache")
     _add_report_flag(p)
-    _add_backend_flag(p)
+    _add_processes_flag(p)
     _add_adapt_flag(p)
     p.set_defaults(func=cmd_explain)
 
@@ -810,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server port on 127.0.0.1 (ignored with --url)")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds to wait for the result (default: 300)")
-    _add_backend_flag(p)
+    _add_processes_flag(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("jobs", help="list jobs on a running `repro serve` "
@@ -888,8 +884,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except BackendError as e:
-        # Backend mis-configuration (--pool-workers on the wrong
-        # backend, no os.fork) is a usage error, not a bug.
+        # A team the platform cannot fork is a usage error, not a bug.
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

@@ -26,7 +26,7 @@ from ..frontend.lower import compile_minic
 from ..interp.interpreter import Interpreter
 from ..ir.module import Module
 from ..obs.trace import TRACER
-from ..parallel.backend import BackendError, make_executor, resolve_backend_name
+from ..parallel.backend import make_executor, processes_for
 from ..parallel.costmodel import CostModelConfig
 from ..parallel.stats import ExecutionResult
 from ..profiling.data import HotLoopReport, LoopProfile, LoopRef
@@ -102,7 +102,7 @@ class PreparedProgram:
         record_timeline: bool = False,
         args: Optional[Sequence[object]] = None,
         backend: Optional[str] = None,
-        pool_workers: Optional[int] = None,
+        processes: Optional[int] = None,
         adapt: Optional[bool] = None,
         adapt_config: Optional[AdaptConfig] = None,
         flight_dir: Optional[str] = None,
@@ -110,10 +110,10 @@ class PreparedProgram:
         """Run the transformed program under the speculative DOALL
         executor on the ref input; each call uses a fresh machine.
 
-        ``backend`` selects the execution backend (``"simulated"`` or
-        ``"pool"``); None is the simulated default.  ``pool_workers``
-        sizes the persistent pool (pool backend only; see
-        docs/BACKENDS.md).
+        ``processes`` is the team size P, the parent included (at most
+        ``workers``; see docs/BACKENDS.md); without it ``backend``
+        names it — ``"pool"`` is one process per worker, ``"simulated"``
+        and None are 1.
         ``adapt`` enables the adaptive speculation controller (None
         inherits :func:`prepare`'s resolution; False fully bypasses the
         subsystem).  ``flight_dir`` overrides ``$REPRO_FLIGHT_DIR`` as
@@ -121,15 +121,7 @@ class PreparedProgram:
         """
         enabled = adapt if adapt is not None else self.adapt_enabled
         controller = self.make_controller(adapt_config) if enabled else None
-        extra = {}
-        if pool_workers is not None:
-            if resolve_backend_name(backend) != "pool":
-                raise BackendError(
-                    "--pool-workers only applies to the pool backend "
-                    "(pass --backend pool)")
-            extra["pool_workers"] = pool_workers
         executor = make_executor(
-            backend,
             self.module,
             self.plan,
             workers=workers,
@@ -140,7 +132,7 @@ class PreparedProgram:
             record_timeline=record_timeline,
             controller=controller,
             flight_dir=flight_dir,
-            **extra,
+            processes=processes_for(backend, workers, processes),
         )
         from .. import __version__
 

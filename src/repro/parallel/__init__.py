@@ -1,13 +1,13 @@
-"""DOALL execution of speculatively privatized code: the executor,
-which is the simulated (deterministic reference) backend, and the pool
-(real-parallel) backend that subclasses it."""
+"""DOALL execution of speculatively privatized code: the executor, which
+runs one team of workers in P processes — the parent alone (the
+deterministic reference) or with the resident children of
+:mod:`.pool_backend`."""
 
 from .backend import (
-    BACKEND_NAMES,
     BackendError,
     DOALLExecutor,
     make_executor,
-    resolve_backend_name,
+    processes_for,
     trip_count,
 )
 from .costmodel import DEFAULT_COSTS, CostModelConfig
@@ -15,8 +15,7 @@ from .stats import BUCKETS, ExecutionResult, InvocationResult
 from .timeline import Timeline, TimelineEvent
 
 __all__ = [
-    "BACKEND_NAMES", "BUCKETS", "BackendError", "CostModelConfig",
-    "DEFAULT_COSTS", "DOALLExecutor", "ExecutionResult", "InvocationResult",
-    "Timeline", "TimelineEvent", "make_executor", "resolve_backend_name",
-    "trip_count",
+    "BUCKETS", "BackendError", "CostModelConfig", "DEFAULT_COSTS",
+    "DOALLExecutor", "ExecutionResult", "InvocationResult", "Timeline",
+    "TimelineEvent", "make_executor", "processes_for", "trip_count",
 ]

@@ -1,40 +1,34 @@
-"""The speculative DOALL executor and its backend interface.
+"""The speculative DOALL executor, and the translation of a backend
+name to its one process setting.
 
-The speculative DOALL machinery — invocation detection, trip counting,
-epoch scheduling, checkpoint/commit, misspeculation recovery, cycle
-accounting — lives in :class:`DOALLExecutor`, which is also the
-**simulated** backend: it runs every worker's slice of an epoch one
-after the other on the in-process interpreter — deterministic, fully
-observable, the reference semantics.  Workers share no speculative
-state, exactly the property Privateer validates, so running them one at
-a time is behaviourally equivalent to running them concurrently; timing
-is modelled with per-worker cycle clocks (``costmodel.py``).
+:class:`DOALLExecutor` holds the speculative DOALL machinery —
+invocation detection, trip counting, epoch scheduling,
+checkpoint/commit, misspeculation recovery, cycle accounting.  It runs
+one team of workers, each on private replicas, in P processes with the
+parent included (``--processes``).  P = 1, reported as ``simulated``,
+runs every worker's slice in the parent, one after the other — the
+deterministic reference: workers share no speculative state, exactly
+the property Privateer validates, so running them one at a time is
+behaviourally equivalent to running them concurrently, and timing is
+modelled with per-worker cycle clocks (``costmodel.py``).  P > 1,
+reported as ``pool``, adds a :class:`~repro.parallel.pool_backend.Pool`
+of P - 1 resident children that run workers 1 .. n-1 while the parent
+runs worker 0 — see docs/BACKENDS.md for the full guide.
 
-The **pool** backend (:mod:`repro.parallel.pool_backend`) is the same
-executor with children: it runs worker 0 in the parent, forks a pool of
-worker processes for the others once per run,
-keeps them resident across epochs, recoveries and invocations (one
-change record of main memory brings them up to date) and executes the
-worker slices concurrently, shipping per-iteration records and the
-packed :class:`~repro.runtime.fragments.EpochFragment` payload over
-each child's report pipe — see docs/BACKENDS.md for the full guide.
-With no children (``--pool-workers 1``) it *is* the simulated backend.
+Every slice, in whichever process hosts its worker, runs by one loop
+(:meth:`DOALLExecutor._run_slice`) into a :class:`WorkerEpochReport`,
+and the parent accounts every report by one method
+(:meth:`DOALLExecutor._account_slices`) with the simulated scheduler's
+earliest-misspeculation cut, then commits through one
+:meth:`RuntimeSystem.checkpoint`.  So committed memory, ``RuntimeStats``,
+misspeculations and telemetry are identical at every P by construction
+(``tests/test_backend_parity.py`` sweeps P); every slice records its
+trace lane and ``worker.<wid>.*`` metrics apart, wherever it ran
+(:func:`_slice_telemetry`).
 
-Every slice, on either backend and in whichever process hosts its
-worker, runs by one loop (:meth:`DOALLExecutor._run_slice`) into a
-:class:`WorkerEpochReport`, and the parent accounts every report by one
-method (:meth:`DOALLExecutor._account_slices`) with the simulated
-scheduler's earliest-misspeculation cut.  Both backends feed the same
-:meth:`RuntimeSystem.checkpoint` commit path with fragments, so
-committed memory state, ``RuntimeStats`` and misspeculation behaviour
-are identical by construction (the parity suite in
-``tests/test_backend_parity.py`` enforces this), and so is the
-telemetry: every slice records its trace lane and ``worker.<wid>.*``
-metrics apart, wherever it ran (:func:`_slice_telemetry`).
-
-Backend selection: :func:`resolve_backend_name` takes an explicit name,
-defaulting to ``simulated``; :func:`make_executor` instantiates the
-corresponding executor class.
+Callers that name a backend (``PreparedProgram.execute(backend=...)``,
+a job payload's ``backend``/``pool_workers``) are translated to P by
+:func:`processes_for`; :func:`make_executor` builds the executor.
 """
 
 from __future__ import annotations
@@ -64,9 +58,6 @@ from .timeline import Timeline
 
 log = get_logger("executor")
 
-#: Names accepted by ``--backend``.
-BACKEND_NAMES = ("simulated", "pool")
-
 _NEGATE = {
     CmpPred.LT: CmpPred.GE, CmpPred.GE: CmpPred.LT,
     CmpPred.LE: CmpPred.GT, CmpPred.GT: CmpPred.LE,
@@ -75,28 +66,32 @@ _NEGATE = {
 
 
 class BackendError(ValueError):
-    """Unknown backend name, or a backend unusable on this platform."""
+    """An unknown backend name, a team size below 1, or a team this
+    platform cannot fork."""
 
 
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Resolve the backend to use: the explicit choice, else
-    ``simulated``."""
-    resolved = name or "simulated"
-    if resolved not in BACKEND_NAMES:
-        raise BackendError(
-            f"unknown backend {resolved!r} (available: "
-            f"{', '.join(BACKEND_NAMES)})")
-    return resolved
+def processes_for(backend: Optional[str], workers: int,
+                  count: Optional[int] = None) -> int:
+    """The team size P an outside caller's settings name: an explicit
+    ``count`` of processes, else one per worker for the ``pool``
+    spelling of ``backend``, else 1 (``simulated``, the default); at
+    most ``workers``, and at least 1."""
+    if backend not in (None, "simulated", "pool"):
+        raise BackendError(f"unknown backend {backend!r} "
+                           f"(available: simulated, pool)")
+    return max(1, min(count or (workers if backend == "pool" else 1),
+                      workers))
 
 
-def make_executor(backend: Optional[str], module: Module,
-                  plan: ParallelPlan, **kwargs) -> "DOALLExecutor":
-    """Instantiate the executor for ``backend`` (see
-    :func:`resolve_backend_name` for the selection rules)."""
-    if resolve_backend_name(backend) == "pool":
-        from .pool_backend import PoolDOALLExecutor
+def team_label(processes: int) -> str:
+    """How reports, trace metadata and flight dumps name a team of
+    ``processes``: ``simulated`` for the parent alone, else ``pool``."""
+    return "simulated" if processes == 1 else "pool"
 
-        return PoolDOALLExecutor(module, plan, **kwargs)
+
+def make_executor(module: Module, plan: ParallelPlan,
+                  **kwargs) -> "DOALLExecutor":
+    """Build the executor (the name the pipeline calls it by)."""
     return DOALLExecutor(module, plan, **kwargs)
 
 
@@ -151,8 +146,8 @@ class IterationRecord:
     the slice from them (:meth:`DOALLExecutor._account_slices`): cycle
     and step increments, validation-cycle attribution, additive
     RuntimeStats counter deltas, deferred output texts, and — if the
-    iteration misspeculated — the misspeculation terms.  A pool child
-    ships them over its report pipe; of a slice run in-process, the
+    iteration misspeculated — the misspeculation terms.  A child ships
+    them over its report pipe; of a slice run in-process, the
     parent reads only clocks, timeline, useful cycles and the
     misspeculation, its other effects being in place already.
     """
@@ -232,9 +227,9 @@ def _absorb_slice(wid: int, trace_events: List[Dict[str, object]],
 def _tally_slice(wid: int, iterations: int, misspeculated: bool) -> None:
     """Count one slice under ``worker.<wid>.epoch.*`` as the simulated
     scheduler ran it: ``iterations`` up to the earliest-misspeculation
-    cut, the misspeculated one included.  A pool child runs past the
-    cut; the parent tallies what its accounting kept, so the counts
-    read the same on every backend."""
+    cut, the misspeculated one included.  A child runs past the cut;
+    the parent tallies what its accounting kept, so the counts read the
+    same at every team size."""
     if not TRACER.enabled:
         return
     prefix = f"worker.{wid}.epoch."
@@ -245,18 +240,18 @@ def _tally_slice(wid: int, iterations: int, misspeculated: bool) -> None:
 
 
 class DOALLExecutor:
-    """The speculative DOALL executor and the simulated backend: one
-    in-process interpreter, workers run one at a time with per-worker
-    cycle clocks.
+    """The speculative DOALL executor: one team of ``workers`` in
+    ``processes`` processes, the parent included, with per-worker cycle
+    clocks.
 
     Everything — region detection, the slice loop and its accounting,
     sequential fallback, checkpoint commit, recovery, final resume — is
-    here; a subclass that runs slices elsewhere overrides
-    :meth:`_execute_epoch`.
+    here; the children of a team of P > 1 are :attr:`pool`'s.
     """
 
-    #: Name used for ``--backend`` selection and reporting.
-    backend_name = "simulated"
+    #: Kept for ``perfbench``: fragments have no second transport to
+    #: overflow into.
+    ring_overflows = 0
 
     def __init__(
         self,
@@ -272,10 +267,18 @@ class DOALLExecutor:
         max_steps: int = 2_000_000_000,
         controller=None,
         flight_dir: Optional[str] = None,
+        processes: int = 1,
     ):
         self.module = module
         self.plan = plan
         self.workers = max(1, workers)
+        if processes < 1:
+            raise BackendError(f"processes must be >= 1, got {processes}")
+        #: Team size P: the parent, which hosts worker 0 (every worker
+        #: when P = 1), and P - 1 children, which host the rest
+        #: round-robin; at most one process per worker.
+        self.processes = min(processes, self.workers)
+        self.backend_name = team_label(self.processes)
         self.costs = costs or DEFAULT_COSTS
         # None = let the runtime pick a period per invocation ("the runtime
         # selects a checkpoint period k before the parallel invocation").
@@ -321,6 +324,18 @@ class DOALLExecutor:
         self._header_phi_count = sum(
             1 for inst in plan.loop.header.instructions if isinstance(inst, Phi)
         )
+        #: The resident children of a team of P > 1; None when P = 1.
+        self.pool = None
+        if self.processes > 1:
+            from .pool_backend import Pool
+
+            self.pool = Pool(self)
+
+    @property
+    def pool_spawns(self) -> int:
+        """Times the team's children were forked: 0 when P = 1, else 1
+        per run unless a child died or a sync was refused."""
+        return self.pool.spawns if self.pool is not None else 0
 
     # -- whole-program run ----------------------------------------------------
 
@@ -346,7 +361,9 @@ class DOALLExecutor:
 
     def run(self, entry: str = "main", args: Sequence[object] = ()) -> ExecutionResult:
         """Execute the whole guest program; on misspeculation or crash,
-        dump the flight recorder before returning/re-raising."""
+        dump the flight recorder before returning/re-raising.  The
+        team's children, if any, are gone when it returns, clean or
+        not."""
         self.runtime.recorder.set_metadata(backend=self.backend_name,
                                            module=self.module.name,
                                            workers=self.workers)
@@ -355,6 +372,9 @@ class DOALLExecutor:
         except BaseException:
             self._dump_flight(crash=True)
             raise
+        finally:
+            if self.pool is not None:
+                self.pool.teardown()
         if self.runtime.stats.misspec_count() > 0:
             self._dump_flight(crash=False)
         return result
@@ -409,24 +429,50 @@ class DOALLExecutor:
     ) -> Tuple[Optional[Tuple[int, Misspeculation]],
                Optional[List[EpochFragment]]]:
         """Execute iterations ``[epoch_start, epoch_end)`` across the
-        workers: here, the simulated scheduler, one slice after the
-        other, none starting an iteration past the earliest
-        misspeculation of those before it.
+        team, as the simulated scheduler orders it: worker by worker,
+        none starting an iteration past the earliest misspeculation of
+        those before it.
+
+        The parent runs the slices it hosts — every worker's when
+        P = 1, worker 0's when P > 1 — one after the other, each cut at
+        the earliest misspeculation so far, and accounts each as it
+        ends.  The children, handed the epoch plan first, run the rest
+        meanwhile; the parent then drains their reports and accounts
+        them ``shipped``, after its own and cut alike.
 
         Returns ``(earliest, fragments)``: ``earliest`` is the
         ``(iteration, exception)`` of the earliest misspeculation (or
         None on a clean epoch); ``fragments`` is the per-worker epoch
         state to commit, in wid order, or None when ``earliest`` is set.
         """
+        pool = self.pool
+        hosted = self.runtime.workers
+        if pool is not None:
+            pool.ship(frame, epoch_start, epoch_end, init)
+            hosted = hosted[:1]
         earliest: Optional[Tuple[int, Misspeculation]] = None
-        fragments: List[EpochFragment] = []
-        for worker in self.runtime.workers:
+        reports: List[WorkerEpochReport] = []
+        for worker in hosted:
             report = self._run_slice(
                 worker, frame, epoch_start, epoch_end, init,
                 cut=None if earliest is None else earliest[0])
             earliest = self._account_slices([report], inv, earliest)
-            fragments.append(report.fragment)
-        return earliest, None if earliest is not None else fragments
+            reports.append(report)
+        if pool is not None:
+            shipped, death = pool.collect(epoch_start, epoch_end)
+            earliest = self._account_slices(shipped, inv, earliest,
+                                            shipped=True)
+            reports += shipped
+            if death is not None:
+                self.runtime.record_misspeculation(death[1])
+                if earliest is None or death[0] < earliest[0]:
+                    earliest = death
+        if earliest is not None:
+            return earliest, None
+        fragments = [r.fragment for r in reports]
+        if pool is not None:
+            pool.committed(fragments, epoch_start, epoch_end)
+        return None, fragments
 
     def _run_slice(
         self, worker: WorkerState, frame: Frame, epoch_start: int,
@@ -445,8 +491,7 @@ class DOALLExecutor:
         epoch, so a slice given a cut extracts no fragment.  What the
         iterations did to this process — cycles, steps, ``RuntimeStats``
         counters, deferred output — stays where it happened; the records
-        carry it to the parent from a pool child
-        (:meth:`_account_slices`).
+        carry it to the parent from a child (:meth:`_account_slices`).
         """
         interp = self.interp
         runtime = self.runtime
@@ -508,7 +553,7 @@ class DOALLExecutor:
         """Account the slices ``reports`` in worker order, after those
         that set ``earliest``, as the simulated scheduler ran them:
         a record past the earliest misspeculation so far is one no
-        simulated worker started (a pool child ran it anyway; it is
+        simulated worker started (a child ran it anyway; it is
         squashed), and is dropped from its report.  Returns the earliest
         misspeculation after ``reports``.
 
@@ -516,9 +561,8 @@ class DOALLExecutor:
         timeline, useful cycles and ``worker.<wid>.epoch.*`` tally
         applied, and its misspeculation recorded on this process's own
         lines.  A slice that ran in-process has left its other effects
-        in place already; those of ``shipped`` records (a pool child's)
-        are added here: counter deltas, cycles, steps, deferred output
-        and ``worker.iterations``.
+        in place already; those of ``shipped`` records (a child's) are
+        added here: counter deltas, cycles, steps and deferred output.
         """
         interp = self.interp
         runtime = self.runtime
@@ -551,7 +595,6 @@ class DOALLExecutor:
                                      worker.clock, kind)
                     break
                 if shipped:
-                    worker.iterations += 1
                     runtime.deferred.absorb(rec.iteration, rec.io)
                 inv.useful_cycles += max(0, rec.cycles - rec.validation_cycles)
                 if timeline is not None:
@@ -652,10 +695,9 @@ class DOALLExecutor:
             if controller is not None:
                 k = whole_rounds(controller.next_epoch_size(), workers)
             epoch_end = min(next_iter + k, trips)
-            # One span per checkpoint epoch, in the shared base class, so
-            # the simulated and pool backends both record the same
-            # parent-side span chain (the service tier's per-job traces
-            # rely on this being structurally identical across backends).
+            # One span per checkpoint epoch, so every team size records
+            # the same parent-side span chain (the service tier's per-job
+            # traces rely on this being structurally identical).
             epoch_span = TRACER.span("executor.epoch", cat="executor",
                                      invocation=runtime.invocation_index,
                                      epoch_start=next_iter,

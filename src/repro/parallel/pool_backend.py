@@ -1,40 +1,23 @@
-"""Persistent worker-pool DOALL backend: long-lived worker processes.
+"""The resident children of a team of more than one process: fork,
+pipes, sync and the child loop.
 
-The real-parallel backend, and the paper's runtime shape with the spawn
-paid once.  The pool is a team in the OpenMP sense: the parent that
-reaches the parallel region is pool process 0 and hosts worker 0, and
-``--pool-workers P`` (default: one process per worker) counts it, so
-P - 1 children are forked once per :meth:`PoolDOALLExecutor.run`, stay
-resident across epochs, recoveries and invocations, and host workers
-1 .. n-1 round-robin.  :class:`PoolDOALLExecutor` is the simulated
-backend's :class:`~repro.parallel.backend.DOALLExecutor` with children:
-at each epoch the parent writes the epoch plan to the children and runs
-worker 0's slice in-process while they run theirs, every one of them
-by the simulated backend's own slice loop
-(:meth:`DOALLExecutor._run_slice`) on its own private/reduction heap
-replicas.  A child ships back, per hosted worker, the slice's one
+An executor (:class:`~repro.parallel.backend.DOALLExecutor`) whose team
+size P is above 1 holds a :class:`Pool`: P - 1 children, forked once per
+run and resident across epochs, recoveries and invocations, that host
+workers 1 .. n-1 round-robin; the parent is process 0 and hosts worker
+0.  Each epoch the executor hands the children the plan
+(:meth:`Pool.ship`), runs worker 0's slice while they run theirs by the
+same slice loop (:meth:`DOALLExecutor._run_slice`), then drains their
+replies (:meth:`Pool.collect`) — per hosted worker one
 :class:`~repro.parallel.backend.IterationRecord` per executed
-iteration, its :class:`~repro.runtime.fragments.EpochFragment` iff it
-completed cleanly, and any trace events and metrics it recorded.  The
-parent drains all report pipes concurrently (``selectors``), then
-accounts every report — worker 0's first, then the children's in worker
-order — by the simulated backend's own accounting
-(:meth:`DOALLExecutor._account_slices`) with the earliest-misspeculation
-cut seeded by worker 0's result: in the simulated order worker 0 always
-runs first, uncut, so its in-process run *is* the simulated run and the
-accounting reproduces the simulated scheduler exactly.  The fragments
-then go to the shared :meth:`RuntimeSystem.checkpoint` commit path.
-Phase-two validation, merge, reduction folding, deferred-I/O commit,
-squash and sequential recovery therefore all run in the parent,
-identically to the simulated backend; the parity suite asserts equality
-of final memory, ``RuntimeStats``, misspeculation counts and the
-accounted records.  P = 1 forks nothing: the pool with no children is
-the simulated backend, and runs its epochs.
-docs/BACKENDS.md is the end-to-end guide; section pointers below.
+iteration, the :class:`~repro.runtime.fragments.EpochFragment` iff the
+slice completed cleanly, and its trace events and metrics — and
+accounts them after worker 0's, from the earliest-misspeculation cut it
+left.  docs/BACKENDS.md is the end-to-end guide; section pointers below.
 
 Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
 
-* Pool children are forked **lazily at the first epoch of the run**,
+* The children are forked **lazily at the first epoch of the run**,
   inheriting the whole parent image by copy-on-write — worker COW
   overlays, replica shadows, reduction copies and the loop frame —
   exactly the state a persistent simulated worker starts from.  From
@@ -49,7 +32,7 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   (``commit``); the child applies it and performs the parent's
   post-commit worker reset
   (:meth:`RuntimeSystem.reset_worker_after_commit`), so the resident
-  workers are byte-for-byte the simulated backend's persistent workers.
+  workers are byte-for-byte the simulated persistent workers.
 * Whenever main ran behind the children's back — a squash and its
   sequential recovery, an adaptive sequential span, the code between
   two invocations — the runtime has replaced its worker states
@@ -58,8 +41,8 @@ Lifecycle (docs/BACKENDS.md §"pool lifecycle"):
   frame.  Each child applies it to its copy of main while none of its
   overlays is in use and then re-forks its worker states through the
   runtime's own path (:meth:`RuntimeSystem.resync_workers`).
-* The pool is forked again only for what a sync cannot express, each
-  counted under ``pool.respawns.<reason>``: there is no pool yet
+* The children are forked again only for what a sync cannot express,
+  each counted under ``pool.respawns.<reason>``: there is no pool yet
   (``no_pool``), a child is dead (``child_died``), or the stretch
   changed more than :data:`SYNC_MAX_BYTES` (``oversize``).
 
@@ -85,12 +68,11 @@ that dies mid-epoch (e.g. SIGKILL) is detected as EOF on its report
 pipe; the parent absorbs the surviving workers' telemetry, synthesizes
 a ``fault`` misspeculation at the dead workers' first iteration of the
 epoch, squashes the epoch through the standard recovery path, and
-respawns the pool at the next epoch (a child found dead before a sync
-is sent — killed between two invocations, say — costs the respawn
-alone).  A wedged pool still hits the
-``epoch_timeout`` deadline and fails the run loudly.  The pool is
-killed and reaped on the way out of :meth:`PoolDOALLExecutor.run`,
-clean or not.
+respawns the children at the next epoch (a child found dead before a
+sync is sent — killed between two invocations, say — costs the respawn
+alone).  A wedged child still hits the :data:`EPOCH_TIMEOUT` deadline
+and fails the run loudly.  The children are killed and reaped on the
+way out of :meth:`DOALLExecutor.run`, clean or not.
 """
 
 from __future__ import annotations
@@ -104,7 +86,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..interp.codegen import _UNDEF
 from ..interp.errors import Misspeculation
@@ -116,26 +98,24 @@ from ..runtime.fragments import EpochFragment
 from ..runtime.intervals import union_runs
 from ..runtime.iodefer import DeferredOutput
 from ..runtime.system import WorkerState
-from .backend import (
-    BackendError,
-    DOALLExecutor,
-    WorkerEpochReport,
-    _absorb_slice,
-)
+from .backend import BackendError, WorkerEpochReport, _absorb_slice
 from .shm_ring import (
     pack_fragment_payload,
     payload_size,
     unpack_fragment_payload,
 )
-from .stats import ExecutionResult, InvocationResult
+
+if TYPE_CHECKING:
+    from .backend import DOALLExecutor
 
 log = get_logger("pool_backend")
 
 #: Length prefix for pipe frames: one unsigned 64-bit little-endian int.
 _LEN = struct.Struct("<Q")
 
-#: Default wall-clock budget per epoch before the pool is killed.
-DEFAULT_EPOCH_TIMEOUT = 300.0
+#: Wall-clock budget per epoch before the children are killed and the
+#: run fails.
+EPOCH_TIMEOUT = 300.0
 
 #: Most bytes of main memory (changed contents and new objects) a sync
 #: carries; a stretch of main that changed more respawns the pool.
@@ -249,7 +229,7 @@ class _PoolChild:
 @dataclass
 class _Resident:
     """What the resident children's images match, as of the last plan
-    they were sent; None on the executor while there is no pool."""
+    they were sent; None on the pool while it has no children."""
 
     #: The parent's ``runtime.workers`` their worker states mirror.  The
     #: runtime replaces the list exactly when main has run behind them
@@ -262,73 +242,38 @@ class _Resident:
     commit: Optional[List[Tuple[int, int]]] = None
 
 
-class PoolDOALLExecutor(DOALLExecutor):
-    """DOALL backend with persistent pool workers: the simulated
-    backend with P - 1 children."""
+class Pool:
+    """The P - 1 resident children of an executor's team of P > 1
+    processes, and the parent's end of their pipes."""
 
-    backend_name = "pool"
-    #: Kept for ``perfbench``: fragments no longer have a second
-    #: transport to overflow into.
-    ring_overflows = 0
-
-    def __init__(self, *args, epoch_timeout: float = DEFAULT_EPOCH_TIMEOUT,
-                 pool_workers: Optional[int] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.epoch_timeout = epoch_timeout
-        if pool_workers is not None and pool_workers < 1:
-            raise BackendError(
-                f"--pool-workers must be >= 1, got {pool_workers}")
-        #: Requested pool size, the parent included; None = one process
-        #: per logical worker.
-        self.pool_workers = pool_workers
-        #: Effective pool size P: the parent, which hosts worker 0, and
-        #: P - 1 children.  Fewer processes than logical workers means a
-        #: child hosts several worker ids and runs their slices
-        #: sequentially — precisely the simulated semantics; P = 1 forks
-        #: nothing and runs every worker in the parent.
-        self.pool_size = min(pool_workers or self.workers, self.workers)
-        #: Forks of the pool by reason: ``no_pool`` (one per run),
-        #: ``child_died``, ``oversize``.
-        self.pool_respawns: Dict[str, int] = {}
+    def __init__(self, executor: "DOALLExecutor"):
+        self.executor = executor
+        #: Forks by reason: ``no_pool`` (one per run), ``child_died``,
+        #: ``oversize``.
+        self.respawns: Dict[str, int] = {}
         #: Syncs sent: plans that brought resident children up to date
         #: with a stretch main ran, where a fork used to.
-        self.pool_syncs = 0
-        self._children: List[_PoolChild] = []
+        self.syncs = 0
+        self.children: List[_PoolChild] = []
         self._resident: Optional[_Resident] = None
         #: Child-side: previous epoch's write spans per hosted wid (for
         #: the post-commit worker reset).
-        self._child_prev_spans: Dict[int, List[Tuple[int, int]]] = {}
+        self._prev_spans: Dict[int, List[Tuple[int, int]]] = {}
 
     @property
-    def pool_spawns(self) -> int:
-        """Times the pool was forked — 1 per run unless a reason of
-        ``pool_respawns`` other than ``no_pool`` came up."""
-        return sum(self.pool_respawns.values())
-
-    # -- whole-program run ----------------------------------------------------
-
-    def run(self, entry: str = "main",
-            args: Sequence[object] = ()) -> ExecutionResult:
-        """Run the guest; always tear the pool down on the way out
-        (clean or crashed)."""
-        try:
-            return super().run(entry, args)
-        finally:
-            self._teardown_children()
+    def spawns(self) -> int:
+        """Times the children were forked — 1 per run unless a reason of
+        ``respawns`` other than ``no_pool`` came up."""
+        return sum(self.respawns.values())
 
     # -- epoch execution ------------------------------------------------------
 
-    def _execute_epoch(
-        self, frame: Frame, inv: InvocationResult, epoch_start: int,
-        epoch_end: int, init: int,
-    ) -> Tuple[Optional[Tuple[int, Misspeculation]],
-               Optional[List[EpochFragment]]]:
-        if self.pool_size == 1:
-            # A pool of one process is the parent alone: the simulated
-            # backend.
-            return super()._execute_epoch(frame, inv, epoch_start,
-                                          epoch_end, init)
-        runtime = self.runtime
+    def ship(self, frame: Frame, epoch_start: int, epoch_end: int,
+             init: int) -> None:
+        """Hand every child the plan of ``[epoch_start, epoch_end)``,
+        bringing it up to date with main first: the last commit's change
+        record, a sync, or a fork."""
+        runtime = self.executor.runtime
         plan = _PoolEpoch(epoch_start, epoch_end, init)
         resident = self._resident
         if resident is None:
@@ -347,40 +292,44 @@ class PoolDOALLExecutor(DOALLExecutor):
                 plan.sync, respawn = self._build_sync(frame, resident)
                 span.set(outcome=respawn or "sync")
         if respawn:
-            self._spawn_pool(frame, respawn)
-        self._resident = resident = _Resident(runtime.workers,
-                                              runtime.invocation_index)
+            self._spawn(frame, respawn)
+        self._resident = _Resident(runtime.workers, runtime.invocation_index)
         blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
         if plan.sync is not None:
-            self.pool_syncs += 1
+            self.syncs += 1
             if TRACER.enabled:
                 METRICS.counter("pool.syncs").inc()
                 METRICS.counter("pool.sync_bytes").inc(len(blob))
-        for child in self._children:
+        for child in self.children:
             try:
                 _write_frame(child.task_wfd, blob)
             except BrokenPipeError:
-                # Child already dead: _drain_pool sees EOF on its report
+                # Child already dead: collect() sees EOF on its report
                 # pipe and the epoch is squashed + the pool respawned.
                 pass
 
-        # Worker 0 runs here while the children run the rest: it comes
-        # first in the simulated order, so it runs uncut, and the
-        # children's records are cut at its misspeculation.
-        payloads: Dict[int, WorkerEpochReport] = {0: self._run_slice(
-            runtime.workers[0], frame, epoch_start, epoch_end, init)}
+    def collect(self, epoch_start: int, epoch_end: int
+                ) -> Tuple[List[WorkerEpochReport],
+                           Optional[Tuple[int, Misspeculation]]]:
+        """The children's reports of the epoch in worker order, their
+        fragments rebuilt, and the fault misspeculation a child's death
+        turns into (None if none died), each survivor's records past it
+        dropped: a simulated scheduler would cut them there, and they
+        are squashed anyway.
+
+        A deadline, protocol failure or a child's error kills the pool,
+        but keeps the telemetry that already crossed the pipe, so the
+        Chrome export still shows the partial epoch; then it raises."""
+        payloads: Dict[int, WorkerEpochReport] = {}
         try:
-            replies, dead = self._drain_pool(payloads)
+            replies, dead = self._drain(payloads)
             for reply in replies.values():
                 if isinstance(reply, _ChildFailure):
                     raise RuntimeError(
                         f"pool worker process {reply.wid} failed during "
                         f"epoch [{epoch_start},{epoch_end}):\n{reply.error}")
         except BaseException:
-            # Deadline, protocol failure or a child's error: kill the
-            # pool, but keep the telemetry that already crossed the
-            # pipe, so the Chrome export still shows the partial epoch.
-            self._teardown_children()
+            self.teardown()
             for wid in sorted(payloads):
                 _absorb_slice(wid, payloads[wid].trace_events,
                               payloads[wid].metrics)
@@ -389,58 +338,47 @@ class PoolDOALLExecutor(DOALLExecutor):
             for report, entry in zip(reply.reports, reply.payloads):
                 if entry is not None:
                     report.fragment = self._rebuild_fragment(entry)
-
         reports = [payloads[wid] for wid in sorted(payloads)]
-        death = None
-        if dead:
-            dead_wids = sorted(w for child in dead for w in child.wids)
-            death = self._synthesize_death(dead, dead_wids, epoch_start,
-                                           epoch_end)
-            # Iterations a simulated scheduler would cut at the death
-            # point were executed speculatively by survivors; drop them
-            # before they are accounted (they are squashed anyway).
-            for report in reports[1:]:
-                report.records = [r for r in report.records
-                                  if r.iteration <= death[0]]
+        if not dead:
+            return reports, None
+        death = self._synthesize_death(dead, epoch_start, epoch_end)
+        for report in reports:
+            report.records = [r for r in report.records
+                              if r.iteration <= death[0]]
+        return reports, death
 
-        earliest = self._account_slices(reports[:1], inv)
-        earliest = self._account_slices(reports[1:], inv, earliest,
-                                        shipped=True)
-        if death is not None:
-            self.runtime.record_misspeculation(death[1])
-            if earliest is None or death[0] < earliest[0]:
-                earliest = death
-        if earliest is not None:
-            return earliest, None
-
-        fragments = [r.fragment for r in reports]
-        if len(fragments) != self.workers or None in fragments:
+    def committed(self, fragments: List[Optional[EpochFragment]],
+                  epoch_start: int, epoch_end: int) -> None:
+        """Note the spans the commit of a clean epoch's ``fragments``
+        writes into main directly (merge and fold): the next plan's
+        change record carries them."""
+        if len(fragments) != self.executor.workers or None in fragments:
             raise RuntimeError(
-                f"pool backend: clean epoch [{epoch_start},{epoch_end}) "
-                f"is missing fragments ({len(reports) - 1}/"
-                f"{self.workers - 1} child reports)")
-        pb = runtime.private_base
-        resident.commit = [(pb + start, pb + end) for start, end in
-                           union_runs([f.write_spans() for f in fragments])]
-        resident.commit += union_runs([f.redux_spans() for f in fragments])
-        return None, fragments
+                f"pool: clean epoch [{epoch_start},{epoch_end}) is "
+                f"missing fragments ({len(fragments)} reports for "
+                f"{self.executor.workers} workers)")
+        pb = self.executor.runtime.private_base
+        commit = [(pb + start, pb + end) for start, end in
+                  union_runs([f.write_spans() for f in fragments])]
+        commit += union_runs([f.redux_spans() for f in fragments])
+        self._resident.commit = commit
 
-    def _synthesize_death(self, dead: List[_PoolChild],
-                          dead_wids: List[int], epoch_start: int,
+    def _synthesize_death(self, dead: List[_PoolChild], epoch_start: int,
                           epoch_end: int) -> Tuple[int, Misspeculation]:
         """Turn mid-epoch child death into a standard squash: a fault
         misspeculation at the dead workers' first iteration of the
         epoch (the epoch cannot commit without their fragments)."""
+        dead_wids = sorted(w for child in dead for w in child.wids)
         log.warning("pool worker(s) %s (pid %s) died during epoch "
                     "[%d,%d); squashing and respawning",
                     dead_wids, [c.pid for c in dead], epoch_start,
                     epoch_end)
         if TRACER.enabled:
             METRICS.counter("pool.worker_deaths").inc(len(dead))
-        wid_set = set(dead_wids)
+        workers = self.executor.workers
         death_iter = next(
             (i for i in range(epoch_start, epoch_end)
-             if i % self.workers in wid_set), epoch_start)
+             if i % workers in dead_wids), epoch_start)
         exc = Misspeculation(
             "fault",
             f"pool worker process died mid-epoch (worker(s) {dead_wids})",
@@ -454,7 +392,7 @@ class PoolDOALLExecutor(DOALLExecutor):
         """The sync that brings the resident children up to the
         parent's image, or the reason the pool must be forked again
         instead: ``(sync, None)`` or ``(None, reason)``."""
-        for child in self._children:
+        for child in self.children:
             try:
                 # Nothing is owed on a report pipe between epochs: a
                 # read either would block or meets the end of a child
@@ -463,8 +401,8 @@ class PoolDOALLExecutor(DOALLExecutor):
                 return None, "child_died"
             except BlockingIOError:
                 pass
-        runtime = self.runtime
-        interp = self.interp
+        runtime = self.executor.runtime
+        interp = self.executor.interp
         main = runtime.main_space.take_changes(resident.commit or (),
                                                SYNC_MAX_BYTES)
         if main is None:
@@ -501,21 +439,22 @@ class PoolDOALLExecutor(DOALLExecutor):
 
     # -- pool lifecycle -------------------------------------------------------
 
-    def _spawn_pool(self, frame: Frame, reason: str) -> None:
-        """(Re)fork the pool from the current parent image.  Each child
+    def _spawn(self, frame: Frame, reason: str) -> None:
+        """(Re)fork the children from the current parent image.  Each child
         inherits everything by COW: worker overlays, shadows, reduction
         copies, the loop frame — the persistent-worker starting state.
         ``reason`` is why no sync would do (``pool.respawns.<reason>``)."""
         if not hasattr(os, "fork"):
             raise BackendError(
-                "the pool backend requires os.fork (POSIX); "
-                "use --backend simulated on this platform")
-        self._teardown_children()
-        # The parent is pool process 0 and hosts worker 0; children
-        # 1 .. P-1 host workers 1 .. n-1 round-robin.
-        children = self.pool_size - 1
-        wids_of = {c: list(range(c, self.workers, children))
-                   for c in range(1, self.pool_size)}
+                "a team of more than one process requires os.fork "
+                "(POSIX); use --processes 1 on this platform")
+        self.teardown()
+        # The parent is process 0 and hosts worker 0; children 1 .. P-1
+        # host workers 1 .. n-1 round-robin.
+        ex = self.executor
+        children = ex.processes - 1
+        wids_of = {c: list(range(c, ex.workers, children))
+                   for c in range(1, ex.processes)}
         sys.stdout.flush()
         sys.stderr.flush()
         for cwid in wids_of:
@@ -526,7 +465,7 @@ class PoolDOALLExecutor(DOALLExecutor):
                 pid = os.fork()
             except OSError:
                 # EMFILE/EAGAIN on a loaded host: the children forked so
-                # far are on self._children, so run()'s shutdown reaps
+                # far are on self.children, so run()'s shutdown reaps
                 # them; only this iteration's pipe ends are ours to close.
                 for fd in fds:
                     os.close(fd)
@@ -538,7 +477,7 @@ class PoolDOALLExecutor(DOALLExecutor):
                     os.close(task_wfd)
                     # fd hygiene: drop inherited ends that belong to
                     # the parent <-> earlier-sibling channels.
-                    for prev in self._children:
+                    for prev in self.children:
                         for fd in (prev.rfd, prev.task_wfd):
                             try:
                                 os.close(fd)
@@ -569,27 +508,27 @@ class PoolDOALLExecutor(DOALLExecutor):
             os.set_blocking(rfd, False)
             # Registered as forked, not after the loop: a later fork()
             # that raises must leave every live child reachable.
-            self._children.append(_PoolChild(cwid=cwid, pid=pid, rfd=rfd,
+            self.children.append(_PoolChild(cwid=cwid, pid=pid, rfd=rfd,
                                              task_wfd=task_wfd,
                                              wids=wids_of[cwid]))
         # What main changes from here on is what a later sync carries.
-        self.runtime.main_space.track_changes()
-        self.pool_respawns[reason] = self.pool_respawns.get(reason, 0) + 1
+        ex.runtime.main_space.track_changes()
+        self.respawns[reason] = self.respawns.get(reason, 0) + 1
         if TRACER.enabled:
             METRICS.counter("pool.spawns").inc()
             METRICS.counter(f"pool.respawns.{reason}").inc()
         log.info("pool spawned (%s): %d child process(es) for %d "
-                 "worker(s), invocation %d", reason, children, self.workers,
-                 self.runtime.invocation_index)
+                 "worker(s), invocation %d", reason, children, ex.workers,
+                 ex.runtime.invocation_index)
 
-    def _drain_pool(self, payloads: Dict[int, WorkerEpochReport]
-                    ) -> Tuple[Dict[int, object], List[_PoolChild]]:
+    def _drain(self, payloads: Dict[int, WorkerEpochReport]
+               ) -> Tuple[Dict[int, object], List[_PoolChild]]:
         """Read exactly one length-prefixed reply frame per live child
         within the epoch deadline.  EOF means the child died mid-epoch;
-        the caller turns that into a squash.  Reports are recorded into
+        :meth:`collect` turns that into a squash.  Reports are recorded into
         ``payloads`` as they arrive so telemetry survives failures."""
-        deadline = time.monotonic() + self.epoch_timeout
-        waiting = {child.rfd: child for child in self._children}
+        deadline = time.monotonic() + EPOCH_TIMEOUT
+        waiting = {child.rfd: child for child in self.children}
         buffers: Dict[int, bytearray] = {fd: bytearray() for fd in waiting}
         replies: Dict[int, object] = {}
         dead: List[_PoolChild] = []
@@ -604,7 +543,7 @@ class PoolDOALLExecutor(DOALLExecutor):
                                   for w in child.wids)
                     raise RuntimeError(
                         f"pool backend: worker(s) {wids} did not report "
-                        f"within {self.epoch_timeout:.0f}s (deadlocked "
+                        f"within {EPOCH_TIMEOUT:.0f}s (deadlocked "
                         f"or wedged pool)")
                 for key, _events in sel.select(timeout=remaining):
                     fd = key.fd
@@ -638,10 +577,10 @@ class PoolDOALLExecutor(DOALLExecutor):
             sel.close()
         return replies, dead
 
-    def _teardown_children(self) -> None:
+    def teardown(self) -> None:
         """SIGKILL and reap every resident child and release the
         parent-side channel resources."""
-        children, self._children = self._children, []
+        children, self.children = self.children, []
         self._resident = None
         if not children:
             return
@@ -695,20 +634,21 @@ class PoolDOALLExecutor(DOALLExecutor):
     def _child_epoch(self, cwid: int, wids: List[int], frame: Frame,
                      plan: _PoolEpoch) -> _PoolReply:
         """Execute one epoch plan for every hosted worker id."""
-        runtime = self.runtime
+        ex = self.executor
+        runtime = ex.runtime
         if plan.sync is not None:
             self._child_apply_sync(frame, plan)
         elif plan.commit is not None:
             runtime.main_space.apply_changes(plan.commit)
             for w in wids:
                 runtime.reset_worker_after_commit(runtime.workers[w],
-                                                  self._child_prev_spans[w])
+                                                  self._prev_spans[w])
         runtime.epoch_start = plan.epoch_start
         reply = _PoolReply(cwid=cwid)
         for w in wids:
-            report = self._run_slice(runtime.workers[w], frame,
-                                     plan.epoch_start, plan.epoch_end,
-                                     plan.init)
+            report = ex._run_slice(runtime.workers[w], frame,
+                                   plan.epoch_start, plan.epoch_end,
+                                   plan.init)
             reply.payloads.append(self._child_ship_fragment(report))
             reply.reports.append(report)
         # Bound resident-child memory: events recorded outside a slice
@@ -726,19 +666,20 @@ class PoolDOALLExecutor(DOALLExecutor):
         scalars from the sync, then fresh worker states by the
         runtime's own re-fork path."""
         sync = plan.sync
-        interp = self.interp
+        ex = self.executor
+        interp = ex.interp
         name, block, prev, index, slots, undefined = sync.frame
         for i in undefined:
             slots[i] = _UNDEF
-        blocks = self.module.function_named(name).blocks
+        blocks = ex.module.function_named(name).blocks
         frame.block = blocks[block]
         frame.prev_block = None if prev < 0 else blocks[prev]
         frame.index = index
         frame.slots[:] = slots
         (interp.prng_state, interp.cycles, interp.steps,
          interp.call_context, interp._context_ids) = sync.interp
-        self.runtime.resync_workers(sync.invocation_index, plan.epoch_start,
-                                    sync.main)
+        ex.runtime.resync_workers(sync.invocation_index, plan.epoch_start,
+                                  sync.main)
 
     def _child_ship_fragment(self, report: WorkerEpochReport
                              ) -> Optional[tuple]:
@@ -748,7 +689,7 @@ class PoolDOALLExecutor(DOALLExecutor):
         frag = report.fragment
         if frag is None:
             return None
-        self._child_prev_spans[frag.wid] = frag.write_spans()
+        self._prev_spans[frag.wid] = frag.write_spans()
         payload = bytearray(payload_size(
             len(frag.read_live_in_runs), len(frag.write_runs),
             len(frag.epoch_written_runs), len(frag.write_kinds),

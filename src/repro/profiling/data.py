@@ -130,21 +130,3 @@ class LoopProfile:
     def deps_on(self, obj_site: str) -> Set[FlowDep]:
         return {d for d in self.flow_deps if d.obj_site == obj_site}
 
-    def predictable_deps(self) -> Set[FlowDep]:
-        out: Set[FlowDep] = set()
-        for deps in self.value_predictions.values():
-            out |= deps
-        return out
-
-    def summary(self) -> str:
-        lines = [
-            f"LoopProfile {self.ref}",
-            f"  invocations={self.invocations} iterations={self.iterations}",
-            f"  reads={len(self.read_sites)} writes={len(self.write_sites)} "
-            f"redux={len(self.redux_sites)} sites",
-            f"  flow deps={len(self.flow_deps)} "
-            f"(predictable: {len(self.predictable_deps())})",
-            f"  short-lived sites={len(self.short_lived_sites)}",
-            f"  io sites={len(self.io_sites)}",
-        ]
-        return "\n".join(lines)

@@ -158,14 +158,6 @@ class IntervalSet:
         if len(pending) > self._COMPACT_THRESHOLD:
             self._pending = coalesce(pending)
 
-    def update(self, offsets: Iterable[int]) -> None:
-        """Add offsets from a ``range`` (fast path) or any int iterable."""
-        if isinstance(offsets, range) and offsets.step == 1:
-            self.add_range(offsets.start, offsets.stop)
-            return
-        for start, end in runs_from_offsets(offsets):
-            self.add_range(start, end)
-
     def clear(self) -> None:
         self._pending.clear()
         self._runs = None

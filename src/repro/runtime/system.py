@@ -94,7 +94,6 @@ class WorkerState:
         self.shadow = make_shadow(shadow_size)
         self.frame = None  # interpreter Frame, installed by the executor
         self.clock = 0     # simulated cycles, relative to region start
-        self.iterations = 0
         self.shortlived_live = 0
         #: Reduction-heap addresses updated this epoch.
         self.redux_written = IntervalSet()
@@ -461,7 +460,6 @@ class RuntimeSystem:
                 "lifetime",
                 f"{live} short-lived object(s) live at iteration end",
                 iteration)
-        worker.iterations += 1
 
     # -- checkpoints (§5.2) ----------------------------------------------------------------------
 

@@ -15,9 +15,9 @@ whose program was evicted is simply cold again.  With ``adapt`` on, the
 batch also shares :class:`~repro.adapt.PolicyStore` state, so demotions
 learned by an earlier job in the batch re-plan later ones.
 
-Execution itself goes through ``PreparedProgram.execute``; on the pool
-backend the persistent worker pool stays resident across all epochs of a
-job (fork once per parallel invocation, not per request — see
+Execution itself goes through ``PreparedProgram.execute``; a team of
+more than one process keeps its children resident across every epoch
+and invocation of a job (one fork per job, not per epoch — see
 docs/BACKENDS.md).  Jobs run serially on the scheduler thread: the
 parallelism budget belongs to the workers of the job being served, and
 serial drains are what make per-job tracing with the global ``TRACER``
@@ -151,7 +151,8 @@ class Scheduler:
         t = self.tracer
         span = t.span("job", cat="service", job=job.id,
                       fingerprint=job.fingerprint, program=job.spec.name,
-                      workload=job.spec.workload, backend=job.spec.backend)
+                      workload=job.spec.workload,
+                      processes=job.spec.processes)
         t.set_context(job=job.id, job_span=span.attrs["span_id"])
         t.set_run_metadata(job=job.id, fingerprint=job.fingerprint)
         t.emit_span("job.submit", cat="service",
@@ -255,14 +256,14 @@ class Scheduler:
 
         t0 = _time.monotonic()
         with self.tracer.span("job.execute", cat="service", tier=tier,
-                              backend=spec.backend, workers=spec.workers):
+                              processes=spec.processes,
+                              workers=spec.workers):
             result = program.execute(
                 workers=spec.workers,
                 checkpoint_period=spec.checkpoint_period,
                 misspec_period=spec.misspec_period,
                 misspec_burst=spec.misspec_burst,
-                backend=spec.backend,
-                pool_workers=spec.pool_workers,
+                processes=spec.processes,
                 adapt=spec.adapt or None,
             )
         exec_s = _time.monotonic() - t0

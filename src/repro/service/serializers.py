@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel.backend import BACKEND_NAMES
+from ..parallel.backend import BackendError, processes_for
 
 #: Version stamp on every service JSON payload.
 SERVICE_FORMAT = 1
@@ -62,8 +62,9 @@ class JobSpec:
     #: Registered workload name, when the job was submitted by name.
     workload: Optional[str] = None
     workers: int = 4
-    backend: Optional[str] = None
-    pool_workers: Optional[int] = None
+    #: Team size P, the parent included: what the payload's ``backend``
+    #: and ``pool_workers`` name (:func:`processes_for`).
+    processes: int = 1
     checkpoint_period: Optional[int] = None
     misspec_period: int = 0
     misspec_burst: int = 0
@@ -75,8 +76,7 @@ class JobSpec:
         """The execution knobs, for echoing back in job payloads."""
         return {
             "workers": self.workers,
-            "backend": self.backend,
-            "pool_workers": self.pool_workers,
+            "processes": self.processes,
             "checkpoint_period": self.checkpoint_period,
             "misspec_period": self.misspec_period,
             "misspec_burst": self.misspec_burst,
@@ -92,9 +92,9 @@ class JobSpec:
         h = hashlib.sha256()
         h.update(fingerprint.encode())
         h.update(repr((self.train_args, self.args, self.workers,
-                       self.backend, self.pool_workers,
-                       self.checkpoint_period, self.misspec_period,
-                       self.misspec_burst, self.adapt)).encode())
+                       self.processes, self.checkpoint_period,
+                       self.misspec_period, self.misspec_burst,
+                       self.adapt)).encode())
         return h.hexdigest()[:24]
 
 
@@ -169,14 +169,13 @@ def parse_submit(payload: object) -> JobSpec:
     train_args = _args_field(payload, "train_args", errors)
     small = _bool_field(payload, "small", errors)
 
-    backend = payload.get("backend")
-    if backend is not None and backend not in BACKEND_NAMES:
-        errors.append(f"backend: unknown backend {backend!r} (available: "
-                      f"{', '.join(BACKEND_NAMES)})")
     workers = _int_field(payload, "workers", errors, minimum=1, default=4)
     pool_workers = _int_field(payload, "pool_workers", errors, minimum=1)
-    if pool_workers is not None and backend != "pool":
-        errors.append("pool_workers: only applies to the pool backend")
+    try:
+        processes = processes_for(payload.get("backend"), workers or 4,
+                                  pool_workers)
+    except BackendError as e:
+        errors.append(f"backend: {e}")
     checkpoint_period = _int_field(payload, "checkpoint_period", errors,
                                    minimum=2)
     misspec_period = _int_field(payload, "misspec_period", errors,
@@ -210,8 +209,7 @@ def parse_submit(payload: object) -> JobSpec:
         train_args=train_args if train_args is not None else (args or ()),
         args=args or (),
         workers=workers or 4,
-        backend=backend,
-        pool_workers=pool_workers,
+        processes=processes,
         checkpoint_period=checkpoint_period,
         misspec_period=misspec_period,
         misspec_burst=misspec_burst,

@@ -7,7 +7,7 @@ from .plan import (
     ReduxObjectPlan,
     SelectionError,
 )
-from .privatize import PrivateerTransform, transform_loop
+from .privatize import PrivateerTransform
 from .selection import (
     check_transformable,
     heaps_compatible,
@@ -21,5 +21,4 @@ __all__ = [
     "ParallelPlan", "PrivateerTransform", "ReduxObjectPlan",
     "SelectionError", "check_transformable", "heaps_compatible",
     "loops_may_be_simultaneously_active", "region_functions", "select_loops",
-    "transform_loop",
 ]

@@ -409,13 +409,3 @@ class PrivateerTransform:
             op = self.assignment.redux_ops.get(site, "ADD")
             out[site] = ReduxObjectPlan(site, op, 8, op.startswith("F"))
         return out
-
-
-def transform_loop(
-    module: Module,
-    ref: LoopRef,
-    profile: LoopProfile,
-    assignment: HeapAssignment,
-) -> ParallelPlan:
-    """Convenience wrapper: run the full transformation for one loop."""
-    return PrivateerTransform(module, ref, profile, assignment).run()

@@ -1,17 +1,18 @@
-"""Differential parity: the pool backend must be observationally
-identical to the simulated reference backend.
+"""Differential parity: a team of any size P must be observationally
+identical to the parent alone (P = 1, the simulated reference).
 
-Both backends feed the same fragment-based checkpoint commit path, so
-parity should hold *by construction*; these tests enforce it end to end
-on every evaluated workload: identical guest output and return value,
-identical final memory state, identical ``RuntimeStats`` (including the
-Table 3 row and every additive counter), identical misspeculation
-events, and identical simulated-cycle wall clocks and timelines.
+Every team size feeds the same fragment-based checkpoint commit path,
+so parity should hold *by construction*; these tests enforce it end to
+end on every evaluated workload: identical guest output and return
+value, identical final memory state, identical ``RuntimeStats``
+(including the Table 3 row and every additive counter), identical
+misspeculation events, and identical simulated-cycle wall clocks and
+timelines.
 
-Every scenario runs two fresh pipelines (simulated, pool) and compares
-the real backend against the simulated reference — including injected
-and genuine misspeculation, and adaptive-controller trajectories with
-sequential fallback.
+Every scenario sweeps P over 1, 2 and the worker count n, each on a
+fresh pipeline, and compares every team with children against the
+reference — including injected and genuine misspeculation, and
+adaptive-controller trajectories with sequential fallback.
 """
 
 import re
@@ -38,16 +39,22 @@ def _memory_digest(space):
     )
 
 
-def _execute(program, backend, **kwargs):
+def _team_sizes(workers):
+    """The sweep of P: 1, 2 and n, each once."""
+    return sorted({1, min(2, workers), workers})
+
+
+def _execute(program, processes, **kwargs):
     if kwargs.pop("adapt", False):
         # A fresh store-less controller per run: decisions are pure
-        # functions of the epoch outcomes, so both backends must drive
+        # functions of the epoch outcomes, so every team size must drive
         # identical state trajectories without any persistence.
         kwargs["controller"] = SpeculationController(
             loop=str(program.plan.ref), workload=program.name)
-    executor = make_executor(backend, program.module, program.plan,
+    executor = make_executor(program.module, program.plan,
                              workers=kwargs.pop("workers", 4),
-                             record_timeline=True, **kwargs)
+                             processes=processes, record_timeline=True,
+                             **kwargs)
     result = executor.run(program.entry, program.ref_args)
     return executor, result
 
@@ -58,8 +65,8 @@ def _timeline_tuples(executor):
 
 
 def _compare(sim_ex, sim, other_ex, other):
-    """Bit-exact comparison of one pool-backend run against the
-    simulated reference run."""
+    """Bit-exact comparison of one run against the P = 1 reference
+    run."""
     assert sim.output == other.output
     assert sim.return_value == other.return_value
     assert sim.total_wall_cycles == other.total_wall_cycles
@@ -86,23 +93,24 @@ def _compare(sim_ex, sim, other_ex, other):
 
 
 def _assert_parity(source, name, train, ref=None, **kwargs):
-    """Run both backends on fresh pipelines and compare the pool run
-    against the simulated reference."""
-    sim_prog = prepare(source, name, args=train, ref_args=ref)
-    pool_prog = prepare(source, name, args=train, ref_args=ref)
-    sim_ex, sim = _execute(sim_prog, "simulated", **dict(kwargs))
-    pool_ex, pool = _execute(pool_prog, "pool", **dict(kwargs))
-
-    _compare(sim_ex, sim, pool_ex, pool)
-    return sim, pool
+    """Run every team size of the sweep on a fresh pipeline and compare
+    each against the P = 1 reference; returns the reference result and
+    the others'."""
+    runs = [_execute(prepare(source, name, args=train, ref_args=ref), p,
+                     **dict(kwargs))
+            for p in _team_sizes(kwargs.get("workers", 4))]
+    sim_ex, sim = runs[0]
+    for team_ex, team in runs[1:]:
+        _compare(sim_ex, sim, team_ex, team)
+    return sim, [team for _, team in runs[1:]]
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS,
                          ids=[w.name for w in ALL_WORKLOADS])
 def test_workload_parity(workload):
-    """All five evaluated programs: the pool backend reproduces the
-    simulated backend bit for bit (train input keeps runtimes sane)."""
-    sim, _pool = _assert_parity(workload.source, workload.name,
+    """All five evaluated programs: every team reproduces the parent
+    alone bit for bit (train input keeps runtimes sane)."""
+    sim, _teams = _assert_parity(workload.source, workload.name,
                                 train=workload.train, ref=workload.train)
     assert sim.output  # the run actually did something
 
@@ -115,9 +123,9 @@ class TestCounterProgramParity:
 
     def test_injected_misspeculation(self):
         """Parity must survive squash/recovery: injected misspecs at a
-        fixed period hit identical iterations on both backends."""
+        fixed period hit identical iterations at every team size."""
         prog = prepared_counter_program(32)
-        sim, pool = _assert_parity(prog.source, "counter", train=(32,),
+        sim, _teams = _assert_parity(prog.source, "counter", train=(32,),
                                    misspec_period=10)
         assert sim.runtime_stats.misspec_count() == 3
 
@@ -130,43 +138,44 @@ class TestCounterProgramParity:
 
 class TestAdaptiveParity:
     """The adaptive controller must preserve parity: decisions are pure
-    functions of the (identical) epoch-outcome sequence, so both
-    backends follow the same epoch-size trajectory, and the adaptive
-    run's final output is bit-exact vs the fixed-policy run."""
+    functions of the (identical) epoch-outcome sequence, so every team
+    size follows the same epoch-size trajectory, and the adaptive run's
+    final output is bit-exact vs the fixed-policy run."""
 
     @pytest.mark.parametrize("workload", ALL_WORKLOADS,
                              ids=[w.name for w in ALL_WORKLOADS])
     def test_workload_adaptive_parity(self, workload):
-        sim, pool = _assert_parity(workload.source, workload.name,
-                                   train=workload.train, ref=workload.train,
-                                   adapt=True, misspec_period=6,
-                                   misspec_burst=18)
+        sim, _teams = _assert_parity(workload.source, workload.name,
+                                     train=workload.train,
+                                     ref=workload.train, adapt=True,
+                                     misspec_period=6, misspec_burst=18)
         assert sim.adapt is not None
         # Bit-exact vs the fixed-policy run under the same injection.
         fixed_prog = prepare(workload.source, workload.name,
                              args=workload.train, ref_args=workload.train)
-        _, fixed = _execute(fixed_prog, "simulated", misspec_period=6,
+        _, fixed = _execute(fixed_prog, 1, misspec_period=6,
                             misspec_burst=18)
         assert sim.output == fixed.output
         assert sim.return_value == fixed.return_value
 
     def test_counter_adaptive_storm_with_fallback(self):
         """Sustained storm: shrink, fallback, sequential spans — all in
-        lockstep across backends."""
+        lockstep at every team size."""
         prog = prepared_counter_program(64)
-        sim, pool = _assert_parity(prog.source, "counter", train=(64,),
-                                   adapt=True, misspec_period=2)
+        sim, teams = _assert_parity(prog.source, "counter", train=(64,),
+                                    adapt=True, misspec_period=2)
         assert sim.adapt["fallbacks"] > 0
         assert sim.adapt["sequential_iterations"] > 0
-        assert [(i.sequential_iterations, i.sequential_cycles)
-                for i in sim.invocations] == \
-            [(i.sequential_iterations, i.sequential_cycles)
-             for i in pool.invocations]
+        for team in teams:
+            assert [(i.sequential_iterations, i.sequential_cycles)
+                    for i in sim.invocations] == \
+                [(i.sequential_iterations, i.sequential_cycles)
+                 for i in team.invocations]
 
 
 class TestGenuineMisspeculationParity:
     """Genuine (profile-violating) misspeculation paths recover to the
-    identical state on both backends."""
+    identical state at every team size."""
 
     SRC = """
     int state[8];
@@ -194,18 +203,18 @@ class TestGenuineMisspeculationParity:
 
 
 class TestTelemetryParity:
-    """A traced run reads the same on every backend and pool size: a
+    """A traced run reads the same at every team size: a
     misspeculation is counted once, on the parent's own lines, and each
     worker's lane and ``worker.<wid>.epoch.*`` tally show its slices as
     the simulated scheduler ran them."""
 
     @staticmethod
-    def _traced(prog, backend, **kwargs):
+    def _traced(prog, processes, **kwargs):
         METRICS.reset()
         TRACER.reset()
         TRACER.enable()
         try:
-            _, result = _execute(prog, backend, **kwargs)
+            _, result = _execute(prog, processes, **kwargs)
             return result, METRICS.snapshot(), list(TRACER.events)
         finally:
             TRACER.disable()
@@ -214,16 +223,14 @@ class TestTelemetryParity:
 
     @pytest.mark.parametrize("misspec_period", [0, 3])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_reads_the_same_on_every_backend(self, workers,
-                                             misspec_period):
+    def test_reads_the_same_at_every_team_size(self, workers,
+                                               misspec_period):
         prog = prepared_counter_program(16)
-        runs = [("simulated", {})] + [
-            ("pool", {"pool_workers": p}) for p in (None, 1, 2)]
         views = []
-        for backend, extra in runs:
+        for processes in _team_sizes(workers):
             result, snap, events = self._traced(
-                prog, backend, workers=workers,
-                misspec_period=misspec_period, checkpoint_period=4, **extra)
+                prog, processes, workers=workers,
+                misspec_period=misspec_period, checkpoint_period=4)
             assert result.output == prog.sequential.output
             kinds = Counter(m.kind
                             for m in result.runtime_stats.misspeculations)
@@ -252,10 +259,10 @@ class TestTelemetryParity:
 
 
 class TestRecordStreamParity:
-    """Every backend accounts the same iteration records, wherever the
-    slice ran: the simulated backend's in-process slices, pool worker
-    0's in the parent and the children's shipped ones, cut alike at the
-    earliest misspeculation."""
+    """Every team size accounts the same iteration records, wherever
+    the slice ran: every worker's in the parent alone, worker 0's in the
+    parent of a larger team and the children's shipped ones, cut alike
+    at the earliest misspeculation."""
 
     SRC = """
     int scratch[8];
@@ -277,8 +284,8 @@ class TestRecordStreamParity:
 
     @pytest.mark.parametrize("misspec_period", [0, 3])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_same_stream_on_every_backend(self, monkeypatch, workers,
-                                          misspec_period):
+    def test_same_stream_at_every_team_size(self, monkeypatch, workers,
+                                            misspec_period):
         prog = prepare(self.SRC, "record_stream", args=(16,))
         stream = []
         account = DOALLExecutor._account_slices
@@ -293,12 +300,11 @@ class TestRecordStreamParity:
 
         monkeypatch.setattr(DOALLExecutor, "_account_slices", watched)
         streams = []
-        for backend, extra in [("simulated", {})] + [
-                ("pool", {"pool_workers": p}) for p in (None, 1, 2)]:
+        for processes in _team_sizes(workers):
             del stream[:]
-            _, result = _execute(prog, backend, workers=workers,
+            _, result = _execute(prog, processes, workers=workers,
                                  misspec_period=misspec_period,
-                                 checkpoint_period=4, **extra)
+                                 checkpoint_period=4)
             assert result.output == prog.sequential.output
             streams.append(list(stream))
         assert all(s == streams[0] for s in streams[1:])

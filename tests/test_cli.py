@@ -134,7 +134,7 @@ class TestArgValidation:
 
 _EXECUTION = {("--checkpoint-period",): None, ("--misspec-period",): 0,
               ("--misspec-burst",): 0}
-_BACKEND = {("--backend",): None, ("--pool-workers",): None}
+_BACKEND = {("--processes",): 1}
 _OBS = {("--trace",): False, ("--trace-out",): None, ("--metrics",): False,
         ("--status-port",): None}
 _WORKLOAD = {("workload",): None, ("--args",): None, ("--small",): False}
@@ -195,10 +195,10 @@ def test_execution_flags_reach_execute(command):
     args = build_parser().parse_args([
         command, "prog.c", "--workers", "3", "--checkpoint-period", "5",
         "--misspec-period", "7", "--misspec-burst", "9",
-        "--backend", "pool", "--pool-workers", "2", "--no-adapt"])
+        "--processes", "2", "--no-adapt"])
     assert _execute_kwargs(args) == dict(
         workers=3, checkpoint_period=5, misspec_period=7, misspec_burst=9,
-        backend="pool", pool_workers=2, adapt=False)
+        processes=2, adapt=False)
 
 
 @pytest.mark.parametrize("command", ["analyze", "trace", "explain"])
@@ -265,47 +265,49 @@ class TestAdaptFlag:
 
 
 class TestPoolBackendCLI:
-    """Every pool-backend flag and env var documented in
-    docs/BACKENDS.md, driven through the real CLI."""
+    """The team-size flag and env vars documented in docs/BACKENDS.md,
+    driven through the real CLI."""
 
-    def test_run_backend_pool(self, prog_file, capsys):
+    def test_run_processes_two(self, prog_file, capsys):
         rc = main(["run", prog_file, "--args", "24", "--workers", "2",
-                   "--backend", "pool"])
+                   "--processes", "2"])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "backend:          pool" in out
         assert "output matches sequential: True" in out
 
-    def test_run_backend_process_is_unknown(self, prog_file, capsys):
-        """The fork-per-epoch backend is gone: its name gets the
-        ordinary bad-choice error, no alias."""
-        with pytest.raises(SystemExit) as exc:
-            main(["run", prog_file, "--args", "24", "--backend", "process"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'process'" in err
-        # argparse quotes the choices on some Python versions only.
-        assert "simulated, pool" in err.replace("'", "")
+    def test_backend_flags_are_gone(self, prog_file, capsys):
+        """``--processes`` replaced the ``--backend``/``--pool-workers``
+        pair: both are unrecognized, so ``--backend process`` gets the
+        ordinary usage error too."""
+        for flags in (["--backend", "pool"], ["--backend", "process"],
+                      ["--pool-workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", prog_file, "--args", "24", *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_run_pool_workers_flag(self, prog_file, capsys):
+    def test_run_processes_fewer_than_workers(self, prog_file, capsys):
         rc = main(["run", prog_file, "--args", "24", "--workers", "4",
-                   "--backend", "pool", "--pool-workers", "2"])
+                   "--processes", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "output matches sequential: True" in out
 
-    def test_pool_workers_zero_rejected(self, prog_file, capsys):
+    def test_processes_capped_at_workers(self, prog_file, capsys):
+        """One worker is the parent alone, whatever P asks for: it runs
+        and reports as the simulated reference."""
+        rc = main(["run", prog_file, "--args", "24", "--workers", "1",
+                   "--processes", "4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "backend:          simulated" in out
+
+    def test_processes_zero_rejected(self, prog_file, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", prog_file, "--args", "24", "--backend", "pool",
-                  "--pool-workers", "0"])
+            main(["run", prog_file, "--args", "24", "--processes", "0"])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_pool_workers_requires_pool_backend(self, prog_file, capsys):
-        rc = main(["run", prog_file, "--args", "24", "--workers", "2",
-                   "--pool-workers", "2"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "only applies to the pool backend" in err
 
     def test_removed_ring_size_variable_is_ignored(self, prog_file, capsys,
                                                    monkeypatch):
@@ -313,7 +315,7 @@ class TestPoolBackendCLI:
         variable, even malformed, changes nothing."""
         monkeypatch.setenv("REPRO_POOL_RING_KB", "banana")
         rc = main(["run", prog_file, "--args", "24", "--workers", "2",
-                   "--backend", "pool"])
+                   "--processes", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "output matches sequential: True" in out
@@ -321,7 +323,7 @@ class TestPoolBackendCLI:
     def test_trace_backend_pool_emits_artifacts(self, prog_file, tmp_path,
                                                 capsys):
         rc = main(["trace", prog_file, "--args", "24", "--workers", "2",
-                   "--backend", "pool", "--out-dir", str(tmp_path)])
+                   "--processes", "2", "--out-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "pool backend" in out

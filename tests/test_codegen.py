@@ -571,11 +571,12 @@ class TestCodeIdentity:
 
 
 class TestPreForkWarm:
-    @pytest.mark.parametrize("backend", ["pool"])
-    def test_no_generation_or_binding_after_construction(self, backend,
+    @pytest.mark.parametrize("processes", [2])
+    def test_no_generation_or_binding_after_construction(self, processes,
                                                          monkeypatch):
         prog = prepared_counter_program(24)
-        executor = make_executor(backend, prog.module, prog.plan, workers=2)
+        executor = make_executor(prog.module, prog.plan, workers=2,
+                                 processes=processes)
         generated = codegen.generations
 
         def refuse(fn):

@@ -147,8 +147,7 @@ def test_backends_cut_the_same_epochs(program, monkeypatch, tmp_path, trips,
                                       workers, storm):
     knobs = dict(misspec_period=3, adapt=True) if storm else {}
     runs = []
-    for extra in ({}, {"backend": "pool"},
-                  {"backend": "pool", "pool_workers": 2}):
+    for extra in ({}, {"backend": "pool"}, {"processes": 2}):
         # A fresh policy store each run: no warm start from the last.
         monkeypatch.setenv("REPRO_ADAPT_DIR", str(tmp_path / str(len(runs))))
         runs.append(run_epochs(program, trips, workers=workers, **knobs,

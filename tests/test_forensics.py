@@ -4,7 +4,7 @@ and HTML run reports.
 The flight recorder must be a pure observer (dumps only on
 misspeculation or crash, nothing when clean), the explain engine must
 attribute every misspeculation to its static site/object/heap
-identically on both backends, and the artifacts must round-trip through
+identically at every team size, and the artifacts must round-trip through
 their on-disk JSONL/JSON formats and the schema validator.
 """
 
@@ -87,9 +87,10 @@ class TestFlightRecorder:
         assert totals["epochs"] == 2
 
 
-def _run_with_flight(program, backend, flight_dir, **kwargs):
-    executor = make_executor(backend, program.module, program.plan,
+def _run_with_flight(program, processes, flight_dir, **kwargs):
+    executor = make_executor(program.module, program.plan,
                              workers=kwargs.pop("workers", 4),
+                             processes=processes,
                              flight_dir=str(flight_dir), **kwargs)
     result = executor.run(program.entry, program.ref_args)
     return executor, result
@@ -98,13 +99,13 @@ def _run_with_flight(program, backend, flight_dir, **kwargs):
 class TestDumpLifecycle:
     def test_clean_run_writes_nothing(self, tmp_path):
         program = prepare(SRC, "clean", args=(24,))
-        executor, _ = _run_with_flight(program, "simulated", tmp_path)
+        executor, _ = _run_with_flight(program, 1, tmp_path)
         assert executor.flight_dump_path is None
         assert list(tmp_path.iterdir()) == []
 
     def test_misspec_run_dumps_and_validates(self, tmp_path):
         program = prepare(SRC, "dumped", args=(24,))
-        executor, _ = _run_with_flight(program, "simulated", tmp_path,
+        executor, _ = _run_with_flight(program, 1, tmp_path,
                                        misspec_period=7, misspec_burst=14)
         path = tmp_path / "dumped.simulated.flight.jsonl"
         assert executor.flight_dump_path == str(path)
@@ -115,7 +116,7 @@ class TestDumpLifecycle:
 
     def test_dump_round_trips_to_same_diagnosis(self, tmp_path):
         program = prepare(SRC, "rt", args=(24,))
-        executor, _ = _run_with_flight(program, "simulated", tmp_path,
+        executor, _ = _run_with_flight(program, 1, tmp_path,
                                        misspec_period=7, misspec_burst=14)
         live = executor.flight_snapshot()
         loaded = load_dump(executor.flight_dump_path)
@@ -126,7 +127,7 @@ class TestDumpLifecycle:
 
     def test_crash_dump_marked(self, tmp_path, monkeypatch):
         program = prepare(SRC, "crashy", args=(24,))
-        executor = make_executor("simulated", program.module, program.plan,
+        executor = make_executor(program.module, program.plan,
                                  workers=4, flight_dir=str(tmp_path))
 
         def boom(entry, args):
@@ -168,13 +169,14 @@ class TestRunMetadata:
 @pytest.mark.parametrize("workload", ALL_WORKLOADS,
                          ids=[w.name for w in ALL_WORKLOADS])
 def test_explain_backend_parity(workload, tmp_path):
-    """Under injected misspeculation bursts, both backends must produce
-    bit-identical diagnoses, each naming the injected static site."""
+    """Under injected misspeculation bursts, the parent alone and a
+    team of four processes must produce bit-identical diagnoses, each
+    naming the injected static site; the dump is named by the label."""
     per_backend = {}
-    for backend in ("simulated", "pool"):
+    for backend, processes in (("simulated", 1), ("pool", 4)):
         program = prepare(workload.source, workload.name,
                           args=workload.train, ref_args=workload.train)
-        _, result = _run_with_flight(program, backend, tmp_path / backend,
+        _, result = _run_with_flight(program, processes, tmp_path / backend,
                                      misspec_period=6, misspec_burst=18)
         dump = tmp_path / backend / \
             f"{workload.name}.{backend}.flight.jsonl"
@@ -250,7 +252,7 @@ class TestGenuineConflictForensics:
         program = prepared_counter_program(32)
         controller = SpeculationController(loop=str(program.plan.ref),
                                            workload="counter")
-        executor = make_executor("simulated", program.module, program.plan,
+        executor = make_executor(program.module, program.plan,
                                  workers=4, misspec_period=5,
                                  controller=controller)
         executor.run(program.entry, program.ref_args)

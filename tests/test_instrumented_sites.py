@@ -309,9 +309,10 @@ def test_a_fallback_selects_what_a_run_per_candidate_selects(name,
 # -- validation intrinsics ---------------------------------------------------------
 
 
-def _run(program, backend="simulated", **kwargs):
-    executor = make_executor(backend, program.module, program.plan,
-                             workers=kwargs.pop("workers", 3), **kwargs)
+def _run(program, processes=1, **kwargs):
+    executor = make_executor(program.module, program.plan,
+                             workers=kwargs.pop("workers", 3),
+                             processes=processes, **kwargs)
     result = executor.run(program.entry, program.ref_args)
     memory = sorted((o.base, o.size, bytes(o.data))
                     for o in executor.runtime.main_space.live_objects())
@@ -389,8 +390,8 @@ def test_a_traced_run_makes_the_calls_of_an_untraced_one(workload,
     assert calls == untraced
 
 
-@pytest.mark.parametrize("backend", ["simulated", "pool"])
-def test_runtime_counters_equal_the_stats(backend):
+@pytest.mark.parametrize("processes", [1, 2])
+def test_runtime_counters_equal_the_stats(processes):
     """The registry's access counters are published from the stats in
     the parent, a squashed epoch's accesses included: dijkstra checks
     separation, alvinn updates reductions."""
@@ -401,7 +402,7 @@ def test_runtime_counters_equal_the_stats(backend):
                           args=workload.train, use_cache=False, adapt=False)
         obs.enable()
         try:
-            stats = _run(program, backend, workers=2, misspec_period=5)[3]
+            stats = _run(program, processes, workers=2, misspec_period=5)[3]
             counters = {name: obs.METRICS.counter(name).value
                         for name in PUBLISHED_COUNTERS}
         finally:
@@ -431,4 +432,4 @@ def test_reductions_inline_on_pool_and_simulated():
     simulated = _run(program, checkpoint_period=3)
     assert simulated[3]["redux_updates"] > 0
     assert simulated[0] == program.sequential.output
-    assert _run(program, backend="pool", checkpoint_period=3) == simulated
+    assert _run(program, 3, checkpoint_period=3) == simulated

@@ -13,9 +13,10 @@ free-and-replace of a live-in, a helper call that churns stack arrays
 itself may free a live-in, or free each iteration's own live-in and
 replace it with an object it allocates (ROADMAP item 1 (a)).
 
-Every program runs simulated (on the generated code and on the step
-interpreter), pool, and pool with every sync refused (the respawn path:
-the oracle, as ``REPRO_SHADOW=ref`` is for the shadow), under both
+Every program runs on the parent alone (P = 1, on the generated code
+and on the step interpreter), on a team of the drawn size P, and on that
+team with every sync refused (the respawn path: the oracle, as
+``REPRO_SHADOW=ref`` is for the shadow), under both
 shadow implementations, and all of them must agree
 on output, return value, final main memory and cursors, ``RuntimeStats``
 with every ``CheckpointRecord``, and on the addresses the workers'
@@ -106,8 +107,8 @@ configs = st.fixed_dictionaries(dict(
     misspec_period=st.sampled_from((0, 3)),
     workers=st.integers(min_value=1, max_value=3),
     # P counts the parent: 1 forks nothing, 2 is one child that hosts
-    # every worker but 0.
-    pool_workers=st.sampled_from((None, 1, 2)),
+    # every worker but 0, None is one process per worker.
+    processes=st.sampled_from((None, 1, 2)),
     adapt=st.booleans()))
 
 
@@ -246,17 +247,14 @@ class _AllocationSpy:
         return seen
 
 
-def _run(prog, spy, backend, config):
+def _run(prog, spy, processes, config):
     with tempfile.TemporaryDirectory() as policies:
         controller = (prog.make_controller(None, PolicyStore(policies))
                       if config["adapt"] else None)
-        extra = {}
-        if backend == "pool" and config["pool_workers"]:
-            extra["pool_workers"] = config["pool_workers"]
-        ex = make_executor(backend, prog.module, prog.plan,
+        ex = make_executor(prog.module, prog.plan,
                            workers=config["workers"],
                            misspec_period=config["misspec_period"],
-                           controller=controller, **extra)
+                           controller=controller, processes=processes)
         result = ex.run(prog.entry, prog.ref_args)
     space = ex.runtime.main_space
     digest = dict(
@@ -290,24 +288,23 @@ def check(program, config, monkeypatch_context):
         spy = _AllocationSpy(patch.setattr)
         for shadow in ("vec", "ref"):
             with mock.patch.dict(os.environ, {SHADOW_ENV: shadow}):
-                _ex, simulated, sim_allocs = _run(
-                    prog, spy, "simulated", config)
+                _ex, simulated, sim_allocs = _run(prog, spy, 1, config)
                 assert simulated["output"] == prog.sequential.output
                 assert simulated["return_value"] == \
                     prog.sequential.return_value
                 # The step interpreter: the oracle of the generated
                 # code, inline validation intrinsics included.
                 with mock.patch.dict(os.environ, {"REPRO_INTERP": "step"}):
-                    _ex, stepped, step_allocs = _run(
-                        prog, spy, "simulated", config)
+                    _ex, stepped, step_allocs = _run(prog, spy, 1, config)
                 assert stepped == simulated, shadow
                 assert step_allocs == sim_allocs, shadow
-                resident, pool, pool_allocs = _run(prog, spy, "pool", config)
+                team = config["processes"] or config["workers"]
+                resident, pool, pool_allocs = _run(prog, spy, team, config)
                 assert pool == simulated, shadow
                 # Refuse every sync: the respawn path is the oracle.
                 patch.setattr(pool_backend, "SYNC_MAX_BYTES", -1)
                 forced, respawned, forced_allocs = _run(
-                    prog, spy, "pool", config)
+                    prog, spy, team, config)
                 patch.setattr(pool_backend, "SYNC_MAX_BYTES",
                               SYNC_MAX_BYTES)
                 assert respawned == simulated, shadow
@@ -317,16 +314,22 @@ def check(program, config, monkeypatch_context):
                 assert forced_allocs == pool_allocs, shadow
                 if simulated["stats"]["invocations"]:
                     assert any(sim_allocs.values())
-                    # A pool of one process is the parent alone.
-                    forks = int(resident.pool_size > 1)
+                    # A team of one process is the parent alone.
+                    forks = int(resident.processes > 1)
                     assert resident.pool_spawns == forks
                     assert forced.pool_spawns == forks * (
-                        1 + forced.pool_respawns.get("oversize", 0))
-                    assert forced.pool_syncs == 0
-                    assert resident.pool_syncs == forced.pool_spawns - forks
+                        1 + _pool(forced, "respawns", {}).get("oversize", 0))
+                    assert _pool(forced, "syncs", 0) == 0
+                    assert _pool(resident, "syncs", 0) == \
+                        forced.pool_spawns - forks
 
 
 SYNC_MAX_BYTES = pool_backend.SYNC_MAX_BYTES
+
+
+def _pool(ex, attr, none):
+    """``ex.pool.<attr>``, or ``none`` for a team of one process."""
+    return none if ex.pool is None else getattr(ex.pool, attr)
 
 
 class TestMultiInvocationGenerator:
@@ -335,7 +338,7 @@ class TestMultiInvocationGenerator:
     @example(program=dict(invocations=4, trips=5, uneven=False,
                           reduction=True,
                           actions=[(kind, 3, 1, 0) for kind in ACTIONS]),
-             config=dict(misspec_period=3, workers=2, pool_workers=None,
+             config=dict(misspec_period=3, workers=2, processes=None,
                          adapt=True))
     # … and a free that leaves the loop without its live-in, with
     # invocations that fall under min_parallel_trips in between.
@@ -343,21 +346,21 @@ class TestMultiInvocationGenerator:
                           reduction=False,
                           actions=[("free", 1, 2, 1), ("malloc", 5, 3, 2),
                                    ("churn", 2, 1, 0)]),
-             config=dict(misspec_period=0, workers=3, pool_workers=1,
+             config=dict(misspec_period=0, workers=3, processes=1,
                          adapt=False))
     # The loop frees its live-in in its last iteration, then main
     # replaces it; under squashes, two workers.
     @example(program=dict(invocations=4, trips=4, uneven=True,
                           reduction=True, loop_frees="free",
                           actions=[("replace", 2, 2, 1), ("store", 3, 1, 0)]),
-             config=dict(misspec_period=3, workers=2, pool_workers=None,
+             config=dict(misspec_period=3, workers=2, processes=None,
                          adapt=False))
     # Every iteration frees its own live-in and replaces it with an
     # object the next invocation reads and frees.
     @example(program=dict(invocations=3, trips=3, uneven=False,
                           reduction=False, loop_frees="replace",
                           actions=[("churn", 4, 1, 0)]),
-             config=dict(misspec_period=0, workers=3, pool_workers=1,
+             config=dict(misspec_period=0, workers=3, processes=1,
                          adapt=True))
     @settings(max_examples=50, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,13 +1,14 @@
-"""Unit and integration tests for the persistent worker-pool backend:
-backend selection, the fragment payload framing, pool lifecycle
-(spawn-per-invocation, commit-delta warm epochs, SIGKILL respawn,
-partial spawn, child crashes), the ``--pool-workers`` multiplexing
-mode, and the telemetry plane (stable worker ids in ``worker.N.*``
-merges and the ``repro top`` dashboard).
+"""Unit and integration tests for the resident children of a team of
+more than one process: the translation of a backend name to the team
+size P, the fragment payload framing, pool lifecycle (one fork per run,
+commit-delta warm epochs, SIGKILL respawn, partial spawn, child
+crashes), multiplexing several workers on one process, and the
+telemetry plane (stable worker ids in ``worker.N.*`` merges and the
+``repro top`` dashboard).
 
-Bit-exact parity against the simulated backend is enforced separately
-in ``tests/test_backend_parity.py``; these tests cover the machinery
-documented in docs/BACKENDS.md.
+Bit-exact parity against the parent alone (P = 1) is enforced
+separately in ``tests/test_backend_parity.py``; these tests cover the
+machinery documented in docs/BACKENDS.md.
 """
 
 import errno
@@ -23,13 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.backend import (
-    BACKEND_NAMES,
     BackendError,
     DOALLExecutor,
     make_executor,
-    resolve_backend_name,
+    processes_for,
+    team_label,
 )
-from repro.parallel.pool_backend import PoolDOALLExecutor
+from repro.parallel.pool_backend import Pool
 from repro.parallel import pool_backend
 from repro.parallel.shm_ring import (
     pack_fragment_payload,
@@ -53,31 +54,43 @@ def _shm_names():
 
 
 class TestBackendResolution:
-    def test_default_is_simulated(self):
-        assert resolve_backend_name() == "simulated"
-        assert resolve_backend_name(None) == "simulated"
+    """An outside caller's backend name is translated to the team size
+    P once, at the boundary; the report label is computed from P."""
+
+    def test_default_is_the_parent_alone(self):
+        assert processes_for(None, 4) == 1
+        assert team_label(1) == "simulated"
 
     def test_explicit_name_wins(self):
-        assert resolve_backend_name("simulated") == "simulated"
-        assert resolve_backend_name("pool") == "pool"
+        assert processes_for("simulated", 4) == 1
+        assert processes_for("pool", 4) == 4
+
+    def test_explicit_count_wins_and_is_capped(self):
+        assert processes_for("pool", 4, 2) == 2
+        assert processes_for(None, 4, 3) == 3
+        assert processes_for("pool", 2, 8) == 2
 
     def test_unknown_name_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):
-            resolve_backend_name("threads")
+            processes_for("threads", 4)
 
     def test_backend_error_is_value_error(self):
         # argparse and callers catching ValueError keep working.
         assert issubclass(BackendError, ValueError)
 
-    def test_names_cover_all_backends(self):
-        assert BACKEND_NAMES == ("simulated", "pool")
+    def test_label_follows_the_team_size(self):
+        assert [team_label(p) for p in (1, 2, 24)] == [
+            "simulated", "pool", "pool"]
 
     def test_process_is_an_unknown_backend(self):
         """The fork-per-epoch backend's name is no alias for the pool:
-        it gets the ordinary error."""
+        it gets the ordinary error, at ``execute()`` too."""
         listed = "unknown backend 'process'.*simulated, pool"
         with pytest.raises(BackendError, match=listed):
-            resolve_backend_name("process")
+            processes_for("process", 2)
+        prog = prepared_counter_program(8)
+        with pytest.raises(BackendError, match=listed):
+            prog.execute(workers=2, backend="process")
 
 
 # -- fragment payload framing -------------------------------------------------
@@ -127,7 +140,7 @@ class TestFragmentFraming:
         assert (shm_ring.payload_size, shm_ring.pack_fragment_payload,
                 shm_ring.unpack_fragment_payload) == (
             payload_size, pack_fragment_payload, unpack_fragment_payload)
-        assert PoolDOALLExecutor.ring_overflows == 0
+        assert DOALLExecutor.ring_overflows == 0
 
     def test_signed_int64_extremes_round_trip(self):
         """Run coordinates are framed as signed little-endian int64s:
@@ -154,17 +167,17 @@ class TestFragmentFraming:
             redux_runs=(ReduxRun(128, 8, "ADD", False, bytes(16)),),
             dirty_private_pages=3)
         prog = prepared_counter_program(8)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2)
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=2)
         report = WorkerEpochReport(wid=1, fragment=frag)
         reply = pool_backend._PoolReply(
             cwid=0, reports=[report],
-            payloads=[ex._child_ship_fragment(report)])
+            payloads=[ex.pool._child_ship_fragment(report)])
         assert report.fragment is None
         reply = pickle.loads(pickle.dumps(
             reply, protocol=pickle.HIGHEST_PROTOCOL))
         (entry,) = reply.payloads
         assert isinstance(entry[1], bytearray)
-        assert ex._rebuild_fragment(entry) == frag
+        assert ex.pool._rebuild_fragment(entry) == frag
 
 
 # -- factory and construction -------------------------------------------------
@@ -174,80 +187,66 @@ def _forked_children(ex, prog):
     """Run ``prog`` on ``ex``; returns {pool process: the worker ids it
     hosted} over the children of the first pool."""
     hosted = {}
-    spawn = ex._spawn_pool
+    if ex.pool is not None:
+        spawn = ex.pool._spawn
 
-    def watched(frame, reason):
-        spawn(frame, reason)
-        if not hosted:
-            hosted.update((c.cwid, c.wids) for c in ex._children)
+        def watched(frame, reason):
+            spawn(frame, reason)
+            if not hosted:
+                hosted.update((c.cwid, c.wids) for c in ex.pool.children)
 
-    ex._spawn_pool = watched
+        ex.pool._spawn = watched
     result = ex.run(prog.entry, prog.ref_args)
     assert result.output == prog.sequential.output
     return hosted
 
 
 class TestPoolExecutorConstruction:
-    def test_factory_dispatch(self):
+    def test_one_executor_at_every_team_size(self):
         prog = prepared_counter_program(8)
-        sim = make_executor(None, prog.module, prog.plan, workers=2)
-        assert isinstance(sim, DOALLExecutor)
-        assert sim.backend_name == "simulated"
-        ex = make_executor("pool", prog.module, prog.plan, workers=2)
-        assert isinstance(ex, PoolDOALLExecutor)
+        sim = make_executor(prog.module, prog.plan, workers=2)
+        assert type(sim) is DOALLExecutor
+        assert sim.backend_name == "simulated" and sim.pool is None
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=2)
+        assert type(ex) is DOALLExecutor
         assert ex.backend_name == "pool"
-        # The one forked-worker executor: the simulated backend's
-        # executor with children, nothing in between.
-        assert PoolDOALLExecutor.__mro__ == (
-            PoolDOALLExecutor, DOALLExecutor, object)
+        # The children are a helper the executor holds, not a subclass.
+        assert isinstance(ex.pool, Pool) and ex.pool.executor is ex
+        assert Pool.__mro__ == (Pool, object)
 
-    def test_epoch_timeout_plumbing(self):
+    def test_pool_backend_is_one_process_per_worker(self):
+        """``backend="pool"`` is P = n: the parent hosts worker 0 and
+        forks n - 1 children for the rest."""
         prog = prepared_counter_program(8)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
-                           epoch_timeout=9.5)
-        assert ex.epoch_timeout == 9.5
-
-    def test_pool_workers_defaults_to_workers(self):
-        """P = n by default: the parent hosts worker 0 and forks n - 1
-        children for the rest."""
-        prog = prepared_counter_program(8)
-        ex = make_executor("pool", prog.module, prog.plan, workers=3)
-        assert ex.pool_size == 3
+        ex = make_executor(prog.module, prog.plan, workers=3,
+                           processes=processes_for("pool", 3))
+        assert ex.processes == 3
         forked = _forked_children(ex, prog)
         assert forked == {1: [1], 2: [2]}
 
-    def test_pool_workers_capped_at_workers(self):
+    def test_processes_capped_at_workers(self):
         prog = prepared_counter_program(8)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
-                           pool_workers=8)
-        assert ex.pool_size == 2
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=8)
+        assert ex.processes == 2
         assert _forked_children(ex, prog) == {1: [1]}
 
-    def test_pool_workers_counts_the_parent(self):
-        """--pool-workers P is P processes, the parent one of them: P - 1
+    def test_processes_count_the_parent(self):
+        """--processes P is P processes, the parent one of them: P - 1
         children share workers 1 .. n-1 round-robin, and P = 1 forks
         nothing."""
         prog = prepared_counter_program(8)
-        ex = make_executor("pool", prog.module, prog.plan, workers=4,
-                           pool_workers=3)
-        assert ex.pool_size == 3
+        ex = make_executor(prog.module, prog.plan, workers=4, processes=3)
+        assert ex.processes == 3
         assert _forked_children(ex, prog) == {1: [1, 3], 2: [2]}
-        ex = make_executor("pool", prog.module, prog.plan, workers=4,
-                           pool_workers=1)
-        assert ex.pool_size == 1
+        ex = make_executor(prog.module, prog.plan, workers=4, processes=1)
+        assert ex.processes == 1
         assert _forked_children(ex, prog) == {}
         assert ex.pool_spawns == 0
 
-    def test_pool_workers_must_be_positive(self):
+    def test_processes_must_be_positive(self):
         prog = prepared_counter_program(8)
-        with pytest.raises(BackendError, match="pool-workers"):
-            make_executor("pool", prog.module, prog.plan, workers=2,
-                          pool_workers=0)
-
-    def test_pipeline_rejects_pool_workers_on_other_backends(self):
-        prog = prepared_counter_program(8)
-        with pytest.raises(BackendError, match="pool backend"):
-            prog.execute(workers=2, backend="simulated", pool_workers=2)
+        with pytest.raises(BackendError, match="processes"):
+            make_executor(prog.module, prog.plan, workers=2, processes=0)
 
 
 # -- end-to-end runs ----------------------------------------------------------
@@ -264,7 +263,7 @@ class TestPoolEndToEnd:
         """The whole point: a clean multi-epoch run forks the pool once,
         not once per epoch."""
         prog = prepared_counter_program(32)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=2,
                            checkpoint_period=4)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
@@ -276,27 +275,26 @@ class TestPoolEndToEnd:
         main; the next epoch plan brings it up to date — no fork — and
         the run still completes correctly."""
         prog = prepared_counter_program(32)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=2,
                            misspec_period=10)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
         # Injected at iterations 9, 19 and 29: each recovery still had
         # epochs left to run, so each cost one sync.
         assert result.runtime_stats.misspec_count() == 3
-        assert ex.pool_syncs == 3
+        assert ex.pool.syncs == 3
         assert ex.pool_spawns == 1
-        assert ex.pool_respawns == {"no_pool": 1}
+        assert ex.pool.respawns == {"no_pool": 1}
 
-    def test_pool_workers_multiplexing(self):
-        """Fewer pool processes than workers: a process hosts several
-        worker ids sequentially — output identical.  One process is the
-        parent alone: nothing is forked."""
+    def test_processes_multiplexing(self):
+        """Fewer processes than workers: a process hosts several worker
+        ids sequentially — output identical.  One process is the parent
+        alone: nothing is forked."""
         prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=4,
-                           pool_workers=1)
+        ex = make_executor(prog.module, prog.plan, workers=4, processes=1)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
-        assert ex.pool_size == 1
+        assert ex.processes == 1 and ex.pool is None
         assert ex.pool_spawns == 0
 
     def test_multiplexed_payloads_both_rebuild_bit_exact(self):
@@ -317,30 +315,29 @@ class TestPoolEndToEnd:
 
         frag_a, frag_b = frag(0, 0xAA), frag(1, 0xBB)
         prog = prepared_counter_program(8)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
-                           pool_workers=1)
-        entry_a = ex._child_ship_fragment(
+        ex = make_executor(prog.module, prog.plan, workers=3, processes=2)
+        entry_a = ex.pool._child_ship_fragment(
             WorkerEpochReport(wid=0, fragment=frag_a))
-        entry_b = ex._child_ship_fragment(
+        entry_b = ex.pool._child_ship_fragment(
             WorkerEpochReport(wid=1, fragment=frag_b))
         assert len(entry_a[1]) == payload_size(0, 1, 1, 50, 50)
-        assert ex._rebuild_fragment(entry_a) == frag_a
-        assert ex._rebuild_fragment(entry_b) == frag_b
+        assert ex.pool._rebuild_fragment(entry_a) == frag_a
+        assert ex.pool._rebuild_fragment(entry_b) == frag_b
         assert ex.ring_overflows == 0
 
     def test_shutdown_leaves_no_children(self):
         """After run() returns the pool is gone."""
         prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=2,
                            checkpoint_period=4)
         ex.run(prog.entry, prog.ref_args)
-        assert not ex._children
+        assert not ex.pool.children
 
     def test_child_crash_surfaces_its_traceback(self):
         """An internal error in a child fails the run with the child's
         own traceback, and the pool is torn down."""
         prog = prepared_counter_program(8)
-        ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2)
+        ex = DOALLExecutor(prog.module, prog.plan, workers=2, processes=2)
         parent = os.getpid()
         execute_iteration = ex._execute_iteration
 
@@ -358,14 +355,13 @@ class TestPoolEndToEnd:
         assert "Traceback (most recent call last)" in message
         assert "in boom" in message
         assert "ZeroDivisionError: synthetic pool child crash" in message
-        assert not ex._children
+        assert not ex.pool.children
 
     def test_multiplexed_child_crash_surfaces_its_traceback(self):
         """One child hosting worker ids 1 and 2: the failure names the
         first wid it hosts and carries its traceback."""
         prog = prepared_counter_program(8)
-        ex = PoolDOALLExecutor(prog.module, prog.plan, workers=3,
-                               pool_workers=2)
+        ex = DOALLExecutor(prog.module, prog.plan, workers=3, processes=2)
         parent = os.getpid()
         execute_iteration = ex._execute_iteration
 
@@ -381,7 +377,7 @@ class TestPoolEndToEnd:
         assert message.startswith("pool worker process 1 failed during epoch")
         assert "in boom" in message
         assert "KeyError: 'synthetic multiplexed crash'" in message
-        assert not ex._children
+        assert not ex.pool.children
 
     def test_fresh_process_loads_no_multiprocessing(self, tmp_path):
         """The pool is ``os.fork`` and pipes, nothing more: a process that
@@ -410,10 +406,10 @@ class TestPoolEndToEnd:
         assert proc.stdout.split() == ["[]"]
         assert not _shm_names() - before
 
-    def test_wedged_pool_hits_deadline(self):
+    def test_wedged_pool_hits_deadline(self, monkeypatch):
+        monkeypatch.setattr(pool_backend, "EPOCH_TIMEOUT", 1.0)
         prog = prepared_counter_program(8)
-        ex = PoolDOALLExecutor(prog.module, prog.plan, workers=2,
-                               epoch_timeout=1.0)
+        ex = DOALLExecutor(prog.module, prog.plan, workers=2, processes=2)
         parent = os.getpid()
         execute_iteration = ex._execute_iteration
 
@@ -433,23 +429,22 @@ class TestPipeTransport:
     Worker 0's fragment stays in the parent that ran it."""
 
     @pytest.mark.parametrize("misspec_period", [0, 6])
-    @pytest.mark.parametrize("pool_workers", [None, 2])
-    def test_every_fragment_rides_the_pipe(self, monkeypatch, pool_workers,
+    @pytest.mark.parametrize("processes", [3, 2])
+    def test_every_fragment_rides_the_pipe(self, monkeypatch, processes,
                                            misspec_period):
         shipped = []
-        rebuild = PoolDOALLExecutor._rebuild_fragment
+        rebuild = Pool._rebuild_fragment
 
         def spy(entry):
             shipped.append(entry)
             return rebuild(entry)
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_rebuild_fragment",
-                            staticmethod(spy))
+        monkeypatch.setattr(Pool, "_rebuild_fragment", staticmethod(spy))
         prog = prepared_counter_program(24)
         # An explicit period of 4 runs exactly: at 6 (the whole-round
         # default for 24 trips on 3 workers) every epoch would squash.
-        ex = make_executor("pool", prog.module, prog.plan, workers=3,
-                           pool_workers=pool_workers, checkpoint_period=4,
+        ex = make_executor(prog.module, prog.plan, workers=3,
+                           processes=processes, checkpoint_period=4,
                            misspec_period=misspec_period)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
@@ -464,7 +459,7 @@ class TestPipeTransport:
                 len(rr), len(wr), len(er), len(kinds), len(values))
         # One fork, squashes or not: recoveries are synced on the pipe.
         assert ex.pool_spawns == 1
-        assert bool(ex.pool_syncs) == bool(misspec_period)
+        assert bool(ex.pool.syncs) == bool(misspec_period)
         assert ex.ring_overflows == 0
 
 
@@ -489,13 +484,13 @@ class TestPartialSpawn:
             return pid
 
         prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=3)
+        ex = make_executor(prog.module, prog.plan, workers=3, processes=3)
         descriptors = len(os.listdir("/proc/self/fd"))
         monkeypatch.setattr(os, "fork", fork_failing_second_time)
         with pytest.raises(OSError) as exc:
             ex.run(prog.entry, prog.ref_args)
         assert exc.value.errno == errno.EAGAIN
-        assert len(forked) == 1 and not ex._children
+        assert len(forked) == 1 and not ex.pool.children
         with pytest.raises(ProcessLookupError):
             os.kill(forked[0], 0)
         assert len(os.listdir("/proc/self/fd")) == descriptors
@@ -626,18 +621,18 @@ class TestChildPlacement:
         """Run the counter program on the pool; returns {pool process:
         the affinity masks it was seen with at the end of each epoch}."""
         seen = {}
-        drain = PoolDOALLExecutor._drain_pool
+        drain = Pool._drain
 
         def watched(self, payloads):
             out = drain(self, payloads)
             # Every live child has replied: all are past their first
             # statement and parked on the task pipe.
-            for child in self._children:
+            for child in self.children:
                 seen.setdefault(child.cwid, set()).add(
                     frozenset(os.sched_getaffinity(child.pid)))
             return out
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_drain_pool", watched)
+        monkeypatch.setattr(Pool, "_drain", watched)
         prog = prepared_counter_program(12)
         result = prog.execute(backend="pool", checkpoint_period=3, **kwargs)
         assert result.output == prog.sequential.output
@@ -659,7 +654,7 @@ class TestChildPlacement:
 
     def test_processes_are_placed_not_logical_workers(
             self, monkeypatch, parent_cpus):
-        seen = self._child_masks(monkeypatch, workers=4, pool_workers=2)
+        seen = self._child_masks(monkeypatch, workers=4, processes=2)
         assert seen == {1: {frozenset({parent_cpus[1]})}}
 
     def test_refused_placement_is_ignored(self, monkeypatch, parent_cpus):
@@ -675,7 +670,7 @@ class TestChildPlacement:
 class TestWorkerDeathRespawn:
     @staticmethod
     def _kill_wid1_in_first_epoch(monkeypatch):
-        orig = PoolDOALLExecutor._run_slice
+        orig = DOALLExecutor._run_slice
 
         def killer(self, worker, frame, epoch_start, epoch_end, init,
                    cut=None):
@@ -686,7 +681,7 @@ class TestWorkerDeathRespawn:
                 os.kill(os.getpid(), signal.SIGKILL)
             return report
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_run_slice", killer)
+        monkeypatch.setattr(DOALLExecutor, "_run_slice", killer)
 
     def test_sigkilled_worker_respawns_and_run_completes(
             self, monkeypatch):
@@ -695,7 +690,7 @@ class TestWorkerDeathRespawn:
         completes with the correct output."""
         self._kill_wid1_in_first_epoch(monkeypatch)
         prog = prepared_counter_program(24)
-        ex = make_executor("pool", prog.module, prog.plan, workers=2,
+        ex = make_executor(prog.module, prog.plan, workers=2, processes=2,
                            checkpoint_period=6)
         result = ex.run(prog.entry, prog.ref_args)
         assert result.output == prog.sequential.output
@@ -706,7 +701,7 @@ class TestWorkerDeathRespawn:
         assert result.runtime_stats.recoveries >= 1
         # … and the pool was re-forked, for that reason.
         assert ex.pool_spawns >= 2
-        assert ex.pool_respawns == {"no_pool": 1, "child_died": 1}
+        assert ex.pool.respawns == {"no_pool": 1, "child_died": 1}
 
     def test_partial_epoch_telemetry_survives_worker_death(
             self, monkeypatch):
@@ -797,13 +792,13 @@ class TestResidentPool:
     def test_loop_in_a_callee_stays_resident(self, three_calls):
         """Every call pushes a new frame with other registers: the sync
         carries the loop frame by value, no identity asked."""
-        ex = make_executor("pool", three_calls.module, three_calls.plan,
-                           workers=2)
+        ex = make_executor(three_calls.module, three_calls.plan, workers=2,
+                           processes=2)
         result = ex.run(three_calls.entry, three_calls.ref_args)
         assert result.output == three_calls.sequential.output
         assert result.runtime_stats.invocations == 3
         assert ex.pool_spawns == 1
-        assert ex.pool_syncs == 2
+        assert ex.pool.syncs == 2
 
     def test_stretch_over_the_size_constant_respawns(
             self, three_calls, monkeypatch):
@@ -811,38 +806,38 @@ class TestResidentPool:
         with the constant under that, shipping it is refused and the
         pool is forked again — for that reason, and only there."""
         monkeypatch.setattr(pool_backend, "SYNC_MAX_BYTES", 4096)
-        ex = make_executor("pool", three_calls.module, three_calls.plan,
-                           workers=2)
+        ex = make_executor(three_calls.module, three_calls.plan, workers=2,
+                           processes=2)
         result = ex.run(three_calls.entry, three_calls.ref_args)
         assert result.output == three_calls.sequential.output
-        assert ex.pool_respawns == {"no_pool": 1, "oversize": 1}
-        assert ex.pool_syncs == 1
+        assert ex.pool.respawns == {"no_pool": 1, "oversize": 1}
+        assert ex.pool.syncs == 1
 
     def test_child_killed_between_invocations_costs_one_respawn(
             self, three_calls, monkeypatch):
         """A child that died while the pool was idle is found dead
         before the sync is sent: no epoch is lost to it."""
-        run_invocation = PoolDOALLExecutor._run_invocation
+        run_invocation = DOALLExecutor._run_invocation
 
         def kill_after_the_first(self, bp):
             run_invocation(self, bp)
             if len(self._invocations) == 1:
-                (child,) = self._children
+                (child,) = self.pool.children
                 assert child.cwid == 1
                 pid = child.pid
                 os.kill(pid, signal.SIGKILL)
                 # Gone, and left for the executor to reap.
                 os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_run_invocation",
+        monkeypatch.setattr(DOALLExecutor, "_run_invocation",
                             kill_after_the_first)
-        ex = make_executor("pool", three_calls.module, three_calls.plan,
-                           workers=2)
+        ex = make_executor(three_calls.module, three_calls.plan, workers=2,
+                           processes=2)
         result = ex.run(three_calls.entry, three_calls.ref_args)
         assert result.output == three_calls.sequential.output
         assert result.runtime_stats.misspec_count() == 0
-        assert ex.pool_respawns == {"no_pool": 1, "child_died": 1}
-        assert ex.pool_syncs == 1  # into the third invocation
+        assert ex.pool.respawns == {"no_pool": 1, "child_died": 1}
+        assert ex.pool.syncs == 1  # into the third invocation
 
     def test_child_dying_on_a_sync_is_a_squash(self, monkeypatch):
         """EOF while a child applies a sync is a death like any other:
@@ -851,23 +846,22 @@ class TestResidentPool:
         from repro.obs.metrics import METRICS
         from repro.obs.trace import TRACER, WORKER_PID_BASE
 
-        apply_sync = PoolDOALLExecutor._child_apply_sync
+        apply_sync = Pool._child_apply_sync
 
         def die_in_the_first_pool(self, frame, plan):
-            # ``pool_spawns`` as the fork saw it: 0 in the first pool.
-            if self.pool_spawns == 0 and 1 in self._child_wids:
+            # ``spawns`` as the fork saw it: 0 in the first pool.
+            if self.spawns == 0 and 1 in self._child_wids:
                 os.kill(os.getpid(), signal.SIGKILL)
             apply_sync(self, frame, plan)
 
-        child_main = PoolDOALLExecutor._child_main
+        child_main = Pool._child_main
 
         def remember_wids(self, cwid, wids, frame, task_rfd, wfd):
             self._child_wids = wids
             child_main(self, cwid, wids, frame, task_rfd, wfd)
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_child_main", remember_wids)
-        monkeypatch.setattr(PoolDOALLExecutor, "_child_apply_sync",
-                            die_in_the_first_pool)
+        monkeypatch.setattr(Pool, "_child_main", remember_wids)
+        monkeypatch.setattr(Pool, "_child_apply_sync", die_in_the_first_pool)
         prog = prepared_counter_program(24)
         TRACER.enable()
         METRICS.reset()
@@ -902,21 +896,21 @@ class TestResidentPool:
 
 
 class TestParentWorker:
-    """The parent hosts worker 0: it runs worker 0's slice by the
-    simulated backend's own loop while P - 1 children run the rest, and
-    seeds the replay's earliest-misspeculation cut with the result.  In
-    the simulated order worker 0 always runs first, uncut, so every
-    observable equals the simulated backend's."""
+    """The parent hosts worker 0: it runs worker 0's slice by the one
+    slice loop while P - 1 children run the rest, and seeds the
+    accounting's earliest-misspeculation cut with the result.  In the
+    simulated order worker 0 always runs first, uncut, so every
+    observable equals the parent alone's."""
 
     @pytest.mark.parametrize("misspec_period", [0, 3])
-    @pytest.mark.parametrize("pool_workers", [None, 1, 2])
+    @pytest.mark.parametrize("processes", [None, 1, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_equals_simulated(self, monkeypatch, workers, pool_workers,
+    def test_equals_simulated(self, monkeypatch, workers, processes,
                               misspec_period):
         from test_backend_parity import _compare, _execute
 
         prog = prepared_counter_program(16)
-        sim_ex, sim = _execute(prog, "simulated", workers=workers,
+        sim_ex, sim = _execute(prog, 1, workers=workers,
                                misspec_period=misspec_period,
                                checkpoint_period=4)
         real_fork = os.fork
@@ -929,14 +923,13 @@ class TestParentWorker:
             return pid
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        pool_ex, pool = _execute(prog, "pool", workers=workers,
-                                 pool_workers=pool_workers,
+        size = min(processes or workers, workers)
+        pool_ex, pool = _execute(prog, size, workers=workers,
                                  misspec_period=misspec_period,
                                  checkpoint_period=4)
         _compare(sim_ex, sim, pool_ex, pool)
         assert pool.output == prog.sequential.output
-        size = min(pool_workers or workers, workers)
-        assert pool_ex.pool_size == size
+        assert pool_ex.processes == size
         if size == 1:
             assert forks == [] and pool_ex.pool_spawns == 0
         else:
@@ -953,7 +946,7 @@ class TestParentWorker:
         from test_backend_parity import _compare, _execute
 
         seen = []
-        account = PoolDOALLExecutor._account_slices
+        account = DOALLExecutor._account_slices
 
         def iterations(reports):
             return [(r.wid, [rec.iteration for rec in r.records])
@@ -966,11 +959,11 @@ class TestParentWorker:
                 seen.append((earliest, ran, iterations(reports)))
             return result
 
-        monkeypatch.setattr(PoolDOALLExecutor, "_account_slices", watched)
+        monkeypatch.setattr(DOALLExecutor, "_account_slices", watched)
         prog = prepared_counter_program(16)
-        sim_ex, sim = _execute(prog, "simulated", workers=2,
+        sim_ex, sim = _execute(prog, 1, workers=2,
                                misspec_period=3, checkpoint_period=8)
-        pool_ex, pool = _execute(prog, "pool", workers=2,
+        pool_ex, pool = _execute(prog, 2, workers=2,
                                  misspec_period=3, checkpoint_period=8)
         _compare(sim_ex, sim, pool_ex, pool)
         earliest, ran, kept = seen[0]

@@ -466,12 +466,12 @@ class TestReductionLoopGenerator:
         digests = {}
         for shadow in ("vec", "ref"):
             for label, options, env in (
-                    ("simulated", dict(backend="simulated"), {}),
-                    # The generated code's oracle, on the same backend.
-                    ("simulated/step", dict(backend="simulated"),
+                    ("simulated", dict(processes=1), {}),
+                    # The generated code's oracle, on the same team.
+                    ("simulated/step", dict(processes=1),
                      {"REPRO_INTERP": "step"}),
                     ("pool", dict(backend="pool"), {}),
-                    ("pool/1", dict(backend="pool", pool_workers=1), {})):
+                    ("pool/2", dict(processes=2), {})):
                 with mock.patch.dict(os.environ, {SHADOW_ENV: shadow, **env}):
                     result = prog.execute(
                         workers=workers, checkpoint_period=period,

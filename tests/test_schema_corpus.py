@@ -199,7 +199,7 @@ def originals(tmp_path_factory):
     obs.enable()
     try:
         program = prepare(SRC, "corpus", args=(24,), use_cache=False)
-        executor = make_executor("simulated", program.module, program.plan,
+        executor = make_executor(program.module, program.plan,
                                  workers=4, misspec_period=7,
                                  misspec_burst=14)
         executor.run(program.entry, program.ref_args)

@@ -3,6 +3,7 @@ batching/caching, the HTTP tier, the CLI entry points, and schema
 validation of the service payloads (docs/SERVICE.md)."""
 
 import json
+import os
 import pickle
 import sys
 import threading
@@ -189,12 +190,39 @@ class TestParseSubmit:
         else:
             pytest.fail("expected ValidationError")
 
-    def test_pool_workers_requires_pool_backend(self):
-        with pytest.raises(ValidationError, match="pool backend"):
-            parse_submit({"workload": "dijkstra", "pool_workers": 2})
-        spec = parse_submit({"workload": "dijkstra", "backend": "pool",
-                             "pool_workers": 2})
-        assert spec.pool_workers == 2
+    def test_payload_spellings_become_one_team_size(self):
+        """``backend`` and ``pool_workers`` are translated to the team
+        size P at validation: an explicit count is P, ``pool`` alone is
+        one process per worker, and nothing is 1; at most ``workers``."""
+        def processes(**knobs):
+            return parse_submit({"workload": "dijkstra", **knobs}).processes
+
+        assert processes() == 1
+        assert processes(backend="simulated") == 1
+        assert processes(backend="pool") == 4
+        assert processes(backend="pool", pool_workers=2) == 2
+        assert processes(pool_workers=2) == 2
+        assert processes(backend="pool", pool_workers=8, workers=3) == 3
+
+    def test_two_spellings_of_one_process_are_one_job(self, tmp_path):
+        """``simulated`` and a pool of one process name the same run:
+        one result-cache key, and one flight-dump name for it."""
+        from helpers import prepared_counter_program
+
+        sim = parse_submit({"workload": "dijkstra", "backend": "simulated"})
+        pool1 = parse_submit({"workload": "dijkstra", "backend": "pool",
+                              "pool_workers": 1})
+        fp = "f" * 16
+        assert sim.cache_key(fp) == pool1.cache_key(fp)
+        prog = prepared_counter_program(16)
+        dumps = []
+        for i, spec in enumerate((sim, pool1)):
+            result = prog.execute(workers=spec.workers,
+                                  processes=spec.processes,
+                                  misspec_period=5, adapt=False,
+                                  flight_dir=str(tmp_path / str(i)))
+            dumps.append(os.path.basename(result.flight_dump))
+        assert dumps[0] == dumps[1] == "counter.simulated.flight.jsonl"
 
     def test_cache_key_ignores_trace_only(self):
         base = parse_submit({"workload": "dijkstra"})
