@@ -273,13 +273,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .bench.pipeline import prepare
+    from .transform.plan import SelectionError
 
     tracing = _obs_enable_if_requested(args)
     source = _load_source(args.source)
-    program = prepare(source, Path(args.source).stem,
-                      args=_parse_args_list(args.args),
-                      use_cache=not args.no_cache,
-                      adapt=args.adapt)
+    try:
+        program = prepare(source, Path(args.source).stem,
+                          args=_parse_args_list(args.args),
+                          use_cache=not args.no_cache,
+                          adapt=args.adapt)
+    except SelectionError as e:
+        _print_no_loop(e)
+        _obs_finish(args, Path(args.source).stem)
+        return 1
     result = program.execute(**_execute_kwargs(args),
                              record_timeline=args.timeline or tracing)
     ok = result.output == program.sequential.output

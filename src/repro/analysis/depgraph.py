@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..ir.instructions import Call, Instruction, Load, Phi, Store
+from ..ir.instructions import Call, Instruction, Load, Store
 from ..ir.module import Function, Module
 from ..ir.types import I8
 from .loops import InductionVariable, Loop, LoopInfo
@@ -191,17 +191,6 @@ class LoopDependences:
                     edges.append(DepEdge(a.inst, b.inst, DepKind.OUTPUT, True, reason))
         return edges
 
-    def scalar_loop_carried_phis(self) -> List[Phi]:
-        """Header phis other than the canonical IV: each is a scalar cycle
-        (e.g. an accumulator kept in a register)."""
-        out: List[Phi] = []
-        for inst in self.loop.header.instructions:
-            if isinstance(inst, Phi):
-                if self.iv is not None and inst is self.iv.phi:
-                    continue
-                out.append(inst)
-        return out
-
 
 @dataclass
 class DOALLVerdict:
@@ -217,17 +206,14 @@ def doall_legal_static(module: Module, loop: Loop, loop_info: LoopInfo,
                        pta: Optional[PointsToAnalysis] = None,
                        modref: Optional[ModRefAnalysis] = None) -> DOALLVerdict:
     """Non-speculative DOALL legality: the test the DOALL-only baseline
-    applies (no privatization, no reductions, no speculation)."""
-    reasons: List[str] = []
+    applies (no privatization, no reductions, no speculation) — the
+    loop's shape, as the speculative selection judges it
+    (:meth:`LoopInfo.doall_shape`), and then its I/O and memory."""
+    iv, reasons = loop_info.doall_shape(loop)
     deps = LoopDependences(module, loop, loop_info, pta, modref)
-    if deps.iv is None:
-        reasons.append("no canonical induction variable")
     if deps.has_io:
-        reasons.append("loop performs I/O")
-    scalar = deps.scalar_loop_carried_phis()
-    if scalar:
-        names = ", ".join(p.short() for p in scalar)
-        reasons.append(f"scalar loop-carried values: {names}")
+        # Listed right after the IV verdict, ahead of the shape's others.
+        reasons.insert(int(iv is None), "loop performs I/O")
     mem = deps.loop_carried_memory_deps()
     if mem:
         # Summarize by reason to keep verdicts readable.

@@ -11,9 +11,10 @@ loop-invariant bound.  This mirrors LLVM's ``LoopInfo`` +
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.instructions import BinOp, BinOpKind, CmpPred, CondBr, ICmp, Phi
+from ..ir.instructions import (BinOp, BinOpKind, CmpPred, CondBr, ICmp,
+                               Instruction, Phi)
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstInt, Value
 from .cfg import CFG
@@ -159,8 +160,6 @@ class LoopInfo:
 
     def is_loop_invariant(self, value: Value, loop: Loop) -> bool:
         """A value is invariant if it is not produced inside the loop."""
-        from ..ir.instructions import Instruction
-
         if not isinstance(value, Instruction):
             return True
         return value.parent not in loop.blocks
@@ -236,3 +235,44 @@ class LoopInfo:
                 exit_on_true=exit_true,
             )
         return None
+
+    def doall_shape(
+        self, loop: Loop,
+    ) -> Tuple[Optional[InductionVariable], List[str]]:
+        """The loop's canonical IV, and every reason its shape rules out
+        a DOALL run (none when it is in shape): no canonical IV, header
+        phis other than the IV, values live out of the loop, exits other
+        than the header's.  The speculative selection and the
+        non-speculative baseline both judge shape by this."""
+        reasons: List[str] = []
+        iv = self.find_induction_variable(loop)
+        if iv is None:
+            reasons.append("no canonical induction variable")
+
+        # Only the IV may be loop-carried in registers.
+        extra_phis = [
+            p for p in loop.header.instructions
+            if isinstance(p, Phi) and (iv is None or p is not iv.phi)
+        ]
+        if extra_phis:
+            reasons.append(
+                "scalar loop-carried values: "
+                + ", ".join(p.short() for p in extra_phis)
+            )
+
+        # No SSA value defined in the loop may be used outside it.
+        loop_insts = {inst for bb in loop.blocks for inst in bb.instructions}
+        for bb in self.function.blocks:
+            if bb in loop.blocks:
+                continue
+            for inst in bb.instructions:
+                for op in inst.operands:
+                    if isinstance(op, Instruction) and op in loop_insts:
+                        reasons.append(f"loop live-out value {op.short()}")
+
+        # Single exit, through the header.
+        for bb in loop.blocks:
+            for succ in bb.successors():
+                if succ not in loop.blocks and bb is not loop.header:
+                    reasons.append(f"side exit from block {bb.name}")
+        return iv, reasons

@@ -2,7 +2,10 @@
 
 This models the comparison system in §6.1 — a DOALL transform with *no*
 privatization, *no* reductions, and *no* speculation.  Loops must be
-proven parallel by static analysis alone (:func:`doall_legal_static`), so:
+proven parallel by static analysis alone (:func:`doall_legal_static`:
+the loop shape the speculative selection demands — a canonical IV, no
+other loop-carried register, no live-out value, no side exit — and no
+I/O or loop-carried memory dependence), so:
 
 * dijkstra / enc-md5: nothing is parallelizable (real false dependences
   through the reused structures);
@@ -12,27 +15,35 @@ proven parallel by static analysis alone (:func:`doall_legal_static`), so:
 * alvinn: only deeply nested inner loops are provable, and spawning
   workers for them costs more than they gain — the slowdown in Figure 7.
 
-Execution: legal loops run their iterations round-robin over workers
-*directly in main memory* (no isolation needed — independence is proven),
-paying spawn/join per invocation but no checkpoint or validation costs.
+Execution: the speculative executor's loop driver
+(:mod:`repro.parallel.backend`: :func:`run_guest`,
+:func:`invocation_trips`, :func:`run_iteration`, :func:`leave_loop`)
+runs the program, so a loop runs here as it would run there.  What
+differs: several selected loops (never active at once) may run in
+parallel, and an invocation runs its iterations round-robin over
+workers *directly in main memory* (no isolation needed — independence
+is proven), each worker on its own copy of the loop's frame and its own
+cycle clock, paying spawn/join per invocation but no checkpoint or
+validation costs.  A loop function that returns from inside a parallel
+invocation is a :class:`GuestFault`, as in the executor's recovery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..analysis.depgraph import doall_legal_static
 from ..analysis.loops import InductionVariable, Loop
 from ..analysis.modref import ModRefAnalysis
 from ..analysis.pointsto import PointsToAnalysis
 from ..frontend.lower import compile_minic
-from ..interp.errors import GuestExit
+from ..interp.errors import GuestFault
 from ..interp.interpreter import BlockBreakpoint, Frame, Interpreter
-from ..ir.instructions import Phi
-from ..ir.module import BasicBlock, Module
+from ..ir.module import Module
+from ..parallel.backend import (invocation_trips, leave_loop, run_guest,
+                                run_iteration)
 from ..parallel.costmodel import DEFAULT_COSTS, CostModelConfig
-from ..parallel.backend import trip_count
 from ..profiling.data import LoopRef
 from ..profiling.looptracker import LoopInfoCache
 from ..profiling.timeprof import profile_execution_time
@@ -100,7 +111,7 @@ def analyze_loops(module: Module, entry: str = "main",
         out.append(DOALLCandidate(
             ref=rec.ref, loop=loop, iv=iv, cycles=rec.cycles,
             invocations=rec.invocations,
-            legal=bool(verdict) and iv is not None,
+            legal=bool(verdict),
             reasons=verdict.reasons,
         ))
     return out
@@ -116,7 +127,7 @@ def select_compatible(
     profitability cutoff per invocation."""
     selected: List[DOALLCandidate] = []
     for cand in sorted(candidates, key=lambda c: c.cycles, reverse=True):
-        if not cand.legal or cand.iv is None:
+        if not cand.legal:
             continue
         if cand.cycles_per_invocation < min_invocation_cycles:
             continue
@@ -151,21 +162,9 @@ class DOALLOnlyExecutor:
 
     def run(self, entry: str = "main", args: Sequence[object] = ()) -> DOALLOnlyResult:
         interp = self.interp
-        interp.push_function(self.module.function_named(entry), args)
-        result: object = None
-        try:
-            while interp.frames:
-                try:
-                    result = interp.run_until_event()
-                except BlockBreakpoint as bp:
-                    cand = self.selected.get(bp.target)
-                    if cand is None or bp.prev in cand.loop.blocks:
-                        interp.resume_at(bp.frame, bp.target, bp.prev)
-                    else:
-                        self._run_invocation(bp, cand)
-        except GuestExit as e:
-            result = e.code
-            interp.frames.clear()
+        result = run_guest(interp, self.module.function_named(entry), args,
+                           {h: c.loop for h, c in self.selected.items()},
+                           self._run_invocation)
         seq_outside = interp.cycles - self.cycles_in_invocations
         return DOALLOnlyResult(
             return_value=result,
@@ -178,24 +177,22 @@ class DOALLOnlyExecutor:
             selected=[c.ref for c in self.selected.values()],
         )
 
-    def _run_invocation(self, bp: BlockBreakpoint, cand: DOALLCandidate) -> None:
+    def _run_invocation(self, bp: BlockBreakpoint) -> None:
         interp = self.interp
+        cand = self.selected[bp.target]
         frame = bp.frame
         iv = cand.iv
+        header = cand.loop.header
         cycles_at_entry = interp.cycles
-        init = int(interp.value_of(frame, iv.init))
-        bound = int(interp.value_of(frame, iv.bound))
-        trips = trip_count(init, bound, iv.step, iv.pred, iv.exit_on_true)
-        if trips is None or trips < self.min_parallel_trips:
-            interp.resume_at(frame, bp.target, bp.prev)
+        entry = invocation_trips(interp, bp, iv, self.min_parallel_trips)
+        if entry is None:
             return
+        init, trips = entry
 
         self.invocations += 1
         workers = self.workers
         spawn = self.costs.spawn_time(workers)
         clocks = [spawn] * workers
-        header = cand.loop.header
-        phi_count = sum(1 for i in header.instructions if isinstance(i, Phi))
 
         main_stack = interp.swap_stack([])
         worker_frames: List[Optional[Frame]] = [None] * workers
@@ -206,7 +203,9 @@ class DOALLOnlyExecutor:
             wframe = worker_frames[w]
             interp.swap_stack([wframe])
             c0 = interp.cycles
-            self._execute_iteration(wframe, cand, init, i)
+            if not run_iteration(interp, wframe, header, iv, init, i):
+                raise GuestFault(f"loop function returned inside DOALL "
+                                 f"loop {cand.ref}")
             clocks[w] += interp.cycles - c0
             interp.swap_stack([])
 
@@ -215,28 +214,7 @@ class DOALLOnlyExecutor:
         self.cycles_in_invocations += interp.cycles - cycles_at_entry
 
         interp.swap_stack(main_stack)
-        ty = iv.phi.type
-        final = init + trips * iv.step
-        frame.regs[iv.phi] = ty.wrap(final) if hasattr(ty, "wrap") else final
-        frame.prev_block = frame.block
-        frame.block = header
-        frame.index = phi_count
-
-    def _execute_iteration(self, wframe: Frame, cand: DOALLCandidate,
-                           init: int, i: int) -> None:
-        interp = self.interp
-        iv = cand.iv
-        interp.enter_block(wframe, cand.loop.header, fire_breakpoints=False)
-        ty = iv.phi.type
-        value = init + i * iv.step
-        wframe.regs[iv.phi] = ty.wrap(value) if hasattr(ty, "wrap") else value
-        while True:
-            try:
-                interp.run_until_event()
-            except BlockBreakpoint as bblk:
-                if bblk.target is cand.loop.header and len(interp.frames) == 1:
-                    return
-                interp.resume_at(bblk.frame, bblk.target, bblk.prev)
+        leave_loop(frame, header, iv, init, trips)
 
 
 def run_doall_only(source: str, name: str, entry: str = "main",

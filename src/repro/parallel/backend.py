@@ -26,6 +26,16 @@ misspeculations and telemetry are identical at every P by construction
 trace lane and ``worker.<wid>.*`` metrics apart, wherever it ran
 (:func:`_slice_telemetry`).
 
+The loop driver — :func:`run_guest` (the guest's breakpoint loop),
+:func:`invocation_trips` (the trip count and its below-minimum
+fallback), :func:`run_iteration` (one iteration to the next header
+entry) and :func:`leave_loop` (the IV's final value, back to the
+header) — is the one way a loop runs, here and in the DOALL-only
+baseline (:mod:`repro.baselines.doall_only`).  :func:`run_iteration`
+reports a loop function that returned from inside the iteration; the
+speculative iteration turns that into a control misspeculation,
+recovery into a :class:`GuestFault`.
+
 Callers that name a backend (``PreparedProgram.execute(backend=...)``,
 a job payload's ``backend``/``pool_workers``) are translated to P by
 :func:`processes_for`; :func:`make_executor` builds the executor.
@@ -38,14 +48,15 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..analysis.loops import InductionVariable, Loop
 from ..forensics.recorder import FLIGHT_DIR_ENV, heap_map_of, write_dump
 from ..interp.errors import GuestExit, GuestFault, GuestTimeout, Misspeculation
 from ..interp.interpreter import BlockBreakpoint, Frame, Hook, Interpreter
 from ..ir.instructions import CmpPred, Phi
 from ..ir.types import IntType
-from ..ir.module import Module
+from ..ir.module import BasicBlock, Function, Module
 from ..obs.log import get_logger
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
@@ -123,6 +134,94 @@ def whole_rounds(k: int, workers: int) -> int:
         return k
     up = -(-k // workers) * workers
     return up if up <= MAX_CHECKPOINT_PERIOD else k // workers * workers
+
+
+# -- the loop driver: the speculative executor's, and the DOALL-only
+# -- baseline's (repro.baselines.doall_only) -------------------------------------
+
+def run_guest(interp: Interpreter, fn: Function, args: Sequence[object],
+              loops: Dict[BasicBlock, Loop],
+              invoke: Callable[[BlockBreakpoint], None]) -> object:
+    """Run ``fn(*args)`` to its end and return what it returned (or the
+    ``exit()`` code): every entry into a loop of ``loops`` (keyed by
+    header, each header a block breakpoint of ``interp``) from outside
+    it is handed to ``invoke``; a back edge of a loop that runs in
+    place just continues."""
+    interp.push_function(fn, args)
+    result: object = None
+    try:
+        while interp.frames:
+            try:
+                result = interp.run_until_event()
+            except BlockBreakpoint as bp:
+                if bp.prev in loops[bp.target].blocks:
+                    interp.resume_at(bp.frame, bp.target, bp.prev)
+                else:
+                    invoke(bp)
+    except GuestExit as e:
+        interp.exit_code = e.code
+        result = e.code
+        interp.frames.clear()
+    return result
+
+
+def invocation_trips(interp: Interpreter, bp: BlockBreakpoint,
+                     iv: InductionVariable,
+                     min_trips: int) -> Optional[Tuple[int, int]]:
+    """The IV's initial value and the trip count of the loop invocation
+    entering at ``bp``; or None, with the loop resumed in place to run
+    sequentially, when the count is unknown or below ``min_trips``."""
+    frame = bp.frame
+    init = int(interp.value_of(frame, iv.init))
+    bound = int(interp.value_of(frame, iv.bound))
+    trips = trip_count(init, bound, iv.step, iv.pred, iv.exit_on_true)
+    if trips is not None and trips >= min_trips:
+        return init, trips
+    log.debug("sequential fallback: trip count %s below minimum %d",
+              trips, min_trips)
+    if TRACER.enabled:
+        TRACER.instant("executor.sequential_fallback", cat="executor",
+                       trips=trips, min_parallel_trips=min_trips)
+    interp.resume_at(frame, bp.target, bp.prev)
+    return None
+
+
+def iv_value(iv: InductionVariable, init: int, i: int) -> int:
+    """The IV's value in iteration ``i`` (``trips`` for the exit)."""
+    value = init + i * iv.step
+    ty = iv.phi.type
+    return ty.wrap(value) if isinstance(ty, IntType) else value
+
+
+def run_iteration(interp: Interpreter, frame: Frame, header: BasicBlock,
+                  iv: InductionVariable, init: int, i: int) -> bool:
+    """Run iteration ``i`` on ``frame``, the only frame of ``interp``'s
+    stack: enter ``header`` with the IV's value and run to the next
+    entry into it.  False if instead the frame stack drained — the
+    loop's function returned from inside the loop."""
+    interp.enter_block(frame, header, fire_breakpoints=False)
+    frame.regs[iv.phi] = iv_value(iv, init, i)
+    while True:
+        try:
+            interp.run_until_event()
+        except BlockBreakpoint as bblk:
+            if bblk.target is header and len(interp.frames) == 1:
+                return True
+            interp.resume_at(bblk.frame, bblk.target, bblk.prev)
+            continue
+        return False
+
+
+def leave_loop(frame: Frame, header: BasicBlock, iv: InductionVariable,
+               init: int, trips: int) -> None:
+    """Set ``frame`` at ``header`` after the last of ``trips``
+    iterations ran elsewhere: the IV phi takes its final value and the
+    header's exit test runs next."""
+    frame.regs[iv.phi] = iv_value(iv, init, trips)
+    frame.prev_block = frame.block
+    frame.block = header
+    frame.index = sum(1 for inst in header.instructions
+                      if isinstance(inst, Phi))
 
 
 class _RecoveryHook(Hook):
@@ -321,9 +420,6 @@ class DOALLExecutor:
         self.flight_dump_path: Optional[str] = None
         self._invocations: List[InvocationResult] = []
         self._cycles_in_invocations = 0
-        self._header_phi_count = sum(
-            1 for inst in plan.loop.header.instructions if isinstance(inst, Phi)
-        )
         #: The resident children of a team of P > 1; None when P = 1.
         self.pool = None
         if self.processes > 1:
@@ -381,24 +477,9 @@ class DOALLExecutor:
 
     def _run_guest(self, entry: str, args: Sequence[object]) -> ExecutionResult:
         interp = self.interp
-        fn = self.module.function_named(entry)
-        interp.push_function(fn, args)
-        result: object = None
-        try:
-            while interp.frames:
-                try:
-                    result = interp.run_until_event()
-                except BlockBreakpoint as bp:
-                    if bp.prev in self.plan.loop.blocks:
-                        # Back edge during a sequential (fallback) pass of
-                        # the loop: just continue.
-                        interp.resume_at(bp.frame, bp.target, bp.prev)
-                    else:
-                        self._run_invocation(bp)
-        except GuestExit as e:
-            interp.exit_code = e.code
-            result = e.code
-            interp.frames.clear()
+        loop = self.plan.loop
+        result = run_guest(interp, self.module.function_named(entry), args,
+                           {loop.header: loop}, self._run_invocation)
         adapt = None
         if self.controller is not None:
             self.controller.save()
@@ -414,14 +495,6 @@ class DOALLExecutor:
         )
 
     # -- one parallel-region invocation ------------------------------------------
-
-    def _iv_value(self, i: int, init: int) -> int:
-        iv = self.plan.iv
-        value = init + i * iv.step
-        ty = iv.phi.type
-        if isinstance(ty, IntType):
-            value = ty.wrap(value)
-        return value
 
     def _execute_epoch(
         self, frame: Frame, inv: InvocationResult, epoch_start: int,
@@ -621,22 +694,10 @@ class DOALLExecutor:
         runtime = self.runtime
         frame = bp.frame
         cycles_at_entry = interp.cycles
-
-        init = int(interp.value_of(frame, plan.iv.init))
-        bound = int(interp.value_of(frame, plan.iv.bound))
-        trips = trip_count(init, bound, plan.iv.step, plan.iv.pred,
-                           plan.iv.exit_on_true)
-        if trips is None or trips < self.min_parallel_trips:
-            # Not worth (or not able to) parallelize this invocation: run
-            # the loop sequentially in place.
-            log.debug("sequential fallback: trip count %s below minimum %d",
-                      trips, self.min_parallel_trips)
-            if TRACER.enabled:
-                TRACER.instant("executor.sequential_fallback", cat="executor",
-                               trips=trips,
-                               min_parallel_trips=self.min_parallel_trips)
-            interp.resume_at(frame, bp.target, bp.prev)
+        entry = invocation_trips(interp, bp, plan.iv, self.min_parallel_trips)
+        if entry is None:
             return
+        init, trips = entry
 
         workers = self.workers
         runtime.begin_invocation(workers)
@@ -771,13 +832,9 @@ class DOALLExecutor:
                  recovered_iterations=inv.recovered_iterations,
                  checkpoint_period=k)
 
-        # Resume the main thread at the loop exit: the IV phi takes its
-        # final value and the header's exit test runs normally.
+        # Resume the main thread at the loop exit.
         interp.swap_stack(main_stack)
-        frame.regs[plan.iv.phi] = self._iv_value(trips, init)
-        frame.prev_block = frame.block
-        frame.block = plan.loop.header
-        frame.index = self._header_phi_count
+        leave_loop(frame, plan.loop.header, plan.iv, init, trips)
         self._cycles_in_invocations += interp.cycles - cycles_at_entry
 
     # -- iteration execution -------------------------------------------------------
@@ -802,47 +859,20 @@ class DOALLExecutor:
     def _execute_iteration(self, worker: WorkerState, i: int, init: int) -> None:
         """Run one loop iteration to the next header entry in the worker's
         context, with full speculation support."""
-        interp = self.interp
         plan = self.plan
-        frame = worker.frame
         self.runtime.begin_iteration(worker, i)
-        interp.enter_block(frame, plan.loop.header, fire_breakpoints=False)
-        frame.regs[plan.iv.phi] = self._iv_value(i, init)
-        while True:
-            try:
-                interp.run_until_event()
-            except BlockBreakpoint as bblk:
-                if bblk.target is plan.loop.header and len(interp.frames) == 1:
-                    break
-                interp.resume_at(bblk.frame, bblk.target, bblk.prev)
-                continue
-            except GuestExit as e:
-                raise Misspeculation(
-                    "control", f"guest exit({e.code}) inside speculative "
-                    f"region", i) from e
-            # run_until_event returned: the frame stack drained without
-            # re-entering the loop header.
+        try:
+            looped = run_iteration(self.interp, worker.frame,
+                                   plan.loop.header, plan.iv, init, i)
+        except GuestExit as e:
+            raise Misspeculation(
+                "control", f"guest exit({e.code}) inside speculative "
+                f"region", i) from e
+        if not looped:
             raise Misspeculation(
                 "control", "loop function returned inside the parallel "
                 "region", i)
         self.runtime.end_iteration(worker, i)
-
-    def _execute_iteration_plain(self, frame: Frame, i: int, init: int) -> None:
-        """Non-speculative re-execution of one iteration (recovery)."""
-        interp = self.interp
-        plan = self.plan
-        interp.enter_block(frame, plan.loop.header, fire_breakpoints=False)
-        frame.regs[plan.iv.phi] = self._iv_value(i, init)
-        while True:
-            try:
-                interp.run_until_event()
-            except BlockBreakpoint as bblk:
-                if bblk.target is plan.loop.header and len(interp.frames) == 1:
-                    return
-                interp.resume_at(bblk.frame, bblk.target, bblk.prev)
-                continue
-            raise GuestFault(
-                "loop function returned during non-speculative recovery")
 
     # -- committed sequential stretches ------------------------------------------------
 
@@ -855,6 +885,7 @@ class DOALLExecutor:
         plus the stretch's cost.  Returns ``(cycles, that clock)``."""
         interp = self.interp
         runtime = self.runtime
+        header, iv = self.plan.loop.header, self.plan.iv
         run_frame = frame.copy()
         interp.swap_stack([run_frame])
         hook = _RecoveryHook(runtime)
@@ -862,7 +893,9 @@ class DOALLExecutor:
         c0 = interp.cycles
         try:
             for i in range(start, end):
-                self._execute_iteration_plain(run_frame, i, init)
+                if not run_iteration(interp, run_frame, header, iv, init, i):
+                    raise GuestFault("loop function returned during "
+                                     "non-speculative recovery")
         finally:
             interp.remove_hook(hook)
             interp.swap_stack([])

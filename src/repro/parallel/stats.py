@@ -32,7 +32,6 @@ class InvocationResult:
     checkpoints: int = 0
     misspeculations: int = 0
     recovered_iterations: int = 0
-    executed_sequentially: bool = False
     #: Iterations/cycles spent in adaptive sequential-fallback spans
     #: (committed non-speculative execution inside a parallel invocation).
     sequential_iterations: int = 0

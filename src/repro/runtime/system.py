@@ -308,11 +308,7 @@ class RuntimeSystem:
         if len(self.committed_meta) < extent:
             self.committed_meta.extend(b"\x00" * (extent - len(self.committed_meta)))
         self._protect_readonly()
-        self.workers = [
-            WorkerState(w, self.main_space, extent) for w in range(worker_count)
-        ]
-        for worker in self.workers:
-            self._init_worker_redux(worker)
+        self._fork_workers(worker_count, extent)
         self.deferred = DeferredOutput()
         self.epoch_start = 0
         self.speculating = True
@@ -324,21 +320,30 @@ class RuntimeSystem:
     def refork_workers(self) -> None:
         """After recovery: discard all speculative worker state and fork
         fresh workers from the (now updated) main memory."""
-        count = len(self.workers)
-        extent = self.private_extent()
+        self._fork_workers(len(self.workers), self.private_extent())
+
+    def _fork_workers(self, count: int, extent: int) -> None:
+        """Fork ``count`` fresh workers from main memory, their private
+        heaps ``extent`` bytes long."""
         self.workers = [
             WorkerState(w, self.main_space, extent) for w in range(count)
         ]
         for worker in self.workers:
             self._init_worker_redux(worker)
 
-    def end_invocation(self) -> None:
-        if TRACER.enabled:
-            self.publish_counters()
+    def _leave_speculation(self) -> None:
+        """Stop speculating: no worker is current, generated code stops
+        running validation inline against this runtime, and read-only
+        objects are writable again."""
         self.speculating = False
         self.current_worker = None
         self.interp.runtime = None
         self._unprotect_readonly()
+
+    def end_invocation(self) -> None:
+        if TRACER.enabled:
+            self.publish_counters()
+        self._leave_speculation()
         self.workers = []
         # Between invocations the heaps behave as normal memory; the
         # committed metadata is per-invocation state.
@@ -929,11 +934,8 @@ class RuntimeSystem:
         log.info("squash to recovery: re-executing [%d,%d] sequentially",
                  self.epoch_start, misspec_iteration)
         self.deferred.squash_from(self.epoch_start)
-        self.speculating = False
-        self.current_worker = None
-        self.interp.runtime = None
         # Recovery may legally write read-only-classified objects.
-        self._unprotect_readonly()
+        self._leave_speculation()
 
     def begin_sequential_span(self) -> None:
         """Leave speculation for an adaptive sequential-fallback span.
@@ -946,11 +948,8 @@ class RuntimeSystem:
         recovery hook marks them as committed definitions) and I/O
         bypasses the deferral queue.
         """
-        self.speculating = False
-        self.current_worker = None
-        self.interp.runtime = None
         # Like recovery, the span may legally write read-only objects.
-        self._unprotect_readonly()
+        self._leave_speculation()
 
     def resume_after_recovery(self, next_iteration: int) -> None:
         self._protect_readonly()

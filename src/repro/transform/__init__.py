@@ -10,15 +10,13 @@ from .plan import (
 from .privatize import PrivateerTransform
 from .selection import (
     check_transformable,
-    heaps_compatible,
     loops_may_be_simultaneously_active,
     region_functions,
-    select_loops,
 )
 
 __all__ = [
     "CheckCounts", "MAX_CHECKPOINT_PERIOD",
     "ParallelPlan", "PrivateerTransform", "ReduxObjectPlan",
-    "SelectionError", "check_transformable", "heaps_compatible",
-    "loops_may_be_simultaneously_active", "region_functions", "select_loops",
+    "SelectionError", "check_transformable",
+    "loops_may_be_simultaneously_active", "region_functions",
 ]

@@ -1,5 +1,5 @@
 """Loop selection (§4.3): which profiled loops can be speculatively
-privatized and DOALL-parallelized, and which compatible subset to pick.
+privatized and DOALL-parallelized, and which loops cannot run at once.
 
 A loop is transformable when, after refining dependences with the heap
 assignment (separated heaps; private/short-lived/reduction heaps carry no
@@ -10,17 +10,15 @@ induction variable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
-from ..analysis.loops import InductionVariable, Loop, LoopInfo
+from ..analysis.loops import InductionVariable, Loop
 from ..classify.classifier import HeapAssignment
-from ..classify.heaps import HeapKind
-from ..ir.instructions import Call, Instruction, Load, Phi, Store
+from ..ir.instructions import Call
 from ..ir.module import Function, Module
 from ..profiling.data import LoopProfile, LoopRef
 from ..profiling.looptracker import LoopInfoCache
-from .plan import SelectionError
 
 
 def region_functions(module: Module, fn: Function, loop: Loop) -> List[Function]:
@@ -51,42 +49,11 @@ def check_transformable(
 ) -> Tuple[Loop, InductionVariable, List[str]]:
     """Collect every reason the loop cannot be parallelized (empty list
     means transformable).  Returns the loop and its IV when found."""
-    reasons: List[str] = []
     cache = cache or LoopInfoCache(module)
     fn = module.function_named(ref.function)
     info = cache.info(fn)
     loop = info.loop_with_header(ref.header)
-
-    iv = info.find_induction_variable(loop)
-    if iv is None:
-        reasons.append("no canonical induction variable")
-
-    # Only the IV may be loop-carried in registers.
-    extra_phis = [
-        p for p in loop.header.instructions
-        if isinstance(p, Phi) and (iv is None or p is not iv.phi)
-    ]
-    if extra_phis:
-        reasons.append(
-            "scalar loop-carried values: "
-            + ", ".join(p.short() for p in extra_phis)
-        )
-
-    # No SSA value defined in the loop may be used outside it (no live-outs).
-    loop_insts = {inst for bb in loop.blocks for inst in bb.instructions}
-    for bb in fn.blocks:
-        if bb in loop.blocks:
-            continue
-        for inst in bb.instructions:
-            for op in inst.operands:
-                if isinstance(op, Instruction) and op in loop_insts:
-                    reasons.append(f"loop live-out value {op.short()}")
-
-    # Single exit, through the header.
-    for bb in loop.blocks:
-        for succ in bb.successors():
-            if succ not in loop.blocks and bb is not loop.header:
-                reasons.append(f"side exit from block {bb.name}")
+    iv, reasons = info.doall_shape(loop)
 
     # Unrestricted objects carry irremovable cross-iteration flow deps.
     unrestricted = assignment.unrestricted_sites
@@ -133,41 +100,3 @@ def loops_may_be_simultaneously_active(
     a_region = set(region_functions(module, fa, a_loop))
     b_region = set(region_functions(module, fb, b_loop))
     return fb in a_region or fa in b_region
-
-
-def heaps_compatible(a: HeapAssignment, b: HeapAssignment) -> bool:
-    """Two loops are incompatible if an object is assigned to different
-    heaps for each loop (§4.3)."""
-    for site, kind in a.site_heaps.items():
-        other = b.site_heaps.get(site)
-        if other is not None and other is not kind:
-            return False
-    return True
-
-
-def select_loops(
-    module: Module,
-    candidates: List[Tuple[LoopRef, int, LoopProfile, HeapAssignment]],
-) -> List[Tuple[LoopRef, LoopProfile, HeapAssignment]]:
-    """Greedy selection by execution time subject to the compatibility
-    constraints; mirrors §4.3's 'largest set of parallelizable loops'."""
-    cache = LoopInfoCache(module)
-    selected: List[Tuple[LoopRef, LoopProfile, HeapAssignment, Loop]] = []
-    for ref, _cycles, profile, assignment in sorted(
-        candidates, key=lambda c: c[1], reverse=True
-    ):
-        loop, iv, reasons = check_transformable(module, ref, profile, assignment, cache)
-        if reasons:
-            continue
-        compatible = True
-        for other_ref, _p, other_assignment, other_loop in selected:
-            if loops_may_be_simultaneously_active(module, ref, loop,
-                                                  other_ref, other_loop):
-                compatible = False
-                break
-            if not heaps_compatible(assignment, other_assignment):
-                compatible = False
-                break
-        if compatible:
-            selected.append((ref, profile, assignment, loop))
-    return [(r, p, a) for r, p, a, _l in selected]

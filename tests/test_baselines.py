@@ -1,9 +1,14 @@
 """Baselines: DOALL-only executor, LRPD applicability, dependence
 speculation estimates."""
 
+import signal
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import LoopInfo, doall_legal_static
 from repro.baselines import (
+    DOALLOnlyExecutor,
     analyze_loops,
     estimate_dependence_speculation,
     judge_hot_loop,
@@ -11,6 +16,7 @@ from repro.baselines import (
     select_compatible,
 )
 from repro.frontend import compile_minic
+from repro.interp.errors import GuestFault
 
 INDEPENDENT_SRC = """
 int a[128];
@@ -115,6 +121,52 @@ class TestDOALLOnlyExecution:
         interp.run(args=(32,))
         assert result.output == interp.output
 
+
+#: A loop that returns from inside itself: 40 calls that run it to the
+#: end, then one that returns at i == 7 (the program prints -33).
+EARLY_RETURN_SRC = (Path(__file__).parent / "corpus" / "baselines"
+                    / "early_return.c").read_text()
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a run that has not ended in 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the DOALL-only run did not end in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestEarlyReturn:
+    def test_static_legality_rejects_the_side_exit(self):
+        # The reasons `repro analyze` prints for the same loop.
+        mod = compile_minic(EARLY_RETURN_SRC, "early_return")
+        info = LoopInfo(mod.function_named("find"))
+        verdict = doall_legal_static(mod, info.loop_with_header("for.cond"),
+                                     info)
+        assert not verdict
+        assert verdict.reasons == ["loop live-out value %i.phi",
+                                   "side exit from block for.body"]
+
+    def test_the_loop_is_not_selected(self, deadline):
+        result = run_doall_only(EARLY_RETURN_SRC, "early_return",
+                                args=(400,))
+        assert result.output == ["-33\n"]
+        assert result.selected == []
+        assert result.invocations == 0
+
+    def test_a_forced_return_inside_the_loop_is_a_guest_fault(self,
+                                                               deadline):
+        mod = compile_minic(EARLY_RETURN_SRC, "early_return")
+        find = next(c for c in analyze_loops(mod, args=(400,))
+                    if str(c.ref) == "find/for.cond")
+        executor = DOALLOnlyExecutor(mod, [find], workers=4)
+        with pytest.raises(GuestFault, match="returned inside"):
+            executor.run(args=(400,))
 
 class TestLRPD:
     def test_array_loop_applicable(self):

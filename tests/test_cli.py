@@ -201,7 +201,7 @@ def test_execution_flags_reach_execute(command):
         processes=2, adapt=False)
 
 
-@pytest.mark.parametrize("command", ["analyze", "trace", "explain"])
+@pytest.mark.parametrize("command", ["analyze", "run", "trace", "explain"])
 def test_no_loop_found_lists_the_reasons(command, tmp_path, capsys):
     from repro import obs
 

@@ -10,7 +10,6 @@ from repro.ir import verify_module
 from repro.ir.instructions import Alloca, Call
 from repro.profiling import profile_execution_time, profile_loop
 from repro.transform import PrivateerTransform, SelectionError
-from repro.workloads import DIJKSTRA
 
 
 def _transform(src, args, name="t"):
@@ -256,28 +255,3 @@ class TestSelectionRejections:
         }
         """, (40,), "rand_int")
 
-
-class TestSelectionHelpers:
-    def test_heaps_compatible(self):
-        from repro.classify.classifier import HeapAssignment
-        from repro.transform import heaps_compatible
-
-        a = HeapAssignment(loop=None, site_heaps={"o": HeapKind.PRIVATE})
-        b = HeapAssignment(loop=None, site_heaps={"o": HeapKind.READONLY})
-        c = HeapAssignment(loop=None, site_heaps={"p": HeapKind.PRIVATE})
-        assert not heaps_compatible(a, b)
-        assert heaps_compatible(a, c)
-
-    def test_select_loops_picks_transformable(self):
-        mod = compile_minic(DIJKSTRA.source, "dj")
-        report = profile_execution_time(mod, args=DIJKSTRA.train)
-        candidates = []
-        for rec in report.hottest(top_level_only=False)[:3]:
-            prof = profile_loop(mod, rec.ref, args=DIJKSTRA.train)
-            candidates.append((rec.ref, rec.cycles, prof, classify(prof)))
-        from repro.transform import select_loops
-
-        selected = select_loops(mod, candidates)
-        assert len(selected) >= 1
-        # the hot src loop is among the selected
-        assert any(r.function == "main" for r, _p, _a in selected)
