@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro analyze prog.c --args 64
-    python -m repro run prog.c --args 64 --workers 24 --timeline
+    python -m repro run dijkstra --workers 24 --timeline
     python -m repro trace dijkstra --out-dir traces/
     python -m repro explain dijkstra --misspec-period 7 --misspec-burst 30
     python -m repro baselines prog.c --args 64
@@ -13,11 +13,14 @@ Usage::
     python -m repro submit dijkstra --small --workers 8
     python -m repro jobs j1
 
-Observability: ``trace`` runs a workload (or source file) with the full
-tracing/metrics layer on and emits a JSONL event stream plus a Chrome
-``trace_event`` JSON (open in chrome://tracing or https://ui.perfetto.dev).
-``run``/``analyze`` accept ``--trace``/``--trace-out``/``--metrics``
-for the same artifacts; ``REPRO_LOG=debug`` turns on
+A command that takes a program accepts a workload name or a MiniC
+source file (one resolver) and compiles it through one ``prepare`` step.
+``trace`` is ``run`` with tracing on: a JSONL event stream plus a Chrome
+``trace_event`` JSON (open in chrome://tracing or
+https://ui.perfetto.dev); ``run``/``analyze`` write the same with
+``--trace``/``--trace-out``/``--metrics``.  One observability scope
+streams the JSONL as events are recorded, writes the artifacts on every
+exit, a fault included, and disarms tracing.  ``REPRO_LOG=debug`` turns on
 runtime logging.
 
 Forensics: ``explain`` runs a workload with the flight recorder armed
@@ -33,48 +36,44 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
-def _parse_args_list(values: Optional[List[str]]) -> tuple:
-    return tuple(int(v) for v in (values or []))
+def _at_least(floor: int, why: str):
+    """An argparse type: an integer of at least ``floor``, and ``why``
+    in the error below it."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {value!r}")
+        if n < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {floor} (got {n}); {why}")
+        return n
+    return parse
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for --workers: a parallel run needs >= 1 worker."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 (got {n}); a run needs at least one worker")
-    return n
+#: --workers: a parallel run needs >= 1 worker.
+_positive_int = _at_least(1, "a run needs at least one worker")
+#: --checkpoint-period: an epoch must retire at least 2 iterations for
+#: speculation to make progress.
+_epoch_size = _at_least(
+    2, "an epoch below 2 iterations cannot amortize a checkpoint")
 
 
-def _epoch_size(value: str) -> int:
-    """argparse type for --checkpoint-period: an epoch must retire at
-    least 2 iterations for speculation to make progress."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if n < 2:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 2 (got {n}); an epoch below 2 iterations cannot "
-            f"amortize a checkpoint")
-    return n
-
-
-def _load_source(path: str) -> str:
-    return Path(path).read_text()
-
-
-PERFETTO_HINT = ("open in chrome://tracing or https://ui.perfetto.dev")
-
-
-def _add_processes_flag(p: argparse.ArgumentParser) -> None:
+def _add_execution_flags(p: argparse.ArgumentParser, workers: int) -> None:
+    p.add_argument("--workers", type=_positive_int, default=workers)
+    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
+    p.add_argument("--misspec-period", type=int, default=0,
+                   help="inject a misspeculation every N iterations")
+    p.add_argument("--misspec-burst", type=int, default=0,
+                   help="limit injection to the first N iterations "
+                        "(0 = no limit)")
     p.add_argument("--processes", type=_positive_int, default=1,
                    metavar="P",
                    help="processes in the worker team, the parent "
@@ -93,24 +92,15 @@ def _team_label(args: argparse.Namespace) -> str:
     return team_label(min(args.processes, args.workers))
 
 
-def _add_execution_flags(p: argparse.ArgumentParser, workers: int) -> None:
-    p.add_argument("--workers", type=_positive_int, default=workers)
-    p.add_argument("--checkpoint-period", type=_epoch_size, default=None)
-    p.add_argument("--misspec-period", type=int, default=0,
-                   help="inject a misspeculation every N iterations")
-    p.add_argument("--misspec-burst", type=int, default=0,
-                   help="limit injection to the first N iterations "
-                        "(0 = no limit)")
-
-
-def _add_workload_arg(p: argparse.ArgumentParser) -> None:
+def _add_workload_arg(p: argparse.ArgumentParser, small: bool = True) -> None:
     p.add_argument("workload", help="workload name (see `repro workloads`) "
                                     "or a MiniC source file")
     p.add_argument("--args", nargs="*",
                    help="integer arguments for main (overrides the "
                         "workload's input set)")
-    p.add_argument("--small", action="store_true",
-                   help="use the train input instead of ref (CI smoke)")
+    if small:
+        p.add_argument("--small", action="store_true",
+                       help="use the train input instead of ref (CI smoke)")
 
 
 def _execute_kwargs(args: argparse.Namespace) -> dict:
@@ -123,13 +113,13 @@ def _execute_kwargs(args: argparse.Namespace) -> dict:
                 adapt=args.adapt)
 
 
-def _print_no_loop(error) -> None:
-    print("no parallelizable loop found:")
-    for reason in error.reasons:
-        print(f"  - {reason}")
-
-
-def _add_adapt_flag(p: argparse.ArgumentParser) -> None:
+def _add_local_run_flags(p: argparse.ArgumentParser) -> None:
+    """``--report`` and ``--adapt``, for the commands that run the
+    program in this process (``run``, ``trace``, ``explain``)."""
+    p.add_argument("--report", default=None, metavar="OUT.html",
+                   help="write a self-contained HTML run report (heap "
+                        "map, epoch outcome strip, conflict table, "
+                        "controller decision log)")
     p.add_argument("--adapt", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="enable the adaptive speculation controller "
@@ -147,172 +137,212 @@ def _print_adapt_summary(adapt) -> None:
     print(f"adapt:            {format_summary(adapt)}")
 
 
-def _obs_requested(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "trace", False)
-                or getattr(args, "trace_out", None)
-                or getattr(args, "metrics", False))
+class _Target(NamedTuple):
+    """The program a command was pointed at: its source, the name its
+    artifacts carry, and its profiling (train) and run (ref) inputs."""
+
+    source: str
+    name: str
+    train: tuple
+    ref: tuple
 
 
-def _obs_enable_if_requested(args: argparse.Namespace) -> bool:
-    if _obs_requested(args):
-        from . import obs
-
-        obs.enable()
-        return True
-    return False
-
-
-def _start_status_server(args: argparse.Namespace):
-    """Start the live status endpoint when ``--status-port`` (or
-    ``$REPRO_STATUS_PORT``) is configured; returns the running server or
-    None.  Arms observability if it isn't already — in-worker telemetry
-    only flows while tracing is enabled, and a status endpoint over an
-    empty registry is useless."""
-    from .obs.server import StatusServer, resolve_status_port
-
-    if not hasattr(args, "status_port"):
-        return None  # commands without the flag (top, perf, ...) never serve
-    try:
-        port = resolve_status_port(args.status_port)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
-    if port is None:
-        return None
-    from . import obs
-
-    if not obs.enabled():
-        obs.enable()
-    server = StatusServer(port=port).start()
-    print(f"status: {server.url}/metrics · /metrics.prom · /health "
-          f"(poll with: python -m repro top --port {server.port})")
-    return server
-
-
-def _write_trace_artifacts(prefix: Path, timeline=None) -> None:
-    from . import obs
-
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    jsonl = Path(f"{prefix}.trace.jsonl")
-    chrome = Path(f"{prefix}.chrome.json")
-    n = obs.TRACER.write_jsonl(jsonl)
-    m = obs.TRACER.write_chrome(chrome, timeline=timeline)
-    print(f"trace: {n} event(s) -> {jsonl}")
-    print(f"trace: {m} Chrome event(s) -> {chrome} ({PERFETTO_HINT})")
-
-
-def _obs_finish(args: argparse.Namespace, default_prefix: str,
-                timeline=None) -> None:
-    """Emit the artifacts requested by --trace/--trace-out/--metrics."""
-    if not _obs_requested(args):
-        return
-    from . import obs
-
-    if getattr(args, "trace", False) or getattr(args, "trace_out", None):
-        prefix = Path(getattr(args, "trace_out", None) or default_prefix)
-        _write_trace_artifacts(prefix, timeline)
-    if getattr(args, "metrics", False):
-        print()
-        print(obs.METRICS.render_table())
-    obs.disable()
-
-
-def _resolve_workload(args: argparse.Namespace):
-    """Resolve a positional workload argument — a registered workload name
-    or a MiniC source path — into ``(source, name, train_args, ref_args)``;
-    prints an error and returns None if it is neither."""
+def _resolve_workload(args: argparse.Namespace) -> Optional[_Target]:
+    """Resolve the positional workload argument — a registered workload
+    name or a MiniC source path — with ``--args`` (and ``--small``, where
+    the command has it); prints the one shared error and returns None if
+    it is neither."""
     from .workloads import BY_NAME
 
-    path = Path(args.workload)
-    explicit_args = _parse_args_list(args.args) if args.args else None
+    explicit_args = tuple(int(v) for v in args.args) if args.args else None
     if args.workload in BY_NAME:
         w = BY_NAME[args.workload]
-        ref = explicit_args or (w.train if args.small else w.ref)
-        return w.source, w.name, w.train, ref
+        small = getattr(args, "small", False)
+        return _Target(w.source, w.name, w.train,
+                       explicit_args or (w.train if small else w.ref))
+    path = Path(args.workload)
     if path.is_file():
         train = ref = explicit_args or ()
-        return path.read_text(), path.stem, train, ref
+        return _Target(path.read_text(), path.stem, train, ref)
     print(f"error: {args.workload!r} is neither a workload "
           f"({', '.join(sorted(BY_NAME))}) nor a MiniC source file",
           file=sys.stderr)
     return None
 
 
-def _write_report(path: str, snapshot, title: str) -> None:
-    """Render the forensics snapshot as a self-contained HTML report."""
+def _prepare(args: argparse.Namespace, target: _Target):
+    """Take the target through :func:`prepare` with the command's cache
+    and ``--adapt`` flags; prints the reasons and returns None when no
+    loop can be parallelized."""
+    from .bench.pipeline import prepare
+    from .transform.plan import SelectionError
+
+    # `trace` observes the full pipeline: it skips the profile cache
+    # unless --cache opts back in, so the profiling phases and
+    # interpreter metrics always appear in the trace.
+    use_cache = args.cache if "cache" in args else not args.no_cache
+    try:
+        return prepare(target.source, target.name, args=target.train,
+                       ref_args=target.ref, use_cache=use_cache,
+                       adapt=getattr(args, "adapt", None))
+    except SelectionError as e:
+        print("no parallelizable loop found:")
+        for reason in e.reasons:
+            print(f"  - {reason}")
+        return None
+
+
+@contextmanager
+def _observed(args: argparse.Namespace, name: str,
+              trace: bool = False) -> Iterator[SimpleNamespace]:
+    """The observability scope of ``analyze``, ``run`` and ``trace``.
+
+    Tracing is armed when the command writes a trace (``trace``, or
+    ``--trace``/``--trace-out``), prints ``--metrics``, or serves a
+    status endpoint (``--status-port``/``$REPRO_STATUS_PORT``; in-worker
+    telemetry only flows while tracing is on).  A trace streams to
+    ``<prefix>.trace.jsonl`` as events are recorded, so a process that
+    dies mid-run leaves a partial trace.  On every exit, a raised fault
+    included, the artifacts (with the timeline the body stores in
+    ``scope.timeline``) and the metrics table are written, the endpoint
+    stops and tracing is disarmed.  ``scope.armed`` says whether
+    artifacts or metrics were asked for."""
+    from . import obs
+    from .obs.server import StatusServer, resolve_status_port
+
+    try:
+        port = resolve_status_port(args.status_port)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(2)
+    if trace:
+        prefix: Optional[Path] = Path(args.out_dir) / name
+    elif args.trace or args.trace_out:
+        prefix = Path(args.trace_out or name)
+    else:
+        prefix = None
+    metrics = not trace and args.metrics
+    scope = SimpleNamespace(armed=prefix is not None or metrics,
+                            timeline=None)
+    status = None
+    if scope.armed or port is not None:
+        obs.enable()
+    try:
+        if port is not None:
+            status = StatusServer(port=port).start()
+            print(f"status: {status.url}/metrics · /metrics.prom · /health "
+                  f"(poll with: python -m repro top --port {status.port})")
+        if prefix is not None:
+            prefix.parent.mkdir(parents=True, exist_ok=True)
+            obs.TRACER.open_sink(f"{prefix}.trace.jsonl")
+        yield scope
+    finally:
+        try:
+            if prefix is not None:
+                jsonl = Path(f"{prefix}.trace.jsonl")
+                chrome = Path(f"{prefix}.chrome.json")
+                n = obs.TRACER.write_jsonl(jsonl)
+                m = obs.TRACER.write_chrome(chrome, timeline=scope.timeline)
+                print(f"trace: {n} event(s) -> {jsonl}")
+                print(f"trace: {m} Chrome event(s) -> {chrome} (open in "
+                      f"chrome://tracing or https://ui.perfetto.dev)")
+            if metrics:
+                print()
+                print(obs.METRICS.render_table())
+        finally:
+            if status is not None:
+                status.stop()
+            obs.disable()
+
+
+def _write_report(args: argparse.Namespace, snapshot, name: str) -> None:
+    """Render the forensics snapshot as the self-contained HTML report
+    ``--report`` asks for (nothing without the flag)."""
+    if not args.report:
+        return
     from .forensics import explain_snapshot, render_html
 
     diagnoses = explain_snapshot(snapshot)
-    out = Path(path)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_html(snapshot, diagnoses, title=title))
+    out = Path(args.report)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(render_html(snapshot, diagnoses,
+                               title=f"{name} · {_team_label(args)}"))
     print(f"report: {len(diagnoses)} diagnosis(es) -> {out}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .bench.pipeline import prepare
-    from .transform.plan import SelectionError
-
-    _obs_enable_if_requested(args)
-    source = _load_source(args.source)
-    try:
-        program = prepare(source, Path(args.source).stem,
-                          args=_parse_args_list(args.args),
-                          use_cache=not args.no_cache)
-    except SelectionError as e:
-        _print_no_loop(e)
-        _obs_finish(args, Path(args.source).stem)
-        return 1
-    print(program.assignment.describe())
-    print()
-    print(program.plan.describe())
-    _obs_finish(args, Path(args.source).stem)
+    target = _resolve_workload(args)
+    if target is None:
+        return 2
+    with _observed(args, target.name):
+        program = _prepare(args, target)
+        if program is None:
+            return 1
+        print(program.assignment.describe())
+        print()
+        print(program.plan.describe())
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    from .bench.pipeline import prepare
-    from .transform.plan import SelectionError
+def cmd_run(args: argparse.Namespace, trace: bool = False) -> int:
+    """``run``; with ``trace`` the ``trace`` command, the same run with
+    tracing forced on, reported in one line plus the span summary and
+    the metrics table."""
+    from . import obs
 
-    tracing = _obs_enable_if_requested(args)
-    source = _load_source(args.source)
-    try:
-        program = prepare(source, Path(args.source).stem,
-                          args=_parse_args_list(args.args),
-                          use_cache=not args.no_cache,
-                          adapt=args.adapt)
-    except SelectionError as e:
-        _print_no_loop(e)
-        _obs_finish(args, Path(args.source).stem)
-        return 1
-    result = program.execute(**_execute_kwargs(args),
-                             record_timeline=args.timeline or tracing)
-    ok = result.output == program.sequential.output
-    stats = result.runtime_stats
-    sys.stdout.write("".join(result.output))
-    print("---")
-    print(f"backend:          {_team_label(args)}")
-    print(f"workers:          {args.workers}")
-    print(f"speedup:          {program.speedup(result):.2f}x "
-          f"({program.sequential.cycles:,} -> {result.total_wall_cycles:,} cycles)")
-    print(f"output matches sequential: {ok}")
-    print(f"invocations:      {stats.invocations}")
-    print(f"checkpoints:      {stats.checkpoints}")
-    print(f"misspeculations:  {stats.misspec_count()} "
-          f"(recoveries: {stats.recoveries})")
-    _print_adapt_summary(result.adapt)
-    breakdown = result.overhead_breakdown()
-    print("capacity:         " + ", ".join(
-        f"{k} {v:.1%}" for k, v in breakdown.items()))
-    if args.timeline and result.timeline is not None:
-        print()
-        print(result.timeline.render())
-    if args.report:
-        _write_report(args.report,
-                      result.forensics,  # type: ignore[attr-defined]
-                      f"{Path(args.source).stem} · {_team_label(args)}")
-    _obs_finish(args, Path(args.source).stem, timeline=result.timeline)
+    target = _resolve_workload(args)
+    if target is None:
+        return 2
+    with _observed(args, target.name, trace) as scope:
+        program = _prepare(args, target)
+        if program is None:
+            return 1
+        result = program.execute(
+            **_execute_kwargs(args),
+            record_timeline=scope.armed or getattr(args, "timeline", False))
+        scope.timeline = result.timeline
+        ok = result.output == program.sequential.output
+        stats = result.runtime_stats
+        if trace:
+            print(f"{target.name}: {_team_label(args)} backend, "
+                  f"{args.workers} workers, "
+                  f"{program.speedup(result):.2f}x speedup "
+                  f"({program.sequential.cycles:,} -> "
+                  f"{result.total_wall_cycles:,} cycles), "
+                  f"{stats.checkpoints} checkpoint(s), "
+                  f"{stats.misspec_count()} misspeculation(s), "
+                  f"output match: {ok}")
+            _print_adapt_summary(result.adapt)
+            print()
+            print(obs.TRACER.render_summary())
+            print()
+            print(obs.METRICS.render_table())
+            print()
+        else:
+            sys.stdout.write("".join(result.output))
+            print("---")
+            print(f"backend:          {_team_label(args)}")
+            print(f"workers:          {args.workers}")
+            print(f"speedup:          {program.speedup(result):.2f}x "
+                  f"({program.sequential.cycles:,} -> "
+                  f"{result.total_wall_cycles:,} cycles)")
+            print(f"output matches sequential: {ok}")
+            print(f"invocations:      {stats.invocations}")
+            print(f"checkpoints:      {stats.checkpoints}")
+            print(f"misspeculations:  {stats.misspec_count()} "
+                  f"(recoveries: {stats.recoveries})")
+            _print_adapt_summary(result.adapt)
+            breakdown = result.overhead_breakdown()
+            print("capacity:         " + ", ".join(
+                f"{k} {v:.1%}" for k, v in breakdown.items()))
+            if args.timeline and result.timeline is not None:
+                print()
+                print(result.timeline.render())
+            # `run` names its report before the trace artifacts, `trace`
+            # after them.
+            _write_report(args, result.forensics, target.name)
+    if trace:
+        _write_report(args, result.forensics, target.name)
     return 0 if ok else 1
 
 
@@ -324,9 +354,10 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     )
     from .bench.pipeline import run_sequential
 
-    source = _load_source(args.source)
-    name = Path(args.source).stem
-    guest_args = _parse_args_list(args.args)
+    target = _resolve_workload(args)
+    if target is None:
+        return 2
+    source, name, guest_args = target.source, target.name, target.ref
 
     seq = run_sequential(source, name, args=guest_args)
     print(f"sequential: {seq.cycles:,} cycles")
@@ -367,8 +398,8 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the parallelization-as-a-service job API until SIGTERM/SIGINT
-    (see docs/SERVICE.md).  Deliberately does not call ``obs.enable()``:
-    that would reset the metrics registry and destroy the service
+    (see docs/SERVICE.md).  Deliberately leaves tracing disarmed: arming
+    it resets the metrics registry and would destroy the service
     counters the endpoint exists to expose."""
     import signal
     import threading
@@ -448,8 +479,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from .service.client import ServiceError
     from .workloads import BY_NAME
 
-    resolved = _resolve_workload(args)
-    if resolved is None:
+    target = _resolve_workload(args)
+    if target is None:
         return 2
     payload: dict = {"workers": args.workers}
     if args.workload in BY_NAME:
@@ -457,7 +488,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         if args.small:
             payload["small"] = True
     else:
-        payload["source"], payload["name"] = resolved[:2]
+        payload["source"], payload["name"] = target.source, target.name
     if args.args:
         payload["args"] = [int(v) for v in args.args]
     if args.train_args:
@@ -544,88 +575,25 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return run()
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from . import obs
-    from .bench.pipeline import prepare
-    from .transform.plan import SelectionError
-
-    resolved = _resolve_workload(args)
-    if resolved is None:
-        return 2
-    source, name, train, ref = resolved
-
-    obs.enable()
-    out_dir = Path(args.out_dir)
-    # Stream events to the JSONL sink as they are recorded, so a crash
-    # mid-run still leaves a partial trace on disk; the final
-    # write_jsonl() below rewrites the complete file with a real header.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    obs.TRACER.open_sink(out_dir / f"{name}.trace.jsonl")
-    try:
-        # The inspector observes the *full* pipeline: skip the profile
-        # cache unless the user opts back in, so the profiling phases and
-        # interpreter metrics always appear in the trace.
-        program = prepare(source, name, args=train, ref_args=ref,
-                          use_cache=args.cache, adapt=args.adapt)
-    except SelectionError as e:
-        _print_no_loop(e)
-        _write_trace_artifacts(out_dir / name)
-        obs.disable()
-        return 1
-    result = program.execute(**_execute_kwargs(args), record_timeline=True)
-    ok = result.output == program.sequential.output
-    stats = result.runtime_stats
-
-    print(f"{name}: {_team_label(args)} backend, "
-          f"{args.workers} workers, "
-          f"{program.speedup(result):.2f}x speedup "
-          f"({program.sequential.cycles:,} -> "
-          f"{result.total_wall_cycles:,} cycles), "
-          f"{stats.checkpoints} checkpoint(s), "
-          f"{stats.misspec_count()} misspeculation(s), "
-          f"output match: {ok}")
-    _print_adapt_summary(result.adapt)
-    print()
-    print(obs.TRACER.render_summary())
-    print()
-    print(obs.METRICS.render_table())
-    print()
-    _write_trace_artifacts(out_dir / name, timeline=result.timeline)
-    if args.report:
-        _write_report(args.report,
-                      result.forensics,  # type: ignore[attr-defined]
-                      f"{name} · {_team_label(args)}")
-    obs.disable()
-    return 0 if ok else 1
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     import json
     import tempfile
+    from contextlib import nullcontext
 
-    from .bench.pipeline import prepare
     from .forensics import explain_snapshot, load_dump, render_text
     from .forensics.explain import to_json
-    from .transform.plan import SelectionError
 
-    resolved = _resolve_workload(args)
-    if resolved is None:
+    target = _resolve_workload(args)
+    if target is None:
         return 2
-    source, name, train, ref = resolved
     # Without an explicit --flight-dir the dump goes to a temp dir: the
     # diagnosis is still derived by round-tripping through the on-disk
     # artifact, but nothing is left behind.
-    tmp = None
-    flight_dir = args.flight_dir
-    if flight_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-flight-")
-        flight_dir = tmp.name
-    try:
-        try:
-            program = prepare(source, name, args=train, ref_args=ref,
-                              use_cache=not args.no_cache, adapt=args.adapt)
-        except SelectionError as e:
-            _print_no_loop(e)
+    with (nullcontext(args.flight_dir) if args.flight_dir is not None
+          else tempfile.TemporaryDirectory(prefix="repro-flight-")
+          ) as flight_dir:
+        program = _prepare(args, target)
+        if program is None:
             return 1
         result = program.execute(**_execute_kwargs(args),
                                  flight_dir=flight_dir)
@@ -637,25 +605,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(render_text(snapshot, diagnoses, dump_path=shown))
         if args.json:
             out = Path(args.json)
-            if out.parent != Path("."):
-                out.parent.mkdir(parents=True, exist_ok=True)
+            out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(json.dumps(to_json(snapshot, diagnoses),
                                       indent=2, sort_keys=True) + "\n")
             print(f"explain: JSON -> {out}")
-        if args.report:
-            _write_report(args.report, snapshot,
-                          f"{name} · {_team_label(args)}")
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        _write_report(args, snapshot, target.name)
     return 0
-
-
-def _add_report_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--report", default=None, metavar="OUT.html",
-                   help="write a self-contained HTML run report (heap "
-                        "map, epoch outcome strip, conflict table, "
-                        "controller decision log)")
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -678,6 +633,19 @@ def _add_status_flag(p: argparse.ArgumentParser) -> None:
                         "defaults to $REPRO_STATUS_PORT")
 
 
+def _add_client_flags(p: argparse.ArgumentParser, timeout: float,
+                      timeout_help: str) -> None:
+    """Where ``submit`` and ``jobs`` find the server, and how long they
+    wait for it."""
+    p.add_argument("--url", default=None,
+                   help="server base URL (default: http://127.0.0.1:"
+                        "$REPRO_SERVE_PORT)")
+    p.add_argument("--port", type=int, default=None,
+                   help="server port on 127.0.0.1 (ignored with --url)")
+    p.add_argument("--timeout", type=float, default=timeout,
+                   help=f"{timeout_help} (default: {timeout:g})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -687,8 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="profile, classify, and show the "
                                        "heap assignment and plan")
-    p.add_argument("source", help="MiniC source file")
-    p.add_argument("--args", nargs="*", help="integer arguments for main")
+    _add_workload_arg(p, small=False)
     p.add_argument("--no-cache", action="store_true",
                    help="skip the on-disk profile cache")
     _add_obs_flags(p)
@@ -696,16 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="parallelize and execute on the "
                                    "simulated multicore")
-    p.add_argument("source")
-    p.add_argument("--args", nargs="*")
+    _add_workload_arg(p, small=False)
     _add_execution_flags(p, workers=24)
     p.add_argument("--timeline", action="store_true",
                    help="render the Figure 5 execution timeline")
     p.add_argument("--no-cache", action="store_true",
                    help="skip the on-disk profile cache")
-    _add_report_flag(p)
-    _add_processes_flag(p)
-    _add_adapt_flag(p)
+    _add_local_run_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_run)
 
@@ -720,11 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", action="store_true",
                    help="allow the on-disk profile cache (default: off, so "
                         "the trace covers the whole pipeline)")
-    _add_report_flag(p)
-    _add_processes_flag(p)
-    _add_adapt_flag(p)
+    _add_local_run_flags(p)
     _add_status_flag(p)
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=lambda args: cmd_run(args, trace=True))
 
     p = sub.add_parser("explain", help="run a workload with the flight "
                                        "recorder armed and diagnose every "
@@ -743,15 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "--explain`)")
     p.add_argument("--no-cache", action="store_true",
                    help="skip the on-disk profile cache")
-    _add_report_flag(p)
-    _add_processes_flag(p)
-    _add_adapt_flag(p)
+    _add_local_run_flags(p)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("baselines", help="judge the program under the "
                                          "comparison systems")
-    p.add_argument("source")
-    p.add_argument("--args", nargs="*")
+    _add_workload_arg(p, small=False)
     p.add_argument("--workers", type=_positive_int, default=24)
     p.set_defaults(func=cmd_baselines)
 
@@ -805,14 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "polling for the result")
     p.add_argument("--json", action="store_true",
                    help="print the raw job payload instead of a summary")
-    p.add_argument("--url", default=None,
-                   help="server base URL (default: http://127.0.0.1:"
-                        "$REPRO_SERVE_PORT)")
-    p.add_argument("--port", type=int, default=None,
-                   help="server port on 127.0.0.1 (ignored with --url)")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="seconds to wait for the result (default: 300)")
-    _add_processes_flag(p)
+    _add_client_flags(p, 300.0, "seconds to wait for the result")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("jobs", help="list jobs on a running `repro serve` "
@@ -821,13 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="job id (e.g. j3); omit to list all retained jobs")
     p.add_argument("--json", action="store_true",
                    help="print the raw payload instead of a table")
-    p.add_argument("--url", default=None,
-                   help="server base URL (default: http://127.0.0.1:"
-                        "$REPRO_SERVE_PORT)")
-    p.add_argument("--port", type=int, default=None,
-                   help="server port on 127.0.0.1 (ignored with --url)")
-    p.add_argument("--timeout", type=float, default=10.0,
-                   help="request timeout in seconds (default: 10)")
+    _add_client_flags(p, 10.0, "request timeout in seconds")
     p.set_defaults(func=cmd_jobs)
 
     p = sub.add_parser("report", help="regenerate EXPERIMENTS.md content "
@@ -840,31 +786,17 @@ def build_parser() -> argparse.ArgumentParser:
                                     "below a 5x merge speedup")
     p.set_defaults(func=cmd_perf)
 
-    p = sub.add_parser("top", add_help=False,
-                       help="live terminal dashboard polling a run's "
-                            "status endpoint (see --status-port)")
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser("dash", add_help=False,
-                       help="render a self-contained HTML dashboard from "
-                            "the metrics history ring (`repro serve "
-                            "--history-dir` / $REPRO_HISTORY_DIR)")
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_dash)
+    # `main` hands `top` and `dash` to their own parsers before this one
+    # runs; these entries list them in `repro --help`.
+    for name, help_ in (
+            ("top", "live terminal dashboard polling a run's status "
+                    "endpoint (see --status-port)"),
+            ("dash", "render a self-contained HTML dashboard from the "
+                     "metrics history ring (`repro serve --history-dir` / "
+                     "$REPRO_HISTORY_DIR)")):
+        p = sub.add_parser(name, add_help=False, help=help_)
+        p.add_argument("rest", nargs=argparse.REMAINDER)
     return parser
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import main as top_main
-
-    return top_main(args.rest)
-
-
-def cmd_dash(args: argparse.Namespace) -> int:
-    from .obs.dash import main as dash_main
-
-    return dash_main(args.rest)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -872,33 +804,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     configure_from_env()  # honour REPRO_LOG=debug|info|... for every command
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Delegated subcommands own their argument parsing; hand over before
+    # `top` and `dash` own their argument parsing: hand over before
     # argparse (REMAINDER refuses leading optionals, bpo-17050).
-    if argv[:1] == ["top"]:
-        from .obs.top import main as top_main
+    if argv[:1] in (["top"], ["dash"]):
+        from .obs import dash, top
 
-        return top_main(argv[1:])
-    if argv[:1] == ["dash"]:
-        from .obs.dash import main as dash_main
-
-        return dash_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+        return (top if argv[0] == "top" else dash).main(argv[1:])
+    args = build_parser().parse_args(argv)
     from .parallel.backend import BackendError
 
-    status = _start_status_server(args)
     try:
         return args.func(args)
     except BackendError as e:
         # A team the platform cannot fork is a usage error, not a bug.
         print(f"error: {e}", file=sys.stderr)
         return 2
-    finally:
-        if status is not None:
-            status.stop()
-            from . import obs
-
-            obs.disable()  # the endpoint armed obs; don't leak the state
 
 
 if __name__ == "__main__":

@@ -142,9 +142,9 @@ _WORKLOAD = {("workload",): None, ("--args",): None, ("--small",): False}
 #: Every subcommand's ``(option strings, default)`` pairs (a positional
 #: by its name), as they were before the shared flag helpers existed.
 PARSER_SURFACE = {
-    "analyze": {("source",): None, ("--args",): None,
+    "analyze": {("workload",): None, ("--args",): None,
                 ("--no-cache",): False, **_OBS},
-    "run": {("source",): None, ("--args",): None, ("--workers",): 24,
+    "run": {("workload",): None, ("--args",): None, ("--workers",): 24,
             **_EXECUTION, ("--timeline",): False, ("--no-cache",): False,
             ("--report",): None, **_BACKEND,
             ("--adapt", "--no-adapt"): None, **_OBS},
@@ -156,7 +156,8 @@ PARSER_SURFACE = {
                 ("--flight-dir",): None, ("--json",): None,
                 ("--no-cache",): False, ("--report",): None, **_BACKEND,
                 ("--adapt", "--no-adapt"): None},
-    "baselines": {("source",): None, ("--args",): None, ("--workers",): 24},
+    "baselines": {("workload",): None, ("--args",): None,
+                  ("--workers",): 24},
     "workloads": {("--json",): False},
     "serve": {("--port",): None, ("--queue-depth",): None,
               ("--retain",): 256, ("--history-dir",): None},
@@ -219,7 +220,8 @@ def test_no_loop_found_lists_the_reasons(command, tmp_path, capsys):
     assert obs.enabled() is False
 
 
-@pytest.mark.parametrize("command", ["trace", "explain", "submit"])
+@pytest.mark.parametrize("command", ["analyze", "run", "trace", "explain",
+                                     "baselines", "submit"])
 def test_unknown_workload_message_is_shared(command, capsys):
     rc = main([command, "no-such-workload"])
     err = capsys.readouterr().err
@@ -227,6 +229,51 @@ def test_unknown_workload_message_is_shared(command, capsys):
     assert err.startswith("error: 'no-such-workload' is neither a workload "
                           "(")
     assert err.rstrip().endswith(") nor a MiniC source file")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_trace_survives_a_crash(command, prog_file, tmp_path, capsys,
+                                monkeypatch):
+    """A run that faults still leaves its trace, and leaves tracing
+    disarmed."""
+    from repro import obs
+    from repro.bench import pipeline
+    from repro.interp.errors import GuestFault
+    from repro.obs import schema
+
+    def fault(self, **kwargs):
+        raise GuestFault("injected fault")
+
+    monkeypatch.setattr(pipeline.PreparedProgram, "execute", fault)
+    argv = [command, prog_file, "--args", "24", "--workers", "2"]
+    argv += (["--trace", "--trace-out", str(tmp_path / "prog")]
+             if command == "run"
+             else ["--out-dir", str(tmp_path)])
+    with pytest.raises(GuestFault):
+        main(argv)
+    capsys.readouterr()
+    jsonl = tmp_path / "prog.trace.jsonl"
+    assert schema.validate_jsonl(str(jsonl))["errors"] == []
+    assert obs.enabled() is False
+
+
+def test_importing_the_cli_loads_no_other_repro_module():
+    """`repro serve` starts through this module: its import stays cheap."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.__main__; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'repro'))"],
+        capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "['repro', 'repro.__main__']"
 
 
 class TestAdaptFlag:
