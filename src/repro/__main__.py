@@ -208,10 +208,10 @@ def _observed(args: argparse.Namespace, name: str,
     stops and tracing is disarmed.  ``scope.armed`` says whether
     artifacts or metrics were asked for."""
     from . import obs
-    from .obs.server import StatusServer, resolve_status_port
+    from .obs.server import STATUS_PORT_ENV, StatusServer, resolve_port
 
     try:
-        port = resolve_status_port(args.status_port)
+        port = resolve_port(args.status_port, STATUS_PORT_ENV)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(2)
@@ -225,13 +225,18 @@ def _observed(args: argparse.Namespace, name: str,
     scope = SimpleNamespace(armed=prefix is not None or metrics,
                             timeline=None)
     status = None
+    if port is not None:
+        try:
+            status = StatusServer(port=port).start()
+        except OSError as e:
+            print(f"error: cannot serve the status endpoint on port {port}: "
+                  f"{e.strerror}", file=sys.stderr)
+            raise SystemExit(2)
+        print(f"status: {status.url}/metrics · /metrics.prom · /health "
+              f"(poll with: python -m repro top --port {status.port})")
     if scope.armed or port is not None:
         obs.enable()
     try:
-        if port is not None:
-            status = StatusServer(port=port).start()
-            print(f"status: {status.url}/metrics · /metrics.prom · /health "
-                  f"(poll with: python -m repro top --port {status.port})")
         if prefix is not None:
             prefix.parent.mkdir(parents=True, exist_ok=True)
             obs.TRACER.open_sink(f"{prefix}.trace.jsonl")
@@ -404,14 +409,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .service.app import ServiceApp, resolve_serve_port
+    from .obs.server import resolve_port
+    from .service.app import DEFAULT_SERVE_PORT, SERVE_PORT_ENV, ServiceApp
 
     try:
-        port = resolve_serve_port(args.port)
+        port = resolve_port(args.port, SERVE_PORT_ENV, DEFAULT_SERVE_PORT)
         app = ServiceApp(port=port, queue_depth=args.queue_depth,
-                         retain=args.retain, history_dir=args.history_dir)
+                         retain=args.retain,
+                         history_dir=args.history_dir).start()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: cannot serve on port {port}: {e.strerror}",
+              file=sys.stderr)
         return 2
 
     done = threading.Event()
@@ -422,7 +433,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     for sig in (signal.SIGTERM, signal.SIGINT):
         previous[sig] = signal.signal(sig, _on_signal)
-    app.start()
     print(f"serve: job API on {app.url}")
     print(f"serve: POST {app.url}/jobs · GET /jobs/<id> · /jobs/<id>/trace "
           f"· /fingerprints · /workloads · /metrics · /metrics.prom "
@@ -728,12 +738,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=None,
                    help="loopback port to serve on; 0 picks an ephemeral "
                         "port (default: $REPRO_SERVE_PORT, then 8517)")
-    p.add_argument("--queue-depth", type=_positive_int, default=None,
+    p.add_argument("--queue-depth", default=None,
+                   type=_at_least(1, "the submit queue must hold at "
+                                     "least one job"),
                    metavar="N",
                    help="bound on queued jobs before submits get 429 + "
                         "Retry-After (default: $REPRO_SERVE_QUEUE, "
                         "then 64)")
-    p.add_argument("--retain", type=_positive_int, default=256,
+    p.add_argument("--retain", default=256,
+                   type=_at_least(1, "the retention must keep at least "
+                                     "one finished job"),
                    metavar="N",
                    help="finished jobs kept for GET /jobs/<id> before "
                         "eviction (default: 256)")

@@ -2,119 +2,28 @@
 
 Renders one flight snapshot plus its diagnoses as a single HTML string:
 logical-heap address-space map, epoch outcome strip, conflict table, and
-controller decision log.  Colors follow the repo's fixed visualization
-palette (light/dark via CSS custom properties, status colors reserved
-for outcomes and always paired with a glyph + label, never color alone).
+controller decision log, built from the cards, tables and palette of
+:mod:`repro.obs.page`.
 """
 
 from __future__ import annotations
 
-import html
 from typing import Dict, List, Optional
 
+from ..obs.page import card, esc, page, table
 from .explain import Diagnosis
-
-_CSS = """
-:root {
-  color-scheme: light;
-  --surface-1: #fcfcfb; --page: #f9f9f7;
-  --ink-1: #0b0b0b; --ink-2: #52514e; --ink-muted: #898781;
-  --grid: #e1e0d9; --axis: #c3c2b7;
-  --series-1: #2a78d6;
-  --status-good: #0ca30c; --status-critical: #d03b3b; --status-serious: #ec835a;
-  --border: rgba(11,11,11,0.10);
-}
-@media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) {
-    color-scheme: dark;
-    --surface-1: #1a1a19; --page: #0d0d0d;
-    --ink-1: #ffffff; --ink-2: #c3c2b7; --ink-muted: #898781;
-    --grid: #2c2c2a; --axis: #383835;
-    --series-1: #3987e5;
-    --border: rgba(255,255,255,0.10);
-  }
-}
-:root[data-theme="dark"] {
-  color-scheme: dark;
-  --surface-1: #1a1a19; --page: #0d0d0d;
-  --ink-1: #ffffff; --ink-2: #c3c2b7; --ink-muted: #898781;
-  --grid: #2c2c2a; --axis: #383835;
-  --series-1: #3987e5;
-  --border: rgba(255,255,255,0.10);
-}
-* { box-sizing: border-box; }
-body {
-  margin: 0; padding: 24px; background: var(--page); color: var(--ink-1);
-  font-family: system-ui, -apple-system, "Segoe UI", sans-serif; font-size: 14px;
-}
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 15px; margin: 28px 0 8px; }
-.sub { color: var(--ink-2); margin: 0 0 16px; }
-section.card {
-  background: var(--surface-1); border: 1px solid var(--border);
-  border-radius: 8px; padding: 16px; margin-bottom: 16px;
-}
-table { border-collapse: collapse; width: 100%; }
-th, td {
-  text-align: left; padding: 5px 10px 5px 0; border-bottom: 1px solid var(--grid);
-  vertical-align: top;
-}
-th { color: var(--ink-2); font-weight: 600; }
-td.num { font-variant-numeric: tabular-nums; }
-.muted { color: var(--ink-muted); }
-.mono { font-family: ui-monospace, SFMono-Regular, Menlo, monospace; font-size: 12px; }
-.strip { display: flex; flex-wrap: wrap; gap: 2px; }
-.cell {
-  width: 16px; height: 20px; border-radius: 3px; color: #ffffff;
-  display: flex; align-items: center; justify-content: center;
-  font-size: 10px; line-height: 1;
-}
-.cell.commit { background: var(--status-good); }
-.cell.squash { background: var(--status-critical); }
-.cell.sequential { background: var(--axis); color: var(--ink-1); }
-.legend { display: flex; gap: 16px; margin-top: 8px; color: var(--ink-2); font-size: 12px; }
-.legend .cell { display: inline-flex; margin-right: 4px; }
-.legend span.item { display: flex; align-items: center; }
-.heaprow { display: flex; align-items: center; margin: 6px 0; }
-.heaplabel { width: 110px; flex: none; color: var(--ink-2); }
-.track {
-  position: relative; flex: 1; height: 18px; background: var(--page);
-  border: 1px solid var(--grid); border-radius: 4px; overflow: hidden;
-}
-.obj {
-  position: absolute; top: 2px; bottom: 2px; border-radius: 3px;
-  background: var(--series-1); min-width: 4px;
-}
-.objlist { margin: 0 0 4px 110px; color: var(--ink-muted); font-size: 12px; }
-.empty { color: var(--ink-muted); font-style: italic; }
-"""
-
-
-def _esc(value: object) -> str:
-    """HTML-escape any value's string form."""
-    return html.escape(str(value))
 
 
 def _meta_section(meta: Dict[str, object]) -> str:
-    rows = []
-    for key in sorted(meta):
-        rows.append(
-            f"<tr><th>{_esc(key)}</th><td class=mono>{_esc(meta[key])}</td></tr>"
-        )
-    return (
-        "<section class=card><h2>Run metadata</h2><table>"
-        + "".join(rows)
-        + "</table></section>"
-    )
+    return card("Run metadata", table(
+        f"<tr><th>{esc(key)}</th><td class=mono>{esc(meta[key])}</td></tr>"
+        for key in sorted(meta)))
 
 
 def _epoch_strip(events: List[Dict[str, object]]) -> str:
     epochs = [ev for ev in events if ev.get("event") == "epoch"]
     if not epochs:
-        return (
-            "<section class=card><h2>Epoch outcomes</h2>"
-            "<p class=empty>no epochs recorded</p></section>"
-        )
+        return card("Epoch outcomes", "", empty="no epochs recorded")
     shown = epochs[-200:]
     note = (
         f"<p class=muted>showing last {len(shown)} of {len(epochs)} epochs</p>"
@@ -129,7 +38,7 @@ def _epoch_strip(events: List[Dict[str, object]]) -> str:
         if ev.get("misspec_iteration") is not None:
             tip += f" misspec at i={ev.get('misspec_iteration')}"
         cells.append(
-            f'<span class="cell {_esc(outcome)}" title="{_esc(tip)}">'
+            f'<span class="cell {esc(outcome)}" title="{esc(tip)}">'
             f"{glyph.get(outcome, '?')}</span>"
         )
     legend = (
@@ -139,21 +48,14 @@ def _epoch_strip(events: List[Dict[str, object]]) -> str:
         '<span class=item><span class="cell sequential">→</span> sequential span</span>'
         "</div>"
     )
-    return (
-        "<section class=card><h2>Epoch outcomes</h2>"
-        + note
-        + f'<div class=strip>{"".join(cells)}</div>'
-        + legend
-        + "</section>"
-    )
+    return card("Epoch outcomes",
+                note + f'<div class=strip>{"".join(cells)}</div>' + legend)
 
 
 def _heap_map(heap_map: List[Dict[str, object]]) -> str:
+    title = "Logical heap address space"
     if not heap_map:
-        return (
-            "<section class=card><h2>Logical heap address space</h2>"
-            "<p class=empty>no live objects recorded</p></section>"
-        )
+        return card(title, "", empty="no live objects recorded")
     by_heap: Dict[str, List[Dict[str, object]]] = {}
     for obj in heap_map:
         by_heap.setdefault(str(obj.get("heap", "untagged")), []).append(obj)
@@ -174,10 +76,10 @@ def _heap_map(heap_map: List[Dict[str, object]]) -> str:
             )
             bars.append(
                 f'<span class=obj style="left:{left:.2f}%;width:{width:.2f}%"'
-                f' title="{_esc(tip)}"></span>'
+                f' title="{esc(tip)}"></span>'
             )
         rows.append(
-            f"<div class=heaprow><span class=heaplabel>{_esc(heap)}</span>"
+            f"<div class=heaprow><span class=heaplabel>{esc(heap)}</span>"
             f'<div class=track>{"".join(bars)}</div></div>'
         )
         caption = ", ".join(
@@ -185,26 +87,20 @@ def _heap_map(heap_map: List[Dict[str, object]]) -> str:
         )
         if len(objs) > 8:
             caption += f", … +{len(objs) - 8} more"
-        rows.append(f"<div class=objlist>{_esc(caption)}</div>")
-    return (
-        "<section class=card><h2>Logical heap address space</h2>"
-        "<p class=muted>one track per heap kind (address bits 44–46); "
-        "bars are live objects, positioned within the heap's occupied extent</p>"
-        + "".join(rows)
-        + "</section>"
-    )
+        rows.append(f"<div class=objlist>{esc(caption)}</div>")
+    return card(title,
+                "<p class=muted>one track per heap kind (address bits 44–46); "
+                "bars are live objects, positioned within the heap's "
+                "occupied extent</p>" + "".join(rows))
 
 
 def _conflict_table(diagnoses: List[Diagnosis]) -> str:
     if not diagnoses:
-        return (
-            "<section class=card><h2>Conflicts</h2>"
-            "<p class=empty>no misspeculations — clean run</p></section>"
-        )
+        return card("Conflicts", "", empty="no misspeculations — clean run")
     rows = []
     for n, d in enumerate(diagnoses, start=1):
-        kind = _esc(d.kind) + (" <span class=muted>(injected)</span>" if d.injected else "")
-        where = _esc(d.object_name or "?")
+        kind = esc(d.kind) + (" <span class=muted>(injected)</span>" if d.injected else "")
+        where = esc(d.object_name or "?")
         if d.offset is not None:
             where += f"+{d.offset}"
         pair = ""
@@ -215,29 +111,22 @@ def _conflict_table(diagnoses: List[Diagnosis]) -> str:
             )
         rows.append(
             f"<tr><td class=num>{n}</td><td>{kind}</td><td class=num>{d.iteration}</td>"
-            f"<td class=mono>{_esc(d.site or '-')}</td><td class=mono>{where}</td>"
-            f"<td>{_esc(d.heap or '-')}"
+            f"<td class=mono>{esc(d.site or '-')}</td><td class=mono>{where}</td>"
+            f"<td>{esc(d.heap or '-')}"
             + (f" <span class=muted>(0b{d.heap_tag:03b})</span>" if d.heap_tag is not None else "")
-            + f"</td><td>{_esc(d.predicted_class or '-')} → {_esc(d.observed_class or '-')}</td>"
-            f"<td class=num>{pair or '-'}</td><td>{_esc(d.transition or d.detail)}</td></tr>"
+            + f"</td><td>{esc(d.predicted_class or '-')} → {esc(d.observed_class or '-')}</td>"
+            f"<td class=num>{pair or '-'}</td><td>{esc(d.transition or d.detail)}</td></tr>"
         )
-    return (
-        "<section class=card><h2>Conflicts</h2><table>"
-        "<tr><th>#</th><th>kind</th><th>iter</th><th>site</th><th>object</th>"
-        "<th>heap (tag)</th><th>predicted → observed</th>"
-        "<th>write → read</th><th>shadow transition</th></tr>"
-        + "".join(rows)
-        + "</table></section>"
-    )
+    return card("Conflicts", table(rows, (
+        "#", "kind", "iter", "site", "object", "heap (tag)",
+        "predicted → observed", "write → read", "shadow transition")))
 
 
 def _decision_log(events: List[Dict[str, object]]) -> str:
     decisions = [ev for ev in events if ev.get("event") == "decision"]
     if not decisions:
-        return (
-            "<section class=card><h2>Controller decisions</h2>"
-            "<p class=empty>no adaptive controller decisions recorded</p></section>"
-        )
+        return card("Controller decisions", "",
+                    empty="no adaptive controller decisions recorded")
     rows = []
     for ev in decisions:
         extra = {
@@ -247,16 +136,12 @@ def _decision_log(events: List[Dict[str, object]]) -> str:
         }
         detail = ", ".join(f"{k}={v}" for k, v in sorted(extra.items()))
         rows.append(
-            f"<tr><td class=num>{_esc(ev.get('seq'))}</td>"
-            f"<td>{_esc(ev.get('action'))}</td>"
-            f"<td class=mono>{_esc(detail)}</td></tr>"
+            f"<tr><td class=num>{esc(ev.get('seq'))}</td>"
+            f"<td>{esc(ev.get('action'))}</td>"
+            f"<td class=mono>{esc(detail)}</td></tr>"
         )
-    return (
-        "<section class=card><h2>Controller decisions</h2><table>"
-        "<tr><th>seq</th><th>action</th><th>detail</th></tr>"
-        + "".join(rows)
-        + "</table></section>"
-    )
+    return card("Controller decisions",
+                table(rows, ("seq", "action", "detail")))
 
 
 def _site_summary(site_summary: Dict[str, Dict[str, int]]) -> str:
@@ -266,18 +151,13 @@ def _site_summary(site_summary: Dict[str, Dict[str, int]]) -> str:
     for site in sorted(site_summary):
         s = site_summary[site]
         rows.append(
-            f"<tr><td class=mono>{_esc(site)}</td>"
+            f"<tr><td class=mono>{esc(site)}</td>"
             f"<td class=num>{s.get('written_bytes', 0)}</td>"
             f"<td class=num>{s.get('read_live_in_bytes', 0)}</td>"
             f"<td class=num>{s.get('epochs', 0)}</td></tr>"
         )
-    return (
-        "<section class=card><h2>Per-site access summary</h2><table>"
-        "<tr><th>site</th><th>bytes written</th><th>live-in bytes read</th>"
-        "<th>epochs touched</th></tr>"
-        + "".join(rows)
-        + "</table></section>"
-    )
+    return card("Per-site access summary", table(rows, (
+        "site", "bytes written", "live-in bytes read", "epochs touched")))
 
 
 def render_html(
@@ -299,7 +179,7 @@ def render_html(
         f"{meta.get('events_recorded', len(events))} events recorded · {status}"
     )
     body = (
-        f"<h1>{_esc(page_title)}</h1><p class=sub>{_esc(sub)}</p>"
+        f"<h1>{esc(page_title)}</h1><p class=sub>{esc(sub)}</p>"
         + _epoch_strip(events)
         + _heap_map(snapshot.get("heap_map", []) or [])
         + _conflict_table(diagnoses)
@@ -307,9 +187,4 @@ def render_html(
         + _site_summary(snapshot.get("site_summary", {}) or {})
         + _meta_section(meta)
     )
-    return (
-        "<!DOCTYPE html><html lang=en><head><meta charset=utf-8>"
-        f"<title>{_esc(page_title)}</title>"
-        '<meta name=viewport content="width=device-width, initial-scale=1">'
-        f"<style>{_CSS}</style></head><body>{body}</body></html>"
-    )
+    return page(page_title, body)

@@ -31,8 +31,7 @@ from .metrics import (
 from .server import (
     STATUS_PORT_ENV,
     StatusServer,
-    resolve_status_port,
-    start_status_server,
+    resolve_port,
 )
 from .trace import (
     CYCLES_PER_US,
@@ -50,8 +49,8 @@ __all__ = [
     "STATUS_PORT_ENV", "Span", "StatusServer", "TRACE_FORMAT", "TRACER",
     "Tracer", "configure_from_env", "disable", "enable", "enabled",
     "get_logger", "labeled", "parse_metric_name", "read_history",
-    "render_prometheus", "resolve_history_dir", "resolve_status_port",
-    "start_status_server", "timeline_to_chrome",
+    "render_prometheus", "resolve_history_dir", "resolve_port",
+    "timeline_to_chrome",
 ]
 
 

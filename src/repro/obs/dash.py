@@ -5,244 +5,136 @@ Reads the bounded JSONL ring written by
 :class:`~repro.obs.history.HistorySampler` (``repro serve
 --history-dir`` / ``$REPRO_HISTORY_DIR``) and renders one static HTML
 file: throughput (jobs/s), latency p50/p99, misspeculation rate, and
-queue depth as inline SVG sparklines, plus a current-values table.  No
-JavaScript, no external assets — the file works from ``file://``, an
-artifact store, or a CI log bundle (the same philosophy as the
-forensics HTML reports).
+queue depth as inline SVG sparklines, plus a current-values table, built
+from the cards, table and palette of :mod:`repro.obs.page` (the page kit
+of the forensics HTML report).
 
-Rates are derived exactly like ``repro top`` does between polls: deltas
-of monotonic counters over the wall-clock gap between records.
+Rates come from the pairwise readers of :mod:`repro.obs.snapshot`, the
+ones ``repro top`` applies to its previous and current polls, mapped
+over consecutive records.
 """
 
 from __future__ import annotations
 
 import argparse
-import html
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .history import HISTORY_DIR_ENV, read_history, resolve_history_dir
+from .page import card, esc, page, table
+from .snapshot import Snapshot, fmt_us, misspec_rate, rate, stamp, value
 
 #: Sparkline viewport (CSS pixels).
 SPARK_W = 260
 SPARK_H = 48
 
-
-def _metric(rec: Dict[str, object], name: str) -> Dict[str, object]:
-    metrics = rec.get("metrics") or {}
-    entry = metrics.get(name)
-    return entry if isinstance(entry, dict) else {}
+Series = List[Optional[float]]
 
 
-def _value(rec: Dict[str, object], name: str, default: float = 0.0) -> float:
-    v = _metric(rec, name).get("value")
-    return default if not isinstance(v, (int, float)) else float(v)
+def _pairwise(records: List[Snapshot],
+              fn: Callable[[Snapshot, Snapshot], Optional[float]]) -> Series:
+    """``fn`` over each pair of consecutive records (None for the
+    first record, which has no predecessor)."""
+    return [None][:len(records)] + [fn(a, b)
+                                     for a, b in zip(records, records[1:])]
 
 
-def _hist_field(rec: Dict[str, object], name: str, field: str
-                ) -> Optional[float]:
-    v = _metric(rec, name).get(field)
+def series_rate(records: List[Snapshot], name: str) -> Series:
+    """Per-record rate of a monotonic counter (None for the first
+    record and across non-positive time gaps)."""
+    return _pairwise(records, lambda a, b: rate(a, b, name))
+
+
+def misspec_rate_series(records: List[Snapshot]) -> Series:
+    """Windowed misspeculation rate: misspecs per attempted epoch
+    between consecutive records."""
+    return _pairwise(records, misspec_rate)
+
+
+def _field(rec: Snapshot, name: str, field: str) -> Optional[float]:
+    entry = (rec.get("metrics") or {}).get(name)
+    v = entry.get(field) if isinstance(entry, dict) else None
     return float(v) if isinstance(v, (int, float)) else None
 
 
-def series_rate(records: List[Dict[str, object]], name: str,
-                ) -> List[Optional[float]]:
-    """Per-record rate of a monotonic counter (None for the first
-    record and across non-positive time gaps)."""
-    out: List[Optional[float]] = []
-    prev_v: Optional[float] = None
-    prev_t: Optional[float] = None
-    for rec in records:
-        t = float(rec.get("ts_unix") or 0.0)
-        v = _value(rec, name)
-        if prev_v is None or prev_t is None or t <= prev_t:
-            out.append(None)
-        else:
-            out.append(max(0.0, v - prev_v) / (t - prev_t))
-        prev_v, prev_t = v, t
-    return out
-
-
-def misspec_rate_series(records: List[Dict[str, object]]
-                        ) -> List[Optional[float]]:
-    """Windowed misspeculation rate: misspecs per committed epoch
-    between consecutive records."""
-    out: List[Optional[float]] = []
-    prev: Optional[Tuple[float, float]] = None
-    for rec in records:
-        metrics = rec.get("metrics") or {}
-        misspecs = sum(
-            float(entry.get("value") or 0.0)
-            for name, entry in metrics.items()
-            if name.startswith("runtime.misspec.") and isinstance(entry, dict)
-            and isinstance(entry.get("value"), (int, float)))
-        epochs = _value(rec, "executor.epochs")
-        if prev is None:
-            out.append(None)
-        else:
-            d_miss = max(0.0, misspecs - prev[0])
-            d_epochs = max(0.0, epochs - prev[1])
-            attempts = d_miss + d_epochs
-            out.append(d_miss / attempts if attempts else None)
-        prev = (misspecs, epochs)
-    return out
-
-
 def sparkline(values: Sequence[Optional[float]],
-              width: int = SPARK_W, height: int = SPARK_H,
-              color: str = "#2563eb") -> str:
-    """Inline SVG sparkline; gaps (None) break the polyline."""
-    points = [(i, v) for i, v in enumerate(values) if v is not None]
+              width: int = SPARK_W, height: int = SPARK_H) -> str:
+    """Inline SVG sparkline in the palette's series color; gaps (None)
+    break the polyline."""
+    points = [v for v in values if v is not None]
     if not points:
-        return (f'<svg class="spark" width="{width}" height="{height}">'
-                f'<text x="4" y="{height - 6}" class="nodata">no data'
-                f"</text></svg>")
-    lo = min(v for _, v in points)
-    hi = max(v for _, v in points)
-    span = (hi - lo) or 1.0
+        return (f'<svg width="{width}" height="{height}">'
+                f'<text x="4" y="{height - 6}" class=muted '
+                f'fill="currentColor" font-size="11">no data</text></svg>')
+    lo, span = min(points), (max(points) - min(points)) or 1.0
     n = max(1, len(values) - 1)
     pad = 3
-
-    def xy(i: int, v: float) -> str:
-        x = pad + i / n * (width - 2 * pad)
-        y = height - pad - (v - lo) / span * (height - 2 * pad)
-        return f"{x:.1f},{y:.1f}"
-
-    segments: List[List[str]] = []
-    run: List[str] = []
-    for i, v in enumerate(values):
-        if v is None:
-            if run:
-                segments.append(run)
-                run = []
-            continue
-        run.append(xy(i, v))
-    if run:
-        segments.append(run)
-    polys = "".join(
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-        f'points="{" ".join(seg)}"/>'
-        for seg in segments if len(seg) >= 2)
-    dots = "".join(
-        f'<circle cx="{seg[0].split(",")[0]}" cy="{seg[0].split(",")[1]}" '
-        f'r="1.5" fill="{color}"/>'
-        for seg in segments if len(seg) == 1)
-    return (f'<svg class="spark" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">{polys}{dots}</svg>')
+    # Runs of consecutive non-None samples, as "x,y" points.
+    segments = [[f"{pad + i / n * (width - 2 * pad):.1f},"
+                 f"{height - pad - (v - lo) / span * (height - 2 * pad):.1f}"
+                 for i, v in run]
+                for gap, run in groupby(enumerate(values),
+                                        key=lambda iv: iv[1] is None)
+                if not gap]
+    marks = "".join(
+        f'<polyline fill="none" style="stroke:var(--series-1)" '
+        f'stroke-width="1.5" points="{" ".join(seg)}"/>' if len(seg) > 1
+        else (f'<circle cx="{seg[0].split(",")[0]}" '
+              f'cy="{seg[0].split(",")[1]}" r="1.5" '
+              f'style="fill:var(--series-1)"/>')
+        for seg in segments)
+    return (f'<svg width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">{marks}</svg>')
 
 
-def _fmt(v: Optional[float], unit: str = "", pct: bool = False) -> str:
-    if v is None:
-        return "-"
-    if pct:
-        return f"{v:.1%}"
-    if unit == "us":
-        if v >= 1e6:
-            return f"{v / 1e6:.2f}s"
-        if v >= 1e3:
-            return f"{v / 1e3:.1f}ms"
-        return f"{v:.0f}us"
-    return f"{v:,.2f}{unit}"
-
-
-def _last(values: Sequence[Optional[float]]) -> Optional[float]:
-    for v in reversed(values):
-        if v is not None:
-            return v
-    return None
-
-
-def render_dash_html(records: List[Dict[str, object]],
-                     source: str = "") -> str:
+def render_dash_html(records: List[Snapshot], source: str = "") -> str:
     """The full dashboard HTML (one self-contained page)."""
-    rows: List[str] = []
-
-    def panel(title: str, values: List[Optional[float]],
-              unit: str = "", pct: bool = False,
-              color: str = "#2563eb") -> None:
-        rows.append(
-            '<div class="panel">'
-            f"<h2>{html.escape(title)}</h2>"
-            f'<div class="now">{html.escape(_fmt(_last(values), unit, pct))}'
-            "</div>"
-            + sparkline(values, color=color)
-            + "</div>")
-
-    completed = series_rate(records, "service.jobs.completed")
-    submitted = series_rate(records, "service.jobs.submitted")
-    p50 = [_hist_field(r, "service.job.latency_us", "p50") for r in records]
-    p99 = [_hist_field(r, "service.job.latency_us", "p99") for r in records]
-    misspec = misspec_rate_series(records)
-    depth = [_value(r, "service.queue.depth") for r in records]
-    retry = [_value(r, "service.retry_after_s") for r in records]
-
-    panel("jobs completed /s", completed)
-    panel("jobs submitted /s", submitted, color="#64748b")
-    panel("job latency p50", p50, unit="us", color="#059669")
-    panel("job latency p99", p99, unit="us", color="#dc2626")
-    panel("misspeculation rate", misspec, pct=True, color="#d97706")
-    panel("queue depth", depth, color="#7c3aed")
-    panel("retry-after hint (s)", retry, color="#a21caf")
-
-    last = records[-1] if records else {}
-    metrics = last.get("metrics") or {}
-    table_rows = "".join(
-        "<tr><td>" + html.escape(name) + "</td><td>"
-        + html.escape(_fmt_entry(entry)) + "</td></tr>"
-        for name, entry in sorted(metrics.items())
-        if isinstance(entry, dict) and name.startswith("service."))
-    span_s = 0.0
-    if len(records) >= 2:
-        span_s = (float(records[-1].get("ts_unix") or 0.0)
-                  - float(records[0].get("ts_unix") or 0.0))
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>repro dash</title>
-<style>
-body {{ font: 14px/1.4 system-ui, sans-serif; margin: 2em auto;
-       max-width: 960px; color: #0f172a; }}
-h1 {{ font-size: 1.3em; }} h2 {{ font-size: 0.9em; margin: 0 0 .2em; }}
-.meta {{ color: #64748b; margin-bottom: 1.5em; }}
-.grid {{ display: flex; flex-wrap: wrap; gap: 1em; }}
-.panel {{ border: 1px solid #e2e8f0; border-radius: 8px; padding: .8em;
-          width: {SPARK_W}px; }}
-.now {{ font-size: 1.4em; font-weight: 600; margin-bottom: .3em; }}
-.spark {{ display: block; }}
-.nodata {{ font-size: 11px; fill: #94a3b8; }}
-table {{ border-collapse: collapse; margin-top: 2em; width: 100%; }}
-td {{ border-top: 1px solid #e2e8f0; padding: .25em .5em;
-      font-family: ui-monospace, monospace; font-size: 12px; }}
-</style>
-</head>
-<body>
-<h1>repro dash</h1>
-<p class="meta">{len(records)} snapshot(s) spanning {span_s:.0f}s
-{("&middot; " + html.escape(source)) if source else ""}</p>
-<div class="grid">
-{"".join(rows)}
-</div>
-<table>
-<tr><th align="left">service metric (latest)</th><th align="left">value</th></tr>
-{table_rows}
-</table>
-</body>
-</html>
-"""
+    num, pct = "{:,.2f}".format, "{:.1%}".format
+    panels = [
+        ("jobs completed /s",
+         series_rate(records, "service.jobs.completed"), num),
+        ("jobs submitted /s",
+         series_rate(records, "service.jobs.submitted"), num),
+        ("job latency p50",
+         [_field(r, "service.job.latency_us", "p50") for r in records],
+         fmt_us),
+        ("job latency p99",
+         [_field(r, "service.job.latency_us", "p99") for r in records],
+         fmt_us),
+        ("misspeculation rate", misspec_rate_series(records), pct),
+        ("queue depth",
+         [value(r, "service.queue.depth", 0.0) for r in records], num),
+        ("retry-after hint (s)",
+         [value(r, "service.retry_after_s", 0.0) for r in records], num),
+    ]
+    cards = ""
+    for title, values, fmt in panels:
+        last = next((v for v in reversed(values) if v is not None), None)
+        now = "-" if last is None else fmt(last)
+        cards += card(title, f"<p class=sub>{esc(now)}</p>"
+                      + sparkline(values))
+    metrics = (records[-1].get("metrics") or {}) if records else {}
+    rows = (f"<tr><td class=mono>{esc(name)}</td>"
+            f"<td class=mono>{esc(_fmt_entry(entry))}</td></tr>"
+            for name, entry in sorted(metrics.items())
+            if isinstance(entry, dict) and name.startswith("service."))
+    span_s = stamp(records[-1]) - stamp(records[0]) if records else 0.0
+    meta = f"{len(records)} snapshot(s) spanning {span_s:.0f}s" + (
+        f" · {source}" if source else "")
+    return page("repro dash", (
+        f"<h1>repro dash</h1><p class=sub>{esc(meta)}</p>"
+        f"<div class=strip>{cards}</div>"
+        + table(rows, ("service metric (latest)", "value"))))
 
 
 def _fmt_entry(entry: Dict[str, object]) -> str:
     if entry.get("type") == "histogram":
         return (f"count={entry.get('count')} "
-                f"p50={_fmt(_as_float(entry.get('p50')), 'us')} "
-                f"p99={_fmt(_as_float(entry.get('p99')), 'us')}")
+                f"p50={fmt_us(entry.get('p50'))} "
+                f"p99={fmt_us(entry.get('p99'))}")
     v = entry.get("value")
     return "-" if v is None else f"{v}"
-
-
-def _as_float(v: object) -> Optional[float]:
-    return float(v) if isinstance(v, (int, float)) else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

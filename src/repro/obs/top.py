@@ -1,13 +1,13 @@
 """``python -m repro top`` — live terminal dashboard for a run.
 
 Polls the ``/metrics`` JSON endpoint served by :mod:`repro.obs.server`
-(or reads a snapshot file / an in-process registry) and renders epoch
-throughput, misspeculation rate, adaptive-controller state, and
-per-worker utilization as a full-screen text frame, refreshed in place.
+(or reads a saved payload) and renders epoch throughput, misspeculation
+rate, adaptive-controller state, and per-worker utilization as a
+full-screen text frame, refreshed in place.
 
-Rates are derived client-side from successive polls (delta of monotonic
-counters over the wall-clock gap between ``generated_unix`` stamps), so
-the server stays a dumb snapshot endpoint.  Everything here is plain
+Rates are derived client-side from successive polls by the pairwise
+readers of :mod:`repro.obs.snapshot` (the ones ``repro dash`` maps over
+its history ring).  Everything here is plain
 ANSI — no curses — so it works over ssh, in CI logs (``--once``), and
 piped to a file.
 """
@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .metrics import MetricsRegistry, metric_sort_key, split_worker_metric
+from .metrics import metric_sort_key, split_worker_metric
+from .snapshot import fmt_us, misspec_rate, misspecs, rate, stamp, value
 
 #: ANSI: clear screen + home (the refresh between frames).
 CLEAR = "\x1b[2J\x1b[H"
@@ -38,41 +38,6 @@ def fetch_payload(url: str, timeout: float = 5.0) -> Dict[str, object]:
         return json.loads(resp.read().decode())
 
 
-def payload_from_registry(registry: MetricsRegistry,
-                          run: Optional[Dict[str, object]] = None
-                          ) -> Dict[str, object]:
-    """Build the same payload shape from an in-process registry, for
-    embedding the dashboard without an HTTP hop."""
-    return {
-        "status_format": 1,
-        "generated_unix": time.time(),
-        "uptime_s": 0.0,
-        "run": dict(run or {}),
-        "metrics": registry.snapshot(),
-    }
-
-
-def _value(metrics: Dict[str, Dict[str, object]], name: str,
-           default: float = 0) -> float:
-    entry = metrics.get(name)
-    if not isinstance(entry, dict):
-        return default
-    v = entry.get("value")
-    return default if v is None else v
-
-
-def _sum_matching(metrics: Dict[str, Dict[str, object]],
-                  pattern: str) -> float:
-    rx = re.compile(pattern)
-    return sum(_value(metrics, name) for name in metrics if rx.match(name))
-
-
-def _rate(now_v: float, prev_v: float, dt: float) -> Optional[float]:
-    if dt <= 0:
-        return None
-    return max(0.0, now_v - prev_v) / dt
-
-
 def _fmt_rate(r: Optional[float], unit: str) -> str:
     return "-" if r is None else f"{r:,.1f} {unit}"
 
@@ -81,16 +46,6 @@ def _bar(fraction: float, width: int = 20) -> str:
     fraction = min(1.0, max(0.0, fraction))
     filled = round(fraction * width)
     return "#" * filled + "." * (width - filled)
-
-
-def _fmt_us(v: object) -> str:
-    if not isinstance(v, (int, float)):
-        return "-"
-    if v >= 1e6:
-        return f"{v / 1e6:.2f}s"
-    if v >= 1e3:
-        return f"{v / 1e3:.1f}ms"
-    return f"{v:.0f}us"
 
 
 def worker_rows(metrics: Dict[str, Dict[str, object]]
@@ -103,9 +58,9 @@ def worker_rows(metrics: Dict[str, Dict[str, object]]
         if worker is None:
             continue
         entry = metrics[name]
-        value = entry.get("value", entry.get("count"))
-        if value is not None:
-            grouped.setdefault(worker, {})[base] = value
+        v = entry.get("value", entry.get("count"))
+        if v is not None:
+            grouped.setdefault(worker, {})[base] = v
     return sorted(grouped.items(), key=lambda kv: int(kv[0]))
 
 
@@ -116,10 +71,7 @@ def render_dashboard(payload: Dict[str, object],
     monotonic counters into rates and per-worker utilization."""
     metrics = payload.get("metrics") or {}
     run = payload.get("run") or {}
-    prev_metrics = (prev or {}).get("metrics") or {}
-    now_ts = float(payload.get("generated_unix") or 0.0)
-    dt = now_ts - float((prev or {}).get("generated_unix") or 0.0) \
-        if prev else 0.0
+    dt = stamp(payload) - stamp(prev) if prev else 0.0
 
     lines: List[str] = []
     title = "repro top"
@@ -133,29 +85,24 @@ def render_dashboard(payload: Dict[str, object],
     lines.append("=" * min(width, len(head)))
 
     # -- throughput -------------------------------------------------------
-    epochs = _value(metrics, "executor.epochs")
-    iters = _value(metrics, "executor.iterations.committed")
-    checkpoints = _value(metrics, "runtime.checkpoints")
-    misspecs = _sum_matching(metrics, r"^runtime\.misspec\.")
-    recoveries = _value(metrics, "executor.recoveries")
-    attempts = epochs + misspecs
-    misspec_rate = misspecs / attempts if attempts else 0.0
-    epoch_rate = iter_rate = None
-    if prev:
-        epoch_rate = _rate(epochs, _value(prev_metrics, "executor.epochs"),
-                           dt)
-        iter_rate = _rate(
-            iters, _value(prev_metrics, "executor.iterations.committed"), dt)
-    progress_at = _value(metrics, "executor.progress.iteration")
-    trips = _value(metrics, "executor.progress.trips")
+    epochs = value(payload, "executor.epochs")
+    iters = value(payload, "executor.iterations.committed")
+    checkpoints = value(payload, "runtime.checkpoints")
+    recoveries = value(payload, "executor.recoveries")
+    # The misspeculation rate since the run began.
+    run_misspec_rate = misspec_rate({}, payload) or 0.0
+    epoch_rate = rate(prev, payload, "executor.epochs")
+    iter_rate = rate(prev, payload, "executor.iterations.committed")
+    progress_at = value(payload, "executor.progress.iteration")
+    trips = value(payload, "executor.progress.trips")
     lines.append("")
     lines.append(f"epochs committed {epochs:>10,.0f}   "
                  f"({_fmt_rate(epoch_rate, 'epoch/s')})")
     lines.append(f"iterations       {iters:>10,.0f}   "
                  f"({_fmt_rate(iter_rate, 'iter/s')})")
     lines.append(f"checkpoints      {checkpoints:>10,.0f}")
-    lines.append(f"misspeculations  {misspecs:>10,.0f}   "
-                 f"rate {misspec_rate:.1%}   recoveries {recoveries:,.0f}")
+    lines.append(f"misspeculations  {misspecs(payload):>10,.0f}   "
+                 f"rate {run_misspec_rate:.1%}   recoveries {recoveries:,.0f}")
     if trips:
         frac = progress_at / trips
         lines.append(f"invocation       [{_bar(frac)}] "
@@ -163,18 +110,14 @@ def render_dashboard(payload: Dict[str, object],
 
     # -- service tier (repro serve) ---------------------------------------
     if any(name.startswith("service.") for name in metrics):
-        submitted = _value(metrics, "service.jobs.submitted")
-        completed = _value(metrics, "service.jobs.completed")
-        failed = _value(metrics, "service.jobs.failed")
-        misspec_jobs = _value(metrics, "service.jobs.misspeculated")
-        cache_hits = _value(metrics, "service.cache_hits")
-        depth = _value(metrics, "service.queue.depth")
-        retry = _value(metrics, "service.retry_after_s")
-        job_rate = None
-        if prev:
-            job_rate = _rate(
-                completed,
-                _value(prev_metrics, "service.jobs.completed"), dt)
+        submitted = value(payload, "service.jobs.submitted")
+        completed = value(payload, "service.jobs.completed")
+        failed = value(payload, "service.jobs.failed")
+        misspec_jobs = value(payload, "service.jobs.misspeculated")
+        cache_hits = value(payload, "service.cache_hits")
+        depth = value(payload, "service.queue.depth")
+        retry = value(payload, "service.retry_after_s")
+        job_rate = rate(prev, payload, "service.jobs.completed")
         latency = metrics.get("service.job.latency_us") or {}
         queue_wait = metrics.get("service.job.queue_wait_us") or {}
         lines.append("")
@@ -185,43 +128,43 @@ def render_dashboard(payload: Dict[str, object],
             f"{misspec_jobs:,.0f} misspec  {cache_hits:,.0f} cache hits")
         lines.append(
             f"  queue depth {depth:>4,.0f}   retry-after {retry:,.1f}s   "
-            f"latency p50 {_fmt_us(latency.get('p50'))} "
-            f"p99 {_fmt_us(latency.get('p99'))}   "
-            f"queue wait p99 {_fmt_us(queue_wait.get('p99'))}")
+            f"latency p50 {fmt_us(latency.get('p50'))} "
+            f"p99 {fmt_us(latency.get('p99'))}   "
+            f"queue wait p99 {fmt_us(queue_wait.get('p99'))}")
 
     # -- adaptive controller ---------------------------------------------
     if any(name.startswith("adapt.") for name in metrics):
         lines.append("")
         lines.append("controller")
         lines.append(
-            f"  epoch size {_value(metrics, 'adapt.epoch_size'):>6,.0f}   "
-            f"windowed misspec {_value(metrics, 'adapt.misspec_rate'):.1%}   "
-            f"grows {_value(metrics, 'adapt.epoch.grows'):,.0f}  "
-            f"shrinks {_value(metrics, 'adapt.epoch.shrinks'):,.0f}  "
-            f"fallbacks {_value(metrics, 'adapt.fallbacks'):,.0f}  "
-            f"demotions {_value(metrics, 'adapt.demotions'):,.0f}")
+            f"  epoch size {value(payload, 'adapt.epoch_size'):>6,.0f}   "
+            f"windowed misspec {value(payload, 'adapt.misspec_rate'):.1%}   "
+            f"grows {value(payload, 'adapt.epoch.grows'):,.0f}  "
+            f"shrinks {value(payload, 'adapt.epoch.shrinks'):,.0f}  "
+            f"fallbacks {value(payload, 'adapt.fallbacks'):,.0f}  "
+            f"demotions {value(payload, 'adapt.demotions'):,.0f}")
 
     # -- resident pool ---------------------------------------------------
     if any(name.startswith("pool.") for name in metrics):
         # One fork per run; every further one has a reason.
         respawns = "  ".join(
             f"{name[len('pool.respawns.'):]} "
-            f"{_value(metrics, name):,.0f}"
+            f"{value(payload, name):,.0f}"
             for name in sorted(metrics)
             if name.startswith("pool.respawns.")
             and name != "pool.respawns.no_pool")
         lines.append("")
         lines.append(
-            f"pool   forks {_value(metrics, 'pool.spawns'):,.0f}"
+            f"pool   forks {value(payload, 'pool.spawns'):,.0f}"
             f" ({respawns or 'no respawn'})   "
-            f"syncs {_value(metrics, 'pool.syncs'):,.0f} "
-            f"({_value(metrics, 'pool.sync_bytes') / 1024:,.1f} KiB)   "
-            f"deaths {_value(metrics, 'pool.worker_deaths'):,.0f}")
+            f"syncs {value(payload, 'pool.syncs'):,.0f} "
+            f"({value(payload, 'pool.sync_bytes') / 1024:,.1f} KiB)   "
+            f"deaths {value(payload, 'pool.worker_deaths'):,.0f}")
 
     # -- per-worker utilization ------------------------------------------
     rows = worker_rows(metrics)
     if rows:
-        prev_rows = dict(worker_rows(prev_metrics)) if prev else {}
+        prev_rows = dict(worker_rows(prev["metrics"])) if prev else {}
         lines.append("")
         lines.append(f"{'worker':>6}  {'iters':>8}  {'slices':>7}  "
                      f"{'busy':>9}  utilization")
@@ -251,8 +194,8 @@ def render_dashboard(payload: Dict[str, object],
         lines.append("")
         for name in interesting[:6]:
             entry = metrics[name]
-            value = entry.get("value", entry.get("count", 0))
-            lines.append(f"  {name:<44} {value:>14,.0f}")
+            v = entry.get("value", entry.get("count", 0))
+            lines.append(f"  {name:<44} {v:>14,.0f}")
     return "\n".join(lines)
 
 
@@ -291,9 +234,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.port is not None:
         url = f"http://{args.host}:{args.port}/metrics"
     else:
-        from .server import resolve_status_port
+        from .server import STATUS_PORT_ENV, resolve_port
 
-        port = resolve_status_port(None)
+        try:
+            port = resolve_port(None, STATUS_PORT_ENV)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         if port is None:
             print("error: no endpoint: pass --port/--url or set "
                   "REPRO_STATUS_PORT", file=sys.stderr)

@@ -42,6 +42,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, TextIO
 
+from .snapshot import fmt_us
+
 #: Trace format version stamped into the JSONL meta header.
 TRACE_FORMAT = 1
 
@@ -484,20 +486,12 @@ class Tracer:
         for r in rows:
             lines.append(
                 f"{r['name']:<{name_w}}  {r['count']:>5}  "
-                f"{_fmt_us(r['total_us']):>10}  {_fmt_us(r['max_us']):>10}")
+                f"{fmt_us(r['total_us']):>10}  {fmt_us(r['max_us']):>10}")
         instants = sum(1 for ev in self.events if ev["kind"] == "instant")
         lines.append(f"({len(self.events)} events: "
                      f"{len(self.events) - instants} spans, "
                      f"{instants} instants)")
         return "\n".join(lines)
-
-
-def _fmt_us(us: float) -> str:
-    if us >= 1e6:
-        return f"{us / 1e6:.2f}s"
-    if us >= 1e3:
-        return f"{us / 1e3:.2f}ms"
-    return f"{us:.0f}us"
 
 
 def timeline_to_chrome(timeline, cycles_per_us: float = CYCLES_PER_US,

@@ -18,13 +18,13 @@ Layering (see docs/SERVICE.md):
   queue (backpressure surfaces as HTTP 429 + ``Retry-After``);
 * :mod:`repro.service.scheduler` — fingerprint-batched drain loop over
   a resident prepared-program cache;
-* :mod:`repro.service.app` — stdlib-only threaded HTTP tier (the
-  :class:`ThreadingHTTPServer` idiom of :mod:`repro.obs.server`);
+* :mod:`repro.service.app` — the job API's routes, served by the one
+  HTTP server of :mod:`repro.obs.server`;
 * :mod:`repro.service.client` — urllib client plus the ``repro submit``
   and ``repro jobs`` CLI entry points.
 """
 
-from .app import SERVE_PORT_ENV, SERVE_QUEUE_ENV, ServiceApp, resolve_serve_port
+from .app import SERVE_PORT_ENV, SERVE_QUEUE_ENV, ServiceApp
 from .client import ServiceClient, ServiceError
 from .frontend_cache import FrontEndCache
 from .jobstore import (
@@ -54,5 +54,5 @@ __all__ = [
     "ServiceApp", "ServiceClient", "ServiceError", "STATE_DONE",
     "STATE_FAILED", "STATE_MISSPECULATED", "STATE_QUEUED",
     "STATE_RUNNING", "ValidationError", "error_payload",
-    "fingerprint_source", "parse_submit", "resolve_serve_port",
+    "fingerprint_source", "parse_submit",
 ]

@@ -1,8 +1,8 @@
-"""The HTTP tier of ``repro serve``: routing, handlers, lifecycle.
+"""The routes of ``repro serve``: the job API on the status server.
 
-A stdlib-only :class:`ThreadingHTTPServer` (the
-:mod:`repro.obs.server` idiom) in front of the :class:`JobStore` and the
-:class:`Scheduler`.  Handler threads only parse, validate, and snapshot —
+The one HTTP server of the source (:class:`~repro.obs.server.StatusServer`)
+runs with :meth:`ServiceApp.route` in front of the :class:`JobStore` and
+the :class:`Scheduler`.  Handler threads only parse, validate, and snapshot —
 all pipeline work happens on the scheduler thread — so ``GET`` polls stay
 responsive while a job runs, and every payload is JSON-serialized from a
 snapshot taken under the store lock (no torn envelopes).
@@ -20,10 +20,10 @@ Endpoints (full reference in docs/SERVICE.md)
 * ``GET /fingerprints`` — per-fingerprint batching/cache statistics.
 * ``GET /workloads`` — machine-readable submittable-workload listing
   (the ``repro workloads --json`` payload).
-* ``GET /metrics`` / ``/metrics.prom`` / ``/health`` — the
-  :class:`~repro.obs.server.StatusServer` observability surface, served
-  from the same process so ``service.*`` / ``job.<id>.*`` metrics are
-  scrapeable mid-drain.
+* ``GET /metrics`` / ``/metrics.prom`` / ``/health`` — the status
+  server's own endpoints (``/health`` adds job counts and the scheduler
+  state), so ``service.*`` / ``job.<id>.*`` metrics are scrapeable
+  mid-drain.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.history import HistorySampler, resolve_history_dir
 from ..obs.log import get_logger
-from ..obs.server import DEFAULT_HOST, StatusServer
+from ..obs.server import DEFAULT_HOST, BodyError, Reply, StatusServer
 from .frontend_cache import FrontEndCache
 from .jobstore import DEFAULT_QUEUE_DEPTH, JobStore, QueueFull
 from .scheduler import Scheduler
@@ -60,28 +58,6 @@ SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE"
 
 #: Default ``repro serve`` port when neither flag nor env supplies one.
 DEFAULT_SERVE_PORT = 8517
-
-#: Submit bodies above this size are rejected outright (413).
-MAX_BODY_BYTES = 1 << 20
-
-
-def resolve_serve_port(port: Optional[int] = None) -> int:
-    """Resolve the service port: explicit flag > ``REPRO_SERVE_PORT`` >
-    :data:`DEFAULT_SERVE_PORT`.  Port 0 asks the kernel for an ephemeral
-    port (see :attr:`ServiceApp.port` for the resolved value)."""
-    if port is not None:
-        return port
-    raw = os.environ.get(SERVE_PORT_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SERVE_PORT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{SERVE_PORT_ENV}={raw!r} is not an integer port")
-    if not 0 <= value <= 65535:
-        raise ValueError(f"{SERVE_PORT_ENV}={value} is outside [0, 65535]")
-    return value
-
 
 def resolve_queue_depth(depth: Optional[int] = None) -> int:
     """Resolve the submit-queue bound: explicit flag >
@@ -126,7 +102,8 @@ def workloads_payload() -> Dict[str, object]:
 
 
 class ServiceApp:
-    """The assembled service: job store + scheduler + HTTP front end.
+    """The assembled service: job store + scheduler + the status server
+    with :meth:`route` as its route.
 
     Construction wires the tiers together but binds nothing; use
     :meth:`start`/:meth:`stop` or the context manager.  Tests inject a
@@ -156,13 +133,9 @@ class ServiceApp:
         self.history: Optional[HistorySampler] = (
             None if history is None else
             HistorySampler(history, registry=registry))
-        #: Never started: composed purely for its payload methods, so
-        #: ``/metrics`` here and a standalone StatusServer stay identical.
-        self.status = StatusServer(registry=registry, tracer=tracer)
+        self.server = StatusServer(port=port, host=host, registry=registry,
+                                   tracer=tracer, route=self.route)
         self.registry = self.store.registry
-        self._requested = (host, port)
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
     # -- request handling --------------------------------------------------
 
@@ -220,142 +193,90 @@ class ServiceApp:
             return 404, error_payload(f"trace artifact unavailable: {e}"), {}
         return 200, data, {"Content-Type": "application/x-ndjson"}
 
+    # -- routing -----------------------------------------------------------
+
+    def route(self, method: str, path: str,
+              read_body: Callable[[], bytes]) -> Reply:
+        """Every request the server receives (a
+        :data:`~repro.obs.server.Route`), counted in
+        ``service.http.requests`` and, when it fails, in
+        ``service.http.errors``."""
+        self.registry.counter("service.http.requests").inc()
+        reply = (self._post(path, read_body) if method == "POST"
+                 else self._get(path))
+        if reply[0] >= 400:
+            self.registry.counter("service.http.errors").inc()
+        return reply
+
+    def _get(self, path: str) -> Reply:
+        reply = self.server.endpoint(path)
+        if reply is not None:
+            if path == "/health":
+                reply[1]["jobs"] = self.store.counts()
+                reply[1]["scheduler"] = ("running" if self.scheduler.alive
+                                         else "stopped")
+            return reply
+        if path == "/workloads":
+            return 200, envelope(workloads_payload()), {}
+        if path == "/fingerprints":
+            return 200, self.store.fingerprint_payload(), {}
+        if path == "/jobs":
+            return 200, envelope({"jobs": self.store.list_payload(),
+                                  "counts": self.store.counts()}), {}
+        if path.startswith("/jobs/"):
+            rest = path[len("/jobs/"):]
+            if rest.endswith("/trace"):
+                return self.trace_payload(rest[:-len("/trace")])
+            if "/" not in rest:
+                return self.job_payload(rest)
+        return 404, error_payload(
+            f"unknown path {path!r}",
+            ["endpoints: POST /jobs; GET /jobs, /jobs/<id>, "
+             "/jobs/<id>/trace, /fingerprints, /workloads, "
+             "/metrics, /metrics.prom, /health"]), {}
+
+    def _post(self, path: str, read_body: Callable[[], bytes]) -> Reply:
+        if path != "/jobs":
+            return 404, error_payload(
+                f"POST {path!r} is not an endpoint "
+                "(POST /jobs submits a job)"), {}
+        try:
+            raw = read_body()
+        except BodyError as e:
+            return e.status, error_payload(str(e)), {}
+        try:
+            payload = json.loads(raw.decode() or "null")
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            return 400, error_payload(f"body is not JSON: {e}"), {}
+        return self.handle_submit(payload)
+
     # -- lifecycle ---------------------------------------------------------
 
     @property
     def port(self) -> Optional[int]:
-        return self._httpd.server_address[1] if self._httpd else None
+        return self.server.port
 
     @property
     def url(self) -> Optional[str]:
-        if self._httpd is None:
-            return None
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        return self.server.url
 
     def start(self) -> "ServiceApp":
-        """Bind the HTTP server and start the scheduler; idempotent."""
-        if self._httpd is not None:
+        """Bind and serve, then start the scheduler (and history
+        sampler); idempotent.  A port that cannot be bound raises
+        OSError before any thread starts."""
+        if self.server.port is not None:
             return self
-        app = self
+        self.server.start()
         self.scheduler.start()
         if self.history is not None:
             self.history.start()
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def _reply(self, status: int, body, headers=None) -> None:
-                if isinstance(body, (dict, list)):
-                    body = json.dumps(body, sort_keys=True,
-                                      default=str).encode()
-                    content_type = "application/json"
-                else:
-                    content_type = "text/plain; version=0.0.4"
-                headers = dict(headers or {})
-                content_type = headers.pop("Content-Type", content_type)
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                for key, value in headers.items():
-                    self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _route_get(self, path: str):
-                if path == "/health":
-                    body = app.status.health_payload()
-                    body["jobs"] = app.store.counts()
-                    body["scheduler"] = ("running" if app.scheduler.alive
-                                         else "stopped")
-                    return 200, body, {}
-                if path == "/metrics":
-                    return 200, app.status.metrics_payload(), {}
-                if path == "/metrics.prom":
-                    return 200, app.status.prometheus_text().encode(), {}
-                if path == "/workloads":
-                    return 200, envelope(workloads_payload()), {}
-                if path == "/fingerprints":
-                    return 200, app.store.fingerprint_payload(), {}
-                if path == "/jobs":
-                    return 200, envelope({"jobs": app.store.list_payload(),
-                                          "counts": app.store.counts()}), {}
-                if path.startswith("/jobs/"):
-                    rest = path[len("/jobs/"):]
-                    if rest.endswith("/trace"):
-                        return app.trace_payload(rest[:-len("/trace")])
-                    if "/" not in rest:
-                        return app.job_payload(rest)
-                return 404, error_payload(
-                    f"unknown path {path!r}",
-                    ["endpoints: POST /jobs; GET /jobs, /jobs/<id>, "
-                     "/jobs/<id>/trace, /fingerprints, /workloads, "
-                     "/metrics, /metrics.prom, /health"]), {}
-
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                path = self.path.split("?", 1)[0]
-                app.registry.counter("service.http.requests").inc()
-                try:
-                    status, body, headers = self._route_get(path)
-                    if status >= 400:
-                        app.registry.counter("service.http.errors").inc()
-                    self._reply(status, body, headers)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # client went away mid-reply; nothing to do
-
-            def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                path = self.path.split("?", 1)[0]
-                app.registry.counter("service.http.requests").inc()
-                try:
-                    if path != "/jobs":
-                        status, body, headers = 404, error_payload(
-                            f"POST {path!r} is not an endpoint "
-                            "(POST /jobs submits a job)"), {}
-                    else:
-                        status, body, headers = self._submit()
-                    if status >= 400:
-                        app.registry.counter("service.http.errors").inc()
-                    self._reply(status, body, headers)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
-
-            def _submit(self):
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                except ValueError:
-                    return 400, error_payload("bad Content-Length"), {}
-                if length > MAX_BODY_BYTES:
-                    return 413, error_payload(
-                        f"body exceeds {MAX_BODY_BYTES} bytes"), {}
-                raw = self.rfile.read(length) if length else b""
-                try:
-                    payload = json.loads(raw.decode() or "null")
-                except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                    return 400, error_payload(f"body is not JSON: {e}"), {}
-                return app.handle_submit(payload)
-
-            def log_message(self, fmt: str, *args: object) -> None:
-                log.debug("serve: " + fmt, *args)
-
-        self._httpd = ThreadingHTTPServer(self._requested, Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve",
-            daemon=True)
-        self._thread.start()
         log.info("job API serving on %s", self.url)
         return self
 
     def stop(self) -> None:
         """Graceful shutdown: stop accepting, finish the in-flight job,
         join every owned thread; idempotent."""
-        httpd, thread = self._httpd, self._thread
-        self._httpd = self._thread = None
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
+        self.server.stop()
         self.scheduler.stop()
         if self.history is not None:
             self.history.stop()

@@ -36,10 +36,13 @@ class ServiceError(RuntimeError):
 
 
 def default_url(port: Optional[int] = None) -> str:
-    """The serve URL implied by flags/env (see :func:`resolve_serve_port`)."""
-    from .app import resolve_serve_port
+    """The serve URL implied by flags/env: ``port`` >
+    ``$REPRO_SERVE_PORT`` > 8517 (see :func:`~repro.obs.server.resolve_port`)."""
+    from ..obs.server import resolve_port
+    from .app import DEFAULT_SERVE_PORT, SERVE_PORT_ENV
 
-    return f"http://127.0.0.1:{resolve_serve_port(port)}"
+    return (f"http://127.0.0.1:"
+            f"{resolve_port(port, SERVE_PORT_ENV, DEFAULT_SERVE_PORT)}")
 
 
 class ServiceClient:

@@ -125,6 +125,18 @@ class TestArgValidation:
             ["baselines", prog_file, "--args", "24", "--workers", "0"],
             capsys, "at least one worker")
 
+    @pytest.mark.parametrize("flag, fragment", [
+        ("--queue-depth", "the submit queue must hold at least one job"),
+        ("--retain", "the retention must keep at least one finished job"),
+    ])
+    def test_serve_floors_name_their_flag(self, flag, fragment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "worker" not in err
+
     def test_valid_arguments_still_accepted(self, prog_file, capsys):
         rc = main(["run", prog_file, "--args", "24", "--workers", "1",
                    "--checkpoint-period", "2"])
@@ -534,6 +546,56 @@ class TestStatusEndpoint:
             main(["run", prog_file, "--args", "8"])
         assert exc.value.code == 2
         assert "not an integer" in capsys.readouterr().err
+
+
+class TestPortRange:
+    """An out-of-range or busy port, from a flag or the environment, is
+    one line on stderr and exit 2."""
+
+    @staticmethod
+    def _exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
+
+    @pytest.mark.parametrize("argv, env", [
+        (["run", "PROG", "--args", "8", "--status-port", "70000"], None),
+        (["run", "PROG", "--args", "8"], "REPRO_STATUS_PORT"),
+        (["serve", "--port", "70000"], None),
+        (["serve"], "REPRO_SERVE_PORT"),
+    ])
+    def test_out_of_range_port_exits_2(self, argv, env, prog_file, capsys,
+                                       monkeypatch):
+        if env is not None:
+            monkeypatch.setenv(env, "70000")
+        code = self._exit_code([prog_file if a == "PROG" else a
+                                for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "70000 is outside [0, 65535]" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "PROG", "--args", "8", "--status-port", "PORT"],
+        ["serve", "--port", "PORT"],
+    ])
+    def test_busy_port_exits_2(self, argv, prog_file, capsys):
+        import socket
+
+        from repro import obs
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = str(busy.getsockname()[1])
+            code = self._exit_code([
+                {"PROG": prog_file, "PORT": port}.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"on port {port}: " in err
+        assert not obs.enabled()
 
 
 class TestPerf:

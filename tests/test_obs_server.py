@@ -12,10 +12,9 @@ from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.server import (
     STATUS_PORT_ENV,
     StatusServer,
-    resolve_status_port,
+    resolve_port,
 )
 from repro.obs.top import (
-    payload_from_registry,
     render_dashboard,
     worker_rows,
 )
@@ -52,6 +51,13 @@ def _populated_registry() -> MetricsRegistry:
     return r
 
 
+def _payload(registry: MetricsRegistry, run=None) -> dict:
+    """The ``/metrics`` payload of ``registry``, with ``run`` metadata."""
+    payload = StatusServer(registry=registry).metrics_payload()
+    payload["run"] = dict(run or {})
+    return payload
+
+
 def _get(url: str) -> bytes:
     with urllib.request.urlopen(url, timeout=5) as resp:
         return resp.read()
@@ -60,25 +66,25 @@ def _get(url: str) -> bytes:
 class TestResolveStatusPort:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(STATUS_PORT_ENV, raising=False)
-        assert resolve_status_port(None) is None
+        assert resolve_port(None, STATUS_PORT_ENV) is None
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(STATUS_PORT_ENV, "9999")
-        assert resolve_status_port(4242) == 4242
+        assert resolve_port(4242, STATUS_PORT_ENV) == 4242
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(STATUS_PORT_ENV, "4321")
-        assert resolve_status_port(None) == 4321
+        assert resolve_port(None, STATUS_PORT_ENV) == 4321
 
     def test_env_not_integer(self, monkeypatch):
         monkeypatch.setenv(STATUS_PORT_ENV, "eighty")
         with pytest.raises(ValueError, match="not an integer"):
-            resolve_status_port(None)
+            resolve_port(None, STATUS_PORT_ENV)
 
     def test_env_out_of_range(self, monkeypatch):
         monkeypatch.setenv(STATUS_PORT_ENV, "70000")
         with pytest.raises(ValueError, match="outside"):
-            resolve_status_port(None)
+            resolve_port(None, STATUS_PORT_ENV)
 
 
 class TestStatusServer:
@@ -260,7 +266,7 @@ class TestTopDashboard:
         assert rows[0][1]["span_us"] == 3  # histogram falls back to count
 
     def test_render_dashboard_snapshot(self):
-        payload = payload_from_registry(
+        payload = _payload(
             _populated_registry(),
             run={"workload": "dijkstra", "backend": "pool"})
         frame = render_dashboard(payload)
@@ -277,11 +283,11 @@ class TestTopDashboard:
         prev_reg = MetricsRegistry()
         prev_reg.counter("executor.epochs").inc(2)
         prev_reg.counter("worker.0.epoch.busy_us").inc(100_000)
-        prev = payload_from_registry(prev_reg)
+        prev = _payload(prev_reg)
         cur_reg = MetricsRegistry()
         cur_reg.counter("executor.epochs").inc(4)
         cur_reg.counter("worker.0.epoch.busy_us").inc(600_000)
-        cur = payload_from_registry(cur_reg)
+        cur = _payload(cur_reg)
         cur["generated_unix"] = prev["generated_unix"] + 1.0
         frame = render_dashboard(cur, prev=prev)
         assert "2.0 epoch/s" in frame
@@ -295,22 +301,22 @@ class TestTopDashboard:
         reg.counter("pool.syncs").inc(7)
         reg.counter("pool.sync_bytes").inc(3072)
         reg.counter("pool.worker_deaths").inc()
-        frame = render_dashboard(payload_from_registry(reg))
+        frame = render_dashboard(_payload(reg))
         assert frame.endswith("pool   forks 2 (child_died 1)   "
                               "syncs 7 (3.0 KiB)   deaths 1")
         assert "pool   " not in render_dashboard(
-            payload_from_registry(MetricsRegistry()))
+            _payload(MetricsRegistry()))
 
     def test_render_without_workers_notes_pool_backend(self):
         reg = MetricsRegistry()
         reg.counter("executor.epochs").inc()
-        payload = payload_from_registry(reg, run={"backend": "pool"})
+        payload = _payload(reg, run={"backend": "pool"})
         assert "no worker.N.* metrics yet" in render_dashboard(payload)
 
     def test_snapshot_cli(self, tmp_path, capsys):
         from repro.obs.top import main as top_main
 
-        payload = payload_from_registry(_populated_registry())
+        payload = _payload(_populated_registry())
         path = tmp_path / "snap.json"
         path.write_text(json.dumps(payload))
         assert top_main(["--snapshot", str(path)]) == 0

@@ -1026,8 +1026,8 @@ class TestPoolTelemetry:
         """`repro top` groups a pool-backend metrics snapshot into one
         row per *stable* pool worker id, in numeric order."""
         from repro.obs.metrics import METRICS
-        from repro.obs.top import (payload_from_registry, render_dashboard,
-                                   worker_rows)
+        from repro.obs.server import StatusServer
+        from repro.obs.top import render_dashboard, worker_rows
         from repro.obs.trace import TRACER
 
         prog = prepared_counter_program(16)
@@ -1035,7 +1035,7 @@ class TestPoolTelemetry:
         METRICS.reset()
         try:
             prog.execute(workers=2, backend="pool")
-            payload = payload_from_registry(METRICS)
+            payload = StatusServer().metrics_payload()
         finally:
             TRACER.disable()
             TRACER.reset()

@@ -5,6 +5,7 @@ validation of the service payloads (docs/SERVICE.md)."""
 import json
 import os
 import pickle
+import socket
 import sys
 import threading
 import time
@@ -21,6 +22,8 @@ from repro.obs.metrics import (
     render_prometheus,
     split_labeled_metric,
 )
+from repro.obs import server
+from repro.obs.server import resolve_port
 from repro.obs.trace import TRACER, Tracer
 from repro.service import (
     FrontEndCache,
@@ -38,10 +41,10 @@ from repro.service import (
 )
 from repro.service import frontend_cache, jobstore, scheduler
 from repro.service.app import (
+    DEFAULT_SERVE_PORT,
     SERVE_PORT_ENV,
     SERVE_QUEUE_ENV,
     resolve_queue_depth,
-    resolve_serve_port,
     workloads_payload,
 )
 
@@ -844,13 +847,56 @@ class TestBackpressure:
         with pytest.raises(ValueError, match="integer"):
             resolve_queue_depth(None)
         monkeypatch.setenv(SERVE_PORT_ENV, "18222")
-        assert resolve_serve_port(None) == 18222
-        assert resolve_serve_port(1234) == 1234
+        assert resolve_port(None, SERVE_PORT_ENV, DEFAULT_SERVE_PORT) == 18222
+        assert resolve_port(1234, SERVE_PORT_ENV, DEFAULT_SERVE_PORT) == 1234
         monkeypatch.setenv(SERVE_PORT_ENV, "eighty")
         with pytest.raises(ValueError, match="integer"):
-            resolve_serve_port(None)
+            resolve_port(None, SERVE_PORT_ENV, DEFAULT_SERVE_PORT)
         monkeypatch.delenv(SERVE_PORT_ENV)
-        assert resolve_serve_port(None) == 8517
+        assert resolve_port(None, SERVE_PORT_ENV, DEFAULT_SERVE_PORT) == 8517
+
+
+def _raw_reply(app: ServiceApp, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; everything the server
+    answers before it closes."""
+    with socket.create_connection(("127.0.0.1", app.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+        return data
+
+
+class TestHostileRequests:
+    """A request that lies about its body gets a reply or a closed
+    connection; it never holds a handler thread."""
+
+    @pytest.mark.parametrize("length", ["-5", "ten", "1.5"])
+    def test_bad_content_length_is_400(self, app, length):
+        reply = _raw_reply(app, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                           b"Content-Length: " + length.encode()
+                           + b"\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "bad Content-Length"
+        assert app.registry.counter("service.http.errors").value == 1
+
+    def test_stalled_body_is_dropped(self, app, monkeypatch):
+        monkeypatch.setattr(server, "READ_TIMEOUT_S", 0.5)
+        with socket.create_connection(("127.0.0.1", app.port),
+                                      timeout=10) as stalled:
+            stalled.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 10\r\n\r\n{}")
+            # The other handler threads keep serving meanwhile.
+            with urllib.request.urlopen(app.url + "/health",
+                                        timeout=5) as resp:
+                assert json.loads(resp.read())["status"] == "ok"
+            stalled.settimeout(5.0)
+            t0 = time.monotonic()
+            assert stalled.recv(1024) == b""  # closed without a reply
+            assert time.monotonic() - t0 < 5.0
+        assert app.registry.counter("service.http.submits").value == 0
 
 
 class TestConcurrentPolling:
@@ -927,8 +973,8 @@ class TestConcurrentPolling:
         # Clean shutdown: no service/scheduler threads left.
         for _ in range(100):
             leaked = [t.name for t in threading.enumerate()
-                      if t.name.startswith("repro-serve")
-                      or t.name.startswith("repro-service")]
+                      if t.name.startswith(("repro-http",
+                                            "repro-service"))]
             if not leaked:
                 break
             time.sleep(0.05)
